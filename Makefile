@@ -3,7 +3,7 @@
 GO  ?= go
 BIN := bin
 
-.PHONY: all build test race lint lint-escape lint-escape-baseline bench-smoke bench-alloc bench-host ckpt-e2e serve-e2e clean
+.PHONY: all build test race lint lint-escape lint-escape-baseline bench-smoke bench-wall-smoke bench-alloc bench-host ckpt-e2e serve-e2e clean
 
 all: build test lint
 
@@ -43,6 +43,13 @@ bench-smoke:
 	$(GO) run ./cmd/bench -smoke -boards 1,2 -out /tmp/bench-smoke.json
 	$(GO) run ./cmd/bench -validate /tmp/bench-smoke.json
 	$(GO) run ./cmd/bench -validate BENCH_treecode.json
+
+# bench-wall-smoke builds, vets and tests the wall-clock benchmark
+# (benchmark/, its own module repro/benchmark, so `go test ./...` above
+# never sees it). It hand-assembles the step pipeline from the internal
+# packages' constructors, so an API edit there breaks it first.
+bench-wall-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # bench-alloc gates the arena step pipeline (DESIGN.md §11): the
 # steady-state allocation budget and the parallel-build conformance

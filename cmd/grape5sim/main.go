@@ -167,7 +167,7 @@ func main() {
 
 	var (
 		model  = flag.String("model", "plummer", "initial model: plummer, uniform, cosmo")
-		resume = flag.String("resume", "", "resume from a checkpoint or snapshot file (overrides -model)")
+		resume = flag.String("resume", "", "resume from a checkpoint or snapshot file (overrides -model); its particle IDs must be a permutation of 0..N-1 or the run is refused")
 		n      = flag.Int("n", 10000, "particle count (plummer/uniform)")
 		grid   = flag.Int("grid", 16, "IC grid size per dimension (cosmo; power of two)")
 		radius = flag.Float64("radius", units.PaperRadiusMpc, "comoving sphere radius in Mpc (cosmo)")

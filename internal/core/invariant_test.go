@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -93,16 +94,20 @@ func TestOriginalWalkMassConservation(t *testing.T) {
 type perParticleAudit struct {
 	want  float64
 	tol   float64
+	mu    sync.Mutex
 	bad   int
 	calls int
 }
 
+// Accumulate is called from every walk worker at once.
 func (e *perParticleAudit) Accumulate(req *Request) {
-	e.calls++
 	var m float64
 	for _, mj := range req.J.M[:req.J.N] {
 		m += mj
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.calls++
 	if math.Abs(m-e.want) > e.tol*(1+e.want) {
 		e.bad++
 	}

@@ -44,19 +44,19 @@ type Options struct {
 	// Reuse trades a drift-bounded force approximation for amortised
 	// build cost; see the ablation benchmarks.
 	RebuildEvery int
-	// ActiveRebuildFrac is the block-timestep rebuild policy knob
-	// (ComputeForcesActive): a substep whose active fraction reaches
-	// this threshold triggers a full Morton sort and rebuild, below it
-	// the cached tree is centre-of-mass refreshed. Default 0.5. The
-	// policy is a pure function of the active fraction and tree
-	// validity, which is what keeps resumed block runs on the
-	// uninterrupted run's exact rebuild schedule.
-	ActiveRebuildFrac float64
 	// Obs, when non-nil, receives per-phase spans (Morton sort, tree
 	// build, group walk, force evaluation) and traversal counters for
 	// every force calculation. Walk workers record concurrently.
 	Obs *obs.Observer
 }
+
+// activeRebuildFrac is the block-timestep rebuild policy
+// (ComputeForcesActive): a substep whose active fraction reaches it
+// triggers a full Morton sort and rebuild, below it the cached tree is
+// centre-of-mass refreshed. The policy is a pure function of the active
+// fraction and tree validity, which is what keeps resumed block runs on
+// the uninterrupted run's exact rebuild schedule.
+const activeRebuildFrac = 0.5
 
 func (o Options) withDefaults() Options {
 	if o.Theta == 0 {
@@ -73,9 +73,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.ActiveRebuildFrac <= 0 {
-		o.ActiveRebuildFrac = 0.5
 	}
 	return o
 }
@@ -321,7 +318,7 @@ func (tc *Treecode) computeForces(s *nbody.System, active []bool, nActive int) (
 		// at least a centre-of-mass refresh; a full rebuild only when the
 		// active fraction says the Morton order is worth re-earning.
 		reuse = tc.Tree != nil && tc.Tree.Sys == s &&
-			float64(nActive) < o.ActiveRebuildFrac*float64(s.N())
+			float64(nActive) < activeRebuildFrac*float64(s.N())
 	}
 	var tree *octree.Tree
 	if reuse {

@@ -63,11 +63,10 @@ func (c RungCriterion) Span() float64 { return c.DT(c.MaxRung) }
 // step fits under dt = η·sqrt(eps/|a|), floored at rung 0 (a particle
 // wanting a smaller step than DTMin runs at DTMin: the floor trades
 // accuracy for a bounded clock, exactly like TimestepCriterion.MinDT).
-// The continuous dt is returned for telemetry. Callers guard
-// non-finite norms.
-func (c RungCriterion) rungFor(aNorm float64) (int, float64) {
+// Callers guard non-finite norms.
+func (c RungCriterion) rungFor(aNorm float64) int {
 	if aNorm == 0 || c.Eps <= 0 {
-		return c.MaxRung, c.Span() // free particle: no intrinsic scale
+		return c.MaxRung // free particle: no intrinsic scale
 	}
 	eta := c.Eta
 	if eta == 0 {
@@ -76,21 +75,10 @@ func (c RungCriterion) rungFor(aNorm float64) (int, float64) {
 	dt := eta * math.Sqrt(c.Eps/aNorm)
 	for k := c.MaxRung; k > 0; k-- {
 		if c.DT(k) <= dt {
-			return k, dt
+			return k
 		}
 	}
-	return 0, dt
-}
-
-// rungPartial is one worker's share of the rung-assignment reduction.
-// Each worker owns exactly one partial; the fold walks them in worker
-// order so the merged telemetry is schedule-independent.
-type rungPartial struct {
-	sumDT  float64 // Σ continuous dt over this worker's closing particles
-	minDT  float64 // min continuous dt (+Inf when none closed here)
-	count  int64   // closing particles seen
-	errID  int64   // first particle ID with a non-finite |a|, -1 if none
-	errVal float64 // its |a|
+	return 0
 }
 
 // BlockLeapfrog advances a system under hierarchical power-of-two block
@@ -113,6 +101,11 @@ type rungPartial struct {
 // substep opens and closes the full set, the drift spans the whole
 // block in one MulAdd, and forces flow through the full-set Force path
 // — instruction-for-instruction the same arithmetic as Leapfrog.Step.
+// That is how a shared timestep runs on this core: MaxRung = 0 with
+// Crit.DTMin as the step, constant for a fixed dt or rewritten by the
+// caller from TimestepCriterion.Pick between Steps for an adaptive one
+// (every Step ends synchronized at tick 0, so the tick quantum may
+// change there).
 type BlockLeapfrog struct {
 	// Crit assigns rungs from accelerations.
 	Crit RungCriterion
@@ -130,13 +123,14 @@ type BlockLeapfrog struct {
 	primed bool
 	idsOK  bool // dense-ID validation done for the current system size
 
-	partials []rungPartial
+	// bad holds, per rung-assignment worker, the index of the first
+	// particle with a non-finite |a| in its range (-1 if none); scanned
+	// in worker order, so the reported particle is schedule-independent.
+	bad []int
 
 	// Per-Step telemetry, overwritten each call.
 	lastSubsteps int64
 	lastActiveI  int64
-	lastSumDT    float64
-	lastMinDT    float64
 }
 
 // NewBlockLeapfrog validates the criterion and force callbacks.
@@ -158,7 +152,8 @@ func (b *BlockLeapfrog) Primed() bool { return b.primed }
 
 // SetPrimed overrides the primed flag for checkpoint resume: the
 // restored accelerations are the post-force state, so re-priming would
-// double-count the initial evaluation. Pair with SetState.
+// double-count the initial evaluation. A multi-rung run pairs it with
+// SetState; a single-rung run has no rung state to restore.
 func (b *BlockLeapfrog) SetPrimed(primed bool) { b.primed = primed }
 
 // LastSubsteps returns the substep count of the most recent Step.
@@ -168,20 +163,6 @@ func (b *BlockLeapfrog) LastSubsteps() int64 { return b.lastSubsteps }
 // count across the most recent Step's substeps: the block-timestep
 // analogue of "N per step", and the numerator of the active fraction.
 func (b *BlockLeapfrog) LastActiveI() int64 { return b.lastActiveI }
-
-// LastMinDT returns the smallest continuous criterion dt seen in the
-// most recent rung assignment (+Inf before any assignment); a value
-// below DT(0) means the rung-0 floor is truncating it.
-func (b *BlockLeapfrog) LastMinDT() float64 { return b.lastMinDT }
-
-// LastMeanDT returns the mean continuous criterion dt over the most
-// recent Step's closing particles (0 before any Step).
-func (b *BlockLeapfrog) LastMeanDT() float64 {
-	if b.lastActiveI == 0 {
-		return 0
-	}
-	return b.lastSumDT / float64(b.lastActiveI)
-}
 
 // Rungs returns a copy of the per-particle rung assignment, indexed by
 // particle ID.
@@ -296,7 +277,13 @@ func (b *BlockLeapfrog) Step(s *nbody.System) error {
 		}
 	}
 	if len(b.rungs) != len(s.Pos) {
-		return fmt.Errorf("integrate: system size %d does not match block state for %d particles", len(s.Pos), len(b.rungs))
+		if b.Crit.MaxRung > 0 {
+			return fmt.Errorf("integrate: system size %d does not match block state for %d particles", len(s.Pos), len(b.rungs))
+		}
+		// A single-rung run marked primed from a checkpoint has no rung
+		// state to restore: every particle is on rung 0.
+		b.ensure(len(s.Pos))
+		b.idsOK = false
 	}
 	if !b.idsOK {
 		if err := b.validateIDs(s); err != nil {
@@ -304,8 +291,7 @@ func (b *BlockLeapfrog) Step(s *nbody.System) error {
 		}
 	}
 	span := int64(1) << uint(b.Crit.MaxRung)
-	b.lastSubsteps, b.lastActiveI, b.lastSumDT = 0, 0, 0
-	b.lastMinDT = math.Inf(1)
+	b.lastSubsteps, b.lastActiveI = 0, 0
 	for {
 		nOpen := b.markActive(s)
 		if nOpen == 0 {
@@ -399,13 +385,10 @@ func (b *BlockLeapfrog) nextStop() int64 {
 // decreases are always aligned because a smaller power of two divides
 // the current one.
 //
-// This is the sanctioned fpreduce rung reduction (DESIGN.md §16): each
-// go-launched worker accumulates dt telemetry into its own rungPartial
-// through a captured pointer — per-worker ownership the analyzer cannot
-// prove — and the fold below walks the partials in worker order, so the
-// merged sum and min are independent of goroutine scheduling. The rung
-// writes themselves are indexed by particle ID and race-free because
-// index ranges partition the closing set.
+// A non-finite |a| — a faulted board surviving guard fallback, an IC
+// bug — is a loud error on every dt policy: kicking with it would
+// poison every position after it. The rung writes are indexed by
+// particle ID and race-free because index ranges partition the set.
 func (b *BlockLeapfrog) assignRungs(s *nbody.System) error {
 	rungCap := b.Crit.MaxRung
 	if b.tick != 0 {
@@ -424,13 +407,10 @@ func (b *BlockLeapfrog) assignRungs(s *nbody.System) error {
 	if workers < 1 {
 		workers = 1
 	}
-	if cap(b.partials) < workers {
-		b.partials = make([]rungPartial, workers)
+	if cap(b.bad) < workers {
+		b.bad = make([]int, workers)
 	}
-	b.partials = b.partials[:workers]
-	for w := range b.partials {
-		b.partials[w] = rungPartial{minDT: math.Inf(1), errID: -1}
-	}
+	b.bad = b.bad[:workers]
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -439,7 +419,8 @@ func (b *BlockLeapfrog) assignRungs(s *nbody.System) error {
 		if hi > n {
 			hi = n
 		}
-		part := &b.partials[w]
+		bad := &b.bad[w]
+		*bad = -1
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -450,33 +431,17 @@ func (b *BlockLeapfrog) assignRungs(s *nbody.System) error {
 				}
 				a := s.Acc[i].Norm()
 				if math.IsNaN(a) || math.IsInf(a, 0) {
-					if part.errID < 0 {
-						part.errID, part.errVal = id, a
-					}
-					continue
+					*bad = i
+					return
 				}
-				k, dt := b.Crit.rungFor(a)
-				if k > rungCap {
-					k = rungCap
-				}
-				b.rungs[id] = uint8(k)
-				part.count++
-				part.sumDT += dt
-				if dt < part.minDT {
-					part.minDT = dt
-				}
+				b.rungs[id] = uint8(min(b.Crit.rungFor(a), rungCap))
 			}
 		}()
 	}
 	wg.Wait()
-	for w := range b.partials {
-		p := &b.partials[w]
-		if p.errID >= 0 {
-			return fmt.Errorf("integrate: non-finite acceleration |a|=%v for particle id %d at tick %d: refusing to assign a rung from corrupt forces", p.errVal, p.errID, b.tick)
-		}
-		b.lastSumDT += p.sumDT
-		if p.minDT < b.lastMinDT {
-			b.lastMinDT = p.minDT
+	for _, i := range b.bad {
+		if i >= 0 {
+			return fmt.Errorf("integrate: non-finite acceleration |a|=%v for particle id %d at tick %d: refusing to assign a rung from corrupt forces", s.Acc[i].Norm(), s.ID[i], b.tick)
 		}
 	}
 	return nil

@@ -61,109 +61,3 @@ func (c TimestepCriterion) Pick(s *nbody.System) (float64, error) {
 	}
 	return dt, nil
 }
-
-// AdaptiveLeapfrog wraps Leapfrog with per-step timestep selection.
-// Adapting dt breaks exact symplecticity, which is why fixed steps
-// remain the default; the adaptive variant is for runs with deep
-// collapse where a fixed step would either crawl or blow up.
-//
-// Resume note: the step size is a pure function of the current
-// accelerations, which a checkpoint restores exactly, so a primed
-// resume re-derives the identical dt sequence — adaptive runs are
-// bitwise resumable with no extra scheduler state.
-type AdaptiveLeapfrog struct {
-	// Criterion picks each step.
-	Criterion TimestepCriterion
-	// Force computes accelerations.
-	Force ForceFunc
-
-	lastDT float64
-	primed bool
-}
-
-// LastDT returns the most recent step size.
-func (a *AdaptiveLeapfrog) LastDT() float64 { return a.lastDT }
-
-// Prime computes the initial accelerations. Step calls it automatically
-// if the caller has not.
-func (a *AdaptiveLeapfrog) Prime(s *nbody.System) error {
-	if err := a.Force(s); err != nil {
-		return err
-	}
-	a.primed = true
-	return nil
-}
-
-// Primed reports whether initial accelerations are available.
-func (a *AdaptiveLeapfrog) Primed() bool { return a.primed }
-
-// SetPrimed overrides the primed flag: a checkpoint resume restores
-// post-force accelerations and marks the integrator primed, exactly
-// like Leapfrog.SetPrimed.
-func (a *AdaptiveLeapfrog) SetPrimed(primed bool) { a.primed = primed }
-
-// Step advances by one adaptively chosen step and returns its size.
-func (a *AdaptiveLeapfrog) Step(s *nbody.System) (float64, error) {
-	if !a.primed {
-		if err := a.Prime(s); err != nil {
-			return 0, err
-		}
-	}
-	dt, err := a.Criterion.Pick(s)
-	if err != nil {
-		return 0, err
-	}
-	half := dt / 2
-	for i := range s.Vel {
-		s.Vel[i] = s.Vel[i].MulAdd(half, s.Acc[i])
-	}
-	for i := range s.Pos {
-		s.Pos[i] = s.Pos[i].MulAdd(dt, s.Vel[i])
-	}
-	if err := a.Force(s); err != nil {
-		return 0, err
-	}
-	for i := range s.Vel {
-		s.Vel[i] = s.Vel[i].MulAdd(half, s.Acc[i])
-	}
-	a.lastDT = dt
-	return dt, nil
-}
-
-// RunUntil advances until the accumulated time reaches t (the final
-// step is clamped to land exactly on t). Returns the number of steps.
-func (a *AdaptiveLeapfrog) RunUntil(s *nbody.System, t float64) (int, error) {
-	elapsed := 0.0
-	steps := 0
-	for elapsed < t {
-		if !a.primed {
-			if err := a.Prime(s); err != nil {
-				return steps, err
-			}
-		}
-		dt, err := a.Criterion.Pick(s)
-		if err != nil {
-			return steps, err
-		}
-		if elapsed+dt > t {
-			dt = t - elapsed
-		}
-		half := dt / 2
-		for i := range s.Vel {
-			s.Vel[i] = s.Vel[i].MulAdd(half, s.Acc[i])
-		}
-		for i := range s.Pos {
-			s.Pos[i] = s.Pos[i].MulAdd(dt, s.Vel[i])
-		}
-		if err := a.Force(s); err != nil {
-			return steps, err
-		}
-		for i := range s.Vel {
-			s.Vel[i] = s.Vel[i].MulAdd(half, s.Acc[i])
-		}
-		a.lastDT = dt
-		elapsed += dt
-		steps++
-	}
-	return steps, nil
-}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/nbody"
-	"repro/internal/rng"
 	"repro/internal/vec"
 )
 
@@ -62,63 +61,5 @@ func TestTimestepFreeSystem(t *testing.T) {
 	}
 	if got, err := (TimestepCriterion{}).Pick(s); err != nil || got != 1 {
 		t.Errorf("unbounded free-system dt = %v (err %v)", got, err)
-	}
-}
-
-func TestAdaptiveLeapfrogEnergy(t *testing.T) {
-	const g, eps = 1.0, 0.05
-	s := nbody.Plummer(200, 1, 1, g, rng.New(9))
-	e0 := s.KineticEnergy() + nbody.PotentialEnergy(s, g, eps)
-	a := &AdaptiveLeapfrog{
-		Criterion: TimestepCriterion{Eta: 0.05, Eps: eps, MaxDT: 0.01},
-		Force:     directForce(g, eps),
-	}
-	steps, err := a.RunUntil(s, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if steps < 50 {
-		t.Errorf("suspiciously few steps: %d", steps)
-	}
-	if a.LastDT() <= 0 {
-		t.Error("no recorded dt")
-	}
-	e1 := s.KineticEnergy() + nbody.PotentialEnergy(s, g, eps)
-	if rel := math.Abs(e1-e0) / math.Abs(e0); rel > 5e-3 {
-		t.Errorf("adaptive energy drift = %v", rel)
-	}
-}
-
-func TestAdaptiveStepReturnsDT(t *testing.T) {
-	const g = 1.0
-	s := nbody.TwoBody(1, 1, 1, g)
-	a := &AdaptiveLeapfrog{
-		Criterion: TimestepCriterion{Eta: 0.1, Eps: 0.1, MaxDT: 0.01},
-		Force:     directForce(g, 0.1),
-	}
-	dt, err := a.Step(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dt <= 0 || dt > 0.01 {
-		t.Errorf("dt = %v", dt)
-	}
-}
-
-func TestRunUntilLandsExactly(t *testing.T) {
-	s := nbody.TwoBody(1, 1, 1, 1)
-	a := &AdaptiveLeapfrog{
-		Criterion: TimestepCriterion{Eta: 0.2, Eps: 0.1, MaxDT: 0.013},
-		Force:     directForce(1, 0.1),
-	}
-	target := 0.1
-	steps, err := a.RunUntil(s, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sum of steps equals the target: the final step is clamped, so the
-	// count must be ceil(target/maxdt) or so.
-	if steps < int(target/0.013) {
-		t.Errorf("steps = %d", steps)
 	}
 }

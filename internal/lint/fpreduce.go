@@ -52,13 +52,6 @@ var fpreduceSanctioned = map[string]map[string]bool{
 	hostkPath: {
 		"MACSink.*": true, "JList.*": true,
 	},
-	// The block scheduler's rung assignment accumulates dt telemetry
-	// into per-worker rungPartial slots through pointers captured by its
-	// go-launched literals — ownership the analyzer cannot see — and
-	// folds the partials in worker order (DESIGN.md §16).
-	integratePath: {
-		"BlockLeapfrog.assignRungs": true,
-	},
 }
 
 func fpreduceScoped(path string) bool {

@@ -233,7 +233,3 @@ const ckptPath = "repro/internal/ckpt"
 
 // corePath is the treecode package, one of hotalloc's hot packages.
 const corePath = "repro/internal/core"
-
-// integratePath holds the integrators; fpreduce sanctions its
-// block-timestep rung-assignment reduction.
-const integratePath = "repro/internal/integrate"

@@ -74,13 +74,6 @@ func TestFPReduceSanctionedHelpers(t *testing.T) {
 	linttest.Run(t, "testdata/fpreduce_sanctioned", "repro/internal/obs", lint.AnalyzerFPReduce)
 }
 
-func TestFPReduceRungBlockSanction(t *testing.T) {
-	// Under the integrate import path, BlockLeapfrog.assignRungs is the
-	// designated rung-reduction merge point; the same captured-pointer
-	// accumulation on any other method is still flagged.
-	linttest.Run(t, "testdata/fpreduce_rungblock", "repro/internal/integrate", lint.AnalyzerFPReduce)
-}
-
 func TestWireSchemaFixture(t *testing.T) {
 	linttest.Run(t, "testdata/wireschema", "repro/internal/serve", lint.AnalyzerWireSchema)
 }

@@ -68,20 +68,9 @@ type JobRequest struct {
 // is concrete, every bound checked against the admitting budget. It is
 // the unit the scheduler, the runner and the reference harness all
 // agree on — DecodeJobRequest is the only way to make one from wire
-// bytes, so a spec in hand is a spec within budget.
-type JobSpec struct {
-	Tenant string  `json:"tenant"`
-	Model  string  `json:"model"`
-	N      int     `json:"n"`
-	Steps  int     `json:"steps"`
-	Theta  float64 `json:"theta"`
-	Ncrit  int     `json:"ncrit"`
-	DT     float64 `json:"dt"`
-	Eps    float64 `json:"eps"`
-	Seed   uint64  `json:"seed"`
-	Engine string  `json:"engine"`
-	Boards int     `json:"boards"`
-}
+// bytes, so a spec in hand is a spec within budget. It has the wire
+// fields of JobRequest under a distinct type.
+type JobSpec JobRequest
 
 // Default model timesteps: a Plummer sphere in model units tolerates a
 // coarser step than the colder uniform sphere.
@@ -145,19 +134,7 @@ func DecodeJobRequest(r io.Reader, b Budget) (JobSpec, error) {
 // budget. It never mutates shared state: the same request resolves to
 // the same spec on every server.
 func resolveSpec(req JobRequest, b Budget) (JobSpec, error) {
-	s := JobSpec{
-		Tenant: req.Tenant,
-		Model:  req.Model,
-		N:      req.N,
-		Steps:  req.Steps,
-		Theta:  req.Theta,
-		Ncrit:  req.Ncrit,
-		DT:     req.DT,
-		Eps:    req.Eps,
-		Seed:   req.Seed,
-		Engine: req.Engine,
-		Boards: req.Boards,
-	}
+	s := JobSpec(req)
 	if s.Tenant == "" {
 		s.Tenant = "default"
 	}

@@ -93,9 +93,8 @@ type Config struct {
 	// integration with Blocks power-of-two rung levels: particle rungs
 	// k ∈ [0, Blocks-1] advance with dt = DTMin·2^k, and one Step spans
 	// the full block DTMin·2^(Blocks-1). DT, if set, must equal that
-	// span (unset inherits it). Blocks == 1 degenerates to the global
-	// leapfrog at DT = DTMin, bitwise. Mutually exclusive with Adaptive
-	// and EnginePM.
+	// span (unset inherits it). Blocks == 1 is the fixed-dt run at
+	// DT = DTMin, bitwise. Mutually exclusive with Adaptive and EnginePM.
 	Blocks int
 	// DTMin is the finest block timestep (required when Blocks > 0).
 	DTMin float64
@@ -103,18 +102,14 @@ type Config struct {
 	// (Blocks > 0) or the shared adaptive criterion (Adaptive); default
 	// 0.2.
 	Eta float64
-	// Adaptive selects the shared adaptive timestep integrator: every
-	// step uses dt = Eta·sqrt(Eps/|a|_max) clamped to [DTMin, DT]. DT
-	// acts as the ceiling, DTMin (optional) as the floor.
+	// Adaptive selects the shared adaptive timestep: every step uses
+	// dt = Eta·sqrt(Eps/|a|_max) clamped to [DTMin, DT]. DT acts as the
+	// ceiling, DTMin (optional) as the floor.
 	Adaptive bool
-	// ActiveRebuildFrac tunes the block-timestep tree rebuild policy:
-	// substeps whose active fraction reaches it rebuild, below it the
-	// cached tree is refreshed (default 0.5).
-	ActiveRebuildFrac float64
 }
 
-// Simulation couples a System to the treecode, a force engine and a
-// leapfrog integrator.
+// Simulation couples a System to the treecode, a force engine and the
+// kick-drift-kick integrator core.
 type Simulation struct {
 	// Sys is the particle system (reordered into tree order by every
 	// force evaluation; identity is in Sys.ID).
@@ -122,12 +117,10 @@ type Simulation struct {
 
 	cfg     Config
 	tc      *core.Treecode
-	hw      *g5.System                  // nil for host engine and cluster runs
-	guard   *g5.GuardedEngine           // nil unless Config.Guard
-	cluster *g5.Cluster                 // nil unless Config.Shards > 1
-	lf      *integrate.Leapfrog         // fixed-dt mode
-	bl      *integrate.BlockLeapfrog    // Config.Blocks > 0
-	al      *integrate.AdaptiveLeapfrog // Config.Adaptive
+	hw      *g5.System               // nil for host engine and cluster runs
+	guard   *g5.GuardedEngine        // nil unless Config.Guard
+	cluster *g5.Cluster              // nil unless Config.Shards > 1
+	bl      *integrate.BlockLeapfrog // every dt policy runs on this core
 	ob      *obs.Observer
 	time    float64
 	nsteps  int
@@ -154,7 +147,9 @@ type Simulation struct {
 }
 
 // NewSimulation builds a simulation over sys. sys is used in place (not
-// copied).
+// copied). The integrator keys its per-particle state by Sys.ID, so the
+// IDs must be a permutation of [0, N): Prime (or the first Step) rejects
+// sparse or duplicate IDs in every timestep mode.
 func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 	if sys == nil || sys.N() == 0 {
 		return nil, fmt.Errorf("grape5: empty system")
@@ -191,15 +186,14 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 
 	sim := &Simulation{Sys: sys, cfg: cfg, ob: obs.NewObserver()}
 	opt := core.Options{
-		Theta:             cfg.Theta,
-		Ncrit:             cfg.Ncrit,
-		LeafCap:           cfg.LeafCap,
-		G:                 cfg.G,
-		Eps:               cfg.Eps,
-		Workers:           cfg.Workers,
-		RebuildEvery:      cfg.RebuildEvery,
-		ActiveRebuildFrac: cfg.ActiveRebuildFrac,
-		Obs:               sim.ob,
+		Theta:        cfg.Theta,
+		Ncrit:        cfg.Ncrit,
+		LeafCap:      cfg.LeafCap,
+		G:            cfg.G,
+		Eps:          cfg.Eps,
+		Workers:      cfg.Workers,
+		RebuildEvery: cfg.RebuildEvery,
+		Obs:          sim.ob,
 	}
 
 	var engine core.Engine
@@ -257,34 +251,22 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 		sim.tc = core.New(opt, engine)
 	}
 
-	forceFn := sim.force
+	// A shared timestep is the single-rung case of the block scheme:
+	// rung 0 carries DT (adaptive runs rewrite it before each Step).
+	crit := integrate.RungCriterion{Eta: cfg.Eta, Eps: cfg.Eps, DTMin: cfg.DT}
+	if cfg.Blocks > 0 {
+		crit.DTMin, crit.MaxRung = cfg.DTMin, cfg.Blocks-1
+	}
+	force, forceActive := sim.force, sim.forceActive
 	if cfg.Engine == EnginePM {
-		forceFn = sim.forcePM
+		force, forceActive = sim.forcePM, nil
 	}
-	switch {
-	case cfg.Blocks > 0:
-		bl, err := integrate.NewBlockLeapfrog(integrate.RungCriterion{
-			Eta: cfg.Eta, Eps: cfg.Eps, DTMin: cfg.DTMin, MaxRung: cfg.Blocks - 1,
-		}, forceFn, sim.forceActive)
-		if err != nil {
-			return nil, err
-		}
-		bl.Workers = cfg.Workers
-		sim.bl = bl
-	case cfg.Adaptive:
-		sim.al = &integrate.AdaptiveLeapfrog{
-			Criterion: integrate.TimestepCriterion{
-				Eta: cfg.Eta, Eps: cfg.Eps, MaxDT: cfg.DT, MinDT: cfg.DTMin,
-			},
-			Force: forceFn,
-		}
-	default:
-		lf, err := integrate.NewLeapfrog(cfg.DT, forceFn)
-		if err != nil {
-			return nil, err
-		}
-		sim.lf = lf
+	bl, err := integrate.NewBlockLeapfrog(crit, force, forceActive)
+	if err != nil {
+		return nil, errors.Join(err, sim.Close())
 	}
+	bl.Workers = cfg.Workers
+	sim.bl = bl
 	return sim, nil
 }
 
@@ -323,31 +305,20 @@ func (sim *Simulation) setScaleWindow(s *System) error {
 		ext = 1
 	}
 	// Margin for the drift within the step.
-	lo := min3(cube.Min.X-0.05*ext, cube.Min.Y-0.05*ext, cube.Min.Z-0.05*ext)
-	hi := max3(cube.Max.X+0.05*ext, cube.Max.Y+0.05*ext, cube.Max.Z+0.05*ext)
+	lo := min(cube.Min.X-0.05*ext, cube.Min.Y-0.05*ext, cube.Min.Z-0.05*ext)
+	hi := max(cube.Max.X+0.05*ext, cube.Max.Y+0.05*ext, cube.Max.Z+0.05*ext)
 	if sim.cluster != nil {
 		return sim.cluster.SetScale(lo, hi)
 	}
 	return sim.hw.SetScale(lo, hi)
 }
 
-// force is the integrator's ForceFunc: rescale the hardware if present,
-// run the grouped treecode, record statistics.
-func (sim *Simulation) force(s *System) error {
-	if err := sim.setScaleWindow(s); err != nil {
-		return err
-	}
-	st, err := sim.tc.ComputeForces(s)
-	if err != nil {
-		return err
-	}
-	sim.LastStats = *st
-	sim.TotalInteractions += st.Interactions
-	return nil
-}
+// force is the integrator's full-set ForceFunc (a nil mask).
+func (sim *Simulation) force(s *System) error { return sim.forceActive(s, nil, 0) }
 
-// forceActive is the block integrator's substep ForceFunc: identical
-// hardware windowing, but only the masked closing set is dispatched.
+// forceActive is the integrator's substep ForceFunc: rescale the
+// hardware if present, run the grouped treecode over the masked closing
+// set, record statistics.
 func (sim *Simulation) forceActive(s *System, activeByID []bool, nActive int) error {
 	if err := sim.setScaleWindow(s); err != nil {
 		return err
@@ -361,44 +332,13 @@ func (sim *Simulation) forceActive(s *System, activeByID []bool, nActive int) er
 	return nil
 }
 
-func min3(a, b, c float64) float64 {
-	m := a
-	if b < m {
-		m = b
-	}
-	if c < m {
-		m = c
-	}
-	return m
-}
-
-func max3(a, b, c float64) float64 {
-	m := a
-	if b > m {
-		m = b
-	}
-	if c > m {
-		m = c
-	}
-	return m
-}
-
 // Prime computes initial forces (optional; Step does it on first call).
 // The priming force call emits its own telemetry as step 0.
 func (sim *Simulation) Prime() error {
 	sim.ob.Reset()
 	a0 := obs.HeapAllocBytes()
 	t0 := time.Now()
-	var err error
-	switch {
-	case sim.bl != nil:
-		err = sim.bl.Prime(sim.Sys)
-	case sim.al != nil:
-		err = sim.al.Prime(sim.Sys)
-	default:
-		err = sim.lf.Prime(sim.Sys)
-	}
-	if err != nil {
+	if err := sim.bl.Prime(sim.Sys); err != nil {
 		return err
 	}
 	wall := time.Since(t0)
@@ -418,9 +358,9 @@ func (sim *Simulation) finishReport(step int, wall time.Duration) StepReport {
 	return r
 }
 
-// Step advances one step — a single leapfrog kick-drift-kick for the
-// fixed and adaptive integrators, or one full block of substeps
-// (simulation time += DTMin·2^(Blocks-1)) for block timesteps — and
+// Step advances one step — a single kick-drift-kick for fixed and
+// adaptive dt, or one full block of substeps (simulation time +=
+// DTMin·2^(Blocks-1)) for block timesteps — and
 // snapshots the step's telemetry into LastReport, including the bytes
 // of heap allocated during the step (near zero in steady state: the
 // tree builder, walk workers and engines all run on reused arenas). A
@@ -430,26 +370,28 @@ func (sim *Simulation) Step() error {
 	sim.ob.Reset()
 	a0 := obs.HeapAllocBytes()
 	t0 := time.Now()
-	advance := sim.cfg.DT
-	switch {
-	case sim.bl != nil:
-		if err := sim.bl.Step(sim.Sys); err != nil {
-			return err
+	if sim.cfg.Adaptive {
+		// The criterion reads current accelerations, so an unprimed run
+		// primes first (folded into this step's report).
+		if !sim.bl.Primed() {
+			if err := sim.bl.Prime(sim.Sys); err != nil {
+				return err
+			}
 		}
-	case sim.al != nil:
-		dt, err := sim.al.Step(sim.Sys)
+		dt, err := integrate.TimestepCriterion{
+			Eta: sim.cfg.Eta, Eps: sim.cfg.Eps, MaxDT: sim.cfg.DT, MinDT: sim.cfg.DTMin,
+		}.Pick(sim.Sys)
 		if err != nil {
 			return err
 		}
-		advance = dt
-	default:
-		if err := sim.lf.Step(sim.Sys); err != nil {
-			return err
-		}
+		sim.bl.Crit.DTMin = dt
+	}
+	if err := sim.bl.Step(sim.Sys); err != nil {
+		return err
 	}
 	wall := time.Since(t0)
 	alloc := int64(obs.HeapAllocBytes() - a0)
-	sim.time += advance
+	sim.time += sim.LastDT()
 	sim.nsteps++
 	sim.LastReport = sim.finishReport(sim.nsteps, wall)
 	sim.LastReport.BytesAlloc = alloc
@@ -480,21 +422,16 @@ func (sim *Simulation) Steps() int { return sim.nsteps }
 // scheduler (index k = rung k, dt = DTMin·2^k), or nil for fixed- and
 // adaptive-dt simulations. Valid after priming.
 func (sim *Simulation) RungOccupancy() []int64 {
-	if sim.bl == nil {
+	if sim.cfg.Blocks == 0 {
 		return nil
 	}
 	return sim.bl.Occupancy()
 }
 
-// LastDT returns the timestep most recently applied: DT for the fixed
-// integrator, the block span for block runs, the adaptive criterion's
-// last pick otherwise.
-func (sim *Simulation) LastDT() float64 {
-	if sim.al != nil {
-		return sim.al.LastDT()
-	}
-	return sim.cfg.DT
-}
+// LastDT returns the timestep most recently applied: DT for fixed dt,
+// the block span for block runs, the adaptive criterion's last pick
+// otherwise (its ceiling DT until this process has taken a step).
+func (sim *Simulation) LastDT() float64 { return sim.bl.Crit.Span() }
 
 // Energy returns the current energy using the engine-filled potentials
 // (valid after at least one force evaluation).

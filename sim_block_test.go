@@ -19,39 +19,20 @@ var blockEngines = []struct {
 	{"cluster2", func(c *Config) { c.Engine = EngineGRAPE5; c.Guard = true; c.Shards = 2 }},
 }
 
-// runBlockPair primes and runs a fixed-dt leapfrog simulation and a
-// block simulation over the same Plummer sphere and asserts bitwise
-// identical trajectories. The block config must collapse to a single
-// occupied rung so every substep takes the full-set force path.
-func runBlockPair(t *testing.T, steps int, fixed, block Config) {
+// requireMatchesFixedSeed runs a block configuration that must collapse
+// to a single occupied rung and requires state, clock and counters to
+// equal the golden of the same small case's fixed-dt run, recorded with
+// the pre-unification integrate.Leapfrog (sim_modes_test.go). Fixed dt
+// now runs on the block core too, so comparing two live runs would
+// compare the core with itself.
+func requireMatchesFixedSeed(t *testing.T, m modeCase) {
 	t.Helper()
-	mk := func(cfg Config) *Simulation {
-		sim, err := NewSimulation(Plummer(256, 1, 1, 1, 9), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sim
+	want, ok := loadModeGolden(t)[m.name]
+	if !ok {
+		t.Fatalf("no fixed-dt golden %q", m.name)
 	}
-	ref, blk := mk(fixed), mk(block)
-	defer ref.Close()
-	defer blk.Close()
-	for _, sim := range []*Simulation{ref, blk} {
-		if err := sim.Prime(); err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.Run(steps); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ref.Time() != blk.Time() {
-		t.Fatalf("clocks diverged: fixed %v vs block %v", ref.Time(), blk.Time())
-	}
-	for i := 0; i < ref.Sys.N(); i++ {
-		if ref.Sys.Pos[i] != blk.Sys.Pos[i] || ref.Sys.Vel[i] != blk.Sys.Vel[i] ||
-			ref.Sys.Acc[i] != blk.Sys.Acc[i] {
-			t.Fatalf("particle %d diverged after %d steps: pos %v vs %v",
-				i, steps, ref.Sys.Pos[i], blk.Sys.Pos[i])
-		}
+	if got := m.run(t); got != want {
+		t.Fatalf("block run diverged from the fixed-dt leapfrog seed:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -65,12 +46,10 @@ func TestBlockSingleRungMatchesLeapfrog(t *testing.T) {
 		for _, procs := range []int{1, 4} {
 			t.Run(eng.name+"/procs="+string(rune('0'+procs)), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				fixed := Config{Theta: 0.6, Ncrit: 64, G: 1, Eps: 0.05, DT: 0.005}
-				eng.cfg(&fixed)
-				block := Config{Theta: 0.6, Ncrit: 64, G: 1, Eps: 0.05,
-					Blocks: 1, DTMin: 0.005, Eta: 0.2}
+				block := modeFixed()
+				block.Blocks, block.DTMin, block.DT, block.Eta = 1, block.DT, 0, 0.2
 				eng.cfg(&block)
-				runBlockPair(t, 6, fixed, block)
+				requireMatchesFixedSeed(t, smallCase(eng.name, block))
 			})
 		}
 	}
@@ -84,14 +63,13 @@ func TestBlockSingleRungMatchesLeapfrog(t *testing.T) {
 func TestBlockTopRungMatchesLeapfrog(t *testing.T) {
 	for _, eng := range blockEngines {
 		t.Run(eng.name, func(t *testing.T) {
-			fixed := Config{Theta: 0.6, Ncrit: 64, G: 1, Eps: 0.05, DT: 0.005}
-			eng.cfg(&fixed)
-			block := Config{Theta: 0.6, Ncrit: 64, G: 1, Eps: 0.05,
-				Blocks: 4, DTMin: 0.005 / 8, Eta: 100}
+			block := modeFixed()
+			block.Blocks, block.DTMin, block.DT, block.Eta = 4, block.DT/8, 0, 100
 			eng.cfg(&block)
-			runBlockPair(t, 6, fixed, block)
+			m := smallCase(eng.name, block)
+			requireMatchesFixedSeed(t, m)
 			// The loose criterion really must have collapsed the ladder.
-			sim, err := NewSimulation(Plummer(256, 1, 1, 1, 9), block)
+			sim, err := NewSimulation(Plummer(m.n, 1, 1, 1, m.seed), block)
 			if err != nil {
 				t.Fatal(err)
 			}

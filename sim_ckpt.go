@@ -48,22 +48,14 @@ func (sim *Simulation) Aux() RunAux { return sim.aux }
 
 // Primed reports whether the integrator holds valid post-force
 // accelerations (after Prime, a Step, or a primed resume).
-func (sim *Simulation) Primed() bool {
-	switch {
-	case sim.bl != nil:
-		return sim.bl.Primed()
-	case sim.al != nil:
-		return sim.al.Primed()
-	}
-	return sim.lf.Primed()
-}
+func (sim *Simulation) Primed() bool { return sim.bl.Primed() }
 
 // blockState assembles the version-2 RUNG scheduling state, or nil for
 // fixed-dt runs (whose checkpoints stay version 1, byte-identical to
 // the pre-block format).
 func (sim *Simulation) blockState() *ckpt.BlockState {
 	switch {
-	case sim.bl != nil:
+	case sim.cfg.Blocks > 0:
 		return &ckpt.BlockState{
 			Mode:    ckpt.ModeBlock,
 			Tick:    sim.bl.Tick(),
@@ -72,7 +64,7 @@ func (sim *Simulation) blockState() *ckpt.BlockState {
 			MaxRung: int64(sim.cfg.Blocks - 1),
 			Rungs:   sim.bl.Rungs(),
 		}
-	case sim.al != nil:
+	case sim.cfg.Adaptive:
 		return &ckpt.BlockState{
 			Mode:  ckpt.ModeAdaptive,
 			DTMin: sim.cfg.DTMin,
@@ -338,12 +330,14 @@ func ResumeSimulation(c *ckpt.Checkpoint, cfg Config) (*Simulation, error) {
 		BusErrors:      st.FaultBusErrors,
 		Transients:     st.FaultTransients,
 	}
-	switch {
-	case sim.bl != nil:
+	// Shared-dt resumes carry no scheduler state: the fixed step is in
+	// the config and the next adaptive dt is a pure function of the
+	// restored accelerations, so marking the core primed is all it takes.
+	sim.bl.SetPrimed(st.Primed)
+	if sim.cfg.Blocks > 0 {
 		if err := sim.bl.SetState(c.Block.Rungs, c.Block.Tick); err != nil {
 			return nil, fmt.Errorf("grape5: resuming block scheduler: %w", err)
 		}
-		sim.bl.SetPrimed(st.Primed)
 		if st.Primed {
 			// The uninterrupted run's next substep starts from a cached
 			// tree (built at the last full-set rebuild and refreshed
@@ -355,12 +349,6 @@ func ResumeSimulation(c *ckpt.Checkpoint, cfg Config) (*Simulation, error) {
 				return nil, fmt.Errorf("grape5: priming tree for block resume: %w", err)
 			}
 		}
-	case sim.al != nil:
-		// Adaptive resume is bitwise for free: the next dt is a pure
-		// function of the restored accelerations.
-		sim.al.SetPrimed(st.Primed)
-	default:
-		sim.lf.SetPrimed(st.Primed)
 	}
 	return sim, nil
 }
