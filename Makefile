@@ -19,10 +19,11 @@ race:
 $(BIN)/grapelint: $(wildcard cmd/grapelint/*.go) $(wildcard internal/lint/*.go)
 	$(GO) build -o $@ ./cmd/grapelint
 
-# lint runs the domain-invariant analyzer suite (DESIGN.md §10, §15)
-# both standalone (with stale-suppression detection) and through the go
-# vet driver, so the vettool protocol stays exercised.
-lint: $(BIN)/grapelint
+# lint runs what the CI lint job runs offline: the domain-invariant
+# analyzer suite (DESIGN.md §10, §15) both standalone (with
+# stale-suppression detection) and through the go vet driver, so the
+# vettool protocol stays exercised, then the escape-analysis baseline.
+lint: $(BIN)/grapelint lint-escape
 	$(BIN)/grapelint -unused-ignores ./...
 	$(GO) vet -vettool=$(abspath $(BIN)/grapelint) ./...
 

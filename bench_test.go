@@ -338,20 +338,11 @@ func BenchmarkE4Headline(b *testing.B) {
 	var rep perf.StepReport
 	var st *core.Stats
 	for i := 0; i < b.N; i++ {
-		hw, err := g5.NewSystem(g5.DefaultConfig())
+		var err error
+		rep, st, err = perf.TreeStepModel(s, 0.75, 2000, g5.DefaultConfig(), perf.DS10())
 		if err != nil {
 			b.Fatal(err)
 		}
-		box := s.Bounds().Cube()
-		if err := hw.SetScale(box.Min.X-1, box.Max.X+1); err != nil {
-			b.Fatal(err)
-		}
-		tc := core.New(core.Options{Theta: 0.75, Ncrit: 2000}, perf.NewScheduleEngine(hw))
-		st, err = tc.ComputeForces(s.Clone())
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep = perf.ModelStep(perf.DS10(), st, hw.Counters())
 	}
 	b.ReportMetric(st.AvgList(), "avg-list")
 	b.ReportMetric(rep.TotalSeconds(), "modelled-step-s")
@@ -621,11 +612,8 @@ func BenchmarkAblationOriginalOnGRAPE(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sys.SetScale(-20, 20); err != nil {
-			b.Fatal(err)
-		}
-		tc := core.New(core.Options{Theta: 0.75, G: 1, Eps: 0.01}, perf.NewScheduleEngine(sys))
-		if _, err := tc.ComputeForcesOriginalOnEngine(s.Clone()); err != nil {
+		tc := core.New(core.Options{Theta: 0.75}, perf.NewScheduleEngine(sys))
+		if _, err := tc.ComputeForcesOriginal(s.Clone()); err != nil {
 			b.Fatal(err)
 		}
 		hw = sys.Counters().HWSeconds()
@@ -637,18 +625,11 @@ func BenchmarkAblationModifiedOnGRAPE(b *testing.B) {
 	s := benchSystem(20000, 13)
 	var hw float64
 	for i := 0; i < b.N; i++ {
-		sys, err := g5.NewSystem(g5.DefaultConfig())
+		rep, _, err := perf.TreeStepModel(s, 0.75, 2000, g5.DefaultConfig(), perf.DS10())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sys.SetScale(-20, 20); err != nil {
-			b.Fatal(err)
-		}
-		tc := core.New(core.Options{Theta: 0.75, Ncrit: 2000, G: 1, Eps: 0.01}, perf.NewScheduleEngine(sys))
-		if _, err := tc.ComputeForces(s.Clone()); err != nil {
-			b.Fatal(err)
-		}
-		hw = sys.Counters().HWSeconds()
+		hw = rep.PipeSeconds + rep.BusSeconds
 	}
 	b.ReportMetric(hw, "modelled-hw-s/step")
 }
@@ -671,20 +652,11 @@ func benchBoards(b *testing.B, boards int) {
 	cfg.Boards = boards
 	var rep perf.StepReport
 	for i := 0; i < b.N; i++ {
-		hw, err := g5.NewSystem(cfg)
+		var err error
+		rep, _, err = perf.TreeStepModel(s, 0.5, 2000, cfg, perf.DS10())
 		if err != nil {
 			b.Fatal(err)
 		}
-		box := s.Bounds().Cube()
-		if err := hw.SetScale(box.Min.X-1, box.Max.X+1); err != nil {
-			b.Fatal(err)
-		}
-		tc := core.New(core.Options{Theta: 0.5, Ncrit: 2000}, perf.NewScheduleEngine(hw))
-		st, err := tc.ComputeForces(s.Clone())
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep = perf.ModelStep(perf.DS10(), st, hw.Counters())
 	}
 	b.ReportMetric(rep.PipeSeconds, "pipe-s")
 	b.ReportMetric(rep.TotalSeconds(), "step-s")

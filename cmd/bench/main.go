@@ -26,6 +26,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -194,11 +195,12 @@ func runSweep(spec sweepSpec, ncrits []int) (obs.BenchSweep, error) {
 		// unchanged, so the analytic optimum shifts toward larger n_g.
 		modelPts = perf.ClusterSweep(modelPts, spec.shards)
 	}
-	modelIdx := perf.OptimumIndex(modelPts)
-	if modelIdx < 0 {
+	best := perf.Optimum(modelPts)
+	if best == nil {
 		return sw, fmt.Errorf("empty model sweep")
 	}
-	sw.ModelOptimalNcrit = modelPts[modelIdx].Ncrit
+	sw.ModelOptimalNcrit = best.Ncrit
+	modelIdx := slices.Index(ncrits, best.Ncrit)
 
 	fmt.Printf("== %s N=%d theta=%.2f boards=%d: %d measured steps per point ==\n",
 		spec.model, spec.n, spec.theta, max(spec.shards, 1), spec.steps)

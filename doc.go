@@ -28,7 +28,8 @@
 // hardware counters.
 //
 // The runnable reproductions of the paper's evaluation live in cmd/
-// (grape5sim, ngsweep, accuracy, perfreport, mkics, snap2pgm) and the
+// (grape5sim, perfreport and its ngsweep/accuracy subcommands, mkics,
+// snap2pgm) and the
 // benchmark suite in bench_test.go; see DESIGN.md for the experiment
 // index and EXPERIMENTS.md for measured-vs-paper results.
 package grape5

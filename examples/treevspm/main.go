@@ -16,13 +16,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"time"
 
 	grape5 "repro"
 	"repro/internal/analysis"
-	"repro/internal/core"
-	"repro/internal/g5"
 	"repro/internal/nbody"
 	"repro/internal/pm"
 	"repro/internal/vec"
@@ -47,10 +44,11 @@ func main() {
 	if soft == 0 {
 		soft = cs.GridSpacing / 8
 	}
-	sim, err := grape5.NewSimulation(cs.Sys, grape5.Config{
+	cfg := grape5.Config{
 		Theta: 0.75, Ncrit: 256, Eps: soft,
 		DT: cs.Schedule.DT(), Engine: grape5.EngineGRAPE5,
-	})
+	}
+	sim, err := grape5.NewSimulation(cs.Sys, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,36 +66,26 @@ func main() {
 	tDirect := time.Since(t0)
 
 	// --- Treecode + GRAPE-5 -------------------------------------------
-	tree := s.Clone()
-	hw, err := g5.NewSystem(g5.DefaultConfig())
+	// A fresh simulation primed on the final snapshot: one force
+	// evaluation on hardware whose counters start at zero.
+	tree, err := grape5.NewSimulation(s.Clone(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cube := tree.Bounds().Cube()
-	ext := cube.MaxEdge()
-	lo := math.Min(cube.Min.X, math.Min(cube.Min.Y, cube.Min.Z)) - 0.05*ext
-	hi := math.Max(cube.Max.X, math.Max(cube.Max.Y, cube.Max.Z)) + 0.05*ext
-	if err := hw.SetScale(lo, hi); err != nil {
-		log.Fatal(err)
-	}
-	if err := hw.SetEps(soft); err != nil {
-		log.Fatal(err)
-	}
 	t0 = time.Now()
-	tc := core.New(core.Options{Theta: 0.75, Ncrit: 256, G: grape5.G, Eps: soft}, g5.NewEngine(hw, grape5.G))
-	if _, err := tc.ComputeForces(tree); err != nil {
+	if err := tree.Prime(); err != nil {
 		log.Fatal(err)
 	}
 	tTree := time.Since(t0)
-	errTree, err := analysis.CompareForces(tree, ref)
+	errTree, err := analysis.CompareForces(tree.Sys, ref)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// --- Particle mesh -------------------------------------------------
 	mesh := s.Clone()
-	box := cube
-	grow := 0.05 * ext
+	box := s.Bounds().Cube()
+	grow := 0.05 * box.MaxEdge()
 	box.Min = box.Min.Sub(vec.V3{X: grow, Y: grow, Z: grow})
 	box.Max = box.Max.Add(vec.V3{X: grow, Y: grow, Z: grow})
 	solver, err := pm.NewSolver(64, box, grape5.G)
@@ -121,7 +109,7 @@ func main() {
 	fmt.Printf("%-22s %11.3f%% %11.3f%% %12v  (mesh cell %.2f Mpc)\n", "particle mesh",
 		100*errPM.RMS, 100*errPM.P99, tPM.Round(time.Millisecond), solver.Cell())
 	fmt.Printf("\nmodelled GRAPE-5 time for the tree forces: %.4f s\n",
-		hw.Counters().HWSeconds())
+		tree.HardwareCounters().HWSeconds())
 	fmt.Println("\nthe tree+hardware combination keeps sub-percent forces at every")
 	fmt.Println("scale; PM degrades below its mesh cell — the resolution argument")
 	fmt.Println("for the paper's design.")

@@ -80,7 +80,7 @@ func TestOriginalWalkMassConservation(t *testing.T) {
 	m0 := s.Mass[0]
 	eng := &perParticleAudit{want: s.TotalMass() - m0, tol: 1e-9}
 	tc := New(Options{Theta: 0.8, G: 1}, eng)
-	if _, err := tc.ComputeForcesOriginalOnEngine(s); err != nil {
+	if _, err := tc.ComputeForcesOriginal(s); err != nil {
 		t.Fatal(err)
 	}
 	if eng.bad > 0 {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -106,6 +105,37 @@ type Stats struct {
 	// and the force evaluation. With Workers > 1, WalkTime and
 	// ComputeTime are summed across workers (CPU time, not elapsed).
 	BuildTime, WalkTime, ComputeTime time.Duration
+}
+
+// addList records one interaction list of nj entries shared by ni field
+// particles. MinList < 0 means "no list yet".
+func (s *Stats) addList(ni, nj int) {
+	s.Interactions += int64(ni) * int64(nj)
+	s.ListSum += int64(nj)
+	if nj > s.MaxList {
+		s.MaxList = nj
+	}
+	if s.MinList < 0 || nj < s.MinList {
+		s.MinList = nj
+	}
+}
+
+// merge folds one worker's traversal counters and summed times into s.
+func (s *Stats) merge(w *Stats) {
+	s.Interactions += w.Interactions
+	s.ListSum += w.ListSum
+	s.CellTerms += w.CellTerms
+	s.ParticleTerms += w.ParticleTerms
+	s.NodesVisited += w.NodesVisited
+	s.Active += w.Active
+	s.WalkTime += w.WalkTime
+	s.ComputeTime += w.ComputeTime
+	if w.MaxList > s.MaxList {
+		s.MaxList = w.MaxList
+	}
+	if w.MinList >= 0 && (s.MinList < 0 || w.MinList < s.MinList) {
+		s.MinList = w.MinList
+	}
 }
 
 // AvgList returns the mean interaction-list length per particle,
@@ -463,18 +493,11 @@ func (tc *Treecode) walkWorker(buf *listBuf, s *nbody.System, tree *octree.Tree,
 		local.WalkTime += time.Since(tw0)
 
 		nj := buf.J.N
-		local.Interactions += int64(na) * int64(nj)
-		local.ListSum += int64(nj)
+		local.addList(na, nj)
 		local.CellTerms += int64(cells)
 		local.ParticleTerms += int64(nj - cells)
 		local.NodesVisited += visited
 		local.Active += int64(na)
-		if nj > local.MaxList {
-			local.MaxList = nj
-		}
-		if local.MinList < 0 || nj < local.MinList {
-			local.MinList = nj
-		}
 
 		tc0 := time.Now()
 		if seg == nil {
@@ -493,20 +516,7 @@ func (tc *Treecode) walkWorker(buf *listBuf, s *nbody.System, tree *octree.Tree,
 	o.Obs.AddSeconds(obs.PhaseGroupWalk, local.WalkTime.Seconds())
 	o.Obs.AddSeconds(obs.PhaseForceEval, local.ComputeTime.Seconds())
 	tc.statsMu.Lock()
-	stats.Interactions += local.Interactions
-	stats.ListSum += local.ListSum
-	stats.CellTerms += local.CellTerms
-	stats.ParticleTerms += local.ParticleTerms
-	stats.NodesVisited += local.NodesVisited
-	stats.WalkTime += local.WalkTime
-	stats.ComputeTime += local.ComputeTime
-	stats.Active += local.Active
-	if local.MaxList > stats.MaxList {
-		stats.MaxList = local.MaxList
-	}
-	if local.MinList >= 0 && (stats.MinList < 0 || local.MinList < stats.MinList) {
-		stats.MinList = local.MinList
-	}
+	stats.merge(&local)
 	tc.statsMu.Unlock()
 }
 
@@ -581,234 +591,6 @@ func (tc *Treecode) buildGroupList(tree *octree.Tree, g octree.Group, mac octree
 	}
 	buf.J.Pad()
 	return visited, cells
-}
-
-// ComputeForcesOriginal runs the original Barnes-Hut algorithm: one
-// tree walk per particle, with the force accumulated on the host in
-// float64 during the walk. It is both the accuracy baseline and the
-// operation-count reference the paper uses to derive its effective
-// Gflops (its §5 "correction").
-func (tc *Treecode) ComputeForcesOriginal(s *nbody.System) (*Stats, error) {
-	o := tc.Opt.withDefaults()
-	stats := &Stats{N: s.N(), Groups: s.N(), MinList: -1, Active: int64(s.N())}
-
-	t0 := time.Now()
-	tree, err := octree.Build(s, &octree.Options{LeafCap: o.LeafCap})
-	if err != nil {
-		return nil, err
-	}
-	tc.Tree = tree
-	stats.BuildTime = time.Since(t0)
-
-	mac := octree.OpenCriterion{Theta: o.Theta, UseBmax: o.UseBmax}
-	workers := o.Workers
-	n := s.N()
-	if workers > n {
-		workers = n
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		//lint:ignore hotalloc bounded worker-spawn loop: one closure per worker per call, amortized over O(n/workers) particle walks; the runtime alloc gates cover this path
-		go func(lo, hi int) {
-			defer wg.Done()
-			var local Stats
-			local.MinList = -1
-			stack := make([]int32, 0, 256)
-			tw0 := time.Now()
-			for i := lo; i < hi; i++ {
-				count, visited := tc.walkParticle(tree, i, mac, o, &stack)
-				local.Interactions += int64(count)
-				local.ListSum += int64(count)
-				local.NodesVisited += visited
-				if count > local.MaxList {
-					local.MaxList = count
-				}
-				if local.MinList < 0 || count < local.MinList {
-					local.MinList = count
-				}
-			}
-			local.WalkTime = time.Since(tw0)
-			mu.Lock()
-			stats.Interactions += local.Interactions
-			stats.ListSum += local.ListSum
-			stats.NodesVisited += local.NodesVisited
-			stats.WalkTime += local.WalkTime
-			if local.MaxList > stats.MaxList {
-				stats.MaxList = local.MaxList
-			}
-			if local.MinList >= 0 && (stats.MinList < 0 || local.MinList < stats.MinList) {
-				stats.MinList = local.MinList
-			}
-			mu.Unlock()
-		}(lo, hi)
-	}
-	wg.Wait()
-	if stats.MinList < 0 {
-		stats.MinList = 0
-	}
-	return stats, nil
-}
-
-// walkParticle performs the classic per-particle Barnes-Hut walk,
-// accumulating the force into s.Acc[i]/s.Pot[i] in float64 and
-// returning the interaction count and nodes visited.
-func (tc *Treecode) walkParticle(tree *octree.Tree, i int, mac octree.OpenCriterion, o Options, stack *[]int32) (int, int64) {
-	s := tree.Sys
-	pi := s.Pos[i]
-	eps2 := o.Eps * o.Eps
-	var ax, ay, az, pot float64
-	count := 0
-	var visited int64
-	st := (*stack)[:0]
-	st = append(st, 0)
-	for len(st) > 0 {
-		idx := st[len(st)-1]
-		st = st[:len(st)-1]
-		n := &tree.Nodes[idx]
-		visited++
-		d2 := pi.Dist2(n.COM)
-		//lint:ignore hostk per-particle reference walk: the original-algorithm ablation baseline, not a hot path
-		if mac.Accept(n, d2) {
-			fx, fy, fz, fp := pairForce(pi, n.COM, n.Mass, eps2)
-			ax += fx
-			ay += fy
-			az += fz
-			pot += fp
-			count++
-			continue
-		}
-		if n.Leaf {
-			for j := n.Start; j < n.Start+n.Count; j++ {
-				if int(j) == i {
-					continue
-				}
-				fx, fy, fz, fp := pairForce(pi, s.Pos[j], s.Mass[j], eps2)
-				ax += fx
-				ay += fy
-				az += fz
-				pot += fp
-				count++
-			}
-			continue
-		}
-		for _, c := range n.Children {
-			if c != octree.NoChild {
-				st = append(st, c)
-			}
-		}
-	}
-	*stack = st
-	s.Acc[i] = vec.V3{X: o.G * ax, Y: o.G * ay, Z: o.G * az}
-	s.Pot[i] = o.G * pot
-	return count, visited
-}
-
-// pairForce returns the unscaled (G=1) softened acceleration components
-// and potential exerted by mass m at pj on a test point at pi.
-func pairForce(pi, pj vec.V3, m, eps2 float64) (fx, fy, fz, pot float64) {
-	dx := pj.X - pi.X
-	dy := pj.Y - pi.Y
-	dz := pj.Z - pi.Z
-	r2 := dx*dx + dy*dy + dz*dz
-	if r2 == 0 {
-		return 0, 0, 0, 0
-	}
-	r2 += eps2
-	//lint:ignore hostk scalar reference kernel of the original-algorithm walk; conformance-tested against hostk.P2P
-	inv := 1 / math.Sqrt(r2)
-	inv3 := inv / r2
-	return m * inv3 * dx, m * inv3 * dy, m * inv3 * dz, -m * inv
-}
-
-// CountOriginal returns only the interaction count of the original
-// algorithm without computing forces — the cheap estimator the paper
-// used on five snapshots to derive its effective operation count.
-func (tc *Treecode) CountOriginal(s *nbody.System) (int64, error) {
-	o := tc.Opt.withDefaults()
-	tree, err := octree.Build(s, &octree.Options{LeafCap: o.LeafCap})
-	if err != nil {
-		return 0, err
-	}
-	tc.Tree = tree
-	mac := octree.OpenCriterion{Theta: o.Theta, UseBmax: o.UseBmax}
-	n := s.N()
-	workers := o.Workers
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	totals := make([]int64, workers)
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		//lint:ignore hotalloc bounded worker-spawn loop: one closure per worker per count pass, amortized over the particle range
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			stack := make([]int32, 0, 256)
-			var total int64
-			for i := lo; i < hi; i++ {
-				total += tc.countParticle(tree, i, mac, &stack)
-			}
-			totals[w] = total
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var total int64
-	for _, t := range totals {
-		total += t
-	}
-	return total, nil
-}
-
-// countParticle is walkParticle without arithmetic.
-func (tc *Treecode) countParticle(tree *octree.Tree, i int, mac octree.OpenCriterion, stack *[]int32) int64 {
-	pi := tree.Sys.Pos[i]
-	var count int64
-	st := (*stack)[:0]
-	st = append(st, 0)
-	for len(st) > 0 {
-		idx := st[len(st)-1]
-		st = st[:len(st)-1]
-		n := &tree.Nodes[idx]
-		d2 := pi.Dist2(n.COM)
-		//lint:ignore hostk per-particle counting walk: arithmetic-free statistics, not a hot path
-		if mac.Accept(n, d2) {
-			count++
-			continue
-		}
-		if n.Leaf {
-			c := int64(n.Count)
-			if i >= int(n.Start) && i < int(n.Start+n.Count) {
-				c--
-			}
-			count += c
-			continue
-		}
-		for _, c := range n.Children {
-			if c != octree.NoChild {
-				st = append(st, c)
-			}
-		}
-	}
-	*stack = st
-	return count
 }
 
 // String summarises the stats in one line.

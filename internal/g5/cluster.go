@@ -212,14 +212,7 @@ func (c *Cluster) SetObserver(o *obs.Observer) { c.ob.Store(o) }
 func (c *Cluster) Counters() Counters {
 	var total Counters
 	for _, sh := range c.shards {
-		cnt := sh.sys.Counters()
-		total.Interactions += cnt.Interactions
-		total.PipeSeconds += cnt.PipeSeconds
-		total.BusSeconds += cnt.BusSeconds
-		total.BytesTransferred += cnt.BytesTransferred
-		total.Runs += cnt.Runs
-		total.JPasses += cnt.JPasses
-		total.RangeClamps += cnt.RangeClamps
+		total = total.Add(sh.sys.Counters())
 	}
 	return total
 }
@@ -237,16 +230,14 @@ func (c *Cluster) ResetCounters() {
 // HostOnly is set only when EVERY shard has abandoned its hardware —
 // a cluster with one live board is degraded, not host-only.
 func (c *Cluster) Recovery() Recovery {
-	total := Recovery{HostOnly: true}
+	var total Recovery
+	hostOnly := true
 	for _, sh := range c.shards {
 		r := sh.eng.Recovery()
-		total.Checks += r.Checks
-		total.Retries += r.Retries
-		total.CorruptResults += r.CorruptResults
-		total.ExcludedBoards += r.ExcludedBoards
-		total.FallbackBatches += r.FallbackBatches
-		total.HostOnly = total.HostOnly && r.HostOnly
+		total = total.Add(r)
+		hostOnly = hostOnly && r.HostOnly
 	}
+	total.HostOnly = hostOnly
 	return total
 }
 
@@ -254,11 +245,7 @@ func (c *Cluster) Recovery() Recovery {
 func (c *Cluster) FaultStats() FaultStats {
 	var total FaultStats
 	for _, sh := range c.shards {
-		fs := sh.sys.FaultStats()
-		total.JMemBitFlips += fs.JMemBitFlips
-		total.StuckPipeCalls += fs.StuckPipeCalls
-		total.BusErrors += fs.BusErrors
-		total.Transients += fs.Transients
+		total = total.Add(sh.sys.FaultStats())
 	}
 	return total
 }

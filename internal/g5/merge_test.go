@@ -51,3 +51,71 @@ func TestFaultStatsAdd(t *testing.T) {
 		t.Errorf("Add = %+v, want %+v", got, want)
 	}
 }
+
+// fillOnes sets every field of the struct p points to to one (true for
+// bools); checkTwos asserts a two-shard sum of such structs.
+func fillOnes(t *testing.T, p any) {
+	t.Helper()
+	v := reflect.ValueOf(p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1)
+		case reflect.Float64:
+			f.SetFloat(1)
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("%s.%s: kind %s not handled by the completeness check", v.Type(), v.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+func checkTwos(t *testing.T, total any) {
+	t.Helper()
+	v := reflect.ValueOf(total)
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().String()+"."+v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			if f.Int() != 2 {
+				t.Errorf("%s = %d over two shards of 1: dropped from the cluster total", name, f.Int())
+			}
+		case reflect.Float64:
+			if f.Float() != 2 {
+				t.Errorf("%s = %v over two shards of 1: dropped from the cluster total", name, f.Float())
+			}
+		case reflect.Bool:
+			if !f.Bool() {
+				t.Errorf("%s false with it set on every shard", name)
+			}
+		}
+	}
+}
+
+// TestClusterTotalsAreFieldComplete: a field added to Counters,
+// Recovery or FaultStats must reach the cluster totals, which are
+// summed through the same Add methods as the checkpoint merge.
+func TestClusterTotalsAreFieldComplete(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Fault = &FaultModel{Seed: 1, TransientRate: 0.5} // an enabled model gives each shard a fault tally to fill
+	cl, err := NewCluster(ClusterConfig{Shards: 2, Board: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, sh := range cl.shards {
+		fillOnes(t, &sh.sys.cnt)
+		fillOnes(t, &sh.sys.fault.stats)
+		fillOnes(t, &sh.eng.rec)
+	}
+	checkTwos(t, cl.Counters())
+	checkTwos(t, cl.FaultStats())
+	checkTwos(t, cl.Recovery())
+
+	// HostOnly is the all-shards AND, not a sum and not the last shard's.
+	cl.shards[0].eng.rec.HostOnly = false
+	if cl.Recovery().HostOnly {
+		t.Error("cluster HostOnly with a shard still on hardware")
+	}
+}

@@ -353,7 +353,9 @@ func (s *System) quantizeInto(dst []vec.V3, pos []vec.V3) ([]vec.V3, error) {
 // with ni field points and nj sources WITHOUT evaluating any forces.
 // The performance harness uses it to replay a traversal schedule
 // through the timing model at full problem scale, where evaluating the
-// arithmetic in emulation would be pointless work.
+// arithmetic in emulation would be pointless work. It reads neither the
+// scale window nor the softening, so a system that only ever sees
+// ChargeOnly needs no SetScale or SetEps.
 func (s *System) ChargeOnly(ni, nj int) {
 	if ni <= 0 || nj <= 0 || s.nActive == 0 {
 		return

@@ -104,10 +104,9 @@ func ClusterSweep(points []SweepPoint, k int) []SweepPoint {
 // so the optimum is nondecreasing in k — the K-board restatement of
 // the paper's n_g ≈ 2000 result.
 func OptimalNcritK(points []SweepPoint, k int) int {
-	scaled := ClusterSweep(points, k)
-	i := OptimumIndex(scaled)
-	if i < 0 {
+	best := Optimum(ClusterSweep(points, k))
+	if best == nil {
 		return 0
 	}
-	return scaled[i].Ncrit
+	return best.Ncrit
 }

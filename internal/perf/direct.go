@@ -18,9 +18,6 @@ func DirectStepModel(n int, cfg g5.Config, host HostModel) (StepReport, error) {
 	if err != nil {
 		return StepReport{}, err
 	}
-	if err := sys.SetScale(-1, 1); err != nil {
-		return StepReport{}, err
-	}
 	// One j-load of the whole system, then ceil(n/vp) pipeline sweeps —
 	// exactly what Driver.SetXMJ + chunked CalculateForceOnX charge.
 	vp := cfg.VirtualPipesPerBoard()
@@ -49,28 +46,25 @@ func DirectStepModel(n int, cfg g5.Config, host HostModel) (StepReport, error) {
 	}, nil
 }
 
-// TreeStepModel measures a real modified-treecode traversal over the
-// snapshot and models its step time — the other side of the crossover
-// comparison.
-func TreeStepModel(s *nbody.System, theta float64, ncrit int, cfg g5.Config, host HostModel) (StepReport, error) {
+// TreeStepModel replays one modified-treecode force step through the
+// timing model: it walks a clone of the snapshot for real (s is not
+// modified), charges every group's offload to a fresh GRAPE system of
+// the given configuration through a ScheduleEngine, and prices the
+// traversal on the host model. It returns the modelled time balance
+// beside the traversal statistics it was priced from — the one replay
+// behind the §3 n_g sweep, the §5 headline accounting and the
+// direct-vs-tree crossover.
+func TreeStepModel(s *nbody.System, theta float64, ncrit int, cfg g5.Config, host HostModel) (StepReport, *core.Stats, error) {
 	sys, err := g5.NewSystem(cfg)
 	if err != nil {
-		return StepReport{}, err
-	}
-	b := s.Bounds().Cube()
-	ext := b.MaxEdge()
-	if ext == 0 {
-		ext = 1
-	}
-	if err := sys.SetScale(b.Min.X-0.05*ext, b.Max.X+1.05*ext); err != nil {
-		return StepReport{}, err
+		return StepReport{}, nil, err
 	}
 	tc := core.New(core.Options{Theta: theta, Ncrit: ncrit}, NewScheduleEngine(sys))
 	st, err := tc.ComputeForces(s.Clone())
 	if err != nil {
-		return StepReport{}, err
+		return StepReport{}, nil, err
 	}
-	return ModelStep(host, st, sys.Counters()), nil
+	return ModelStep(host, st, sys.Counters()), st, nil
 }
 
 // CrossoverPoint is one N sample of the direct-vs-tree comparison.
@@ -89,7 +83,7 @@ func Crossover(systems []*nbody.System, theta float64, ncrit int, cfg g5.Config,
 		if err != nil {
 			return nil, err
 		}
-		t, err := TreeStepModel(s, theta, ncrit, cfg, host)
+		t, _, err := TreeStepModel(s, theta, ncrit, cfg, host)
 		if err != nil {
 			return nil, err
 		}

@@ -65,8 +65,8 @@ func TestFasterHostShiftsOptimumDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	os_ := ps[OptimumIndex(ps)].Ncrit
-	of := pf[OptimumIndex(pf)].Ncrit
+	os_ := Optimum(ps).Ncrit
+	of := Optimum(pf).Ncrit
 	if of > os_ {
 		t.Errorf("faster host moved optimum n_g up: %d -> %d", os_, of)
 	}

@@ -154,15 +154,6 @@ func ModelStep(h HostModel, st *core.Stats, c g5.Counters) StepReport {
 	}
 }
 
-// ModelStepRecovery is ModelStep for a step driven through the
-// fault-tolerant offload path: the report carries the guard's recovery
-// counters alongside the (possibly degraded) timing.
-func ModelStepRecovery(h HostModel, st *core.Stats, c g5.Counters, rec g5.Recovery) StepReport {
-	r := ModelStep(h, st, c)
-	r.Recovery = rec
-	return r
-}
-
 // GordonBell computes the paper's §5 headline metrics.
 type GordonBell struct {
 	// Interactions is the total modified-algorithm interaction count.

@@ -25,9 +25,6 @@ func NewScheduleEngine(sys *g5.System) *ScheduleEngine {
 	return &ScheduleEngine{sys: sys}
 }
 
-// System returns the wrapped hardware model.
-func (e *ScheduleEngine) System() *g5.System { return e.sys }
-
 // Accumulate implements core.Engine.
 func (e *ScheduleEngine) Accumulate(req *core.Request) {
 	e.mu.Lock()
@@ -48,27 +45,12 @@ type SweepPoint struct {
 	Report StepReport
 }
 
-// NgSweep runs the modified treecode traversal over snapshot s for each
-// n_g value, modelling one step's time balance on the given host and
-// GRAPE configuration. The snapshot is cloned per point, so s is not
-// modified.
+// NgSweep models one step's time balance (TreeStepModel) on the given
+// host and GRAPE configuration for each n_g value. s is not modified.
 func NgSweep(s *nbody.System, theta float64, ncrits []int, host HostModel, cfg g5.Config) ([]SweepPoint, error) {
 	points := make([]SweepPoint, 0, len(ncrits))
 	for _, ng := range ncrits {
-		sys, err := g5.NewSystem(cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Scale setup is irrelevant for timing-only accounting but keep
-		// the call sequence honest.
-		b := s.Bounds().Cube()
-		ext := b.MaxEdge()
-		if err := sys.SetScale(b.Min.X-0.01*ext, b.Max.X+0.01*ext); err != nil {
-			return nil, err
-		}
-		eng := NewScheduleEngine(sys)
-		tc := core.New(core.Options{Theta: theta, Ncrit: ng}, eng)
-		st, err := tc.ComputeForces(s.Clone())
+		rep, st, err := TreeStepModel(s, theta, ng, cfg, host)
 		if err != nil {
 			return nil, fmt.Errorf("perf: sweep at ncrit=%d: %w", ng, err)
 		}
@@ -77,7 +59,7 @@ func NgSweep(s *nbody.System, theta float64, ncrits []int, host HostModel, cfg g
 			Groups:       st.Groups,
 			Interactions: st.Interactions,
 			AvgList:      st.AvgList(),
-			Report:       ModelStep(host, st, sys.Counters()),
+			Report:       rep,
 		})
 	}
 	return points, nil

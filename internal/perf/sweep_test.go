@@ -12,7 +12,6 @@ import (
 
 func TestScheduleEngineCounts(t *testing.T) {
 	sys, _ := g5.NewSystem(g5.DefaultConfig())
-	sys.SetScale(-10, 10)
 	e := NewScheduleEngine(sys)
 	req := &core.Request{
 		IPos: make([]vec.V3, 5),
@@ -24,7 +23,7 @@ func TestScheduleEngineCounts(t *testing.T) {
 	}
 	req.J.Pad()
 	e.Accumulate(req)
-	if c := e.System().Counters(); c.Interactions != 35 {
+	if c := sys.Counters(); c.Interactions != 35 {
 		t.Errorf("interactions = %d, want 35", c.Interactions)
 	}
 	// No force output: accelerations stay zero.
@@ -45,7 +44,6 @@ func TestScheduleEngineMatchesRealCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys, _ := g5.NewSystem(g5.DefaultConfig())
-	sys.SetScale(-100, 100)
 	se := NewScheduleEngine(sys)
 	if _, err := core.New(core.Options{Theta: 0.75, Ncrit: 128}, se).ComputeForces(s.Clone()); err != nil {
 		t.Fatal(err)
