@@ -3,7 +3,7 @@
 GO  ?= go
 BIN := bin
 
-.PHONY: all build test race lint lint-escape lint-escape-baseline bench-smoke bench-wall-smoke bench-alloc bench-host ckpt-e2e serve-e2e clean
+.PHONY: all build test race lint lint-escape lint-escape-baseline loc bench-smoke bench-wall-smoke bench-alloc bench-host ckpt-e2e serve-e2e clean
 
 all: build test lint
 
@@ -20,12 +20,20 @@ $(BIN)/grapelint: $(wildcard cmd/grapelint/*.go) $(wildcard internal/lint/*.go)
 	$(GO) build -o $@ ./cmd/grapelint
 
 # lint runs what the CI lint job runs offline: the domain-invariant
-# analyzer suite (DESIGN.md §10, §15) both standalone (with
-# stale-suppression detection) and through the go vet driver, so the
-# vettool protocol stays exercised, then the escape-analysis baseline.
+# analyzer suite (DESIGN.md §10, §15) with stale-suppression detection,
+# then the escape-analysis baseline.
 lint: $(BIN)/grapelint lint-escape
 	$(BIN)/grapelint -unused-ignores ./...
-	$(GO) vet -vettool=$(abspath $(BIN)/grapelint) ./...
+
+# loc prints the north star's own metric (ROADMAP aim 2, "net source
+# lines going down"): lines of non-test Go outside benchmark/, per
+# package directory and in total. Lint fixtures under testdata/ are test
+# inputs and are not counted.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
+		! -path '*/testdata/*' ! -path './.bench_build/*' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # lint-escape compares the compiler's escape-analysis inventory
 # (-gcflags=-m) for the hot packages against the committed baseline, so

@@ -45,7 +45,7 @@ func main() {
 		smoke    = flag.Bool("smoke", false, "tiny sweep for CI: 2 steps, small N, Plummer only")
 		validate = flag.String("validate", "", "validate an existing bench JSON against the schema and exit")
 		steps    = flag.Int("steps", 3, "measured simulation steps per sweep point")
-		theta    = flag.Float64("theta", 0.75, "opening parameter")
+		theta    = flag.Float64("theta", grape5.DefaultTheta, "opening parameter")
 		ncrit    = flag.String("ncrit", "125,250,500,1000,2000,4000", "comma-separated n_g sweep values")
 		plumN    = flag.String("plummer-n", "4096", "comma-separated Plummer particle counts")
 		grid     = flag.Int("cosmo-grid", 32, "cosmology IC grid per dimension (power of two; 0 disables the cosmo sweep)")
@@ -110,17 +110,20 @@ func main() {
 		}
 	}
 
+	plum, err := grape5.LookupModel(grape5.ModelPlummer)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, n := range plumNs {
-		n := n
 		runFamily(sweepSpec{
-			model: "plummer",
+			model: plum.Name,
 			n:     n,
 			seed:  *seed,
 			theta: *theta,
 			steps: *steps,
 			guard: *guard,
 			make: func() (*nbody.System, float64, float64, float64) {
-				return grape5.Plummer(n, 1, 1, 1, *seed), 1, 0.02, 0.005
+				return plum.New(n, *seed), plum.G, plum.Eps, plum.DT
 			},
 		})
 	}
@@ -276,15 +279,7 @@ func measurePoint(spec sweepSpec, ng int, host perf.HostModel) (_ obs.BenchPoint
 		p.TComm += r.TComm
 		hostModel += mod.HostSeconds
 		interactions += float64(r.Interactions)
-		p.Phases.MortonSort += r.Phases.MortonSort
-		p.Phases.TreeBuild += r.Phases.TreeBuild
-		p.Phases.GroupWalk += r.Phases.GroupWalk
-		p.Phases.ForceEval += r.Phases.ForceEval
-		p.Phases.Guard += r.Phases.Guard
-		p.Phases.JTransfer += r.Phases.JTransfer
-		p.Phases.ITransfer += r.Phases.ITransfer
-		p.Phases.Pipeline += r.Phases.Pipeline
-		p.Phases.Readback += r.Phases.Readback
+		p.Phases.Add(r.Phases)
 		p.Recoveries += r.Recoveries
 	}
 	k := float64(spec.steps)
@@ -298,7 +293,7 @@ func measurePoint(spec sweepSpec, ng int, host perf.HostModel) (_ obs.BenchPoint
 	p.Interactions = int64(interactions / k)
 	p.AvgList = interactions / k / float64(sim.Sys.N())
 	p.Groups = sim.LastStats.Groups
-	scalePhases(&p.Phases, 1/k)
+	p.Phases.Scale(1 / k)
 	// Overlap-aware step time: with double-buffered batches the group
 	// walk streams against the (critical-path) hardware span; only the
 	// sort and build are serial. Phases are per-step means here.
@@ -347,19 +342,6 @@ func attachSpeedups(sw, ref *obs.BenchSweep, k int) {
 	}
 	fmt.Printf("K=%d speedup vs K=1 (pipelined): measured %.2fx, model predicts %.2fx\n\n",
 		k, sw.MeasuredSpeedupVsK1, sw.PredictedSpeedupVsK1)
-}
-
-// scalePhases multiplies every phase by f.
-func scalePhases(ps *obs.PhaseSeconds, f float64) {
-	ps.MortonSort *= f
-	ps.TreeBuild *= f
-	ps.GroupWalk *= f
-	ps.ForceEval *= f
-	ps.Guard *= f
-	ps.JTransfer *= f
-	ps.ITransfer *= f
-	ps.Pipeline *= f
-	ps.Readback *= f
 }
 
 // parseInts parses a comma-separated list of positive integers.

@@ -289,6 +289,43 @@ func TestE2EResumeRefusals(t *testing.T) {
 	}
 }
 
+// TestE2EConfigRefusals: a configuration grape5.Config.Validate rejects
+// stops the run before its first force call, on a fresh start and on a
+// -ckpt-dir resume alike — it is the library constructor that refuses,
+// not a check only one path of the driver remembers to make.
+func TestE2EConfigRefusals(t *testing.T) {
+	bin := binPath(t)
+	dir := t.TempDir()
+	ckptDir := filepath.Join(dir, "ckpt")
+	crash := baseArgs(dir, 12, "-ckpt-dir", ckptDir, "-ckpt-every", "4", "-crash-at-step", "6")
+	if out, code := run(t, bin, crash...); code != 3 {
+		t.Fatalf("crash run exited %d, want 3:\n%s", code, out)
+	}
+	resume := baseArgs(dir, 12, "-ckpt-dir", ckptDir)
+	for _, tc := range []struct {
+		name, want string
+		flags      []string
+	}{
+		{"theta nan", "theta", []string{"-theta", "nan"}},
+		{"boards on the host engine", "needs the grape5 engine", []string{"-boards", "2", "-engine", "host"}},
+	} {
+		for path, args := range map[string][]string{
+			"fresh":  append(baseArgs(t.TempDir(), 12), tc.flags...),
+			"resume": append(append([]string{}, resume...), tc.flags...),
+		} {
+			out, code := run(t, bin, args...)
+			if code == 0 || !strings.Contains(out, tc.want) || strings.Contains(out, "initial energy") {
+				t.Errorf("%s, %s: not refused before the first step (exit %d, want mention of %q):\n%s",
+					tc.name, path, code, tc.want, out)
+			}
+		}
+	}
+	// The refusals left the store alone: the plain resume still finishes.
+	if out, code := run(t, bin, resume...); code != 0 {
+		t.Errorf("resume after the refusals exited %d:\n%s", code, out)
+	}
+}
+
 // TestE2ECompletedRunIsIdempotent: rerunning a finished run must do no
 // physics and exit 0 (the supervisor relies on this to terminate).
 func TestE2ECompletedRunIsIdempotent(t *testing.T) {

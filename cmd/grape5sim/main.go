@@ -46,30 +46,6 @@ import (
 	"repro/internal/units"
 )
 
-func parseEngine(name string) (grape5.EngineKind, error) {
-	switch name {
-	case "host":
-		return grape5.EngineHost, nil
-	case "grape5":
-		return grape5.EngineGRAPE5, nil
-	case "pm":
-		return grape5.EnginePM, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q", name)
-}
-
-func engineName(k grape5.EngineKind) string {
-	switch k {
-	case grape5.EngineHost:
-		return "host"
-	case grape5.EngineGRAPE5:
-		return "grape5"
-	case grape5.EnginePM:
-		return "pm"
-	}
-	return fmt.Sprintf("engine-%d", int(k))
-}
-
 // loadResumeFile sniffs the file's magic and loads either a checkpoint
 // (full state, bitwise resume) or a snapshot (initial conditions plus
 // provenance; the resume re-primes).
@@ -161,6 +137,15 @@ func openStepLog(path string, resumeStep int, header []string) (*os.File, *csv.W
 	return f, w, w.Error()
 }
 
+// ifSet returns v when its flag was given explicitly and the zero value
+// ("unset: inherit") otherwise.
+func ifSet[T any](given bool, v T) (zero T) {
+	if given {
+		return v
+	}
+	return zero
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("grape5sim: ")
@@ -178,8 +163,8 @@ func main() {
 		blocks = flag.Int("blocks", 0, "hierarchical block-timestep rung levels (0 = shared dt); one step spans dtmin*2^(blocks-1)")
 		dtMin  = flag.Float64("dtmin", 0, "finest block timestep (-blocks), or the adaptive floor (-eta)")
 		eta    = flag.Float64("eta", 0, "timestep accuracy parameter; with -blocks the rung criterion, alone it selects the shared adaptive integrator")
-		theta  = flag.Float64("theta", 0.75, "Barnes-Hut opening parameter")
-		ncrit  = flag.Int("ncrit", 2000, "modified-algorithm group bound n_g")
+		theta  = flag.Float64("theta", grape5.DefaultTheta, "Barnes-Hut opening parameter")
+		ncrit  = flag.Int("ncrit", grape5.DefaultNcrit, "modified-algorithm group bound n_g")
 		eps    = flag.Float64("eps", 0, "Plummer softening (0 = model default)")
 		engine = flag.String("engine", "grape5", "force engine: host, grape5, pm")
 		boards = flag.Int("boards", 1, "GRAPE shard count K: drive K independent board systems through the sharded cluster engine (grape5 engine only)")
@@ -223,7 +208,7 @@ func main() {
 	setFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 
-	engKind, err := parseEngine(*engine)
+	engKind, err := grape5.ParseEngine(*engine)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -322,43 +307,24 @@ func main() {
 		st := resumed.State
 		if setFlags["engine"] && st.Engine >= 0 && int64(engKind) != st.Engine {
 			log.Fatalf("resume: checkpoint ran -engine %s but -engine %s was given; drop the flag or start a fresh run",
-				engineName(grape5.EngineKind(st.Engine)), *engine)
+				grape5.EngineKind(st.Engine), engKind)
 		}
 		// Overlay config: only explicitly-set flags; everything else
 		// inherits the checkpoint's fingerprint (ResumeConfig errors on
 		// any conflict).
-		overlay := grape5.Config{Guard: *guard, GuardPolicy: g5.GuardPolicy{}, GRAPE: hwCfg}
-		if setFlags["engine"] {
-			overlay.Engine = engKind
+		overlay := grape5.Config{
+			Guard: *guard, GRAPE: hwCfg, Adaptive: adaptive,
+			Engine: ifSet(setFlags["engine"], engKind),
+			Theta:  ifSet(setFlags["theta"], *theta),
+			Ncrit:  ifSet(setFlags["ncrit"], *ncrit),
+			Eps:    ifSet(setFlags["eps"], *eps),
+			DT:     ifSet(setFlags["dt"], *dt),
+			PMGrid: ifSet(setFlags["pmgrid"], *pmGrid),
+			Shards: ifSet(setFlags["boards"], *boards),
+			Blocks: ifSet(setFlags["blocks"], *blocks),
+			DTMin:  ifSet(setFlags["dtmin"], *dtMin),
+			Eta:    ifSet(setFlags["eta"], *eta),
 		}
-		if setFlags["theta"] {
-			overlay.Theta = *theta
-		}
-		if setFlags["ncrit"] {
-			overlay.Ncrit = *ncrit
-		}
-		if setFlags["eps"] {
-			overlay.Eps = *eps
-		}
-		if setFlags["dt"] {
-			overlay.DT = *dt
-		}
-		if setFlags["pmgrid"] {
-			overlay.PMGrid = *pmGrid
-		}
-		if setFlags["boards"] {
-			overlay.Shards = *boards
-		}
-		if setFlags["blocks"] {
-			overlay.Blocks = *blocks
-		}
-		if setFlags["dtmin"] {
-			overlay.DTMin = *dtMin
-		}
-		if setFlags["eta"] {
-			overlay.Eta = *eta
-		}
-		overlay.Adaptive = adaptive
 		sim, err = grape5.ResumeSimulation(resumed, overlay)
 		if err != nil {
 			log.Fatal(err)
@@ -370,34 +336,13 @@ func main() {
 		if engKind == grape5.EnginePM {
 			cfg.PMGrid = *pmGrid
 		}
-		if (faultsOn || *guard) && engKind != grape5.EngineGRAPE5 {
-			log.Fatal("fault injection and -guard require -engine grape5")
-		}
 		if *boards > 1 {
-			if engKind != grape5.EngineGRAPE5 {
-				log.Fatal("-boards requires -engine grape5")
-			}
 			cfg.Shards = *boards // every shard runs guarded
 		}
 
 		var sys *grape5.System
 		aux := grape5.RunAux{Seed: *seed}
-		switch *model {
-		case "plummer":
-			cfg.G = 1
-			sys = grape5.Plummer(*n, 1, 1, 1, *seed)
-			if cfg.Eps == 0 {
-				cfg.Eps = 0.02
-			}
-			cfg.DT = 0.005
-		case "uniform":
-			cfg.G = 1
-			sys = grape5.UniformSphere(*n, 1, 1, *seed)
-			if cfg.Eps == 0 {
-				cfg.Eps = 0.02
-			}
-			cfg.DT = 0.002
-		case "cosmo":
+		if *model == "cosmo" {
 			cs, err := grape5.NewCosmoSphere(grape5.CosmoSphereParams{
 				GridN: *grid, RadiusMpc: *radius, ZInit: *zinit, Sigma8: *sigma8, Seed: *seed,
 			}, *steps)
@@ -414,8 +359,17 @@ func main() {
 			aux.Age0 = cs.Schedule.T1 // EdS age at a=1
 			fmt.Printf("cosmological sphere: N=%d, particle mass %.4g x 1e10 Msun, spacing %.3g Mpc, z=%.1f -> 0\n",
 				sys.N(), cs.ParticleMass, cs.GridSpacing, *zinit)
-		default:
-			log.Fatalf("unknown model %q", *model)
+		} else {
+			m, err := grape5.LookupModel(*model)
+			if err != nil {
+				log.Fatalf("%v; grape5sim also offers cosmo", err)
+			}
+			cfg.G = m.G
+			sys = m.New(*n, *seed)
+			if cfg.Eps == 0 {
+				cfg.Eps = m.Eps
+			}
+			cfg.DT = m.DT
 		}
 		if *dt != 0 {
 			cfg.DT = *dt
@@ -448,7 +402,7 @@ func main() {
 	}
 	e0 := sim.Energy()
 	fmt.Printf("N=%d steps=%d..%d dt=%.4g theta=%.2f ncrit=%d eps=%.4g engine=%s\n",
-		sim.Sys.N(), sim.Steps(), *steps, cfg.DT, cfg.Theta, cfg.Ncrit, cfg.Eps, engineName(cfg.Engine))
+		sim.Sys.N(), sim.Steps(), *steps, cfg.DT, cfg.Theta, cfg.Ncrit, cfg.Eps, cfg.Engine)
 	if cfg.Blocks > 0 {
 		fmt.Printf("block timesteps: %d rungs, dtmin=%.4g span=%.4g, occupancy=%v\n",
 			cfg.Blocks, cfg.DTMin, cfg.DT, sim.RungOccupancy())

@@ -4,8 +4,6 @@
 // hostk) and the dataflow analyzers (lockdiscipline, goroutinejoin,
 // fpreduce, wireschema, hotalloc) — over Go packages.
 //
-// Standalone:
-//
 //	grapelint ./...              # lint the module
 //	grapelint -unused-ignores ./...  # also fail on stale //lint:ignore comments
 //	grapelint -list              # describe the analyzers
@@ -17,11 +15,6 @@
 // internal error — so CI can distinguish "the code is wrong" from "the
 // tool could not run".
 //
-// As a vet tool (one package per invocation, driven by the go command):
-//
-//	go build -o bin/grapelint ./cmd/grapelint
-//	go vet -vettool=$PWD/bin/grapelint ./...
-//
 // Intentional violations are suppressed in place with
 // `//lint:ignore <analyzer> <reason>`; see DESIGN.md §10 for the
 // policy. The -unused-ignores mode keeps that honest: a suppression
@@ -32,15 +25,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 )
 
 func main() {
 	listFlag := flag.Bool("list", false, "describe the analyzers and exit")
-	versionFlag := flag.String("V", "", "print version (go vet tool protocol)")
-	flagsFlag := flag.Bool("flags", false, "print flag description JSON (go vet tool protocol)")
 	unusedFlag := flag.Bool("unused-ignores", false, "also report //lint:ignore comments that suppress nothing")
 	escapesFlag := flag.Bool("escapes", false, "compare the hot packages' compiler escape inventory against the baseline")
 	baselineFlag := flag.String("baseline", "internal/lint/escape_baseline.txt", "escape baseline file (with -escapes)")
@@ -48,12 +38,6 @@ func main() {
 	flag.Parse()
 
 	switch {
-	case *flagsFlag:
-		fmt.Println("[]")
-		return
-	case *versionFlag != "":
-		printVersion()
-		return
 	case *listFlag:
 		for _, a := range lint.All() {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
@@ -63,11 +47,7 @@ func main() {
 		os.Exit(runEscapes(*baselineFlag, *writeFlag))
 	}
 
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetUnit(args[0]))
-	}
-	os.Exit(runStandalone(args, *unusedFlag))
+	os.Exit(runStandalone(flag.Args(), *unusedFlag))
 }
 
 // runStandalone lints the packages matching the patterns (default the

@@ -177,23 +177,3 @@ func TestListDescribesEveryAnalyzer(t *testing.T) {
 		}
 	}
 }
-
-// TestVetCfgParseError: a malformed vet .cfg (the go command's unit
-// protocol) is an internal error, exit 2.
-func TestVetCfgParseError(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the built binary; skipped in -short")
-	}
-	dir := t.TempDir()
-	cfg := filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(cfg, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out := runBin(t, dir, cfg)
-	if code != 2 {
-		t.Fatalf("exit code = %d, want 2 for a malformed .cfg\n%s", code, out)
-	}
-	if !strings.Contains(out, "parsing") {
-		t.Fatalf("malformed .cfg error does not mention parsing:\n%s", out)
-	}
-}

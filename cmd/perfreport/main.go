@@ -79,8 +79,8 @@ func runReport(args []string, w io.Writer) error {
 		grid   = fs.Int("grid", 32, "IC grid per dimension for the measured traversal")
 		full   = fs.Bool("full", false, "run the traversal at the paper's full N=2,159,038 (grid 160; needs ~2 GB and minutes)")
 		in     = fs.String("in", "", "evolved snapshot to measure on (more faithful list lengths than fresh ICs)")
-		theta  = fs.Float64("theta", 0.75, "opening parameter")
-		ncrit  = fs.Int("ncrit", 2000, "group bound n_g (paper optimum)")
+		theta  = fs.Float64("theta", grape5.DefaultTheta, "opening parameter")
+		ncrit  = fs.Int("ncrit", grape5.DefaultNcrit, "group bound n_g (paper optimum)")
 		seed   = fs.Uint64("seed", 1, "IC seed")
 		epochs = fs.String("epochs", "", "comma-separated redshifts: measure a Zel'dovich realisation at each and average the per-step model over them (approximates the paper's run average), e.g. 24,9,4,1.5,0")
 		faults = fs.Bool("faults", false, "append E9: degraded-mode offload with an injected board failure")
@@ -235,8 +235,12 @@ func reportDegraded(w io.Writer, host perf.HostModel, theta float64, seed uint64
 	fmt.Fprintf(w, "\n== E9: degraded-mode offload (board 2 dies mid-run) ==\n")
 	fCfg := g5.DefaultConfig()
 	fCfg.Fault = &g5.FaultModel{Seed: 7, FailBoard: 2, FailAfterRuns: 200, FailSlot: 11}
-	sim, err := grape5.NewSimulation(grape5.Plummer(4000, 1, 1, 1, seed), grape5.Config{
-		Theta: theta, Ncrit: 500, G: 1, Eps: 0.02, DT: 1, // priming only: no step is taken
+	m, err := grape5.LookupModel(grape5.ModelPlummer)
+	if err != nil {
+		return err
+	}
+	sim, err := grape5.NewSimulation(m.New(4000, seed), grape5.Config{
+		Theta: theta, Ncrit: 500, G: m.G, Eps: m.Eps, DT: m.DT, // priming only: no step is taken
 		Engine: grape5.EngineGRAPE5, GRAPE: fCfg, Guard: true,
 	})
 	if err != nil {

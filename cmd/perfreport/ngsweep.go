@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 
+	grape5 "repro"
 	"repro/internal/g5"
 	"repro/internal/perf"
 )
@@ -27,7 +28,7 @@ func runNgSweep(args []string, w io.Writer) error {
 		grid    = fs.Int("grid", 32, "IC grid when no snapshot given (power of two)")
 		lattice = fs.Int("lattice", 0, "particle lattice (0 = grid); 160 with -grid 128 gives the paper's N")
 		seed    = fs.Uint64("seed", 1, "IC seed")
-		theta   = fs.Float64("theta", 0.75, "opening parameter")
+		theta   = fs.Float64("theta", grape5.DefaultTheta, "opening parameter")
 		list    = fs.String("ncrit", "125,250,500,1000,2000,4000,8000,16000",
 			"comma-separated n_g values")
 	)

@@ -43,7 +43,7 @@ func main() {
 	sys.Recenter()
 
 	cfg := grape5.Config{
-		Theta:  0.75,
+		Theta:  grape5.DefaultTheta,
 		Ncrit:  500,
 		G:      1,
 		Eps:    0.03,

@@ -38,7 +38,7 @@ func main() {
 		cs.Sys.N(), cs.ParticleMass, *steps)
 
 	sim, err := grape5.NewSimulation(cs.Sys, grape5.Config{
-		Theta:  0.75,
+		Theta:  grape5.DefaultTheta,
 		Ncrit:  256,
 		Eps:    cs.GridSpacing * cs.AInit, // initial physical spacing
 		DT:     cs.Schedule.DT(),

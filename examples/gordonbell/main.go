@@ -22,7 +22,7 @@ func main() {
 	var (
 		grid  = flag.Int("grid", 16, "IC grid (power of two); the paper's scale is ~160")
 		steps = flag.Int("steps", 100, "timesteps (paper: 999)")
-		ncrit = flag.Int("ncrit", 2000, "group bound n_g (paper optimum ~2000)")
+		ncrit = flag.Int("ncrit", grape5.DefaultNcrit, "group bound n_g (paper optimum ~2000)")
 	)
 	flag.Parse()
 
@@ -34,7 +34,7 @@ func main() {
 		cs.Sys.N(), units.PaperN, *steps, units.PaperSteps)
 
 	sim, err := grape5.NewSimulation(cs.Sys, grape5.Config{
-		Theta:  0.75,
+		Theta:  grape5.DefaultTheta,
 		Ncrit:  *ncrit,
 		Eps:    cs.GridSpacing * cs.AInit,
 		DT:     cs.Schedule.DT(),
@@ -56,7 +56,7 @@ func main() {
 		if s == 1 || s == *steps/2 || s == *steps {
 			// Original-algorithm count on representative snapshots —
 			// the paper did exactly this with five snapshot files.
-			orig, err := core.New(core.Options{Theta: 0.75}, nil).CountOriginal(sim.Sys.Clone())
+			orig, err := core.New(core.Options{Theta: grape5.DefaultTheta}, nil).CountOriginal(sim.Sys.Clone())
 			if err != nil {
 				log.Fatal(err)
 			}

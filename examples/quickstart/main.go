@@ -17,7 +17,7 @@ func main() {
 	sys := grape5.Plummer(5000, 1.0, 1.0, 1.0, 42)
 
 	sim, err := grape5.NewSimulation(sys, grape5.Config{
-		Theta:  0.75,                // Barnes-Hut opening angle
+		Theta:  grape5.DefaultTheta, // Barnes-Hut opening angle
 		Ncrit:  500,                 // group size of the modified algorithm
 		G:      1.0,                 // model units
 		Eps:    0.02,                // Plummer softening

@@ -45,7 +45,7 @@ func main() {
 		soft = cs.GridSpacing / 8
 	}
 	cfg := grape5.Config{
-		Theta: 0.75, Ncrit: 256, Eps: soft,
+		Theta: grape5.DefaultTheta, Ncrit: 256, Eps: soft,
 		DT: cs.Schedule.DT(), Engine: grape5.EngineGRAPE5,
 	}
 	sim, err := grape5.NewSimulation(cs.Sys, cfg)

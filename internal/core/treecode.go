@@ -19,14 +19,12 @@ import (
 
 // Options configure a treecode force calculation.
 type Options struct {
-	// Theta is the Barnes-Hut opening parameter (default 0.75, the
-	// common choice of the era and our stand-in for the paper's
-	// "accuracy parameter").
+	// Theta is the Barnes-Hut opening parameter (default DefaultTheta).
 	Theta float64
 	// UseBmax selects the conservative bmax opening criterion.
 	UseBmax bool
 	// Ncrit is the maximum group population of the modified algorithm
-	// (the paper's n_g knob; optimal ≈ 2000 on DS10 + GRAPE-5).
+	// (the paper's n_g knob; default DefaultNcrit).
 	Ncrit int
 	// LeafCap is the octree leaf capacity (default 8).
 	LeafCap int
@@ -49,6 +47,17 @@ type Options struct {
 	Obs *obs.Observer
 }
 
+// The treecode's two tuning defaults, named here once: every front-end
+// (library Config, CLI flags, the job server's wire decoder) refers to
+// these rather than restating the numbers.
+const (
+	// DefaultTheta is the common opening parameter of the era, our
+	// stand-in for the paper's "accuracy parameter".
+	DefaultTheta = 0.75
+	// DefaultNcrit is the paper's §3 optimum n_g on DS10 + GRAPE-5.
+	DefaultNcrit = 2000
+)
+
 // activeRebuildFrac is the block-timestep rebuild policy
 // (ComputeForcesActive): a substep whose active fraction reaches it
 // triggers a full Morton sort and rebuild, below it the cached tree is
@@ -59,10 +68,10 @@ const activeRebuildFrac = 0.5
 
 func (o Options) withDefaults() Options {
 	if o.Theta == 0 {
-		o.Theta = 0.75
+		o.Theta = DefaultTheta
 	}
 	if o.Ncrit <= 0 {
-		o.Ncrit = 2000
+		o.Ncrit = DefaultNcrit
 	}
 	if o.LeafCap <= 0 {
 		o.LeafCap = 8

@@ -134,9 +134,6 @@ func NewGuardedEngine(sys *System, g float64, policy GuardPolicy) *GuardedEngine
 // must not run Compute on it directly while the engine is in use.
 func (e *GuardedEngine) System() *System { return e.sys }
 
-// Policy returns the active (defaulted) policy.
-func (e *GuardedEngine) Policy() GuardPolicy { return e.policy }
-
 // SetObserver attaches a telemetry observer: guard overhead (probe
 // references, acceptance checks, backoff, bisection re-runs) is
 // recorded as the guard phase, and every retry, rejected result, board

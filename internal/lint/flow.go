@@ -12,12 +12,10 @@ import (
 // are goroutine bodies, which parameters flow into encoding/json, which
 // functions police float finiteness).
 //
-// Facts are strictly per-package on purpose: grapelint runs both
-// standalone (whole module) and under `go vet -vettool` (one package
-// per invocation, dependencies visible only as export data), and the
-// two drivers must report identical findings. Cross-package calls are
-// therefore classified by import path and signature only, never by
-// callee source.
+// Facts are strictly per-package on purpose: the loader type-checks
+// one package at a time from source and sees its dependencies only as
+// export data. Cross-package calls are therefore classified by import
+// path and signature only, never by callee source.
 type Flow struct {
 	pkg *Package
 

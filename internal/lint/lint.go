@@ -8,8 +8,7 @@
 // and error discipline on the hardware paths.
 //
 // The analyzers run over type-checked packages loaded by Loader (see
-// load.go) and are driven by cmd/grapelint, both standalone
-// (`grapelint ./...`) and as a `go vet -vettool`.
+// load.go) and are driven by cmd/grapelint (`grapelint ./...`).
 //
 // # Suppression policy
 //

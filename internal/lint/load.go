@@ -36,11 +36,6 @@ type Loader struct {
 	// directory inside it). Empty means the current directory.
 	Dir string
 
-	// Exports, when set, resolves an import path to an export data
-	// file before `go list` is consulted — the vet-tool protocol hands
-	// grapelint a ready-made import map this plugs in.
-	Exports func(path string) string
-
 	Fset *token.FileSet
 
 	mu      sync.Mutex
@@ -105,11 +100,6 @@ func (l *Loader) register(pkgs []*goPkg) {
 // importer, listing the package on demand when it was not part of the
 // original closure (e.g. a stdlib package only a test fixture imports).
 func (l *Loader) lookup(path string) (io.ReadCloser, error) {
-	if l.Exports != nil {
-		if file := l.Exports(path); file != "" {
-			return os.Open(file)
-		}
-	}
 	l.mu.Lock()
 	file := l.exports[path]
 	l.mu.Unlock()

@@ -37,7 +37,7 @@ func TestLoadCompileError(t *testing.T) {
 }
 
 // TestCheckTypeError: the direct Check path (used by the fixture
-// harness and the vettool driver) reports type errors too.
+// harness) reports type errors too.
 func TestCheckTypeError(t *testing.T) {
 	dir := t.TempDir()
 	src := "package fixture\n\nvar x int = \"not an int\"\n"

@@ -2,7 +2,6 @@ package lint_test
 
 import (
 	"os/exec"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/lint"
@@ -37,7 +36,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 }
 
-// TestGrapelintCommand exercises the standalone entry point end to end:
+// TestGrapelintCommand exercises the command entry point end to end:
 // `grapelint ./...` must exit 0 on the repository.
 func TestGrapelintCommand(t *testing.T) {
 	if testing.Short() {
@@ -47,29 +46,5 @@ func TestGrapelintCommand(t *testing.T) {
 	cmd.Dir = moduleRoot
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("grapelint ./... failed: %v\n%s", err, out)
-	}
-}
-
-// TestVetToolProtocol drives grapelint through the go command's
-// -vettool protocol (version probe, per-package .cfg invocation, facts
-// file) against one real package.
-func TestVetToolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds cmd/grapelint and runs go vet; skipped in -short")
-	}
-	bin := filepath.Join(t.TempDir(), "grapelint")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/grapelint")
-	build.Dir = moduleRoot
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building grapelint: %v\n%s", err, out)
-	}
-	abs, err := filepath.Abs(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vet := exec.Command("go", "vet", "-vettool="+abs, "./internal/g5")
-	vet.Dir = moduleRoot
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool failed: %v\n%s", err, out)
 	}
 }

@@ -23,17 +23,16 @@ import (
 //     encoding/json would otherwise expose the Go identifier, so a
 //     rename silently changes the public API;
 //   - a wire field whose type lives in another repro package must also
-//     be fully tagged there (checked from the export data, so the
-//     vettool and standalone drivers agree);
+//     be fully tagged there (checked from the export data);
 //   - a float field on a marshal path must be provably finite:
 //     json.Marshal fails at runtime on NaN/±Inf. "Provably finite"
 //     means either witnessed by a finiteness guard (the field reaches a
-//     function that calls math.IsNaN/IsInf — ckpt's stateFinite, serve's
-//     finitePositive) or every in-package source of the field is
-//     structurally admissible (literals and constants, integer
-//     conversions, sums/products of admissible values, division by a
-//     nonzero literal, time.Duration.Seconds, math.Abs-family calls,
-//     calls into guarded helpers, other admissible fields — a fixpoint).
+//     function that calls math.IsNaN/IsInf — ckpt's stateFinite) or
+//     every in-package source of the field is structurally admissible
+//     (literals and constants, integer conversions, sums/products of
+//     admissible values, division by a nonzero literal,
+//     time.Duration.Seconds, math.Abs-family calls, calls into guarded
+//     helpers, other admissible fields — a fixpoint).
 //
 // Structs with custom MarshalJSON/UnmarshalJSON are exempt, as are
 // decode-only structs for the float rule (inbound values are validated
@@ -119,7 +118,7 @@ func runWireSchema(pass *Pass) error {
 }
 
 // wireFieldClosure expands a JSONTypes seed set across in-package
-// struct-typed fields: if jobMeta is marshaled, its JobSpec field is
+// struct-typed fields: if jobMeta is marshaled, its JobRequest field is
 // marshaled too.
 func wireFieldClosure(pass *Pass, seed map[*types.Named]bool) map[*types.Named]bool {
 	out := map[*types.Named]bool{}
@@ -147,9 +146,8 @@ func wireFieldClosure(pass *Pass, seed map[*types.Named]bool) map[*types.Named]b
 	return out
 }
 
-// checkCrossPackageTags verifies (from export data, so both drivers
-// agree) that a wire field's repro-internal struct type is itself fully
-// tagged.
+// checkCrossPackageTags verifies (from export data) that a wire field's
+// repro-internal struct type is itself fully tagged.
 func checkCrossPackageTags(pass *Pass, owner *types.Named, f *types.Var) {
 	ft := namedOf(f.Type())
 	if ft == nil || ft.Obj().Pkg() == nil || ft.Obj().Pkg() == pass.Pkg {
@@ -249,8 +247,8 @@ func newWireChecker(pass *Pass) *wireChecker {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				// Witness W2: a field passed into a finiteness-guard
-				// function is policed at the call site (serve's
-				// finitePositive(s.Theta) pattern).
+				// function is policed at the call site (a
+				// finitePositive(s.Theta) helper).
 				if local := pass.Flow.Local(calleeFunc(pass.Info, n)); local != nil && pass.Flow.FloatGuard(local) {
 					for _, a := range n.Args {
 						e := ast.Unparen(a)

@@ -68,13 +68,6 @@ type HostModel struct {
 	WalkCoeff     float64
 	VisitCoeff    float64
 	ParticleCoeff float64
-	// P2PCoeff is the host's measured per-interaction force cost
-	// (seconds per softened pairwise interaction through hostk.P2P).
-	// Zero means unmeasured: StepSeconds then models an offload-only
-	// host, exactly the original DS10 calibration. Set it via
-	// WithKernelCost(MeasureKernelCost()) to price host-engine runs
-	// and guard fallbacks on the actual machine.
-	P2PCoeff float64
 }
 
 // DS10 returns the host model of the COMPAQ AlphaServer DS10

@@ -110,3 +110,33 @@ func TestOptimum(t *testing.T) {
 		t.Error("empty sweep should give nil")
 	}
 }
+
+// TestFasterHostShiftsOptimumDown pins the direction of the n_g balance
+// under a faster host term: cheaper opening tests make short lists
+// affordable again, so the optimal group size cannot grow.
+func TestFasterHostShiftsOptimumDown(t *testing.T) {
+	s := nbody.Plummer(3000, 1, 1, 1, rng.New(4))
+	ncrits := []int{50, 100, 200, 500, 1000, 2000}
+	slow := DS10()
+	fast := slow
+	fast.VisitCoeff /= 4 // the batched MAC's measured class of win
+	cfg := g5.DefaultConfig()
+	ps, err := NgSweep(s.Clone(), 0.75, ncrits, slow, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := NgSweep(s.Clone(), 0.75, ncrits, fast, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os_ := Optimum(ps).Ncrit
+	of := Optimum(pf).Ncrit
+	if of > os_ {
+		t.Errorf("faster host moved optimum n_g up: %d -> %d", os_, of)
+	}
+	// The K-board restatement must hold for the faster host too: more
+	// boards never shrink the optimal group size.
+	if a, b := OptimalNcritK(pf, 1), OptimalNcritK(pf, 4); b < a {
+		t.Errorf("OptimalNcritK decreasing in K: K=1 %d, K=4 %d", a, b)
+	}
+}

@@ -14,6 +14,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -404,5 +406,57 @@ func TestE2ERestartRecovery(t *testing.T) {
 	}
 	if want := referenceResult(t, body); !bytes.Equal(got, want) {
 		t.Error("revived job's result differs from the standalone run")
+	}
+}
+
+// TestE2ERestartReadmission: a restart re-resolves every job it would
+// revive under the current budget. A job.json edited (or torn, or
+// written under a larger budget) so that its request no longer resolves
+// — here n = MaxParticles+1 — is listed as failed with the reason and
+// never run; its untouched neighbour is revived and completes.
+func TestE2ERestartReadmission(t *testing.T) {
+	dir := t.TempDir()
+	budget := serve.Budget{MaxRunning: 1, MaxParticles: 64}
+	e := newTestServer(t, serve.Options{Budget: budget, DataDir: dir, StartPaused: true})
+	keep := e.mustSubmit(t, jobBody("alice", 64, 2)).ID
+	edit := e.mustSubmit(t, jobBody("bob", 48, 2)).ID
+	if err := e.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e.ts.Close()
+
+	metaPath := filepath.Join(dir, "jobs", edit, "job.json")
+	raw, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta["spec"].(map[string]any)["n"] = budget.MaxParticles + 1
+	if raw, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(metaPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := newTestServer(t, serve.Options{Budget: budget, DataDir: dir})
+	var st serve.JobStatus
+	e2.getJSON(t, "/jobs/"+edit, &st)
+	if st.State != serve.StateFailed || !strings.Contains(st.Error, "out of budget") || st.Step != 0 {
+		t.Errorf("over-budget job after restart: state %s, step %d, error %q; want failed at step 0 with the budget reason",
+			st.State, st.Step, st.Error)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "jobs", edit, "ckpt")); !os.IsNotExist(err) {
+		t.Errorf("refused job has a checkpoint store (stat: %v): it was run", err)
+	}
+	if got := e2.waitTerminal(t, keep, 60*time.Second); got.State != serve.StateDone {
+		t.Errorf("untouched job finished %s (%s), want done", got.State, got.Error)
+	}
+	// The refusal is durable: the record on disk is terminal now.
+	if raw, err = os.ReadFile(metaPath); err != nil || !strings.Contains(string(raw), `"state":"failed"`) {
+		t.Errorf("refused job's job.json not rewritten as failed (%v): %s", err, raw)
 	}
 }

@@ -2,11 +2,13 @@ package serve_test
 
 // FuzzJobRequest drives the wire decoder/validator with arbitrary
 // bytes. The contract under fuzz: never panic, never admit an invalid
-// configuration — any spec that comes back error-free must be fully
-// resolved and inside the budget, ready to hand to NewSimulation.
+// configuration — any request that comes back error-free must be fully
+// resolved and inside the budget, pass the one validator every front-end
+// shares (grape5.Config.Validate), and resolve to itself.
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -78,10 +80,24 @@ func FuzzJobRequest(f *testing.F) {
 		if spec.Seed == 0 {
 			t.Fatal("admitted zero seed")
 		}
-		// The resolved spec must translate without surprises.
+		// The resolved request must translate without surprises, into a
+		// configuration NewSimulation will take.
 		cfg := spec.SimConfig()
 		if cfg.DT != spec.DT || cfg.Theta != spec.Theta {
 			t.Fatalf("SimConfig mismatch: %+v vs %+v", cfg, spec)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("admitted %+v, which grape5.Config.Validate refuses: %v", spec, err)
+		}
+		// Resolution is idempotent — what a restart relies on to re-admit
+		// persisted jobs: the resolved request re-decodes to itself.
+		wire, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := serve.DecodeJobRequest(bytes.NewReader(wire), budget)
+		if err != nil || again != spec {
+			t.Fatalf("resolved request does not resolve to itself:\n first %+v\nsecond %+v (%v)", spec, again, err)
 		}
 	})
 }

@@ -20,23 +20,27 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	grape5 "repro"
 )
 
-// Models and engines a job may request.
+// Models and engines a job may request: the root package's names (the
+// service offers the model-unit problems and the two treecode engines).
 const (
-	ModelPlummer = "plummer"
-	ModelUniform = "uniform"
+	ModelPlummer = grape5.ModelPlummer
+	ModelUniform = grape5.ModelUniform
 
 	EngineHost   = "host"
 	EngineGRAPE5 = "grape5"
 )
 
-// JobRequest is the POST /jobs wire format. Every field except model and
-// n is optional; zero values resolve to documented defaults during
-// validation.
+// JobRequest is a job's configuration, on the wire (POST /jobs) and in
+// the server. Every field except model and n is optional on the wire;
+// DecodeJobRequest resolves zero values to the documented defaults and
+// checks every bound against the admitting budget, so the request the
+// scheduler, the runner, job.json and the reference harness hold is
+// fully concrete. Resolution is idempotent: a resolved request resolves
+// to itself, which is how a restart re-admits persisted jobs.
 type JobRequest struct {
 	// Tenant is the submitting tenant's identity (default "default");
 	// fairness and queue bounds are accounted per tenant.
@@ -47,13 +51,14 @@ type JobRequest struct {
 	N int `json:"n"`
 	// Steps is the number of integration steps to run.
 	Steps int `json:"steps"`
-	// Theta is the Barnes-Hut opening parameter (default 0.75).
+	// Theta is the Barnes-Hut opening parameter (default
+	// grape5.DefaultTheta).
 	Theta float64 `json:"theta"`
-	// Ncrit is the group-size bound n_g (default 2000).
+	// Ncrit is the group-size bound n_g (default grape5.DefaultNcrit).
 	Ncrit int `json:"ncrit"`
 	// DT is the integration timestep (default per model).
 	DT float64 `json:"dt"`
-	// Eps is the softening length (default 0.02).
+	// Eps is the softening length (default per model).
 	Eps float64 `json:"eps"`
 	// Seed is the IC generator seed (default 1).
 	Seed uint64 `json:"seed"`
@@ -64,32 +69,14 @@ type JobRequest struct {
 	Boards int `json:"boards"`
 }
 
-// JobSpec is a validated, fully-resolved job configuration: every field
-// is concrete, every bound checked against the admitting budget. It is
-// the unit the scheduler, the runner and the reference harness all
-// agree on — DecodeJobRequest is the only way to make one from wire
-// bytes, so a spec in hand is a spec within budget. It has the wire
-// fields of JobRequest under a distinct type.
-type JobSpec JobRequest
-
-// Default model timesteps: a Plummer sphere in model units tolerates a
-// coarser step than the colder uniform sphere.
+// The bounds the service alone owns, beyond grape5.Config.Validate and
+// the operator's Budget: a floor on job size and ceilings that keep one
+// request from buying unbounded host work per step.
 const (
-	defaultDTPlummer = 0.005
-	defaultDTUniform = 0.002
-	defaultTheta     = 0.75
-	defaultNcrit     = 2000
-	defaultEps       = 0.02
-	minParticles     = 16
+	minParticles = 16
+	maxTheta     = 2
+	maxNcrit     = 1 << 20
 )
-
-// finitePositive rejects NaN, Inf, zero and negatives in one breath.
-func finitePositive(name string, v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-		return fmt.Errorf("%s must be finite and positive, got %v", name, v)
-	}
-	return nil
-}
 
 // validTenant enforces the tenant-name charset: 1–32 characters of
 // [a-zA-Z0-9._-]. Names reach filesystem paths and log lines, so the
@@ -110,120 +97,114 @@ func validTenant(s string) bool {
 	return true
 }
 
-// DecodeJobRequest reads one JSON job request and resolves it into a
-// validated JobSpec under the given budget. It is strict in every
-// direction the fuzzer probes: unknown fields, trailing garbage,
-// non-finite or negative numerics and over-budget requests are all loud
-// errors — an invalid configuration is never admitted, and no input
-// panics.
-func DecodeJobRequest(r io.Reader, b Budget) (JobSpec, error) {
-	b = b.withDefaults()
+// DecodeJobRequest reads one JSON job request and resolves it under the
+// given budget. It is strict in every direction the fuzzer probes:
+// unknown fields, trailing garbage, non-finite or negative numerics and
+// over-budget requests are all loud errors — an invalid configuration
+// is never admitted, and no input panics.
+func DecodeJobRequest(r io.Reader, b Budget) (JobRequest, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var req JobRequest
 	if err := dec.Decode(&req); err != nil {
-		return JobSpec{}, fmt.Errorf("decode: %w", err)
+		return JobRequest{}, fmt.Errorf("decode: %w", err)
 	}
 	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
-		return JobSpec{}, errors.New("decode: trailing data after request object")
+		return JobRequest{}, errors.New("decode: trailing data after request object")
 	}
-	return resolveSpec(req, b)
+	return req.resolve(b.withDefaults())
 }
 
-// resolveSpec applies defaults and validates every field against the
-// budget. It never mutates shared state: the same request resolves to
-// the same spec on every server.
-func resolveSpec(req JobRequest, b Budget) (JobSpec, error) {
-	s := JobSpec(req)
+// resolve fills unset fields from the shared defaults (grape5's theta
+// and n_g, the model table's eps and dt) and judges the result: the
+// service's own bounds here, every numeric rule in the one place all
+// front-ends share, SimConfig().Validate. It never reads server state:
+// the same request resolves to the same value on every server.
+func (req JobRequest) resolve(b Budget) (JobRequest, error) {
+	s := req
 	if s.Tenant == "" {
 		s.Tenant = "default"
 	}
 	if !validTenant(s.Tenant) {
-		return JobSpec{}, fmt.Errorf("tenant %q: must be 1-32 chars of [a-zA-Z0-9._-]", s.Tenant)
+		return JobRequest{}, fmt.Errorf("tenant %q: must be 1-32 chars of [a-zA-Z0-9._-]", s.Tenant)
 	}
-	switch s.Model {
-	case ModelPlummer, ModelUniform:
-	case "":
-		return JobSpec{}, errors.New("model is required (plummer or uniform)")
-	default:
-		return JobSpec{}, fmt.Errorf("unknown model %q (want plummer or uniform)", s.Model)
+	if s.Model == "" {
+		return JobRequest{}, fmt.Errorf("model is required (%s or %s)", ModelPlummer, ModelUniform)
+	}
+	m, err := grape5.LookupModel(s.Model)
+	if err != nil {
+		return JobRequest{}, err
 	}
 	if s.N < minParticles || s.N > b.MaxParticles {
-		return JobSpec{}, fmt.Errorf("n=%d out of budget [%d, %d]", s.N, minParticles, b.MaxParticles)
+		return JobRequest{}, fmt.Errorf("n=%d out of budget [%d, %d]", s.N, minParticles, b.MaxParticles)
 	}
 	if s.Steps < 1 || s.Steps > b.MaxSteps {
-		return JobSpec{}, fmt.Errorf("steps=%d out of budget [1, %d]", s.Steps, b.MaxSteps)
+		return JobRequest{}, fmt.Errorf("steps=%d out of budget [1, %d]", s.Steps, b.MaxSteps)
 	}
 	if s.Theta == 0 {
-		s.Theta = defaultTheta
+		s.Theta = grape5.DefaultTheta
 	}
-	if err := finitePositive("theta", s.Theta); err != nil {
-		return JobSpec{}, err
-	}
-	if s.Theta > 2 {
-		return JobSpec{}, fmt.Errorf("theta=%v too large (max 2)", s.Theta)
+	if s.Theta > maxTheta {
+		return JobRequest{}, fmt.Errorf("theta=%v too large (max %d)", s.Theta, maxTheta)
 	}
 	if s.Ncrit == 0 {
-		s.Ncrit = defaultNcrit
+		s.Ncrit = grape5.DefaultNcrit
 	}
-	if s.Ncrit < 1 || s.Ncrit > 1<<20 {
-		return JobSpec{}, fmt.Errorf("ncrit=%d out of range [1, %d]", s.Ncrit, 1<<20)
+	if s.Ncrit > maxNcrit {
+		return JobRequest{}, fmt.Errorf("ncrit=%d too large (max %d)", s.Ncrit, maxNcrit)
 	}
 	if s.DT == 0 {
-		if s.Model == ModelUniform {
-			s.DT = defaultDTUniform
-		} else {
-			s.DT = defaultDTPlummer
-		}
-	}
-	if err := finitePositive("dt", s.DT); err != nil {
-		return JobSpec{}, err
+		//lint:ignore wireschema the model table holds constants, and SimConfig().Validate below refuses a non-finite dt before the request is kept
+		s.DT = m.DT
 	}
 	if s.Eps == 0 {
-		s.Eps = defaultEps
-	}
-	if err := finitePositive("eps", s.Eps); err != nil {
-		return JobSpec{}, err
+		//lint:ignore wireschema as dt above: a table constant, judged by Validate below
+		s.Eps = m.Eps
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	switch s.Engine {
-	case "":
+	if s.Engine == "" {
 		s.Engine = EngineHost
-	case EngineHost, EngineGRAPE5:
-	default:
-		return JobSpec{}, fmt.Errorf("unknown engine %q (want host or grape5)", s.Engine)
 	}
-	if s.Engine == EngineHost {
+	switch s.Engine {
+	case EngineHost:
 		if s.Boards != 0 {
-			return JobSpec{}, fmt.Errorf("boards=%d: host-engine jobs lease no boards", s.Boards)
+			return JobRequest{}, fmt.Errorf("boards=%d: host-engine jobs lease no boards", s.Boards)
 		}
-	} else {
+	case EngineGRAPE5:
 		if s.Boards == 0 {
 			s.Boards = 1
 		}
 		if s.Boards < 1 || s.Boards > b.Boards {
-			return JobSpec{}, fmt.Errorf("boards=%d out of budget [1, %d]", s.Boards, b.Boards)
+			return JobRequest{}, fmt.Errorf("boards=%d out of budget [1, %d]", s.Boards, b.Boards)
 		}
+	default:
+		return JobRequest{}, fmt.Errorf("unknown engine %q (want %s or %s)", s.Engine, EngineHost, EngineGRAPE5)
+	}
+	if err := s.SimConfig().Validate(); err != nil {
+		return JobRequest{}, err
 	}
 	return s, nil
 }
 
-// SimConfig translates the spec into the simulation configuration the
-// runner and the standalone reference both use. G is 1 (model units).
-// A multi-board lease becomes a sharded cluster (bitwise-neutral, PR 3);
-// a single board runs the guarded single-system engine.
-func (s JobSpec) SimConfig() grape5.Config {
+// SimConfig translates the request into the simulation configuration
+// the runner and the standalone reference both use, in the model's
+// units. A multi-board lease becomes a sharded cluster (bitwise-neutral,
+// PR 3); a single board runs the guarded single-system engine. It is
+// meant for a resolved request: a model or engine name resolve would
+// refuse maps to the zero value here.
+func (s JobRequest) SimConfig() grape5.Config {
+	m, _ := grape5.LookupModel(s.Model)
 	cfg := grape5.Config{
 		Theta: s.Theta,
 		Ncrit: s.Ncrit,
-		G:     1,
+		G:     m.G,
 		Eps:   s.Eps,
 		DT:    s.DT,
 	}
-	if s.Engine == EngineGRAPE5 {
-		cfg.Engine = grape5.EngineGRAPE5
+	cfg.Engine, _ = grape5.ParseEngine(s.Engine)
+	if cfg.Engine == grape5.EngineGRAPE5 {
 		if s.Boards > 1 {
 			cfg.Shards = s.Boards
 		} else {
@@ -233,13 +214,13 @@ func (s JobSpec) SimConfig() grape5.Config {
 	return cfg
 }
 
-// NewSystem builds the spec's initial conditions. Deterministic in the
-// spec alone: same spec, same particles, on the server or in a test.
-func (s JobSpec) NewSystem() *grape5.System {
-	switch s.Model {
-	case ModelUniform:
-		return grape5.UniformSphere(s.N, 1, 1, s.Seed)
-	default:
-		return grape5.Plummer(s.N, 1, 1, 1, s.Seed)
+// NewSystem builds the request's initial conditions (nil for an unknown
+// model, which NewSimulation refuses). Deterministic in the request
+// alone: same request, same particles, on the server or in a test.
+func (s JobRequest) NewSystem() *grape5.System {
+	m, err := grape5.LookupModel(s.Model)
+	if err != nil {
+		return nil
 	}
+	return m.New(s.N, s.Seed)
 }

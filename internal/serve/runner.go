@@ -152,13 +152,13 @@ func (s *Server) openSimulation(j *Job, store *ckpt.Store) (*grape5.Simulation, 
 
 // jobMeta is the durable job record at <data>/jobs/<id>/job.json.
 type jobMeta struct {
-	ID          string  `json:"id"`
-	Seq         int64   `json:"seq"`
-	State       string  `json:"state"`
-	Error       string  `json:"error,omitempty"`
-	DoneSeq     int64   `json:"done_seq"`
-	ResumedFrom int64   `json:"resumed_from"`
-	Spec        JobSpec `json:"spec"`
+	ID          string     `json:"id"`
+	Seq         int64      `json:"seq"`
+	State       string     `json:"state"`
+	Error       string     `json:"error,omitempty"`
+	DoneSeq     int64      `json:"done_seq"`
+	ResumedFrom int64      `json:"resumed_from"`
+	Spec        JobRequest `json:"spec"`
 }
 
 // persistMetaLocked durably records the job's current state (no-op in
@@ -189,10 +189,14 @@ func (s *Server) persistMetaLocked(j *Job) {
 }
 
 // loadJobs scans <data>/jobs for persisted jobs at startup. Terminal
-// jobs are kept for listing and result retrieval; queued and running
-// jobs (a running record means the previous daemon died mid-run) are
-// re-queued in seq order, resuming from their checkpoints when the
-// runner picks them up.
+// jobs are kept as they are for listing and result retrieval; queued and
+// running jobs (a running record means the previous daemon died mid-run)
+// are re-admitted in seq order, resuming from their checkpoints when the
+// runner picks them up. Re-admission resolves the persisted request
+// under the current budget — a no-op for the resolved request a healthy
+// job.json holds — so a torn or hand-edited file, or a restart under a
+// smaller budget, cannot put an unjudged job on the queue: one that no
+// longer resolves is recorded failed with the reason and never run.
 func (s *Server) loadJobs() error {
 	root := filepath.Join(s.opts.DataDir, "jobs")
 	ents, err := os.ReadDir(root)
@@ -202,7 +206,7 @@ func (s *Server) loadJobs() error {
 		}
 		return err
 	}
-	var revive []*Job
+	var revive, refused []*Job
 	for _, e := range ents {
 		if !e.IsDir() {
 			continue
@@ -244,18 +248,35 @@ func (s *Server) loadJobs() error {
 				j.step.Store(int64(m.Spec.Steps))
 			}
 		default:
-			j.state = StateQueued
-			revive = append(revive, j)
+			if spec, err := m.Spec.resolve(s.budget); err != nil {
+				j.errMsg = fmt.Sprintf("not re-admitted at restart: %v", err)
+				refused = append(refused, j)
+			} else {
+				j.spec, j.state = spec, StateQueued
+				revive = append(revive, j)
+			}
 		}
 		s.jobs[j.id] = j
 		s.jobList = append(s.jobList, j)
 	}
 	sortJobsBySeq(s.jobList)
 	sortJobsBySeq(revive)
+	sortJobsBySeq(refused)
 	for _, j := range revive {
 		t := s.tenantLocked(j.spec.Tenant)
 		t.queue = append(t.queue, j)
 		s.queueTotal++
+	}
+	// Refused jobs complete (as failures) after everything the previous
+	// daemon finished, in admission order.
+	for _, j := range refused {
+		s.logf("job %s: %s", j.id, j.errMsg)
+		s.failed++
+		s.doneSeq++
+		j.state, j.doneSeq = StateFailed, s.doneSeq
+		s.persistMetaLocked(j)
+		j.hub.close()
+		close(j.done)
 	}
 	return nil
 }

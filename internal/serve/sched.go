@@ -96,7 +96,7 @@ const (
 type Job struct {
 	id   string
 	seq  int64
-	spec JobSpec
+	spec JobRequest
 	// dir is the job's persistence directory ("" in memory mode).
 	dir string
 

@@ -30,7 +30,7 @@ func testBudget() serve.Budget {
 	}
 }
 
-func decode(t *testing.T, body string) (serve.JobSpec, error) {
+func decode(t *testing.T, body string) (serve.JobRequest, error) {
 	t.Helper()
 	return serve.DecodeJobRequest(strings.NewReader(body), testBudget())
 }
@@ -40,7 +40,7 @@ func TestDecodeJobRequestDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := serve.JobSpec{
+	want := serve.JobRequest{
 		Tenant: "default", Model: "plummer", N: 100, Steps: 5,
 		Theta: 0.75, Ncrit: 2000, DT: 0.005, Eps: 0.02, Seed: 1,
 		Engine: "host", Boards: 0,
@@ -190,7 +190,7 @@ func sampleJobStatus() serve.JobStatus {
 		ID:     "job-000001",
 		Tenant: "alice",
 		State:  serve.StateDone,
-		Spec: serve.JobSpec{
+		Spec: serve.JobRequest{
 			Tenant: "alice", Model: "plummer", N: 100, Steps: 5, Theta: 0.75,
 			Ncrit: 2000, DT: 0.005, Eps: 0.02, Seed: 1, Engine: "grape5", Boards: 2,
 		},

@@ -173,12 +173,12 @@ func (s *Server) Close() error { return s.Shutdown(context.Background()) }
 
 // JobStatus is the wire representation of one job.
 type JobStatus struct {
-	ID     string  `json:"id"`
-	Tenant string  `json:"tenant"`
-	State  string  `json:"state"`
-	Spec   JobSpec `json:"spec"`
-	Step   int64   `json:"step"`
-	Steps  int     `json:"target_steps"`
+	ID     string     `json:"id"`
+	Tenant string     `json:"tenant"`
+	State  string     `json:"state"`
+	Spec   JobRequest `json:"spec"`
+	Step   int64      `json:"step"`
+	Steps  int        `json:"target_steps"`
 	// Progress is completed steps over target, in [0, 1].
 	Progress     float64 `json:"progress"`
 	Interactions int64   `json:"interactions"`
@@ -267,7 +267,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // submit runs admission under the scheduler lock. The returned code is
 // meaningful only on error: 429 for queue pressure, 503 while draining.
-func (s *Server) submit(spec JobSpec) (*Job, int, error) {
+func (s *Server) submit(spec JobRequest) (*Job, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {

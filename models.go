@@ -1,6 +1,8 @@
 package grape5
 
 import (
+	"fmt"
+
 	"repro/internal/analysis"
 	"repro/internal/cosmo"
 	"repro/internal/integrate"
@@ -16,6 +18,43 @@ type Vec3 = vec.V3
 // G is the gravitational constant of the internal unit system
 // (lengths Mpc, velocities km/s, masses 1e10 Msun).
 const G = units.G
+
+// Names of the model-unit problems every front-end offers (grape5sim
+// -model, the job server's "model" field, the bench sweeps).
+const (
+	ModelPlummer = "plummer"
+	ModelUniform = "uniform"
+)
+
+// Model is one named model-unit problem: the unit system it lives in,
+// the softening and timestep a run uses unless told otherwise, and its
+// initial-conditions constructor.
+type Model struct {
+	Name string
+	// G is the gravitational constant of the model's units.
+	G float64
+	// Eps and DT are the default softening length and timestep.
+	Eps, DT float64
+	// New builds n particles (total mass 1, unit radius) from seed.
+	New func(n int, seed uint64) *System
+}
+
+// models is the model-unit table. A Plummer sphere tolerates a coarser
+// step than the cold uniform sphere, which collapses.
+var models = []Model{
+	{ModelPlummer, 1, 0.02, 0.005, func(n int, seed uint64) *System { return Plummer(n, 1, 1, 1, seed) }},
+	{ModelUniform, 1, 0.02, 0.002, func(n int, seed uint64) *System { return UniformSphere(n, 1, 1, seed) }},
+}
+
+// LookupModel returns the model-unit problem of that name.
+func LookupModel(name string) (Model, error) {
+	for _, m := range models {
+		if m.Name == name {
+			return m, nil
+		}
+	}
+	return Model{}, fmt.Errorf("unknown model %q (want %s or %s)", name, ModelPlummer, ModelUniform)
+}
 
 // Plummer returns an n-particle Plummer sphere of total mass m and
 // scale radius a in virial equilibrium (units with gravitational

@@ -26,88 +26,6 @@ type System = nbody.System
 // Stats reports the treecode work of one force evaluation.
 type Stats = core.Stats
 
-// EngineKind selects the force pipeline.
-type EngineKind int
-
-const (
-	// EngineHost computes forces in float64 on the host — the paper's
-	// "general purpose computer" baseline.
-	EngineHost EngineKind = iota
-	// EngineGRAPE5 offloads force evaluation to the emulated GRAPE-5.
-	EngineGRAPE5
-	// EnginePM replaces the treecode entirely with the particle-mesh
-	// solver (isolated boundaries) — the classical fast baseline
-	// algorithm. Theta/Ncrit are ignored; PMGrid sets the mesh. The
-	// solver box tracks the system bounds each step, which adds
-	// mesh-scale force noise on expanding systems; EnginePM is meant
-	// for force comparisons and quick looks, not production cosmology.
-	EnginePM
-)
-
-// Config describes a simulation.
-type Config struct {
-	// Theta is the Barnes-Hut opening parameter (default 0.75).
-	Theta float64
-	// Ncrit is the group-size bound of the modified tree algorithm
-	// (the paper's n_g; default 2000).
-	Ncrit int
-	// LeafCap is the octree leaf capacity (default 8).
-	LeafCap int
-	// G is the gravitational constant (default units.G, the
-	// Mpc/(km/s)/1e10-Msun system; set 1 for model-unit problems).
-	G float64
-	// Eps is the Plummer softening length.
-	Eps float64
-	// DT is the integration timestep.
-	DT float64
-	// Engine selects host or GRAPE-5 force evaluation.
-	Engine EngineKind
-	// GRAPE configures the hardware when Engine is EngineGRAPE5; the
-	// zero value means g5.DefaultConfig (the paper's 2-board system).
-	// Set GRAPE.Fault to inject deterministic hardware faults.
-	GRAPE g5.Config
-	// Guard routes EngineGRAPE5 force batches through the
-	// fault-tolerant offload path (acceptance checks, retries, board
-	// exclusion, host fallback) instead of the panic-on-error engine.
-	Guard bool
-	// GuardPolicy tunes the guard; the zero value selects defaults.
-	GuardPolicy g5.GuardPolicy
-	// Shards, when greater than 1, drives K independent GRAPE systems
-	// through the sharded cluster engine (g5.Cluster): group force
-	// batches are split across the boards and double-buffered so the
-	// host walk overlaps the hardware drain. Each shard is always
-	// guarded (Guard is implied; GuardPolicy applies per shard).
-	// 0 or 1 selects the single-system path.
-	Shards int
-	// PMGrid is the particle-mesh size per dimension for EnginePM
-	// (default 64; power of two).
-	PMGrid int
-	// RebuildEvery enables tree reuse: full rebuild every n-th force
-	// call with centre-of-mass refreshes in between (0/1 = rebuild
-	// always, the paper's mode).
-	RebuildEvery int
-	// Workers bounds traversal parallelism (0 = GOMAXPROCS).
-	Workers int
-
-	// Blocks, when greater than 0, selects hierarchical block-timestep
-	// integration with Blocks power-of-two rung levels: particle rungs
-	// k ∈ [0, Blocks-1] advance with dt = DTMin·2^k, and one Step spans
-	// the full block DTMin·2^(Blocks-1). DT, if set, must equal that
-	// span (unset inherits it). Blocks == 1 is the fixed-dt run at
-	// DT = DTMin, bitwise. Mutually exclusive with Adaptive and EnginePM.
-	Blocks int
-	// DTMin is the finest block timestep (required when Blocks > 0).
-	DTMin float64
-	// Eta is the timestep accuracy parameter of the rung criterion
-	// (Blocks > 0) or the shared adaptive criterion (Adaptive); default
-	// 0.2.
-	Eta float64
-	// Adaptive selects the shared adaptive timestep: every step uses
-	// dt = Eta·sqrt(Eps/|a|_max) clamped to [DTMin, DT]. DT acts as the
-	// ceiling, DTMin (optional) as the floor.
-	Adaptive bool
-}
-
 // Simulation couples a System to the treecode, a force engine and the
 // kick-drift-kick integrator core.
 type Simulation struct {
@@ -146,8 +64,8 @@ type Simulation struct {
 	TotalInteractions int64
 }
 
-// NewSimulation builds a simulation over sys. sys is used in place (not
-// copied). The integrator keys its per-particle state by Sys.ID, so the
+// NewSimulation builds a simulation over sys after cfg.Validate accepts
+// the configuration. sys is used in place (not copied). The integrator keys its per-particle state by Sys.ID, so the
 // IDs must be a permutation of [0, N): Prime (or the first Step) rejects
 // sparse or duplicate IDs in every timestep mode.
 func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
@@ -157,28 +75,11 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Blocks > 0 {
-		if cfg.Adaptive {
-			return nil, fmt.Errorf("grape5: Blocks and Adaptive are mutually exclusive")
-		}
-		if cfg.Engine == EnginePM {
-			return nil, fmt.Errorf("grape5: block timesteps are not supported with the PM engine")
-		}
-		if cfg.DTMin <= 0 {
-			return nil, fmt.Errorf("grape5: block timesteps need DTMin > 0, got %v", cfg.DTMin)
-		}
-		if cfg.Blocks > 31 {
-			return nil, fmt.Errorf("grape5: at most 31 rung levels, got %d", cfg.Blocks)
-		}
-		span := cfg.DTMin * float64(int64(1)<<uint(cfg.Blocks-1))
-		if cfg.DT == 0 {
-			cfg.DT = span
-		} else if cfg.DT != span {
-			return nil, fmt.Errorf("grape5: DT %v conflicts with block span DTMin·2^(Blocks-1) = %v; leave DT unset to inherit it", cfg.DT, span)
-		}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.DT <= 0 {
-		return nil, fmt.Errorf("grape5: timestep must be positive, got %v", cfg.DT)
+	if cfg.Blocks > 0 {
+		cfg.DT = cfg.blockSpan() // validated: unset, or already the span
 	}
 	if cfg.G == 0 {
 		cfg.G = units.G
@@ -244,8 +145,6 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 		sim.cfg = cfg
 		// Solver is rebuilt per force call on the current bounds (the
 		// sphere expands ~25x over a cosmological run).
-	default:
-		return nil, fmt.Errorf("grape5: unknown engine kind %d", cfg.Engine)
 	}
 	if cfg.Engine != EnginePM {
 		sim.tc = core.New(opt, engine)

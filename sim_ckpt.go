@@ -20,6 +20,7 @@ package grape5
 // run whose injected faults are fully corrected by the guard).
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ckpt"
@@ -148,10 +149,10 @@ func (sim *Simulation) Checkpoint(store *ckpt.Store) (ckpt.SaveInfo, error) {
 	return info, nil
 }
 
-// mergeFloat and mergeInt implement the fingerprint merge: zero means
+// merge implements the fingerprint merge for one field: zero means
 // unset, the other side's value is inherited; two different non-zero
 // values are a conflict the caller must surface loudly.
-func mergeFloat(name string, saved, given float64) (float64, error) {
+func merge[T int64 | float64](name string, saved, given T) (T, error) {
 	switch {
 	case given == 0:
 		return saved, nil
@@ -159,16 +160,6 @@ func mergeFloat(name string, saved, given float64) (float64, error) {
 		return given, nil
 	}
 	return 0, fmt.Errorf("grape5: resume %s mismatch: checkpoint has %v, caller gave %v", name, saved, given)
-}
-
-func mergeInt(name string, saved, given int64) (int64, error) {
-	switch {
-	case given == 0:
-		return saved, nil
-	case saved == 0 || saved == given:
-		return given, nil
-	}
-	return 0, fmt.Errorf("grape5: resume %s mismatch: checkpoint has %d, caller gave %d", name, saved, given)
 }
 
 // ResumeConfig merges a checkpoint's config fingerprint with the
@@ -184,32 +175,32 @@ func mergeInt(name string, saved, given int64) (int64, error) {
 func ResumeConfig(st ckpt.State, cfg Config) (Config, error) {
 	out := cfg
 	var err error
-	if out.Theta, err = mergeFloat("theta", st.Theta, cfg.Theta); err != nil {
+	if out.Theta, err = merge("theta", st.Theta, cfg.Theta); err != nil {
 		return Config{}, err
 	}
-	if out.Eps, err = mergeFloat("eps", st.Eps, cfg.Eps); err != nil {
+	if out.Eps, err = merge("eps", st.Eps, cfg.Eps); err != nil {
 		return Config{}, err
 	}
-	if out.G, err = mergeFloat("G", st.G, cfg.G); err != nil {
+	if out.G, err = merge("G", st.G, cfg.G); err != nil {
 		return Config{}, err
 	}
-	if out.DT, err = mergeFloat("dt", st.DT, cfg.DT); err != nil {
+	if out.DT, err = merge("dt", st.DT, cfg.DT); err != nil {
 		return Config{}, err
 	}
 	var v int64
-	if v, err = mergeInt("ncrit", st.Ncrit, int64(cfg.Ncrit)); err != nil {
+	if v, err = merge("ncrit", st.Ncrit, int64(cfg.Ncrit)); err != nil {
 		return Config{}, err
 	}
 	out.Ncrit = int(v)
-	if v, err = mergeInt("leafcap", st.LeafCap, int64(cfg.LeafCap)); err != nil {
+	if v, err = merge("leafcap", st.LeafCap, int64(cfg.LeafCap)); err != nil {
 		return Config{}, err
 	}
 	out.LeafCap = int(v)
-	if v, err = mergeInt("rebuild-every", st.RebuildEvery, int64(cfg.RebuildEvery)); err != nil {
+	if v, err = merge("rebuild-every", st.RebuildEvery, int64(cfg.RebuildEvery)); err != nil {
 		return Config{}, err
 	}
 	out.RebuildEvery = int(v)
-	if v, err = mergeInt("pm-grid", st.PMGrid, int64(cfg.PMGrid)); err != nil {
+	if v, err = merge("pm-grid", st.PMGrid, int64(cfg.PMGrid)); err != nil {
 		return Config{}, err
 	}
 	out.PMGrid = int(v)
@@ -221,7 +212,7 @@ func ResumeConfig(st ckpt.State, cfg Config) (Config, error) {
 		// from unset — an explicit engine downgrade must be resolved by
 		// the driver before resuming.
 		if cfg.Engine != EngineHost && int64(cfg.Engine) != st.Engine {
-			return Config{}, fmt.Errorf("grape5: resume engine mismatch: checkpoint ran engine %d, caller gave %d", st.Engine, cfg.Engine)
+			return Config{}, fmt.Errorf("grape5: resume engine mismatch: checkpoint ran engine %s, caller gave %s", EngineKind(st.Engine), cfg.Engine)
 		}
 		out.Engine = EngineKind(st.Engine)
 	}
@@ -256,11 +247,11 @@ func mergeBlockConfig(b *ckpt.BlockState, cfg Config) (Config, error) {
 			return Config{}, fmt.Errorf("grape5: cannot switch to adaptive dt mid-run: checkpoint uses block timesteps")
 		}
 		var v int64
-		if v, err = mergeInt("blocks", b.MaxRung+1, int64(cfg.Blocks)); err != nil {
+		if v, err = merge("blocks", b.MaxRung+1, int64(cfg.Blocks)); err != nil {
 			return Config{}, err
 		}
 		out.Blocks = int(v)
-		if out.DTMin, err = mergeFloat("dtmin", b.DTMin, cfg.DTMin); err != nil {
+		if out.DTMin, err = merge("dtmin", b.DTMin, cfg.DTMin); err != nil {
 			return Config{}, err
 		}
 	case ckpt.ModeAdaptive:
@@ -268,13 +259,13 @@ func mergeBlockConfig(b *ckpt.BlockState, cfg Config) (Config, error) {
 			return Config{}, fmt.Errorf("grape5: cannot switch to block timesteps mid-run: checkpoint uses adaptive dt")
 		}
 		out.Adaptive = true
-		if out.DTMin, err = mergeFloat("dtmin", b.DTMin, cfg.DTMin); err != nil {
+		if out.DTMin, err = merge("dtmin", b.DTMin, cfg.DTMin); err != nil {
 			return Config{}, err
 		}
 	default:
 		return Config{}, fmt.Errorf("grape5: checkpoint has unknown scheduling mode %d", b.Mode)
 	}
-	if out.Eta, err = mergeFloat("eta", b.Eta, cfg.Eta); err != nil {
+	if out.Eta, err = merge("eta", b.Eta, cfg.Eta); err != nil {
 		return Config{}, err
 	}
 	return out, nil
@@ -336,7 +327,7 @@ func ResumeSimulation(c *ckpt.Checkpoint, cfg Config) (*Simulation, error) {
 	sim.bl.SetPrimed(st.Primed)
 	if sim.cfg.Blocks > 0 {
 		if err := sim.bl.SetState(c.Block.Rungs, c.Block.Tick); err != nil {
-			return nil, fmt.Errorf("grape5: resuming block scheduler: %w", err)
+			return nil, errors.Join(fmt.Errorf("grape5: resuming block scheduler: %w", err), sim.Close())
 		}
 		if st.Primed {
 			// The uninterrupted run's next substep starts from a cached
@@ -346,7 +337,7 @@ func ResumeSimulation(c *ckpt.Checkpoint, cfg Config) (*Simulation, error) {
 			// the resumed run stays on the same refresh-vs-rebuild
 			// schedule, keeping the trajectory bitwise.
 			if err := sim.tc.PrimeTree(sim.Sys); err != nil {
-				return nil, fmt.Errorf("grape5: priming tree for block resume: %w", err)
+				return nil, errors.Join(fmt.Errorf("grape5: priming tree for block resume: %w", err), sim.Close())
 			}
 		}
 	}
