@@ -21,7 +21,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/csv"
 	"errors"
 	"flag"
@@ -35,6 +34,7 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	grape5 "repro"
 	"repro/internal/analysis"
@@ -46,33 +46,42 @@ import (
 	"repro/internal/units"
 )
 
-// loadResumeFile sniffs the file's magic and loads either a checkpoint
-// (full state, bitwise resume) or a snapshot (initial conditions plus
-// provenance; the resume re-primes).
-func loadResumeFile(path string) (*ckpt.Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// stepLogHeader names the -log CSV columns, in stepRow's order.
+var stepLogHeader = []string{
+	"step", "time", "groups", "interactions",
+	"avg_list", "build_ms", "walk_ms", "compute_ms",
+	"kinetic", "potential", "total_energy", "active_frac"}
+
+// stepRow formats the -log row of the step just completed. One row
+// describes one step interval — under -blocks the whole block — so the
+// totals come from LastReport, which sums the step's force calls, not
+// from LastStats, which is the last of them only (and would sit beside
+// an active_frac that covers them all).
+func stepRow(sim *grape5.Simulation) []string {
+	rep := sim.LastReport
+	e := sim.Energy()
+	return []string{
+		fmt.Sprint(rep.Step),
+		fmt.Sprintf("%.8g", sim.Time()),
+		fmt.Sprint(rep.Groups),
+		fmt.Sprint(rep.Interactions),
+		fmt.Sprintf("%.1f", avgList(sim)),
+		fmt.Sprintf("%.3f", 1e3*rep.TBuild),
+		fmt.Sprintf("%.3f", 1e3*rep.Phases.GroupWalk),
+		fmt.Sprintf("%.3f", 1e3*rep.Phases.ForceEval),
+		fmt.Sprintf("%.8g", e.Kinetic),
+		fmt.Sprintf("%.8g", e.Potential),
+		fmt.Sprintf("%.8g", e.Total()),
+		fmt.Sprintf("%.6g", rep.ActiveFrac),
 	}
-	var raw [4]byte
-	_, rerr := io.ReadFull(f, raw[:])
-	if cerr := f.Close(); cerr != nil {
-		return nil, cerr
+}
+
+// avgList is the last step's interactions per particle.
+func avgList(sim *grape5.Simulation) float64 {
+	if sim.Sys.N() == 0 {
+		return 0
 	}
-	if rerr != nil {
-		return nil, fmt.Errorf("%s: reading magic: %w", path, rerr)
-	}
-	switch binary.LittleEndian.Uint32(raw[:]) {
-	case ckpt.Magic:
-		return ckpt.ReadFile(path)
-	case snapio.Magic:
-		h, s, err := snapio.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return ckpt.FromSnapshot(h, s), nil
-	}
-	return nil, fmt.Errorf("%s: neither a checkpoint nor a snapshot (magic %#x)", path, binary.LittleEndian.Uint32(raw[:]))
+	return float64(sim.LastReport.Interactions) / float64(sim.Sys.N())
 }
 
 // openStepLog opens the per-step CSV, resume-aware: on a fresh run it
@@ -283,7 +292,7 @@ func main() {
 		}
 	}
 	if resumed == nil && *resume != "" {
-		resumed, err = loadResumeFile(*resume)
+		resumed, err = ckpt.LoadResumable(*resume)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -437,10 +446,7 @@ func main() {
 
 	var logW *csv.Writer
 	if *csvLog != "" {
-		f, w, err := openStepLog(*csvLog, sim.Steps(), []string{
-			"step", "time", "groups", "interactions",
-			"avg_list", "build_ms", "walk_ms", "compute_ms",
-			"kinetic", "potential", "total_energy", "active_frac"})
+		f, w, err := openStepLog(*csvLog, sim.Steps(), stepLogHeader)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -485,28 +491,14 @@ func main() {
 			os.Exit(3)
 		}
 		if *report > 0 && s%*report == 0 {
-			st := sim.LastStats
+			rep := sim.LastReport
+			ms := func(sec float64) time.Duration { return time.Duration(sec * 1e9).Round(1e6) }
 			fmt.Printf("step %4d: groups=%d interactions=%.3g avgList=%.0f build=%v walk=%v compute=%v\n",
-				s, st.Groups, float64(st.Interactions), st.AvgList(),
-				st.BuildTime.Round(1e6), st.WalkTime.Round(1e6), st.ComputeTime.Round(1e6))
+				s, rep.Groups, float64(rep.Interactions), avgList(sim),
+				ms(rep.TBuild), ms(rep.Phases.GroupWalk), ms(rep.Phases.ForceEval))
 		}
 		if logW != nil {
-			st := sim.LastStats
-			e := sim.Energy()
-			rec := []string{
-				fmt.Sprint(s),
-				fmt.Sprintf("%.8g", sim.Time()),
-				fmt.Sprint(st.Groups),
-				fmt.Sprint(st.Interactions),
-				fmt.Sprintf("%.1f", st.AvgList()),
-				fmt.Sprintf("%.3f", float64(st.BuildTime.Microseconds())/1e3),
-				fmt.Sprintf("%.3f", float64(st.WalkTime.Microseconds())/1e3),
-				fmt.Sprintf("%.3f", float64(st.ComputeTime.Microseconds())/1e3),
-				fmt.Sprintf("%.8g", e.Kinetic),
-				fmt.Sprintf("%.8g", e.Potential),
-				fmt.Sprintf("%.8g", e.Total()),
-				fmt.Sprintf("%.6g", sim.LastReport.ActiveFrac),
-			}
+			rec := stepRow(sim)
 			if err := logW.Write(rec); err != nil {
 				log.Fatal(err)
 			}

@@ -206,7 +206,7 @@ func referenceResult(t *testing.T, body string) []byte {
 			t.Fatal(err)
 		}
 	}
-	data, err := ckpt.Marshal(&ckpt.Checkpoint{State: sim.CheckpointState(), Sys: sim.Sys})
+	data, err := ckpt.Marshal(sim.DurableState())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/g5"
 )
 
@@ -152,7 +151,8 @@ func TestResumeFailureClosesCluster(t *testing.T) {
 	if err := sim.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	c := &ckpt.Checkpoint{State: sim.CheckpointState(), Sys: sim.Sys.Clone(), Block: sim.blockState()}
+	c := sim.DurableState()
+	c.Sys = c.Sys.Clone()
 	if err := sim.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,8 @@
 // state — particle system including post-force accelerations and
 // potentials, integrator phase, step index and simulation time,
 // cosmology anchors, the run's config fingerprint, and the cumulative
-// recovery/hardware counters — plus a rotating on-disk Store with a
-// manifest for latest-valid discovery.
+// recovery/hardware counters — plus a rotating on-disk Store with
+// latest-valid discovery.
 //
 // A snapshot (package snapio) is initial conditions plus provenance; a
 // checkpoint is everything needed to continue a run so that the resumed
@@ -41,7 +41,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -49,7 +48,6 @@ import (
 	"repro/internal/fsx"
 	"repro/internal/nbody"
 	"repro/internal/snapio"
-	"repro/internal/vec"
 )
 
 // Magic identifies checkpoint files ("G5CP").
@@ -86,7 +84,7 @@ const (
 // (3 × 3 float64) + mass + pot (float64) + id (int64).
 const bytesPerParticle = 9*8 + 8 + 8 + 8
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+var le = binary.LittleEndian
 
 // State is the scalar simulation state stored in the STAT section. All
 // fields are fixed-size so the binary layout is the struct's field
@@ -130,34 +128,36 @@ type State struct {
 	// interaction count.
 	TotalInteractions int64
 
-	// Guard recovery counters (g5.Recovery), whole-run cumulative.
-	RecChecks   int64
-	RecRetries  int64
-	RecCorrupt  int64
-	RecExcluded int64
-	RecFallback int64
-	RecHostOnly bool
-
-	// Hardware activity counters (g5.Counters), whole-run cumulative.
-	HWInteractions int64
-	HWPipeSeconds  float64
-	HWBusSeconds   float64
-	HWBytes        int64
-	HWRuns         int64
-	HWJPasses      int64
-	HWClamps       int64
-
-	// Injected-fault activity counters (g5.FaultStats), whole-run
-	// cumulative.
-	FaultBitFlips   int64
-	FaultStuckCalls int64
-	FaultBusErrors  int64
-	FaultTransients int64
+	// Whole-run cumulative guard recovery, hardware activity and
+	// injected-fault counters.
+	Recovery RecoveryCounters
+	Hardware HardwareCounters
+	Faults   FaultCounters
 
 	// Primed marks the particle accelerations and potentials as valid
 	// post-force state: a primed resume continues without re-priming,
 	// exactly like the uninterrupted run's next step.
 	Primed bool
+}
+
+// RecoveryCounters, HardwareCounters and FaultCounters pin the stored
+// layout of g5.Recovery, g5.Counters and g5.FaultStats. They mirror
+// those structs field for field so the simulation moves them by struct
+// conversion, which stops compiling when the two sides drift: a new g5
+// counter is a conscious format version bump here, never a silent one.
+type RecoveryCounters struct {
+	Checks, Retries, CorruptResults, ExcludedBoards, FallbackBatches int64
+	HostOnly                                                         bool
+}
+
+type HardwareCounters struct {
+	Interactions                                 int64
+	PipeSeconds, BusSeconds                      float64
+	BytesTransferred, Runs, JPasses, RangeClamps int64
+}
+
+type FaultCounters struct {
+	JMemBitFlips, StuckPipeCalls, BusErrors, Transients int64
 }
 
 // stateSize is the exact binary size of State; fixed at init.
@@ -217,13 +217,13 @@ func (b *BlockState) validate(n int) error {
 				return fmt.Errorf("rung %d at index %d exceeds max rung %d", r, i, b.MaxRung)
 			}
 		}
-		if !(b.DTMin > 0) || math.IsInf(b.DTMin, 0) {
+		if !(b.DTMin > 0) {
 			return fmt.Errorf("non-positive dtmin %v", b.DTMin)
 		}
 	default:
 		return fmt.Errorf("unknown scheduling mode %d", b.Mode)
 	}
-	if math.IsNaN(b.DTMin) || math.IsInf(b.DTMin, 0) || math.IsNaN(b.Eta) || math.IsInf(b.Eta, 0) {
+	if !finite(b.DTMin, b.Eta) {
 		return fmt.Errorf("non-finite criterion scalars dtmin=%v eta=%v", b.DTMin, b.Eta)
 	}
 	return nil
@@ -260,6 +260,37 @@ func FromSnapshot(h snapio.Header, s *nbody.System) *Checkpoint {
 	}
 }
 
+// LoadResumable loads whatever run state the named file holds, told
+// apart by its magic: a checkpoint (full state, bitwise resume) or a
+// snapshot (initial conditions plus provenance, via FromSnapshot; the
+// resume re-primes).
+func LoadResumable(path string) (*Checkpoint, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	br := bufio.NewReaderSize(f, 1<<20)
+	raw, err := br.Peek(4)
+	if err != nil {
+		return nil, fmt.Errorf("%s: reading magic: %w", path, err)
+	}
+	var c *Checkpoint
+	switch magic := le.Uint32(raw); magic {
+	case Magic:
+		c, err = Read(br)
+	case snapio.Magic:
+		h, s, rerr := snapio.Read(br)
+		c, err = FromSnapshot(h, s), rerr
+	default:
+		err = fmt.Errorf("neither a checkpoint nor a snapshot (magic %#x)", magic)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return c, nil
+}
+
 // Write serialises the checkpoint to w.
 func Write(w io.Writer, c *Checkpoint) error {
 	if c == nil || c.Sys == nil {
@@ -275,8 +306,7 @@ func Write(w io.Writer, c *Checkpoint) error {
 			return fmt.Errorf("ckpt: block state: %w", err)
 		}
 	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	le := binary.LittleEndian
+	enc := snapio.NewEncoder(w)
 
 	version, sections := uint32(Version), uint32(2)
 	if c.Block != nil {
@@ -286,90 +316,56 @@ func Write(w io.Writer, c *Checkpoint) error {
 	le.PutUint32(hdr[0:], Magic)
 	le.PutUint32(hdr[4:], version)
 	le.PutUint32(hdr[8:], sections)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
+	enc.Write(hdr[:])
 
-	// STAT
-	if err := writeSection(bw, tagState, uint64(stateSize), func(sw io.Writer) error {
-		return binary.Write(sw, le, &c.State)
+	if err := writeSection(enc, tagState, uint64(stateSize), func() error {
+		return binary.Write(enc, le, &c.State)
 	}); err != nil {
 		return err
 	}
-
-	// PART
-	partLen := uint64(8 + n*bytesPerParticle)
-	if err := writeSection(bw, tagPart, partLen, func(sw io.Writer) error {
-		if err := binary.Write(sw, le, int64(n)); err != nil {
-			return err
-		}
-		for _, arr := range [][]vec.V3{s.Pos, s.Vel, s.Acc} {
-			for _, p := range arr {
-				if err := binary.Write(sw, le, [3]float64{p.X, p.Y, p.Z}); err != nil {
-					return err
-				}
-			}
-		}
-		if err := binary.Write(sw, le, s.Mass); err != nil {
-			return err
-		}
-		if err := binary.Write(sw, le, s.Pot); err != nil {
-			return err
-		}
-		return binary.Write(sw, le, s.ID)
+	if err := writeSection(enc, tagPart, uint64(8+n*bytesPerParticle), func() error {
+		enc.I64s([]int64{int64(n)})
+		enc.V3s(s.Pos)
+		enc.V3s(s.Vel)
+		enc.V3s(s.Acc)
+		enc.F64s(s.Mass)
+		enc.F64s(s.Pot)
+		enc.I64s(s.ID)
+		return nil
 	}); err != nil {
 		return err
 	}
-
 	// RUNG (version 2 only)
 	if b := c.Block; b != nil {
-		rungLen := uint64(rungFixedSize + len(b.Rungs))
-		if err := writeSection(bw, tagRung, rungLen, func(sw io.Writer) error {
-			for _, v := range []int64{b.Mode, b.Tick} {
-				if err := binary.Write(sw, le, v); err != nil {
-					return err
-				}
-			}
-			for _, v := range []float64{b.DTMin, b.Eta} {
-				if err := binary.Write(sw, le, v); err != nil {
-					return err
-				}
-			}
-			if err := binary.Write(sw, le, b.MaxRung); err != nil {
-				return err
-			}
-			if err := binary.Write(sw, le, int64(len(b.Rungs))); err != nil {
-				return err
-			}
-			_, err := sw.Write(b.Rungs)
-			return err
+		if err := writeSection(enc, tagRung, uint64(rungFixedSize+len(b.Rungs)), func() error {
+			enc.I64s([]int64{b.Mode, b.Tick})
+			enc.F64s([]float64{b.DTMin, b.Eta})
+			enc.I64s([]int64{b.MaxRung, int64(len(b.Rungs))})
+			enc.Write(b.Rungs)
+			return nil
 		}); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return enc.Flush()
 }
 
 // writeSection writes one tagged, length-prefixed, CRC-trailed section.
-// The payload streams through a CRC writer, so no section-sized buffer
-// is needed; the declared length is verified against the bytes actually
-// produced.
-func writeSection(w io.Writer, tag string, length uint64, payload func(io.Writer) error) error {
-	le := binary.LittleEndian
-	if _, err := io.WriteString(w, tag); err != nil {
+// The payload streams through the encoder's CRC tee, so no section-sized
+// buffer is needed; the declared length is verified against the bytes
+// actually produced. Write errors surface at the encoder's Flush.
+func writeSection(enc *snapio.Encoder, tag string, length uint64, payload func() error) error {
+	enc.Write(le.AppendUint64([]byte(tag), length))
+	enc.Reset()
+	if err := payload(); err != nil {
 		return err
 	}
-	if err := binary.Write(w, le, length); err != nil {
-		return err
+	crc, n := enc.Sum()
+	if n != int64(length) {
+		return fmt.Errorf("ckpt: section %s wrote %d bytes, declared %d", tag, n, length)
 	}
-	cw := &crcWriter{w: w}
-	if err := payload(cw); err != nil {
-		return err
-	}
-	if cw.n != int64(length) {
-		return fmt.Errorf("ckpt: section %s wrote %d bytes, declared %d", tag, cw.n, length)
-	}
-	return binary.Write(w, le, cw.crc)
+	enc.Write(le.AppendUint32(nil, crc))
+	return nil
 }
 
 // Read parses and fully validates a checkpoint: magic, version, section
@@ -377,11 +373,10 @@ func writeSection(w io.Writer, tag string, length uint64, payload func(io.Writer
 // returns an error on any deviation; a successful return is a complete,
 // checksum-verified checkpoint.
 func Read(r io.Reader) (*Checkpoint, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	le := binary.LittleEndian
+	dec := snapio.NewDecoder(r)
 
 	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(dec, hdr[:]); err != nil {
 		return nil, fmt.Errorf("ckpt: reading header: %w", err)
 	}
 	if m := le.Uint32(hdr[0:]); m != Magic {
@@ -402,19 +397,21 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	c := &Checkpoint{}
 
 	// STAT: fixed size known up front.
-	if err := readSection(br, tagState, func(length uint64, pr io.Reader) error {
+	if err := readSection(dec, tagState, func(length uint64) error {
 		if length != uint64(stateSize) {
 			return fmt.Errorf("state section is %d bytes, want %d (format drift?)", length, stateSize)
 		}
-		return binary.Read(pr, le, &c.State)
+		return binary.Read(dec, le, &c.State)
 	}); err != nil {
 		return nil, err
 	}
 
-	// PART: length is validated against the N it declares.
-	if err := readSection(br, tagPart, func(length uint64, pr io.Reader) error {
+	// PART: length is validated against the N it declares, and the
+	// decoder grows each array only as its data arrives, so a truncated
+	// stream fails cleanly before N-sized memory is committed.
+	if err := readSection(dec, tagPart, func(length uint64) error {
 		var n64 int64
-		if err := binary.Read(pr, le, &n64); err != nil {
+		if err := binary.Read(dec, le, &n64); err != nil {
 			return fmt.Errorf("particle count: %w", err)
 		}
 		if n64 < 0 || n64 > MaxParticles {
@@ -423,11 +420,15 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		if want := uint64(8 + n64*bytesPerParticle); length != want {
 			return fmt.Errorf("particle section is %d bytes for N=%d, want %d", length, n64, want)
 		}
-		sys, err := readParticles(pr, int(n64))
-		if err != nil {
-			return err
+		n := int(n64)
+		c.Sys = &nbody.System{
+			Pos:  dec.V3s(n, "positions"),
+			Vel:  dec.V3s(n, "velocities"),
+			Acc:  dec.V3s(n, "accelerations"),
+			Mass: dec.F64s(n, "masses"),
+			Pot:  dec.F64s(n, "potentials"),
+			ID:   dec.I64s(n, "ids"),
 		}
-		c.Sys = sys
 		return nil
 	}); err != nil {
 		return nil, err
@@ -437,28 +438,18 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	// prefix must agree with the declared section length and the
 	// particle count already read from PART.
 	if version == VersionBlock {
-		if err := readSection(br, tagRung, func(length uint64, pr io.Reader) error {
+		if err := readSection(dec, tagRung, func(length uint64) error {
 			if length < rungFixedSize {
 				return fmt.Errorf("rung section is %d bytes, want at least %d", length, rungFixedSize)
 			}
-			b := &BlockState{}
-			for _, dst := range []*int64{&b.Mode, &b.Tick} {
-				if err := binary.Read(pr, le, dst); err != nil {
-					return err
-				}
-			}
-			for _, dst := range []*float64{&b.DTMin, &b.Eta} {
-				if err := binary.Read(pr, le, dst); err != nil {
-					return err
-				}
-			}
-			if err := binary.Read(pr, le, &b.MaxRung); err != nil {
+			ints := dec.I64s(2, "mode and tick")
+			floats := dec.F64s(2, "dtmin and eta")
+			tail := dec.I64s(2, "max rung and rung count")
+			if err := dec.Err(); err != nil {
 				return err
 			}
-			var nr int64
-			if err := binary.Read(pr, le, &nr); err != nil {
-				return err
-			}
+			b := &BlockState{Mode: ints[0], Tick: ints[1], DTMin: floats[0], Eta: floats[1], MaxRung: tail[0]}
+			nr := tail[1]
 			if nr < 0 || nr > MaxParticles {
 				return fmt.Errorf("implausible rung count %d", nr)
 			}
@@ -467,7 +458,7 @@ func Read(r io.Reader) (*Checkpoint, error) {
 			}
 			if nr > 0 {
 				b.Rungs = make([]uint8, nr)
-				if _, err := io.ReadFull(pr, b.Rungs); err != nil {
+				if _, err := io.ReadFull(dec, b.Rungs); err != nil {
 					return fmt.Errorf("rungs: %w", err)
 				}
 			}
@@ -481,126 +472,57 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		}
 	}
 
-	if !stateFinite(&c.State) {
+	if st := &c.State; !finite(st.Time, st.DT, st.Scale, st.T0, st.Age0, st.Theta, st.Eps, st.G,
+		st.Hardware.PipeSeconds, st.Hardware.BusSeconds) {
 		return nil, fmt.Errorf("ckpt: non-finite scalar state")
 	}
 	return c, nil
 }
 
-// readSection consumes one section, streaming the payload through a CRC
-// reader and verifying the stored checksum after the parser has
-// consumed exactly the declared length. The parse result is discarded
-// by the caller if this returns an error, so corrupt payload bytes are
-// never integrated.
-func readSection(br io.Reader, wantTag string, parse func(length uint64, pr io.Reader) error) error {
-	le := binary.LittleEndian
-	var tag [4]byte
-	if _, err := io.ReadFull(br, tag[:]); err != nil {
-		return fmt.Errorf("ckpt: reading section tag: %w", err)
+// readSection consumes one section, streaming the payload through the
+// decoder's CRC tee and verifying the stored checksum after the parser
+// has consumed exactly the declared length. The parse result is
+// discarded by the caller if this returns an error, so corrupt payload
+// bytes are never integrated.
+func readSection(dec *snapio.Decoder, wantTag string, parse func(length uint64) error) error {
+	var head [12]byte
+	if _, err := io.ReadFull(dec, head[:]); err != nil {
+		return fmt.Errorf("ckpt: reading section %s header: %w", wantTag, err)
 	}
-	if string(tag[:]) != wantTag {
-		return fmt.Errorf("ckpt: section %q where %q expected", tag[:], wantTag)
+	if tag := head[:4]; string(tag) != wantTag {
+		return fmt.Errorf("ckpt: section %q where %q expected", tag, wantTag)
 	}
-	var length uint64
-	if err := binary.Read(br, le, &length); err != nil {
-		return fmt.Errorf("ckpt: section %s length: %w", wantTag, err)
-	}
+	length := le.Uint64(head[4:])
 	if length > 8+uint64(MaxParticles)*bytesPerParticle {
 		return fmt.Errorf("ckpt: section %s declares implausible length %d", wantTag, length)
 	}
-	cr := &crcReader{r: io.LimitReader(br, int64(length))}
-	if err := parse(length, cr); err != nil {
+	dec.Reset()
+	err := parse(length)
+	if err == nil {
+		err = dec.Err()
+	}
+	if err != nil {
 		return fmt.Errorf("ckpt: section %s: %w", wantTag, err)
 	}
-	if cr.n != int64(length) {
-		return fmt.Errorf("ckpt: section %s parser consumed %d of %d bytes", wantTag, cr.n, length)
+	crc, n := dec.Sum()
+	if n != int64(length) {
+		return fmt.Errorf("ckpt: section %s parser consumed %d of %d bytes", wantTag, n, length)
 	}
 	var stored uint32
-	if err := binary.Read(br, le, &stored); err != nil {
+	if err := binary.Read(dec, le, &stored); err != nil {
 		return fmt.Errorf("ckpt: section %s checksum: %w", wantTag, err)
 	}
-	if stored != cr.crc {
-		return fmt.Errorf("ckpt: section %s CRC mismatch (stored %#08x, computed %#08x): checkpoint is corrupt", wantTag, stored, cr.crc)
+	if stored != crc {
+		return fmt.Errorf("ckpt: section %s CRC mismatch (stored %#08x, computed %#08x): checkpoint is corrupt", wantTag, stored, crc)
 	}
 	return nil
 }
 
-// readParticles parses the PART arrays. Buffers grow as data actually
-// arrives (like snapio), so a truncated stream fails with a clean error
-// before N-sized memory is committed.
-func readParticles(pr io.Reader, n int) (*nbody.System, error) {
-	le := binary.LittleEndian
-	pre := n
-	if pre > 1<<16 {
-		pre = 1 << 16
-	}
-	readV3s := func(what string) ([]vec.V3, error) {
-		out := make([]vec.V3, 0, pre)
-		var raw [24]byte
-		for i := 0; i < n; i++ {
-			if _, err := io.ReadFull(pr, raw[:]); err != nil {
-				return nil, fmt.Errorf("%s: %w", what, err)
-			}
-			out = append(out, vec.V3{
-				X: math.Float64frombits(le.Uint64(raw[0:])),
-				Y: math.Float64frombits(le.Uint64(raw[8:])),
-				Z: math.Float64frombits(le.Uint64(raw[16:])),
-			})
-		}
-		return out, nil
-	}
-	readF64s := func(what string) ([]float64, error) {
-		out := make([]float64, 0, pre)
-		var raw [8]byte
-		for i := 0; i < n; i++ {
-			if _, err := io.ReadFull(pr, raw[:]); err != nil {
-				return nil, fmt.Errorf("%s: %w", what, err)
-			}
-			out = append(out, math.Float64frombits(le.Uint64(raw[:])))
-		}
-		return out, nil
-	}
-
-	pos, err := readV3s("positions")
-	if err != nil {
-		return nil, err
-	}
-	vel, err := readV3s("velocities")
-	if err != nil {
-		return nil, err
-	}
-	acc, err := readV3s("accelerations")
-	if err != nil {
-		return nil, err
-	}
-	mass, err := readF64s("masses")
-	if err != nil {
-		return nil, err
-	}
-	pot, err := readF64s("potentials")
-	if err != nil {
-		return nil, err
-	}
-	id := make([]int64, 0, pre)
-	var raw [8]byte
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(pr, raw[:]); err != nil {
-			return nil, fmt.Errorf("ids: %w", err)
-		}
-		id = append(id, int64(le.Uint64(raw[:])))
-	}
-	return &nbody.System{Pos: pos, Vel: vel, Acc: acc, Mass: mass, Pot: pot, ID: id}, nil
-}
-
-// stateFinite rejects NaN/Inf in the float scalar state: corrupt values
-// that happen to pass CRC (a writer bug, not bit rot) must still never
-// reach the integrator.
-func stateFinite(st *State) bool {
-	for _, v := range []float64{
-		st.Time, st.DT, st.Scale, st.T0, st.Age0,
-		st.Theta, st.Eps, st.G,
-		st.HWPipeSeconds, st.HWBusSeconds,
-	} {
+// finite reports whether no value is NaN or ±Inf. Read applies it to
+// the float scalar state: corrupt values that happen to pass CRC (a
+// writer bug, not bit rot) must still never reach the integrator.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
 		}
@@ -629,32 +551,4 @@ func ReadFile(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return c, nil
-}
-
-// crcWriter tees writes into a CRC-32C and counts bytes.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-	n   int64
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
-	c.n += int64(n)
-	return n, err
-}
-
-// crcReader tees reads into a CRC-32C and counts bytes.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-	n   int64
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
-	c.n += int64(n)
-	return n, err
 }

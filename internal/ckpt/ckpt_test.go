@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -28,11 +29,11 @@ func sampleCheckpoint(n int) *Checkpoint {
 			Theta: 0.75, Eps: 0.02, G: 1, Ncrit: 2000, LeafCap: 8,
 			RebuildEvery: 1, PMGrid: 64, Engine: 1, Shards: 2, Seed: 99,
 			TotalInteractions: 123456,
-			RecChecks:         10, RecRetries: 2, RecCorrupt: 1, RecExcluded: 3,
-			RecFallback: 4, RecHostOnly: true,
-			HWInteractions: 777, HWPipeSeconds: 0.25, HWBusSeconds: 0.125,
-			HWBytes: 8192, HWRuns: 17, HWJPasses: 19, HWClamps: 5,
-			FaultBitFlips: 6, FaultStuckCalls: 7, FaultBusErrors: 8, FaultTransients: 9,
+			Recovery: RecoveryCounters{Checks: 10, Retries: 2, CorruptResults: 1, ExcludedBoards: 3,
+				FallbackBatches: 4, HostOnly: true},
+			Hardware: HardwareCounters{Interactions: 777, PipeSeconds: 0.25, BusSeconds: 0.125,
+				BytesTransferred: 8192, Runs: 17, JPasses: 19, RangeClamps: 5},
+			Faults: FaultCounters{JMemBitFlips: 6, StuckPipeCalls: 7, BusErrors: 8, Transients: 9},
 			Primed: true,
 		},
 		Sys: s,
@@ -251,3 +252,28 @@ func TestBlockValidationRejects(t *testing.T) {
 }
 
 func nan() float64 { return math.NaN() }
+
+// failAfter fails every write once limit bytes have been accepted.
+type failAfter struct{ limit int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.limit -= len(p); f.limit < 0 {
+		return 0, errDiskFull
+	}
+	return len(p), nil
+}
+
+var errDiskFull = errors.New("disk full")
+
+// TestWriteReportsWriterError: the encoder drops writes after the first
+// failure and reports it at the end — as the stream's own error, not as
+// a section-length mismatch — whether the stream fails at once or
+// mid-file.
+func TestWriteReportsWriterError(t *testing.T) {
+	c := sampleCheckpoint(30000) // ~2.9 MB: several buffer flushes
+	for _, limit := range []int{0, 1 << 20, 2 << 20} {
+		if err := Write(&failAfter{limit: limit}, c); !errors.Is(err, errDiskFull) {
+			t.Errorf("stream failing after %d bytes: err = %v, want the stream's error", limit, err)
+		}
+	}
+}

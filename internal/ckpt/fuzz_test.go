@@ -24,6 +24,9 @@ func FuzzRead(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
+	for _, name := range []string{"v1.g5ck", "v2-block.g5ck", "v2-adaptive.g5ck"} {
+		f.Add(readGolden(f, name))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))

@@ -1,23 +1,12 @@
 package ckpt
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
-
-	"repro/internal/fsx"
 )
-
-// ManifestName is the store's index file, rewritten atomically after
-// every save. It lists the retained generations newest-last; discovery
-// falls back to a directory scan when it is missing or unreadable.
-const ManifestName = "MANIFEST.json"
 
 // DefaultKeep is the rotation depth when OpenStore is given keep <= 0.
 const DefaultKeep = 3
@@ -26,21 +15,12 @@ const DefaultKeep = 3
 // opposed to holding only corrupt ones, which is a loud error).
 var ErrNoCheckpoint = errors.New("ckpt: no checkpoint found")
 
-// Generation describes one retained checkpoint.
+// Generation names one retained checkpoint.
 type Generation struct {
 	// File is the checkpoint filename, relative to the store directory.
-	File string `json:"file"`
-	// Step and Time locate the generation in the run.
-	Step int64   `json:"step"`
-	Time float64 `json:"time"`
-	// Bytes is the file size as written.
-	Bytes int64 `json:"bytes"`
-}
-
-// manifest is the ManifestName JSON document.
-type manifest struct {
-	Version int          `json:"version"`
-	Entries []Generation `json:"entries"` // ascending by step
+	File string
+	// Step is the generation's step index, parsed from File.
+	Step int64
 }
 
 // SaveInfo reports one completed save.
@@ -53,8 +33,11 @@ type SaveInfo struct {
 	Bytes int64
 }
 
-// Store is a rotating on-disk checkpoint directory: atomic writes, a
-// manifest for latest-valid discovery, and keep-last-K pruning. It is
+// Store is a rotating on-disk checkpoint directory: atomic writes,
+// keep-last-K pruning, and latest-valid discovery. The directory itself
+// is the only index — a generation is a file with the canonical name —
+// so there is no second document to keep consistent with it, and
+// LatestValid checksums every candidate before returning it. It is
 // single-writer by contract (one run owns its checkpoint directory).
 type Store struct {
 	dir  string
@@ -76,177 +59,61 @@ func OpenStore(dir string, keep int) (*Store, error) {
 	return &Store{dir: dir, keep: keep}, nil
 }
 
-// Dir returns the store directory.
-func (st *Store) Dir() string { return st.dir }
-
-// Keep returns the rotation depth.
-func (st *Store) Keep() int { return st.keep }
-
 // genName returns the canonical filename for a step's checkpoint.
 func genName(step int64) string { return fmt.Sprintf("ckpt-%012d.g5ck", step) }
 
-// genStep parses a canonical checkpoint filename; ok is false for
-// foreign files.
-func genStep(name string) (int64, bool) {
-	if !strings.HasPrefix(name, "ckpt-") || !strings.HasSuffix(name, ".g5ck") {
-		return 0, false
-	}
-	digits := strings.TrimSuffix(strings.TrimPrefix(name, "ckpt-"), ".g5ck")
-	if len(digits) != 12 {
-		return 0, false
-	}
-	step, err := strconv.ParseInt(digits, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return step, true
+// genStep parses a canonical checkpoint filename — exactly what genName
+// produces for its step; ok is false for foreign files.
+func genStep(name string) (step int64, ok bool) {
+	_, err := fmt.Sscanf(name, "ckpt-%d.g5ck", &step)
+	return step, err == nil && genName(step) == name
 }
 
-// Save writes the checkpoint atomically, updates the manifest and
-// prunes generations beyond the rotation depth. A checkpoint for a step
-// that already exists (a resumed run re-reaching it) replaces the old
-// generation atomically.
+// Save writes the checkpoint atomically and prunes generations beyond
+// the rotation depth, oldest first. A checkpoint for a step that already
+// exists (a resumed run re-reaching it) replaces the old generation
+// atomically.
 func (st *Store) Save(c *Checkpoint) (SaveInfo, error) {
 	if c == nil {
 		return SaveInfo{}, fmt.Errorf("ckpt: nil checkpoint")
 	}
-	name := genName(c.State.Step)
-	path := filepath.Join(st.dir, name)
+	path := filepath.Join(st.dir, genName(c.State.Step))
 	n, err := WriteFile(path, c)
 	if err != nil {
 		return SaveInfo{}, err
 	}
-
-	entries, _ := st.generations() // manifest loss is recoverable; rebuild below
-	kept := entries[:0]
-	for _, g := range entries {
-		if g.Step != c.State.Step {
-			kept = append(kept, g)
-		}
-	}
-	kept = append(kept, Generation{File: name, Step: c.State.Step, Time: c.State.Time, Bytes: n})
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Step < kept[j].Step })
-	if len(kept) > st.keep {
-		kept = kept[len(kept)-st.keep:]
-	}
-	if err := st.writeManifest(manifest{Version: 1, Entries: kept}); err != nil {
+	gens, err := st.Generations()
+	if err != nil {
 		return SaveInfo{}, err
 	}
-	if err := st.pruneExcept(kept); err != nil {
+	var errs []error
+	for _, g := range gens[:max(0, len(gens)-st.keep)] {
+		if err := os.Remove(filepath.Join(st.dir, g.File)); err != nil && !os.IsNotExist(err) {
+			errs = append(errs, err)
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
 		return SaveInfo{}, err
 	}
 	return SaveInfo{Path: path, Step: c.State.Step, Bytes: n}, nil
 }
 
-// writeManifest rewrites the manifest atomically.
-func (st *Store) writeManifest(m manifest) error {
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("ckpt: encoding manifest: %w", err)
-	}
-	data = append(data, '\n')
-	if _, err := fsx.AtomicWriteFile(filepath.Join(st.dir, ManifestName), func(w io.Writer) error {
-		_, werr := w.Write(data)
-		return werr
-	}); err != nil {
-		return fmt.Errorf("ckpt: writing manifest: %w", err)
-	}
-	return nil
-}
-
-// pruneExcept removes every canonical checkpoint file not listed in
-// kept (rotation plus cleanup of orphans from interrupted saves).
-func (st *Store) pruneExcept(kept []Generation) error {
-	keep := make(map[string]bool, len(kept))
-	for _, g := range kept {
-		keep[g.File] = true
-	}
-	names, err := st.scanNames()
-	if err != nil {
-		return err
-	}
-	var errs []error
-	for _, name := range names {
-		if keep[name] {
-			continue
-		}
-		if err := os.Remove(filepath.Join(st.dir, name)); err != nil && !os.IsNotExist(err) {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// scanNames lists the canonical checkpoint filenames in the store,
-// ascending by step.
-func (st *Store) scanNames() ([]string, error) {
+// Generations returns the retained generations, ascending by step: the
+// files in the store directory that carry a canonical checkpoint name.
+func (st *Store) Generations() ([]Generation, error) {
 	ents, err := os.ReadDir(st.dir)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: scanning %s: %w", st.dir, err)
 	}
-	type item struct {
-		name string
-		step int64
-	}
-	var items []item
+	var gens []Generation
 	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		if step, ok := genStep(e.Name()); ok {
-			items = append(items, item{e.Name(), step})
+		if step, ok := genStep(e.Name()); ok && !e.IsDir() {
+			gens = append(gens, Generation{File: e.Name(), Step: step})
 		}
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].step < items[j].step })
-	names := make([]string, len(items))
-	for i, it := range items {
-		names[i] = it.name
-	}
-	return names, nil
+	sort.Slice(gens, func(i, j int) bool { return gens[i].Step < gens[j].Step })
+	return gens, nil
 }
-
-// generations returns the known generations ascending by step: the
-// manifest when readable, otherwise a directory scan (sizes from stat,
-// times unknown). Entries whose files have vanished are dropped.
-func (st *Store) generations() ([]Generation, error) {
-	data, err := os.ReadFile(filepath.Join(st.dir, ManifestName))
-	if err == nil {
-		var m manifest
-		if jerr := json.Unmarshal(data, &m); jerr == nil && m.Version == 1 {
-			out := m.Entries[:0:0]
-			for _, g := range m.Entries {
-				if _, ok := genStep(g.File); !ok {
-					continue // manifest must not name foreign files
-				}
-				if _, serr := os.Stat(filepath.Join(st.dir, g.File)); serr == nil {
-					out = append(out, g)
-				}
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i].Step < out[j].Step })
-			return out, nil
-		}
-		// Corrupt manifest: fall through to the scan.
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("ckpt: reading manifest: %w", err)
-	}
-	names, err := st.scanNames()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Generation, 0, len(names))
-	for _, name := range names {
-		step, _ := genStep(name)
-		g := Generation{File: name, Step: step}
-		if fi, serr := os.Stat(filepath.Join(st.dir, name)); serr == nil {
-			g.Bytes = fi.Size()
-		}
-		out = append(out, g)
-	}
-	return out, nil
-}
-
-// Generations returns the retained generations, ascending by step.
-func (st *Store) Generations() ([]Generation, error) { return st.generations() }
 
 // LatestValid loads the newest checkpoint that passes full validation,
 // walking backwards through older generations when the newest is
@@ -255,7 +122,7 @@ func (st *Store) Generations() ([]Generation, error) { return st.generations() }
 // is corrupt — a store full of garbage must stop the run, not silently
 // start physics from scratch.
 func (st *Store) LatestValid() (*Checkpoint, Generation, error) {
-	gens, err := st.generations()
+	gens, err := st.Generations()
 	if err != nil {
 		return nil, Generation{}, err
 	}

@@ -1,9 +1,11 @@
 package ckpt
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,7 +43,7 @@ func TestStoreRotationKeepsLastK(t *testing.T) {
 		}
 	}
 	// Rotated files are really gone and no temp files linger.
-	ents, err := os.ReadDir(st.Dir())
+	ents, err := os.ReadDir(st.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +54,8 @@ func TestStoreRotationKeepsLastK(t *testing.T) {
 			t.Errorf("temp file left behind: %s", e.Name())
 		}
 	}
-	if len(files) != 4 { // 3 checkpoints + manifest
-		t.Errorf("directory holds %v, want 3 checkpoints + manifest", files)
+	if len(files) != 3 {
+		t.Errorf("directory holds %v, want exactly the 3 checkpoints", files)
 	}
 }
 
@@ -139,40 +141,93 @@ func TestLatestValidEmptyStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Keep() != DefaultKeep {
-		t.Errorf("keep = %d, want default %d", st.Keep(), DefaultKeep)
+	if st.keep != DefaultKeep {
+		t.Errorf("keep = %d, want default %d", st.keep, DefaultKeep)
 	}
 	if _, _, err := st.LatestValid(); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("err = %v, want ErrNoCheckpoint", err)
 	}
 }
 
-func TestDiscoveryWithoutManifest(t *testing.T) {
-	st, err := OpenStore(t.TempDir(), 3)
+// TestParentWrittenStoreResumes pins compatibility with stores written
+// before the directory became the only index: testdata/parent-store was
+// written by the last commit that kept a MANIFEST.json beside the
+// checkpoints (steps 10, 15, 20, keep 3). Whatever state that leftover
+// file is in, the store resumes to the newest valid generation, falls
+// back past a corrupt one, keeps rotating — and never reads, rewrites
+// or recreates the manifest.
+func TestParentWrittenStoreResumes(t *testing.T) {
+	const manifestName = "MANIFEST.json"
+	src := filepath.Join("testdata", "parent-store")
+	written, err := os.ReadFile(filepath.Join(src, manifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	saveAt(t, st, 5)
-	saveAt(t, st, 10)
-	// Lose the manifest (e.g. crash between checkpoint and manifest
-	// write on a fresh store): discovery must fall back to the scan.
-	if err := os.Remove(filepath.Join(st.Dir(), ManifestName)); err != nil {
-		t.Fatal(err)
-	}
-	c, gen, err := st.LatestValid()
+	ents, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen.Step != 10 || c.State.Step != 10 {
-		t.Errorf("scan fallback found step %d, want 10", gen.Step)
-	}
+	for name, manifest := range map[string][]byte{
+		"as written": written, "corrupt": []byte("{not json"), "lost": nil,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, e := range ents {
+				data, err := os.ReadFile(filepath.Join(src, e.Name()))
+				if err == nil {
+					err = os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			mpath := filepath.Join(dir, manifestName)
+			if manifest == nil {
+				err = os.Remove(mpath)
+			} else {
+				err = os.WriteFile(mpath, manifest, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := OpenStore(dir, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, gen, err := st.LatestValid()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sampleCheckpoint(8)
+			want.State.Step, want.State.Time = 20, 20*0.005
+			if gen.Step != 20 || !reflect.DeepEqual(c, want) {
+				t.Errorf("resumed generation %+v with state %+v, want the sample at step 20", gen, c.State)
+			}
 
-	// A corrupt manifest must behave the same as a missing one.
-	if err := os.WriteFile(filepath.Join(st.Dir(), ManifestName), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, gen, err = st.LatestValid(); err != nil || gen.Step != 10 {
-		t.Errorf("corrupt-manifest fallback: gen=%+v err=%v", gen, err)
+			if err := os.Truncate(filepath.Join(dir, gen.File), 500); err != nil {
+				t.Fatal(err)
+			}
+			if _, gen, err = st.LatestValid(); err != nil || gen.Step != 15 {
+				t.Errorf("fallback past the torn step-20 file: gen=%+v err=%v, want step 15", gen, err)
+			}
+
+			saveAt(t, st, 25)
+			gens, err := st.Generations()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gens) != 3 || gens[0].Step != 15 || gens[2].Step != 25 {
+				t.Errorf("after saving step 25 the store holds %+v, want steps 15, 20, 25", gens)
+			}
+			after, err := os.ReadFile(mpath)
+			if manifest == nil {
+				if !os.IsNotExist(err) {
+					t.Errorf("a manifest was created (read err = %v)", err)
+				}
+			} else if err != nil || !bytes.Equal(after, manifest) {
+				t.Errorf("the leftover manifest was touched: err=%v\n%s", err, after)
+			}
+		})
 	}
 }
 
@@ -181,13 +236,13 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(st.Dir(), "notes.txt"), []byte("keep me"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(st.dir, "notes.txt"), []byte("keep me"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for step := int64(1); step <= 4; step++ {
 		saveAt(t, st, step)
 	}
-	if _, err := os.Stat(filepath.Join(st.Dir(), "notes.txt")); err != nil {
+	if _, err := os.Stat(filepath.Join(st.dir, "notes.txt")); err != nil {
 		t.Errorf("foreign file was pruned: %v", err)
 	}
 }

@@ -35,9 +35,12 @@ func AtomicWriteFile(path string, write func(w io.Writer) error) (int64, error) 
 		return 0, err
 	}
 
-	cw := &countWriter{w: tmp}
-	if err := write(cw); err != nil {
+	if err := write(tmp); err != nil {
 		return fail(fmt.Errorf("fsx: writing %s: %w", path, err))
+	}
+	n, err := tmp.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return fail(fmt.Errorf("fsx: sizing %s: %w", tmpName, err))
 	}
 	if err := tmp.Sync(); err != nil {
 		return fail(fmt.Errorf("fsx: fsync %s: %w", tmpName, err))
@@ -52,9 +55,9 @@ func AtomicWriteFile(path string, write func(w io.Writer) error) (int64, error) 
 		// The rename already happened; the file is in place but its
 		// directory entry may not be durable. Surface it — callers that
 		// promise durability must not swallow this.
-		return cw.n, err
+		return n, err
 	}
-	return cw.n, nil
+	return n, nil
 }
 
 // SyncDir fsyncs a directory so that renames and removals inside it are
@@ -72,16 +75,4 @@ func SyncDir(dir string) error {
 		return fmt.Errorf("fsx: closing dir %s: %w", dir, err)
 	}
 	return nil
-}
-
-// countWriter counts the bytes passed through to w.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

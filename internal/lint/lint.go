@@ -227,7 +227,7 @@ const rootPath = "repro"
 const servePath = "repro/internal/serve"
 
 // ckptPath is the durable checkpoint store: its writes are blocking
-// I/O for lockdiscipline and its manifest is a wire schema.
+// I/O for lockdiscipline.
 const ckptPath = "repro/internal/ckpt"
 
 // corePath is the treecode package, one of hotalloc's hot packages.

@@ -11,11 +11,11 @@ import (
 )
 
 // AnalyzerWireSchema audits the structs that cross a process boundary —
-// the /jobs, /metrics and /healthz HTTP payloads, the run-directory
-// event/metadata files and the checkpoint manifest. A "wire struct" is
-// any named struct in a wire package (serve, obs, g5, ckpt) that either
-// carries a json tag or provably flows into encoding/json (directly or
-// through in-package helpers like writeJSON, via Flow.JSONTypes).
+// the /jobs, /metrics and /healthz HTTP payloads and the run-directory
+// event/metadata files. A "wire struct" is any named struct in a wire
+// package (serve, obs, g5) that either carries a json tag or provably
+// flows into encoding/json (directly or through in-package helpers like
+// writeJSON, via Flow.JSONTypes).
 //
 // Three contracts:
 //
@@ -27,7 +27,7 @@ import (
 //   - a float field on a marshal path must be provably finite:
 //     json.Marshal fails at runtime on NaN/±Inf. "Provably finite"
 //     means either witnessed by a finiteness guard (the field reaches a
-//     function that calls math.IsNaN/IsInf — ckpt's stateFinite) or
+//     function that calls math.IsNaN/IsInf) or
 //     every in-package source of the field is structurally admissible
 //     (literals and constants, integer conversions, sums/products of
 //     admissible values, division by a nonzero literal,
@@ -39,18 +39,18 @@ import (
 // by the handler, not produced by us).
 var AnalyzerWireSchema = &Analyzer{
 	Name: "wireschema",
-	Doc:  "require explicit json tags and provably finite floats on HTTP/checkpoint wire structs",
+	Doc:  "require explicit json tags and provably finite floats on HTTP and run-directory wire structs",
 	Run:  runWireSchema,
 }
 
 // wirePackages are the packages whose structs can reach a process
-// boundary: the HTTP job server, the telemetry reports it serves, the
-// hardware-model events, and the checkpoint manifest.
+// boundary: the HTTP job server, the telemetry reports it serves and
+// the hardware-model events. (Checkpoints are binary, not JSON: their
+// layout is pinned by byte-golden files in internal/ckpt.)
 var wirePackages = map[string]bool{
 	servePath: true,
 	obsPath:   true,
 	g5Path:    true,
-	ckptPath:  true,
 }
 
 func runWireSchema(pass *Pass) error {
@@ -232,7 +232,7 @@ func newWireChecker(pass *Pass) *wireChecker {
 		fnVisiting: map[*FlowFunc]bool{},
 	}
 	// Witness W1: any field read inside a finiteness-guard function is
-	// policed by it (ckpt's stateFinite pattern).
+	// policed by it.
 	for _, fn := range pass.Flow.Funcs {
 		if !pass.Flow.FloatGuard(fn) {
 			continue

@@ -105,17 +105,19 @@ func (s *Server) executeJob(ctx context.Context, j *Job) (state, errMsg string) 
 		}
 	}
 
-	result, err := ckpt.Marshal(&ckpt.Checkpoint{State: sim.CheckpointState(), Sys: sim.Sys})
-	if err != nil {
-		return StateFailed, fmt.Sprintf("marshal result: %v", err)
-	}
+	// The result is the run's complete durable state, the same assembly
+	// its checkpoints hold. With a run directory it lives on disk only —
+	// handleResult reads it back — so finished jobs do not pin their
+	// result bytes for the daemon's lifetime.
 	if j.dir != "" {
-		if _, err := fsx.AtomicWriteFile(filepath.Join(j.dir, "result.g5ck"), func(w io.Writer) error {
-			_, werr := w.Write(result)
-			return werr
-		}); err != nil {
+		if _, err := ckpt.WriteFile(filepath.Join(j.dir, "result.g5ck"), sim.DurableState()); err != nil {
 			return StateFailed, fmt.Sprintf("write result: %v", err)
 		}
+		return StateDone, ""
+	}
+	result, err := ckpt.Marshal(sim.DurableState())
+	if err != nil {
+		return StateFailed, fmt.Sprintf("marshal result: %v", err)
 	}
 	j.mu.Lock()
 	j.result = result

@@ -106,7 +106,7 @@ type Job struct {
 	doneSeq     int64 // completion order, 1-based; 0 while live
 	resumedFrom int64 // checkpoint step a restart resumed from; -1 = never
 	cancel      context.CancelFunc
-	result      []byte
+	result      []byte // memory mode only; with a dir the result is dir/result.g5ck
 
 	// cancelFlag distinguishes user cancellation from a drain: both
 	// cancel the runner context, only cancellation is terminal.

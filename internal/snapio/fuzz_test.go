@@ -27,6 +27,8 @@ func FuzzRead(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[10] ^= 0xff
 	f.Add(flipped)
+	f.Add(readGolden(f, "v2.g5"))
+	f.Add(readGolden(f, "v1-legacy.g5"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, sys, err := Read(bytes.NewReader(data))

@@ -13,12 +13,9 @@
 package snapio
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/fsx"
@@ -34,8 +31,6 @@ const Version = 2
 
 // versionLegacy is the original format: no DT field, no checksum.
 const versionLegacy = 1
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Header precedes the particle payload.
 type Header struct {
@@ -67,152 +62,85 @@ type headerV1 struct {
 // Write stores the system and header to w in the current format.
 func Write(w io.Writer, h Header, s *nbody.System) error {
 	h.N = int64(s.N())
-	bw := bufio.NewWriterSize(w, 1<<20)
-	le := binary.LittleEndian
-	cw := &crcWriter{w: bw}
-
-	if err := binary.Write(cw, le, uint32(Magic)); err != nil {
+	enc := NewEncoder(w)
+	var pre [8]byte
+	le.PutUint32(pre[0:], Magic)
+	le.PutUint32(pre[4:], Version)
+	enc.Write(pre[:])
+	if err := binary.Write(enc, le, h); err != nil {
 		return err
 	}
-	if err := binary.Write(cw, le, uint32(Version)); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, le, h); err != nil {
-		return err
-	}
-	writeV3 := func(v []vec.V3) error {
-		for _, p := range v {
-			if err := binary.Write(cw, le, [3]float64{p.X, p.Y, p.Z}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := writeV3(s.Pos); err != nil {
-		return err
-	}
-	if err := writeV3(s.Vel); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, le, s.Mass); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, le, s.ID); err != nil {
-		return err
-	}
-	// CRC trailer over everything above, written outside the hash.
-	if err := binary.Write(bw, le, cw.crc); err != nil {
-		return err
-	}
-	return bw.Flush()
+	enc.V3s(s.Pos)
+	enc.V3s(s.Vel)
+	enc.F64s(s.Mass)
+	enc.I64s(s.ID)
+	// CRC trailer over everything above.
+	crc, _ := enc.Sum()
+	enc.Write(le.AppendUint32(nil, crc))
+	return enc.Flush()
 }
 
 // Read loads a snapshot from r. For version-2 files the CRC trailer is
 // verified; any mismatch is an error — corruption is never silently
 // returned as particle data.
 func Read(r io.Reader) (Header, *nbody.System, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	le := binary.LittleEndian
-	cr := &crcReader{r: br}
+	h, s, err := read(NewDecoder(r))
+	if err != nil {
+		return Header{}, nil, fmt.Errorf("snapio: %w", err)
+	}
+	return h, s, nil
+}
 
-	var magic, version uint32
-	if err := binary.Read(cr, le, &magic); err != nil {
-		return Header{}, nil, fmt.Errorf("snapio: reading magic: %w", err)
+func read(dec *Decoder) (h Header, s *nbody.System, err error) {
+	var pre [8]byte
+	if _, err := io.ReadFull(dec, pre[:]); err != nil {
+		return h, nil, fmt.Errorf("reading magic and version: %w", err)
 	}
-	if magic != Magic {
-		return Header{}, nil, fmt.Errorf("snapio: bad magic %#x", magic)
+	if magic := le.Uint32(pre[0:]); magic != Magic {
+		return h, nil, fmt.Errorf("bad magic %#x", magic)
 	}
-	if err := binary.Read(cr, le, &version); err != nil {
-		return Header{}, nil, err
-	}
-	var h Header
+	version := le.Uint32(pre[4:])
 	switch version {
 	case versionLegacy:
 		var h1 headerV1
-		if err := binary.Read(cr, le, &h1); err != nil {
-			return Header{}, nil, err
-		}
+		err = binary.Read(dec, le, &h1)
 		h = Header{N: h1.N, Time: h1.Time, Step: h1.Step, Scale: h1.Scale,
 			Eps: h1.Eps, Theta: h1.Theta}
 	case Version:
-		if err := binary.Read(cr, le, &h); err != nil {
-			return Header{}, nil, err
-		}
+		err = binary.Read(dec, le, &h)
 	default:
-		return Header{}, nil, fmt.Errorf("snapio: unsupported version %d", version)
+		err = fmt.Errorf("unsupported version %d", version)
+	}
+	if err != nil {
+		return h, nil, err
 	}
 	if h.N < 0 || h.N > 1<<31 {
-		return Header{}, nil, fmt.Errorf("snapio: implausible particle count %d", h.N)
+		return h, nil, fmt.Errorf("implausible particle count %d", h.N)
 	}
-	// Grow arrays as data actually arrives rather than trusting the
-	// header's N up front: a forged header must fail with an error, not
-	// a multi-gigabyte allocation.
+	// The decoder grows arrays as data actually arrives rather than
+	// trusting the header's N up front: a forged header must fail with
+	// an error, not a multi-gigabyte allocation.
 	n := int(h.N)
-	const chunk = 1 << 16
-	pre := n
-	if pre > chunk {
-		pre = chunk
+	s = &nbody.System{
+		Pos:  dec.V3s(n, "positions"),
+		Vel:  dec.V3s(n, "velocities"),
+		Mass: dec.F64s(n, "masses"),
+		ID:   dec.I64s(n, "ids"),
 	}
-	readV3s := func(what string) ([]vec.V3, error) {
-		out := make([]vec.V3, 0, pre)
-		var raw [24]byte
-		for i := 0; i < n; i++ {
-			if _, err := io.ReadFull(cr, raw[:]); err != nil {
-				return nil, fmt.Errorf("snapio: %s: %w", what, err)
-			}
-			out = append(out, vec.V3{
-				X: math.Float64frombits(le.Uint64(raw[0:])),
-				Y: math.Float64frombits(le.Uint64(raw[8:])),
-				Z: math.Float64frombits(le.Uint64(raw[16:])),
-			})
-		}
-		return out, nil
-	}
-	pos, err := readV3s("positions")
-	if err != nil {
-		return Header{}, nil, err
-	}
-	velv, err := readV3s("velocities")
-	if err != nil {
-		return Header{}, nil, err
-	}
-	mass := make([]float64, 0, pre)
-	{
-		var raw [8]byte
-		for i := 0; i < n; i++ {
-			if _, err := io.ReadFull(cr, raw[:]); err != nil {
-				return Header{}, nil, fmt.Errorf("snapio: masses: %w", err)
-			}
-			mass = append(mass, math.Float64frombits(le.Uint64(raw[:])))
-		}
-	}
-	id := make([]int64, 0, pre)
-	{
-		var raw [8]byte
-		for i := 0; i < n; i++ {
-			if _, err := io.ReadFull(cr, raw[:]); err != nil {
-				return Header{}, nil, fmt.Errorf("snapio: ids: %w", err)
-			}
-			id = append(id, int64(le.Uint64(raw[:])))
-		}
+	if err := dec.Err(); err != nil {
+		return h, nil, err
 	}
 	if version >= 2 {
+		crc, _ := dec.Sum()
 		var stored uint32
-		if err := binary.Read(br, le, &stored); err != nil {
-			return Header{}, nil, fmt.Errorf("snapio: reading checksum trailer: %w", err)
+		if err := binary.Read(dec, le, &stored); err != nil {
+			return h, nil, fmt.Errorf("reading checksum trailer: %w", err)
 		}
-		if stored != cr.crc {
-			return Header{}, nil, fmt.Errorf("snapio: CRC mismatch (stored %#08x, computed %#08x): snapshot is corrupt", stored, cr.crc)
+		if stored != crc {
+			return h, nil, fmt.Errorf("CRC mismatch (stored %#08x, computed %#08x): snapshot is corrupt", stored, crc)
 		}
 	}
-	s := &nbody.System{
-		Pos:  pos,
-		Vel:  velv,
-		Acc:  make([]vec.V3, n),
-		Mass: mass,
-		Pot:  make([]float64, n),
-		ID:   id,
-	}
+	s.Acc, s.Pot = make([]vec.V3, n), make([]float64, n)
 	return h, s, nil
 }
 
@@ -234,28 +162,4 @@ func ReadFile(path string) (Header, *nbody.System, error) {
 	}
 	defer f.Close()
 	return Read(f)
-}
-
-// crcWriter tees writes into a CRC-32C.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
-	return n, err
-}
-
-// crcReader tees reads into a CRC-32C.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
-	return n, err
 }

@@ -79,9 +79,6 @@ func (sim *Simulation) blockState() *ckpt.BlockState {
 // the config fingerprint, the aux anchors and the whole-run cumulative
 // counters (base + live, via the merged accessors).
 func (sim *Simulation) CheckpointState() ckpt.State {
-	rec := sim.Recovery()
-	hw := sim.HardwareCounters()
-	fs := sim.FaultStats()
 	return ckpt.State{
 		Step:  int64(sim.nsteps),
 		Time:  sim.time,
@@ -103,40 +100,35 @@ func (sim *Simulation) CheckpointState() ckpt.State {
 
 		TotalInteractions: sim.TotalInteractions,
 
-		RecChecks:   rec.Checks,
-		RecRetries:  rec.Retries,
-		RecCorrupt:  rec.CorruptResults,
-		RecExcluded: rec.ExcludedBoards,
-		RecFallback: rec.FallbackBatches,
-		RecHostOnly: rec.HostOnly,
-
-		HWInteractions: hw.Interactions,
-		HWPipeSeconds:  hw.PipeSeconds,
-		HWBusSeconds:   hw.BusSeconds,
-		HWBytes:        hw.BytesTransferred,
-		HWRuns:         hw.Runs,
-		HWJPasses:      hw.JPasses,
-		HWClamps:       hw.RangeClamps,
-
-		FaultBitFlips:   fs.JMemBitFlips,
-		FaultStuckCalls: fs.StuckPipeCalls,
-		FaultBusErrors:  fs.BusErrors,
-		FaultTransients: fs.Transients,
+		// Struct conversions, not field lists: a counter added to g5
+		// without its stored twin in ckpt stops compiling here.
+		Recovery: ckpt.RecoveryCounters(sim.Recovery()),
+		Hardware: ckpt.HardwareCounters(sim.HardwareCounters()),
+		Faults:   ckpt.FaultCounters(sim.FaultStats()),
 
 		Primed: sim.Primed(),
 	}
 }
 
+// DurableState assembles the complete run state — scalar state,
+// particles in their exact in-memory order, scheduling state — that
+// Checkpoint saves and a job server marshals as a run's result. The
+// particle system is shared with the simulation, not copied: write it
+// out before the next Step.
+func (sim *Simulation) DurableState() *ckpt.Checkpoint {
+	return &ckpt.Checkpoint{State: sim.CheckpointState(), Sys: sim.Sys, Block: sim.blockState()}
+}
+
 // Checkpoint durably saves the complete run state into the store (atomic
-// write + rotation + manifest). The cost is recorded on the checkpoint
-// phase and counters and folded into LastReport, so the completed step's
-// telemetry shows what the durability cost.
+// write + rotation). The cost is recorded on the checkpoint phase and
+// counters and folded into LastReport, so the completed step's telemetry
+// shows what the durability cost.
 func (sim *Simulation) Checkpoint(store *ckpt.Store) (ckpt.SaveInfo, error) {
 	if store == nil {
 		return ckpt.SaveInfo{}, fmt.Errorf("grape5: nil checkpoint store")
 	}
 	t := sim.ob.Start(obs.PhaseCheckpoint)
-	info, err := store.Save(&ckpt.Checkpoint{State: sim.CheckpointState(), Sys: sim.Sys, Block: sim.blockState()})
+	info, err := store.Save(sim.DurableState())
 	t.Stop()
 	if err != nil {
 		return ckpt.SaveInfo{}, fmt.Errorf("grape5: checkpoint at step %d: %w", sim.nsteps, err)
@@ -175,35 +167,29 @@ func merge[T int64 | float64](name string, saved, given T) (T, error) {
 func ResumeConfig(st ckpt.State, cfg Config) (Config, error) {
 	out := cfg
 	var err error
-	if out.Theta, err = merge("theta", st.Theta, cfg.Theta); err != nil {
+	float := func(name string, saved float64, field *float64) {
+		if err == nil {
+			*field, err = merge(name, saved, *field)
+		}
+	}
+	integer := func(name string, saved int64, field *int) {
+		if err == nil {
+			var v int64
+			v, err = merge(name, saved, int64(*field))
+			*field = int(v)
+		}
+	}
+	float("theta", st.Theta, &out.Theta)
+	float("eps", st.Eps, &out.Eps)
+	float("G", st.G, &out.G)
+	float("dt", st.DT, &out.DT)
+	integer("ncrit", st.Ncrit, &out.Ncrit)
+	integer("leafcap", st.LeafCap, &out.LeafCap)
+	integer("rebuild-every", st.RebuildEvery, &out.RebuildEvery)
+	integer("pm-grid", st.PMGrid, &out.PMGrid)
+	if err != nil {
 		return Config{}, err
 	}
-	if out.Eps, err = merge("eps", st.Eps, cfg.Eps); err != nil {
-		return Config{}, err
-	}
-	if out.G, err = merge("G", st.G, cfg.G); err != nil {
-		return Config{}, err
-	}
-	if out.DT, err = merge("dt", st.DT, cfg.DT); err != nil {
-		return Config{}, err
-	}
-	var v int64
-	if v, err = merge("ncrit", st.Ncrit, int64(cfg.Ncrit)); err != nil {
-		return Config{}, err
-	}
-	out.Ncrit = int(v)
-	if v, err = merge("leafcap", st.LeafCap, int64(cfg.LeafCap)); err != nil {
-		return Config{}, err
-	}
-	out.LeafCap = int(v)
-	if v, err = merge("rebuild-every", st.RebuildEvery, int64(cfg.RebuildEvery)); err != nil {
-		return Config{}, err
-	}
-	out.RebuildEvery = int(v)
-	if v, err = merge("pm-grid", st.PMGrid, int64(cfg.PMGrid)); err != nil {
-		return Config{}, err
-	}
-	out.PMGrid = int(v)
 	if st.Engine >= 0 {
 		// The checkpoint's engine is known (0 = host is a real value here,
 		// unlike the zero-means-unset fields above; -1 means unknown). A
@@ -298,29 +284,9 @@ func ResumeSimulation(c *ckpt.Checkpoint, cfg Config) (*Simulation, error) {
 	sim.nsteps = int(st.Step)
 	sim.TotalInteractions = st.TotalInteractions
 	sim.aux = RunAux{Scale: st.Scale, T0: st.T0, Age0: st.Age0, Seed: st.Seed}
-	sim.baseRecovery = g5.Recovery{
-		Checks:          st.RecChecks,
-		Retries:         st.RecRetries,
-		CorruptResults:  st.RecCorrupt,
-		ExcludedBoards:  st.RecExcluded,
-		FallbackBatches: st.RecFallback,
-		HostOnly:        st.RecHostOnly,
-	}
-	sim.baseCounters = g5.Counters{
-		Interactions:     st.HWInteractions,
-		PipeSeconds:      st.HWPipeSeconds,
-		BusSeconds:       st.HWBusSeconds,
-		BytesTransferred: st.HWBytes,
-		Runs:             st.HWRuns,
-		JPasses:          st.HWJPasses,
-		RangeClamps:      st.HWClamps,
-	}
-	sim.baseFaults = g5.FaultStats{
-		JMemBitFlips:   st.FaultBitFlips,
-		StuckPipeCalls: st.FaultStuckCalls,
-		BusErrors:      st.FaultBusErrors,
-		Transients:     st.FaultTransients,
-	}
+	sim.baseRecovery = g5.Recovery(st.Recovery)
+	sim.baseCounters = g5.Counters(st.Hardware)
+	sim.baseFaults = g5.FaultStats(st.Faults)
 	// Shared-dt resumes carry no scheduler state: the fixed step is in
 	// the config and the next adaptive dt is a pure function of the
 	// restored accelerations, so marking the core primed is all it takes.

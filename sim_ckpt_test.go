@@ -14,7 +14,7 @@ import (
 func ckptRoundTrip(t *testing.T, sim *Simulation) *ckpt.Checkpoint {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := ckpt.Write(&buf, &ckpt.Checkpoint{State: sim.CheckpointState(), Sys: sim.Sys, Block: sim.blockState()}); err != nil {
+	if err := ckpt.Write(&buf, sim.DurableState()); err != nil {
 		t.Fatal(err)
 	}
 	c, err := ckpt.Read(&buf)
