@@ -3,7 +3,7 @@
 GO  ?= go
 BIN := bin
 
-.PHONY: all build test race lint lint-escape lint-escape-baseline loc bench-smoke bench-wall-smoke bench-alloc bench-host ckpt-e2e serve-e2e clean
+.PHONY: all build test race lint loc bench-smoke bench-wall-smoke bench-alloc bench-host ckpt-e2e serve-e2e clean
 
 all: build test lint
 
@@ -20,9 +20,8 @@ $(BIN)/grapelint: $(wildcard cmd/grapelint/*.go) $(wildcard internal/lint/*.go)
 	$(GO) build -o $@ ./cmd/grapelint
 
 # lint runs what the CI lint job runs offline: the domain-invariant
-# analyzer suite (DESIGN.md §10, §15) with stale-suppression detection,
-# then the escape-analysis baseline.
-lint: $(BIN)/grapelint lint-escape
+# analyzer suite (DESIGN.md §10) with stale-suppression detection.
+lint: $(BIN)/grapelint
 	$(BIN)/grapelint -unused-ignores ./...
 
 # loc prints the north star's own metric (ROADMAP aim 2, "net source
@@ -34,17 +33,6 @@ loc:
 		! -path '*/testdata/*' ! -path './.bench_build/*' -print0 | xargs -0 wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
-
-# lint-escape compares the compiler's escape-analysis inventory
-# (-gcflags=-m) for the hot packages against the committed baseline, so
-# a change that silently moves an arena allocation to the heap fails
-# before the allocation gates do. Rebuild the baseline with
-# lint-escape-baseline after an intentional change.
-lint-escape: $(BIN)/grapelint
-	$(BIN)/grapelint -escapes
-
-lint-escape-baseline: $(BIN)/grapelint
-	$(BIN)/grapelint -escapes -write
 
 # bench-smoke mirrors the CI bench job: a small sweep plus schema
 # validation of the fresh and committed bench records.

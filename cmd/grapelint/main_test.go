@@ -162,8 +162,8 @@ func TestListDescribesEveryAnalyzer(t *testing.T) {
 		t.Fatalf("-list exit code = %d, want 0\n%s", code, out)
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 11 {
-		t.Fatalf("-list printed %d rows, want 11:\n%s", len(lines), out)
+	if len(lines) != 8 {
+		t.Fatalf("-list printed %d rows, want 8:\n%s", len(lines), out)
 	}
 	for _, line := range lines {
 		fields := strings.Fields(line)
@@ -171,7 +171,7 @@ func TestListDescribesEveryAnalyzer(t *testing.T) {
 			t.Errorf("-list row without a doc column: %q", line)
 		}
 	}
-	for _, name := range []string{"lockdiscipline", "goroutinejoin", "fpreduce", "wireschema", "hotalloc"} {
+	for _, name := range []string{"lockdiscipline", "goroutinejoin", "fpreduce"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, out)
 		}

@@ -127,7 +127,6 @@ func (b *listBuf) particleList(tree *octree.Tree, i int, mac octree.OpenCriterio
 			n := &tree.Nodes[st[len(st)-1]]
 			st = st[:len(st)-1]
 			visited++
-			//lint:ignore hostk the point-distance MAC of the per-particle walk has no batch sink; this is its one evaluation site
 			if mac.Accept(n, pi.Dist2(n.COM)) {
 				entries++
 				if j != nil {

@@ -200,7 +200,6 @@ type Treecode struct {
 func (tc *Treecode) ensureWorkerScratch(workers int) {
 	for len(tc.bufs) < workers {
 		w := len(tc.bufs)
-		//lint:ignore hotalloc per-worker scratch allocated once when the worker set grows, then reused by every later step (arena setup, not steady state)
 		tc.bufs = append(tc.bufs, &listBuf{})
 		tc.labelCtxs = append(tc.labelCtxs, pprof.WithLabels(context.Background(),
 			pprof.Labels("treecode", "group-walk", "worker", strconv.Itoa(w))))

@@ -302,7 +302,6 @@ func (s *System) compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot
 				continue // hardware emits zero for coincident points
 			}
 			r2 = RoundMantissa(r2+s.eps2, r2b)
-			//lint:ignore hostk emulated pipeline arithmetic: every product is mantissa-rounded, so the float64 tile kernel cannot express it
 			inv := 1 / math.Sqrt(r2)
 			m := mq[j]
 			fpot := RoundMantissa(m*inv, pb)

@@ -1,8 +1,8 @@
 package lint
 
 // All returns the full analyzer suite in stable order: the per-function
-// AST checks from the physics era first, then the dataflow analyzers
-// (built on the shared Flow fact store) from the service era.
+// AST checks first, then the analyzers built on the shared Flow fact
+// store and fpreduce.
 func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerNondeterminism,
@@ -10,11 +10,8 @@ func All() []*Analyzer {
 		AnalyzerG5Format,
 		AnalyzerObsSpan,
 		AnalyzerErrDiscipline,
-		AnalyzerHostK,
 		AnalyzerLockDiscipline,
 		AnalyzerGoroutineJoin,
 		AnalyzerFPReduce,
-		AnalyzerWireSchema,
-		AnalyzerHotAlloc,
 	}
 }

@@ -6,11 +6,9 @@ import (
 	"go/types"
 )
 
-// Flow is the per-package dataflow fact store the concurrency and
-// determinism analyzers share: a lightweight intra-package call graph
-// with memoized derived facts (which functions block, which functions
-// are goroutine bodies, which parameters flow into encoding/json, which
-// functions police float finiteness).
+// Flow is the per-package fact store lockdiscipline and goroutinejoin
+// share: a lightweight intra-package call graph with one memoized
+// derived fact, which functions block.
 //
 // Facts are strictly per-package on purpose: the loader type-checks
 // one package at a time from source and sees its dependencies only as
@@ -30,13 +28,6 @@ type Flow struct {
 
 	blocking map[*FlowFunc]*blockFact
 	visiting map[*FlowFunc]bool
-
-	spawned map[*FlowFunc]*ast.GoStmt
-
-	guard     map[*FlowFunc]int // -1 unknown, 0 no, 1 yes
-	jsonOnce  bool
-	marshalT  map[*types.Named]bool
-	unmarshal map[*types.Named]bool
 }
 
 // FlowFunc is one function body known to the Flow store.
@@ -68,7 +59,6 @@ func NewFlow(pkg *Package) *Flow {
 		parents:  map[*ast.File]map[ast.Node]ast.Node{},
 		blocking: map[*FlowFunc]*blockFact{},
 		visiting: map[*FlowFunc]bool{},
-		guard:    map[*FlowFunc]int{},
 	}
 	for _, file := range pkg.Files {
 		file := file
@@ -302,207 +292,6 @@ func inSelectComm(parents map[ast.Node]ast.Node, n ast.Node) bool {
 	return false
 }
 
-// GoSpawned maps each function body launched by a go statement in this
-// package (a literal `go func(){…}()` or a named in-package callee
-// `go s.run(…)`) to the spawning statement.
-func (f *Flow) GoSpawned() map[*FlowFunc]*ast.GoStmt {
-	if f.spawned != nil {
-		return f.spawned
-	}
-	f.spawned = map[*FlowFunc]*ast.GoStmt{}
-	for _, file := range f.pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			var target *FlowFunc
-			switch fun := ast.Unparen(g.Call.Fun).(type) {
-			case *ast.FuncLit:
-				target = f.byNode[fun]
-			default:
-				target = f.Local(calleeFunc(f.pkg.Info, g.Call))
-			}
-			if target != nil && f.spawned[target] == nil {
-				f.spawned[target] = g
-			}
-			return true
-		})
-	}
-	return f.spawned
-}
-
-// FloatGuard reports whether fn's own body calls math.IsNaN or
-// math.IsInf — the function participates in finiteness policing.
-func (f *Flow) FloatGuard(fn *FlowFunc) bool {
-	if v, ok := f.guard[fn]; ok {
-		return v == 1
-	}
-	found := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || found {
-			return !found
-		}
-		if g := calleeFunc(f.pkg.Info, call); g != nil && funcPkgPath(g) == "math" &&
-			(g.Name() == "IsNaN" || g.Name() == "IsInf") {
-			found = true
-		}
-		return true
-	})
-	if found {
-		f.guard[fn] = 1
-	} else {
-		f.guard[fn] = 0
-	}
-	return found
-}
-
-// GuardedType reports whether the named type has any in-package method
-// that polices float finiteness (FloatGuard). A type that filters
-// NaN/Inf at its write boundary yields finite reads, so its accessors
-// are admissible float sources for wireschema.
-func (f *Flow) GuardedType(named *types.Named) bool {
-	for _, ff := range f.Funcs {
-		if ff.Obj == nil {
-			continue
-		}
-		sig, _ := ff.Obj.Type().(*types.Signature)
-		if sig == nil || sig.Recv() == nil {
-			continue
-		}
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok && n.Obj() == named.Obj() && f.FloatGuard(ff) {
-			return true
-		}
-	}
-	return false
-}
-
-// JSONTypes returns the named struct types of this package that flow
-// into encoding/json marshaling and unmarshaling, respectively. The
-// computation is a small fixpoint so values reaching json through
-// in-package helpers (`writeJSON(w, code, v)`) are attributed to the
-// concrete types at the helper's call sites.
-func (f *Flow) JSONTypes() (marshal, unmarshal map[*types.Named]bool) {
-	if f.jsonOnce {
-		return f.marshalT, f.unmarshal
-	}
-	f.jsonOnce = true
-	f.marshalT = map[*types.Named]bool{}
-	f.unmarshal = map[*types.Named]bool{}
-
-	// Parameter objects of declared functions, for attributing helper
-	// flows back to call sites.
-	type paramSlot struct {
-		owner *types.Func
-		index int
-	}
-	params := map[types.Object]paramSlot{}
-	for _, ff := range f.Funcs {
-		if ff.Obj == nil {
-			continue
-		}
-		sig := ff.Obj.Type().(*types.Signature)
-		for i := 0; i < sig.Params().Len(); i++ {
-			params[sig.Params().At(i)] = paramSlot{owner: ff.Obj, index: i}
-		}
-	}
-	encParams := map[*types.Func]map[int]bool{}
-	decParams := map[*types.Func]map[int]bool{}
-
-	// sinkArgs returns the (kind, index) sinks of one call: which
-	// arguments flow into a marshal (enc) or unmarshal (dec) operation.
-	sinkArgs := func(call *ast.CallExpr) (enc, dec []int) {
-		fn := calleeFunc(f.pkg.Info, call)
-		if fn == nil {
-			return nil, nil
-		}
-		if pkg, typ, ok := recvNamed(fn); ok && pkg == "encoding/json" {
-			switch {
-			case typ == "Encoder" && fn.Name() == "Encode":
-				return []int{0}, nil
-			case typ == "Decoder" && fn.Name() == "Decode":
-				return nil, []int{0}
-			}
-			return nil, nil
-		}
-		switch funcPkgPath(fn) {
-		case "encoding/json":
-			switch fn.Name() {
-			case "Marshal", "MarshalIndent":
-				return []int{0}, nil
-			case "Unmarshal":
-				return nil, []int{1}
-			}
-			return nil, nil
-		}
-		for _, i := range sortedIndices(encParams[fn]) {
-			enc = append(enc, i)
-		}
-		for _, i := range sortedIndices(decParams[fn]) {
-			dec = append(dec, i)
-		}
-		return enc, dec
-	}
-
-	record := func(arg ast.Expr, set map[*types.Named]bool, pset map[*types.Func]map[int]bool) bool {
-		e := ast.Unparen(arg)
-		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-			e = ast.Unparen(u.X)
-		}
-		if id, ok := e.(*ast.Ident); ok {
-			if slot, ok := params[f.pkg.Info.ObjectOf(id)]; ok {
-				if pset[slot.owner] == nil {
-					pset[slot.owner] = map[int]bool{}
-				}
-				if !pset[slot.owner][slot.index] {
-					pset[slot.owner][slot.index] = true
-					return true
-				}
-				return false
-			}
-		}
-		named := namedOf(f.pkg.Info.TypeOf(e))
-		if named != nil && named.Obj().Pkg() == f.pkg.Types && !set[named] {
-			set[named] = true
-			return true
-		}
-		return false
-	}
-
-	for rounds := 0; rounds < 10; rounds++ {
-		changed := false
-		for _, file := range f.pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				enc, dec := sinkArgs(call)
-				for _, i := range enc {
-					if i < len(call.Args) && record(call.Args[i], f.marshalT, encParams) {
-						changed = true
-					}
-				}
-				for _, i := range dec {
-					if i < len(call.Args) && record(call.Args[i], f.unmarshal, decParams) {
-						changed = true
-					}
-				}
-				return true
-			})
-		}
-		if !changed {
-			break
-		}
-	}
-	return f.marshalT, f.unmarshal
-}
-
 // namedOf strips pointers, slices and arrays and returns the named
 // type underneath, or nil.
 func namedOf(t types.Type) *types.Named {
@@ -521,15 +310,4 @@ func namedOf(t types.Type) *types.Named {
 		}
 	}
 	return nil
-}
-
-// sortedIndices returns the keys of a small index set in order.
-func sortedIndices(m map[int]bool) []int {
-	var out []int
-	for i := 0; i < 32; i++ {
-		if m[i] {
-			out = append(out, i)
-		}
-	}
-	return out
 }

@@ -82,99 +82,6 @@ func poller(ch chan int) {
 	}
 }
 
-// TestFlowGoSpawned: literal and named spawn targets are both mapped.
-func TestFlowGoSpawned(t *testing.T) {
-	_, pkg := writeFlowFixture(t, `package fixture
-
-func body() {}
-
-func launch(done chan struct{}) {
-	go body()
-	go func() {
-		close(done)
-	}()
-}
-`)
-	flow := lint.NewFlow(pkg)
-	spawned := flow.GoSpawned()
-	if len(spawned) != 2 {
-		t.Fatalf("GoSpawned: want 2 entries, got %d", len(spawned))
-	}
-	var names []string
-	for fn, g := range spawned {
-		if g == nil {
-			t.Errorf("%s mapped to nil go statement", fn.Name)
-		}
-		names = append(names, fn.Name)
-	}
-	found := map[string]bool{}
-	for _, n := range names {
-		found[n] = true
-	}
-	if !found["body"] || !found["function literal"] {
-		t.Errorf("GoSpawned targets = %v, want body and a literal", names)
-	}
-}
-
-// TestFlowJSONTypes: direct marshal/unmarshal arguments and values
-// routed through an in-package helper are both attributed.
-func TestFlowJSONTypes(t *testing.T) {
-	_, pkg := writeFlowFixture(t, `package fixture
-
-import (
-	"encoding/json"
-	"io"
-)
-
-type Direct struct{ A int }
-
-type Routed struct{ B int }
-
-type In struct{ C int }
-
-type Unrelated struct{ D int }
-
-func helper(w io.Writer, v any) {
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func use(w io.Writer, b []byte) {
-	_, _ = json.Marshal(Direct{})
-	helper(w, &Routed{})
-	var in In
-	_ = json.Unmarshal(b, &in)
-}
-`)
-	flow := lint.NewFlow(pkg)
-	marshal, unmarshal := flow.JSONTypes()
-	wantMarshal := map[string]bool{"Direct": true, "Routed": true}
-	wantUnmarshal := map[string]bool{"In": true}
-	gotMarshal := map[string]bool{}
-	for n := range marshal {
-		gotMarshal[n.Obj().Name()] = true
-	}
-	gotUnmarshal := map[string]bool{}
-	for n := range unmarshal {
-		gotUnmarshal[n.Obj().Name()] = true
-	}
-	for n := range wantMarshal {
-		if !gotMarshal[n] {
-			t.Errorf("marshal set missing %s (got %v)", n, gotMarshal)
-		}
-	}
-	for n := range wantUnmarshal {
-		if !gotUnmarshal[n] {
-			t.Errorf("unmarshal set missing %s (got %v)", n, gotUnmarshal)
-		}
-	}
-	if gotMarshal["Unrelated"] || gotUnmarshal["Unrelated"] {
-		t.Error("Unrelated must not reach either json set")
-	}
-	if gotMarshal["In"] {
-		t.Error("decode-only type In must not be in the marshal set")
-	}
-}
-
 // TestFlowParentsShared: the parent map is built once per file and the
 // same map is handed back on reuse.
 func TestFlowParentsShared(t *testing.T) {

@@ -12,12 +12,10 @@ import (
 // manipulation anywhere else in the physics packages would fork that
 // model silently, so the analyzer flags math.Float64bits /
 // math.Float64frombits outside format.go (fault.go's seeded bit-flip
-// injector is the one other sanctioned site), plus RoundMantissa /
-// Quantize calls whose result is dropped — quantisation with a
-// discarded result means the caller kept the full-precision value.
+// injector is the one other sanctioned site).
 var AnalyzerG5Format = &Analyzer{
 	Name: "g5format",
-	Doc:  "restrict float bit manipulation to internal/g5/format.go and catch discarded quantisations",
+	Doc:  "restrict float bit manipulation in physics packages to internal/g5/format.go",
 	Run:  runG5Format,
 }
 
@@ -31,35 +29,18 @@ func runG5Format(pass *Pass) error {
 	inG5 := pass.Pkg.Path() == g5Path
 	for _, file := range pass.Files {
 		base := filepath.Base(pass.Fset.Position(file.Pos()).Filename)
-		allowBits := inG5 && formatFiles[base]
+		if inG5 && formatFiles[base] {
+			continue
+		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				f := calleeFunc(pass.Info, n)
-				if f == nil {
-					return true
-				}
-				if !allowBits && funcPkgPath(f) == "math" &&
-					(f.Name() == "Float64bits" || f.Name() == "Float64frombits") {
-					pass.Reportf(n.Pos(), "math.%s outside internal/g5/format.go: reduced-precision bit manipulation must go through the format helpers (RoundMantissa, FixedGrid) so the conformance suite pins one model", f.Name())
-				}
-			case *ast.ExprStmt:
-				call, ok := n.X.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				f := calleeFunc(pass.Info, call)
-				if f == nil {
-					return true
-				}
-				if f.Name() == "RoundMantissa" && funcPkgPath(f) == g5Path {
-					pass.Reportf(n.Pos(), "RoundMantissa result discarded: the value keeps full precision, bypassing the pipeline's number format")
-				}
-				if f.Name() == "Quantize" {
-					if pkg, typ, ok := recvNamed(f); ok && pkg == g5Path && typ == "FixedGrid" {
-						pass.Reportf(n.Pos(), "Quantize result discarded: the value keeps full precision, bypassing the fixed-point position format")
-					}
-				}
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			f := calleeFunc(pass.Info, call)
+			if f != nil && funcPkgPath(f) == "math" &&
+				(f.Name() == "Float64bits" || f.Name() == "Float64frombits") {
+				pass.Reportf(call.Pos(), "math.%s outside internal/g5/format.go: reduced-precision bit manipulation must go through the format helpers (RoundMantissa, FixedGrid) so the conformance suite pins one model", f.Name())
 			}
 			return true
 		})

@@ -1,11 +1,14 @@
 // Package lint is the repository's domain-invariant static analysis
 // suite: a small analyzer framework (mirroring the shape of
 // golang.org/x/tools/go/analysis, but built only on the standard
-// library so the module stays dependency-free) plus the analyzers that
-// protect the paper-level invariants the compiler cannot see —
-// bit-reproducibility of the treecode, the GRAPE-5 host-library call
-// contract, reduced-precision format hygiene, telemetry span pairing
-// and error discipline on the hardware paths.
+// library so the module stays dependency-free) plus eight analyzers
+// for invariants the compiler cannot see: nondeterminism and fpreduce
+// (bit-reproducibility of the physics packages), g5format (one
+// reduced-precision model), g5contract (register-level isolation of the
+// emulated hardware), errdiscipline, obsspan, lockdiscipline and
+// goroutinejoin. An analyzer is here only because a defect seeded into
+// the real tree is reported by it and by no test, fuzzer, alloc gate,
+// vet or race run; DESIGN.md §10 records that defect for each.
 //
 // The analyzers run over type-checked packages loaded by Loader (see
 // load.go) and are driven by cmd/grapelint (`grapelint ./...`).
@@ -52,9 +55,9 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	// Flow is the package's shared dataflow fact store (call graph,
-	// blocking facts, goroutine spawns, json flows), built once per
-	// package and reused by every analyzer in the run.
+	// Flow is the package's shared fact store (call graph, blocking
+	// facts), built once per package and reused by every analyzer in
+	// the run.
 	Flow *Flow
 
 	diags *[]Diagnostic
@@ -209,11 +212,8 @@ var physicsPackages = map[string]bool{
 	"repro/internal/vec":       true,
 }
 
-// hostkPath is the batched host-kernel package; the hostk analyzer
-// exempts it (it holds the kernels and their scalar references).
+// hostkPath and octreePath hold fpreduce's sanctioned merge helpers.
 const hostkPath = "repro/internal/hostk"
-
-// octreePath defines the scalar MAC; the hostk analyzer exempts it.
 const octreePath = "repro/internal/octree"
 
 // g5Path is the hardware package; several analyzers key on it.
@@ -223,12 +223,9 @@ const g5Path = "repro/internal/g5"
 const rootPath = "repro"
 
 // servePath is the multi-tenant job server; the concurrency analyzers
-// and wireschema key on it.
+// key on it.
 const servePath = "repro/internal/serve"
 
 // ckptPath is the durable checkpoint store: its writes are blocking
 // I/O for lockdiscipline.
 const ckptPath = "repro/internal/ckpt"
-
-// corePath is the treecode package, one of hotalloc's hot packages.
-const corePath = "repro/internal/core"

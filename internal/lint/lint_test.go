@@ -41,16 +41,6 @@ func TestErrDisciplineFixture(t *testing.T) {
 	linttest.Run(t, "testdata/errdiscipline", "repro/cmd/fixture", lint.AnalyzerErrDiscipline)
 }
 
-func TestHostKFixture(t *testing.T) {
-	// repro/internal/pm: a physics package that is neither hostk (the
-	// kernels home) nor octree (the criterion's definition site).
-	linttest.Run(t, "testdata/hostk", "repro/internal/pm", lint.AnalyzerHostK)
-}
-
-func TestHostKExemptsKernelPackage(t *testing.T) {
-	linttest.Run(t, "testdata/hostk_exempt", "repro/internal/hostk", lint.AnalyzerHostK)
-}
-
 func TestLockDisciplineFixture(t *testing.T) {
 	// lockdiscipline is not path-scoped; any fixture path works.
 	linttest.Run(t, "testdata/lockdiscipline", "repro/cmd/fixture", lint.AnalyzerLockDiscipline)
@@ -72,20 +62,4 @@ func TestFPReduceSanctionedHelpers(t *testing.T) {
 	// Under the obs import path, Observer.AddSeconds and
 	// PhaseSeconds.Add are designated merge points.
 	linttest.Run(t, "testdata/fpreduce_sanctioned", "repro/internal/obs", lint.AnalyzerFPReduce)
-}
-
-func TestWireSchemaFixture(t *testing.T) {
-	linttest.Run(t, "testdata/wireschema", "repro/internal/serve", lint.AnalyzerWireSchema)
-}
-
-func TestWireSchemaScopedToWirePackages(t *testing.T) {
-	linttest.Run(t, "testdata/wireschema_scope", "repro/internal/pm", lint.AnalyzerWireSchema)
-}
-
-func TestHotAllocFixture(t *testing.T) {
-	linttest.Run(t, "testdata/hotalloc", "repro/internal/core", lint.AnalyzerHotAlloc)
-}
-
-func TestHotAllocScopedToHotPackages(t *testing.T) {
-	linttest.Run(t, "testdata/hotalloc_scope", "repro/cmd/fixture", lint.AnalyzerHotAlloc)
 }

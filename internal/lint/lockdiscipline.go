@@ -9,7 +9,7 @@ import (
 )
 
 // AnalyzerLockDiscipline polices the two mutex contracts the job
-// server's latency and liveness rest on (DESIGN.md §15):
+// server's latency and liveness rest on (DESIGN.md §10):
 //
 //   - no sync.Mutex/RWMutex may be held across a blocking operation —
 //     a channel send/receive outside a select-with-default, a select

@@ -62,7 +62,7 @@ func TestEveryAnalyzerHasDoc(t *testing.T) {
 			t.Errorf("analyzer %s has no Run", a.Name)
 		}
 	}
-	if len(seen) != 11 {
-		t.Errorf("expected 11 analyzers in the suite, got %d", len(seen))
+	if len(seen) != 8 {
+		t.Errorf("expected 8 analyzers in the suite, got %d", len(seen))
 	}
 }

@@ -1,7 +1,6 @@
 // Package fixture seeds violations of the GRAPE-5 host-library
-// contract: register-level access to g5.System outside internal/g5,
-// and call-order breaches on locally created drivers and systems. The
-// test type-checks it under a cmd-layer import path.
+// contract: register-level access to g5.System outside internal/g5.
+// The test type-checks it under a cmd-layer import path.
 package fixture
 
 import (
@@ -25,46 +24,8 @@ func excludeBoard(sys *g5.System) {
 	_ = sys.SetBoardExcluded(0, true) // want "register-level access to g5.System.SetBoardExcluded"
 }
 
-// missingRange uploads j-particles before the fixed-point window is
-// defined.
-func missingRange(x []vec.V3, m []float64) error {
-	d, err := g5.Open(g5.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	err = d.SetXMJ(0, x, m) // want "SetXMJ before SetRange"
-	_ = d.Close()
-	return err
-}
-
-// missingLoad requests forces with an empty particle memory.
-func missingLoad(x []vec.V3, acc []vec.V3, pot []float64) error {
-	d, err := g5.Open(g5.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	if err := d.SetRange(-1, 1); err != nil {
-		return err
-	}
-	err = d.CalculateForceOnX(x, acc, pot) // want "CalculateForceOnX before any SetXMJ"
-	_ = d.Close()
-	return err
-}
-
-// useAfterClose touches released hardware.
-func useAfterClose(x []vec.V3, m []float64) error {
-	d, err := g5.Open(g5.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	if err := d.SetRange(-1, 1); err != nil {
-		return err
-	}
-	_ = d.Close()
-	return d.SetXMJ(0, x, m) // want "used after Close"
-}
-
-// wellOrdered follows the full library sequence and is clean.
+// wellOrdered drives the hardware through the library surface and is
+// clean.
 func wellOrdered(x []vec.V3, m []float64, acc []vec.V3, pot []float64) error {
 	d, err := g5.Open(g5.DefaultConfig())
 	if err != nil {
@@ -81,26 +42,3 @@ func wellOrdered(x []vec.V3, m []float64, acc []vec.V3, pot []float64) error {
 	}
 	return d.Close()
 }
-
-// systemOrder computes before the position format exists; the call is
-// also register-level, so two findings land on one line.
-func systemOrder(x []vec.V3, m []float64, acc []vec.V3, pot []float64) error {
-	sys, err := g5.NewSystem(g5.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	return sys.Compute(x, x, m, acc, pot) // want "register-level" "Compute before SetScale"
-}
-
-// escapes hands the driver to another function: the optimistic tracker
-// stops judging (cross-function state is the conformance suite's job).
-func escapes(x []vec.V3, m []float64) error {
-	d, err := g5.Open(g5.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	helper(d)
-	return d.SetXMJ(0, x, m)
-}
-
-func helper(d *g5.Driver) { _ = d.SetRange(-1, 1) }

@@ -1,6 +1,5 @@
-// Package fixture seeds ad-hoc float bit manipulation and discarded
-// quantisations. The test type-checks it under a physics import path
-// outside internal/g5.
+// Package fixture seeds ad-hoc float bit manipulation. The test
+// type-checks it under a physics import path outside internal/g5.
 package fixture
 
 import (
@@ -18,19 +17,4 @@ func truncate(v float64) float64 {
 // viaHelpers rounds through the sanctioned helper and uses the result.
 func viaHelpers(v float64) float64 {
 	return g5.RoundMantissa(v, 14)
-}
-
-// droppedRound quantises and keeps the full-precision value.
-func droppedRound(v float64) {
-	g5.RoundMantissa(v, 14) // want "RoundMantissa result discarded"
-}
-
-// droppedQuantize does the same through the fixed-point grid.
-func droppedQuantize(g g5.FixedGrid, v float64) {
-	g.Quantize(v) // want "Quantize result discarded"
-}
-
-// usedQuantize is the correct shape.
-func usedQuantize(g g5.FixedGrid, v float64) (float64, bool) {
-	return g.Quantize(v)
 }

@@ -51,7 +51,6 @@ func DirectForces(s *System, g, eps float64) {
 					dy := s.Pos[j].Y - pi.Y
 					dz := s.Pos[j].Z - pi.Z
 					r2 := dx*dx + dy*dy + dz*dz + eps2
-					//lint:ignore hostk direct summation is the accuracy reference; it must stay independent of the kernels it validates
 					inv := 1 / math.Sqrt(r2)
 					inv3 := inv / r2
 					mj := s.Mass[j]

@@ -250,7 +250,6 @@ func (s *Solver) selfPotential(fx, fy, fz, m float64) float64 {
 		if d2 == 0 {
 			return 4 // 1/0.25
 		}
-		//lint:ignore hostk lattice Green's-function constant (64 node pairs once per particle), not a force inner loop
 		return 1 / math.Sqrt(float64(d2))
 	}
 	var sum float64

@@ -459,4 +459,7 @@ func TestE2ERestartReadmission(t *testing.T) {
 	if raw, err = os.ReadFile(metaPath); err != nil || !strings.Contains(string(raw), `"state":"failed"`) {
 		t.Errorf("refused job's job.json not rewritten as failed (%v): %s", err, raw)
 	}
+	// A failed record carries every jobMeta field: pin the durable schema
+	// on the file the daemon wrote.
+	checkGolden(t, "job_meta.golden.json", schemaOfJSON(t, raw))
 }

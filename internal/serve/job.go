@@ -154,11 +154,9 @@ func (req JobRequest) resolve(b Budget) (JobRequest, error) {
 		return JobRequest{}, fmt.Errorf("ncrit=%d too large (max %d)", s.Ncrit, maxNcrit)
 	}
 	if s.DT == 0 {
-		//lint:ignore wireschema the model table holds constants, and SimConfig().Validate below refuses a non-finite dt before the request is kept
 		s.DT = m.DT
 	}
 	if s.Eps == 0 {
-		//lint:ignore wireschema as dt above: a table constant, judged by Validate below
 		s.Eps = m.Eps
 	}
 	if s.Seed == 0 {

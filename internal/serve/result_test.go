@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -69,5 +72,37 @@ func TestResultHeapCopyOnlyInMemoryMode(t *testing.T) {
 	}
 	if file, err := os.ReadFile(filepath.Join(disk.dir, "result.g5ck")); err != nil || !bytes.Equal(file, diskBody) {
 		t.Errorf("result.g5ck does not hold the served bytes: %v", err)
+	}
+}
+
+// TestWriteJSONNonFiniteIs500: a response encoding/json refuses — a
+// non-finite float in a status or metrics body — is answered with a
+// logged 500 and a JSON error body, never a 200 with an empty one.
+func TestWriteJSONNonFiniteIs500(t *testing.T) {
+	var logged []string
+	srv, err := NewServer(Options{Logf: func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := srv.Close(); err != nil {
+			t.Errorf("server close: %v", err)
+		}
+	}()
+	for _, v := range []any{
+		JobStatus{Progress: math.NaN()},
+		Metrics{UptimeSeconds: math.Inf(1)},
+	} {
+		rec := httptest.NewRecorder()
+		srv.writeJSON(rec, http.StatusOK, v)
+		var body errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body.Error == "" {
+			t.Errorf("%T: status %d, body %q (decode: %v); want 500 with a JSON error", v, rec.Code, rec.Body.String(), err)
+		}
+	}
+	if len(logged) != 2 {
+		t.Errorf("logged %q, want one line per refused body", logged)
 	}
 }

@@ -94,7 +94,9 @@ func (s *Server) executeJob(ctx context.Context, j *Job) (state, errMsg string) 
 		j.hasReport = true
 		j.lastHealth = sim.Health()
 		j.repMu.Unlock()
-		if frame, err := json.Marshal(Event{Job: j.id, State: StateRunning, Step: n, Report: &rep}); err == nil {
+		if frame, err := json.Marshal(Event{Job: j.id, State: StateRunning, Step: n, Report: &rep}); err != nil {
+			s.logf("job %s: encode step %d frame: %v", j.id, n, err)
+		} else {
 			j.hub.publish(frame)
 		}
 		if store != nil && s.budget.CkptEvery > 0 &&

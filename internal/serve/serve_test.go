@@ -130,14 +130,20 @@ func shapeOf(t *testing.T, path string, v any) any {
 	}
 }
 
-// schemaJSON marshals v, decodes it back, and renders its shape as
-// canonical indented JSON (keys sorted by encoding/json).
+// schemaJSON marshals v and renders its shape (schemaOfJSON).
 func schemaJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	raw, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return schemaOfJSON(t, raw)
+}
+
+// schemaOfJSON decodes raw and renders its shape as canonical indented
+// JSON (keys sorted by encoding/json).
+func schemaOfJSON(t *testing.T, raw []byte) []byte {
+	t.Helper()
 	var decoded any
 	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatal(err)
@@ -203,6 +209,12 @@ func sampleJobStatus() serve.JobStatus {
 
 func TestJobStatusSchemaGolden(t *testing.T) {
 	checkGolden(t, "job_status.golden.json", schemaJSON(t, sampleJobStatus()))
+}
+
+func TestEventSchemaGolden(t *testing.T) {
+	st := sampleJobStatus()
+	ev := serve.Event{Job: st.ID, State: serve.StateRunning, Step: 3, Report: st.LastReport}
+	checkGolden(t, "event.golden.json", schemaJSON(t, ev))
 }
 
 func TestMetricsSchemaGolden(t *testing.T) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -212,7 +213,6 @@ func (j *Job) status() JobStatus {
 	st.Step = j.step.Load()
 	st.Interactions = j.interactions.Load()
 	if st.Steps > 0 {
-		//lint:ignore wireschema the denominator is guarded by the enclosing Steps > 0 branch (and Steps is validated positive at submit), which the structural finiteness grammar cannot see
 		st.Progress = float64(st.Step) / float64(st.Steps)
 	}
 	j.repMu.Lock()
@@ -225,13 +225,23 @@ func (j *Job) status() JobStatus {
 	return st
 }
 
-// writeJSON writes v as a JSON response with the given status code.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON writes v as a JSON response with the given status code. The
+// body is encoded before the header goes out, so a value encoding/json
+// refuses (a non-finite float) is answered with a logged 500 and the
+// error, never a 200 with an empty body.
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		s.logf("encode %T response: %v", v, err)
+		code = http.StatusInternalServerError
+		body.Reset()
+		_ = enc.Encode(errorBody{Error: err.Error()}) // a struct of one string always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body.Bytes()) // a failed write means the client is gone
 }
 
 // errorBody is the JSON error envelope.
@@ -250,7 +260,7 @@ const maxRequestBytes = 1 << 20
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, err := DecodeJobRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes), s.budget)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	j, code, err := s.submit(spec)
@@ -259,10 +269,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After",
 				strconv.Itoa(int((s.budget.RetryAfter+time.Second-1)/time.Second)))
 		}
-		writeJSON(w, code, errorBody{Error: err.Error()})
+		s.writeJSON(w, code, errorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.status())
+	s.writeJSON(w, http.StatusAccepted, j.status())
 }
 
 // submit runs admission under the scheduler lock. The returned code is
@@ -331,17 +341,17 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		out = append(out, j.status())
 	}
-	writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, http.StatusOK, out)
 }
 
 // handleStatus returns one job.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobFor(r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
+		s.writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	s.writeJSON(w, http.StatusOK, j.status())
 }
 
 // handleCancel cancels a job: a queued job is removed from its tenant's
@@ -351,7 +361,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobFor(r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
+		s.writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
 		return
 	}
 	s.mu.Lock()
@@ -387,7 +397,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		j.mu.Unlock()
 		s.mu.Unlock()
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	s.writeJSON(w, http.StatusOK, j.status())
 }
 
 // handleResult serves a completed job's result checkpoint — the bytes
@@ -395,20 +405,20 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobFor(r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
+		s.writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
 		return
 	}
 	j.mu.Lock()
 	state, result, dir := j.state, j.result, j.dir
 	j.mu.Unlock()
 	if state != StateDone {
-		writeJSON(w, http.StatusConflict, errorBody{Error: "job is " + state + ", result exists only for done jobs"})
+		s.writeJSON(w, http.StatusConflict, errorBody{Error: "job is " + state + ", result exists only for done jobs"})
 		return
 	}
 	if result == nil && dir != "" {
 		data, err := os.ReadFile(filepath.Join(dir, "result.g5ck"))
 		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+			s.writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 			return
 		}
 		result = data
@@ -424,12 +434,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobFor(r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
+		s.writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusNotImplemented, errorBody{Error: "streaming unsupported"})
+		s.writeJSON(w, http.StatusNotImplemented, errorBody{Error: "streaming unsupported"})
 		return
 	}
 	ch := j.hub.subscribe()
@@ -448,6 +458,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		st := j.status()
 		b, err := json.Marshal(Event{Job: j.id, State: st.State, Step: st.Step, Report: st.LastReport})
 		if err != nil {
+			s.logf("job %s: encode status frame: %v", j.id, err)
 			return []byte(`{}`)
 		}
 		return b
@@ -527,7 +538,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		h.Status = "draining"
 	}
-	writeJSON(w, http.StatusOK, h)
+	s.writeJSON(w, http.StatusOK, h)
 }
 
 // TenantMetrics is one tenant's row in /metrics.
@@ -603,5 +614,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.UptimeSeconds = time.Since(s.start).Seconds()
 	m.StepsServed = s.stepsServed.Load()
 	m.InteractionsServed = s.interactionsServed.Load()
-	writeJSON(w, http.StatusOK, m)
+	s.writeJSON(w, http.StatusOK, m)
 }

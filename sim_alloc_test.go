@@ -29,6 +29,13 @@ func allocTestSystem(n int) *nbody.System {
 // brought that to ~9 KB. The byte budget pins a >=10x drop against the
 // seed with margin; the object budget catches per-group or per-node
 // leaks that stay small in bytes.
+//
+// The object budgets of the three TestStepAllocs* gates are set from
+// measurement, not headroom: 20 runs each at GOMAXPROCS 1 and 4, plain
+// and under the race detector (which `go test -race ./...` must also
+// pass). One allocation per group — core.walkWorker's Request declared
+// inside its loop instead of hoisted — measures 85 / 77 / 336-424 and
+// must fail all three.
 func TestStepAllocs(t *testing.T) {
 	const n = 8192
 	// Seed baseline at n=8192, Workers=4, Ncrit=500 (commit 4a283d2,
@@ -66,8 +73,8 @@ func TestStepAllocs(t *testing.T) {
 			bytesPerStep, seedBytesPerStep/10, seedBytesPerStep)
 	}
 	// Object-count residue: tree header, stats header, telemetry
-	// snapshot, goroutine spawns — ~75 at this size (seed: ~235).
-	const budget = 200
+	// snapshot, goroutine spawns — 21 on every run (seed: ~235).
+	const budget = 40
 	if allocs > budget {
 		t.Fatalf("steady-state Step allocates %.0f objects/run, budget %d", allocs, budget)
 	}
@@ -115,7 +122,8 @@ func TestStepAllocsGuarded(t *testing.T) {
 	if bytesPerStep > byteBudget {
 		t.Fatalf("guarded steady-state Step allocates %d bytes, budget %d", bytesPerStep, byteBudget)
 	}
-	const budget = 300
+	// 13 on every run.
+	const budget = 26
 	if allocs > budget {
 		t.Fatalf("guarded steady-state Step allocates %.0f objects/run, budget %d", allocs, budget)
 	}
@@ -165,7 +173,10 @@ func TestStepAllocsBlocks(t *testing.T) {
 	if bytesPerStep > byteBudget {
 		t.Fatalf("steady-state block Step allocates %d bytes, budget %d", bytesPerStep, byteBudget)
 	}
-	const budget = 600
+	// 77-88 plain, 108-173 under the race detector: which worker draws
+	// which partially-active group varies with scheduling, so gather
+	// segments are still being re-sized in steady state.
+	const budget = 250
 	if allocs > budget {
 		t.Fatalf("steady-state block Step allocates %.0f objects/run, budget %d", allocs, budget)
 	}
