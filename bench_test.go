@@ -109,25 +109,45 @@ func BenchmarkHostKernel(b *testing.B) {
 }
 
 // BenchmarkG5Kernel measures the emulated GRAPE-5 pipeline rate (the
-// reduced-precision arithmetic is the cost of functional fidelity).
+// reduced-precision arithmetic is the cost of functional fidelity):
+// through the staging Engine at a full pass, and plain against guarded
+// at the median batch of the benchmark's grape_plummer8k workload, where
+// the guard's probe pass is a second i-group larger than the batch.
+// ns/interaction counts the batch's own ni x nj pairs on every row.
 func BenchmarkG5Kernel(b *testing.B) {
-	const ni, nj = 96, 2000
-	req := kernelRequest(ni, nj)
-	sys, err := g5.NewSystem(g5.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range []struct {
+		name    string
+		ni, nj  int
+		guarded bool
+	}{
+		{"plain/96x2000", 96, 2000, false},
+		{"plain/60x620", 60, 620, false},
+		{"guarded/60x620", 60, 620, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			req := kernelRequest(c.ni, c.nj)
+			sys, err := g5.NewSystem(g5.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sys.SetScale(-100, 100); err != nil {
+				b.Fatal(err)
+			}
+			sys.SetEps(0.01)
+			var e core.Engine = g5.NewEngine(sys, 1)
+			if c.guarded {
+				e = g5.NewGuardedEngine(sys, 1, g5.GuardPolicy{})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Accumulate(req)
+			}
+			pairs := float64(c.ni*c.nj) * float64(b.N)
+			b.ReportMetric(b.Elapsed().Seconds()*1e9/pairs, "ns/interaction")
+			b.ReportMetric(pairs/b.Elapsed().Seconds(), "interactions/s")
+			b.ReportMetric(sys.Counters().HWSeconds()/float64(b.N), "modelled-hw-s/op")
+		})
 	}
-	if err := sys.SetScale(-100, 100); err != nil {
-		b.Fatal(err)
-	}
-	sys.SetEps(0.01)
-	e := g5.NewEngine(sys, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Accumulate(req)
-	}
-	b.ReportMetric(float64(ni*nj*b.N)/b.Elapsed().Seconds(), "interactions/s")
-	b.ReportMetric(sys.Counters().HWSeconds(), "modelled-hw-s")
 }
 
 func kernelRequest(ni, nj int) *core.Request {

@@ -126,6 +126,9 @@ type faultInjector struct {
 	r     *rng.Source
 	calls int64
 	stats FaultStats
+
+	// stuckBuf backs the current plan's stuck list (random + hard failure).
+	stuckBuf [2]stuckPipe
 }
 
 func newFaultInjector(m FaultModel, cfg Config) *faultInjector {
@@ -137,7 +140,7 @@ func newFaultInjector(m FaultModel, cfg Config) *faultInjector {
 // faults are invisible, which is the whole point of excluding it).
 func (f *faultInjector) plan(nj int, active []int) faultPlan {
 	f.calls++
-	p := faultPlan{flipJ: -1}
+	p := faultPlan{flipJ: -1, stuck: f.stuckBuf[:0]}
 	m := f.model
 	if m.BusErrorRate > 0 && f.r.Float64() < m.BusErrorRate {
 		f.stats.BusErrors++

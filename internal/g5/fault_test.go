@@ -151,3 +151,30 @@ func TestChargeOnlyIgnoresEmpty(t *testing.T) {
 		t.Errorf("empty charges recorded: %+v", c)
 	}
 }
+
+// TestComputeUnderFaultsAllocatesNothing: the fault plan, the
+// in-service board list and the stuck factors live in scratch owned by
+// the injector and the System, so a steady-state Compute allocates
+// nothing with a fault model attached either.
+func TestComputeUnderFaultsAllocatesNothing(t *testing.T) {
+	q := randomRequest(rng.New(18), 20, 100)
+	jpos, jm := aosSources(q)
+	for _, fm := range []FaultModel{
+		{Seed: 3, StuckPipeRate: 1},
+		{Seed: 3, JMemBitFlipRate: 1},
+		{Seed: 3, StuckPipeRate: 1, JMemBitFlipRate: 1, FailBoard: 2},
+	} {
+		cfg := DefaultConfig()
+		f := fm
+		cfg.Fault = &f
+		sys := newGuardSystem(t, cfg, 0.05)
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := sys.Compute(q.IPos, jpos, jm, q.Acc, q.Pot); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%+v: Compute allocates %v times per call", fm, allocs)
+		}
+	}
+}

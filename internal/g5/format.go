@@ -14,18 +14,33 @@ import "math"
 // and subnormals lose the relative-error guarantee; both are far
 // outside the dynamic range of any simulation quantity (the hardware's
 // log format spans a comparable range).
-func RoundMantissa(v float64, bits uint) float64 {
-	if bits >= 52 || v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+func RoundMantissa(v float64, bits uint) float64 { return newRounder(bits).round(v) }
+
+// rounder is RoundMantissa with a bit budget's two constants derived
+// once, for loops that round many values: half an ulp at the kept
+// precision and the mask of the bits that survive.
+type rounder struct{ half, keep uint64 }
+
+func newRounder(bits uint) rounder {
+	if bits >= 52 {
+		return rounder{0, ^uint64(0)}
+	}
+	shift := 52 - bits
+	return rounder{1 << (shift - 1), ^(uint64(1)<<shift - 1)}
+}
+
+// round adds half an ulp to the magnitude and truncates, all on the
+// bit pattern. The add may carry into the exponent, which is correct
+// rounding across powers of two; ±0 and ±Inf come out of it unchanged.
+// Only NaN, whose payload the add would disturb, needs the select.
+func (r rounder) round(v float64) float64 {
+	const sign = 1 << 63
+	b := math.Float64bits(v)
+	q := math.Float64frombits(b&sign | ((b&^sign)+r.half)&r.keep)
+	if v != v {
 		return v
 	}
-	b := math.Float64bits(v)
-	shift := 52 - bits
-	round := uint64(1) << (shift - 1)
-	mantAndExp := b &^ (1 << 63)
-	sign := b & (1 << 63)
-	mantAndExp += round // may carry into the exponent: correct rounding across powers of two
-	mantAndExp &^= (uint64(1) << shift) - 1
-	return math.Float64frombits(sign | mantAndExp)
+	return q
 }
 
 // FixedGrid quantises coordinates to a uniform grid of 2^bits steps

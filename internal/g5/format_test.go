@@ -140,3 +140,55 @@ func TestFixedGridErrorBoundProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// roundMantissaRef is RoundMantissa's body as it stood before the
+// precomputed rounder, kept verbatim as the oracle: the rounder must
+// return the same bit pattern for every (value, bit budget).
+func roundMantissaRef(v float64, bits uint) float64 {
+	if bits >= 52 || v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return v
+	}
+	b := math.Float64bits(v)
+	shift := 52 - bits
+	round := uint64(1) << (shift - 1)
+	mantAndExp := b &^ (1 << 63)
+	sign := b & (1 << 63)
+	mantAndExp += round // may carry into the exponent: correct rounding across powers of two
+	mantAndExp &^= (uint64(1) << shift) - 1
+	return math.Float64frombits(sign | mantAndExp)
+}
+
+// checkRoundMatchesRef compares RoundMantissa with the oracle on the
+// bit pattern, so a NaN payload or a zero's sign cannot hide.
+func checkRoundMatchesRef(t *testing.T, v float64, bits uint) {
+	t.Helper()
+	got, want := math.Float64bits(RoundMantissa(v, bits)), math.Float64bits(roundMantissaRef(v, bits))
+	if got != want {
+		t.Fatalf("RoundMantissa(%016x, %d) = %016x, reference %016x", math.Float64bits(v), bits, got, want)
+	}
+}
+
+func TestRoundMantissaMatchesReference(t *testing.T) {
+	patterns := []uint64{
+		0, 1 << 63, // ±0
+		0x7FF0000000000000, 0xFFF0000000000000, // ±Inf
+		0x7FF8000000000000, 0x7FF8000000000001, 0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF, // quiet NaNs, payloads up to all ones
+		0x7FF0000000000001, 0x7FF4000000000000, 0xFFF7FFFFFFFFFFFF, // signalling NaNs
+		1, 0x0008000000000000, 0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF, // subnormals
+		0x0010000000000000,                     // smallest normal
+		0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF, // ±MaxFloat64
+	}
+	for _, k := range []int{-1022, -600, -1, 0, 1, 7, 52, 53, 600, 1023} {
+		p := math.Float64bits(math.Ldexp(1, k))
+		patterns = append(patterns, p-1, p, p+1, p-1|1<<63, p+1|1<<63) // 2^k ± 1 ulp
+	}
+	r := rng.New(17)
+	for i := 0; i < 2000; i++ {
+		patterns = append(patterns, r.Uint64())
+	}
+	for bits := uint(0); bits <= 63; bits++ {
+		for _, p := range patterns {
+			checkRoundMatchesRef(t, math.Float64frombits(p), bits)
+		}
+	}
+}

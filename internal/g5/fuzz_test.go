@@ -7,7 +7,9 @@ import (
 
 // FuzzRoundMantissa: the number-format invariants must hold for any
 // input — idempotence, sign preservation, and the half-ulp relative
-// bound for normal floats.
+// bound for normal floats — and the result must be the reference
+// body's, bit for bit, at the tested budget and at the raw one (which
+// reaches 0 and the >= 52 identity).
 func FuzzRoundMantissa(f *testing.F) {
 	f.Add(1.0, uint8(7))
 	f.Add(-3.14159, uint8(2))
@@ -16,6 +18,8 @@ func FuzzRoundMantissa(f *testing.F) {
 	f.Add(0.0, uint8(7))
 	f.Fuzz(func(t *testing.T, x float64, bitsRaw uint8) {
 		bits := uint(1 + bitsRaw%52)
+		checkRoundMatchesRef(t, x, bits)
+		checkRoundMatchesRef(t, x, uint(bitsRaw))
 		y := RoundMantissa(x, bits)
 		if math.IsNaN(x) {
 			if !math.IsNaN(y) {

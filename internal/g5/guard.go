@@ -91,7 +91,11 @@ func (r Recovery) String() string {
 // of the i-stream (one extra i-group — the timing model charges the
 // same pass the real padding would cost) and each slot's force is
 // compared with a float64 host reference computed from the same j-list
-// — the per-run hardware sanity check of the GRAPE system papers.
+// — the per-run hardware sanity check of the GRAPE system papers. The
+// pass is a simulated cost only: the emulator evaluates the repeated
+// point once (System's pipeline reuses the sums of an i-point equal to
+// its predecessor) and every slot still gets its own stuck factor, so
+// every slot is still checked.
 // Transient failures (bus errors, timeouts) are retried with capped
 // backoff. Persistent corruption triggers board bisection: boards are
 // excluded one at a time until the check passes, and a board that

@@ -176,6 +176,46 @@ func TestGuardExcludesDeadBoard(t *testing.T) {
 	}
 }
 
+// TestGuardChecksEverySlot: the emulator evaluates the replicated probe
+// once, but every virtual-pipeline slot must still be checked with its
+// own stuck factor. Whichever slot of board 1 is stuck, and wherever
+// the batch length puts the probe block in the i-stream, the guard must
+// reject the first result, exclude exactly that board, and commit what
+// a healthy system running without it computes, bit for bit.
+func TestGuardChecksEverySlot(t *testing.T) {
+	vp := DefaultConfig().VirtualPipesPerBoard()
+	for _, ni := range []int{1, 59, 96, 97, 200} {
+		q := randomRequest(rng.New(uint64(40+ni)), ni, 60)
+		cleanSys := newGuardSystem(t, DefaultConfig(), 0.05)
+		if err := cleanSys.SetBoardExcluded(0, true); err != nil {
+			t.Fatal(err)
+		}
+		want := cloneRequest(q)
+		NewGuardedEngine(cleanSys, 1, fastPolicy()).Accumulate(want)
+
+		for slot := 0; slot < vp; slot++ {
+			cfg := DefaultConfig()
+			cfg.Fault = &FaultModel{FailBoard: 1, FailSlot: slot}
+			sys := newGuardSystem(t, cfg, 0.05)
+			guard := NewGuardedEngine(sys, 1, fastPolicy())
+			got := cloneRequest(q)
+			guard.Accumulate(got)
+
+			rec := guard.Recovery()
+			if rec.ExcludedBoards != 1 || !sys.BoardExcluded(0) || rec.CorruptResults < 1 ||
+				rec.FallbackBatches != 0 {
+				t.Fatalf("ni=%d slot=%d: stuck slot not diagnosed: %v", ni, slot, rec)
+			}
+			for i := range got.Acc {
+				if got.Acc[i] != want.Acc[i] || got.Pot[i] != want.Pot[i] {
+					t.Fatalf("ni=%d slot=%d i=%d: committed %v/%v, healthy one-board system %v/%v",
+						ni, slot, i, got.Acc[i], got.Pot[i], want.Acc[i], want.Pot[i])
+				}
+			}
+		}
+	}
+}
+
 // TestBoardExclusionSlowsModel: after excluding one of two boards the
 // timing model must charge ~2x the pipeline time for the same batch —
 // the degraded-throughput scaling of TestMorePipesFasterModel.

@@ -1,0 +1,292 @@
+package g5
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/rng"
+	"repro/internal/vec"
+)
+
+// referencePipeline is System.compute's pair loop as it stood before
+// the fused kernel, verbatim apart from taking its inputs as arguments
+// and rounding through roundMantissaRef: every i-point streams the whole
+// j list, a coincident pair is skipped, six reference roundings per
+// pair. pipeline must match it bit for bit.
+func referencePipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pb, r2b uint, acc []vec.V3, pot []float64) {
+	for i := range iq {
+		pi := iq[i]
+		var ax, ay, az, pp float64
+		for j := range jq {
+			dx := jq[j].X - pi.X
+			dy := jq[j].Y - pi.Y
+			dz := jq[j].Z - pi.Z
+			r2 := dx*dx + dy*dy + dz*dz
+			if r2 == 0 {
+				continue // hardware emits zero for coincident points
+			}
+			r2 = roundMantissaRef(r2+eps2, r2b)
+			inv := 1 / math.Sqrt(r2)
+			m := mq[j]
+			fpot := roundMantissaRef(m*inv, pb)
+			ff := roundMantissaRef(m*inv/r2, pb)
+			ax += roundMantissaRef(ff*dx, pb)
+			ay += roundMantissaRef(ff*dy, pb)
+			az += roundMantissaRef(ff*dz, pb)
+			pp -= fpot
+		}
+		if stuckFactor != nil {
+			f := stuckFactor[i%len(stuckFactor)]
+			ax, ay, az, pp = ax*f, ay*f, az*f, pp*f
+		}
+		acc[i] = acc[i].Add(vec.V3{X: ax, Y: ay, Z: az})
+		pot[i] += pp
+	}
+}
+
+// referenceCompute is the rest of the old functional model around that
+// loop — quantise, round the masses, apply the fault plan — so a case
+// can be driven through the real System.Compute and compared.
+func referenceCompute(s *System, plan faultPlan, ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot []float64) {
+	quantize := func(pos []vec.V3) []vec.V3 {
+		out := make([]vec.V3, len(pos))
+		for i, p := range pos {
+			out[i].X, _ = s.grid.Quantize(p.X)
+			out[i].Y, _ = s.grid.Quantize(p.Y)
+			out[i].Z, _ = s.grid.Quantize(p.Z)
+		}
+		return out
+	}
+	iq, jq := quantize(ipos), quantize(jpos)
+	mq := make([]float64, len(jmass))
+	for j, m := range jmass {
+		mq[j] = roundMantissaRef(m, s.cfg.MassBits)
+	}
+	if plan.flipJ >= 0 {
+		if plan.flipMass {
+			mq[plan.flipJ] = flipMantissaBit(mq[plan.flipJ], plan.flipBit)
+		} else {
+			p := &jq[plan.flipJ]
+			switch plan.flipAxis {
+			case 0:
+				p.X = flipMantissaBit(p.X, plan.flipBit)
+			case 1:
+				p.Y = flipMantissaBit(p.Y, plan.flipBit)
+			default:
+				p.Z = flipMantissaBit(p.Z, plan.flipBit)
+			}
+		}
+	}
+	var stuckFactor []float64
+	if len(plan.stuck) > 0 {
+		stuckFactor = make([]float64, s.cfg.VirtualPipesPerBoard())
+		for i := range stuckFactor {
+			stuckFactor[i] = 1
+		}
+		share := 1 / float64(s.nActive)
+		for _, sp := range plan.stuck {
+			stuckFactor[sp.slot] *= 1 - share
+		}
+	}
+	referencePipeline(iq, jq, mq, stuckFactor, s.eps2, s.cfg.PipeBits, s.cfg.R2Bits, acc, pot)
+}
+
+// pipelineCase is one point of the differential test's input space.
+type pipelineCase struct {
+	seed                       uint64
+	ni, nj                     int
+	pipeBits, r2Bits, massBits uint
+	eps                        float64
+	// i-points [runStart, runStart+runLen) are one point (clipped to ni).
+	runStart, runLen int
+	// twins makes every fourth i-point a copy of the point two before
+	// it: identical but not adjacent, so it must not be reused.
+	twins bool
+	// coincident puts every third j on an i-point.
+	coincident bool
+	// masses: 0 plain; 1 adds ±0, a subnormal and a NaN whose payload
+	// is all ones (the one the rounding carry would turn into -0);
+	// 2 adds ±0 and ±Inf. The classes are kept apart so that a case has
+	// one NaN payload and x86's operand-order NaN selection cannot
+	// matter.
+	masses int
+	boards int
+	fault  *FaultModel
+}
+
+var specialMasses = [3][]float64{
+	1: {0, math.Copysign(0, -1), 5e-324, math.Float64frombits(0x7FFFFFFFFFFFFFFF)},
+	2: {0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)},
+}
+
+// check drives the case through System.Compute twice (the second call
+// runs on warm scratch and the injector's next plan) and compares every
+// output bit with the reference model under the same plans.
+func (c pipelineCase) check(t *testing.T) {
+	t.Helper()
+	r := rng.New(c.seed)
+	point := func() vec.V3 {
+		return vec.V3{X: r.Uniform(-40, 40), Y: r.Uniform(-40, 40), Z: r.Uniform(-40, 40)}
+	}
+	ipos := make([]vec.V3, c.ni)
+	for i := range ipos {
+		ipos[i] = point()
+		if c.twins && i%4 == 3 {
+			ipos[i] = ipos[i-2]
+		}
+	}
+	for i := c.runStart; i < c.runStart+c.runLen && i < c.ni; i++ {
+		ipos[i] = ipos[c.runStart]
+	}
+	jpos := make([]vec.V3, c.nj)
+	jmass := make([]float64, c.nj)
+	for j := range jpos {
+		jpos[j] = point()
+		jmass[j] = 1 + r.Float64()
+		if c.coincident && j%3 == 0 {
+			jpos[j] = ipos[j%c.ni]
+		}
+		if sp := specialMasses[c.masses]; sp != nil && j%2 == 1 {
+			jmass[j] = sp[j/2%len(sp)]
+		}
+	}
+
+	cfg := DefaultConfig()
+	cfg.Boards = c.boards
+	cfg.PipeBits, cfg.R2Bits, cfg.MassBits = c.pipeBits, c.r2Bits, c.massBits
+	cfg.Fault = c.fault
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetScale(-100, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetEps(c.eps); err != nil {
+		t.Fatal(err)
+	}
+	var twin *faultInjector // draws the plans sys will draw
+	if c.fault != nil {
+		twin = newFaultInjector(*c.fault, cfg)
+	}
+
+	acc, pot := make([]vec.V3, c.ni), make([]float64, c.ni)
+	for i := range acc { // Compute adds into its outputs
+		acc[i], pot[i] = point(), r.Float64()
+	}
+	wantAcc, wantPot := append([]vec.V3(nil), acc...), append([]float64(nil), pot...)
+	for call := 0; call < 2; call++ {
+		plan := faultPlan{flipJ: -1}
+		if twin != nil {
+			plan = twin.plan(c.nj, sys.activeBoardList())
+		}
+		referenceCompute(sys, plan, ipos, jpos, jmass, wantAcc, wantPot)
+		if err := sys.Compute(ipos, jpos, jmass, acc, pot); err != nil {
+			t.Fatal(err)
+		}
+		for i := range acc {
+			got := [4]float64{acc[i].X, acc[i].Y, acc[i].Z, pot[i]}
+			want := [4]float64{wantAcc[i].X, wantAcc[i].Y, wantAcc[i].Z, wantPot[i]}
+			for k := range got {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("%+v\ncall %d, i=%d, component %d: got %016x (%v), reference %016x (%v)",
+						c, call, i, k, math.Float64bits(got[k]), got[k], math.Float64bits(want[k]), want[k])
+				}
+			}
+		}
+	}
+}
+
+var pipelineBitBudgets = []uint{1, 7, 12, 16, 51, 52, 60}
+
+// TestPipelineMatchesReference is the differential test of the fused
+// kernel: bit-identical to the old double loop over batch shapes, bit
+// budgets, coincident pairs, special masses, ε = 0, runs of identical
+// i-points of every length up to two passes at the start, middle and
+// end of the batch, identical points that are not adjacent, and fault
+// plans with a flipped j word and several stuck slots.
+func TestPipelineMatchesReference(t *testing.T) {
+	base := pipelineCase{seed: 1, ni: 59, nj: 9, pipeBits: 7, r2Bits: 16, massBits: 12, eps: 0.05, boards: 2}
+	faults := &FaultModel{Seed: 5, JMemBitFlipRate: 1, StuckPipeRate: 1, FailBoard: 1, FailSlot: 58}
+
+	t.Run("shapes", func(t *testing.T) {
+		for _, ni := range []int{1, 59, 96, 97, 300} {
+			for _, nj := range []int{1, 7, 8, 9, 620} {
+				for k, bits := range [][3]uint{{7, 16, 12}, {52, 52, 52}, {1, 1, 1}} {
+					c := base
+					c.seed = uint64(1000*ni + nj)
+					c.ni, c.nj = ni, nj
+					c.pipeBits, c.r2Bits, c.massBits = bits[0], bits[1], bits[2]
+					c.runStart, c.runLen = ni/3, 5
+					c.twins, c.coincident = true, true
+					c.masses = k
+					if k == 1 {
+						c.eps = 0
+					}
+					if k == 2 {
+						c.boards, c.fault = 3, faults
+					}
+					c.check(t)
+				}
+			}
+		}
+	})
+	t.Run("bits", func(t *testing.T) {
+		for _, pb := range pipelineBitBudgets {
+			for _, r2b := range pipelineBitBudgets {
+				for _, mb := range pipelineBitBudgets {
+					c := base
+					c.seed = uint64(pb<<16 | r2b<<8 | mb)
+					c.pipeBits, c.r2Bits, c.massBits = pb, r2b, mb
+					c.runStart, c.runLen = 50, 9
+					c.coincident = true
+					c.masses = int(pb+r2b+mb) % 3
+					c.fault = faults
+					c.check(t)
+				}
+			}
+		}
+	})
+	t.Run("runs", func(t *testing.T) {
+		vp := DefaultConfig().VirtualPipesPerBoard()
+		for n := 1; n <= 2*vp; n++ {
+			for _, start := range []int{0, (300 - n) / 2, 300 - n} {
+				c := base
+				c.seed = uint64(n)
+				c.ni = 300
+				c.runStart, c.runLen = start, n
+				c.coincident = n%2 == 0
+				c.boards, c.fault = 3, faults
+				c.check(t)
+			}
+		}
+	})
+}
+
+// FuzzPipelineMatchesReference walks the same space from fuzzed
+// parameters.
+func FuzzPipelineMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint16(59), uint16(9), uint8(7), uint8(16), uint8(12), uint16(3), uint16(96), uint8(0xFF))
+	f.Add(uint64(2), uint16(1), uint16(1), uint8(52), uint8(1), uint8(60), uint16(0), uint16(0), uint8(0))
+	f.Add(uint64(3), uint16(299), uint16(619), uint8(1), uint8(51), uint8(0), uint16(200), uint16(192), uint8(0x2B))
+	f.Fuzz(func(t *testing.T, seed uint64, ni, nj uint16, pb, r2b, mb uint8, runStart, runLen uint16, flags uint8) {
+		c := pipelineCase{
+			seed: seed, ni: 1 + int(ni)%300, nj: 1 + int(nj)%620,
+			pipeBits: uint(pb) % 64, r2Bits: uint(r2b) % 64, massBits: uint(mb) % 64,
+			runLen:     int(runLen) % 200,
+			twins:      flags&1 != 0,
+			coincident: flags&2 != 0,
+			masses:     int(flags>>2) % 3,
+			boards:     1 + int(flags>>4)%3,
+		}
+		c.runStart = int(runStart) % c.ni
+		if flags&64 == 0 {
+			c.eps = 0.05
+		}
+		if flags&128 != 0 {
+			c.fault = &FaultModel{Seed: seed, JMemBitFlipRate: 0.5, StuckPipeRate: 0.5,
+				FailBoard: 1, FailSlot: int(runStart) % 96}
+		}
+		c.check(t)
+	})
+}

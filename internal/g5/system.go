@@ -64,10 +64,13 @@ type System struct {
 	cnt Counters
 
 	// compute scratch, reused across calls (a System is single-caller
-	// by contract): quantized i/j positions and rounded masses. With
-	// these, a steady-state Compute allocates nothing.
+	// by contract): quantized i/j positions, rounded masses and, under
+	// a fault model, the in-service board list and per-slot stuck
+	// factors. With these, a steady-state Compute allocates nothing.
 	iqScratch, jqScratch []vec.V3
 	mqScratch            []float64
+	activeScratch        []int
+	stuckScratch         []float64
 }
 
 // NewSystem builds an emulated system. The configuration is validated.
@@ -78,6 +81,8 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{cfg: cfg, excluded: make([]bool, cfg.Boards), nActive: cfg.Boards}
 	if cfg.Fault != nil && cfg.Fault.enabled() {
 		s.fault = newFaultInjector(*cfg.Fault, cfg)
+		s.activeScratch = make([]int, 0, cfg.Boards)
+		s.stuckScratch = make([]float64, cfg.VirtualPipesPerBoard())
 	}
 	return s, nil
 }
@@ -189,7 +194,7 @@ func (s *System) ActiveBoards() int { return s.nActive }
 
 // activeBoardList returns the 0-based indices of in-service boards.
 func (s *System) activeBoardList() []int {
-	out := make([]int, 0, s.nActive)
+	out := s.activeScratch[:0] // cap Boards: the appends stay in place
 	for b, ex := range s.excluded {
 		if !ex {
 			out = append(out, b)
@@ -278,8 +283,7 @@ func (s *System) compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot
 	// the affected i lose that board's 1/nActive share of j.
 	var stuckFactor []float64
 	if len(plan.stuck) > 0 {
-		vps := s.cfg.VirtualPipesPerBoard()
-		stuckFactor = make([]float64, vps)
+		stuckFactor = s.stuckScratch
 		for i := range stuckFactor {
 			stuckFactor[i] = 1
 		}
@@ -288,40 +292,55 @@ func (s *System) compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot
 			stuckFactor[sp.slot] *= 1 - share
 		}
 	}
-	pb := s.cfg.PipeBits
-	r2b := s.cfg.R2Bits
-	for i := range iq {
-		pi := iq[i]
-		var ax, ay, az, pp float64
-		for j := range jq {
-			dx := jq[j].X - pi.X
-			dy := jq[j].Y - pi.Y
-			dz := jq[j].Z - pi.Z
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 == 0 {
-				continue // hardware emits zero for coincident points
-			}
-			r2 = RoundMantissa(r2+s.eps2, r2b)
-			inv := 1 / math.Sqrt(r2)
-			m := mq[j]
-			fpot := RoundMantissa(m*inv, pb)
-			ff := RoundMantissa(m*inv/r2, pb)
-			ax += RoundMantissa(ff*dx, pb)
-			ay += RoundMantissa(ff*dy, pb)
-			az += RoundMantissa(ff*dz, pb)
-			pp -= fpot
-		}
-		if stuckFactor != nil {
-			f := stuckFactor[i%len(stuckFactor)]
-			ax, ay, az, pp = ax*f, ay*f, az*f, pp*f
-		}
-		acc[i] = acc[i].Add(vec.V3{X: ax, Y: ay, Z: az})
-		pot[i] += pp
-	}
+	pipeline(iq, jq, mq, stuckFactor, s.eps2, s.cfg.PipeBits, s.cfg.R2Bits, acc, pot)
 
 	// --- Timing model ------------------------------------------------
 	s.chargeOpt(ni, nj, chargeJ)
 	return nil
+}
+
+// pipeline is the functional model of the force pipelines: the
+// reduced-precision sums of sources (jq, mq) on each point of iq, times
+// the point's slot factor (stuckFactor[i % len], nil on a healthy
+// device), ADDED into acc and pot. A coincident pair runs with zero
+// mass at unit distance and adds +0, the hardware's answer (DESIGN.md
+// §13 has the IEEE argument). The sums depend on (iq[i], jq, mq) only,
+// so a point equal to its predecessor reuses them: the guard's probe,
+// copied into every slot of a pass, streams j once and each slot still
+// gets its own factor.
+func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits, r2Bits uint, acc []vec.V3, pot []float64) {
+	pipe, dist := newRounder(pipeBits), newRounder(r2Bits)
+	var ax, ay, az, pp float64
+	for i, pi := range iq {
+		if i == 0 || pi != iq[i-1] {
+			ax, ay, az, pp = 0, 0, 0, 0
+			for j, pj := range jq {
+				dx := pj.X - pi.X
+				dy := pj.Y - pi.Y
+				dz := pj.Z - pi.Z
+				r2 := dx*dx + dy*dy + dz*dz
+				m := mq[j]
+				if r2 == 0 {
+					m, r2 = 0, 1
+				}
+				r2 = dist.round(r2 + eps2)
+				inv := 1 / math.Sqrt(r2)
+				fpot := pipe.round(m * inv)
+				ff := pipe.round(m * inv / r2)
+				ax += pipe.round(ff * dx)
+				ay += pipe.round(ff * dy)
+				az += pipe.round(ff * dz)
+				pp -= fpot
+			}
+		}
+		fx, fy, fz, fp := ax, ay, az, pp
+		if stuckFactor != nil {
+			f := stuckFactor[i%len(stuckFactor)]
+			fx, fy, fz, fp = ax*f, ay*f, az*f, pp*f
+		}
+		acc[i] = acc[i].Add(vec.V3{X: fx, Y: fy, Z: fz})
+		pot[i] += fp
+	}
 }
 
 // quantizeInto maps positions through the fixed-point grid, writing
