@@ -113,19 +113,29 @@ func BenchmarkHostKernel(b *testing.B) {
 // through the staging Engine at a full pass, and plain against guarded
 // at the median batch of the benchmark's grape_plummer8k workload, where
 // the guard's probe pass is a second i-group larger than the batch.
-// ns/interaction counts the batch's own ni x nj pairs on every row.
+// ns/interaction counts the batch's own ni x nj pairs on every row. The
+// 2callers row splits its b.N batches between two goroutines on one
+// engine, as two walk workers do: the engine serialises the device, not
+// the arithmetic, so on two idle cores its aggregate ns/interaction is
+// about half the single caller's — the kernel is no faster, two run at
+// once.
 func BenchmarkG5Kernel(b *testing.B) {
 	for _, c := range []struct {
 		name    string
 		ni, nj  int
 		guarded bool
+		callers int
 	}{
-		{"plain/96x2000", 96, 2000, false},
-		{"plain/60x620", 60, 620, false},
-		{"guarded/60x620", 60, 620, true},
+		{"plain/96x2000", 96, 2000, false, 1},
+		{"plain/60x620", 60, 620, false, 1},
+		{"guarded/60x620", 60, 620, true, 1},
+		{"guarded-2callers/60x620", 60, 620, true, 2},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			req := kernelRequest(c.ni, c.nj)
+			reqs := make([]*core.Request, c.callers) // same inputs, own outputs
+			for w := range reqs {
+				reqs[w] = kernelRequest(c.ni, c.nj)
+			}
 			sys, err := g5.NewSystem(g5.DefaultConfig())
 			if err != nil {
 				b.Fatal(err)
@@ -139,9 +149,18 @@ func BenchmarkG5Kernel(b *testing.B) {
 				e = g5.NewGuardedEngine(sys, 1, g5.GuardPolicy{})
 			}
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Accumulate(req)
+			var wg sync.WaitGroup
+			for w, req := range reqs {
+				n := (b.N + w) / c.callers
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						e.Accumulate(req)
+					}
+				}()
 			}
+			wg.Wait()
 			pairs := float64(c.ni*c.nj) * float64(b.N)
 			b.ReportMetric(b.Elapsed().Seconds()*1e9/pairs, "ns/interaction")
 			b.ReportMetric(pairs/b.Elapsed().Seconds(), "interactions/s")

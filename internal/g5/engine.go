@@ -9,9 +9,11 @@ import (
 )
 
 // Engine adapts a System to the treecode's core.Engine interface. It
-// serialises access (one physical device on one bus) and applies the
-// gravitational constant on readback, matching the real GRAPE host
-// library where the hardware computes in G=1 units.
+// serialises the device — one bus, one fault stream, one set of
+// counters: mu is held around System.begin and finish — but not the
+// arithmetic: concurrent callers' batches evaluate at once, as the
+// pipelines do. It applies the gravitational constant on readback, as
+// the real GRAPE host library does (the hardware computes in G=1 units).
 type Engine struct {
 	// G is the gravitational constant applied to hardware results.
 	G float64
@@ -21,10 +23,13 @@ type Engine struct {
 	pool sync.Pool // *scratch staging buffers
 }
 
+// scratch is one in-flight batch's buffers: the AoS j gather, the
+// hardware's output, the evaluation scratch and, for the guard, the
+// i-stream with the probe pass appended.
 type scratch struct {
-	jpos []vec.V3
-	acc  []vec.V3
-	pot  []float64
+	ipos, jpos, acc []vec.V3
+	pot             []float64
+	eval            evalScratch
 }
 
 var _ core.Engine = (*Engine)(nil)
@@ -76,8 +81,16 @@ func (e *Engine) Accumulate(req *core.Request) {
 	}
 
 	e.mu.Lock()
-	err := e.sys.Compute(req.IPos, jpos, req.J.M[:nj], acc, pot)
+	a, err := e.sys.begin(req.IPos, jpos, req.J.M[:nj], acc, pot, &sc.eval, true)
 	e.mu.Unlock()
+	if err == nil {
+		err = a.evaluate()
+	}
+	if err == nil {
+		e.mu.Lock()
+		e.sys.finish(&a)
+		e.mu.Unlock()
+	}
 	if err != nil {
 		var hw *HardwareError
 		if !errors.As(err, &hw) {

@@ -178,3 +178,26 @@ func TestComputeUnderFaultsAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestGuardAccumulateAllocatesNothing: the guard's staging and
+// evaluation scratch — stuck factors included — belong to the batch in
+// flight and are recycled through the engine's free list, so a
+// steady-state Accumulate allocates nothing: healthy, and with a pipe
+// stuck on every call (each batch then retries, bisects and falls back
+// to the host, and FallbackAfter keeps the hardware in play).
+func TestGuardAccumulateAllocatesNothing(t *testing.T) {
+	q := randomRequest(rng.New(19), 20, 100)
+	for _, fm := range []*FaultModel{nil, {Seed: 3, StuckPipeRate: 1}} {
+		cfg := DefaultConfig()
+		cfg.Fault = fm
+		pol := fastPolicy()
+		pol.FallbackAfter = 1 << 30
+		guard := NewGuardedEngine(newGuardSystem(t, cfg, 0.05), 1, pol)
+		if allocs := testing.AllocsPerRun(20, func() { guard.Accumulate(q) }); allocs != 0 {
+			t.Errorf("fault model %+v: Accumulate allocates %v times per call", fm, allocs)
+		}
+		if rec := guard.Recovery(); rec.HostOnly || (fm != nil) != (rec.FallbackBatches > 0) {
+			t.Errorf("fault model %+v: unexpected recovery %v", fm, rec)
+		}
+	}
+}

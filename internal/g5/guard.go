@@ -103,6 +103,12 @@ func (r Recovery) String() string {
 // the survivors (throughput degrades per the timing model). When no
 // working configuration remains, batches fall back to core.HostEngine
 // — the run completes correct-but-slow instead of dying.
+//
+// mu serialises the device and the guard's own state (the fault stream,
+// the counters, verification, commit, Recovery) and every recovery
+// episode from first retry to last bisection pass. It is released in one
+// place: around the arithmetic of a batch's first hardware attempt, so
+// concurrent callers' batches evaluate at once, as the pipelines do.
 type GuardedEngine struct {
 	// G is the gravitational constant applied to results.
 	G float64
@@ -116,11 +122,10 @@ type GuardedEngine struct {
 	obs            *obs.Observer
 	consecFallback int
 
-	// scratch (guarded by mu)
-	ipos []vec.V3
-	jpos []vec.V3
-	acc  []vec.V3
-	pot  []float64
+	// free holds the staging sets not in flight (guarded by mu), one per
+	// concurrent caller. Not a sync.Pool: the race detector drops pooled
+	// items at random, and the allocation gates run under it.
+	free []*scratch
 }
 
 var _ core.Engine = (*GuardedEngine)(nil)
@@ -167,8 +172,15 @@ func (e *GuardedEngine) Accumulate(req *core.Request) {
 		e.fallback(req)
 		return
 	}
-	//lint:ignore lockdiscipline the engine mutex serializes batches by contract: retry, backoff and bisection state must stay coherent across a recovery episode, and stalling the job's own walk workers during hardware recovery is intended backpressure
-	if e.tryHardware(req) {
+	if len(e.free) == 0 {
+		e.free = append(e.free, new(scratch))
+	}
+	st := e.free[len(e.free)-1]
+	e.free = e.free[:len(e.free)-1]
+	//lint:ignore lockdiscipline the engine mutex is held across a whole recovery episode by contract: retry, backoff and bisection state must stay coherent, and stalling the job's own walk workers during hardware recovery is intended backpressure; it is released only for the arithmetic of a batch's first attempt
+	ok := e.tryHardware(req, st)
+	e.free = append(e.free, st)
+	if ok {
 		e.consecFallback = 0
 		return
 	}
@@ -208,11 +220,11 @@ func (e *GuardedEngine) abandonHardware() {
 // tryHardware runs the batch through the verified hardware path,
 // escalating from retries to board bisection. It reports whether the
 // batch was accepted (results committed into req).
-func (e *GuardedEngine) tryHardware(req *core.Request) bool {
+func (e *GuardedEngine) tryHardware(req *core.Request, st *scratch) bool {
 	if e.sys.ActiveBoards() == 0 {
 		return false
 	}
-	if e.computeVerified(req) {
+	if e.computeVerified(req, st, true) {
 		return true
 	}
 	// Persistent failure. Bisect: try excluding each active board in
@@ -226,7 +238,7 @@ func (e *GuardedEngine) tryHardware(req *core.Request) bool {
 			// b ranges over Config().Boards, so the only SetBoardExcluded
 			// failure (index out of range) cannot occur.
 			_ = e.sys.SetBoardExcluded(b, true)
-			if e.computeVerified(req) {
+			if e.computeVerified(req, st, false) {
 				e.rec.ExcludedBoards++
 				e.obs.Add(obs.CntRecoveries, 1)
 				return true
@@ -239,8 +251,12 @@ func (e *GuardedEngine) tryHardware(req *core.Request) bool {
 
 // computeVerified runs one batch with the acceptance check, retrying
 // transient failures and corrupt results up to the policy bound. On
-// success the (G-scaled) results are committed into req.
-func (e *GuardedEngine) computeVerified(req *core.Request) bool {
+// success the (G-scaled) results are committed into req. With overlap
+// set — a batch's first verification — the first attempt's arithmetic
+// runs with mu released; a result that then fails the check is re-run
+// under the lock, against whatever board set stands by then, and one
+// that passes is committed even if the hardware has been abandoned since.
+func (e *GuardedEngine) computeVerified(req *core.Request, st *scratch, overlap bool) bool {
 	ni := len(req.IPos)
 	vp := e.sys.Config().VirtualPipesPerBoard()
 	tg := e.obs.Start(obs.PhaseGuard)
@@ -248,12 +264,12 @@ func (e *GuardedEngine) computeVerified(req *core.Request) bool {
 	refAcc, refPot := e.hostProbeForce(probe, req)
 
 	n := ni + vp
-	if cap(e.ipos) < n {
-		e.ipos = make([]vec.V3, n)
-		e.acc = make([]vec.V3, n)
-		e.pot = make([]float64, n)
+	if cap(st.ipos) < n {
+		st.ipos = make([]vec.V3, n)
+		st.acc = make([]vec.V3, n)
+		st.pot = make([]float64, n)
 	}
-	ipos := e.ipos[:n]
+	ipos := st.ipos[:n]
 	copy(ipos, req.IPos)
 	for s := 0; s < vp; s++ {
 		ipos[ni+s] = probe
@@ -262,10 +278,10 @@ func (e *GuardedEngine) computeVerified(req *core.Request) bool {
 	// Gather the SoA source list into the hardware's AoS layout once,
 	// outside the retry loop: re-runs and bisection passes reuse it.
 	nj := req.J.N
-	if cap(e.jpos) < nj {
-		e.jpos = make([]vec.V3, nj)
+	if cap(st.jpos) < nj {
+		st.jpos = make([]vec.V3, nj)
 	}
-	jpos := e.jpos[:nj]
+	jpos := st.jpos[:nj]
 	for j := 0; j < nj; j++ {
 		jpos[j] = vec.V3{X: req.J.X[j], Y: req.J.Y[j], Z: req.J.Z[j]}
 	}
@@ -280,13 +296,25 @@ func (e *GuardedEngine) computeVerified(req *core.Request) bool {
 			retry = e.obs.Start(obs.PhaseGuard)
 			e.backoff(attempt)
 		}
-		acc := e.acc[:n]
-		pot := e.pot[:n]
+		acc := st.acc[:n]
+		pot := st.pot[:n]
 		for i := range acc {
 			acc[i] = vec.Zero
 			pot[i] = 0
 		}
-		err := e.sys.Compute(ipos, jpos, jmass, acc, pot)
+		a, err := e.sys.begin(ipos, jpos, jmass, acc, pot, &st.eval, true)
+		if release := overlap && attempt == 0; err == nil {
+			if release {
+				e.mu.Unlock()
+			}
+			err = a.evaluate()
+			if release {
+				e.mu.Lock()
+			}
+		}
+		if err == nil {
+			e.sys.finish(&a)
+		}
 		retry.Stop()
 		if err != nil {
 			if IsTransient(err) {

@@ -42,7 +42,9 @@ func (c Counters) Flops(opsPerInteraction int) float64 {
 
 // System is an emulated GRAPE-5 installation. It is NOT safe for
 // concurrent use — it models one physical device on one bus; wrap it in
-// an Engine for concurrent callers.
+// an Engine for concurrent callers. Precisely: begin and finish — and
+// Compute, which is both around one evaluation — are single-caller;
+// evaluate reads no System state, so the engines run it unlocked.
 type System struct {
 	cfg Config
 
@@ -63,14 +65,38 @@ type System struct {
 	obs *obs.Observer // nil without telemetry
 	cnt Counters
 
-	// compute scratch, reused across calls (a System is single-caller
-	// by contract): quantized i/j positions, rounded masses and, under
-	// a fault model, the in-service board list and per-slot stuck
-	// factors. With these, a steady-state Compute allocates nothing.
-	iqScratch, jqScratch []vec.V3
-	mqScratch            []float64
-	activeScratch        []int
-	stuckScratch         []float64
+	// scratch is Compute's own evaluation scratch and activeScratch the
+	// in-service board list begin hands the fault injector: a
+	// steady-state Compute allocates nothing.
+	scratch       evalScratch
+	activeScratch []int
+}
+
+// evalScratch is the working memory of one evaluation — quantized i/j
+// positions, rounded masses, per-slot stuck factors — one per batch in
+// flight.
+type evalScratch struct {
+	iq, jq    []vec.V3
+	mq, stuck []float64
+}
+
+// activation is one hardware call between begin and finish: its
+// arguments and a snapshot of what the arithmetic and the charge depend
+// on, so neither reads the System again. The zero value is an empty batch.
+type activation struct {
+	ipos, jpos, acc []vec.V3
+	jmass, pot      []float64
+	sc              *evalScratch
+	boards          int // in service when the call was planned: finish charges these
+	chargeJ, strict bool
+
+	grid                       FixedGrid
+	eps2                       float64
+	pipeBits, r2Bits, massBits uint
+	plan                       faultPlan // the flipped word; stuck pipes are in stuck
+	stuck                      []float64 // per-slot factors in the caller's scratch, nil when healthy
+
+	clamps int64 // positions evaluate clamped to the scale range
 }
 
 // NewSystem builds an emulated system. The configuration is validated.
@@ -82,7 +108,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Fault != nil && cfg.Fault.enabled() {
 		s.fault = newFaultInjector(*cfg.Fault, cfg)
 		s.activeScratch = make([]int, 0, cfg.Boards)
-		s.stuckScratch = make([]float64, cfg.VirtualPipesPerBoard())
 	}
 	return s, nil
 }
@@ -217,52 +242,94 @@ func (s *System) Compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot
 // charges the j transfer once at load time (persistent particle
 // memory), not per force call.
 func (s *System) compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot []float64, chargeJ bool) error {
+	a, err := s.begin(ipos, jpos, jmass, acc, pot, &s.scratch, chargeJ)
+	if err == nil {
+		err = a.evaluate()
+	}
+	if err == nil {
+		s.finish(&a)
+	}
+	return err
+}
+
+// begin opens one hardware call: it checks the device state and the
+// arguments, draws the call's faults and snapshots what evaluate and
+// finish need. The stuck factors go into sc, the scratch the call will
+// evaluate with (the injector's own list lasts until its next draw).
+func (s *System) begin(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot []float64, sc *evalScratch, chargeJ bool) (activation, error) {
 	if !s.haveScale {
-		return fmt.Errorf("g5: Compute before SetScale")
+		return activation{}, fmt.Errorf("g5: Compute before SetScale")
 	}
 	if len(jpos) != len(jmass) {
-		return fmt.Errorf("g5: jpos/jmass length mismatch: %d vs %d", len(jpos), len(jmass))
+		return activation{}, fmt.Errorf("g5: jpos/jmass length mismatch: %d vs %d", len(jpos), len(jmass))
 	}
 	if len(acc) != len(ipos) || len(pot) != len(ipos) {
-		return fmt.Errorf("g5: output length mismatch")
+		return activation{}, fmt.Errorf("g5: output length mismatch")
 	}
-	ni, nj := len(ipos), len(jpos)
-	if ni == 0 || nj == 0 {
-		return nil
+	if len(ipos) == 0 || len(jpos) == 0 {
+		return activation{}, nil
 	}
 	if s.nActive == 0 {
-		return &HardwareError{Op: "compute",
+		return activation{}, &HardwareError{Op: "compute",
 			Err: fmt.Errorf("all %d boards excluded from service", s.cfg.Boards)}
 	}
-
-	// --- Fault injection --------------------------------------------
-	plan := faultPlan{flipJ: -1}
+	a := activation{
+		ipos: ipos, jpos: jpos, jmass: jmass, acc: acc, pot: pot, sc: sc,
+		boards: s.nActive, chargeJ: chargeJ, strict: s.cfg.StrictRange,
+		grid: s.grid, eps2: s.eps2,
+		pipeBits: s.cfg.PipeBits, r2Bits: s.cfg.R2Bits, massBits: s.cfg.MassBits,
+		plan: faultPlan{flipJ: -1},
+	}
 	if s.fault != nil {
-		plan = s.fault.plan(nj, s.activeBoardList())
-		if plan.err != nil {
-			return plan.err
+		a.plan = s.fault.plan(len(jpos), s.activeBoardList())
+		if a.plan.err != nil {
+			return activation{}, a.plan.err
 		}
 	}
+	// A stuck virtual pipeline zeroes the owning board's partial force
+	// for every i-slot it serves; the host sums per-board partials, so
+	// the affected i lose that board's 1/nActive share of j.
+	if len(a.plan.stuck) > 0 {
+		if sc.stuck == nil {
+			sc.stuck = make([]float64, s.cfg.VirtualPipesPerBoard())
+		}
+		a.stuck = sc.stuck
+		for i := range a.stuck {
+			a.stuck[i] = 1
+		}
+		share := 1 / float64(s.nActive)
+		for _, sp := range a.plan.stuck {
+			a.stuck[sp.slot] *= 1 - share
+		}
+	}
+	a.plan.stuck = nil
+	return a, nil
+}
 
-	// --- Functional model -------------------------------------------
-	iq, err := s.quantizeInto(s.iqScratch, ipos)
+// evaluate is the functional model of the call: quantise, round the
+// masses, flip the corrupted word, stream the pipelines. It reads the
+// activation only — no System.
+func (a *activation) evaluate() error {
+	if a.boards == 0 {
+		return nil
+	}
+	sc := a.sc
+	iq, err := a.quantizeInto(&sc.iq, a.ipos)
 	if err != nil {
 		return err
 	}
-	s.iqScratch = iq
-	jq, err := s.quantizeInto(s.jqScratch, jpos)
+	jq, err := a.quantizeInto(&sc.jq, a.jpos)
 	if err != nil {
 		return err
 	}
-	s.jqScratch = jq
-	if cap(s.mqScratch) < nj {
-		s.mqScratch = make([]float64, nj)
+	if cap(sc.mq) < len(jq) {
+		sc.mq = make([]float64, len(jq))
 	}
-	mq := s.mqScratch[:nj]
-	for j, m := range jmass {
-		mq[j] = RoundMantissa(m, s.cfg.MassBits)
+	mq := sc.mq[:len(jq)]
+	for j, m := range a.jmass {
+		mq[j] = RoundMantissa(m, a.massBits)
 	}
-	if plan.flipJ >= 0 {
+	if plan := &a.plan; plan.flipJ >= 0 {
 		// A corrupted word read back from the particle memory.
 		if plan.flipMass {
 			mq[plan.flipJ] = flipMantissaBit(mq[plan.flipJ], plan.flipBit)
@@ -278,25 +345,18 @@ func (s *System) compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot
 			}
 		}
 	}
-	// A stuck virtual pipeline zeroes the owning board's partial force
-	// for every i-slot it serves; the host sums per-board partials, so
-	// the affected i lose that board's 1/nActive share of j.
-	var stuckFactor []float64
-	if len(plan.stuck) > 0 {
-		stuckFactor = s.stuckScratch
-		for i := range stuckFactor {
-			stuckFactor[i] = 1
-		}
-		share := 1 / float64(s.nActive)
-		for _, sp := range plan.stuck {
-			stuckFactor[sp.slot] *= 1 - share
-		}
-	}
-	pipeline(iq, jq, mq, stuckFactor, s.eps2, s.cfg.PipeBits, s.cfg.R2Bits, acc, pot)
-
-	// --- Timing model ------------------------------------------------
-	s.chargeOpt(ni, nj, chargeJ)
+	pipeline(iq, jq, mq, a.stuck, a.eps2, a.pipeBits, a.r2Bits, a.acc, a.pot)
 	return nil
+}
+
+// finish closes the call: it charges the timing model for the board set
+// the call was planned on and books the range clamps.
+func (s *System) finish(a *activation) {
+	if a.boards == 0 {
+		return
+	}
+	s.chargeOpt(len(a.ipos), len(a.jpos), a.boards, a.chargeJ)
+	s.cnt.RangeClamps += a.clamps
 }
 
 // pipeline is the functional model of the force pipelines: the
@@ -343,24 +403,23 @@ func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits
 	}
 }
 
-// quantizeInto maps positions through the fixed-point grid, writing
-// into dst when its capacity suffices (dst is the reused compute
-// scratch; callers retain the returned slice for the next call).
-func (s *System) quantizeInto(dst []vec.V3, pos []vec.V3) ([]vec.V3, error) {
-	if cap(dst) < len(pos) {
-		dst = make([]vec.V3, len(pos))
+// quantizeInto maps positions through the fixed-point grid into the
+// reused evaluation scratch *dst, grown when its capacity falls short.
+func (a *activation) quantizeInto(dst *[]vec.V3, pos []vec.V3) ([]vec.V3, error) {
+	if cap(*dst) < len(pos) {
+		*dst = make([]vec.V3, len(pos))
 	}
-	out := dst[:len(pos)]
+	out := (*dst)[:len(pos)]
 	for i, p := range pos {
-		qx, okx := s.grid.Quantize(p.X)
-		qy, oky := s.grid.Quantize(p.Y)
-		qz, okz := s.grid.Quantize(p.Z)
+		qx, okx := a.grid.Quantize(p.X)
+		qy, oky := a.grid.Quantize(p.Y)
+		qz, okz := a.grid.Quantize(p.Z)
 		if !okx || !oky || !okz {
-			if s.cfg.StrictRange {
+			if a.strict {
 				return nil, fmt.Errorf("g5: position %v outside scale range [%v, %v)",
-					p, s.grid.Min, s.grid.Max)
+					p, a.grid.Min, a.grid.Max)
 			}
-			s.cnt.RangeClamps++
+			a.clamps++
 		}
 		out[i] = vec.V3{X: qx, Y: qy, Z: qz}
 	}
@@ -383,7 +442,7 @@ func (s *System) ChargeOnly(ni, nj int) {
 
 // charge adds the simulated cost of one Compute(ni, nj) call to the
 // counters.
-func (s *System) charge(ni, nj int) { s.chargeOpt(ni, nj, true) }
+func (s *System) charge(ni, nj int) { s.chargeOpt(ni, nj, s.nActive, true) }
 
 // chargeJBytes accounts a standalone j-particle upload (Driver.SetXMJ).
 func (s *System) chargeJBytes(nj int) {
@@ -394,13 +453,13 @@ func (s *System) chargeJBytes(nj int) {
 	s.obs.Add(obs.CntBytes, bytes)
 }
 
-func (s *System) chargeOpt(ni, nj int, chargeJ bool) {
+// chargeOpt charges one call; excluded boards carry no load.
+func (s *System) chargeOpt(ni, nj, boards int, chargeJ bool) {
 	c := &s.cnt
 	c.Runs++
 	c.Interactions += int64(ni) * int64(nj)
 
 	vp := s.cfg.VirtualPipesPerBoard()
-	boards := s.nActive // excluded boards carry no load
 	jmem := s.cfg.JMemPerBoard * boards
 
 	// j is processed in passes of at most the total particle memory.

@@ -333,6 +333,39 @@ func TestEmptyBatchesAreFree(t *testing.T) {
 	}
 }
 
+// TestFinishChargesPlannedBoards: a call is charged on the board set
+// begin planned it on. The engines release their lock between begin and
+// finish, and another batch may end a recovery episode in between by
+// excluding a board — or the last one, which used to divide by zero.
+func TestFinishChargesPlannedBoards(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.JMemPerBoard = 200 // 500 sources: 2 passes on two boards, 3 on one
+	q := randomRequest(rng.New(7), 97, 500)
+	jpos, jm := aosSources(q)
+
+	fresh := newGuardSystem(t, cfg, 0.05)
+	fresh.ChargeOnly(97, 500)
+	want := fresh.Counters()
+
+	for lost := 1; lost <= cfg.Boards; lost++ {
+		sys := newGuardSystem(t, cfg, 0.05)
+		var sc evalScratch
+		a, err := sys.begin(q.IPos, jpos, jm, q.Acc, q.Pot, &sc, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < lost; b++ {
+			if err := sys.SetBoardExcluded(b, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys.finish(&a)
+		if got := sys.Counters(); got != want {
+			t.Errorf("%d boards lost before finish: charged %+v, two-board charge %+v", lost, got, want)
+		}
+	}
+}
+
 func TestFloat64ConfigIsExact(t *testing.T) {
 	// With all precision knobs maxed, the pipeline must agree with
 	// float64 arithmetic to rounding error — the paper's observation

@@ -86,8 +86,10 @@ func TestStepAllocs(t *testing.T) {
 // GRAPE path: the SoA request staging (walk J-list, guard's probe
 // reference and AoS gather scratch, engine readback buffers) must all
 // reach steady state. The guard adds per-batch probe work but no
-// per-batch allocation: everything lives in pooled or mu-guarded
-// scratch that grows once and is reused.
+// per-batch allocation: its staging and evaluation scratch belong to
+// the batch in flight and are recycled through the engine's free list,
+// so there are as many sets as walk workers (Workers bounds it), each
+// grown once and reused.
 func TestStepAllocsGuarded(t *testing.T) {
 	const n = 4096
 	sys := allocTestSystem(n)
