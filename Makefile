@@ -3,7 +3,7 @@
 GO  ?= go
 BIN := bin
 
-.PHONY: all build test race lint loc bench-smoke bench-wall-smoke bench-alloc bench-host ckpt-e2e serve-e2e clean
+.PHONY: all build test race lint loc bench-wall-smoke bench-alloc ckpt-e2e serve-e2e clean
 
 all: build test lint
 
@@ -34,13 +34,6 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-# bench-smoke mirrors the CI bench job: a small sweep plus schema
-# validation of the fresh and committed bench records.
-bench-smoke:
-	$(GO) run ./cmd/bench -smoke -boards 1,2 -out /tmp/bench-smoke.json
-	$(GO) run ./cmd/bench -validate /tmp/bench-smoke.json
-	$(GO) run ./cmd/bench -validate BENCH_treecode.json
-
 # bench-wall-smoke builds, vets and tests the wall-clock benchmark
 # (benchmark/, its own module repro/benchmark, so `go test ./...` above
 # never sees it). It hand-assembles the step pipeline from the internal
@@ -57,21 +50,6 @@ bench-alloc:
 	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestStepAllocs|TestBuildSteadyStateAllocs' . ./internal/octree
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestBuildParallelMatchesSerial|TestBuilderReuseMatchesFresh' ./internal/octree
 	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestBuildParallelMatchesSerial|TestBuilderReuseMatchesFresh' ./internal/octree
-
-# bench-host gates the batched SoA host kernels (DESIGN.md §13): the
-# scalar-vs-soa sub-benchmarks are sampled 10x and compared with
-# Welch's t-test by cmd/benchdiff — fail on a statistically significant
-# soa regression, and require the batched MAC to hold its >=1.3x win.
-# benchdiff is built BEFORE the benchmark runs and the samples staged
-# through a file: piping into `go run` would compile the tool
-# concurrently with the benchmark and perturb the early samples on
-# small machines.
-bench-host: $(BIN)/benchdiff
-	$(GO) test -run '^$$' -bench 'MACBatch|HostP2P|GuardCheck' -count=10 ./internal/hostk > $(BIN)/bench-host.txt
-	$(BIN)/benchdiff -require MACBatch -factor 1.3 < $(BIN)/bench-host.txt
-
-$(BIN)/benchdiff: $(wildcard cmd/benchdiff/*.go)
-	$(GO) build -o $@ ./cmd/benchdiff
 
 # ckpt-e2e gates the crash-safe checkpoint/restart layer (DESIGN.md
 # §12): kill/resume bitwise-identity, torn-checkpoint fallback, graceful

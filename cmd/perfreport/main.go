@@ -21,6 +21,10 @@
 //
 //	perfreport ngsweep   E3  optimal group size n_g (§3)
 //	perfreport accuracy  E2  pairwise and total force error (§2)
+//
+// A third takes no flags and writes the committed performance record:
+//
+//	perfreport record > BENCH_treecode.json
 package main
 
 import (
@@ -48,6 +52,7 @@ const usage = `usage:
   perfreport [flags]           E1/E4/E5/E7/E8 headline report (-faults appends E9)
   perfreport ngsweep [flags]   E3: time balance per group size n_g
   perfreport accuracy [flags]  E2: force error tables (-frontier appends the cost frontier)
+  perfreport record            BENCH_treecode.json: the §3 balance over n_g and K, on stdout
 run any form with -h for its flags`
 
 func main() {
@@ -69,6 +74,11 @@ func run(args []string, w io.Writer) error {
 		return runNgSweep(args[1:], w)
 	case "accuracy":
 		return runAccuracy(args[1:], w)
+	case "record":
+		if len(args) > 1 {
+			return fmt.Errorf("record takes no arguments\n%s", usage)
+		}
+		return runRecord(w)
 	}
 	return fmt.Errorf("unknown subcommand %q\n%s", args[0], usage)
 }

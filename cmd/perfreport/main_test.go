@@ -108,4 +108,7 @@ func TestUnknownSubcommandFailsWithUsage(t *testing.T) {
 	if err := run([]string{"ngsweep", "-ncrit", "500,0"}, &out); err == nil {
 		t.Error("n_g = 0 accepted")
 	}
+	if err := run([]string{"record", "-out", "x.json"}, &out); err == nil || out.Len() != 0 {
+		t.Errorf("record with an argument: err = %v, wrote %d bytes", err, out.Len())
+	}
 }

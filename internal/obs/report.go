@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -22,8 +21,7 @@ type PhaseSeconds struct {
 	Pipeline   float64 `json:"pipeline"`
 	Readback   float64 `json:"readback"`
 	// Checkpoint is the durable-write cost charged to this step; omitted
-	// from JSON when zero so pre-checkpoint benchmark files stay valid
-	// under strict schema validation.
+	// from JSON when zero (most steps write no checkpoint).
 	Checkpoint float64 `json:"checkpoint,omitempty"`
 }
 
@@ -43,26 +41,6 @@ func (p *PhaseSeconds) Add(q PhaseSeconds) {
 	p.Pipeline += q.Pipeline
 	p.Readback += q.Readback
 	p.Checkpoint += q.Checkpoint
-}
-
-// Scale multiplies every phase by f — with f = 1/n it turns an Add-ed
-// sum over n steps into the per-step mean. A non-finite f is discarded,
-// as Observer.AddSeconds discards a non-finite span: telemetry stays
-// marshalable. The same reflection test holds it to every field.
-func (p *PhaseSeconds) Scale(f float64) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return
-	}
-	p.MortonSort *= f
-	p.TreeBuild *= f
-	p.GroupWalk *= f
-	p.ForceEval *= f
-	p.Guard *= f
-	p.JTransfer *= f
-	p.ITransfer *= f
-	p.Pipeline *= f
-	p.Readback *= f
-	p.Checkpoint *= f
 }
 
 // StepReport is the structured telemetry of one simulation step — the

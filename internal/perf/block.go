@@ -1,9 +1,5 @@
 package perf
 
-import (
-	"repro/internal/obs"
-)
-
 // BlockCost is the cost model of the hierarchical block-timestep
 // scheduler (internal/integrate.BlockLeapfrog). A block spans
 // 2^MaxRung ticks of dt_min; a particle on rung k closes — and costs a
@@ -93,15 +89,4 @@ func (b BlockCost) Speedup(fixed float64) float64 {
 		return 1
 	}
 	return 1 / (fixed + (1-fixed)*b.EvalRatio())
-}
-
-// MeasuredEvalRatio extracts the realized evaluation ratio from a
-// block step's telemetry: ActiveI force evaluations over N particles ×
-// Substeps force calculations. Zero-substep reports (fixed-dt runs)
-// return 1.
-func MeasuredEvalRatio(r obs.StepReport, n int64) float64 {
-	if r.Substeps == 0 || n == 0 {
-		return 1
-	}
-	return float64(r.ActiveI) / (float64(n) * float64(r.Substeps))
 }

@@ -3,8 +3,6 @@ package perf
 import (
 	"math"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func TestBlockCostSingleRung(t *testing.T) {
@@ -65,16 +63,5 @@ func TestBlockCostSpeedupMonotoneInRatio(t *testing.T) {
 			t.Errorf("speedup fell to %v as occupancy coarsened", s)
 		}
 		prev = s
-	}
-}
-
-func TestMeasuredEvalRatio(t *testing.T) {
-	r := obs.StepReport{Substeps: 4, ActiveI: 1600}
-	if got, want := MeasuredEvalRatio(r, 1000), 0.4; math.Abs(got-want) > 1e-15 {
-		t.Errorf("MeasuredEvalRatio = %v, want %v", got, want)
-	}
-	// Fixed-dt reports carry no substeps and read as ratio 1.
-	if got := MeasuredEvalRatio(obs.StepReport{}, 1000); got != 1 {
-		t.Errorf("fixed-dt ratio = %v, want 1", got)
 	}
 }

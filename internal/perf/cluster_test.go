@@ -3,8 +3,6 @@ package perf
 import (
 	"math"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func TestClusterBalanceStepSeconds(t *testing.T) {
@@ -32,9 +30,10 @@ func TestClusterBalanceStepSeconds(t *testing.T) {
 
 func TestClusterBalanceSpeedupMonotone(t *testing.T) {
 	b := ClusterBalance{HostSerial: 0.003, HostWalk: 0.002, Hardware: 0.040}
+	speedup := func(k int) float64 { return b.StepSeconds(1) / b.StepSeconds(k) }
 	prev := 0.0
 	for _, k := range []int{1, 2, 4, 8, 16, 32, 64} {
-		s := b.Speedup(k)
+		s := speedup(k)
 		if s < prev-1e-12 {
 			t.Errorf("speedup decreased at K=%d: %v after %v", k, s, prev)
 		}
@@ -43,50 +42,10 @@ func TestClusterBalanceSpeedupMonotone(t *testing.T) {
 		}
 		prev = s
 	}
-	if s := b.Speedup(1); s != 1 {
-		t.Errorf("Speedup(1) = %v, want 1", s)
-	}
 	// The model's asymptote: T(∞) = serial + walk.
 	limit := (b.HostSerial + b.Hardware) / (b.HostSerial + b.HostWalk)
-	if s := b.Speedup(1 << 20); math.Abs(s-limit) > 1e-9 {
+	if s := speedup(1 << 20); math.Abs(s-limit) > 1e-9 {
 		t.Errorf("asymptotic speedup = %v, want %v", s, limit)
-	}
-}
-
-func TestClusterBalanceSaturation(t *testing.T) {
-	b := ClusterBalance{HostSerial: 0.003, HostWalk: 0.002, Hardware: 0.040}
-	k := b.SaturationShards()
-	if k != 20 { // 0.040/0.002
-		t.Errorf("saturation at K=%d, want 20", k)
-	}
-	// At saturation the hardware term equals the walk; past it, no gain.
-	if b.StepSeconds(k) != b.StepSeconds(k+1) {
-		t.Errorf("step time still improving past saturation K=%d", k)
-	}
-	if got := (ClusterBalance{HostSerial: 1, HostWalk: 1}).SaturationShards(); got != 1 {
-		t.Errorf("hardware-free balance saturates at %d, want 1", got)
-	}
-	if got := (ClusterBalance{Hardware: 1}).SaturationShards(); got != math.MaxInt {
-		t.Errorf("walk-free balance saturates at %d, want MaxInt", got)
-	}
-}
-
-func TestClusterBalanceFromObs(t *testing.T) {
-	r := obs.StepReport{
-		Phases: obs.PhaseSeconds{
-			MortonSort: 0.001, TreeBuild: 0.002, GroupWalk: 0.004, Guard: 0.0005,
-		},
-		TGrape: 0.030, TComm: 0.010,
-	}
-	b := ClusterBalanceFromObs(r)
-	if math.Abs(b.HostSerial-0.003) > 1e-15 {
-		t.Errorf("HostSerial = %v, want 0.003", b.HostSerial)
-	}
-	if math.Abs(b.HostWalk-0.0045) > 1e-15 {
-		t.Errorf("HostWalk = %v, want 0.0045", b.HostWalk)
-	}
-	if math.Abs(b.Hardware-0.040) > 1e-15 {
-		t.Errorf("Hardware = %v, want 0.040", b.Hardware)
 	}
 }
 
@@ -139,12 +98,10 @@ func TestClusterSweepScaling(t *testing.T) {
 // optimum.
 func TestOptimalNcritMonotoneInK(t *testing.T) {
 	pts := syntheticSweep()
+	optimum := func(k int) int { return Optimum(ClusterSweep(pts, k)).Ncrit }
 	prev := 0
 	for _, k := range []int{1, 2, 4, 8, 16} {
-		ng := OptimalNcritK(pts, k)
-		if ng == 0 {
-			t.Fatalf("no optimum at K=%d", k)
-		}
+		ng := optimum(k)
 		if ng < prev {
 			t.Errorf("optimal n_g shrank with more boards: %d at K=%d after %d", ng, k, prev)
 		}
@@ -152,8 +109,8 @@ func TestOptimalNcritMonotoneInK(t *testing.T) {
 	}
 	// The synthetic sweep is built so the optimum actually moves across
 	// the K range — otherwise the monotonicity check is vacuous.
-	if OptimalNcritK(pts, 16) <= OptimalNcritK(pts, 1) {
+	if optimum(16) <= optimum(1) {
 		t.Errorf("optimum did not move: K=1 %d, K=16 %d — sweep shape too flat",
-			OptimalNcritK(pts, 1), OptimalNcritK(pts, 16))
+			optimum(1), optimum(16))
 	}
 }

@@ -52,14 +52,17 @@ func DirectStepModel(n int, cfg g5.Config, host HostModel) (StepReport, error) {
 // the given configuration through a ScheduleEngine, and prices the
 // traversal on the host model. It returns the modelled time balance
 // beside the traversal statistics it was priced from — the one replay
-// behind the §3 n_g sweep, the §5 headline accounting and the
-// direct-vs-tree crossover.
+// behind the §3 n_g sweep, the §5 headline accounting, the
+// direct-vs-tree crossover and BENCH_treecode.json. The walk is
+// single-worker so the result is a pure function of the arguments: the
+// counters' float seconds are summed in group order, not in the order
+// concurrent workers happen to charge them.
 func TreeStepModel(s *nbody.System, theta float64, ncrit int, cfg g5.Config, host HostModel) (StepReport, *core.Stats, error) {
 	sys, err := g5.NewSystem(cfg)
 	if err != nil {
 		return StepReport{}, nil, err
 	}
-	tc := core.New(core.Options{Theta: theta, Ncrit: ncrit}, NewScheduleEngine(sys))
+	tc := core.New(core.Options{Theta: theta, Ncrit: ncrit, Workers: 1}, NewScheduleEngine(sys))
 	st, err := tc.ComputeForces(s.Clone())
 	if err != nil {
 		return StepReport{}, nil, err

@@ -37,10 +37,13 @@ func (e *ScheduleEngine) Accumulate(req *core.Request) {
 type SweepPoint struct {
 	// Ncrit is the group-size bound n_g.
 	Ncrit int
-	// Groups, Interactions, AvgList summarise the traversal.
+	// Groups, Interactions, AvgList, ListSum and NodesVisited summarise
+	// the traversal.
 	Groups       int
 	Interactions int64
 	AvgList      float64
+	ListSum      int64
+	NodesVisited int64
 	// Report is the modelled time balance for one force step.
 	Report StepReport
 }
@@ -59,6 +62,8 @@ func NgSweep(s *nbody.System, theta float64, ncrits []int, host HostModel, cfg g
 			Groups:       st.Groups,
 			Interactions: st.Interactions,
 			AvgList:      st.AvgList(),
+			ListSum:      st.ListSum,
+			NodesVisited: st.NodesVisited,
 			Report:       rep,
 		})
 	}

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -96,6 +97,42 @@ func TestNgSweepShape(t *testing.T) {
 	}
 }
 
+// TestNgSweepIsAPureFunction: the replay behind BENCH_treecode.json
+// must give the same bits however many CPUs run it. Counters add float
+// seconds per group, so a walk on GOMAXPROCS workers sums them in
+// arrival order and repeats differ in the last bits — enough to flip
+// the optimum between the two top Plummer points, which at N = 4096 are
+// the same 8 groups. (The record's own snapshot: nbody.Plummer with
+// unit mass, radius and G, seed 1.)
+func TestNgSweepIsAPureFunction(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s := nbody.Plummer(4096, 1, 1, 1, rng.New(1))
+	ncrits := []int{125, 250, 500, 1000, 2000, 4000}
+	sweep := func() []SweepPoint {
+		points, err := NgSweep(s, 0.75, ncrits, DS10(), g5.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return points
+	}
+	first := sweep()
+	for rep := 1; rep < 4; rep++ {
+		for i, p := range sweep() {
+			if p != first[i] {
+				t.Fatalf("repeat %d, n_g=%d: %+v, first sweep had %+v", rep, p.Ncrit, p, first[i])
+			}
+		}
+	}
+	a, b := first[4], first[5]
+	b.Ncrit = a.Ncrit
+	if a != b {
+		t.Fatalf("n_g 2000 and 4000 are not the same schedule: %+v vs %+v", first[4], first[5])
+	}
+	if best := Optimum(first); best.Ncrit != 2000 {
+		t.Errorf("Optimum broke the 2000/4000 tie toward n_g=%d, want the first", best.Ncrit)
+	}
+}
+
 func TestOptimum(t *testing.T) {
 	points := []SweepPoint{
 		{Ncrit: 10, Report: StepReport{HostSeconds: 10}},
@@ -136,7 +173,7 @@ func TestFasterHostShiftsOptimumDown(t *testing.T) {
 	}
 	// The K-board restatement must hold for the faster host too: more
 	// boards never shrink the optimal group size.
-	if a, b := OptimalNcritK(pf, 1), OptimalNcritK(pf, 4); b < a {
-		t.Errorf("OptimalNcritK decreasing in K: K=1 %d, K=4 %d", a, b)
+	if b := Optimum(ClusterSweep(pf, 4)).Ncrit; b < of {
+		t.Errorf("optimal n_g decreasing in K: K=1 %d, K=4 %d", of, b)
 	}
 }

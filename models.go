@@ -20,7 +20,7 @@ type Vec3 = vec.V3
 const G = units.G
 
 // Names of the model-unit problems every front-end offers (grape5sim
-// -model, the job server's "model" field, the bench sweeps).
+// -model, the job server's "model" field, perfreport record).
 const (
 	ModelPlummer = "plummer"
 	ModelUniform = "uniform"
