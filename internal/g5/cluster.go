@@ -79,8 +79,8 @@ type Cluster struct {
 	cfg    ClusterConfig
 	shards []*clusterShard
 	disp   *dispatcher
-	jpool  sync.Pool // *jset staging copies
-	tpool  sync.Pool // *task chunk descriptors
+	jfree  freeList[jset] // staging copies not in flight
+	tfree  freeList[task] // chunk descriptors not in flight
 
 	tasks   sync.WaitGroup // staged chunks not yet committed
 	workers sync.WaitGroup // running shard goroutines
@@ -111,8 +111,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cfg.G = 1
 	}
 	c := &Cluster{cfg: cfg, disp: newDispatcher(cfg.Shards, cfg.Dispatch)}
-	c.jpool.New = func() any { return new(jset) }
-	c.tpool.New = func() any { return new(task) }
 	for k := 0; k < cfg.Shards; k++ {
 		bcfg := cfg.Board
 		if bcfg.Fault != nil && k > 0 {
@@ -293,7 +291,7 @@ func (c *Cluster) Accumulate(req *core.Request) {
 	if ni == 0 || nj == 0 {
 		return
 	}
-	js := c.jpool.Get().(*jset)
+	js := c.jfree.get()
 	js.j.CopyFrom(&req.J)
 
 	chunk := c.chunkSize(ni)
@@ -301,7 +299,7 @@ func (c *Cluster) Accumulate(req *core.Request) {
 	atomic.StoreInt32(&js.refs, int32(nChunks))
 	for lo := 0; lo < ni; lo += chunk {
 		hi := min(lo+chunk, ni)
-		t := c.tpool.Get().(*task)
+		t := c.tfree.get()
 		t.ipos = req.IPos[lo:hi]
 		t.jset = js
 		t.acc = req.Acc[lo:hi]
@@ -421,7 +419,7 @@ func (c *Cluster) run(k int, t *task) {
 // the buffers when the batch's last chunk drains.
 func (c *Cluster) releaseJ(js *jset) {
 	if atomic.AddInt32(&js.refs, -1) == 0 {
-		c.jpool.Put(js)
+		c.jfree.put(js)
 	}
 }
 
@@ -429,5 +427,5 @@ func (c *Cluster) releaseJ(js *jset) {
 // to the caller's output slices and the batch j-set first.
 func (c *Cluster) releaseT(t *task) {
 	t.ipos, t.jset, t.acc, t.pot = nil, nil, nil, nil
-	c.tpool.Put(t)
+	c.tfree.put(t)
 }

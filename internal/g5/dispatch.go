@@ -47,6 +47,33 @@ type jset struct {
 	refs int32 // accessed atomically via the cluster
 }
 
+// freeList recycles the cluster's staging objects. A walk stages a whole
+// step's batches ahead of the shards, so a step holds as many j-list
+// copies as it has groups. Not a sync.Pool, for the guard's reason: the
+// race detector drops pooled items at random (a quarter of the copies,
+// 450 kB a step) and TestStepAllocsCluster runs under it.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+func (f *freeList[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.free); n > 0 {
+		x := f.free[n-1]
+		f.free = f.free[:n-1]
+		return x
+	}
+	return new(T)
+}
+
+func (f *freeList[T]) put(x *T) {
+	f.mu.Lock()
+	f.free = append(f.free, x)
+	f.mu.Unlock()
+}
+
 // dispatcher is the cluster's work-stealing dispatch queue: one FIFO
 // lane per shard. Owners pop from the front of their lane (batches
 // stream through a board in submission order, the double-buffered

@@ -43,6 +43,17 @@ func (r rounder) round(v float64) float64 {
 	return q
 }
 
+// roundInPlace is round without the sign split and the select, for the
+// pair loop of a call that selectFree admits. It equals round on every
+// value that is not a NaN (Inf plus half stays below bit 63, so adding to
+// the word is adding to the magnitude) and, at a budget of at least one
+// bit, on the default quiet NaN of either sign (half <= 2^50 cannot
+// reach its one mantissa bit). Not at 0 bits, and not on any other NaN
+// (DESIGN.md §13).
+func (r rounder) roundInPlace(v float64) float64 {
+	return math.Float64frombits((math.Float64bits(v) + r.half) & r.keep)
+}
+
 // FixedGrid quantises coordinates to a uniform grid of 2^bits steps
 // over [Min, Max), the emulator's model of the pipeline's fixed-point
 // position format.
@@ -59,16 +70,15 @@ func NewFixedGrid(min, max float64, bits uint) FixedGrid {
 }
 
 // Quantize returns the grid value nearest to x, clamped to the range,
-// and whether x was inside the representable range.
+// and whether x was inside the representable range. A NaN is not: it
+// comes back as NaN with ok false.
 func (g FixedGrid) Quantize(x float64) (float64, bool) {
 	idx := math.Round((x - g.Min) / g.step)
-	ok := true
+	ok := idx >= 0 && idx <= g.maxIdx // false for NaN
 	if idx < 0 {
 		idx = 0
-		ok = false
 	} else if idx > g.maxIdx {
 		idx = g.maxIdx
-		ok = false
 	}
 	return g.Min + idx*g.step, ok
 }

@@ -192,3 +192,40 @@ func TestRoundMantissaMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundInPlaceMatchesRound pins the argument the select-free pair
+// loop rests on (roundInPlace's comment): on every bit pattern that is
+// not a NaN the in-place form is round, at any budget; on the default
+// quiet NaN of either sign it is round at every budget of at least one
+// bit; and at 0 bits that NaN is the counter-example — the carry turns
+// it into a zero — which is why selectFree refuses a 0-bit pipeline.
+func TestRoundInPlaceMatchesRound(t *testing.T) {
+	same := func(r rounder, p uint64) bool {
+		v := math.Float64frombits(p)
+		return math.Float64bits(r.roundInPlace(v)) == math.Float64bits(r.round(v))
+	}
+	const inf = 0x7FF0000000000000
+	patterns := []uint64{0, 1, inf - 1, inf, 1 << 63, 1<<63 | 1, 1<<63 | (inf - 1), 1<<63 | inf}
+	r := rng.New(29)
+	for len(patterns) < 1_000_000 {
+		if p := r.Uint64(); p&^(1<<63) <= inf {
+			patterns = append(patterns, p)
+		}
+	}
+	defaultNaNs := []uint64{0x7FF8000000000000, 0xFFF8000000000000}
+	for _, bits := range append([]uint{0}, pipelineBitBudgets...) {
+		rd := newRounder(bits)
+		for _, p := range patterns {
+			if !same(rd, p) {
+				t.Fatalf("%d bits, %016x: in place %016x, round %016x", bits, p,
+					math.Float64bits(rd.roundInPlace(math.Float64frombits(p))),
+					math.Float64bits(rd.round(math.Float64frombits(p))))
+			}
+		}
+		for _, p := range defaultNaNs {
+			if same(rd, p) != (bits >= 1) {
+				t.Errorf("%d bits, default NaN %016x: in place == round is %v", bits, p, bits < 1)
+			}
+		}
+	}
+}

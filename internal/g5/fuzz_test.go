@@ -43,7 +43,7 @@ func FuzzRoundMantissa(f *testing.F) {
 }
 
 // FuzzFixedGrid: quantisation must stay inside the range and within
-// half a step for in-range inputs.
+// half a step for in-range inputs, and a NaN is never in range.
 func FuzzFixedGrid(f *testing.F) {
 	f.Add(0.5, uint8(8))
 	f.Add(-123.0, uint8(16))
@@ -51,10 +51,13 @@ func FuzzFixedGrid(f *testing.F) {
 	f.Fuzz(func(t *testing.T, x float64, bitsRaw uint8) {
 		bits := uint(1 + bitsRaw%32)
 		g := NewFixedGrid(-100, 100, bits)
+		v, ok := g.Quantize(x)
 		if math.IsNaN(x) {
+			if ok {
+				t.Fatalf("NaN reported inside the range (quantised to %v)", v)
+			}
 			return
 		}
-		v, ok := g.Quantize(x)
 		if v < -100 || v > 100 {
 			t.Fatalf("quantised value %v escaped the range", v)
 		}

@@ -1,6 +1,7 @@
 package g5
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -184,17 +185,26 @@ func (c pipelineCase) check(t *testing.T) {
 		if err := sys.Compute(ipos, jpos, jmass, acc, pot); err != nil {
 			t.Fatal(err)
 		}
-		for i := range acc {
-			got := [4]float64{acc[i].X, acc[i].Y, acc[i].Z, pot[i]}
-			want := [4]float64{wantAcc[i].X, wantAcc[i].Y, wantAcc[i].Z, wantPot[i]}
-			for k := range got {
-				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-					t.Fatalf("%+v\ncall %d, i=%d, component %d: got %016x (%v), reference %016x (%v)",
-						c, call, i, k, math.Float64bits(got[k]), got[k], math.Float64bits(want[k]), want[k])
-				}
+		if d := diffBits(acc, pot, wantAcc, wantPot); d != "" {
+			t.Fatalf("%+v\ncall %d, %s", c, call, d)
+		}
+	}
+}
+
+// diffBits describes the first output whose bit pattern differs from the
+// reference's, or returns "".
+func diffBits(acc []vec.V3, pot []float64, wantAcc []vec.V3, wantPot []float64) string {
+	for i := range acc {
+		got := [4]float64{acc[i].X, acc[i].Y, acc[i].Z, pot[i]}
+		want := [4]float64{wantAcc[i].X, wantAcc[i].Y, wantAcc[i].Z, wantPot[i]}
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				return fmt.Sprintf("i=%d, component %d: got %016x (%v), reference %016x (%v)",
+					i, k, math.Float64bits(got[k]), got[k], math.Float64bits(want[k]), want[k])
 			}
 		}
 	}
+	return ""
 }
 
 var pipelineBitBudgets = []uint{1, 7, 12, 16, 51, 52, 60}
@@ -289,4 +299,130 @@ func FuzzPipelineMatchesReference(f *testing.F) {
 		}
 		c.check(t)
 	})
+}
+
+// TestSelectFree pins the per-call predicate from both sides. Every
+// reason to refuse — a NaN of any kind in an i coordinate, a j
+// coordinate or a mass, a NaN softening, a 0-bit pipeline — must refuse
+// and still match the reference bit for bit through the select loop;
+// and a batch with none of them, however strange its masses, must be
+// admitted, so that a predicate that always refuses fails here and not
+// only in a benchmark. Each case runs through Compute and, to read the
+// predicate and to place a j-memory flip on a chosen word, through
+// Compute's own three steps.
+func TestSelectFree(t *testing.T) {
+	const ni, nj = 7, 9
+	quiet, signalling := math.NaN(), math.Float64frombits(0x7FF0000000000001)
+	for _, c := range []struct {
+		name             string
+		pipeBits, r2Bits uint
+		edit             func(ipos, jpos []vec.V3, jmass []float64)
+		flip             bool // flip mantissa bit 3 of jmass[4] in the j memory
+		eps2NaN          bool
+		want             bool
+	}{
+		{name: "clean", pipeBits: 7, r2Bits: 16, want: true},
+		{name: "float64 pipeline", pipeBits: 52, r2Bits: 60, want: true},
+		{name: "zeros and infinities", pipeBits: 7, r2Bits: 16, want: true,
+			edit: func(_, _ []vec.V3, m []float64) { copy(m, specialMasses[2]) }},
+		{name: "subnormal masses", pipeBits: 7, r2Bits: 16, want: true,
+			edit: func(_, _ []vec.V3, m []float64) { m[0], m[4] = 5e-324, -2.2e-308 }},
+		// flipMantissaBit hands an infinity back unflipped, so the
+		// corrupted word is no NaN and the call stays admitted.
+		{name: "flipped infinite mass", pipeBits: 7, r2Bits: 16, flip: true, want: true,
+			edit: func(_, _ []vec.V3, m []float64) { m[4] = math.Inf(1) }},
+		{name: "out-of-range positions", pipeBits: 7, r2Bits: 16, want: true,
+			edit: func(ip, jp []vec.V3, _ []float64) { ip[2].X, jp[3].Z = 1e9, math.Inf(-1) }},
+
+		{name: "NaN i coordinate", pipeBits: 7, r2Bits: 16,
+			edit: func(ip, _ []vec.V3, _ []float64) { ip[6].Z = quiet }},
+		{name: "NaN j coordinate", pipeBits: 7, r2Bits: 16,
+			edit: func(_, jp []vec.V3, _ []float64) { jp[0].X = quiet }},
+		{name: "quiet NaN mass", pipeBits: 7, r2Bits: 16,
+			edit: func(_, _ []vec.V3, m []float64) { m[8] = quiet }},
+		{name: "signalling NaN mass", pipeBits: 7, r2Bits: 16,
+			edit: func(_, _ []vec.V3, m []float64) { m[1] = signalling }},
+		{name: "all-ones NaN mass", pipeBits: 7, r2Bits: 16,
+			edit: func(_, _ []vec.V3, m []float64) { m[5] = specialMasses[1][3] }},
+		{name: "flipped NaN mass", pipeBits: 7, r2Bits: 16, flip: true,
+			edit: func(_, _ []vec.V3, m []float64) { m[4] = quiet }},
+		{name: "NaN softening", pipeBits: 7, r2Bits: 16, eps2NaN: true},
+		// An infinite mass straight above an i-point: ff·dx is Inf·0,
+		// the default NaN, which the 0-bit carry would turn into a zero.
+		{name: "0-bit pipeline", pipeBits: 0, r2Bits: 16,
+			edit: func(ip, jp []vec.V3, m []float64) {
+				jp[2], m[2] = ip[3], math.Inf(1)
+				jp[2].Y += 1
+			}},
+		// Refused for symmetry only: r² + ε² of NaN-free inputs is never
+		// a NaN, so the distance rounding cannot meet one.
+		{name: "0-bit distance", pipeBits: 7, r2Bits: 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := rng.New(41)
+			point := func() vec.V3 {
+				return vec.V3{X: r.Uniform(-40, 40), Y: r.Uniform(-40, 40), Z: r.Uniform(-40, 40)}
+			}
+			ipos, jpos, jmass := make([]vec.V3, ni), make([]vec.V3, nj), make([]float64, nj)
+			for i := range ipos {
+				ipos[i] = point()
+			}
+			for j := range jpos {
+				jpos[j], jmass[j] = point(), 1+r.Float64()
+			}
+			jpos[7] = ipos[1] // a coincident pair
+			if c.edit != nil {
+				c.edit(ipos, jpos, jmass)
+			}
+			cfg := DefaultConfig()
+			cfg.PipeBits, cfg.R2Bits = c.pipeBits, c.r2Bits
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.SetScale(-100, 100); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.SetEps(0.05); err != nil {
+				t.Fatal(err)
+			}
+			if c.eps2NaN {
+				sys.eps2 = quiet // SetEps refuses it; the predicate does not lean on that
+			}
+			plan := faultPlan{flipJ: -1}
+			if c.flip {
+				plan = faultPlan{flipJ: 4, flipMass: true, flipBit: 3}
+			}
+			wantAcc, wantPot := make([]vec.V3, ni), make([]float64, ni)
+			referenceCompute(sys, plan, ipos, jpos, jmass, wantAcc, wantPot)
+			equal := func(how string, acc []vec.V3, pot []float64) {
+				if d := diffBits(acc, pot, wantAcc, wantPot); d != "" {
+					t.Fatalf("%s: %s", how, d)
+				}
+			}
+
+			acc, pot := make([]vec.V3, ni), make([]float64, ni)
+			a, err := sys.begin(ipos, jpos, jmass, acc, pot, &sys.scratch, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.plan = plan
+			if err := a.evaluate(); err != nil {
+				t.Fatal(err)
+			}
+			sys.finish(&a)
+			if got := a.selectFree(); got != c.want {
+				t.Errorf("selectFree() = %v, want %v", got, c.want)
+			}
+			equal("begin/evaluate/finish", acc, pot)
+
+			if !c.flip {
+				acc, pot = make([]vec.V3, ni), make([]float64, ni)
+				if err := sys.Compute(ipos, jpos, jmass, acc, pot); err != nil {
+					t.Fatal(err)
+				}
+				equal("Compute", acc, pot)
+			}
+		})
+	}
 }

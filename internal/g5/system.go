@@ -97,6 +97,7 @@ type activation struct {
 	stuck                      []float64 // per-slot factors in the caller's scratch, nil when healthy
 
 	clamps int64 // positions evaluate clamped to the scale range
+	nan    bool  // evaluate staged a NaN coordinate or mass
 }
 
 // NewSystem builds an emulated system. The configuration is validated.
@@ -328,9 +329,11 @@ func (a *activation) evaluate() error {
 	mq := sc.mq[:len(jq)]
 	for j, m := range a.jmass {
 		mq[j] = RoundMantissa(m, a.massBits)
+		a.nan = a.nan || m != m
 	}
 	if plan := &a.plan; plan.flipJ >= 0 {
-		// A corrupted word read back from the particle memory.
+		// A corrupted word read back from the particle memory; the flip
+		// never turns a number into a NaN (flipMantissaBit).
 		if plan.flipMass {
 			mq[plan.flipJ] = flipMantissaBit(mq[plan.flipJ], plan.flipBit)
 		} else {
@@ -345,8 +348,18 @@ func (a *activation) evaluate() error {
 			}
 		}
 	}
-	pipeline(iq, jq, mq, a.stuck, a.eps2, a.pipeBits, a.r2Bits, a.acc, a.pot)
+	pipeline(iq, jq, mq, a.stuck, a.eps2, a.pipeBits, a.r2Bits, a.selectFree(), a.acc, a.pot)
 	return nil
+}
+
+// selectFree reports, once evaluate has staged the call's inputs, that
+// no NaN with a payload can reach a pipeline rounding, so the pair loop
+// may round in place (rounder.roundInPlace has the argument): no staged
+// coordinate, mass or the softening is a NaN — a NaN born inside the
+// loop of NaN-free inputs (an infinite mass at zero weight) is then the
+// default quiet one — and neither pipeline budget is 0 bits.
+func (a *activation) selectFree() bool {
+	return !a.nan && a.eps2 == a.eps2 && a.pipeBits >= 1 && a.r2Bits >= 1
 }
 
 // finish closes the call: it charges the timing model for the board set
@@ -362,35 +375,21 @@ func (s *System) finish(a *activation) {
 // pipeline is the functional model of the force pipelines: the
 // reduced-precision sums of sources (jq, mq) on each point of iq, times
 // the point's slot factor (stuckFactor[i % len], nil on a healthy
-// device), ADDED into acc and pot. A coincident pair runs with zero
-// mass at unit distance and adds +0, the hardware's answer (DESIGN.md
-// §13 has the IEEE argument). The sums depend on (iq[i], jq, mq) only,
-// so a point equal to its predecessor reuses them: the guard's probe,
-// copied into every slot of a pass, streams j once and each slot still
-// gets its own factor.
-func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits, r2Bits uint, acc []vec.V3, pot []float64) {
+// device), ADDED into acc and pot. The sums depend on (iq[i], jq, mq)
+// only, so a point equal to its predecessor reuses them: the guard's
+// probe, copied into every slot of a pass, streams j once and each slot
+// still gets its own factor. selectFree is the call's predicate of that
+// name; it picks the pair loop, never the result.
+func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits, r2Bits uint, selectFree bool, acc []vec.V3, pot []float64) {
 	pipe, dist := newRounder(pipeBits), newRounder(r2Bits)
+	mq = mq[:len(jq)]
 	var ax, ay, az, pp float64
 	for i, pi := range iq {
 		if i == 0 || pi != iq[i-1] {
-			ax, ay, az, pp = 0, 0, 0, 0
-			for j, pj := range jq {
-				dx := pj.X - pi.X
-				dy := pj.Y - pi.Y
-				dz := pj.Z - pi.Z
-				r2 := dx*dx + dy*dy + dz*dz
-				m := mq[j]
-				if r2 == 0 {
-					m, r2 = 0, 1
-				}
-				r2 = dist.round(r2 + eps2)
-				inv := 1 / math.Sqrt(r2)
-				fpot := pipe.round(m * inv)
-				ff := pipe.round(m * inv / r2)
-				ax += pipe.round(ff * dx)
-				ay += pipe.round(ff * dy)
-				az += pipe.round(ff * dz)
-				pp -= fpot
+			if selectFree {
+				ax, ay, az, pp = streamJ(pi, jq, mq, eps2, pipe, dist)
+			} else {
+				ax, ay, az, pp = streamJSelect(pi, jq, mq, eps2, pipe, dist)
 			}
 		}
 		fx, fy, fz, fp := ax, ay, az, pp
@@ -401,6 +400,59 @@ func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits
 		acc[i] = acc[i].Add(vec.V3{X: fx, Y: fy, Z: fz})
 		pot[i] += fp
 	}
+}
+
+// streamJ is one pipeline's pass over the j memory: six roundings per
+// pair, in place. A coincident pair runs with zero mass at unit distance
+// and adds +0, the hardware's answer (DESIGN.md §13 has the IEEE
+// argument). len(mq) == len(jq).
+func streamJ(pi vec.V3, jq []vec.V3, mq []float64, eps2 float64, pipe, dist rounder) (ax, ay, az, pp float64) {
+	for j, pj := range jq {
+		dx := pj.X - pi.X
+		dy := pj.Y - pi.Y
+		dz := pj.Z - pi.Z
+		r2 := dx*dx + dy*dy + dz*dz
+		m := mq[j]
+		if r2 == 0 {
+			m, r2 = 0, 1
+		}
+		r2 = dist.roundInPlace(r2 + eps2)
+		inv := 1 / math.Sqrt(r2)
+		fpot := pipe.roundInPlace(m * inv)
+		ff := pipe.roundInPlace(m * inv / r2)
+		ax += pipe.roundInPlace(ff * dx)
+		ay += pipe.roundInPlace(ff * dy)
+		az += pipe.roundInPlace(ff * dz)
+		pp -= fpot
+	}
+	return ax, ay, az, pp
+}
+
+// streamJSelect is streamJ for the calls selectFree refuses — a NaN
+// input, a 0-bit budget: the same pass through rounder.round, whose
+// select hands a NaN on with its payload. It is a second body because
+// the select costs the loop half its speed however it is written
+// (EXPERIMENTS.md E21); no workload takes it.
+func streamJSelect(pi vec.V3, jq []vec.V3, mq []float64, eps2 float64, pipe, dist rounder) (ax, ay, az, pp float64) {
+	for j, pj := range jq {
+		dx := pj.X - pi.X
+		dy := pj.Y - pi.Y
+		dz := pj.Z - pi.Z
+		r2 := dx*dx + dy*dy + dz*dz
+		m := mq[j]
+		if r2 == 0 {
+			m, r2 = 0, 1
+		}
+		r2 = dist.round(r2 + eps2)
+		inv := 1 / math.Sqrt(r2)
+		fpot := pipe.round(m * inv)
+		ff := pipe.round(m * inv / r2)
+		ax += pipe.round(ff * dx)
+		ay += pipe.round(ff * dy)
+		az += pipe.round(ff * dz)
+		pp -= fpot
+	}
+	return ax, ay, az, pp
 }
 
 // quantizeInto maps positions through the fixed-point grid into the
@@ -420,6 +472,7 @@ func (a *activation) quantizeInto(dst *[]vec.V3, pos []vec.V3) ([]vec.V3, error)
 					p, a.grid.Min, a.grid.Max)
 			}
 			a.clamps++
+			a.nan = a.nan || qx != qx || qy != qy || qz != qz
 		}
 		out[i] = vec.V3{X: qx, Y: qy, Z: qz}
 	}

@@ -1,7 +1,9 @@
 package g5
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -219,28 +221,51 @@ func TestJMemoryPasses(t *testing.T) {
 	}
 }
 
+// outOfRange holds positions the [-1, 1) window cannot represent. NaN
+// is one of them: no comparison puts it outside, so Quantize has to say so.
+var outOfRange = []vec.V3{{X: 5}, {Y: math.NaN()}}
+
 func TestStrictRange(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StrictRange = true
 	sys, _ := NewSystem(cfg)
 	sys.SetScale(-1, 1)
-	err := sys.Compute([]vec.V3{{X: 5}}, []vec.V3{{}}, []float64{1},
-		make([]vec.V3, 1), make([]float64, 1))
-	if err == nil {
-		t.Error("strict mode accepted out-of-range position")
+	for _, p := range outOfRange {
+		for _, asJ := range []bool{false, true} {
+			ipos, jpos := []vec.V3{p}, []vec.V3{{}}
+			if asJ {
+				ipos, jpos = jpos, ipos
+			}
+			acc, pot := make([]vec.V3, 1), make([]float64, 1)
+			err := sys.Compute(ipos, jpos, []float64{1}, acc, pot)
+			if err == nil {
+				t.Errorf("strict mode accepted position %v (as j: %v)", p, asJ)
+			} else if !strings.Contains(err.Error(), fmt.Sprint(p)) {
+				t.Errorf("error %q does not name position %v", err, p)
+			}
+			if acc[0] != vec.Zero || pot[0] != 0 {
+				t.Errorf("rejected call wrote outputs: %v, %v", acc[0], pot[0])
+			}
+		}
 	}
 }
 
 func TestClampCounting(t *testing.T) {
-	sys, _ := NewSystem(DefaultConfig())
-	sys.SetScale(-1, 1)
-	err := sys.Compute([]vec.V3{{X: 5}}, []vec.V3{{}}, []float64{1},
-		make([]vec.V3, 1), make([]float64, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Counters().RangeClamps == 0 {
-		t.Error("clamp not counted")
+	for _, p := range outOfRange {
+		sys, _ := NewSystem(DefaultConfig())
+		sys.SetScale(-1, 1)
+		acc, pot := make([]vec.V3, 1), make([]float64, 1)
+		if err := sys.Compute([]vec.V3{p}, []vec.V3{{}}, []float64{1}, acc, pot); err != nil {
+			t.Fatal(err)
+		}
+		if n := sys.Counters().RangeClamps; n != 1 {
+			t.Errorf("position %v: %d clamps counted, want 1", p, n)
+		}
+		// Lenient mode hands a NaN coordinate on to the pipelines, as
+		// it always has; TestSelectFree pins the bits.
+		if math.IsNaN(pot[0]) != math.IsNaN(p.Y) {
+			t.Errorf("position %v: potential %v", p, pot[0])
+		}
 	}
 }
 

@@ -128,20 +128,25 @@ func TestSoAMatchesScalar(t *testing.T) {
 
 	t.Run("p2p", func(t *testing.T) {
 		for _, tc := range []struct {
-			name string
-			ni   int
-			nj   int
-			eps  float64
-			g    float64
-			self bool // plant exact zero-separation pairs
-			pad  bool
+			name   string
+			ni     int
+			nj     int
+			eps    float64
+			g      float64
+			self   bool // plant exact zero-separation pairs
+			pad    bool
+			origin bool // first field point at the origin, where the pad lanes sit
+			lanes  int  // 1: an infinite mass and an infinite coordinate; 2: a NaN coordinate
 		}{
 			{name: "single-pair", ni: 1, nj: 1, eps: 0.01, g: 1},
 			{name: "one-tile-exact", ni: 3, nj: hostk.JTile, eps: 0.05, g: 2},
 			{name: "tail-lane", ni: 4, nj: hostk.JTile + 3, eps: 0.05, g: 1, pad: true},
 			{name: "self-pairs", ni: 8, nj: 40, eps: 0.02, g: 1, self: true, pad: true},
 			{name: "self-pairs-zero-eps", ni: 5, nj: 21, eps: 0, g: 1, self: true, pad: true},
+			{name: "origin-zero-eps", ni: 3, nj: 5, eps: 0, g: 1, pad: true, origin: true},
 			{name: "large-unpadded", ni: 16, nj: 137, eps: 0.01, g: 0.5},
+			{name: "inf-lanes", ni: 3, nj: 12, eps: 0.01, g: 1, pad: true, lanes: 1},
+			{name: "nan-lane", ni: 3, nj: 12, eps: 0.01, g: 1, lanes: 2},
 			{name: "empty-list", ni: 3, nj: 0, eps: 0.01, g: 1, pad: true},
 		} {
 			tc := tc
@@ -151,16 +156,27 @@ func TestSoAMatchesScalar(t *testing.T) {
 				for i := range ipos {
 					ipos[i] = vec.V3{X: r.Float64(), Y: r.Float64(), Z: r.Float64()}
 				}
+				if tc.origin {
+					ipos[0] = vec.Zero
+				}
 				jpos := make([]vec.V3, tc.nj)
 				jmass := make([]float64, tc.nj)
-				var list hostk.JList
 				for j := range jpos {
 					jpos[j] = vec.V3{X: r.Float64(), Y: r.Float64(), Z: r.Float64()}
 					if tc.self && j%5 == 0 {
 						jpos[j] = ipos[j%tc.ni] // exact zero separation
 					}
 					jmass[j] = r.Float64()
-					list.Append(jpos[j].X, jpos[j].Y, jpos[j].Z, jmass[j])
+				}
+				switch tc.lanes {
+				case 1:
+					jmass[1], jpos[3].X = math.Inf(1), math.Inf(-1)
+				case 2:
+					jpos[2].Y = math.NaN()
+				}
+				var list hostk.JList
+				for j, pj := range jpos {
+					list.Append(pj.X, pj.Y, pj.Z, jmass[j])
 				}
 				if tc.pad {
 					list.Pad()
@@ -176,19 +192,31 @@ func TestSoAMatchesScalar(t *testing.T) {
 				eps2 := tc.eps * tc.eps
 				for i, pi := range ipos {
 					ax, ay, az, pot := hostk.P2P(pi.X, pi.Y, pi.Z, &list, eps2)
-					got := vec.V3{X: tc.g * ax, Y: tc.g * ay, Z: tc.g * az}
-					if got != wantAcc[i] {
-						t.Fatalf("i=%d: SoA acc %v != scalar %v (Δbits x: %d)",
-							i, got, wantAcc[i],
-							int64(math.Float64bits(got.X))-int64(math.Float64bits(wantAcc[i].X)))
-					}
-					if gp := tc.g * pot; gp != wantPot[i] {
-						t.Fatalf("i=%d: SoA pot %v != scalar %v", i, gp, wantPot[i])
-					}
+					got := p2pResult{vec.V3{X: tc.g * ax, Y: tc.g * ay, Z: tc.g * az}, tc.g * pot}
+					got.mustEqual(t, i, p2pResult{wantAcc[i], wantPot[i]})
 				}
 			})
 		}
 	})
+}
+
+// p2pResult is one field point's force and potential, compared on the
+// bit patterns so that a zero's sign or a NaN cannot hide.
+type p2pResult struct {
+	acc vec.V3
+	pot float64
+}
+
+func (got p2pResult) mustEqual(t *testing.T, i int, want p2pResult) {
+	t.Helper()
+	g := [4]float64{got.acc.X, got.acc.Y, got.acc.Z, got.pot}
+	w := [4]float64{want.acc.X, want.acc.Y, want.acc.Z, want.pot}
+	for c := range g {
+		if math.Float64bits(g[c]) != math.Float64bits(w[c]) {
+			t.Fatalf("i=%d component %d: SoA %016x (%v) != scalar %016x (%v)",
+				i, c, math.Float64bits(g[c]), g[c], math.Float64bits(w[c]), w[c])
+		}
+	}
 }
 
 // TestJListCopyFrom pins the staging-copy semantics the cluster relies
