@@ -25,12 +25,12 @@ lint: $(BIN)/grapelint
 	$(BIN)/grapelint -unused-ignores ./...
 
 # loc prints the north star's own metric (ROADMAP aim 2, "net source
-# lines going down"): lines of non-test Go outside benchmark/, per
-# package directory and in total. Lint fixtures under testdata/ are test
-# inputs and are not counted. Under the total, the byte sizes of the two
-# documents ROADMAP item 6 budgets.
+# lines going down"): lines of non-test Go and of assembly (*.s is
+# source) outside benchmark/, per package directory and in total. Lint
+# fixtures under testdata/ are test inputs and are not counted. Under the
+# total, the byte sizes of the two documents ROADMAP item 6 budgets.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
+	@find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './benchmark/*' \
 		! -path '*/testdata/*' ! -path './.bench_build/*' -print0 | xargs -0 wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'

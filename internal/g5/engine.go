@@ -57,12 +57,8 @@ func (e *Engine) System() *System { return e.sys }
 func (e *Engine) Accumulate(req *core.Request) {
 	ni := len(req.IPos)
 	sc := e.pool.Get().(*scratch)
-	if cap(sc.acc) < ni {
-		sc.acc = make([]vec.V3, ni)
-		sc.pot = make([]float64, ni)
-	}
-	acc := sc.acc[:ni]
-	pot := sc.pot[:ni]
+	sc.acc, sc.pot = grown(sc.acc, ni), grown(sc.pot, ni)
+	acc, pot := sc.acc, sc.pot
 	for i := range acc {
 		acc[i] = vec.Zero
 		pot[i] = 0
@@ -72,10 +68,8 @@ func (e *Engine) Accumulate(req *core.Request) {
 	// descriptors use; only the J.N real lanes are marshalled (padding
 	// stays on the host). The mass lanes alias the request directly.
 	nj := req.J.N
-	if cap(sc.jpos) < nj {
-		sc.jpos = make([]vec.V3, nj)
-	}
-	jpos := sc.jpos[:nj]
+	sc.jpos = grown(sc.jpos, nj)
+	jpos := sc.jpos
 	for j := 0; j < nj; j++ {
 		jpos[j] = vec.V3{X: req.J.X[j], Y: req.J.Y[j], Z: req.J.Z[j]}
 	}

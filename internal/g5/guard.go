@@ -264,12 +264,8 @@ func (e *GuardedEngine) computeVerified(req *core.Request, st *scratch, overlap 
 	refAcc, refPot := e.hostProbeForce(probe, req)
 
 	n := ni + vp
-	if cap(st.ipos) < n {
-		st.ipos = make([]vec.V3, n)
-		st.acc = make([]vec.V3, n)
-		st.pot = make([]float64, n)
-	}
-	ipos := st.ipos[:n]
+	st.ipos, st.acc, st.pot = grown(st.ipos, n), grown(st.acc, n), grown(st.pot, n)
+	ipos := st.ipos
 	copy(ipos, req.IPos)
 	for s := 0; s < vp; s++ {
 		ipos[ni+s] = probe
@@ -278,10 +274,8 @@ func (e *GuardedEngine) computeVerified(req *core.Request, st *scratch, overlap 
 	// Gather the SoA source list into the hardware's AoS layout once,
 	// outside the retry loop: re-runs and bisection passes reuse it.
 	nj := req.J.N
-	if cap(st.jpos) < nj {
-		st.jpos = make([]vec.V3, nj)
-	}
-	jpos := st.jpos[:nj]
+	st.jpos = grown(st.jpos, nj)
+	jpos := st.jpos
 	for j := 0; j < nj; j++ {
 		jpos[j] = vec.V3{X: req.J.X[j], Y: req.J.Y[j], Z: req.J.Z[j]}
 	}
@@ -296,8 +290,7 @@ func (e *GuardedEngine) computeVerified(req *core.Request, st *scratch, overlap 
 			retry = e.obs.Start(obs.PhaseGuard)
 			e.backoff(attempt)
 		}
-		acc := st.acc[:n]
-		pot := st.pot[:n]
+		acc, pot := st.acc, st.pot
 		for i := range acc {
 			acc[i] = vec.Zero
 			pot[i] = 0

@@ -3,6 +3,7 @@ package g5
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -45,10 +46,11 @@ func referencePipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64,
 	}
 }
 
-// referenceCompute is the rest of the old functional model around that
-// loop — quantise, round the masses, apply the fault plan — so a case
-// can be driven through the real System.Compute and compared.
-func referenceCompute(s *System, plan faultPlan, ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot []float64) {
+// referenceStage is the rest of the old functional model around that
+// loop — quantise, round the masses, apply the fault plan — so a case can
+// be driven through the real System.Compute and compared, and so the
+// batch the pair loop is handed can go to each of its bodies.
+func referenceStage(s *System, plan faultPlan, ipos, jpos []vec.V3, jmass []float64) (iq, jq []vec.V3, mq, stuckFactor []float64) {
 	quantize := func(pos []vec.V3) []vec.V3 {
 		out := make([]vec.V3, len(pos))
 		for i, p := range pos {
@@ -58,8 +60,8 @@ func referenceCompute(s *System, plan faultPlan, ipos, jpos []vec.V3, jmass []fl
 		}
 		return out
 	}
-	iq, jq := quantize(ipos), quantize(jpos)
-	mq := make([]float64, len(jmass))
+	iq, jq = quantize(ipos), quantize(jpos)
+	mq = make([]float64, len(jmass))
 	for j, m := range jmass {
 		mq[j] = roundMantissaRef(m, s.cfg.MassBits)
 	}
@@ -78,7 +80,6 @@ func referenceCompute(s *System, plan faultPlan, ipos, jpos []vec.V3, jmass []fl
 			}
 		}
 	}
-	var stuckFactor []float64
 	if len(plan.stuck) > 0 {
 		stuckFactor = make([]float64, s.cfg.VirtualPipesPerBoard())
 		for i := range stuckFactor {
@@ -89,7 +90,46 @@ func referenceCompute(s *System, plan faultPlan, ipos, jpos []vec.V3, jmass []fl
 			stuckFactor[sp.slot] *= 1 - share
 		}
 	}
-	referencePipeline(iq, jq, mq, stuckFactor, s.eps2, s.cfg.PipeBits, s.cfg.R2Bits, acc, pot)
+	return iq, jq, mq, stuckFactor
+}
+
+// checkBodies adds the staged batch into copies of (acc, pot) through
+// referencePipeline and through pipeline with the lane kernel allowed
+// and refused — its two select-free bodies when the batch is select-free,
+// the select loop twice when not — and wants every bit equal. Each body
+// is named by argument, never by flipping haveLanes: tests overlap. It
+// returns the reference's sums.
+func checkBodies(t *testing.T, iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pb, r2b uint, acc []vec.V3, pot []float64) ([]vec.V3, []float64) {
+	t.Helper()
+	selectFree := eps2 == eps2 && pb >= 1 && r2b >= 1
+	for _, p := range append(append([]vec.V3(nil), iq...), jq...) {
+		selectFree = selectFree && p == p
+	}
+	for _, m := range mq {
+		selectFree = selectFree && m == m
+	}
+	wantAcc, wantPot := append([]vec.V3(nil), acc...), append([]float64(nil), pot...)
+	referencePipeline(iq, jq, mq, stuckFactor, eps2, pb, r2b, wantAcc, wantPot)
+	for _, lanes := range laneChoices(t) {
+		gotAcc, gotPot := append([]vec.V3(nil), acc...), append([]float64(nil), pot...)
+		pipeline(iq, jq, mq, stuckFactor, eps2, pb, r2b, selectFree, lanes, gotAcc, gotPot)
+		if d := diffBits(gotAcc, gotPot, wantAcc, wantPot); d != "" {
+			t.Fatalf("pipeline(selectFree=%v, lanes=%v): %s", selectFree, lanes, d)
+		}
+	}
+	return wantAcc, wantPot
+}
+
+var logNoLanes sync.Once
+
+// laneChoices is the values of pipeline's lanes argument this machine
+// can run: both, or the portable body alone on a CPU without AVX2.
+func laneChoices(t *testing.T) []bool {
+	if haveLanes {
+		return []bool{true, false}
+	}
+	logNoLanes.Do(func() { t.Log("no AVX2 here: streamJLanes is not exercised, only the portable streamJ") })
+	return []bool{false}
 }
 
 // pipelineCase is one point of the differential test's input space.
@@ -122,7 +162,8 @@ var specialMasses = [3][]float64{
 
 // check drives the case through System.Compute twice (the second call
 // runs on warm scratch and the injector's next plan) and compares every
-// output bit with the reference model under the same plans.
+// output bit with the reference model under the same plans; the same
+// staged batches go through each pair-loop body by name (checkBodies).
 func (c pipelineCase) check(t *testing.T) {
 	t.Helper()
 	r := rng.New(c.seed)
@@ -181,7 +222,8 @@ func (c pipelineCase) check(t *testing.T) {
 		if twin != nil {
 			plan = twin.plan(c.nj, sys.activeBoardList())
 		}
-		referenceCompute(sys, plan, ipos, jpos, jmass, wantAcc, wantPot)
+		iq, jq, mq, stuckFactor := referenceStage(sys, plan, ipos, jpos, jmass)
+		wantAcc, wantPot = checkBodies(t, iq, jq, mq, stuckFactor, sys.eps2, c.pipeBits, c.r2Bits, wantAcc, wantPot)
 		if err := sys.Compute(ipos, jpos, jmass, acc, pot); err != nil {
 			t.Fatal(err)
 		}
@@ -213,8 +255,10 @@ var pipelineBitBudgets = []uint{1, 7, 12, 16, 51, 52, 60}
 // kernel: bit-identical to the old double loop over batch shapes, bit
 // budgets, coincident pairs, special masses, ε = 0, runs of identical
 // i-points of every length up to two passes at the start, middle and
-// end of the batch, identical points that are not adjacent, and fault
-// plans with a flipped j word and several stuck slots.
+// end of the batch, identical points that are not adjacent, fault plans
+// with a flipped j word and several stuck slots, and the edges of the
+// lane kernel's four-point blocks. Every staged batch goes through each
+// pair-loop body as well as through Compute.
 func TestPipelineMatchesReference(t *testing.T) {
 	base := pipelineCase{seed: 1, ni: 59, nj: 9, pipeBits: 7, r2Bits: 16, massBits: 12, eps: 0.05, boards: 2}
 	faults := &FaultModel{Seed: 5, JMemBitFlipRate: 1, StuckPipeRate: 1, FailBoard: 1, FailSlot: 58}
@@ -268,6 +312,86 @@ func TestPipelineMatchesReference(t *testing.T) {
 				c.coincident = n%2 == 0
 				c.boards, c.fault = 3, faults
 				c.check(t)
+			}
+		}
+	})
+	// The edges of a four-lane sweep, on batches built as the pair loop
+	// is handed them: every block fill from one head to two blocks and a
+	// head over; a guarded batch's shape, the probe in all 96 slots
+	// behind the real points; runs of equal points in the last lane of a
+	// block and in the first of the next; a source on the point of each
+	// lane of a block and on the probe; one source, two, a long list;
+	// ε = 0; zero, subnormal and infinite masses; a stuck factor on every
+	// slot past the first block and on the slot of the head the padded
+	// lanes repeat. Sums are ADDED, so acc and pot start non-zero.
+	t.Run("lanes", func(t *testing.T) {
+		const vp = 96
+		tinyMasses := []float64{0, math.Copysign(0, -1), 5e-324, -2.2e-308}
+		k := 0
+		for _, ni := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 58, 154} {
+			for _, nj := range []int{1, 2, 2001} {
+				for flags := 0; flags < 8; flags++ {
+					probe, runs, eps2 := flags&1 != 0, flags&2 != 0, 0.0025
+					if flags&4 != 0 {
+						eps2 = 0
+					}
+					k++
+					r := rng.New(uint64(k))
+					point := func() vec.V3 {
+						return vec.V3{X: r.Uniform(-40, 40), Y: r.Uniform(-40, 40), Z: r.Uniform(-40, 40)}
+					}
+					iq := make([]vec.V3, ni, ni+vp)
+					for i := range iq {
+						iq[i] = point()
+						if runs && (i == 4 || i == 5 || i == 7 || i == 8) {
+							iq[i] = iq[i-1] // heads at 3 (lane 3) and 6 (lane 0 of the next block)
+						}
+					}
+					if probe {
+						p := point()
+						for s := 0; s < vp; s++ {
+							iq = append(iq, p)
+						}
+					}
+					lastHead := len(iq) - 1
+					for lastHead > 0 && iq[lastHead] == iq[lastHead-1] {
+						lastHead--
+					}
+					stuckFactor := make([]float64, vp)
+					for s := range stuckFactor {
+						stuckFactor[s] = 1
+						if s >= laneWidth {
+							stuckFactor[s] = 1 - 1/float64(1+s%3)
+						}
+					}
+					stuckFactor[lastHead%vp] = 0.5
+
+					jq, mq := make([]vec.V3, nj), make([]float64, nj)
+					for j := range jq {
+						jq[j], mq[j] = point(), 1+r.Float64()
+						if j%2 == 1 {
+							switch k % 3 {
+							case 1:
+								mq[j] = tinyMasses[j/2%len(tinyMasses)]
+							case 2:
+								mq[j] = specialMasses[2][j/2%4]
+							}
+						}
+					}
+					for l := 0; l < 2*laneWidth; l++ { // both blocks' lanes, as far as they exist
+						if l < len(iq) && 3*l < nj {
+							jq[3*l] = iq[l]
+						}
+					}
+					jq[nj-1] = iq[lastHead]
+
+					bits := [][2]uint{{7, 16}, {52, 52}, {1, 1}}[k/3%3]
+					acc, pot := make([]vec.V3, len(iq)), make([]float64, len(iq))
+					for i := range acc {
+						acc[i], pot[i] = point(), r.Float64()
+					}
+					checkBodies(t, iq, jq, mq, stuckFactor, eps2, bits[0], bits[1], acc, pot)
+				}
 			}
 		}
 	})
@@ -393,8 +517,8 @@ func TestSelectFree(t *testing.T) {
 			if c.flip {
 				plan = faultPlan{flipJ: 4, flipMass: true, flipBit: 3}
 			}
-			wantAcc, wantPot := make([]vec.V3, ni), make([]float64, ni)
-			referenceCompute(sys, plan, ipos, jpos, jmass, wantAcc, wantPot)
+			iq, jq, mq, _ := referenceStage(sys, plan, ipos, jpos, jmass)
+			wantAcc, wantPot := checkBodies(t, iq, jq, mq, nil, sys.eps2, c.pipeBits, c.r2Bits, make([]vec.V3, ni), make([]float64, ni))
 			equal := func(how string, acc []vec.V3, pot []float64) {
 				if d := diffBits(acc, pot, wantAcc, wantPot); d != "" {
 					t.Fatalf("%s: %s", how, d)

@@ -3,6 +3,7 @@ package g5
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/vec"
@@ -79,6 +80,12 @@ type evalScratch struct {
 	iq, jq    []vec.V3
 	mq, stuck []float64
 }
+
+// grown returns s at length n, contents unspecified, reallocated by
+// append's amortised rule when n outgrows it. As structure forms a run's
+// longest list lengthens nearly every step, and a buffer made to fit
+// exactly would be re-made as often.
+func grown[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // activation is one hardware call between begin and finish: its
 // arguments and a snapshot of what the arithmetic and the charge depend
@@ -323,10 +330,8 @@ func (a *activation) evaluate() error {
 	if err != nil {
 		return err
 	}
-	if cap(sc.mq) < len(jq) {
-		sc.mq = make([]float64, len(jq))
-	}
-	mq := sc.mq[:len(jq)]
+	sc.mq = grown(sc.mq, len(jq))
+	mq := sc.mq
 	for j, m := range a.jmass {
 		mq[j] = RoundMantissa(m, a.massBits)
 		a.nan = a.nan || m != m
@@ -348,7 +353,7 @@ func (a *activation) evaluate() error {
 			}
 		}
 	}
-	pipeline(iq, jq, mq, a.stuck, a.eps2, a.pipeBits, a.r2Bits, a.selectFree(), a.acc, a.pot)
+	pipeline(iq, jq, mq, a.stuck, a.eps2, a.pipeBits, a.r2Bits, a.selectFree(), haveLanes, a.acc, a.pot)
 	return nil
 }
 
@@ -372,33 +377,86 @@ func (s *System) finish(a *activation) {
 	s.cnt.RangeClamps += a.clamps
 }
 
+// laneWidth is the number of i-points one streamJLanes sweep serves.
+const laneWidth = 4
+
+// laneBlock is one sweep's operands: up to laneWidth distinct i-points,
+// the call's constants spread across the lanes for streamJLanes, and each
+// point's sums over j. It lives on pipeline's stack, one per call.
+type laneBlock struct {
+	x, y, z            [laneWidth]float64
+	eps2               [laneWidth]float64
+	distHalf, distKeep [laneWidth]uint64
+	pipeHalf, pipeKeep [laneWidth]uint64
+	ax, ay, az, pp     [laneWidth]float64
+}
+
 // pipeline is the functional model of the force pipelines: the
 // reduced-precision sums of sources (jq, mq) on each point of iq, times
 // the point's slot factor (stuckFactor[i % len], nil on a healthy
 // device), ADDED into acc and pot. The sums depend on (iq[i], jq, mq)
-// only, so a point equal to its predecessor reuses them: the guard's
-// probe, copied into every slot of a pass, streams j once and each slot
-// still gets its own factor. selectFree is the call's predicate of that
-// name; it picks the pair loop, never the result.
-func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits, r2Bits uint, selectFree bool, acc []vec.V3, pot []float64) {
+// only, so only a run head — a point differing from its predecessor —
+// streams j and the rest of its run reuses the sums: the guard's probe,
+// copied into every slot of a pass, costs one sweep and each slot still
+// gets its own factor. selectFree is the call's predicate of that name
+// and lanes says streamJLanes may run (haveLanes, but for tests); they
+// pick the pair loop, never the result. With lanes a sweep serves
+// laneWidth heads at once, as a board's virtual pipelines share one j
+// stream; the last block repeats its last head into the lanes left over
+// and drops their sums.
+func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits, r2Bits uint, selectFree, lanes bool, acc []vec.V3, pot []float64) {
 	pipe, dist := newRounder(pipeBits), newRounder(r2Bits)
 	mq = mq[:len(jq)]
-	var ax, ay, az, pp float64
-	for i, pi := range iq {
-		if i == 0 || pi != iq[i-1] {
-			if selectFree {
-				ax, ay, az, pp = streamJ(pi, jq, mq, eps2, pipe, dist)
-			} else {
-				ax, ay, az, pp = streamJSelect(pi, jq, mq, eps2, pipe, dist)
+	lanes = lanes && selectFree
+	var b laneBlock
+	width := 1
+	if lanes {
+		width = laneWidth
+		for l := range b.eps2 {
+			b.eps2[l] = eps2
+			b.distHalf[l], b.distKeep[l] = dist.half, dist.keep
+			b.pipeHalf[l], b.pipeKeep[l] = pipe.half, pipe.keep
+		}
+	}
+	for start := 0; start < len(iq); {
+		// The block: the next width run heads; head l's run is
+		// iq[first[l]:first[l+1]].
+		var first [laneWidth + 1]int
+		heads, end := 0, start
+		for ; end < len(iq); end++ {
+			if end == start || iq[end] != iq[end-1] {
+				if heads == width {
+					break
+				}
+				b.x[heads], b.y[heads], b.z[heads] = iq[end].X, iq[end].Y, iq[end].Z
+				first[heads] = end
+				heads++
 			}
 		}
-		fx, fy, fz, fp := ax, ay, az, pp
-		if stuckFactor != nil {
-			f := stuckFactor[i%len(stuckFactor)]
-			fx, fy, fz, fp = ax*f, ay*f, az*f, pp*f
+		first[heads] = end
+		switch {
+		case lanes:
+			for l := heads; l < laneWidth; l++ {
+				b.x[l], b.y[l], b.z[l] = b.x[heads-1], b.y[heads-1], b.z[heads-1]
+			}
+			streamJLanes(&b, jq, mq)
+		case selectFree:
+			b.ax[0], b.ay[0], b.az[0], b.pp[0] = streamJ(iq[start], jq, mq, eps2, pipe, dist)
+		default:
+			b.ax[0], b.ay[0], b.az[0], b.pp[0] = streamJSelect(iq[start], jq, mq, eps2, pipe, dist)
 		}
-		acc[i] = acc[i].Add(vec.V3{X: fx, Y: fy, Z: fz})
-		pot[i] += fp
+		for l := 0; l < heads; l++ {
+			for i := first[l]; i < first[l+1]; i++ {
+				fx, fy, fz, fp := b.ax[l], b.ay[l], b.az[l], b.pp[l]
+				if stuckFactor != nil {
+					f := stuckFactor[i%len(stuckFactor)]
+					fx, fy, fz, fp = fx*f, fy*f, fz*f, fp*f
+				}
+				acc[i] = acc[i].Add(vec.V3{X: fx, Y: fy, Z: fz})
+				pot[i] += fp
+			}
+		}
+		start = end
 	}
 }
 
@@ -456,12 +514,10 @@ func streamJSelect(pi vec.V3, jq []vec.V3, mq []float64, eps2 float64, pipe, dis
 }
 
 // quantizeInto maps positions through the fixed-point grid into the
-// reused evaluation scratch *dst, grown when its capacity falls short.
+// reused evaluation scratch *dst.
 func (a *activation) quantizeInto(dst *[]vec.V3, pos []vec.V3) ([]vec.V3, error) {
-	if cap(*dst) < len(pos) {
-		*dst = make([]vec.V3, len(pos))
-	}
-	out := (*dst)[:len(pos)]
+	*dst = grown(*dst, len(pos))
+	out := *dst
 	for i, p := range pos {
 		qx, okx := a.grid.Quantize(p.X)
 		qy, oky := a.grid.Quantize(p.Y)

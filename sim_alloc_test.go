@@ -2,8 +2,11 @@ package grape5
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/g5"
 	"repro/internal/nbody"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -142,10 +145,9 @@ func TestStepAllocsGuarded(t *testing.T) {
 // list it has met, so the residue reaches zero only once each has met
 // the step's longest; with 30 copies that takes some tens of steps,
 // hence the long warm-up. (The benchmark's cluster_cosmo17k never gets
-// there and reads 230-470 kB a step: as structure forms its longest
-// list lengthens every step, and each exact-fit buffer, the tree's
-// arenas included, is re-made for it. That is ROADMAP item 1.3's, not
-// the pools': a pooled copy used every step survives collections.)
+// there: as structure forms its longest list lengthens every step. The
+// staging grows by append's rule for that, see the drifting maximum
+// below; the tree's arenas are still made to fit, ROADMAP item 1.3.)
 func TestStepAllocsCluster(t *testing.T) {
 	const n = 4096
 	sys := allocTestSystem(n)
@@ -191,6 +193,69 @@ func TestStepAllocsCluster(t *testing.T) {
 	}
 	t.Logf("cluster steady-state Step: %.1f allocs/run, %d bytes/step (budgets %d, %d)",
 		allocs, bytesPerStep, budget, byteBudget)
+
+	// The maximum that drifts, which the stationary sphere above never
+	// shows: every list one source longer each step, as cluster_cosmo17k's
+	// longest is while structure forms. Staging that is made to fit
+	// re-makes every buffer on every one of the 40 steps (128 kB each
+	// here); grown by append's rule a buffer is re-made O(log) times —
+	// here once, at 1025 sources, where all of them outgrow the size
+	// class that 1000 was rounded up to.
+	t.Run("drifting maximum", func(t *testing.T) {
+		const ni, nj0, batches, steps = 64, 1000, 8, 40
+		cl, err := g5.NewCluster(g5.ClusterConfig{Shards: 2, Board: g5.DefaultConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if err := cl.SetScale(-2, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.SetEps(0.01); err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(2)
+		reqs := make([]core.Request, batches)
+		for b := range reqs {
+			req := &reqs[b]
+			req.IPos, req.Acc, req.Pot = make([]vec.V3, ni), make([]vec.V3, ni), make([]float64, ni)
+			for i := range req.IPos {
+				x, y, z := r.InBall()
+				req.IPos[i] = vec.V3{X: x, Y: y, Z: z}
+			}
+			for j := 0; j < nj0+steps; j++ { // the caller's own list: at full capacity from the start
+				x, y, z := r.InBall()
+				req.J.Append(x, y, z, 1.0/nj0)
+			}
+		}
+		step := func(nj int) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for b := range reqs {
+				req := &reqs[b]
+				req.J.X, req.J.Y, req.J.Z, req.J.M, req.J.N = req.J.X[:nj], req.J.Y[:nj], req.J.Z[:nj], req.J.M[:nj], nj
+				cl.Accumulate(req)
+			}
+			if err := cl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		for w := 0; w < 4; w++ { // every staging set meets nj0
+			step(nj0)
+		}
+		remade := 0
+		for s := 1; s <= steps; s++ {
+			if bytes := step(nj0 + s); bytes >= 8*nj0 { // one buffer of the shortest kind
+				remade++
+				t.Logf("step %d (%d sources): %d bytes", s, nj0+s, bytes)
+			}
+		}
+		if remade > 4 {
+			t.Fatalf("%d of %d steps re-made a staging buffer as the lists grew by one source a step, want at most 4", remade, steps)
+		}
+	})
 }
 
 // TestStepAllocsBlocks extends the allocation gate to block timesteps:
