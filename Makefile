@@ -28,12 +28,16 @@ lint: $(BIN)/grapelint
 # lines going down"): lines of non-test Go and of assembly (*.s is
 # source) outside benchmark/, per package directory and in total. Lint
 # fixtures under testdata/ are test inputs and are not counted. Under the
-# total, the byte sizes of the two documents ROADMAP item 6 budgets.
+# total, the *_test.go lines outside benchmark/ (ROADMAP item 3: "test
+# lines going down") and the byte sizes of the two documents ROADMAP
+# item 6 budgets.
 loc:
 	@find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './benchmark/*' \
 		! -path '*/testdata/*' ! -path './.bench_build/*' -print0 | xargs -0 wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+	@find . -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | \
+		xargs -0 cat | wc -l | awk '{ printf "%7d test lines\n", $$1 }'
 	@wc -c DESIGN.md EXPERIMENTS.md | awk '$$2 != "total" { printf "%7d bytes %s\n", $$1, $$2 }'
 
 # bench-wall-smoke builds, vets and tests the wall-clock benchmark

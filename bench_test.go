@@ -612,36 +612,6 @@ func BenchmarkFriendsOfFriends(b *testing.B) {
 	b.ReportMetric(float64(halos), "halos")
 }
 
-func BenchmarkDriverDirectSum(b *testing.B) {
-	// The classic GRAPE workload: persistent j-memory, i-chunked sweep.
-	s := benchSystem(5000, 12)
-	d, err := g5.Open(g5.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := d.SetRange(-20, 20); err != nil {
-		b.Fatal(err)
-	}
-	d.SetEpsToAll(0.02)
-	if err := d.SetXMJ(0, s.Pos, s.Mass); err != nil {
-		b.Fatal(err)
-	}
-	np := d.NumberOfPipelines()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for lo := 0; lo < s.N(); lo += np {
-			hi := lo + np
-			if hi > s.N() {
-				hi = s.N()
-			}
-			if err := d.CalculateForceOnX(s.Pos[lo:hi], s.Acc[lo:hi], s.Pot[lo:hi]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(s.N())*float64(s.N())*float64(b.N)/b.Elapsed().Seconds(), "interactions/s")
-}
-
 // Ablation: the original algorithm driven through the GRAPE timing
 // model — per-particle batches waste 95/96 virtual pipelines, which is
 // the §3 argument for grouping. Reported metric: modelled hardware

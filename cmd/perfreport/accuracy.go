@@ -8,7 +8,9 @@ import (
 
 	grape5 "repro"
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/g5"
+	"repro/internal/hostk"
 	"repro/internal/nbody"
 	"repro/internal/rng"
 	"repro/internal/vec"
@@ -42,16 +44,15 @@ func runAccuracy(args []string, w io.Writer) error {
 	}
 
 	// --- Pairwise pipeline error (hardware arithmetic alone) ---------
-	// Through the host-library call sequence (g5_open / g5_set_range /
-	// g5_set_xmj / g5_calculate_force_on_x), not raw register access:
-	// the j-particle is rewritten at address 0 each pair.
-	drv, err := g5.Open(g5.DefaultConfig())
+	// Through the engine every force call takes, one source per call.
+	sys, err := g5.NewSystem(g5.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	if err := drv.SetRange(-100, 100); err != nil {
+	if err := sys.SetScale(-100, 100); err != nil {
 		return err
 	}
+	eng := g5.NewEngine(sys, 1)
 	r := rng.New(*seed)
 	var sum2 float64
 	count := 0
@@ -59,26 +60,22 @@ func runAccuracy(args []string, w io.Writer) error {
 		pi := vec.V3{X: r.Uniform(-50, 50), Y: r.Uniform(-50, 50), Z: r.Uniform(-50, 50)}
 		pj := vec.V3{X: r.Uniform(-50, 50), Y: r.Uniform(-50, 50), Z: r.Uniform(-50, 50)}
 		m := math.Exp(r.Uniform(-3, 3))
-		acc := make([]vec.V3, 1)
-		pot := make([]float64, 1)
-		if err := drv.SetXMJ(0, []vec.V3{pj}, []float64{m}); err != nil {
-			return err
+		req := core.Request{
+			IPos: []vec.V3{pi},
+			J:    hostk.JList{X: []float64{pj.X}, Y: []float64{pj.Y}, Z: []float64{pj.Z}, M: []float64{m}, N: 1},
+			Acc:  make([]vec.V3, 1),
+			Pot:  make([]float64, 1),
 		}
-		if err := drv.CalculateForceOnX([]vec.V3{pi}, acc, pot); err != nil {
-			return err
-		}
+		eng.Accumulate(&req)
 		d := pj.Sub(pi)
 		r2 := d.Norm2()
 		if r2 < 1e-4 {
 			continue
 		}
 		exact := d.Scale(m / (r2 * math.Sqrt(r2)))
-		rel := acc[0].Sub(exact).Norm() / exact.Norm()
+		rel := req.Acc[0].Sub(exact).Norm() / exact.Norm()
 		sum2 += rel * rel
 		count++
-	}
-	if err := drv.Close(); err != nil {
-		return err
 	}
 	fmt.Fprintf(w, "pairwise pipeline force error: %.3f%% RMS over %d pairs (paper §2: ~0.3%%)\n\n",
 		100*math.Sqrt(sum2/float64(count)), count)

@@ -90,14 +90,13 @@ func TestTraversalStatsRegression(t *testing.T) {
 	}
 }
 
-// TestClusterShardBalanceRegression pins the per-board load balance of
-// the sharded offload at the paper-scale operating point (N=4096
-// Plummer, n_g=2000, theta=0.75 — the 8-group golden case above). With
-// round-robin dispatch, one walk worker and a fixed chunk size the
-// assignment is a pure function of traversal order, so the balance is
-// a golden property of the chunking policy: no board may carry 20%
-// more pairwise interactions than another, and every interaction the
-// traversal emits must land on exactly one board.
+// TestClusterShardBalanceRegression drives the sharded offload at the
+// paper-scale operating point (N=4096 Plummer, n_g=2000, theta=0.75 —
+// the 8-group golden case above) under the cluster's only dispatch,
+// whole batches with work stealing: every interaction and every group
+// the traversal emits must land on exactly one board. Which board is a
+// matter of timing, so no balance ratio is pinned here; the benchmark's
+// g5.cluster_shard_imbalance measures it.
 func TestClusterShardBalanceRegression(t *testing.T) {
 	const (
 		n, ng  = 4096, 2000
@@ -106,13 +105,7 @@ func TestClusterShardBalanceRegression(t *testing.T) {
 		golden = int64(7729413)
 	)
 	for _, shards := range []int{2, 4} {
-		cl, err := g5.NewCluster(g5.ClusterConfig{
-			Shards:   shards,
-			Board:    g5.DefaultConfig(),
-			G:        1,
-			Dispatch: g5.DispatchRoundRobin, // pinned lanes: deterministic loads
-			ChunkI:   96,                    // one virtual-pipeline load per chunk
-		})
+		cl, err := g5.NewCluster(g5.ClusterConfig{Shards: shards, Board: g5.DefaultConfig(), G: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,25 +127,18 @@ func TestClusterShardBalanceRegression(t *testing.T) {
 			t.Fatalf("traversal drifted from golden: groups=%d interactions=%d", st.Groups, st.Interactions)
 		}
 
-		loads := cl.ShardInteractions()
-		var total, minL, maxL int64
-		minL = loads[0]
-		for _, l := range loads {
-			total += l
-			minL = min(minL, l)
-			maxL = max(maxL, l)
+		var interactions, batches int64
+		for _, l := range cl.ShardInteractions() {
+			interactions += l
 		}
-		if total != st.Interactions {
-			t.Errorf("K=%d: shard loads sum to %d, traversal emitted %d", shards, total, st.Interactions)
+		for _, b := range cl.ShardBatches() {
+			batches += b
 		}
-		if minL == 0 {
-			t.Fatalf("K=%d: idle board (loads %v)", shards, loads)
+		if interactions != st.Interactions {
+			t.Errorf("K=%d: shard loads sum to %d, traversal emitted %d", shards, interactions, st.Interactions)
 		}
-		if ratio := float64(maxL) / float64(minL); ratio >= 1.2 {
-			t.Errorf("K=%d: board load imbalance %.3f >= 1.2 (loads %v)", shards, ratio, loads)
-		}
-		if cl.Steals() != 0 {
-			t.Errorf("K=%d: %d steals under pinned round-robin dispatch", shards, cl.Steals())
+		if batches != int64(st.Groups) {
+			t.Errorf("K=%d: shards ran %d batches, traversal emitted %d groups", shards, batches, st.Groups)
 		}
 	}
 }

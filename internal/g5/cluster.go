@@ -27,13 +27,6 @@ type ClusterConfig struct {
 	// is guarded — a cluster without acceptance checks would silently
 	// blend corrupt and clean shards.
 	Guard GuardPolicy
-	// Dispatch selects the chunk scheduling policy (work stealing by
-	// default; round-robin pinning for deterministic load accounting).
-	Dispatch DispatchPolicy
-	// ChunkI overrides the i-chunk size (0 = whole batches: each group's
-	// force batch runs as one hardware call on one shard, so the j-list
-	// is never replicated across boards; see chunkSize).
-	ChunkI int
 }
 
 // clusterShard is one board system plus its guarded driver and private
@@ -60,12 +53,16 @@ type clusterShard struct {
 //
 // Sharding is along the i-axis at batch granularity: every field
 // particle's force is evaluated in full — whole j-list, one hardware
-// call — on exactly one shard, and by default a whole batch stays on
-// one shard so its j-list crosses exactly one board's bus (see
-// chunkSize). There is no floating-point reduction across shards, so
-// shard count and dispatch order cannot perturb results: a Cluster is
-// bitwise-identical to a single GuardedEngine fed the same batches
-// (the conformance suite pins this).
+// call — on exactly one shard. A batch is never split: every hardware
+// call streams the batch's whole j-list, so splitting it across shards
+// would replicate the dominant j transfer onto every board it touched,
+// while whole batches keep each board's bus traffic a single engine's;
+// the treecode emits many more batches than shards at any sane n_g, and
+// the work-stealing balance operates on them. There is no
+// floating-point reduction across shards, so shard count and dispatch
+// order cannot perturb results: a Cluster is bitwise-identical to a
+// single GuardedEngine fed the same batches (the conformance suite pins
+// this).
 //
 // Output slices handed to Accumulate must stay valid and disjoint
 // across batches until Flush returns (the treecode's per-group
@@ -79,10 +76,9 @@ type Cluster struct {
 	cfg    ClusterConfig
 	shards []*clusterShard
 	disp   *dispatcher
-	jfree  freeList[jset] // staging copies not in flight
-	tfree  freeList[task] // chunk descriptors not in flight
+	free   freeList // staged tasks not in flight
 
-	tasks   sync.WaitGroup // staged chunks not yet committed
+	tasks   sync.WaitGroup // staged batches not yet committed
 	workers sync.WaitGroup // running shard goroutines
 	rr      atomic.Int64   // round-robin lane cursor
 
@@ -110,7 +106,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.G == 0 {
 		cfg.G = 1
 	}
-	c := &Cluster{cfg: cfg, disp: newDispatcher(cfg.Shards, cfg.Dispatch)}
+	c := &Cluster{cfg: cfg, disp: newDispatcher(cfg.Shards)}
 	for k := 0; k < cfg.Shards; k++ {
 		bcfg := cfg.Board
 		if bcfg.Fault != nil && k > 0 {
@@ -161,7 +157,7 @@ func (c *Cluster) ShardInteractions() []int64 {
 	return out
 }
 
-// ShardBatches returns the chunk count executed per shard.
+// ShardBatches returns the batch count executed per shard.
 func (c *Cluster) ShardBatches() []int64 {
 	out := make([]int64, len(c.shards))
 	for k, sh := range c.shards {
@@ -170,7 +166,7 @@ func (c *Cluster) ShardBatches() []int64 {
 	return out
 }
 
-// Steals returns how many chunks ran on a shard other than their
+// Steals returns how many batches ran on a shard other than their
 // round-robin lane.
 func (c *Cluster) Steals() int64 { return c.disp.Steals() }
 
@@ -194,12 +190,6 @@ func (c *Cluster) SetEps(eps float64) error {
 	return nil
 }
 
-// ScaleRange returns the active coordinate window (all shards share
-// one, set through SetScale).
-func (c *Cluster) ScaleRange() (min, max float64, ok bool) {
-	return c.shards[0].sys.ScaleRange()
-}
-
 // SetObserver attaches the telemetry merge target: at every Flush the
 // per-shard phase spans are folded into o (see mergeObs). A nil
 // observer detaches.
@@ -213,15 +203,6 @@ func (c *Cluster) Counters() Counters {
 		total = total.Add(sh.sys.Counters())
 	}
 	return total
-}
-
-// ResetCounters zeroes every shard's activity counters and the
-// observer-side hardware accumulation they feed (see
-// System.ResetCounters).
-func (c *Cluster) ResetCounters() {
-	for _, sh := range c.shards {
-		sh.sys.ResetCounters()
-	}
 }
 
 // Recovery returns the summed fault-handling counters across shards.
@@ -265,53 +246,24 @@ func (c *Cluster) ActiveBoards() int {
 // parallel efficiency.
 func (c *Cluster) CriticalHWSeconds() float64 { return c.critSec }
 
-// chunkSize picks the i-chunk length for a batch of ni field points.
-// The default is the whole batch: every hardware call streams the
-// batch's complete j-list, so splitting a batch across shards
-// replicates the j transfer onto every board it touches — the i-side
-// (pipeline, readback) would shard but the dominant j stream would
-// not, and measured K-board speedup collapses. Whole batches keep the
-// cluster's per-board bus traffic identical to a single engine's, and
-// the treecode emits many more batches than shards at any sane n_g,
-// so batch granularity is what the work-stealing balance operates on.
-// ChunkI forces a split for tests that need sub-batch scheduling.
-func (c *Cluster) chunkSize(ni int) int {
-	if c.cfg.ChunkI > 0 {
-		return c.cfg.ChunkI
-	}
-	return ni
-}
-
 // Accumulate implements core.Engine by staging the batch: the j-list is
-// copied (callers reuse their buffers immediately), the i-range is cut
-// into chunks, and each chunk is queued on a round-robin lane. Results
-// land in req.Acc/req.Pot no later than the next Flush.
+// copied (callers reuse their buffers immediately) and the batch is
+// queued on a round-robin lane. Results land in req.Acc/req.Pot no later
+// than the next Flush.
 func (c *Cluster) Accumulate(req *core.Request) {
-	ni, nj := len(req.IPos), req.J.N
-	if ni == 0 || nj == 0 {
+	if len(req.IPos) == 0 || req.J.N == 0 {
 		return
 	}
-	js := c.jfree.get()
-	js.j.CopyFrom(&req.J)
-
-	chunk := c.chunkSize(ni)
-	nChunks := (ni + chunk - 1) / chunk
-	atomic.StoreInt32(&js.refs, int32(nChunks))
-	for lo := 0; lo < ni; lo += chunk {
-		hi := min(lo+chunk, ni)
-		t := c.tfree.get()
-		t.ipos = req.IPos[lo:hi]
-		t.jset = js
-		t.acc = req.Acc[lo:hi]
-		t.pot = req.Pot[lo:hi]
-		c.tasks.Add(1)
-		lane := int(c.rr.Add(1)-1) % len(c.shards)
-		c.disp.submit(lane, t)
-	}
+	t := c.free.get()
+	t.j.CopyFrom(&req.J)
+	t.ipos, t.acc, t.pot = req.IPos, req.Acc, req.Pot
+	c.tasks.Add(1)
+	lane := int(c.rr.Add(1)-1) % len(c.shards)
+	c.disp.submit(lane, t)
 }
 
 // Flush implements core.BatchedEngine: it blocks until every staged
-// chunk has committed its results, folds the per-shard telemetry into
+// batch has committed its results, folds the per-shard telemetry into
 // the attached observer, and returns the first asynchronous failure
 // since the previous Flush (clearing it).
 func (c *Cluster) Flush() error {
@@ -338,9 +290,9 @@ func (c *Cluster) Close() error {
 
 // mergeObs folds the drained interval's per-shard telemetry into the
 // target observer, then resets the shard observers. Counters (flops,
-// bytes, recoveries, fallbacks) and the host-side guard span are
-// summed — they are real aggregate work, and guard time follows the
-// same summed-CPU-time convention as the walk phase. The simulated
+// bytes, recoveries, fallbacks) and the host-side force-evaluation and
+// guard spans are summed — they are real aggregate work, and shard time
+// follows the walk phase's Σ-worker-time convention. The simulated
 // hardware phases (j/i transfer, pipeline, readback) are taken from
 // the critical-path shard only: the boards run concurrently, so the
 // cluster's t_grape and t_comm are the slowest shard's — the quantity
@@ -359,6 +311,7 @@ func (c *Cluster) mergeObs() {
 		c.critSec += critSpan
 	}
 	for k, sh := range c.shards {
+		target.AddSeconds(obs.PhaseForceEval, sh.ob.Seconds(obs.PhaseForceEval))
 		target.AddSeconds(obs.PhaseGuard, sh.ob.Seconds(obs.PhaseGuard))
 		if k == crit {
 			target.AddSeconds(obs.PhaseJTransfer, sh.ob.Seconds(obs.PhaseJTransfer))
@@ -374,7 +327,7 @@ func (c *Cluster) mergeObs() {
 	}
 }
 
-// worker is shard k's drain loop: pop (or steal) the next chunk, run
+// worker is shard k's drain loop: pop (or steal) the next batch, run
 // it, repeat until the dispatcher closes.
 func (c *Cluster) worker(k int) {
 	defer c.workers.Done()
@@ -387,15 +340,14 @@ func (c *Cluster) worker(k int) {
 	}
 }
 
-// run executes one chunk on shard k. A shard panic (wedged hardware,
-// *HardwareError) must not kill the process from a worker goroutine:
-// it is captured as the cluster's asynchronous error and surfaced at
-// Flush, the same contract the synchronous engines express by
-// panicking in the caller's frame.
+// run executes one batch on shard k, timing it as the shard's force
+// evaluation. A shard panic (wedged hardware, *HardwareError) must not
+// kill the process from a worker goroutine: it is captured as the
+// cluster's asynchronous error and surfaced at Flush, the same contract
+// the synchronous engines express by panicking in the caller's frame.
 func (c *Cluster) run(k int, t *task) {
 	defer c.tasks.Done()
-	defer c.releaseT(t)
-	defer c.releaseJ(t.jset)
+	defer c.free.put(t)
 	defer func() {
 		if r := recover(); r != nil {
 			c.errMu.Lock()
@@ -406,26 +358,10 @@ func (c *Cluster) run(k int, t *task) {
 		}
 	}()
 	sh := c.shards[k]
-	req := core.Request{
-		IPos: t.ipos, J: t.jset.j,
-		Acc: t.acc, Pot: t.pot,
-	}
+	req := core.Request{IPos: t.ipos, J: t.j, Acc: t.acc, Pot: t.pot}
+	tf := sh.ob.Start(obs.PhaseForceEval)
 	sh.eng.Accumulate(&req)
-	sh.interactions.Add(int64(len(t.ipos)) * int64(t.jset.j.N))
+	tf.Stop()
+	sh.interactions.Add(int64(len(t.ipos)) * int64(t.j.N))
 	sh.batches.Add(1)
-}
-
-// releaseJ drops one chunk's reference to its staged j-set, recycling
-// the buffers when the batch's last chunk drains.
-func (c *Cluster) releaseJ(js *jset) {
-	if atomic.AddInt32(&js.refs, -1) == 0 {
-		c.jfree.put(js)
-	}
-}
-
-// releaseT recycles a drained chunk descriptor, dropping its references
-// to the caller's output slices and the batch j-set first.
-func (c *Cluster) releaseT(t *task) {
-	t.ipos, t.jset, t.acc, t.pot = nil, nil, nil, nil
-	c.tfree.put(t)
 }

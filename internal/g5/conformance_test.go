@@ -29,7 +29,8 @@ func newConformanceCluster(t testing.TB, cfg ClusterConfig, eps float64) *Cluste
 }
 
 // batchShapes is the conformance workload: batch sizes chosen to hit a
-// single under-full chunk, exact chunk multiples, and ragged tails.
+// single under-full pipeline load, exact multiples of the 96 virtual
+// pipelines, and ragged tails.
 var batchShapes = []struct{ ni, nj int }{
 	{1, 50}, {17, 300}, {96, 200}, {97, 400}, {192, 128}, {500, 777},
 }
@@ -61,12 +62,37 @@ func runBatches(t testing.TB, eng core.Engine, seed uint64, stepwise bool) []*co
 	return reqs
 }
 
+// chunkedEngine cuts every batch into i-ranges of at most chunk field
+// points (0 = whole batches) before handing them to eng, the way a
+// caller with small groups would submit them.
+type chunkedEngine struct {
+	eng   *Cluster
+	chunk int
+}
+
+func (c chunkedEngine) Accumulate(req *core.Request) {
+	ni := len(req.IPos)
+	step := c.chunk
+	if step == 0 {
+		step = ni
+	}
+	for lo := 0; lo < ni; lo += step {
+		hi := min(lo+step, ni)
+		c.eng.Accumulate(&core.Request{
+			IPos: req.IPos[lo:hi], J: req.J,
+			Acc: req.Acc[lo:hi], Pot: req.Pot[lo:hi],
+		})
+	}
+}
+
+func (c chunkedEngine) Flush() error { return c.eng.Flush() }
+
 // TestClusterK1BitwiseIdenticalToGuard: a single-shard cluster is the
-// bare guarded engine plus staging, chunking and a worker goroutine —
-// none of which may perturb a single bit of the forces. Sharding is
-// i-axis only (each i-particle's force is one full hardware sum), so
-// this holds for ANY chunk size; the table exercises the adaptive size
-// and pathological overrides.
+// bare guarded engine plus staging and a worker goroutine — neither of
+// which may perturb a single bit of the forces. Sharding is i-axis only
+// (each i-particle's force is one full hardware sum), so this holds
+// however the field points are cut into batches; the table submits
+// whole batches and pathological i-splits.
 func TestClusterK1BitwiseIdenticalToGuard(t *testing.T) {
 	refSys := newGuardSystem(t, DefaultConfig(), 0.05)
 	ref := NewGuardedEngine(refSys, 1.5, fastPolicy())
@@ -75,10 +101,9 @@ func TestClusterK1BitwiseIdenticalToGuard(t *testing.T) {
 	for _, chunk := range []int{0, 1, 7, 96, 1000} {
 		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
 			cl := newConformanceCluster(t, ClusterConfig{
-				Shards: 1, Board: DefaultConfig(), G: 1.5,
-				Guard: fastPolicy(), ChunkI: chunk,
+				Shards: 1, Board: DefaultConfig(), G: 1.5, Guard: fastPolicy(),
 			}, 0.05)
-			got := runBatches(t, cl, 21, false)
+			got := runBatches(t, chunkedEngine{cl, chunk}, 21, false)
 			for b := range want {
 				for i := range want[b].Acc {
 					if got[b].Acc[i] != want[b].Acc[i] || got[b].Pot[i] != want[b].Pot[i] {
@@ -109,42 +134,38 @@ func TestClusterShardsAgreeWithK1(t *testing.T) {
 	want := runBatches(t, base, 33, true)
 
 	for _, k := range []int{2, 4, 8} {
-		for _, policy := range []DispatchPolicy{DispatchWorkSteal, DispatchRoundRobin} {
-			name := fmt.Sprintf("K=%d/steal=%v", k, policy == DispatchWorkSteal)
-			t.Run(name, func(t *testing.T) {
-				cl := newConformanceCluster(t, ClusterConfig{
-					Shards: k, Board: DefaultConfig(), G: 1,
-					Guard: fastPolicy(), Dispatch: policy, ChunkI: 32,
-				}, 0.05)
-				got := runBatches(t, cl, 33, true)
-				for b := range want {
-					for i := range want[b].Acc {
-						d := got[b].Acc[i].Sub(want[b].Acc[i])
-						if math.Abs(d.X) > 1e-12 || math.Abs(d.Y) > 1e-12 || math.Abs(d.Z) > 1e-12 ||
-							math.Abs(got[b].Pot[i]-want[b].Pot[i]) > 1e-12 {
-							t.Fatalf("batch %d i=%d: K=%d drifted beyond 1e-12: %v vs %v",
-								b, i, k, got[b].Acc[i], want[b].Acc[i])
-						}
-						if got[b].Acc[i] != want[b].Acc[i] || got[b].Pot[i] != want[b].Pot[i] {
-							t.Fatalf("batch %d i=%d: K=%d not bitwise identical (reduction order changed?)",
-								b, i, k)
-						}
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			cl := newConformanceCluster(t, ClusterConfig{
+				Shards: k, Board: DefaultConfig(), G: 1, Guard: fastPolicy(),
+			}, 0.05)
+			got := runBatches(t, cl, 33, true)
+			for b := range want {
+				for i := range want[b].Acc {
+					d := got[b].Acc[i].Sub(want[b].Acc[i])
+					if math.Abs(d.X) > 1e-12 || math.Abs(d.Y) > 1e-12 || math.Abs(d.Z) > 1e-12 ||
+						math.Abs(got[b].Pot[i]-want[b].Pot[i]) > 1e-12 {
+						t.Fatalf("batch %d i=%d: K=%d drifted beyond 1e-12: %v vs %v",
+							b, i, k, got[b].Acc[i], want[b].Acc[i])
+					}
+					if got[b].Acc[i] != want[b].Acc[i] || got[b].Pot[i] != want[b].Pot[i] {
+						t.Fatalf("batch %d i=%d: K=%d not bitwise identical (reduction order changed?)",
+							b, i, k)
 					}
 				}
-				// Conservation: every pairwise interaction ran on exactly
-				// one shard.
-				var total, wantTotal int64
-				for _, n := range cl.ShardInteractions() {
-					total += n
-				}
-				for _, s := range batchShapes {
-					wantTotal += int64(s.ni) * int64(s.nj)
-				}
-				if total != wantTotal {
-					t.Errorf("shard interactions sum to %d, submitted %d", total, wantTotal)
-				}
-			})
-		}
+			}
+			// Conservation: every pairwise interaction ran on exactly
+			// one shard.
+			var total, wantTotal int64
+			for _, n := range cl.ShardInteractions() {
+				total += n
+			}
+			for _, s := range batchShapes {
+				wantTotal += int64(s.ni) * int64(s.nj)
+			}
+			if total != wantTotal {
+				t.Errorf("shard interactions sum to %d, submitted %d", total, wantTotal)
+			}
+		})
 	}
 }
 
@@ -156,7 +177,7 @@ func TestClusterConcurrentAccumulate(t *testing.T) {
 	refSys := newGuardSystem(t, DefaultConfig(), 0.05)
 	ref := NewEngine(refSys, 1)
 	cl := newConformanceCluster(t, ClusterConfig{
-		Shards: 4, Board: DefaultConfig(), G: 1, Guard: fastPolicy(), ChunkI: 48,
+		Shards: 4, Board: DefaultConfig(), G: 1, Guard: fastPolicy(),
 	}, 0.05)
 
 	const producers, perProducer = 4, 6
@@ -225,19 +246,18 @@ func TestClusterFlushSurfacesShardPanic(t *testing.T) {
 }
 
 // FuzzClusterShard fuzzes the sharding invariants: arbitrary batch
-// shapes, shard counts, chunk overrides and transient fault injection
+// shapes, shard counts and transient fault injection
 // must never drop or double-count a force, and the per-shard recovery
 // counters must sum to the cluster totals.
 func FuzzClusterShard(f *testing.F) {
-	f.Add(uint64(1), uint16(20), uint16(300), uint8(2), uint8(0), uint8(0))
-	f.Add(uint64(2), uint16(97), uint16(50), uint8(3), uint8(7), uint8(1))
-	f.Add(uint64(3), uint16(500), uint16(900), uint8(8), uint8(96), uint8(2))
-	f.Add(uint64(4), uint16(1), uint16(1), uint8(1), uint8(1), uint8(3))
-	f.Fuzz(func(t *testing.T, seed uint64, niRaw, njRaw uint16, shardsRaw, chunkRaw, faultKind uint8) {
+	f.Add(uint64(1), uint16(20), uint16(300), uint8(2), uint8(0))
+	f.Add(uint64(2), uint16(97), uint16(50), uint8(3), uint8(1))
+	f.Add(uint64(3), uint16(500), uint16(900), uint8(8), uint8(2))
+	f.Add(uint64(4), uint16(1), uint16(1), uint8(1), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, niRaw, njRaw uint16, shardsRaw, faultKind uint8) {
 		ni := 1 + int(niRaw)%600
 		nj := 1 + int(njRaw)%900
 		shards := 1 + int(shardsRaw)%8
-		chunk := int(chunkRaw) % 128 // 0 keeps the adaptive size
 
 		cfg := DefaultConfig()
 		switch faultKind % 4 {
@@ -252,7 +272,7 @@ func FuzzClusterShard(f *testing.F) {
 		pol.MaxRetries = 12
 
 		cl, err := NewCluster(ClusterConfig{
-			Shards: shards, Board: cfg, G: 1, Guard: pol, ChunkI: chunk,
+			Shards: shards, Board: cfg, G: 1, Guard: pol,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -293,11 +313,11 @@ func FuzzClusterShard(f *testing.F) {
 			t.Fatalf("shard interactions sum to %d, submitted %d", total, wantTotal)
 		}
 
-		// Recovery counters sum across shards, and every chunk was
+		// Recovery counters sum across shards, and every batch was
 		// acceptance-checked exactly once.
 		rec := cl.Recovery()
 		var sum Recovery
-		var chunks int64
+		var executed int64
 		for k := 0; k < cl.Shards(); k++ {
 			sr := cl.ShardEngine(k).Recovery()
 			sum.Checks += sr.Checks
@@ -305,13 +325,13 @@ func FuzzClusterShard(f *testing.F) {
 			sum.FallbackBatches += sr.FallbackBatches
 		}
 		for _, n := range cl.ShardBatches() {
-			chunks += n
+			executed += n
 		}
 		if rec.Checks != sum.Checks || rec.Retries != sum.Retries || rec.FallbackBatches != sum.FallbackBatches {
 			t.Fatalf("cluster recovery %+v disagrees with shard sum %+v", rec, sum)
 		}
-		if rec.Checks != chunks {
-			t.Fatalf("%d acceptance checks for %d executed chunks", rec.Checks, chunks)
+		if rec.Checks != executed {
+			t.Fatalf("%d acceptance checks for %d executed batches", rec.Checks, executed)
 		}
 		fs := cl.FaultStats()
 		if int64(fs.BusErrors+fs.Transients) != rec.Retries {

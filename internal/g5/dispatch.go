@@ -7,82 +7,61 @@ import (
 	"repro/internal/vec"
 )
 
-// DispatchPolicy selects how staged i-chunks are handed to the
-// cluster's shards.
-type DispatchPolicy int
-
-const (
-	// DispatchWorkSteal round-robins chunks across per-shard lanes and
-	// lets an idle shard steal queued work from the back of the longest
-	// other lane — the default policy. Stealing balances by time: the
-	// emulated Compute cost is proportional to the chunk's interaction
-	// count, so executed load tracks hardware load.
-	DispatchWorkSteal DispatchPolicy = iota
-	// DispatchRoundRobin pins every chunk to its round-robin lane (no
-	// stealing). Per-board load is then a pure function of submission
-	// order, which the balance regression tests pin as golden values.
-	DispatchRoundRobin
-)
-
-// task is one staged unit of cluster work: a contiguous i-chunk of a
-// force batch, referencing the batch's shared staged j-set. The acc and
-// pot slices alias the caller's output arrays; disjoint chunks write
-// disjoint ranges, so shards commit results without any reduction step
-// (the per-i force is a single hardware sum — trivially deterministic
-// reduction ordering).
+// task is one staged force batch: the caller's field points and output
+// slices, and the task's own copy of the source list (the Accumulate
+// caller reuses its j buffers immediately after submission; the SoA
+// layout, padding included, is kept so the shard engine sees exactly the
+// caller's request). The acc and pot slices alias the caller's output
+// arrays; batches write disjoint ranges, so shards commit results
+// without any reduction step.
 type task struct {
 	ipos []vec.V3
-	jset *jset
+	j    hostk.JList
 	acc  []vec.V3
 	pot  []float64
 }
 
-// jset is the staged copy of one batch's source list (the Accumulate
-// caller reuses its j buffers immediately after submission). It is
-// shared by all the batch's i-chunks and recycled when the last chunk
-// drains. The SoA layout (padding included) is preserved so shard
-// engines see exactly the caller's request.
-type jset struct {
-	j    hostk.JList
-	refs int32 // accessed atomically via the cluster
-}
-
-// freeList recycles the cluster's staging objects. A walk stages a whole
-// step's batches ahead of the shards, so a step holds as many j-list
-// copies as it has groups. Not a sync.Pool, for the guard's reason: the
-// race detector drops pooled items at random (a quarter of the copies,
-// 450 kB a step) and TestStepAllocsCluster runs under it.
-type freeList[T any] struct {
+// freeList recycles the cluster's staged tasks with their j copies. A
+// walk stages a whole step's batches ahead of the shards, so a step holds
+// as many j-list copies as it has groups. Not a sync.Pool, for the
+// guard's reason: the race detector drops pooled items at random (a
+// quarter of the copies, 450 kB a step) and TestStepAllocsCluster runs
+// under it.
+type freeList struct {
 	mu   sync.Mutex
-	free []*T
+	free []*task
 }
 
-func (f *freeList[T]) get() *T {
+func (f *freeList) get() *task {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if n := len(f.free); n > 0 {
-		x := f.free[n-1]
+		t := f.free[n-1]
 		f.free = f.free[:n-1]
-		return x
+		return t
 	}
-	return new(T)
+	return new(task)
 }
 
-func (f *freeList[T]) put(x *T) {
+// put recycles t, dropping its references to the caller's slices first.
+func (f *freeList) put(t *task) {
+	t.ipos, t.acc, t.pot = nil, nil, nil
 	f.mu.Lock()
-	f.free = append(f.free, x)
+	f.free = append(f.free, t)
 	f.mu.Unlock()
 }
 
 // dispatcher is the cluster's work-stealing dispatch queue: one FIFO
-// lane per shard. Owners pop from the front of their lane (batches
-// stream through a board in submission order, the double-buffered
-// SetIP/Run/GetForce cadence); thieves steal from the back of the
-// longest lane, where the freshest — and least prefetch-committed —
-// work sits.
+// lane per shard, filled round-robin. Owners pop from the front of their
+// lane (batches stream through a board in submission order, the
+// double-buffered SetIP/Run/GetForce cadence); an idle shard steals from
+// the back of the longest lane, where the freshest — and least
+// prefetch-committed — work sits. The emulated cost of a batch is
+// proportional to its interaction count, so balancing by time balances
+// hardware load.
 //
 // Stealing is allowed only from a BUSY victim: work queued behind a
-// board that is currently draining a chunk is genuinely delayed, while
+// board that is currently draining a batch is genuinely delayed, while
 // an idle shard's queue is work its own board is about to start — a
 // thief grabbing it would serialise two boards' load onto one. The
 // distinction matters most on a host with fewer cores than shards,
@@ -94,26 +73,21 @@ type dispatcher struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	lanes  [][]*task
-	busy   []bool // shard k's worker is executing a chunk
-	steal  bool
+	busy   []bool // shard k's worker is executing a batch
 	steals int64
 	closed bool
 }
 
-func newDispatcher(k int, policy DispatchPolicy) *dispatcher {
-	d := &dispatcher{
-		lanes: make([][]*task, k),
-		busy:  make([]bool, k),
-		steal: policy == DispatchWorkSteal,
-	}
+func newDispatcher(k int) *dispatcher {
+	d := &dispatcher{lanes: make([][]*task, k), busy: make([]bool, k)}
 	d.cond = sync.NewCond(&d.mu)
 	return d
 }
 
 // submit appends t to lane k and wakes the workers. A broadcast (not a
-// single signal) is required: under DispatchRoundRobin only lane k's
-// owner may run the task, and a lone Signal could wake a different,
-// permanently-idle worker instead.
+// single signal) is required: a thief may only take from a busy owner,
+// so when lane k's owner is idle it must be woken itself — a lone Signal
+// could wake another idle worker, which may not steal the task.
 func (d *dispatcher) submit(k int, t *task) {
 	d.mu.Lock()
 	d.lanes[k] = append(d.lanes[k], t)
@@ -143,22 +117,20 @@ func (d *dispatcher) next(k int) *task {
 			d.busy[k] = true
 			return t
 		}
-		if d.steal {
-			victim, best := -1, 0
-			for i, lane := range d.lanes {
-				if i != k && d.busy[i] && len(lane) > best {
-					victim, best = i, len(lane)
-				}
+		victim, best := -1, 0
+		for i, lane := range d.lanes {
+			if i != k && d.busy[i] && len(lane) > best {
+				victim, best = i, len(lane)
 			}
-			if victim >= 0 {
-				lane := d.lanes[victim]
-				t := lane[len(lane)-1]
-				lane[len(lane)-1] = nil
-				d.lanes[victim] = lane[:len(lane)-1]
-				d.steals++
-				d.busy[k] = true
-				return t
-			}
+		}
+		if victim >= 0 {
+			lane := d.lanes[victim]
+			t := lane[len(lane)-1]
+			lane[len(lane)-1] = nil
+			d.lanes[victim] = lane[:len(lane)-1]
+			d.steals++
+			d.busy[k] = true
+			return t
 		}
 		if d.closed {
 			return nil

@@ -75,7 +75,7 @@ func (e *Engine) Accumulate(req *core.Request) {
 	}
 
 	e.mu.Lock()
-	a, err := e.sys.begin(req.IPos, jpos, req.J.M[:nj], acc, pot, &sc.eval, true)
+	a, err := e.sys.begin(req.IPos, jpos, req.J.M[:nj], acc, pot, &sc.eval)
 	e.mu.Unlock()
 	if err == nil {
 		err = a.evaluate()

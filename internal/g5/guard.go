@@ -295,7 +295,7 @@ func (e *GuardedEngine) computeVerified(req *core.Request, st *scratch, overlap 
 			acc[i] = vec.Zero
 			pot[i] = 0
 		}
-		a, err := e.sys.begin(ipos, jpos, jmass, acc, pot, &st.eval, true)
+		a, err := e.sys.begin(ipos, jpos, jmass, acc, pot, &st.eval)
 		if release := overlap && attempt == 0; err == nil {
 			if release {
 				e.mu.Unlock()

@@ -526,7 +526,7 @@ func TestSelectFree(t *testing.T) {
 			}
 
 			acc, pot := make([]vec.V3, ni), make([]float64, ni)
-			a, err := sys.begin(ipos, jpos, jmass, acc, pot, &sys.scratch, true)
+			a, err := sys.begin(ipos, jpos, jmass, acc, pot, &sys.scratch)
 			if err != nil {
 				t.Fatal(err)
 			}

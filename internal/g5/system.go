@@ -95,7 +95,7 @@ type activation struct {
 	jmass, pot      []float64
 	sc              *evalScratch
 	boards          int // in service when the call was planned: finish charges these
-	chargeJ, strict bool
+	strict          bool
 
 	grid                       FixedGrid
 	eps2                       float64
@@ -243,14 +243,7 @@ func (s *System) activeBoardList() []int {
 // passes, force readback — charging simulated time to the counters —
 // and evaluates the forces with the pipeline's reduced precision.
 func (s *System) Compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot []float64) error {
-	return s.compute(ipos, jpos, jmass, acc, pot, true)
-}
-
-// compute is Compute with control over j-upload accounting: the Driver
-// charges the j transfer once at load time (persistent particle
-// memory), not per force call.
-func (s *System) compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot []float64, chargeJ bool) error {
-	a, err := s.begin(ipos, jpos, jmass, acc, pot, &s.scratch, chargeJ)
+	a, err := s.begin(ipos, jpos, jmass, acc, pot, &s.scratch)
 	if err == nil {
 		err = a.evaluate()
 	}
@@ -264,7 +257,7 @@ func (s *System) compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot
 // arguments, draws the call's faults and snapshots what evaluate and
 // finish need. The stuck factors go into sc, the scratch the call will
 // evaluate with (the injector's own list lasts until its next draw).
-func (s *System) begin(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot []float64, sc *evalScratch, chargeJ bool) (activation, error) {
+func (s *System) begin(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot []float64, sc *evalScratch) (activation, error) {
 	if !s.haveScale {
 		return activation{}, fmt.Errorf("g5: Compute before SetScale")
 	}
@@ -283,7 +276,7 @@ func (s *System) begin(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot [
 	}
 	a := activation{
 		ipos: ipos, jpos: jpos, jmass: jmass, acc: acc, pot: pot, sc: sc,
-		boards: s.nActive, chargeJ: chargeJ, strict: s.cfg.StrictRange,
+		boards: s.nActive, strict: s.cfg.StrictRange,
 		grid: s.grid, eps2: s.eps2,
 		pipeBits: s.cfg.PipeBits, r2Bits: s.cfg.R2Bits, massBits: s.cfg.MassBits,
 		plan: faultPlan{flipJ: -1},
@@ -373,7 +366,7 @@ func (s *System) finish(a *activation) {
 	if a.boards == 0 {
 		return
 	}
-	s.chargeOpt(len(a.ipos), len(a.jpos), a.boards, a.chargeJ)
+	s.charge(len(a.ipos), len(a.jpos), a.boards)
 	s.cnt.RangeClamps += a.clamps
 }
 
@@ -546,24 +539,13 @@ func (s *System) ChargeOnly(ni, nj int) {
 	if ni <= 0 || nj <= 0 || s.nActive == 0 {
 		return
 	}
-	s.charge(ni, nj)
+	s.charge(ni, nj, s.nActive)
 }
 
-// charge adds the simulated cost of one Compute(ni, nj) call to the
-// counters.
-func (s *System) charge(ni, nj int) { s.chargeOpt(ni, nj, s.nActive, true) }
-
-// chargeJBytes accounts a standalone j-particle upload (Driver.SetXMJ).
-func (s *System) chargeJBytes(nj int) {
-	bytes := int64(nj) * int64(s.cfg.BytesPerJ)
-	s.cnt.BytesTransferred += bytes
-	s.cnt.BusSeconds += float64(bytes) / s.cfg.BusBandwidth
-	s.obs.AddSeconds(obs.PhaseJTransfer, float64(bytes)/s.cfg.BusBandwidth)
-	s.obs.Add(obs.CntBytes, bytes)
-}
-
-// chargeOpt charges one call; excluded boards carry no load.
-func (s *System) chargeOpt(ni, nj, boards int, chargeJ bool) {
+// charge adds the simulated cost of one hardware call — j upload, i
+// upload, pipeline passes, readback — on the given number of in-service
+// boards to the counters; excluded boards carry no load.
+func (s *System) charge(ni, nj, boards int) {
 	c := &s.cnt
 	c.Runs++
 	c.Interactions += int64(ni) * int64(nj)
@@ -592,10 +574,7 @@ func (s *System) chargeOpt(ni, nj, boards int, chargeJ bool) {
 
 	iBytes := int64(ni) * int64(s.cfg.BytesPerI)
 	fBytes := int64(ni) * int64(s.cfg.BytesPerForce) * int64(boards)
-	var jBytes int64
-	if chargeJ {
-		jBytes = int64(nj) * int64(s.cfg.BytesPerJ)
-	}
+	jBytes := int64(nj) * int64(s.cfg.BytesPerJ)
 	bytes := iBytes + fBytes + jBytes
 	c.BytesTransferred += bytes
 	c.BusSeconds += float64(bytes)/s.cfg.BusBandwidth + s.cfg.BusLatencyS

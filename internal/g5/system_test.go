@@ -184,7 +184,7 @@ func TestTimingModelHeadline(t *testing.T) {
 	const groups = 1080
 	const ni, nj = 2000, 13431
 	for g := 0; g < groups; g++ {
-		sys.charge(ni, nj)
+		sys.ChargeOnly(ni, nj)
 	}
 	c := sys.Counters()
 	wantInteractions := int64(groups) * ni * nj
@@ -215,7 +215,7 @@ func TestJMemoryPasses(t *testing.T) {
 	cfg.JMemPerBoard = 100 // tiny memory: 200 total
 	sys, _ := NewSystem(cfg)
 	sys.SetScale(-10, 10)
-	sys.charge(96, 500) // 500 j > 200 capacity -> 3 passes
+	sys.ChargeOnly(96, 500) // 500 j > 200 capacity -> 3 passes
 	if sys.Counters().JPasses != 3 {
 		t.Errorf("JPasses = %d, want 3", sys.Counters().JPasses)
 	}
@@ -271,7 +271,7 @@ func TestClampCounting(t *testing.T) {
 
 func TestResetCounters(t *testing.T) {
 	sys := newTestSystem(t)
-	sys.charge(10, 10)
+	sys.ChargeOnly(10, 10)
 	sys.ResetCounters()
 	if c := sys.Counters(); c.Interactions != 0 || c.HWSeconds() != 0 {
 		t.Errorf("counters not reset: %+v", c)
@@ -297,7 +297,7 @@ func TestResetCountersObserverConsistency(t *testing.T) {
 	ob.AddSeconds(obs.PhaseGuard, 0.25)
 	ob.Add(obs.CntInteractions, 7)
 
-	sys.charge(96, 1000)
+	sys.ChargeOnly(96, 1000)
 	if ob.Seconds(obs.PhasePipeline) == 0 || ob.Count(obs.CntFlops) == 0 {
 		t.Fatal("charge did not feed the observer — test is vacuous")
 	}
@@ -336,7 +336,7 @@ func TestResetCountersObserverConsistency(t *testing.T) {
 	}
 
 	// A reset system must charge cleanly again with both views in step.
-	sys.charge(10, 20)
+	sys.ChargeOnly(10, 20)
 	if c := sys.Counters(); c.Interactions != 200 {
 		t.Errorf("post-reset interactions = %d, want 200", c.Interactions)
 	}
@@ -375,7 +375,7 @@ func TestFinishChargesPlannedBoards(t *testing.T) {
 	for lost := 1; lost <= cfg.Boards; lost++ {
 		sys := newGuardSystem(t, cfg, 0.05)
 		var sc evalScratch
-		a, err := sys.begin(q.IPos, jpos, jm, q.Acc, q.Pot, &sc, true)
+		a, err := sys.begin(q.IPos, jpos, jm, q.Acc, q.Pot, &sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,11 +6,9 @@ import "go/ast"
 // hardware (cf. the GRAPE-5 hardware paper, astro-ph/9909116): outside
 // internal/g5, the raw data-path entry points — System.Compute,
 // System.ChargeOnly, System.SetBoardExcluded — are off limits. Hosts
-// drive the hardware through the library surfaces (Driver, Engine,
-// GuardedEngine, Cluster), which own serialisation, error
-// classification and fault recovery. The library's call order
-// (SetRange before SetXMJ before CalculateForceOnX, nothing after
-// Close) is refused at run time by Driver and System with an error
+// drive the hardware through Engine, GuardedEngine or Cluster, which
+// own serialisation, error classification and fault recovery. A call
+// before SetScale is refused at run time by System with an error
 // errdiscipline forbids dropping.
 var AnalyzerG5Contract = &Analyzer{
 	Name: "g5contract",
@@ -45,7 +43,7 @@ func checkRegisterAccess(pass *Pass, file *ast.File) {
 			return true
 		}
 		if pkg, typ, ok := recvNamed(f); ok && pkg == g5Path && typ == "System" {
-			pass.Reportf(call.Pos(), "register-level access to g5.System.%s outside internal/g5: drive the hardware through Driver, Engine, GuardedEngine or Cluster", f.Name())
+			pass.Reportf(call.Pos(), "register-level access to g5.System.%s outside internal/g5: drive the hardware through Engine, GuardedEngine or Cluster", f.Name())
 		}
 		return true
 	})

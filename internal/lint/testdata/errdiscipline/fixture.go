@@ -11,8 +11,8 @@ import (
 )
 
 // discarded drops the error of a watched call in statement position.
-func discarded(d *g5.Driver, eps float64) {
-	d.SetEpsToAll(eps) // want "error from Driver.SetEpsToAll discarded"
+func discarded(sys *g5.System, eps float64) {
+	sys.SetEps(eps) // want "error from System.SetEps discarded"
 }
 
 // deferredClose hides a Close failure behind defer.
@@ -21,8 +21,8 @@ func deferredClose(sim *grape5.Simulation) {
 }
 
 // goClose loses the error on a goroutine boundary.
-func goClose(d *g5.Driver) {
-	go d.Close() // want "error from Driver.Close discarded"
+func goClose(c *g5.Cluster) {
+	go c.Close() // want "error from Cluster.Close discarded"
 }
 
 // blankFault throws away the typed fault classification.
@@ -31,20 +31,21 @@ func blankFault(herr *g5.HardwareError) {
 }
 
 // handled propagates: the correct shape.
-func handled(d *g5.Driver, eps float64) error {
-	return d.SetEpsToAll(eps)
+func handled(sys *g5.System, eps float64) error {
+	return sys.SetEps(eps)
 }
 
 // sanctioned uses the explicit blank assignment with a justification.
-func sanctioned(d *g5.Driver) {
-	// Close of the emulated driver cannot fail (see g5/driver.go).
-	_ = d.Close()
+func sanctioned(c *g5.Cluster) {
+	// The caller's Flush already surfaced every batch error; nothing was
+	// staged since, so Close has nothing to report.
+	_ = c.Close()
 }
 
 // suppressed demonstrates the in-place ignore directive.
-func suppressed(d *g5.Driver, eps float64) {
+func suppressed(sys *g5.System, eps float64) {
 	//lint:ignore errdiscipline fixture demonstrates the suppression policy
-	d.SetEpsToAll(eps)
+	sys.SetEps(eps)
 }
 
 // unwatched packages keep their usual rules: fmt's error is droppable.

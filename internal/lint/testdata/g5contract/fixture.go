@@ -4,6 +4,7 @@
 package fixture
 
 import (
+	"repro/internal/core"
 	g5 "repro/internal/g5"
 	"repro/internal/vec"
 )
@@ -26,19 +27,14 @@ func excludeBoard(sys *g5.System) {
 
 // wellOrdered drives the hardware through the library surface and is
 // clean.
-func wellOrdered(x []vec.V3, m []float64, acc []vec.V3, pot []float64) error {
-	d, err := g5.Open(g5.DefaultConfig())
+func wellOrdered(req *core.Request) error {
+	sys, err := g5.NewSystem(g5.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	if err := d.SetRange(-1, 1); err != nil {
+	if err := sys.SetScale(-1, 1); err != nil {
 		return err
 	}
-	if err := d.SetXMJ(0, x, m); err != nil {
-		return err
-	}
-	if err := d.CalculateForceOnX(x, acc, pot); err != nil {
-		return err
-	}
-	return d.Close()
+	g5.NewEngine(sys, 1).Accumulate(req)
+	return nil
 }

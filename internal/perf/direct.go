@@ -18,8 +18,8 @@ func DirectStepModel(n int, cfg g5.Config, host HostModel) (StepReport, error) {
 	if err != nil {
 		return StepReport{}, err
 	}
-	// One j-load of the whole system, then ceil(n/vp) pipeline sweeps —
-	// exactly what Driver.SetXMJ + chunked CalculateForceOnX charge.
+	// One j-load of the whole system into the particle memory, then
+	// ceil(n/vp) pipeline sweeps of i.
 	vp := cfg.VirtualPipesPerBoard()
 	for lo := 0; lo < n; lo += vp {
 		hi := lo + vp

@@ -43,6 +43,28 @@ func TestDirectStepModelPipeTime(t *testing.T) {
 	}
 }
 
+// TestDirectStepModelChargesJOnce: the direct-summation step loads the
+// whole system into the particle memory once and sweeps i in
+// virtual-pipeline chunks, so the bus carries n j-particles once, every
+// i-particle and its per-board readback once, and one call latency per
+// sweep.
+func TestDirectStepModelChargesJOnce(t *testing.T) {
+	cfg := g5.DefaultConfig()
+	vp := cfg.VirtualPipesPerBoard()
+	for _, n := range []int{1, vp, 1000, 9601} {
+		rep, err := DirectStepModel(n, cfg, DS10())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := n*cfg.BytesPerJ + n*cfg.BytesPerI + n*cfg.BytesPerForce*cfg.Boards
+		sweeps := (n + vp - 1) / vp
+		want := float64(bytes)/cfg.BusBandwidth + float64(sweeps)*cfg.BusLatencyS
+		if rel := math.Abs(rep.BusSeconds-want) / want; rel > 1e-12 {
+			t.Errorf("n=%d: bus seconds %v, want %v (one j load, %d sweeps)", n, rep.BusSeconds, want, sweeps)
+		}
+	}
+}
+
 // TestCrossover: direct wins at small N, the treecode wins at large N,
 // and there is a single crossover in between — the §1 motivation.
 func TestCrossover(t *testing.T) {

@@ -116,6 +116,33 @@ func TestStepTelemetry(t *testing.T) {
 	}
 }
 
+// TestClusterStepReportsForceEval: on a cluster the walk only stages
+// batches, so the emulation runs on the shard workers; their time must
+// come back as force_eval (Σ worker time, like the walk's), where a
+// GRAPE step spends most of its wall-clock.
+func TestClusterStepReportsForceEval(t *testing.T) {
+	s := Plummer(4096, 1, 1, 1, 5)
+	sim, err := NewSimulation(s, Config{
+		Theta: 0.75, Ncrit: 500, G: 1, Eps: 0.02, DT: 0.005,
+		Engine: EngineGRAPE5, Shards: 2, Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := sim.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	if err := sim.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	r := sim.LastReport
+	if r.Phases.ForceEval < 0.5*r.WallSeconds {
+		t.Errorf("K=2 step: force_eval %.4f s of a %.4f s step, want ≥ half", r.Phases.ForceEval, r.WallSeconds)
+	}
+}
+
 // TestConcurrentSimulationsTelemetry runs independent simulations in
 // parallel under -race: each owns its observer, and the parallel group
 // walk inside each must fold spans into it without races.
