@@ -118,10 +118,10 @@ func BenchmarkHostKernel(b *testing.B) {
 // engine, as two walk workers do: the engine serialises the device, not
 // the arithmetic, so on two idle cores its aggregate ns/interaction is
 // about half the single caller's — the kernel is no faster, two run at
-// once. These rows run whichever pair loop the machine picks (the AVX2
-// lanes where it has them); internal/g5's benchmark of the same name adds
-// lanes/ and portable/ rows, each body called directly, so
-// `-bench G5Kernel . ./internal/g5` prints them side by side.
+// once. These rows run whichever pair loop the machine picks (AVX-512
+// lanes, else AVX2 lanes, else Go); internal/g5's benchmark of the same
+// name adds avx512/, avx2/ and portable/ rows, each body called directly,
+// so `-bench G5Kernel . ./internal/g5` prints them side by side.
 func BenchmarkG5Kernel(b *testing.B) {
 	for _, c := range []struct {
 		name    string

@@ -1,6 +1,7 @@
 package g5
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -13,42 +14,36 @@ import (
 // runs whichever body this machine picks). ns/interaction counts ni x nj
 // pairs, as there; the shapes are its rows' too.
 func BenchmarkG5Kernel(b *testing.B) {
-	for _, c := range []struct {
-		name   string
-		lanes  bool
-		ni, nj int
-	}{
-		{"lanes/96x2000", true, 96, 2000},
-		{"lanes/60x620", true, 60, 620},
-		{"portable/96x2000", false, 96, 2000},
-		{"portable/60x620", false, 60, 620},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			if c.lanes && !haveLanes {
-				b.Skip("no AVX2 here")
-			}
-			r := rng.New(9)
-			grid := NewFixedGrid(-100, 100, DefaultConfig().PosBits)
-			point := func() vec.V3 {
-				x, _ := grid.Quantize(r.Uniform(-50, 50))
-				y, _ := grid.Quantize(r.Uniform(-50, 50))
-				z, _ := grid.Quantize(r.Uniform(-50, 50))
-				return vec.V3{X: x, Y: y, Z: z}
-			}
-			iq, jq, mq := make([]vec.V3, c.ni), make([]vec.V3, c.nj), make([]float64, c.nj)
-			for i := range iq {
-				iq[i] = point()
-			}
-			for j := range jq {
-				jq[j], mq[j] = point(), 1
-			}
-			acc, pot := make([]vec.V3, c.ni), make([]float64, c.ni)
-			cfg := DefaultConfig()
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				pipeline(iq, jq, mq, nil, 1e-4, cfg.PipeBits, cfg.R2Bits, true, c.lanes, acc, pot)
-			}
-			b.ReportMetric(b.Elapsed().Seconds()*1e9/(float64(c.ni*c.nj)*float64(b.N)), "ns/interaction")
-		})
+	for _, body := range []laneBody{avx512Body, avx2Body, portableBody} {
+		for _, shape := range [][2]int{{96, 2000}, {60, 620}} {
+			ni, nj := shape[0], shape[1]
+			b.Run(fmt.Sprintf("%s/%dx%d", laneNames[body], ni, nj), func(b *testing.B) {
+				if body > hostLanes {
+					b.Skipf("this CPU runs %s at best", laneNames[hostLanes])
+				}
+				r := rng.New(9)
+				grid := NewFixedGrid(-100, 100, DefaultConfig().PosBits)
+				point := func() vec.V3 {
+					x, _ := grid.Quantize(r.Uniform(-50, 50))
+					y, _ := grid.Quantize(r.Uniform(-50, 50))
+					z, _ := grid.Quantize(r.Uniform(-50, 50))
+					return vec.V3{X: x, Y: y, Z: z}
+				}
+				iq, jq, mq := make([]vec.V3, ni), make([]vec.V3, nj), make([]float64, nj)
+				for i := range iq {
+					iq[i] = point()
+				}
+				for j := range jq {
+					jq[j], mq[j] = point(), 1
+				}
+				acc, pot := make([]vec.V3, ni), make([]float64, ni)
+				cfg := DefaultConfig()
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					pipeline(iq, jq, mq, nil, 1e-4, cfg.PipeBits, cfg.R2Bits, true, body, acc, pot)
+				}
+				b.ReportMetric(b.Elapsed().Seconds()*1e9/(float64(ni*nj)*float64(b.N)), "ns/interaction")
+			})
+		}
 	}
 }

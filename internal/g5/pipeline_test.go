@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/nbody"
 	"repro/internal/rng"
 	"repro/internal/vec"
 )
@@ -94,12 +95,13 @@ func referenceStage(s *System, plan faultPlan, ipos, jpos []vec.V3, jmass []floa
 }
 
 // checkBodies adds the staged batch into copies of (acc, pot) through
-// referencePipeline and through pipeline with the lane kernel allowed
-// and refused — its two select-free bodies when the batch is select-free,
-// the select loop twice when not — and wants every bit equal. Each body
-// is named by argument, never by flipping haveLanes: tests overlap. It
-// returns the reference's sums.
-func checkBodies(t *testing.T, iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pb, r2b uint, acc []vec.V3, pot []float64) ([]vec.V3, []float64) {
+// referencePipeline and through pipeline with every lane body this
+// machine has — its select-free bodies when the batch is select-free, the
+// select loop once a body when not — and wants every bit equal. Each body
+// is named by argument, never by setting hostLanes: tests overlap. It
+// returns the reference's sums and the iterations the AVX-512 body
+// divided for (0 where it did not run).
+func checkBodies(t *testing.T, iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pb, r2b uint, acc []vec.V3, pot []float64) (wantAcc []vec.V3, wantPot []float64, fallbacks int) {
 	t.Helper()
 	selectFree := eps2 == eps2 && pb >= 1 && r2b >= 1
 	for _, p := range append(append([]vec.V3(nil), iq...), jq...) {
@@ -108,28 +110,49 @@ func checkBodies(t *testing.T, iq, jq []vec.V3, mq, stuckFactor []float64, eps2 
 	for _, m := range mq {
 		selectFree = selectFree && m == m
 	}
-	wantAcc, wantPot := append([]vec.V3(nil), acc...), append([]float64(nil), pot...)
+	wantAcc, wantPot = append([]vec.V3(nil), acc...), append([]float64(nil), pot...)
 	referencePipeline(iq, jq, mq, stuckFactor, eps2, pb, r2b, wantAcc, wantPot)
-	for _, lanes := range laneChoices(t) {
+	for _, body := range laneChoices(t) {
 		gotAcc, gotPot := append([]vec.V3(nil), acc...), append([]float64(nil), pot...)
-		pipeline(iq, jq, mq, stuckFactor, eps2, pb, r2b, selectFree, lanes, gotAcc, gotPot)
+		n := pipeline(iq, jq, mq, stuckFactor, eps2, pb, r2b, selectFree, body, gotAcc, gotPot)
 		if d := diffBits(gotAcc, gotPot, wantAcc, wantPot); d != "" {
-			t.Fatalf("pipeline(selectFree=%v, lanes=%v): %s", selectFree, lanes, d)
+			t.Fatalf("pipeline(selectFree=%v, %s): %s", selectFree, laneNames[body], d)
+		}
+		if body == avx512Body {
+			fallbacks = n
 		}
 	}
-	return wantAcc, wantPot
+	return wantAcc, wantPot, fallbacks
 }
 
-var logNoLanes sync.Once
+// laneNames names the lane bodies in test and benchmark rows.
+var laneNames = [...]string{portableBody: "portable", avx2Body: "avx2", avx512Body: "avx512"}
 
-// laneChoices is the values of pipeline's lanes argument this machine
-// can run: both, or the portable body alone on a CPU without AVX2.
-func laneChoices(t *testing.T) []bool {
-	if haveLanes {
-		return []bool{true, false}
+var logMissingLanes sync.Once
+
+// laneChoices is the lane bodies this machine can run, fastest first:
+// hostLanes and every body below it.
+func laneChoices(t testing.TB) []laneBody {
+	var bodies []laneBody
+	for b := hostLanes; b > portableBody; b-- {
+		bodies = append(bodies, b)
 	}
-	logNoLanes.Do(func() { t.Log("no AVX2 here: streamJLanes is not exercised, only the portable streamJ") })
-	return []bool{false}
+	if hostLanes < avx512Body {
+		logMissingLanes.Do(func() {
+			t.Logf("no AVX-512 here: only %v of %v lane bodies are exercised", len(bodies)+1, len(laneNames))
+		})
+	}
+	return append(bodies, portableBody)
+}
+
+// TestLaneBodies names the lane bodies this machine exercises. Run it
+// with -v: a green run on a CPU without AVX-512 tested less.
+func TestLaneBodies(t *testing.T) {
+	var names []string
+	for _, b := range laneChoices(t) {
+		names = append(names, laneNames[b])
+	}
+	t.Logf("lane bodies tested: %v", names)
 }
 
 // pipelineCase is one point of the differential test's input space.
@@ -223,7 +246,7 @@ func (c pipelineCase) check(t *testing.T) {
 			plan = twin.plan(c.nj, sys.activeBoardList())
 		}
 		iq, jq, mq, stuckFactor := referenceStage(sys, plan, ipos, jpos, jmass)
-		wantAcc, wantPot = checkBodies(t, iq, jq, mq, stuckFactor, sys.eps2, c.pipeBits, c.r2Bits, wantAcc, wantPot)
+		wantAcc, wantPot, _ = checkBodies(t, iq, jq, mq, stuckFactor, sys.eps2, c.pipeBits, c.r2Bits, wantAcc, wantPot)
 		if err := sys.Compute(ipos, jpos, jmass, acc, pot); err != nil {
 			t.Fatal(err)
 		}
@@ -315,20 +338,21 @@ func TestPipelineMatchesReference(t *testing.T) {
 			}
 		}
 	})
-	// The edges of a four-lane sweep, on batches built as the pair loop
+	// The edges of an eight-lane block, on batches built as the pair loop
 	// is handed them: every block fill from one head to two blocks and a
 	// head over; a guarded batch's shape, the probe in all 96 slots
-	// behind the real points; runs of equal points in the last lane of a
-	// block and in the first of the next; a source on the point of each
-	// lane of a block and on the probe; one source, two, a long list;
-	// ε = 0; zero, subnormal and infinite masses; a stuck factor on every
-	// slot past the first block and on the slot of the head the padded
-	// lanes repeat. Sums are ADDED, so acc and pot start non-zero.
+	// behind the real points; runs of equal points behind lane 3 (the
+	// AVX2 body's half) and behind lane 7, up to the first lane of the
+	// next block; a source on the point of each lane of two blocks and on
+	// the probe; one source, two, a long list; ε = 0; zero, subnormal and
+	// infinite masses; a stuck factor on every slot past the first block
+	// and on the slot of the head the padded lanes repeat. Sums are
+	// ADDED, so acc and pot start non-zero.
 	t.Run("lanes", func(t *testing.T) {
 		const vp = 96
 		tinyMasses := []float64{0, math.Copysign(0, -1), 5e-324, -2.2e-308}
 		k := 0
-		for _, ni := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 58, 154} {
+		for _, ni := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 58, 154} {
 			for _, nj := range []int{1, 2, 2001} {
 				for flags := 0; flags < 8; flags++ {
 					probe, runs, eps2 := flags&1 != 0, flags&2 != 0, 0.0025
@@ -343,8 +367,8 @@ func TestPipelineMatchesReference(t *testing.T) {
 					iq := make([]vec.V3, ni, ni+vp)
 					for i := range iq {
 						iq[i] = point()
-						if runs && (i == 4 || i == 5 || i == 7 || i == 8) {
-							iq[i] = iq[i-1] // heads at 3 (lane 3) and 6 (lane 0 of the next block)
+						if runs && (i == 4 || i == 5 || i == 10 || i == 11 || i == 13) {
+							iq[i] = iq[i-1] // runs behind heads 3 (lane 3), 9 (lane 7), 12 (lane 0 of the next block)
 						}
 					}
 					if probe {
@@ -397,12 +421,117 @@ func TestPipelineMatchesReference(t *testing.T) {
 	})
 }
 
+// TestCertifiedQuotient drives streamJLanes8's certificate where it must
+// refuse — and, at its edge, where it must not — and counts through
+// pipeline's fallbacks that it did, with every body bitwise the
+// reference as ever (DESIGN.md §13 has the argument). A lane is refused
+// when a rounding boundary lies within 32 words of its product quotient
+// or when p = a·inv is NaN, ±Inf or subnormal, and one refused lane sends
+// the whole iteration through VDIVPD. Each row holds eight heads.
+func TestCertifiedQuotient(t *testing.T) {
+	if hostLanes < avx512Body {
+		t.Skip("no AVX-512 here: streamJLanes8 cannot run")
+	}
+	// unit puts six heads at distance 1 from a source at the origin and
+	// two at distance 2: inv is 1 or ½ exactly, so the product quotient
+	// is m·inv³ exactly and its word has m's low bits in every lane.
+	unit := []vec.V3{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {Z: 1}, {Z: -1}, {X: 2}, {Z: -2}}
+	one := math.Float64bits(1)
+	for _, c := range []struct {
+		name    string
+		iq, jq  []vec.V3
+		mq      []float64
+		eps2    float64
+		pb, r2b uint
+		want    int // fallbacks
+	}{
+		// At 7 bits a boundary sits every 2⁴⁵ words: only a word within 32
+		// of one is refused. m = 1 + 2⁻⁸ + 32 words is 32 words above the
+		// tie, the lowest word the certificate takes; one word less is
+		// refused.
+		{name: "edge accepted", iq: unit, jq: []vec.V3{{}}, mq: []float64{math.Float64frombits(one + 1<<44 + 32)},
+			pb: 7, r2b: 16},
+		{name: "edge refused", iq: unit, jq: []vec.V3{{}}, mq: []float64{math.Float64frombits(one + 1<<44 + 31)},
+			pb: 7, r2b: 16, want: 1},
+		{name: "7-bit tie", iq: unit, jq: []vec.V3{{}, {}}, mq: []float64{1 + 0x1p-8, -1 - 0x1p-8},
+			pb: 7, r2b: 16, want: 2},
+		{name: "infinite masses", iq: unit, jq: []vec.V3{{}, {}, {X: 3}}, mq: []float64{math.Inf(1), math.Inf(-1), math.Inf(1)},
+			pb: 7, r2b: 16, want: 3},
+		// r² ≈ 2⁻²⁰ + ε² puts inv near 2¹⁰: p = m·inv² is subnormal for
+		// each of these m, and the bits it lost would come back 2¹⁰ times
+		// larger in q. At 7 bits only the class check can refuse them.
+		{name: "subnormal p", jq: []vec.V3{{}, {}, {}, {}},
+			iq: []vec.V3{{X: 0x1p-10}, {X: -0x1p-10}, {Y: 0x1p-10}, {Y: -0x1p-10}, {Z: 0x1p-10}, {Z: -0x1p-10}, {X: 0x1p-9}, {Z: -0x1p-9}},
+			mq: []float64{5e-324, 3.3e-320, -7.77e-318, 1.2345e-315}, eps2: 1e-7, pb: 7, r2b: 16, want: 4},
+		{name: "float64 pipeline", iq: unit, jq: []vec.V3{{}, {X: 0.5}, {Y: 3}}, mq: []float64{1, 2, 3},
+			pb: 52, r2b: 52, want: 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, _, n := checkBodies(t, c.iq, c.jq, c.mq, nil, c.eps2, c.pb, c.r2b, make([]vec.V3, len(c.iq)), make([]float64, len(c.iq)))
+			if n != c.want {
+				t.Fatalf("%d fallbacks, want %d", n, c.want)
+			}
+		})
+	}
+
+	// Near the top of the budget a boundary lies within the margin of
+	// most products: the fallback must run, often, and stay exact.
+	t.Run("budgets 44-51", func(t *testing.T) {
+		iq, jq, mq := plummerBatch(8, 600)
+		for pb := uint(44); pb <= 51; pb++ {
+			_, _, n := checkBodies(t, iq, jq, mq, nil, 1e-4, pb, 16, make([]vec.V3, len(iq)), make([]float64, len(iq)))
+			if n < len(jq)/10 {
+				t.Errorf("pipe budget %d: %d fallbacks in %d iterations", pb, n, len(jq))
+			}
+		}
+	})
+
+	// At the default budgets the certificate almost never refuses.
+	t.Run("default config", func(t *testing.T) {
+		cfg := DefaultConfig()
+		iq, jq, mq := plummerBatch(400, 8192)
+		_, _, n := checkBodies(t, iq, jq, mq, nil, 1e-4, cfg.PipeBits, cfg.R2Bits, make([]vec.V3, len(iq)), make([]float64, len(iq)))
+		iters := len(iq) / laneWidth * len(jq)
+		if float64(n) > 1e-5*float64(iters) {
+			t.Fatalf("%d fallbacks in %d iterations", n, iters)
+		}
+		t.Logf("%d fallbacks in %d iterations", n, iters)
+	})
+}
+
+// plummerBatch stages ni field points and nj sources of one Plummer
+// sphere as the default System would hand them to pipeline: positions
+// on its grid, masses at its mass budget.
+func plummerBatch(ni, nj int) (iq, jq []vec.V3, mq []float64) {
+	cfg := DefaultConfig()
+	s := nbody.Plummer(ni+nj, 1, 1, 1, rng.New(28))
+	grid := NewFixedGrid(-100, 100, cfg.PosBits)
+	q := func(p vec.V3) vec.V3 {
+		x, _ := grid.Quantize(p.X)
+		y, _ := grid.Quantize(p.Y)
+		z, _ := grid.Quantize(p.Z)
+		return vec.V3{X: x, Y: y, Z: z}
+	}
+	for i, p := range s.Pos {
+		if i < ni {
+			iq = append(iq, q(p))
+		} else {
+			jq, mq = append(jq, q(p)), append(mq, RoundMantissa(s.Mass[i], cfg.MassBits))
+		}
+	}
+	return iq, jq, mq
+}
+
 // FuzzPipelineMatchesReference walks the same space from fuzzed
 // parameters.
 func FuzzPipelineMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint16(59), uint16(9), uint8(7), uint8(16), uint8(12), uint16(3), uint16(96), uint8(0xFF))
 	f.Add(uint64(2), uint16(1), uint16(1), uint8(52), uint8(1), uint8(60), uint16(0), uint16(0), uint8(0))
 	f.Add(uint64(3), uint16(299), uint16(619), uint8(1), uint8(51), uint8(0), uint16(200), uint16(192), uint8(0x2B))
+	// Pipe budgets where streamJLanes8's certificate refuses often and
+	// always.
+	f.Add(uint64(4), uint16(154), uint16(400), uint8(48), uint8(16), uint8(12), uint16(9), uint16(3), uint8(0x03))
+	f.Add(uint64(5), uint16(61), uint16(300), uint8(52), uint8(52), uint8(52), uint16(60), uint16(96), uint8(0x98))
 	f.Fuzz(func(t *testing.T, seed uint64, ni, nj uint16, pb, r2b, mb uint8, runStart, runLen uint16, flags uint8) {
 		c := pipelineCase{
 			seed: seed, ni: 1 + int(ni)%300, nj: 1 + int(nj)%620,
@@ -518,7 +647,7 @@ func TestSelectFree(t *testing.T) {
 				plan = faultPlan{flipJ: 4, flipMass: true, flipBit: 3}
 			}
 			iq, jq, mq, _ := referenceStage(sys, plan, ipos, jpos, jmass)
-			wantAcc, wantPot := checkBodies(t, iq, jq, mq, nil, sys.eps2, c.pipeBits, c.r2Bits, make([]vec.V3, ni), make([]float64, ni))
+			wantAcc, wantPot, _ := checkBodies(t, iq, jq, mq, nil, sys.eps2, c.pipeBits, c.r2Bits, make([]vec.V3, ni), make([]float64, ni))
 			equal := func(how string, acc []vec.V3, pot []float64) {
 				if d := diffBits(acc, pot, wantAcc, wantPot); d != "" {
 					t.Fatalf("%s: %s", how, d)

@@ -346,7 +346,7 @@ func (a *activation) evaluate() error {
 			}
 		}
 	}
-	pipeline(iq, jq, mq, a.stuck, a.eps2, a.pipeBits, a.r2Bits, a.selectFree(), haveLanes, a.acc, a.pot)
+	pipeline(iq, jq, mq, a.stuck, a.eps2, a.pipeBits, a.r2Bits, a.selectFree(), hostLanes, a.acc, a.pot)
 	return nil
 }
 
@@ -370,18 +370,29 @@ func (s *System) finish(a *activation) {
 	s.cnt.RangeClamps += a.clamps
 }
 
-// laneWidth is the number of i-points one streamJLanes sweep serves.
-const laneWidth = 4
+// laneBody names a select-free pair loop of pipeline.
+type laneBody uint8
 
-// laneBlock is one sweep's operands: up to laneWidth distinct i-points,
-// the call's constants spread across the lanes for streamJLanes, and each
-// point's sums over j. It lives on pipeline's stack, one per call.
+const (
+	portableBody laneBody = iota // streamJ, one i-point a sweep
+	avx2Body                     // streamJLanes4 on lanes 0–3, then 4–7
+	avx512Body                   // streamJLanes8
+)
+
+// laneWidth is the number of i-points one block of lanes serves.
+const laneWidth = 8
+
+// laneBlock is one block's operands: up to laneWidth distinct i-points,
+// the call's constants spread across the lanes, each point's sums over
+// j, and the count of j streamJLanes8 could not certify. It lives on
+// pipeline's stack, one per call.
 type laneBlock struct {
 	x, y, z            [laneWidth]float64
 	eps2               [laneWidth]float64
 	distHalf, distKeep [laneWidth]uint64
 	pipeHalf, pipeKeep [laneWidth]uint64
 	ax, ay, az, pp     [laneWidth]float64
+	fallbacks          int
 }
 
 // pipeline is the functional model of the force pipelines: the
@@ -392,15 +403,17 @@ type laneBlock struct {
 // streams j and the rest of its run reuses the sums: the guard's probe,
 // copied into every slot of a pass, costs one sweep and each slot still
 // gets its own factor. selectFree is the call's predicate of that name
-// and lanes says streamJLanes may run (haveLanes, but for tests); they
-// pick the pair loop, never the result. With lanes a sweep serves
-// laneWidth heads at once, as a board's virtual pipelines share one j
-// stream; the last block repeats its last head into the lanes left over
-// and drops their sums.
-func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits, r2Bits uint, selectFree, lanes bool, acc []vec.V3, pot []float64) {
+// and body the lane body to run it with (hostLanes, but for tests); they
+// pick the pair loop, never the result. A lane body serves laneWidth
+// heads a block, as a board's virtual pipelines share one j stream; the
+// last block repeats its last head into the lanes left over and drops
+// their sums. A block of at most four heads takes one streamJLanes4
+// sweep on either lane body: four YMM lanes cost less than eight ZMM
+// ones. It returns the iterations streamJLanes8 divided for.
+func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits, r2Bits uint, selectFree bool, body laneBody, acc []vec.V3, pot []float64) int {
 	pipe, dist := newRounder(pipeBits), newRounder(r2Bits)
 	mq = mq[:len(jq)]
-	lanes = lanes && selectFree
+	lanes := body != portableBody && selectFree
 	var b laneBlock
 	width := 1
 	if lanes {
@@ -432,7 +445,14 @@ func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits
 			for l := heads; l < laneWidth; l++ {
 				b.x[l], b.y[l], b.z[l] = b.x[heads-1], b.y[heads-1], b.z[heads-1]
 			}
-			streamJLanes(&b, jq, mq)
+			if body == avx512Body && heads > laneWidth/2 {
+				streamJLanes8(&b, jq, mq)
+			} else {
+				streamJLanes4(&b, 0, jq, mq)
+				if heads > laneWidth/2 {
+					streamJLanes4(&b, laneWidth/2, jq, mq)
+				}
+			}
 		case selectFree:
 			b.ax[0], b.ay[0], b.az[0], b.pp[0] = streamJ(iq[start], jq, mq, eps2, pipe, dist)
 		default:
@@ -451,6 +471,7 @@ func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits
 		}
 		start = end
 	}
+	return b.fallbacks
 }
 
 // streamJ is one pipeline's pass over the j memory: six roundings per
