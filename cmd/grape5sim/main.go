@@ -610,12 +610,12 @@ func main() {
 	}
 	if rec := sim.Recovery(); rec != (g5.Recovery{}) {
 		fmt.Printf("recovery: %s\n", rec)
-		if cl := sim.Cluster(); cl != nil {
+		switch h := sim.Health(); {
+		case h.Shards > 1:
 			fmt.Printf("boards in service: %d of %d (across %d shards)\n",
-				cl.ActiveBoards(), cl.Shards()*cl.Config().Boards, cl.Shards())
-		} else if hw := sim.Hardware(); hw != nil {
-			fmt.Printf("boards in service: %d of %d\n",
-				hw.ActiveBoards(), hw.Config().Boards)
+				h.BoardsActive, h.BoardsTotal, h.Shards)
+		case h.Shards == 1:
+			fmt.Printf("boards in service: %d of %d\n", h.BoardsActive, h.BoardsTotal)
 		}
 	}
 

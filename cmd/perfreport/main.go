@@ -49,7 +49,7 @@ import (
 )
 
 const usage = `usage:
-  perfreport [flags]           E1/E4/E5/E7/E8 headline report (-faults appends E9)
+  perfreport [flags]           E1/E4/E5/E7/E8 headline report (-faults appends degraded-mode offload)
   perfreport ngsweep [flags]   E3: time balance per group size n_g
   perfreport accuracy [flags]  E2: force error tables (-frontier appends the cost frontier)
   perfreport record            BENCH_treecode.json: the §3 balance over n_g and K, on stdout
@@ -93,7 +93,7 @@ func runReport(args []string, w io.Writer) error {
 		ncrit  = fs.Int("ncrit", grape5.DefaultNcrit, "group bound n_g (paper optimum)")
 		seed   = fs.Uint64("seed", 1, "IC seed")
 		epochs = fs.String("epochs", "", "comma-separated redshifts: measure a Zel'dovich realisation at each and average the per-step model over them (approximates the paper's run average), e.g. 24,9,4,1.5,0")
-		faults = fs.Bool("faults", false, "append E9: degraded-mode offload with an injected board failure")
+		faults = fs.Bool("faults", false, "append degraded-mode offload: the guarded path with an injected board failure")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -237,12 +237,12 @@ func runReport(args []string, w io.Writer) error {
 	return nil
 }
 
-// reportDegraded is E9: drive the fault-tolerant offload path while one
-// board dies mid-run, and show the timing-model degradation (pipe time
+// reportDegraded drives the fault-tolerant offload path while one board
+// dies mid-run, and shows the timing-model degradation (pipe time
 // roughly doubles when the 2-board system drops to 1) next to the
 // guard's recovery counters.
 func reportDegraded(w io.Writer, host perf.HostModel, theta float64, seed uint64) error {
-	fmt.Fprintf(w, "\n== E9: degraded-mode offload (board 2 dies mid-run) ==\n")
+	fmt.Fprintf(w, "\n== degraded-mode offload (board 2 dies mid-run) ==\n")
 	fCfg := g5.DefaultConfig()
 	fCfg.Fault = &g5.FaultModel{Seed: 7, FailBoard: 2, FailAfterRuns: 200, FailSlot: 11}
 	m, err := grape5.LookupModel(grape5.ModelPlummer)

@@ -28,8 +28,9 @@
 // hardware counters.
 //
 // The runnable reproductions of the paper's evaluation live in cmd/
-// (grape5sim, perfreport and its ngsweep/accuracy subcommands, mkics,
-// snap2pgm) and the
-// benchmark suite in bench_test.go; see DESIGN.md for the experiment
-// index and EXPERIMENTS.md for measured-vs-paper results.
+// (grape5sim, perfreport and its ngsweep/accuracy/record subcommands,
+// snapstat and its ics/pgm subcommands), in the Examples of
+// example_test.go and in the benchmark suite in bench_test.go; see
+// DESIGN.md for the experiment index and EXPERIMENTS.md for
+// measured-vs-paper results.
 package grape5

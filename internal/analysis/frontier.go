@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/nbody"
@@ -74,26 +73,4 @@ func AccuracyCostFrontier(model *nbody.System, alg FrontierAlgorithm, thetas []f
 		})
 	}
 	return out, nil
-}
-
-// ErrorAtCost interpolates a frontier to estimate the RMS error at a
-// given interaction budget (log-log linear interpolation; points must
-// be sorted by increasing interactions). Returns false when the budget
-// lies outside the frontier's range.
-func ErrorAtCost(points []FrontierPoint, interactions int64) (float64, bool) {
-	if len(points) < 2 {
-		return 0, false
-	}
-	for i := 1; i < len(points); i++ {
-		lo, hi := points[i-1], points[i]
-		if interactions >= lo.Interactions && interactions <= hi.Interactions {
-			if lo.Interactions == hi.Interactions || lo.RMS <= 0 || hi.RMS <= 0 {
-				return lo.RMS, true
-			}
-			t := (math.Log(float64(interactions)) - math.Log(float64(lo.Interactions))) /
-				(math.Log(float64(hi.Interactions)) - math.Log(float64(lo.Interactions)))
-			return math.Exp(math.Log(lo.RMS) + t*(math.Log(hi.RMS)-math.Log(lo.RMS))), true
-		}
-	}
-	return 0, false
 }

@@ -1,7 +1,7 @@
 // Package snapio reads and writes particle snapshots in a small
 // versioned binary format (little-endian, fixed header). The headline
 // run writes snapshots for restart and for the analysis tools
-// (cmd/snap2pgm, the correlation function, the paper's Figure 4).
+// (cmd/snapstat: the correlation function, the paper's Figure 4).
 //
 // Format version 2 (current) adds the integration timestep to the
 // header — so resuming from a snapshot no longer needs a hand-typed
