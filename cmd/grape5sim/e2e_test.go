@@ -326,6 +326,29 @@ func TestE2EConfigRefusals(t *testing.T) {
 	}
 }
 
+// TestE2EGuardedReport: a guarded single-board run reports one board
+// system, with no cluster block; -boards 2 adds the block, one line per
+// shard.
+func TestE2EGuardedReport(t *testing.T) {
+	bin := binPath(t)
+	common := []string{"-model", "plummer", "-n", "400", "-steps", "2", "-ncrit", "64",
+		"-engine", "grape5", "-report", "0"}
+	out, code := run(t, bin, append(common, "-guard")...)
+	if code != 0 {
+		t.Fatalf("guarded run exited %d:\n%s", code, out)
+	}
+	if strings.Contains(out, "cluster:") || !strings.Contains(out, "boards in service: 2 of 2\n") {
+		t.Errorf("guarded single-board run should report one 2-board system and no cluster:\n%s", out)
+	}
+	out, code = run(t, bin, append(common, "-boards", "2")...)
+	if code != 0 {
+		t.Fatalf("2-shard run exited %d:\n%s", code, out)
+	}
+	if !strings.Contains(out, "cluster: K=2 shards") || !strings.Contains(out, "  shard 1: ") {
+		t.Errorf("2-shard run lacks its cluster block:\n%s", out)
+	}
+}
+
 // TestE2ECompletedRunIsIdempotent: rerunning a finished run must do no
 // physics and exit 0 (the supervisor relies on this to terminate).
 func TestE2ECompletedRunIsIdempotent(t *testing.T) {

@@ -561,33 +561,27 @@ func main() {
 	}
 
 	if c := sim.HardwareCounters(); c.Runs > 0 && sim.Config().Engine == grape5.EngineGRAPE5 {
-		cl := sim.Cluster()
-		var bCfg g5.Config
-		if cl != nil {
-			bCfg = cl.Config()
-		} else if hw := sim.Hardware(); hw != nil {
-			bCfg = hw.Config()
-		} else {
+		bCfg := sim.Config().GRAPE
+		if bCfg.Boards == 0 {
 			bCfg = g5.DefaultConfig()
 		}
-		k := 1
+		cl, k := sim.Cluster(), 1
 		if cl != nil {
 			k = cl.Shards()
 		}
 		fmt.Printf("GRAPE-5: runs=%d j-passes=%d bytes=%.3g clamps=%d\n",
 			c.Runs, c.JPasses, float64(c.BytesTransferred), c.RangeClamps)
-		// For a cluster the shards drain concurrently: the aggregate
-		// pipe/bus seconds are total work, the critical path is wall.
+		// For K > 1 the shards drain concurrently: the aggregate pipe/bus
+		// seconds are total work, the critical path is wall.
 		wall := c.HWSeconds()
-		if cl != nil {
+		if k > 1 {
 			wall = cl.CriticalHWSeconds()
 		}
 		fmt.Printf("GRAPE-5 modelled time: pipe %.3gs + bus %.3gs = %.3gs aggregate (peak %.4g Gflops)\n",
 			c.PipeSeconds, c.BusSeconds, c.HWSeconds(), float64(k)*bCfg.PeakFlops()/1e9)
-		if cl != nil {
+		if k > 1 {
 			loads := cl.ShardInteractions()
-			fmt.Printf("cluster: K=%d shards, critical-path hardware time %.3gs, steals=%d\n",
-				k, wall, cl.Steals())
+			fmt.Printf("cluster: K=%d shards, critical-path hardware time %.3gs\n", k, wall)
 			for s, ints := range loads {
 				fmt.Printf("  shard %d: interactions=%.3g batches=%d boards=%d/%d\n",
 					s, float64(ints), cl.ShardBatches()[s],

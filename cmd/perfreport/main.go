@@ -256,7 +256,7 @@ func reportDegraded(w io.Writer, host perf.HostModel, theta float64, seed uint64
 	if err != nil {
 		return err
 	}
-	hw := sim.Hardware()
+	hw := sim.Cluster().ShardSystem(0)
 	for step := 1; step <= 6; step++ {
 		hw.ResetCounters()
 		if err := sim.Prime(); err != nil {

@@ -96,6 +96,24 @@ func TestAccuracyReproducesSection2(t *testing.T) {
 	}
 }
 
+// TestFaultsReportLosesOneBoard runs the degraded-mode section: six
+// priming passes over the guarded path while board 2 dies, read through
+// the cluster's one shard.
+func TestFaultsReportLosesOneBoard(t *testing.T) {
+	out := runOK(t, "-grid", "8", "-faults")
+	_, section, ok := strings.Cut(out, "== degraded-mode offload")
+	if !ok {
+		t.Fatalf("no degraded-mode section:\n%s", out)
+	}
+	steps := regexp.MustCompile(`(?m)^step \d+: boards=(\d+) .*$`).FindAllStringSubmatch(section, -1)
+	if len(steps) != 6 || steps[0][1] != "2" || steps[5][1] != "1" {
+		t.Fatalf("want 6 step lines going from boards=2 to boards=1:\n%s", section)
+	}
+	if !strings.Contains(steps[5][0], " excluded=1 ") {
+		t.Errorf("last step's recovery does not exclude one board: %q", steps[5][0])
+	}
+}
+
 func TestUnknownSubcommandFailsWithUsage(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"ngsweeep"}, &out)

@@ -90,15 +90,15 @@ type Config struct {
 	// Guard routes EngineGRAPE5 force batches through the
 	// fault-tolerant offload path (acceptance checks, retries, board
 	// exclusion, host fallback) instead of the panic-on-error engine.
+	// A guarded run drives a g5.Cluster of max(Shards, 1) shards.
 	Guard bool
 	// GuardPolicy tunes the guard; the zero value selects defaults.
 	GuardPolicy g5.GuardPolicy
-	// Shards, when greater than 1, drives K independent GRAPE systems
-	// through the sharded cluster engine (g5.Cluster): group force
-	// batches are split across the boards and double-buffered so the
-	// host walk overlaps the hardware drain. Each shard is always
-	// guarded (Guard is implied; GuardPolicy applies per shard).
-	// 0 or 1 selects the single-system path.
+	// Shards is the number K of independent GRAPE systems the guarded
+	// cluster engine (g5.Cluster) drives: each group force batch runs,
+	// in the walk worker that built it, on the shard with the least work
+	// placed so far in the force call. Shards > 1 implies Guard
+	// (GuardPolicy applies per shard); 0 or 1 is one system.
 	Shards int
 	// PMGrid is the particle-mesh size per dimension for EnginePM
 	// (default 64; power of two).

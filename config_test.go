@@ -138,7 +138,8 @@ func TestModelTable(t *testing.T) {
 
 // TestResumeFailureClosesCluster: a resume that fails after the
 // simulation was built (here: a block scheduler state the integrator
-// refuses) must not leak the cluster's shard workers.
+// refuses) must not leak goroutines. The cluster runs batches in the
+// caller's goroutine and starts none; this keeps it that way.
 func TestResumeFailureClosesCluster(t *testing.T) {
 	cfg := Config{
 		Theta: 0.6, Ncrit: 64, G: 1, Eps: 0.05,
@@ -156,7 +157,7 @@ func TestResumeFailureClosesCluster(t *testing.T) {
 	if err := sim.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c.Block.Tick = -1 // SetState refuses it, after NewSimulation started the shards
+	c.Block.Tick = -1 // SetState refuses it, after NewSimulation built the cluster
 
 	settled := func() int {
 		n := runtime.NumGoroutine()

@@ -52,13 +52,11 @@ type Engine interface {
 	Accumulate(req *Request)
 }
 
-// BatchedEngine is an Engine that may defer batches submitted through
-// Accumulate (staging them on an asynchronous device queue). Flush is
-// the completion barrier: it blocks until every submitted batch has
-// committed its results into the request's output slices and returns
-// the first asynchronous failure since the previous Flush. The
-// treecode calls Flush after the walk drains, so callers of
-// ComputeForces see fully-committed forces either way.
+// BatchedEngine is an Engine with a per-force-call settle point. Its
+// results are committed when Accumulate returns, like any Engine's;
+// Flush settles the engine's telemetry and returns the failure captured
+// since the previous Flush (a batch that failed inside Accumulate). The
+// treecode calls Flush after the walk drains and returns its error.
 type BatchedEngine interface {
 	Engine
 	Flush() error

@@ -35,7 +35,7 @@ func (tc *Treecode) CountOriginal(s *nbody.System) (int64, error) {
 // walkOriginal is the per-particle driver: it builds the tree, walks
 // every particle over equal static chunks of the Morton order, and —
 // when forces is set — dispatches each particle's list to the engine
-// and waits on the engine's Flush barrier.
+// and returns the failure a batched engine reports at Flush.
 func (tc *Treecode) walkOriginal(s *nbody.System, forces bool) (*Stats, error) {
 	o := tc.Opt.withDefaults()
 	n := s.N()

@@ -10,11 +10,10 @@ import (
 	"repro/internal/vec"
 )
 
-// TestOriginalOnClusterMatchesGuard: the per-particle driver waits on
-// the BatchedEngine Flush barrier, so the original algorithm on a K=2
-// cluster returns fully committed forces — bit for bit those of the
-// synchronous guarded engine — and an asynchronous shard failure comes
-// back as the call's error instead of being lost with the batches.
+// TestOriginalOnClusterMatchesGuard: the original algorithm on a K=2
+// cluster returns bit for bit the forces of the guarded engine, and a
+// shard failure, recovered inside Accumulate, comes back from the
+// BatchedEngine Flush as the call's error instead of being lost.
 func TestOriginalOnClusterMatchesGuard(t *testing.T) {
 	const eps = 0.02
 	model := nbody.Plummer(400, 1, 1, 1, rng.New(9))
@@ -47,8 +46,8 @@ func TestOriginalOnClusterMatchesGuard(t *testing.T) {
 	}
 	tc := core.New(opt, cl)
 
-	// No scale window yet: every shard rejects its batches on a worker
-	// goroutine, and only Flush can report it.
+	// No scale window yet: every shard rejects its batches, and only
+	// Flush can report it.
 	if _, err := tc.ComputeForcesOriginal(model.Clone()); err == nil {
 		t.Fatal("shard failure did not surface from ComputeForcesOriginal")
 	}

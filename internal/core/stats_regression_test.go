@@ -5,6 +5,7 @@ package core_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -92,11 +93,10 @@ func TestTraversalStatsRegression(t *testing.T) {
 
 // TestClusterShardBalanceRegression drives the sharded offload at the
 // paper-scale operating point (N=4096 Plummer, n_g=2000, theta=0.75 —
-// the 8-group golden case above) under the cluster's only dispatch,
-// whole batches with work stealing: every interaction and every group
-// the traversal emits must land on exactly one board. Which board is a
-// matter of timing, so no balance ratio is pinned here; the benchmark's
-// g5.cluster_shard_imbalance measures it.
+// the 8-group golden case above) with one walk worker. Placement (least
+// pair work since the last Flush, lowest shard on ties) then depends
+// only on the batch sequence, so the per-shard interaction and batch
+// counts are goldens; they also conserve the traversal's totals.
 func TestClusterShardBalanceRegression(t *testing.T) {
 	const (
 		n, ng  = 4096, 2000
@@ -104,12 +104,18 @@ func TestClusterShardBalanceRegression(t *testing.T) {
 		groups = 8
 		golden = int64(7729413)
 	)
-	for _, shards := range []int{2, 4} {
-		cl, err := g5.NewCluster(g5.ClusterConfig{Shards: shards, Board: g5.DefaultConfig(), G: 1})
+	for _, tc := range []struct {
+		shards       int
+		interactions []int64
+		batches      []int64
+	}{
+		{2, []int64{3778061, 3951352}, []int64{4, 4}},
+		{4, []int64{1590972, 1682237, 1923264, 2532940}, []int64{1, 3, 2, 2}},
+	} {
+		cl, err := g5.NewCluster(g5.ClusterConfig{Shards: tc.shards, Board: g5.DefaultConfig(), G: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer cl.Close()
 		if err := cl.SetScale(-40, 40); err != nil {
 			t.Fatal(err)
 		}
@@ -126,19 +132,19 @@ func TestClusterShardBalanceRegression(t *testing.T) {
 		if st.Groups != groups || st.Interactions != golden {
 			t.Fatalf("traversal drifted from golden: groups=%d interactions=%d", st.Groups, st.Interactions)
 		}
-
-		var interactions, batches int64
-		for _, l := range cl.ShardInteractions() {
-			interactions += l
+		loads, batches := cl.ShardInteractions(), cl.ShardBatches()
+		if !slices.Equal(loads, tc.interactions) || !slices.Equal(batches, tc.batches) {
+			t.Errorf("K=%d: shard interactions %#v batches %#v, golden %#v %#v",
+				tc.shards, loads, batches, tc.interactions, tc.batches)
 		}
-		for _, b := range cl.ShardBatches() {
-			batches += b
+		var sum, nb int64
+		for k := range loads {
+			sum += loads[k]
+			nb += batches[k]
 		}
-		if interactions != st.Interactions {
-			t.Errorf("K=%d: shard loads sum to %d, traversal emitted %d", shards, interactions, st.Interactions)
-		}
-		if batches != int64(st.Groups) {
-			t.Errorf("K=%d: shards ran %d batches, traversal emitted %d groups", shards, batches, st.Groups)
+		if sum != st.Interactions || nb != int64(st.Groups) {
+			t.Errorf("K=%d: shards ran %d interactions in %d batches, traversal emitted %d in %d groups",
+				tc.shards, sum, nb, st.Interactions, st.Groups)
 		}
 	}
 }

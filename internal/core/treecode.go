@@ -234,21 +234,16 @@ type listBuf struct {
 	macX, macY, macZ, macS [hostk.MACWidth]float64
 	macIdx                 [hostk.MACWidth]int32
 	macOK                  [hostk.MACWidth]bool
-	// segs are the active-path gather arenas: one segment per
-	// partially-active group this worker dispatched in the current call
-	// (segUsed counts them). Batched engines stage references to the
-	// request's i-lanes until Flush, so each group needs lanes that
-	// outlive the walk loop — the segment pointers are stable and the
-	// backing arrays grow to the high-water member count, then persist
-	// across calls.
-	segs    []*gatherSeg
-	segUsed int
+	// seg is the active path's gather segment, reused by every
+	// partially-active group this worker dispatches and grown by
+	// append's rule.
+	seg gatherSeg
 }
 
 // gatherSeg holds one partially-active group's gathered i-lanes: the
 // global indices of its active members, their positions, and the
 // Acc/Pot accumulators the engine writes. Scattered back to the system
-// arrays after the engine's Flush barrier.
+// arrays as soon as Accumulate returns.
 type gatherSeg struct {
 	idx []int32
 	pos []vec.V3
@@ -256,29 +251,26 @@ type gatherSeg struct {
 	pot []float64
 }
 
-// nextSeg returns the next unused segment sized for n active members,
-// growing the arena on first use or when a group exceeds a segment's
-// previous capacity. Re-slicing an existing segment is safe: by the
-// time a segment is reused (the following computeForces call), its
-// prior contents have been flushed and scattered.
-func (b *listBuf) nextSeg(n int) *gatherSeg {
-	if b.segUsed == len(b.segs) {
-		b.segs = append(b.segs, &gatherSeg{})
+// gather fills seg with group g's members marked in active, with zeroed
+// accumulators.
+func (seg *gatherSeg) gather(s *nbody.System, g octree.Group, active []bool) {
+	seg.idx, seg.pos, seg.acc, seg.pot = seg.idx[:0], seg.pos[:0], seg.acc[:0], seg.pot[:0]
+	for i := g.Start; i < g.Start+g.Count; i++ {
+		if active[s.ID[i]] {
+			seg.idx = append(seg.idx, i)
+			seg.pos = append(seg.pos, s.Pos[i])
+			seg.acc = append(seg.acc, vec.Zero)
+			seg.pot = append(seg.pot, 0)
+		}
 	}
-	seg := b.segs[b.segUsed]
-	b.segUsed++
-	if cap(seg.idx) < n {
-		seg.idx = make([]int32, n)
-		seg.pos = make([]vec.V3, n)
-		seg.acc = make([]vec.V3, n)
-		seg.pot = make([]float64, n)
-	} else {
-		seg.idx = seg.idx[:n]
-		seg.pos = seg.pos[:n]
-		seg.acc = seg.acc[:n]
-		seg.pot = seg.pot[:n]
+}
+
+// scatter writes the segment's results back to the gathered particles.
+func (seg *gatherSeg) scatter(s *nbody.System) {
+	for k, i := range seg.idx {
+		s.Acc[i] = seg.acc[k]
+		s.Pot[i] = seg.pot[k]
 	}
-	return seg
 }
 
 // ComputeForces runs the modified (grouped) tree algorithm: builds the
@@ -295,10 +287,10 @@ func (tc *Treecode) ComputeForces(s *nbody.System) (*Stats, error) {
 // particle's Acc/Pot untouched — the block-timestep substep primitive.
 // Groups without active members are skipped entirely; partially-active
 // groups still build their one shared interaction list but dispatch
-// only the active members, through gather lanes that stay stable until
-// the engine's Flush barrier commits. A full mask (nActive ≥ N, or a
-// nil activeByID) takes the identical code path as ComputeForces — the
-// degenerate-rung bitwise anchor.
+// only the active members, gathered into dense lanes and scattered back
+// after the engine call. A full mask (nActive ≥ N, or a nil activeByID)
+// takes the identical code path as ComputeForces — the degenerate-rung
+// bitwise anchor.
 func (tc *Treecode) ComputeForcesActive(s *nbody.System, activeByID []bool, nActive int) (*Stats, error) {
 	if activeByID == nil || nActive >= s.N() {
 		return tc.computeForces(s, nil, 0)
@@ -393,31 +385,13 @@ func (tc *Treecode) computeForces(s *nbody.System, active []bool, nActive int) (
 	tc.ensureWorkerScratch(workers)
 	tc.groupCursor.Store(0)
 	for w := 0; w < workers; w++ {
-		tc.bufs[w].segUsed = 0
 		tc.wg.Add(1)
 		go tc.runWalkWorker(w, s, tree, groups, mac, active, o, stats)
 	}
 	tc.wg.Wait()
-	// Asynchronous engines stage batches; the step's forces are only
-	// complete once the device queue drains.
 	if be, ok := tc.Engine.(BatchedEngine); ok {
 		if err := be.Flush(); err != nil {
 			return nil, err
-		}
-	}
-	// Scatter the gathered lanes back to the masked particles. This must
-	// run after Flush: batched engines hold references to the lanes and
-	// commit results at the barrier. Targets are disjoint (each particle
-	// is gathered at most once), so scatter order cannot matter.
-	if active != nil {
-		for w := 0; w < workers; w++ {
-			buf := tc.bufs[w]
-			for _, seg := range buf.segs[:buf.segUsed] {
-				for k, i := range seg.idx {
-					s.Acc[i] = seg.acc[k]
-					s.Pot[i] = seg.pot[k]
-				}
-			}
 		}
 	}
 	if stats.MinList < 0 {
@@ -450,9 +424,9 @@ func (tc *Treecode) runWalkWorker(w int, s *nbody.System, tree *octree.Tree,
 // With a non-nil active mask, groups with no active members are skipped
 // outright (their list is never built — the block-timestep walk saving),
 // fully-active groups take the identical full path, and partially-active
-// groups gather their active members into a stable gatherSeg so the
+// groups gather their active members into the worker's gatherSeg so the
 // engine sees a dense i-range while inactive members' Acc/Pot stay
-// untouched.
+// untouched; the segment is scattered back once Accumulate returns.
 func (tc *Treecode) walkWorker(buf *listBuf, s *nbody.System, tree *octree.Tree,
 	groups []octree.Group, mac octree.OpenCriterion, active []bool, o Options, stats *Stats) {
 	local := Stats{MinList: -1}
@@ -477,24 +451,13 @@ func (tc *Treecode) walkWorker(buf *listBuf, s *nbody.System, tree *octree.Tree,
 			}
 		}
 		tw0 := time.Now()
-		var seg *gatherSeg
-		if na == ni {
+		partial := na < ni
+		if partial {
+			buf.seg.gather(s, g, active)
+		} else {
 			for i := g.Start; i < g.Start+g.Count; i++ {
 				s.Acc[i] = vec.Zero
 				s.Pot[i] = 0
-			}
-		} else {
-			seg = buf.nextSeg(na)
-			k := 0
-			for i := g.Start; i < g.Start+g.Count; i++ {
-				if !active[s.ID[i]] {
-					continue
-				}
-				seg.idx[k] = i
-				seg.pos[k] = s.Pos[i]
-				seg.acc[k] = vec.Zero
-				seg.pot[k] = 0
-				k++
 			}
 		}
 		visited, cells := tc.buildGroupList(tree, g, mac, buf)
@@ -508,18 +471,22 @@ func (tc *Treecode) walkWorker(buf *listBuf, s *nbody.System, tree *octree.Tree,
 		local.Active += int64(na)
 
 		tc0 := time.Now()
-		if seg == nil {
+		if partial {
+			seg := &buf.seg
+			req = Request{IPos: seg.pos, J: buf.J, Acc: seg.acc, Pot: seg.pot}
+		} else {
 			req = Request{
 				IPos: s.Pos[g.Start : g.Start+g.Count],
 				J:    buf.J,
 				Acc:  s.Acc[g.Start : g.Start+g.Count],
 				Pot:  s.Pot[g.Start : g.Start+g.Count],
 			}
-		} else {
-			req = Request{IPos: seg.pos, J: buf.J, Acc: seg.acc, Pot: seg.pot}
 		}
 		tc.Engine.Accumulate(&req)
 		local.ComputeTime += time.Since(tc0)
+		if partial {
+			buf.seg.scatter(s)
+		}
 	}
 	o.Obs.AddSeconds(obs.PhaseGroupWalk, local.WalkTime.Seconds())
 	o.Obs.AddSeconds(obs.PhaseForceEval, local.ComputeTime.Seconds())

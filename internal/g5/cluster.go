@@ -3,7 +3,6 @@ package g5
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -30,75 +29,55 @@ type ClusterConfig struct {
 }
 
 // clusterShard is one board system plus its guarded driver and private
-// telemetry sink. Per-shard load tallies feed the balance tests and the
-// K-board time-balance model.
+// telemetry sink. The load tallies are guarded by Cluster.mu.
 type clusterShard struct {
 	sys *System
 	eng *GuardedEngine
 	ob  *obs.Observer
 
-	interactions atomic.Int64
-	batches      atomic.Int64
+	placed                int64 // pair work placed since the last Flush
+	interactions, batches int64 // whole-life load, for the balance tests
 }
 
-// Cluster shards group force batches across K boards with asynchronous
-// double-buffering: Accumulate only STAGES work — it snapshots the
-// caller's j-list and queues the batch on the dispatcher — and returns
-// immediately, so the treecode's walk workers stream the next group's
-// list while shard workers drain earlier batches through
-// SetIP/Run/GetForce. Each per-shard lane holds the in-flight batch
-// plus the queued next one, which is exactly the double-buffer of the
-// real host library's asynchronous API. Flush is the step barrier: it
-// blocks until every staged batch has committed.
+// Cluster spreads group force batches across K guarded boards. Each
+// batch runs synchronously in the caller's goroutine, on the shard with
+// the least pair work placed since the last Flush (lowest index on
+// ties): concurrent walk workers land on different shards, or overlap
+// their arithmetic inside one shard's guard, exactly as they do on a
+// single guarded system. At one caller placement depends only on the
+// batch sequence.
 //
 // Sharding is along the i-axis at batch granularity: every field
 // particle's force is evaluated in full — whole j-list, one hardware
 // call — on exactly one shard. A batch is never split: every hardware
 // call streams the batch's whole j-list, so splitting it across shards
-// would replicate the dominant j transfer onto every board it touched,
-// while whole batches keep each board's bus traffic a single engine's;
-// the treecode emits many more batches than shards at any sane n_g, and
-// the work-stealing balance operates on them. There is no
-// floating-point reduction across shards, so shard count and dispatch
-// order cannot perturb results: a Cluster is bitwise-identical to a
-// single GuardedEngine fed the same batches (the conformance suite pins
-// this).
+// would replicate the dominant j transfer onto every board it touched.
+// There is no floating-point reduction across shards, so shard count
+// and placement cannot perturb results: a Cluster is bitwise-identical
+// to a single GuardedEngine fed the same batches (the conformance suite
+// pins this).
 //
-// Output slices handed to Accumulate must stay valid and disjoint
-// across batches until Flush returns (the treecode's per-group
-// subslices of the system arrays satisfy this); j buffers may be
-// reused by the caller as soon as Accumulate returns.
-//
-// Accumulate is safe for concurrent use. SetScale, SetEps, Flush and
-// Close must not race with Accumulate — call them at batch boundaries,
-// as Simulation and the treecode do.
+// Accumulate is safe for concurrent use and commits its results before
+// it returns. SetScale, SetEps, SetObserver, Flush and Close must not
+// race with Accumulate — call them at batch boundaries, as Simulation
+// and the treecode do.
 type Cluster struct {
-	cfg    ClusterConfig
 	shards []*clusterShard
-	disp   *dispatcher
-	free   freeList // staged tasks not in flight
+	ob     *obs.Observer // merge target for Flush
 
-	tasks   sync.WaitGroup // staged batches not yet committed
-	workers sync.WaitGroup // running shard goroutines
-	rr      atomic.Int64   // round-robin lane cursor
-
-	ob atomic.Pointer[obs.Observer] // merge target for Flush
-
-	errMu sync.Mutex
-	err   error // first asynchronous failure since the last Flush
+	mu  sync.Mutex
+	err error // first shard failure since the last Flush
 
 	critSec float64 // accumulated critical-path hardware seconds
-	closed  atomic.Bool
 }
 
 var _ core.Engine = (*Cluster)(nil)
 var _ core.BatchedEngine = (*Cluster)(nil)
 
-// NewCluster builds a K-shard cluster and starts one worker goroutine
-// per shard. Shard 0 uses the fault model exactly as configured (so a
-// K=1 cluster reproduces a bare engine's fault stream bit for bit);
-// shards beyond 0 get decorrelated fault seeds — independent boards
-// fail independently.
+// NewCluster builds a K-shard cluster. Shard 0 uses the fault model
+// exactly as configured (so a K=1 cluster reproduces a bare engine's
+// fault stream bit for bit); shards beyond 0 get decorrelated fault
+// seeds — independent boards fail independently.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -106,7 +85,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.G == 0 {
 		cfg.G = 1
 	}
-	c := &Cluster{cfg: cfg, disp: newDispatcher(cfg.Shards)}
+	c := &Cluster{}
 	for k := 0; k < cfg.Shards; k++ {
 		bcfg := cfg.Board
 		if bcfg.Fault != nil && k > 0 {
@@ -127,18 +106,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		sh.eng.SetObserver(sh.ob)
 		c.shards = append(c.shards, sh)
 	}
-	for k := range c.shards {
-		c.workers.Add(1)
-		go c.worker(k)
-	}
 	return c, nil
 }
 
 // Shards returns the configured shard count K.
 func (c *Cluster) Shards() int { return len(c.shards) }
-
-// Config returns the per-shard board configuration.
-func (c *Cluster) Config() Config { return c.cfg.Board }
 
 // ShardSystem exposes shard k's hardware for counter access and tests.
 // Callers must not Compute on it while the cluster is in use.
@@ -147,28 +119,30 @@ func (c *Cluster) ShardSystem(k int) *System { return c.shards[k].sys }
 // ShardEngine exposes shard k's guarded driver for recovery inspection.
 func (c *Cluster) ShardEngine(k int) *GuardedEngine { return c.shards[k].eng }
 
-// ShardInteractions returns the pairwise interactions executed per
-// shard — the load-balance measure the golden tests pin.
+// ShardInteractions returns the pairwise interactions placed per shard
+// — the load-balance measure the golden tests pin.
 func (c *Cluster) ShardInteractions() []int64 {
-	out := make([]int64, len(c.shards))
-	for k, sh := range c.shards {
-		out[k] = sh.interactions.Load()
-	}
-	return out
+	return c.tally(func(sh *clusterShard) int64 { return sh.interactions })
 }
 
-// ShardBatches returns the batch count executed per shard.
+// ShardBatches returns the batch count placed per shard.
 func (c *Cluster) ShardBatches() []int64 {
+	return c.tally(func(sh *clusterShard) int64 { return sh.batches })
+}
+
+func (c *Cluster) tally(f func(*clusterShard) int64) []int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make([]int64, len(c.shards))
 	for k, sh := range c.shards {
-		out[k] = sh.batches.Load()
+		out[k] = f(sh)
 	}
 	return out
 }
 
-// Steals returns how many batches ran on a shard other than their
-// round-robin lane.
-func (c *Cluster) Steals() int64 { return c.disp.Steals() }
+// Steals is always 0: batches are placed, never stolen. It stays for
+// the benchmark's g5.cluster_steals metric.
+func (c *Cluster) Steals() int64 { return 0 }
 
 // SetScale sets the fixed-point coordinate window on every shard.
 func (c *Cluster) SetScale(min, max float64) error {
@@ -191,9 +165,9 @@ func (c *Cluster) SetEps(eps float64) error {
 }
 
 // SetObserver attaches the telemetry merge target: at every Flush the
-// per-shard phase spans are folded into o (see mergeObs). A nil
-// observer detaches.
-func (c *Cluster) SetObserver(o *obs.Observer) { c.ob.Store(o) }
+// per-shard telemetry is folded into o (see mergeObs). A nil observer
+// detaches.
+func (c *Cluster) SetObserver(o *obs.Observer) { c.ob = o }
 
 // Counters returns the summed hardware activity of all shards — the
 // cluster's aggregate work, not its critical path.
@@ -246,59 +220,75 @@ func (c *Cluster) ActiveBoards() int {
 // parallel efficiency.
 func (c *Cluster) CriticalHWSeconds() float64 { return c.critSec }
 
-// Accumulate implements core.Engine by staging the batch: the j-list is
-// copied (callers reuse their buffers immediately) and the batch is
-// queued on a round-robin lane. Results land in req.Acc/req.Pot no later
-// than the next Flush.
+// Accumulate implements core.Engine: it places the batch on a shard
+// and runs it there before returning. A shard panic (wedged hardware,
+// *HardwareError) is recovered and returned by the next Flush, so one
+// failed batch ends the force call with an error instead of the process.
 func (c *Cluster) Accumulate(req *core.Request) {
 	if len(req.IPos) == 0 || req.J.N == 0 {
 		return
 	}
-	t := c.free.get()
-	t.j.CopyFrom(&req.J)
-	t.ipos, t.acc, t.pot = req.IPos, req.Acc, req.Pot
-	c.tasks.Add(1)
-	lane := int(c.rr.Add(1)-1) % len(c.shards)
-	c.disp.submit(lane, t)
+	k := c.place(int64(len(req.IPos)) * int64(req.J.N))
+	defer func() {
+		if r := recover(); r != nil {
+			c.mu.Lock()
+			if c.err == nil {
+				c.err = fmt.Errorf("g5: cluster shard %d: %v", k, r)
+			}
+			c.mu.Unlock()
+		}
+	}()
+	c.shards[k].eng.Accumulate(req)
 }
 
-// Flush implements core.BatchedEngine: it blocks until every staged
-// batch has committed its results, folds the per-shard telemetry into
-// the attached observer, and returns the first asynchronous failure
-// since the previous Flush (clearing it).
+// place picks the shard with the least pair work placed since the last
+// Flush (lowest index on ties) and charges work to it.
+func (c *Cluster) place(work int64) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k := 0
+	for i, sh := range c.shards {
+		if sh.placed < c.shards[k].placed {
+			k = i
+		}
+	}
+	sh := c.shards[k]
+	sh.placed += work
+	sh.interactions += work
+	sh.batches++
+	return k
+}
+
+// Flush implements core.BatchedEngine: it folds the per-shard telemetry
+// into the attached observer, restarts placement, and returns the first
+// shard failure since the previous Flush (clearing it).
 func (c *Cluster) Flush() error {
-	c.tasks.Wait()
 	c.mergeObs()
-	c.errMu.Lock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, sh := range c.shards {
+		sh.placed = 0
+	}
 	err := c.err
 	c.err = nil
-	c.errMu.Unlock()
 	return err
 }
 
-// Close flushes outstanding work and stops the shard workers. The
-// cluster must not be used after Close.
-func (c *Cluster) Close() error {
-	if c.closed.Swap(true) {
-		return nil
-	}
-	err := c.Flush()
-	c.disp.close()
-	c.workers.Wait()
-	return err
-}
+// Close is Flush: the cluster holds no goroutines or other resources.
+// It is safe to call more than once.
+func (c *Cluster) Close() error { return c.Flush() }
 
-// mergeObs folds the drained interval's per-shard telemetry into the
-// target observer, then resets the shard observers. Counters (flops,
-// bytes, recoveries, fallbacks) and the host-side force-evaluation and
-// guard spans are summed — they are real aggregate work, and shard time
-// follows the walk phase's Σ-worker-time convention. The simulated
-// hardware phases (j/i transfer, pipeline, readback) are taken from
-// the critical-path shard only: the boards run concurrently, so the
-// cluster's t_grape and t_comm are the slowest shard's — the quantity
-// the K-board time-balance model predicts shrinking as 1/K.
+// mergeObs folds the interval's per-shard telemetry into the target
+// observer, then resets the shard observers. Counters (flops, bytes,
+// recoveries, fallbacks) and the guard span are summed — they are real
+// aggregate work. The simulated hardware phases (j/i transfer,
+// pipeline, readback) are taken from the critical-path shard only: the
+// boards run concurrently, so the cluster's t_grape and t_comm are the
+// slowest shard's — the quantity the K-board time-balance model
+// predicts shrinking as 1/K. The caller's own timer around Accumulate
+// (the treecode's force_eval) already holds the host-side time.
 func (c *Cluster) mergeObs() {
-	target := c.ob.Load()
+	target := c.ob
 	crit, critSpan := 0, -1.0
 	for k, sh := range c.shards {
 		span := sh.ob.Seconds(obs.PhaseJTransfer) + sh.ob.Seconds(obs.PhaseITransfer) +
@@ -311,7 +301,6 @@ func (c *Cluster) mergeObs() {
 		c.critSec += critSpan
 	}
 	for k, sh := range c.shards {
-		target.AddSeconds(obs.PhaseForceEval, sh.ob.Seconds(obs.PhaseForceEval))
 		target.AddSeconds(obs.PhaseGuard, sh.ob.Seconds(obs.PhaseGuard))
 		if k == crit {
 			target.AddSeconds(obs.PhaseJTransfer, sh.ob.Seconds(obs.PhaseJTransfer))
@@ -325,43 +314,4 @@ func (c *Cluster) mergeObs() {
 		target.Add(obs.CntFallbacks, sh.ob.Count(obs.CntFallbacks))
 		sh.ob.Reset()
 	}
-}
-
-// worker is shard k's drain loop: pop (or steal) the next batch, run
-// it, repeat until the dispatcher closes.
-func (c *Cluster) worker(k int) {
-	defer c.workers.Done()
-	for {
-		t := c.disp.next(k)
-		if t == nil {
-			return
-		}
-		c.run(k, t)
-	}
-}
-
-// run executes one batch on shard k, timing it as the shard's force
-// evaluation. A shard panic (wedged hardware, *HardwareError) must not
-// kill the process from a worker goroutine: it is captured as the
-// cluster's asynchronous error and surfaced at Flush, the same contract
-// the synchronous engines express by panicking in the caller's frame.
-func (c *Cluster) run(k int, t *task) {
-	defer c.tasks.Done()
-	defer c.free.put(t)
-	defer func() {
-		if r := recover(); r != nil {
-			c.errMu.Lock()
-			if c.err == nil {
-				c.err = fmt.Errorf("g5: cluster shard %d: %v", k, r)
-			}
-			c.errMu.Unlock()
-		}
-	}()
-	sh := c.shards[k]
-	req := core.Request{IPos: t.ipos, J: t.j, Acc: t.acc, Pot: t.pot}
-	tf := sh.ob.Start(obs.PhaseForceEval)
-	sh.eng.Accumulate(&req)
-	tf.Stop()
-	sh.interactions.Add(int64(len(t.ipos)) * int64(t.j.N))
-	sh.batches.Add(1)
 }

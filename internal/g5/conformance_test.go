@@ -88,7 +88,7 @@ func (c chunkedEngine) Accumulate(req *core.Request) {
 func (c chunkedEngine) Flush() error { return c.eng.Flush() }
 
 // TestClusterK1BitwiseIdenticalToGuard: a single-shard cluster is the
-// bare guarded engine plus staging and a worker goroutine — neither of
+// bare guarded engine plus placement and a telemetry merge — neither of
 // which may perturb a single bit of the forces. Sharding is i-axis only
 // (each i-particle's force is one full hardware sum), so this holds
 // however the field points are cut into batches; the table submits
@@ -172,7 +172,8 @@ func TestClusterShardsAgreeWithK1(t *testing.T) {
 // TestClusterConcurrentAccumulate drives a K=4 cluster from several
 // producer goroutines at once — the treecode's walk-worker pattern —
 // and checks every batch against the bare engine. Run under -race this
-// is the data-race conformance check for the staging path.
+// is the data-race conformance check for placement and the shards'
+// concurrent callers.
 func TestClusterConcurrentAccumulate(t *testing.T) {
 	refSys := newGuardSystem(t, DefaultConfig(), 0.05)
 	ref := NewEngine(refSys, 1)
@@ -214,11 +215,11 @@ func TestClusterConcurrentAccumulate(t *testing.T) {
 	}
 }
 
-// TestClusterFlushSurfacesShardPanic: the synchronous engines surface
-// host programming bugs (here: Compute before SetScale) by panicking in
-// the caller's frame; on a cluster the caller's frame is a worker
-// goroutine, so the panic must come back as the Flush error instead of
-// killing the process — and must not wedge the cluster.
+// TestClusterFlushSurfacesShardPanic: the bare engines surface host
+// programming bugs (here: Compute before SetScale) by panicking; the
+// cluster recovers the panic inside Accumulate and returns it as the
+// Flush error, so a walk worker's failed batch ends the force call
+// instead of the process — and must not wedge the cluster.
 func TestClusterFlushSurfacesShardPanic(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{Shards: 2, Board: DefaultConfig(), G: 1, Guard: fastPolicy()})
 	if err != nil {

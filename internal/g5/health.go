@@ -25,8 +25,8 @@ type BoardHealth struct {
 // state: shard and board inventory, exclusions, and the cumulative
 // fault-handling counters behind them.
 type Health struct {
-	// Shards is the number of board systems (1 for a bare System or
-	// GuardedEngine, K for a Cluster).
+	// Shards is the number of board systems (1 for a bare System, K for
+	// a Cluster).
 	Shards int `json:"shards"`
 	// BoardsTotal and BoardsActive count physical boards across all
 	// shards; Active < Total means the installation runs degraded.
@@ -66,18 +66,6 @@ func (s *System) Health() Health {
 		BoardsActive: s.ActiveBoards(),
 		Boards:       s.boardHealth(0, nil),
 	}
-}
-
-// Health snapshots the guarded single-system installation: board
-// inventory plus the guard's recovery counters. Call it between force
-// batches (the Simulation step loop's cadence); it must not race with
-// Accumulate.
-func (e *GuardedEngine) Health() Health {
-	rec := e.Recovery()
-	h := e.sys.Health()
-	h.Recovery = rec
-	h.HostOnly = rec.HostOnly
-	return h
 }
 
 // Health snapshots the whole cluster: every shard's board inventory,

@@ -166,7 +166,7 @@ func (f *Flow) CallBlocking(call *ast.CallExpr) string {
 			return "sync.WaitGroup.Wait"
 		}
 		// sync.Cond.Wait releases the associated lock while parked: the
-		// dispatcher's next() idiom is sound and exempt.
+		// condition-variable wait loop is sound and exempt.
 		return ""
 	}
 	path := funcPkgPath(fn)

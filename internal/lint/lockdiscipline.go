@@ -24,7 +24,7 @@ import (
 //     Job.mu).
 //
 // sync.Cond.Wait is exempt: it releases the associated mutex while
-// parked (the g5 dispatcher's next() idiom). internal/fsx metadata
+// parked (the condition-variable wait loop). internal/fsx metadata
 // writes are exempt by design — persisting job metadata under the
 // scheduling lock is the serve persistence-order contract.
 //

@@ -5,9 +5,11 @@ import "math"
 // ClusterBalance is the K-board extension of the §3 time balance for
 // the sharded offload path (internal/g5.Cluster). The serial model
 // behind StepReport.TotalSeconds assumes the paper's code structure —
-// host walk and hardware strictly alternate — but the cluster's
-// asynchronous double-buffering overlaps them: while K boards drain
-// the current batches, the walk workers stream the next ones. Only the
+// host walk and hardware strictly alternate — but a real host library's
+// asynchronous double-buffering overlaps them: while K boards drain the
+// current batches, the host walks the next ones. (g5.Cluster runs each
+// batch synchronously; it accounts the K boards' critical path, not the
+// overlap, which this model prices.) Only the
 // Morton sort and tree build remain serial (no group list exists
 // before the tree does), so the pipelined step time is
 //

@@ -188,8 +188,8 @@ func (req JobRequest) resolve(b Budget) (JobRequest, error) {
 
 // SimConfig translates the request into the simulation configuration
 // the runner and the standalone reference both use, in the model's
-// units. A multi-board lease becomes a sharded cluster (bitwise-neutral,
-// PR 3); a single board runs the guarded single-system engine. It is
+// units. A GRAPE job is always guarded: a K-board lease drives a K-shard
+// cluster, a single board a 1-shard one (bitwise the same forces). It is
 // meant for a resolved request: a model or engine name resolve would
 // refuse maps to the zero value here.
 func (s JobRequest) SimConfig() grape5.Config {

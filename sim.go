@@ -35,9 +35,8 @@ type Simulation struct {
 
 	cfg     Config
 	tc      *core.Treecode
-	hw      *g5.System               // nil for host engine and cluster runs
-	guard   *g5.GuardedEngine        // nil unless Config.Guard
-	cluster *g5.Cluster              // nil unless Config.Shards > 1
+	hw      *g5.System               // unguarded GRAPE runs only
+	cluster *g5.Cluster              // every guarded GRAPE run, K = max(Shards, 1)
 	bl      *integrate.BlockLeapfrog // every dt policy runs on this core
 	ob      *obs.Observer
 	time    float64
@@ -106,7 +105,7 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 		if hwCfg.Boards == 0 {
 			hwCfg = g5.DefaultConfig()
 		}
-		if cfg.Shards > 1 {
+		if cfg.Guard || cfg.Shards > 1 {
 			cl, err := g5.NewCluster(g5.ClusterConfig{
 				Shards: cfg.Shards, Board: hwCfg,
 				G: cfg.G, Guard: cfg.GuardPolicy,
@@ -115,13 +114,15 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 				return nil, err
 			}
 			if err := cl.SetEps(cfg.Eps); err != nil {
-				return nil, errors.Join(err, cl.Close())
+				return nil, err
 			}
 			cl.SetObserver(sim.ob)
 			sim.cluster = cl
 			engine = cl
 			break
 		}
+		// Unguarded: no probe pass in the simulated cost, and a hardware
+		// error panics.
 		hw, err := g5.NewSystem(hwCfg)
 		if err != nil {
 			return nil, err
@@ -131,13 +132,7 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 		}
 		hw.SetObserver(sim.ob)
 		sim.hw = hw
-		if cfg.Guard {
-			sim.guard = g5.NewGuardedEngine(hw, cfg.G, cfg.GuardPolicy)
-			sim.guard.SetObserver(sim.ob)
-			engine = sim.guard
-		} else {
-			engine = g5.NewEngine(hw, cfg.G)
-		}
+		engine = g5.NewEngine(hw, cfg.G)
 	case EnginePM:
 		if cfg.PMGrid == 0 {
 			cfg.PMGrid = 64
@@ -356,24 +351,18 @@ func (sim *Simulation) HardwareCounters() g5.Counters {
 	return sim.baseCounters.Add(live)
 }
 
-// Hardware returns the emulated GRAPE-5 system, or nil for host-engine
-// and cluster simulations (use Cluster for the latter).
-func (sim *Simulation) Hardware() *g5.System { return sim.hw }
-
-// Cluster returns the sharded cluster engine, or nil unless
-// Config.Shards > 1.
+// Cluster returns the guarded cluster engine (K = 1 for a guarded
+// single-board run), or nil for host-engine and unguarded GRAPE runs.
 func (sim *Simulation) Cluster() *g5.Cluster { return sim.cluster }
 
-// Recovery returns the guard's fault-handling counters — summed across
-// shards for cluster runs — or a zero value when the simulation does
-// not run a guarded offload path. Totals are whole-run (checkpointed
-// base plus this process); HostOnly reflects this process's hardware.
+// Recovery returns the guard's fault-handling counters, summed across
+// shards, or a zero value when the simulation does not run a guarded
+// offload path. Totals are whole-run (checkpointed base plus this
+// process); HostOnly reflects this process's hardware.
 func (sim *Simulation) Recovery() g5.Recovery {
 	live := g5.Recovery{}
 	if sim.cluster != nil {
 		live = sim.cluster.Recovery()
-	} else if sim.guard != nil {
-		live = sim.guard.Recovery()
 	}
 	return sim.baseRecovery.Add(live)
 }
@@ -386,8 +375,6 @@ func (sim *Simulation) Health() g5.Health {
 	switch {
 	case sim.cluster != nil:
 		return sim.cluster.Health()
-	case sim.guard != nil:
-		return sim.guard.Health()
 	case sim.hw != nil:
 		return sim.hw.Health()
 	}
@@ -406,9 +393,9 @@ func (sim *Simulation) FaultStats() g5.FaultStats {
 	return sim.baseFaults.Add(live)
 }
 
-// Close releases engine resources (the cluster's shard workers). It is
-// a no-op for single-system and host-engine simulations, and safe to
-// call more than once.
+// Close returns a shard failure the cluster has not yet reported (see
+// g5.Cluster.Close). It is a no-op for host-engine and unguarded runs,
+// and safe to call more than once.
 func (sim *Simulation) Close() error {
 	if sim.cluster != nil {
 		return sim.cluster.Close()

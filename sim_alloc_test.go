@@ -137,17 +137,9 @@ func TestStepAllocsGuarded(t *testing.T) {
 }
 
 // TestStepAllocsCluster extends the allocation gate to the sharded
-// cluster (K = 2 guarded shards), whose walk stages a whole step's
-// batches ahead of the shards: one copy of every group's j-list is in
-// flight at once, each recycled into the next step through the
-// cluster's free lists. Every staging buffer on this path — the copies,
-// the guard's gather, the quantise scratch — is grown to fit the longest
-// list it has met, so the residue reaches zero only once each has met
-// the step's longest; with 30 copies that takes some tens of steps,
-// hence the long warm-up. (The benchmark's cluster_cosmo17k never gets
-// there: as structure forms its longest list lengthens every step. The
-// staging grows by append's rule for that, see the drifting maximum
-// below; the tree's arenas are still made to fit, ROADMAP item 1.3.)
+// cluster (K = 2 guarded shards) with the guarded step's budgets and
+// warm-up: each batch runs in the walk worker that built it, on one
+// shard's guard, so the cluster stages nothing of its own.
 func TestStepAllocsCluster(t *testing.T) {
 	const n = 4096
 	sys := allocTestSystem(n)
@@ -162,7 +154,7 @@ func TestStepAllocsCluster(t *testing.T) {
 	if err := sim.Prime(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 3; i++ {
 		if err := sim.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -176,18 +168,11 @@ func TestStepAllocsCluster(t *testing.T) {
 		bytes += sim.LastReport.BytesAlloc
 	})
 	bytesPerStep := bytes / 6
-	// 0-18 kB, plain and under the race detector, on all but two of
-	// some 120 runs; those read 89 kB (a copy still growing). sync.Pools
-	// in place of the free lists read 0-5 kB plain and 410-500 kB under
-	// the race detector, which drops pooled items.
-	const byteBudget = 200_000
+	const byteBudget = 64_000
 	if bytesPerStep > byteBudget {
 		t.Fatalf("cluster steady-state Step allocates %d bytes, budget %d", bytesPerStep, byteBudget)
 	}
-	// 19-28 on those runs (35 on the two): the guarded step's 13 plus
-	// the shards' observers and the dispatcher's lanes. The pools read
-	// 20-25 plain, 140-164 under the race detector.
-	const budget = 50
+	const budget = 26
 	if allocs > budget {
 		t.Fatalf("cluster steady-state Step allocates %.0f objects/run, budget %d", allocs, budget)
 	}
@@ -197,10 +182,10 @@ func TestStepAllocsCluster(t *testing.T) {
 	// The maximum that drifts, which the stationary sphere above never
 	// shows: every list one source longer each step, as cluster_cosmo17k's
 	// longest is while structure forms. Staging that is made to fit
-	// re-makes every buffer on every one of the 40 steps (128 kB each
-	// here); grown by append's rule a buffer is re-made O(log) times —
-	// here once, at 1025 sources, where all of them outgrow the size
-	// class that 1000 was rounded up to.
+	// re-makes the guard's gather and quantise scratch on every one of
+	// the 40 steps; grown by append's rule a buffer is re-made O(log)
+	// times — here once, at 1025 sources, where all of them outgrow the
+	// size class that 1000 was rounded up to.
 	t.Run("drifting maximum", func(t *testing.T) {
 		const ni, nj0, batches, steps = 64, 1000, 8, 40
 		cl, err := g5.NewCluster(g5.ClusterConfig{Shards: 2, Board: g5.DefaultConfig()})
@@ -300,9 +285,9 @@ func TestStepAllocsBlocks(t *testing.T) {
 	if bytesPerStep > byteBudget {
 		t.Fatalf("steady-state block Step allocates %d bytes, budget %d", bytesPerStep, byteBudget)
 	}
-	// 77-88 plain, 108-173 under the race detector: which worker draws
-	// which partially-active group varies with scheduling, so gather
-	// segments are still being re-sized in steady state.
+	// 72 plain and under the race detector, now that each walk worker
+	// reuses one gather segment grown by append's rule (77-88 and 108-173
+	// while segments were made to fit each group).
 	const budget = 250
 	if allocs > budget {
 		t.Fatalf("steady-state block Step allocates %.0f objects/run, budget %d", allocs, budget)

@@ -2,13 +2,17 @@ package grape5
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/g5"
 )
 
 // TestSimulationClusterMatchesSingle: a Shards=2 simulation must evolve
-// bitwise the same trajectory as the single guarded system — the
-// cluster shards along the i-axis only, so no reduction order changes
-// and the integrator sees identical forces every step.
+// bitwise the same trajectory as the guarded single-board run, which is
+// a 1-shard cluster — the cluster shards along the i-axis only, so no
+// reduction order changes and the integrator sees identical forces
+// every step.
 func TestSimulationClusterMatchesSingle(t *testing.T) {
 	mk := func(shards int) *Simulation {
 		s := Plummer(256, 1, 1, 1, 9)
@@ -35,8 +39,8 @@ func TestSimulationClusterMatchesSingle(t *testing.T) {
 	if cl := clustered.Cluster(); cl == nil || cl.Shards() != 2 {
 		t.Fatal("Shards=2 simulation did not build a 2-shard cluster")
 	}
-	if single.Cluster() != nil {
-		t.Error("single-system simulation reports a cluster")
+	if cl := single.Cluster(); cl == nil || cl.Shards() != 1 {
+		t.Fatal("guarded single-board simulation did not build a 1-shard cluster")
 	}
 	for i := 0; i < single.Sys.N(); i++ {
 		if single.Sys.Pos[i] != clustered.Sys.Pos[i] || single.Sys.Vel[i] != clustered.Sys.Vel[i] {
@@ -98,5 +102,46 @@ func TestSimulationClusterTelemetry(t *testing.T) {
 	}
 	if err := sim.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestClusterPlacementDeterministic: at Workers = 1 which shard runs a
+// batch depends only on the batch sequence, so two faulted K = 2 runs
+// draw the same faults on the same boards and agree on everything —
+// trajectory, recovery, fault tallies and per-shard loads.
+func TestClusterPlacementDeterministic(t *testing.T) {
+	run := func() *Simulation {
+		hwCfg := g5.DefaultConfig()
+		hwCfg.Fault = &g5.FaultModel{Seed: 11, TransientRate: 0.05, BusErrorRate: 0.05,
+			FailBoard: 2, FailAfterRuns: 30, FailSlot: 5}
+		sim, err := NewSimulation(Plummer(512, 1, 1, 1, 3), Config{
+			Theta: 0.6, Ncrit: 64, G: 1, Eps: 0.05, DT: 0.005,
+			Engine: EngineGRAPE5, GRAPE: hwCfg, Shards: 2, Workers: 1,
+			GuardPolicy: g5.GuardPolicy{BackoffBase: 1, BackoffMax: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(8); err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+	a, b := run(), run()
+	for i := range a.Sys.Pos {
+		if a.Sys.Pos[i] != b.Sys.Pos[i] || a.Sys.Vel[i] != b.Sys.Vel[i] {
+			t.Fatalf("particle %d diverged between identical runs", i)
+		}
+	}
+	if ra, rb := a.Recovery(), b.Recovery(); ra != rb {
+		t.Errorf("recovery %v vs %v", ra, rb)
+	} else if ra.ExcludedBoards == 0 || ra.Retries == 0 {
+		t.Errorf("fault model never exercised the guard: %v", ra)
+	}
+	if fa, fb := a.FaultStats(), b.FaultStats(); fa != fb {
+		t.Errorf("fault stats %+v vs %+v", fa, fb)
+	}
+	if la, lb := a.Cluster().ShardInteractions(), b.Cluster().ShardInteractions(); !slices.Equal(la, lb) {
+		t.Errorf("shard interactions %v vs %v", la, lb)
 	}
 }

@@ -36,8 +36,8 @@ func TestSimulationGuardedBoardLoss(t *testing.T) {
 	if rec.HostOnly {
 		t.Errorf("run abandoned hardware entirely: %s", rec)
 	}
-	if sim.Hardware().ActiveBoards() != 1 {
-		t.Errorf("active boards = %d, want 1", sim.Hardware().ActiveBoards())
+	if n := sim.Cluster().ActiveBoards(); n != 1 {
+		t.Errorf("active boards = %d, want 1", n)
 	}
 	if fs := sim.FaultStats(); fs.StuckPipeCalls == 0 {
 		t.Errorf("fault injector never fired: %+v", fs)
@@ -106,8 +106,8 @@ func TestSimulationGuardedAllBoardsLost(t *testing.T) {
 	if rec.FallbackBatches == 0 {
 		t.Errorf("no fallback batches recorded: %s", rec)
 	}
-	if sim.Hardware().ActiveBoards() != 0 {
-		t.Errorf("active boards = %d, want 0", sim.Hardware().ActiveBoards())
+	if n := sim.Cluster().ActiveBoards(); n != 0 {
+		t.Errorf("active boards = %d, want 0", n)
 	}
 
 	hostCfg := cfg

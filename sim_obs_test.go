@@ -116,10 +116,10 @@ func TestStepTelemetry(t *testing.T) {
 	}
 }
 
-// TestClusterStepReportsForceEval: on a cluster the walk only stages
-// batches, so the emulation runs on the shard workers; their time must
-// come back as force_eval (Σ worker time, like the walk's), where a
-// GRAPE step spends most of its wall-clock.
+// TestClusterStepReportsForceEval: a cluster runs each batch in the walk
+// worker that built it, so the emulation's time is the treecode's
+// force_eval (Σ worker time, like the walk's), where a GRAPE step spends
+// most of its wall-clock.
 func TestClusterStepReportsForceEval(t *testing.T) {
 	s := Plummer(4096, 1, 1, 1, 5)
 	sim, err := NewSimulation(s, Config{

@@ -57,8 +57,8 @@ func TestSimulationHostEnergyConservation(t *testing.T) {
 	if sim.TotalInteractions == 0 || sim.LastStats.N != 400 {
 		t.Errorf("stats not recorded: %+v", sim.LastStats)
 	}
-	if sim.Hardware() != nil {
-		t.Error("host simulation reports hardware")
+	if h := sim.Health(); h.BoardsTotal != 0 || sim.Cluster() != nil {
+		t.Errorf("host simulation reports hardware: %+v", h)
 	}
 }
 
@@ -92,8 +92,8 @@ func TestSimulationGRAPEEnergyConservation(t *testing.T) {
 	if c.HWSeconds() <= 0 {
 		t.Error("no simulated hardware time")
 	}
-	if sim.Hardware() == nil {
-		t.Error("GRAPE simulation lost its hardware")
+	if h := sim.Health(); h.Shards != 1 || h.BoardsActive != 2 || sim.Cluster() != nil {
+		t.Errorf("unguarded GRAPE simulation: health %+v, want one bare 2-board system", h)
 	}
 }
 
