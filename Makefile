@@ -27,17 +27,18 @@ lint: $(BIN)/grapelint
 # loc prints the north star's own metric (ROADMAP aim 2, "net source
 # lines going down"): lines of non-test Go and of assembly (*.s is
 # source) outside benchmark/, per package directory and in total. Lint
-# fixtures under testdata/ are test inputs and are not counted. Under the
-# total, the *_test.go lines outside benchmark/ (ROADMAP item 3: "test
-# lines going down") and the byte sizes of the two documents ROADMAP
-# item 6 budgets.
+# fixtures under testdata/ are test inputs and are not counted. Then the
+# *_test.go lines outside benchmark/, per package directory and in total
+# (ROADMAP item 4: "test lines going down"), and the byte sizes of the
+# two documents ROADMAP item 9 budgets.
+per_dir = awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+	END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d $(1)\n", t }'
+
 loc:
 	@find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './benchmark/*' \
-		! -path '*/testdata/*' ! -path './.bench_build/*' -print0 | xargs -0 wc -l | \
-		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
-			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+		! -path '*/testdata/*' ! -path './.bench_build/*' -print0 | xargs -0 wc -l | $(call per_dir,total)
 	@find . -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | \
-		xargs -0 cat | wc -l | awk '{ printf "%7d test lines\n", $$1 }'
+		xargs -0 wc -l | $(call per_dir,test lines)
 	@wc -c DESIGN.md EXPERIMENTS.md | awk '$$2 != "total" { printf "%7d bytes %s\n", $$1, $$2 }'
 
 # bench-wall-smoke builds, vets and tests the wall-clock benchmark

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/g5"
 )
 
@@ -85,6 +86,64 @@ func TestConfigValidate(t *testing.T) {
 		if err := sim.Close(); err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestBlockConfigValidation pins the Config-level block-mode rules that
+// TestConfigValidate's general table leaves out.
+func TestBlockConfigValidation(t *testing.T) {
+	s := Plummer(64, 1, 1, 1, 2)
+	bad := []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Blocks: 4, DTMin: 0.001, Adaptive: true}, "exclusive"},
+		{Config{Blocks: 4}, "DTMin"},
+		{Config{Blocks: 32, DTMin: 0.001}, "rung levels"},
+		{Config{Blocks: 4, DTMin: 0.001, DT: 0.005}, "block span"},
+		{Config{Blocks: 4, DTMin: 0.001, Engine: EnginePM}, "PM engine"},
+	}
+	for i, tc := range bad {
+		if sim, err := NewSimulation(s, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("bad config %d: NewSimulation = %v, want an error naming %q", i, err, tc.want)
+			if err == nil {
+				sim.Close()
+			}
+		}
+	}
+	// DT equal to the exact span is accepted.
+	sim, err := NewSimulation(s, Config{Blocks: 4, DTMin: 0.000625, DT: 0.005, G: 1, Eps: 0.05})
+	if err != nil {
+		t.Fatalf("DT == span rejected: %v", err)
+	}
+	if err := sim.Close(); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestResumeConfigConflictsAreLoud(t *testing.T) {
+	st := ckpt.State{Theta: 0.7, Eps: 0.05, DT: 0.005, Engine: 0}
+	if _, err := ResumeConfig(st, Config{Theta: 0.6}); err == nil || !strings.Contains(err.Error(), "theta") {
+		t.Errorf("theta conflict not loud: %v", err)
+	}
+	// EngineHost in the checkpoint is a known value, not "unset": asking
+	// for GRAPE must not silently change the physics.
+	if _, err := ResumeConfig(st, Config{Engine: EngineGRAPE5}); err == nil || !strings.Contains(err.Error(), "engine") {
+		t.Errorf("engine conflict not loud: %v", err)
+	}
+	// Legacy snapshot: no stored DT and none given — must demand one.
+	if _, err := ResumeConfig(ckpt.State{Engine: -1}, Config{}); err == nil || !strings.Contains(err.Error(), "timestep") {
+		t.Errorf("missing timestep not loud: %v", err)
+	}
+	// Shards is bitwise-neutral: explicit override is allowed, unset
+	// inherits.
+	got, err := ResumeConfig(ckpt.State{DT: 0.005, Shards: 2, Engine: -1}, Config{Shards: 4})
+	if err != nil || got.Shards != 4 {
+		t.Errorf("shards override: cfg=%+v err=%v", got, err)
+	}
+	got, err = ResumeConfig(ckpt.State{DT: 0.005, Shards: 2, Engine: -1}, Config{})
+	if err != nil || got.Shards != 2 {
+		t.Errorf("shards inherit: cfg=%+v err=%v", got, err)
 	}
 }
 

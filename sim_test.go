@@ -2,7 +2,10 @@ package grape5
 
 import (
 	"math"
+	"reflect"
 	"testing"
+
+	"repro/internal/ckpt"
 )
 
 func TestNewSimulationValidation(t *testing.T) {
@@ -214,6 +217,7 @@ func TestFindHalosFacade(t *testing.T) {
 }
 
 func TestSimulationPMEngine(t *testing.T) {
+	t.Parallel()
 	// A Plummer sphere under the PM engine: forces are soft below the
 	// mesh scale, but global energy behaviour must be sane over a short
 	// run and the engine must produce nonzero forces.
@@ -270,5 +274,197 @@ func TestSimulationTreeReuse(t *testing.T) {
 	e1 := sim.Energy().Total()
 	if rel := math.Abs(e1-e0) / math.Abs(e0); rel > 0.02 {
 		t.Errorf("tree-reuse energy drift = %v", rel)
+	}
+}
+
+// TestAdaptiveLeapfrogEnergy runs the adaptive dt policy to t = 0.5 and
+// checks what the policy promises: every pick lies in [DTMin, DT], the
+// clock is the sum of the picks, and energy drifts no more than a
+// shared-step leapfrog with a varying step should.
+func TestAdaptiveLeapfrogEnergy(t *testing.T) {
+	cfg := Config{Theta: 0.3, Ncrit: 32, G: 1, Eps: 0.05,
+		Adaptive: true, Eta: 0.05, DT: 0.01, DTMin: 0.001}
+	sim, err := NewSimulation(Plummer(200, 1, 1, 1, 9), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Prime(); err != nil {
+		t.Fatal(err)
+	}
+	e0 := sim.Energy().Total()
+	steps, sum := 0, 0.0
+	for sim.Time() < 0.5 {
+		if err := sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+		dt := sim.LastDT()
+		if dt < cfg.DTMin || dt > cfg.DT {
+			t.Fatalf("step %d: dt = %v outside [%v, %v]", steps, dt, cfg.DTMin, cfg.DT)
+		}
+		sum += dt
+		steps++
+	}
+	if steps < 50 {
+		t.Errorf("suspiciously few steps: %d", steps)
+	}
+	if sim.Time() != sum {
+		t.Errorf("Time = %v, want Σ dt = %v", sim.Time(), sum)
+	}
+	e1 := sim.Energy().Total()
+	if rel := math.Abs(e1-e0) / math.Abs(e0); rel > 5e-3 {
+		t.Errorf("adaptive energy drift = %v", rel)
+	}
+}
+
+// TestAdaptiveStepReturnsDT takes one adaptive Step on an unprimed
+// two-body system: the step must prime first (the criterion reads
+// accelerations), pick a dt under the ceiling and advance the clock by it.
+func TestAdaptiveStepReturnsDT(t *testing.T) {
+	sim, err := NewSimulation(TwoBody(1, 1, 1, 1), Config{
+		G: 1, Eps: 0.1, Adaptive: true, Eta: 0.1, DT: 0.01,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if dt := sim.LastDT(); dt <= 0 || dt > 0.01 || sim.Time() != dt {
+		t.Errorf("dt = %v, Time = %v", dt, sim.Time())
+	}
+	if !sim.Primed() {
+		t.Error("adaptive Step left the simulation unprimed")
+	}
+}
+
+// TestDenseIDsRequiredInEveryMode: the integrator keys its state by
+// particle ID, so IDs that are not a permutation of [0, N) must be
+// rejected at Prime whatever the timestep mode.
+func TestDenseIDsRequiredInEveryMode(t *testing.T) {
+	modes := map[string]Config{
+		"fixed":    {G: 1, Eps: 0.05, DT: 0.005},
+		"adaptive": {G: 1, Eps: 0.05, DT: 0.005, Adaptive: true},
+		"blocks":   {G: 1, Eps: 0.05, Blocks: 3, DTMin: 0.00125},
+	}
+	breakIDs := map[string]func(s *System){
+		"sparse":    func(s *System) { s.ID[3] = int64(s.N()) + 5 },
+		"negative":  func(s *System) { s.ID[3] = -1 },
+		"duplicate": func(s *System) { s.ID[3] = s.ID[4] },
+	}
+	for mode, cfg := range modes {
+		for kind, breakID := range breakIDs {
+			t.Run(mode+"/"+kind, func(t *testing.T) {
+				s := Plummer(64, 1, 1, 1, 2)
+				breakID(s)
+				sim, err := NewSimulation(s, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sim.Prime(); err == nil {
+					t.Error("Prime accepted non-dense particle IDs")
+				}
+				if err := sim.Step(); err == nil {
+					t.Error("Step accepted non-dense particle IDs")
+				}
+			})
+		}
+	}
+}
+
+// TestBlockCollapseSavesForceEvals is the physics payoff test: a
+// Plummer sphere with tight softening and criterion spreads across
+// >= 4 rungs, conserves energy to 1e-3 over the run, and evaluates
+// measurably fewer forces than a shared-dt run substepping at the same
+// resolution would (active fraction strictly below 1).
+func TestBlockCollapseSavesForceEvals(t *testing.T) {
+	t.Parallel()
+	s := Plummer(2000, 1, 1, 1, 3)
+	sim, err := NewSimulation(s, Config{
+		Theta: 0.5, Ncrit: 64, G: 1, Eps: 0.002,
+		Blocks: 6, DTMin: 0.00005, Eta: 0.01, Engine: EngineHost,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Prime(); err != nil {
+		t.Fatal(err)
+	}
+	occupied := 0
+	for _, c := range sim.RungOccupancy() {
+		if c > 0 {
+			occupied++
+		}
+	}
+	if occupied < 4 {
+		t.Fatalf("criterion too loose for a rung hierarchy: occupancy %v", sim.RungOccupancy())
+	}
+	e0 := sim.Energy().Total()
+	var activeI, substeps int64
+	for step := 0; step < 20; step++ {
+		if err := sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+		activeI += sim.LastReport.ActiveI
+		substeps += sim.LastReport.Substeps
+	}
+	e1 := sim.Energy().Total()
+	if rel := math.Abs(e1-e0) / math.Abs(e0); rel > 1e-3 {
+		t.Errorf("block-timestep energy drift = %v, want <= 1e-3", rel)
+	}
+	// Shared-dt at the same finest resolution would evaluate N particles
+	// on each of the substeps; the hierarchy must do meaningfully better.
+	shared := int64(sim.Sys.N()) * substeps
+	if substeps <= 20 {
+		t.Fatalf("only %d substeps over 20 blocks: hierarchy never subdivided", substeps)
+	}
+	ratio := float64(activeI) / float64(shared)
+	if ratio >= 0.9 {
+		t.Errorf("force evaluations %d of shared-dt %d (ratio %.3f): no active-set win", activeI, shared, ratio)
+	}
+	t.Logf("force-eval ratio vs shared dt_min: %.3f (%d substeps, occupancy %v)",
+		ratio, substeps, sim.RungOccupancy())
+	if f := sim.LastReport.ActiveFrac; !(f > 0 && f < 1) {
+		t.Errorf("LastReport.ActiveFrac = %v, want in (0,1)", f)
+	}
+}
+
+// TestSimulationCheckpointStore drives the Store-backed Checkpoint
+// method: durable save, telemetry on the step report, and recovery via
+// LatestValid.
+func TestSimulationCheckpointStore(t *testing.T) {
+	s := Plummer(128, 1, 1, 1, 3)
+	sim, err := NewSimulation(s, Config{Theta: 0.6, Ncrit: 64, G: 1, Eps: 0.05, DT: 0.005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	store, err := ckpt.OpenStore(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := sim.Checkpoint(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Step != 2 || info.Bytes == 0 {
+		t.Errorf("save info = %+v", info)
+	}
+	if sim.LastReport.CkptWrites != 1 || sim.LastReport.CkptBytes != info.Bytes {
+		t.Errorf("checkpoint telemetry not folded into LastReport: %+v", sim.LastReport)
+	}
+	if sim.LastReport.Phases.Checkpoint <= 0 {
+		t.Errorf("checkpoint phase seconds = %v", sim.LastReport.Phases.Checkpoint)
+	}
+	c, gen, err := store.LatestValid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen.Step != 2 || c.State.Step != 2 || !c.State.Primed {
+		t.Errorf("latest valid = gen %+v state step %d primed %v", gen, c.State.Step, c.State.Primed)
+	}
+	if !reflect.DeepEqual(sim.Sys, c.Sys) {
+		t.Error("stored particles differ from the simulation's")
 	}
 }
