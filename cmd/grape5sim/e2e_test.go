@@ -328,12 +328,26 @@ func TestE2EConfigRefusals(t *testing.T) {
 
 // TestE2EGuardedReport: a guarded single-board run reports one board
 // system, with no cluster block; -boards 2 adds the block, one line per
-// shard.
+// shard. An unguarded run reports no recovery at all, and a hardware
+// error ends it through log.Fatal, not a panic.
 func TestE2EGuardedReport(t *testing.T) {
 	bin := binPath(t)
 	common := []string{"-model", "plummer", "-n", "400", "-steps", "2", "-ncrit", "64",
 		"-engine", "grape5", "-report", "0"}
-	out, code := run(t, bin, append(common, "-guard")...)
+	out, code := run(t, bin, common...)
+	if code != 0 {
+		t.Fatalf("unguarded run exited %d:\n%s", code, out)
+	}
+	for _, line := range []string{"recovery:", "boards in service", "cluster:"} {
+		if strings.Contains(out, line) {
+			t.Errorf("unguarded run reports %q:\n%s", line, out)
+		}
+	}
+	out, code = run(t, bin, append(common, "-fault-transient", "0.2")...)
+	if code != 1 || !strings.Contains(out, "transient compute timeout failure") || strings.Contains(out, "goroutine ") {
+		t.Errorf("unguarded run on failing hardware exited %d, want 1 naming the hardware error without a stack dump:\n%s", code, out)
+	}
+	out, code = run(t, bin, append(common, "-guard")...)
 	if code != 0 {
 		t.Fatalf("guarded run exited %d:\n%s", code, out)
 	}

@@ -561,14 +561,8 @@ func main() {
 	}
 
 	if c := sim.HardwareCounters(); c.Runs > 0 && sim.Config().Engine == grape5.EngineGRAPE5 {
-		bCfg := sim.Config().GRAPE
-		if bCfg.Boards == 0 {
-			bCfg = g5.DefaultConfig()
-		}
-		cl, k := sim.Cluster(), 1
-		if cl != nil {
-			k = cl.Shards()
-		}
+		cl := sim.Cluster()
+		k, bCfg := cl.Shards(), cl.ShardSystem(0).Config()
 		fmt.Printf("GRAPE-5: runs=%d j-passes=%d bytes=%.3g clamps=%d\n",
 			c.Runs, c.JPasses, float64(c.BytesTransferred), c.RangeClamps)
 		// For K > 1 the shards drain concurrently: the aggregate pipe/bus

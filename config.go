@@ -84,13 +84,15 @@ type Config struct {
 	// Engine selects host or GRAPE-5 force evaluation.
 	Engine EngineKind
 	// GRAPE configures the hardware when Engine is EngineGRAPE5; the
-	// zero value means g5.DefaultConfig (the paper's 2-board system).
-	// Set GRAPE.Fault to inject deterministic hardware faults.
+	// zero value means g5.DefaultConfig (the paper's 2-board system),
+	// and any other value must start from it (Boards set). Set
+	// GRAPE.Fault to inject deterministic hardware faults.
 	GRAPE g5.Config
-	// Guard routes EngineGRAPE5 force batches through the
-	// fault-tolerant offload path (acceptance checks, retries, board
-	// exclusion, host fallback) instead of the panic-on-error engine.
-	// A guarded run drives a g5.Cluster of max(Shards, 1) shards.
+	// Guard turns on the fault-tolerant offload path of EngineGRAPE5
+	// (acceptance checks, retries, board exclusion, host fallback).
+	// Without it a hardware error fails the force call: Prime or Step
+	// returns it. Every GRAPE run drives a g5.Cluster of max(Shards, 1)
+	// shards.
 	Guard bool
 	// GuardPolicy tunes the guard; the zero value selects defaults.
 	GuardPolicy g5.GuardPolicy
@@ -140,8 +142,9 @@ func (cfg Config) blockSpan() float64 {
 // calls it before building anything, so every front-end is held to the
 // same rules: real-valued parameters finite and non-negative (zero is
 // "unset"), counts non-negative, a known engine, the GRAPE-only options
-// (Guard, Shards > 1, GRAPE.Fault) only with EngineGRAPE5, a coherent
-// block-timestep ladder, and a positive step.
+// (Guard, Shards > 1, GRAPE.Fault) only with EngineGRAPE5, a GRAPE
+// that is zero or sets Boards, a coherent block-timestep ladder, and a
+// positive step.
 func (cfg Config) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -178,6 +181,9 @@ func (cfg Config) Validate() error {
 		case cfg.GRAPE.Fault != nil:
 			return fmt.Errorf("grape5: fault injection needs the grape5 engine, got %s", cfg.Engine)
 		}
+	}
+	if cfg.GRAPE.Boards == 0 && cfg.GRAPE != (g5.Config{}) {
+		return fmt.Errorf("grape5: GRAPE sets fields but Boards = 0; start from g5.DefaultConfig()")
 	}
 	if cfg.Blocks > 0 {
 		if cfg.Adaptive {

@@ -46,6 +46,9 @@ func TestConfigValidate(t *testing.T) {
 		{"guard on host", with(func(c *Config) { c.Guard = true }), "grape5 engine"},
 		{"guard on pm", with(func(c *Config) { c.Engine, c.Guard = EnginePM, true }), "grape5 engine"},
 		{"faults on host", with(func(c *Config) { c.GRAPE.Fault = &g5.FaultModel{Seed: 1} }), "grape5 engine"},
+		{"GRAPE without boards", with(func(c *Config) {
+			c.Engine, c.Guard, c.GRAPE = EngineGRAPE5, true, g5.Config{Fault: &g5.FaultModel{StuckPipeRate: 0.5}}
+		}), "g5.DefaultConfig()"},
 		{"blocks without dtmin", with(func(c *Config) { c.Blocks, c.DT = 4, 0 }), "DTMin"},
 		{"blocks with adaptive", with(func(c *Config) { c.Blocks, c.DTMin, c.DT, c.Adaptive = 4, 0.001, 0, true }), "exclusive"},
 	}
@@ -63,7 +66,7 @@ func TestConfigValidate(t *testing.T) {
 		base, // theta, ncrit, leafcap unset: defaults
 		with(func(c *Config) { c.Engine, c.Guard = EngineGRAPE5, true }),
 		with(func(c *Config) { c.Engine, c.Shards = EngineGRAPE5, 2 }),
-		with(func(c *Config) { c.Shards = 1 }), // 0 and 1 both mean "no cluster"
+		with(func(c *Config) { c.Shards = 1 }), // 0 and 1 both mean one system
 		with(func(c *Config) { c.Engine, c.PMGrid = EnginePM, 16 }),
 		with(func(c *Config) { c.Blocks, c.DTMin, c.DT = 4, 0.000625, 0 }),
 		with(func(c *Config) { c.Blocks, c.DTMin = 4, 0.000625 }), // DT == span exactly

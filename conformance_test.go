@@ -417,7 +417,7 @@ type column struct {
 }
 
 // onGRAPE configures the emulated GRAPE-5 behind the guard on shards
-// shards (0: unguarded, a bare System), injecting f into every board.
+// shards (0: one shard with the guard off), injecting f into every board.
 func onGRAPE(shards int, f *g5.FaultModel, edit ...func(*Config)) func(*Config) {
 	return func(c *Config) {
 		c.Engine, c.Guard = EngineGRAPE5, shards > 0
@@ -446,7 +446,9 @@ func clustered(k int) func(record, *Simulation) bool {
 
 var matrixColumns = []column{
 	{"host", 'H', "host", nil, func(r record, sim *Simulation) bool { return r.HW == g5.Counters{} && sim.Cluster() == nil }},
-	{"unguarded", 'G', "unguarded", onGRAPE(0, nil), func(r record, sim *Simulation) bool { return r.HW.Runs > 0 && sim.Cluster() == nil }},
+	{"unguarded", 'G', "unguarded", onGRAPE(0, nil), func(r record, sim *Simulation) bool {
+		return sim.Cluster().Shards() == 1 && r.Recovery.Checks == 0 && r.HW.Runs > 0
+	}},
 	{"guarded", 'G', "guarded", onGRAPE(1, nil), clustered(1)},
 	{"cluster2", 'G', "guarded", onGRAPE(2, nil), clustered(2)},
 	{"cluster4", 'G', "guarded", onGRAPE(4, nil), clustered(4)},

@@ -22,13 +22,17 @@ type ClusterConfig struct {
 	Board Config
 	// G is the gravitational constant applied on readback (0 → 1).
 	G float64
-	// Guard tunes each shard's fault-tolerant offload path; every shard
-	// is guarded — a cluster without acceptance checks would silently
-	// blend corrupt and clean shards.
+	// Guard tunes each shard's fault-tolerant offload path.
 	Guard GuardPolicy
+	// Unguarded turns the guard off (see NewEngine): a hardware error
+	// fails the batch and the next Flush returns it. NewCluster refuses
+	// it with Shards > 1 — every shard of a multi-shard cluster is
+	// guarded, since one without acceptance checks would silently blend
+	// corrupt and clean shards.
+	Unguarded bool
 }
 
-// clusterShard is one board system plus its guarded driver and private
+// clusterShard is one board system plus its driver and private
 // telemetry sink. The load tallies are guarded by Cluster.mu.
 type clusterShard struct {
 	sys *System
@@ -39,7 +43,9 @@ type clusterShard struct {
 	interactions, batches int64 // whole-life load, for the balance tests
 }
 
-// Cluster spreads group force batches across K guarded boards. Each
+// Cluster spreads group force batches across K board systems, guarded
+// unless a one-shard cluster turns the guard off. It is the facade's one
+// GRAPE engine: K = 1 is the paper's single 2-board machine. Each
 // batch runs synchronously in the caller's goroutine, on the shard with
 // the least pair work placed since the last Flush (lowest index on
 // ties): concurrent walk workers land on different shards, or overlap
@@ -82,6 +88,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
+	if cfg.Unguarded && cfg.Shards > 1 {
+		return nil, fmt.Errorf("g5: cluster of %d shards must be guarded", cfg.Shards)
+	}
 	if cfg.G == 0 {
 		cfg.G = 1
 	}
@@ -102,6 +111,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			eng: NewGuardedEngine(sys, cfg.G, cfg.Guard),
 			ob:  obs.NewObserver(),
 		}
+		sh.eng.unguarded = cfg.Unguarded
 		sys.SetObserver(sh.ob)
 		sh.eng.SetObserver(sh.ob)
 		c.shards = append(c.shards, sh)
@@ -116,7 +126,7 @@ func (c *Cluster) Shards() int { return len(c.shards) }
 // Callers must not Compute on it while the cluster is in use.
 func (c *Cluster) ShardSystem(k int) *System { return c.shards[k].sys }
 
-// ShardEngine exposes shard k's guarded driver for recovery inspection.
+// ShardEngine exposes shard k's driver for recovery inspection.
 func (c *Cluster) ShardEngine(k int) *GuardedEngine { return c.shards[k].eng }
 
 // ShardInteractions returns the pairwise interactions placed per shard

@@ -246,6 +246,14 @@ func TestClusterFlushSurfacesShardPanic(t *testing.T) {
 	}
 }
 
+// TestClusterRefusesUnguardedShards: only a one-shard cluster may turn
+// the guard off.
+func TestClusterRefusesUnguardedShards(t *testing.T) {
+	if _, err := NewCluster(ClusterConfig{Shards: 2, Board: DefaultConfig(), Unguarded: true}); err == nil {
+		t.Fatal("NewCluster built an unguarded 2-shard cluster")
+	}
+}
+
 // FuzzClusterShard fuzzes the sharding invariants: arbitrary batch
 // shapes, shard counts and transient fault injection
 // must never drop or double-count a force, and the per-shard recovery

@@ -11,7 +11,7 @@ import (
 	"repro/internal/vec"
 )
 
-func newTestEngine(t *testing.T, g float64) *Engine {
+func newTestEngine(t *testing.T, g float64) *GuardedEngine {
 	t.Helper()
 	sys, err := NewSystem(DefaultConfig())
 	if err != nil {

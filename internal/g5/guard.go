@@ -82,9 +82,11 @@ func (r Recovery) String() string {
 		r.Checks, r.Retries, r.CorruptResults, r.ExcludedBoards, r.FallbackBatches, r.HostOnly)
 }
 
-// GuardedEngine is the fault-tolerant counterpart of Engine: a
-// core.Engine that drives the emulated GRAPE-5 the way a production
-// host drives real flaky boards.
+// GuardedEngine is the one adapter from the treecode's core.Engine to a
+// System: it drives the emulated GRAPE-5 the way a production host
+// drives real flaky boards. It applies the gravitational constant on
+// readback, as the real GRAPE host library does (the hardware computes
+// in G=1 units).
 //
 // Before accepting any batch it verifies the hardware against the host:
 // one probe particle is replicated across every virtual-pipeline slot
@@ -104,6 +106,12 @@ func (r Recovery) String() string {
 // working configuration remains, batches fall back to core.HostEngine
 // — the run completes correct-but-slow instead of dying.
 //
+// With the guard off (NewEngine) none of that runs: no probe slots, no
+// host reference, no check, retry, bisection or fallback, and no guard
+// span. A hardware error panics with a *HardwareError: by the time
+// requests are flowing the host code has validated scale and ranges, so
+// an error is a programming bug, like a wedged device driver.
+//
 // mu serialises the device and the guard's own state (the fault stream,
 // the counters, verification, commit, Recovery) and every recovery
 // episode from first retry to last bisection pass. It is released in one
@@ -113,7 +121,8 @@ type GuardedEngine struct {
 	// G is the gravitational constant applied to results.
 	G float64
 
-	policy GuardPolicy
+	policy    GuardPolicy
+	unguarded bool // the guard is off: see NewEngine
 
 	mu             sync.Mutex
 	sys            *System
@@ -128,6 +137,15 @@ type GuardedEngine struct {
 	free []*scratch
 }
 
+// scratch is one in-flight batch's buffers: the AoS j gather, the
+// i-stream with the probe pass appended, the hardware's output and the
+// evaluation scratch.
+type scratch struct {
+	ipos, jpos, acc []vec.V3
+	pot             []float64
+	eval            evalScratch
+}
+
 var _ core.Engine = (*GuardedEngine)(nil)
 
 // NewGuardedEngine wraps sys in the fault-tolerant offload path. G=0
@@ -137,6 +155,13 @@ func NewGuardedEngine(sys *System, g float64, policy GuardPolicy) *GuardedEngine
 		g = 1
 	}
 	return &GuardedEngine{G: g, policy: policy.withDefaults(), sys: sys}
+}
+
+// NewEngine wraps sys with the guard off. G=0 is replaced by 1.
+func NewEngine(sys *System, g float64) *GuardedEngine {
+	e := NewGuardedEngine(sys, g, GuardPolicy{})
+	e.unguarded = true
+	return e
 }
 
 // System returns the wrapped hardware (for counter access). Callers
@@ -177,6 +202,15 @@ func (e *GuardedEngine) Accumulate(req *core.Request) {
 	}
 	st := e.free[len(e.free)-1]
 	e.free = e.free[:len(e.free)-1]
+	if e.unguarded {
+		st.stage(req, ni)
+		if err := e.attempt(req.IPos, req, st, true); err != nil {
+			panic(hardwareError(err))
+		}
+		e.commit(req, st)
+		e.free = append(e.free, st)
+		return
+	}
 	//lint:ignore lockdiscipline the engine mutex is held across a whole recovery episode by contract: retry, backoff and bisection state must stay coherent, and stalling the job's own walk workers during hardware recovery is intended backpressure; it is released only for the arithmetic of a batch's first attempt
 	ok := e.tryHardware(req, st)
 	e.free = append(e.free, st)
@@ -263,23 +297,14 @@ func (e *GuardedEngine) computeVerified(req *core.Request, st *scratch, overlap 
 	probe := e.probePoint()
 	refAcc, refPot := e.hostProbeForce(probe, req)
 
-	n := ni + vp
-	st.ipos, st.acc, st.pot = grown(st.ipos, n), grown(st.acc, n), grown(st.pot, n)
-	ipos := st.ipos
-	copy(ipos, req.IPos)
+	st.ipos = grown(st.ipos, ni+vp)
+	copy(st.ipos, req.IPos)
 	for s := 0; s < vp; s++ {
-		ipos[ni+s] = probe
+		st.ipos[ni+s] = probe
 	}
-
-	// Gather the SoA source list into the hardware's AoS layout once,
-	// outside the retry loop: re-runs and bisection passes reuse it.
-	nj := req.J.N
-	st.jpos = grown(st.jpos, nj)
-	jpos := st.jpos
-	for j := 0; j < nj; j++ {
-		jpos[j] = vec.V3{X: req.J.X[j], Y: req.J.Y[j], Z: req.J.Z[j]}
-	}
-	jmass := req.J.M[:nj]
+	// Gather once, outside the retry loop: re-runs and bisection passes
+	// reuse it.
+	st.stage(req, ni+vp)
 	tg.Stop()
 
 	for attempt := 0; attempt <= e.policy.MaxRetries; attempt++ {
@@ -290,24 +315,7 @@ func (e *GuardedEngine) computeVerified(req *core.Request, st *scratch, overlap 
 			retry = e.obs.Start(obs.PhaseGuard)
 			e.backoff(attempt)
 		}
-		acc, pot := st.acc, st.pot
-		for i := range acc {
-			acc[i] = vec.Zero
-			pot[i] = 0
-		}
-		a, err := e.sys.begin(ipos, jpos, jmass, acc, pot, &st.eval)
-		if release := overlap && attempt == 0; err == nil {
-			if release {
-				e.mu.Unlock()
-			}
-			err = a.evaluate()
-			if release {
-				e.mu.Lock()
-			}
-		}
-		if err == nil {
-			e.sys.finish(&a)
-		}
+		err := e.attempt(st.ipos, req, st, overlap && attempt == 0)
 		retry.Stop()
 		if err != nil {
 			if IsTransient(err) {
@@ -315,33 +323,79 @@ func (e *GuardedEngine) computeVerified(req *core.Request, st *scratch, overlap 
 				e.obs.Add(obs.CntRecoveries, 1)
 				continue
 			}
-			var hw *HardwareError
-			if !errors.As(err, &hw) {
-				hw = &HardwareError{Op: "compute", Err: err}
-			}
 			// Non-transient errors with boards still active are host
-			// programming bugs (scale, ranges), same contract as
-			// Engine; all-excluded is handled by the caller.
+			// programming bugs (scale, ranges), same contract as the
+			// unguarded engine; all-excluded is handled by the caller.
 			if e.sys.ActiveBoards() == 0 {
 				return false
 			}
-			panic(hw)
+			panic(hardwareError(err))
 		}
 		e.rec.Checks++
 		tv := e.obs.Start(obs.PhaseGuard)
-		ok := e.verifyProbe(acc[ni:], pot[ni:], refAcc, refPot)
+		ok := e.verifyProbe(st.acc[ni:], st.pot[ni:], refAcc, refPot)
 		tv.Stop()
 		if ok {
-			for i := 0; i < ni; i++ {
-				req.Acc[i] = req.Acc[i].MulAdd(e.G, acc[i])
-				req.Pot[i] += e.G * pot[i]
-			}
+			e.commit(req, st)
 			return true
 		}
 		e.rec.CorruptResults++
 		e.obs.Add(obs.CntRecoveries, 1)
 	}
 	return false
+}
+
+// stage sizes st's outputs for n i-particles and gathers the request's
+// SoA source list into the AoS layout the hardware DMA descriptors use;
+// only the J.N real lanes are marshalled (padding stays on the host).
+func (st *scratch) stage(req *core.Request, n int) {
+	st.acc, st.pot = grown(st.acc, n), grown(st.pot, n)
+	st.jpos = grown(st.jpos, req.J.N)
+	for j := range st.jpos {
+		st.jpos[j] = vec.V3{X: req.J.X[j], Y: req.J.Y[j], Z: req.J.Z[j]}
+	}
+}
+
+// attempt zeroes st's outputs and runs ipos against the staged j-list on
+// the hardware: begin and finish under mu, and with release set the
+// arithmetic with mu released, so concurrent callers' batches evaluate
+// at once.
+func (e *GuardedEngine) attempt(ipos []vec.V3, req *core.Request, st *scratch, release bool) error {
+	for i := range st.acc {
+		st.acc[i] = vec.Zero
+		st.pot[i] = 0
+	}
+	a, err := e.sys.begin(ipos, st.jpos, req.J.M[:req.J.N], st.acc, st.pot, &st.eval)
+	if err == nil {
+		if release {
+			e.mu.Unlock()
+		}
+		err = a.evaluate()
+		if release {
+			e.mu.Lock()
+		}
+	}
+	if err == nil {
+		e.sys.finish(&a)
+	}
+	return err
+}
+
+// commit adds the batch's G-scaled results into req.
+func (e *GuardedEngine) commit(req *core.Request, st *scratch) {
+	for i := range req.IPos {
+		req.Acc[i] = req.Acc[i].MulAdd(e.G, st.acc[i])
+		req.Pot[i] += e.G * st.pot[i]
+	}
+}
+
+// hardwareError is err as the *HardwareError a failed batch panics with.
+func hardwareError(err error) *HardwareError {
+	var hw *HardwareError
+	if !errors.As(err, &hw) {
+		hw = &HardwareError{Op: "compute", Err: err}
+	}
+	return hw
 }
 
 // probePoint returns the acceptance-check position: a fixed, off-lattice

@@ -11,8 +11,7 @@ package g5
 
 // BoardHealth is the service state of one physical board.
 type BoardHealth struct {
-	// Shard is the board's shard (board-system) index; 0 for a
-	// single-system installation.
+	// Shard is the board's shard (board-system) index.
 	Shard int `json:"shard"`
 	// Board is the 0-based board index within the shard.
 	Board int `json:"board"`
@@ -25,8 +24,7 @@ type BoardHealth struct {
 // state: shard and board inventory, exclusions, and the cumulative
 // fault-handling counters behind them.
 type Health struct {
-	// Shards is the number of board systems (1 for a bare System, K for
-	// a Cluster).
+	// Shards is the number K of board systems.
 	Shards int `json:"shards"`
 	// BoardsTotal and BoardsActive count physical boards across all
 	// shards; Active < Total means the installation runs degraded.
@@ -48,26 +46,6 @@ func (h Health) Degraded() bool {
 	return h.HostOnly || h.BoardsActive < h.BoardsTotal
 }
 
-// boardHealth appends the per-board service states of one system,
-// labelled with the given shard index.
-func (s *System) boardHealth(shard int, out []BoardHealth) []BoardHealth {
-	for b := 0; b < s.cfg.Boards; b++ {
-		out = append(out, BoardHealth{Shard: shard, Board: b, InService: !s.BoardExcluded(b)})
-	}
-	return out
-}
-
-// Health snapshots an unguarded system's board inventory. Recovery is
-// zero: without a guard there is no fault-handling activity to report.
-func (s *System) Health() Health {
-	return Health{
-		Shards:       1,
-		BoardsTotal:  s.cfg.Boards,
-		BoardsActive: s.ActiveBoards(),
-		Boards:       s.boardHealth(0, nil),
-	}
-}
-
 // Health snapshots the whole cluster: every shard's board inventory,
 // shard-major, with recovery counters summed (HostOnly only when every
 // shard has abandoned its hardware, matching Recovery). Call it between
@@ -82,7 +60,9 @@ func (c *Cluster) Health() Health {
 	}
 	for k, sh := range c.shards {
 		h.BoardsTotal += sh.sys.cfg.Boards
-		h.Boards = sh.sys.boardHealth(k, h.Boards)
+		for b := 0; b < sh.sys.cfg.Boards; b++ {
+			h.Boards = append(h.Boards, BoardHealth{Shard: k, Board: b, InService: !sh.sys.BoardExcluded(b)})
+		}
 	}
 	return h
 }

@@ -43,9 +43,9 @@ func (c Counters) Flops(opsPerInteraction int) float64 {
 
 // System is an emulated GRAPE-5 installation. It is NOT safe for
 // concurrent use — it models one physical device on one bus; wrap it in
-// an Engine for concurrent callers. Precisely: begin and finish — and
-// Compute, which is both around one evaluation — are single-caller;
-// evaluate reads no System state, so the engines run it unlocked.
+// a GuardedEngine for concurrent callers. Precisely: begin and finish —
+// and Compute, which is both around one evaluation — are single-caller;
+// evaluate reads no System state, so the engine runs it unlocked.
 type System struct {
 	cfg Config
 

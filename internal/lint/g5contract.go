@@ -6,7 +6,7 @@ import "go/ast"
 // hardware (cf. the GRAPE-5 hardware paper, astro-ph/9909116): outside
 // internal/g5, the raw data-path entry points — System.Compute,
 // System.ChargeOnly, System.SetBoardExcluded — are off limits. Hosts
-// drive the hardware through Engine, GuardedEngine or Cluster, which
+// drive the hardware through GuardedEngine or Cluster, which
 // own serialisation, error classification and fault recovery. A call
 // before SetScale is refused at run time by System with an error
 // errdiscipline forbids dropping.
@@ -43,7 +43,7 @@ func checkRegisterAccess(pass *Pass, file *ast.File) {
 			return true
 		}
 		if pkg, typ, ok := recvNamed(f); ok && pkg == g5Path && typ == "System" {
-			pass.Reportf(call.Pos(), "register-level access to g5.System.%s outside internal/g5: drive the hardware through Engine, GuardedEngine or Cluster", f.Name())
+			pass.Reportf(call.Pos(), "register-level access to g5.System.%s outside internal/g5: drive the hardware through GuardedEngine or Cluster", f.Name())
 		}
 		return true
 	})

@@ -35,8 +35,7 @@ type Simulation struct {
 
 	cfg     Config
 	tc      *core.Treecode
-	hw      *g5.System               // unguarded GRAPE runs only
-	cluster *g5.Cluster              // every guarded GRAPE run, K = max(Shards, 1)
+	cluster *g5.Cluster              // every GRAPE run, K = max(Shards, 1)
 	bl      *integrate.BlockLeapfrog // every dt policy runs on this core
 	ob      *obs.Observer
 	time    float64
@@ -101,38 +100,23 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 	case EngineHost:
 		engine = &core.HostEngine{G: cfg.G, Eps: cfg.Eps}
 	case EngineGRAPE5:
-		hwCfg := cfg.GRAPE
-		if hwCfg.Boards == 0 {
-			hwCfg = g5.DefaultConfig()
+		board := cfg.GRAPE
+		if board == (g5.Config{}) {
+			board = g5.DefaultConfig()
 		}
-		if cfg.Guard || cfg.Shards > 1 {
-			cl, err := g5.NewCluster(g5.ClusterConfig{
-				Shards: cfg.Shards, Board: hwCfg,
-				G: cfg.G, Guard: cfg.GuardPolicy,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if err := cl.SetEps(cfg.Eps); err != nil {
-				return nil, err
-			}
-			cl.SetObserver(sim.ob)
-			sim.cluster = cl
-			engine = cl
-			break
-		}
-		// Unguarded: no probe pass in the simulated cost, and a hardware
-		// error panics.
-		hw, err := g5.NewSystem(hwCfg)
+		cl, err := g5.NewCluster(g5.ClusterConfig{
+			Shards: cfg.Shards, Board: board, G: cfg.G,
+			Guard: cfg.GuardPolicy, Unguarded: !cfg.Guard && cfg.Shards <= 1,
+		})
 		if err != nil {
 			return nil, err
 		}
-		if err := hw.SetEps(cfg.Eps); err != nil {
+		if err := cl.SetEps(cfg.Eps); err != nil {
 			return nil, err
 		}
-		hw.SetObserver(sim.ob)
-		sim.hw = hw
-		engine = g5.NewEngine(hw, cfg.G)
+		cl.SetObserver(sim.ob)
+		sim.cluster = cl
+		engine = cl
 	case EnginePM:
 		if cfg.PMGrid == 0 {
 			cfg.PMGrid = 64
@@ -190,7 +174,7 @@ func (sim *Simulation) forcePM(s *System) error {
 // current particle bounds, exactly like the real GRAPE library: the
 // sphere expands by ~25x over the headline run. No-op for host engines.
 func (sim *Simulation) setScaleWindow(s *System) error {
-	if sim.hw == nil && sim.cluster == nil {
+	if sim.cluster == nil {
 		return nil
 	}
 	cube := s.Bounds().Cube()
@@ -201,10 +185,7 @@ func (sim *Simulation) setScaleWindow(s *System) error {
 	// Margin for the drift within the step.
 	lo := min(cube.Min.X-0.05*ext, cube.Min.Y-0.05*ext, cube.Min.Z-0.05*ext)
 	hi := max(cube.Max.X+0.05*ext, cube.Max.Y+0.05*ext, cube.Max.Z+0.05*ext)
-	if sim.cluster != nil {
-		return sim.cluster.SetScale(lo, hi)
-	}
-	return sim.hw.SetScale(lo, hi)
+	return sim.cluster.SetScale(lo, hi)
 }
 
 // force is the integrator's full-set ForceFunc (a nil mask).
@@ -345,14 +326,12 @@ func (sim *Simulation) HardwareCounters() g5.Counters {
 	live := g5.Counters{}
 	if sim.cluster != nil {
 		live = sim.cluster.Counters()
-	} else if sim.hw != nil {
-		live = sim.hw.Counters()
 	}
 	return sim.baseCounters.Add(live)
 }
 
-// Cluster returns the guarded cluster engine (K = 1 for a guarded
-// single-board run), or nil for host-engine and unguarded GRAPE runs.
+// Cluster returns the GRAPE cluster engine (K = 1 for a single-board
+// run), or nil for host- and PM-engine runs.
 func (sim *Simulation) Cluster() *g5.Cluster { return sim.cluster }
 
 // Recovery returns the guard's fault-handling counters, summed across
@@ -372,11 +351,8 @@ func (sim *Simulation) Recovery() g5.Recovery {
 // g5.Health). Host-engine simulations report a zero inventory that is
 // never degraded. Call it between steps — it must not race with Step.
 func (sim *Simulation) Health() g5.Health {
-	switch {
-	case sim.cluster != nil:
+	if sim.cluster != nil {
 		return sim.cluster.Health()
-	case sim.hw != nil:
-		return sim.hw.Health()
 	}
 	return g5.Health{}
 }
@@ -387,15 +363,13 @@ func (sim *Simulation) FaultStats() g5.FaultStats {
 	live := g5.FaultStats{}
 	if sim.cluster != nil {
 		live = sim.cluster.FaultStats()
-	} else if sim.hw != nil {
-		live = sim.hw.FaultStats()
 	}
 	return sim.baseFaults.Add(live)
 }
 
 // Close returns a shard failure the cluster has not yet reported (see
-// g5.Cluster.Close). It is a no-op for host-engine and unguarded runs,
-// and safe to call more than once.
+// g5.Cluster.Close). It is a no-op for host- and PM-engine runs, and
+// safe to call more than once.
 func (sim *Simulation) Close() error {
 	if sim.cluster != nil {
 		return sim.cluster.Close()

@@ -85,55 +85,59 @@ func TestStepAllocs(t *testing.T) {
 		allocs, bytesPerStep, budget, seedBytesPerStep/10)
 }
 
-// TestStepAllocsGuarded extends the allocation gate to the guarded
-// GRAPE path: the SoA request staging (walk J-list, guard's probe
-// reference and AoS gather scratch, engine readback buffers) must all
-// reach steady state. The guard adds per-batch probe work but no
-// per-batch allocation: its staging and evaluation scratch belong to
-// the batch in flight and are recycled through the engine's free list,
-// so there are as many sets as walk workers (Workers bounds it), each
-// grown once and reused.
+// TestStepAllocsGuarded extends the allocation gate to the GRAPE path,
+// guarded and with the guard off: the SoA request staging (walk J-list,
+// guard's probe reference and AoS gather scratch, engine readback
+// buffers) must all reach steady state. The guard adds per-batch probe
+// work but no per-batch allocation: its staging and evaluation scratch
+// belong to the batch in flight and are recycled through the engine's
+// free list, so there are as many sets as walk workers (Workers bounds
+// it), each grown once and reused.
 func TestStepAllocsGuarded(t *testing.T) {
-	const n = 4096
-	sys := allocTestSystem(n)
-	sim, err := NewSimulation(sys, Config{
-		DT: 1e-3, G: 1, Eps: 0.01, Ncrit: 256, Workers: 2,
-		Engine: EngineGRAPE5, Guard: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Prime(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := sim.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	for _, guard := range []bool{true, false} {
+		t.Run(fmt.Sprintf("guard=%v", guard), func(t *testing.T) {
+			const n = 4096
+			sys := allocTestSystem(n)
+			sim, err := NewSimulation(sys, Config{
+				DT: 1e-3, G: 1, Eps: 0.01, Ncrit: 256, Workers: 2,
+				Engine: EngineGRAPE5, Guard: guard,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.Prime(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if err := sim.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	var bytes int64
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := sim.Step(); err != nil {
-			t.Fatal(err)
-		}
-		bytes += sim.LastReport.BytesAlloc
-	})
-	bytesPerStep := bytes / 6
-	// The emulated hardware's own staging dominates the residue; the
-	// budget pins the guarded step at the same order as the host step
-	// (a per-batch or per-particle leak at n=4096 would add >100 KB).
-	const byteBudget = 64_000
-	if bytesPerStep > byteBudget {
-		t.Fatalf("guarded steady-state Step allocates %d bytes, budget %d", bytesPerStep, byteBudget)
+			var bytes int64
+			allocs := testing.AllocsPerRun(5, func() {
+				if err := sim.Step(); err != nil {
+					t.Fatal(err)
+				}
+				bytes += sim.LastReport.BytesAlloc
+			})
+			bytesPerStep := bytes / 6
+			// The emulated hardware's own staging dominates the residue; the
+			// budget pins the GRAPE step at the same order as the host step
+			// (a per-batch or per-particle leak at n=4096 would add >100 KB).
+			const byteBudget = 64_000
+			if bytesPerStep > byteBudget {
+				t.Fatalf("steady-state Step allocates %d bytes, budget %d", bytesPerStep, byteBudget)
+			}
+			// 13 on every run.
+			const budget = 26
+			if allocs > budget {
+				t.Fatalf("steady-state Step allocates %.0f objects/run, budget %d", allocs, budget)
+			}
+			t.Logf("steady-state Step: %.1f allocs/run, %d bytes/step (budgets %d, %d)",
+				allocs, bytesPerStep, budget, byteBudget)
+		})
 	}
-	// 13 on every run.
-	const budget = 26
-	if allocs > budget {
-		t.Fatalf("guarded steady-state Step allocates %.0f objects/run, budget %d", allocs, budget)
-	}
-	t.Logf("guarded steady-state Step: %.1f allocs/run, %d bytes/step (budgets %d, %d)",
-		allocs, bytesPerStep, budget, byteBudget)
 }
 
 // TestStepAllocsCluster extends the allocation gate to the sharded

@@ -3,9 +3,11 @@ package grape5
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/g5"
 )
 
 func TestNewSimulationValidation(t *testing.T) {
@@ -95,8 +97,29 @@ func TestSimulationGRAPEEnergyConservation(t *testing.T) {
 	if c.HWSeconds() <= 0 {
 		t.Error("no simulated hardware time")
 	}
-	if h := sim.Health(); h.Shards != 1 || h.BoardsActive != 2 || sim.Cluster() != nil {
-		t.Errorf("unguarded GRAPE simulation: health %+v, want one bare 2-board system", h)
+	if h := sim.Health(); h.Shards != 1 || h.BoardsActive != 2 || h.Recovery.Checks != 0 {
+		t.Errorf("unguarded GRAPE simulation: health %+v, want one unchecked 2-board shard", h)
+	}
+}
+
+// TestUnguardedHardwareErrorReturns: without the guard a hardware error
+// is not recovered from, but it fails the force call — Prime returns it,
+// naming the shard — instead of killing the process from a walk worker.
+func TestUnguardedHardwareErrorReturns(t *testing.T) {
+	board := g5.DefaultConfig()
+	board.Fault = &g5.FaultModel{TransientRate: 1}
+	sim, err := NewSimulation(Plummer(400, 1, 1, 1, 4), Config{
+		Theta: 0.6, Ncrit: 64, G: 1, Eps: 0.05, DT: 0.005, Engine: EngineGRAPE5, GRAPE: board,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sim.Prime()
+	if err == nil || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("Prime on always-failing unguarded hardware = %v, want an error naming shard 0", err)
+	}
+	if cerr := sim.Close(); cerr != nil {
+		t.Errorf("Close after the failed Prime reported it again: %v", cerr)
 	}
 }
 
