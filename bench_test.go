@@ -1,13 +1,11 @@
 package grape5
 
-// The benchmark harness regenerates every number in the paper's
-// evaluation (experiments E1-E8 of DESIGN.md) and benchmarks each
-// subsystem. Derived quantities (Gflops, errors, optimal n_g, ...) are
-// attached to the benchmark output with b.ReportMetric, so
-// `go test -bench=. -benchmem` prints the full reproduction table.
+// Component, ablation and extension benchmarks: each subsystem's rate
+// and the design choices DESIGN.md calls out, with derived quantities
+// attached through b.ReportMetric. The paper's evaluation numbers are
+// not here: `perfreport record` writes them all to BENCH_treecode.json.
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -21,7 +19,6 @@ import (
 	"repro/internal/perf"
 	"repro/internal/pm"
 	"repro/internal/rng"
-	"repro/internal/units"
 	"repro/internal/vec"
 )
 
@@ -243,100 +240,8 @@ func BenchmarkLeapfrogStep(b *testing.B) {
 	}
 }
 
-// ---------------------------------------------------------------------
-// Experiment benchmarks (one per table/figure/number of the paper)
-// ---------------------------------------------------------------------
-
-// BenchmarkE1PeakAccounting — §2: peak = 32 pipes × 90 MHz × 38 ops.
-func BenchmarkE1PeakAccounting(b *testing.B) {
-	cfg := g5.DefaultConfig()
-	for i := 0; i < b.N; i++ {
-		if cfg.PeakFlops() != 109.44e9 {
-			b.Fatalf("peak = %v", cfg.PeakFlops())
-		}
-	}
-	b.ReportMetric(cfg.PeakFlops()/1e9, "peak-Gflops")
-	b.ReportMetric(float64(cfg.PhysicalPipes()), "pipes")
-}
-
-// BenchmarkE2ForceAccuracy — §2: pairwise ≈0.3 %, total error dominated
-// by the tree approximation.
-func BenchmarkE2ForceAccuracy(b *testing.B) {
-	model := benchSystem(3000, 7)
-	ref := model.Clone()
-	nbody.DirectForces(ref, 1, 0.01)
-
-	var rmsHW, rmsHost float64
-	for i := 0; i < b.N; i++ {
-		rmsHW = treeError(b, model, ref, true)
-		rmsHost = treeError(b, model, ref, false)
-	}
-	b.ReportMetric(rmsHW*100, "grape-total-err-%")
-	b.ReportMetric(rmsHost*100, "host-total-err-%")
-	b.ReportMetric(pairwiseError(b)*100, "pairwise-err-%")
-}
-
-func treeError(b *testing.B, model, ref *nbody.System, hw bool) float64 {
-	b.Helper()
-	s := model.Clone()
-	var engine core.Engine
-	if hw {
-		sys, err := g5.NewSystem(g5.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sys.SetScale(-20, 20); err != nil {
-			b.Fatal(err)
-		}
-		sys.SetEps(0.01)
-		engine = g5.NewEngine(sys, 1)
-	}
-	tc := core.New(core.Options{Theta: 0.75, Ncrit: 256, G: 1, Eps: 0.01}, engine)
-	if _, err := tc.ComputeForces(s); err != nil {
-		b.Fatal(err)
-	}
-	st, err := analysis.CompareForces(s, ref)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return st.RMS
-}
-
-func pairwiseError(b *testing.B) float64 {
-	b.Helper()
-	sys, err := g5.NewSystem(g5.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.SetScale(-100, 100); err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(12345)
-	var sum2 float64
-	count := 0
-	for k := 0; k < 5000; k++ {
-		pi := vec.V3{X: r.Uniform(-50, 50), Y: r.Uniform(-50, 50), Z: r.Uniform(-50, 50)}
-		pj := vec.V3{X: r.Uniform(-50, 50), Y: r.Uniform(-50, 50), Z: r.Uniform(-50, 50)}
-		acc := make([]vec.V3, 1)
-		pot := make([]float64, 1)
-		if err := sys.Compute([]vec.V3{pi}, []vec.V3{pj}, []float64{1}, acc, pot); err != nil {
-			b.Fatal(err)
-		}
-		d := pj.Sub(pi)
-		r2 := d.Norm2()
-		if r2 < 1e-4 {
-			continue
-		}
-		exact := d.Scale(1 / (r2 * math.Sqrt(r2)))
-		rel := acc[0].Sub(exact).Norm() / exact.Norm()
-		sum2 += rel * rel
-		count++
-	}
-	return math.Sqrt(sum2 / float64(count))
-}
-
 // cosmoSnapshot lazily builds one shared z=24 realisation for the
-// experiment benches.
+// benches that run on the paper's problem class.
 var cosmoSnapshot = struct {
 	once sync.Once
 	sys  *nbody.System
@@ -352,135 +257,6 @@ func sharedCosmoSnapshot(b *testing.B) *nbody.System {
 		cosmoSnapshot.sys = cs.Sys
 	})
 	return cosmoSnapshot.sys.Clone()
-}
-
-// BenchmarkE3NgSweep — §3: the optimal n_g for the DS10 + GRAPE-5
-// ratio ("around 2000" at paper scale).
-func BenchmarkE3NgSweep(b *testing.B) {
-	s := sharedCosmoSnapshot(b)
-	var best *perf.SweepPoint
-	for i := 0; i < b.N; i++ {
-		points, err := perf.NgSweep(s, 0.75,
-			[]int{125, 250, 500, 1000, 2000, 4000, 8000}, perf.DS10(), g5.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		best = perf.Optimum(points)
-	}
-	if best != nil {
-		b.ReportMetric(float64(best.Ncrit), "optimal-ng")
-		b.ReportMetric(best.Report.TotalSeconds(), "step-s-at-optimum")
-	}
-}
-
-// BenchmarkE4Headline — §5: per-step statistics and the modelled
-// Gordon Bell run at this N (see cmd/perfreport -full for paper N).
-func BenchmarkE4Headline(b *testing.B) {
-	s := sharedCosmoSnapshot(b)
-	var rep perf.StepReport
-	var st *core.Stats
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, st, err = perf.TreeStepModel(s, 0.75, 2000, g5.DefaultConfig(), perf.DS10())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(st.AvgList(), "avg-list")
-	b.ReportMetric(rep.TotalSeconds(), "modelled-step-s")
-	b.ReportMetric(float64(rep.Interactions)*38/rep.TotalSeconds()/1e9, "raw-Gflops")
-}
-
-// BenchmarkE5EffectiveOps — §5: modified/original interaction ratio
-// (paper: 2.90e13 / 4.69e12 ≈ 6.2).
-func BenchmarkE5EffectiveOps(b *testing.B) {
-	s := sharedCosmoSnapshot(b)
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		ce := &core.CountEngine{}
-		stats, err := core.New(core.Options{Theta: 0.75, Ncrit: 2000, G: 1}, ce).ComputeForces(s.Clone())
-		if err != nil {
-			b.Fatal(err)
-		}
-		orig, err := core.New(core.Options{Theta: 0.75, G: 1}, nil).CountOriginal(s.Clone())
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = float64(stats.Interactions) / float64(orig)
-	}
-	b.ReportMetric(ratio, "modified/original")
-}
-
-// evolvedSnapshot lazily evolves a small sphere to z=0 for the
-// Figure-4 bench.
-var evolvedSnapshot = struct {
-	once sync.Once
-	sys  *nbody.System
-}{}
-
-// BenchmarkE6Snapshot — Figure 4: render the 45×45×2.5 Mpc slab of an
-// evolved sphere and report its clustering contrast.
-func BenchmarkE6Snapshot(b *testing.B) {
-	evolvedSnapshot.once.Do(func() {
-		cs, err := NewCosmoSphere(CosmoSphereParams{GridN: 16, Seed: 1}, 250)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim, err := NewSimulation(cs.Sys, Config{
-			Theta: 0.75, Ncrit: 256, Eps: cs.GridSpacing * cs.AInit,
-			DT: cs.Schedule.DT(), Engine: EngineHost,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sim.Run(250); err != nil {
-			b.Fatal(err)
-		}
-		sim.Sys.Recenter()
-		evolvedSnapshot.sys = sim.Sys
-	})
-	var contrast float64
-	var kept int
-	for i := 0; i < b.N; i++ {
-		// The paper's thin slab (for the image)...
-		slab, err := analysis.Project(evolvedSnapshot.sys, analysis.Figure4Slab(50), 256, 256)
-		if err != nil {
-			b.Fatal(err)
-		}
-		kept = slab.Kept
-		// ...and a full-depth projection for the clustering metric
-		// (the thin slab holds too few particles at bench scale).
-		full, err := analysis.Project(evolvedSnapshot.sys, analysis.SlabSpec{
-			XMin: -50, XMax: 50, YMin: -50, YMax: 50, ZMin: -50, ZMax: 50}, 32, 32)
-		if err != nil {
-			b.Fatal(err)
-		}
-		contrast = full.ClusteringContrast()
-	}
-	b.ReportMetric(contrast, "clustering-contrast")
-	b.ReportMetric(float64(kept), "slab-particles")
-}
-
-// BenchmarkE7PricePerformance — §4/§5: $40,900 system; $/Mflops from
-// the paper's own totals must come out at 7.
-func BenchmarkE7PricePerformance(b *testing.B) {
-	var ppm, dollars float64
-	for i := 0; i < b.N; i++ {
-		gb := perf.PaperGordonBell()
-		ppm = gb.PricePerMflops()
-		dollars = gb.Cost.TotalDollars()
-	}
-	b.ReportMetric(ppm, "$/Mflops")
-	b.ReportMetric(dollars, "system-$")
-}
-
-// BenchmarkE8ParticleMass — §5: 1.7e10 Msun per particle.
-func BenchmarkE8ParticleMass(b *testing.B) {
-	var m float64
-	for i := 0; i < b.N; i++ {
-		m = units.ParticleMass(units.OmegaM, units.LittleH, units.PaperRadiusMpc, units.PaperN)
-	}
-	b.ReportMetric(m*1e10/1e10, "1e10-Msun")
 }
 
 // ---------------------------------------------------------------------
@@ -731,31 +507,4 @@ func benchReuse(b *testing.B, every int) {
 		}
 	}
 	b.ReportMetric(build/float64(steps)*1e3, "build-ms/step")
-}
-
-// Direct-vs-tree crossover: the §1 motivation. Direct O(N²) on GRAPE-5
-// beats the treecode at small N (perfect pipelining, no tree overhead)
-// and loses by orders of magnitude at the paper's N. Reported metric:
-// the modelled direct/tree time ratio at N=64k and at the paper's N.
-func BenchmarkCrossoverDirectVsTree(b *testing.B) {
-	systems := []*nbody.System{
-		benchSystem(1000, 17),
-		benchSystem(64000, 18),
-	}
-	var small, large float64
-	for i := 0; i < b.N; i++ {
-		points, err := perf.Crossover(systems, 0.75, 2000, g5.DefaultConfig(), perf.DS10())
-		if err != nil {
-			b.Fatal(err)
-		}
-		small = points[0].DirectSeconds / points[0].TreeSeconds
-		large = points[1].DirectSeconds / points[1].TreeSeconds
-	}
-	paperN, err := perf.DirectStepModel(2159038, g5.DefaultConfig(), perf.DS10())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(small, "direct/tree@1k")
-	b.ReportMetric(large, "direct/tree@64k")
-	b.ReportMetric(paperN.TotalSeconds()/60, "direct-min/step@paperN")
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	grape5 "repro"
 	"repro/internal/g5"
@@ -25,9 +26,9 @@ func runNgSweep(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("perfreport ngsweep", flag.ContinueOnError)
 	var (
 		in      = fs.String("in", "", "snapshot file to sweep over (overrides -grid)")
-		grid    = fs.Int("grid", 32, "IC grid when no snapshot given (power of two)")
+		grid    = fs.Int("grid", recordCosmoGrid, "IC grid when no snapshot given (power of two)")
 		lattice = fs.Int("lattice", 0, "particle lattice (0 = grid); 160 with -grid 128 gives the paper's N")
-		seed    = fs.Uint64("seed", 1, "IC seed")
+		seed    = fs.Uint64("seed", recordSeed, "IC seed")
 		theta   = fs.Float64("theta", grape5.DefaultTheta, "opening parameter")
 		list    = fs.String("ncrit", "125,250,500,1000,2000,4000,8000,16000",
 			"comma-separated n_g values")
@@ -35,36 +36,45 @@ func runNgSweep(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	ncrits, err := parseNcrits(*list)
+	if err := refuse(fs, rule{err != nil, fmt.Sprint(err)}, thetaRule(*theta)); err != nil {
+		return err
+	}
 	sys, err := loadSystem(*in, *grid, *lattice, *seed)
 	if err != nil {
 		return err
 	}
-	ncrits, err := parseList(*list, "ncrit value", strconv.Atoi, 1)
+	host := perf.DS10()
+	sw, err := sweeps("cosmo", sys, *seed, *theta, ncrits, []int{1}, host, g5.DefaultConfig())
 	if err != nil {
 		return err
 	}
-
-	host := perf.DS10()
 	fmt.Fprintf(w, "n_g sweep: N=%d theta=%.2f host=%s\n", sys.N(), *theta, host.Name)
 	fmt.Fprintf(w, "%8s %8s %12s %10s %9s %9s %9s %9s\n",
 		"n_g", "groups", "interactions", "avg list", "T_host", "T_pipe", "T_bus", "T_total")
-
-	points, err := perf.NgSweep(sys, *theta, ncrits, host, g5.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	best := perf.Optimum(points)
-	for _, p := range points {
+	for _, p := range sw[0].Points {
 		mark := " "
-		if p.Ncrit == best.Ncrit {
+		if p.Ncrit == sw[0].OptimalNcrit {
 			mark = "*"
 		}
 		fmt.Fprintf(w, "%8d %8d %12.4g %10.0f %8.3fs %8.3fs %8.3fs %8.3fs %s\n",
 			p.Ncrit, p.Groups, float64(p.Interactions), p.AvgList,
-			p.Report.HostSeconds, p.Report.PipeSeconds, p.Report.BusSeconds,
-			p.Report.TotalSeconds(), mark)
+			p.THostModel, p.TGrape, p.TComm, p.TTotalModel, mark)
 	}
 	fmt.Fprintf(w, "\noptimal n_g = %d (paper §3: \"around 2000\" for the DS10 + GRAPE-5 ratio)\n",
-		best.Ncrit)
+		sw[0].OptimalNcrit)
 	return nil
+}
+
+// parseNcrits parses a comma-separated list of n_g values ≥ 1.
+func parseNcrits(s string) ([]int, error) {
+	var out []int
+	for _, f := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("bad ncrit value %q", f)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }

@@ -52,11 +52,11 @@ func DirectStepModel(n int, cfg g5.Config, host HostModel) (StepReport, error) {
 // the given configuration through a ScheduleEngine, and prices the
 // traversal on the host model. It returns the modelled time balance
 // beside the traversal statistics it was priced from — the one replay
-// behind the §3 n_g sweep, the §5 headline accounting, the
-// direct-vs-tree crossover and BENCH_treecode.json. The walk is
-// single-worker so the result is a pure function of the arguments: the
-// counters' float seconds are summed in group order, not in the order
-// concurrent workers happen to charge them.
+// behind the §3 n_g sweep and the §5 headline accounting, both in
+// BENCH_treecode.json. The walk is single-worker so the result is a
+// pure function of the arguments: the counters' float seconds are
+// summed in group order, not in the order concurrent workers happen to
+// charge them.
 func TreeStepModel(s *nbody.System, theta float64, ncrit int, cfg g5.Config, host HostModel) (StepReport, *core.Stats, error) {
 	sys, err := g5.NewSystem(cfg)
 	if err != nil {
@@ -68,33 +68,4 @@ func TreeStepModel(s *nbody.System, theta float64, ncrit int, cfg g5.Config, hos
 		return StepReport{}, nil, err
 	}
 	return ModelStep(host, st, sys.Counters()), st, nil
-}
-
-// CrossoverPoint is one N sample of the direct-vs-tree comparison.
-type CrossoverPoint struct {
-	N             int
-	DirectSeconds float64
-	TreeSeconds   float64
-}
-
-// Crossover evaluates both models over the given systems (assumed to be
-// the same model family at increasing N) and returns the per-N times.
-func Crossover(systems []*nbody.System, theta float64, ncrit int, cfg g5.Config, host HostModel) ([]CrossoverPoint, error) {
-	out := make([]CrossoverPoint, 0, len(systems))
-	for _, s := range systems {
-		d, err := DirectStepModel(s.N(), cfg, host)
-		if err != nil {
-			return nil, err
-		}
-		t, _, err := TreeStepModel(s, theta, ncrit, cfg, host)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, CrossoverPoint{
-			N:             s.N(),
-			DirectSeconds: d.TotalSeconds(),
-			TreeSeconds:   t.TotalSeconds(),
-		})
-	}
-	return out, nil
 }

@@ -68,37 +68,32 @@ func TestDirectStepModelChargesJOnce(t *testing.T) {
 // TestCrossover: direct wins at small N, the treecode wins at large N,
 // and there is a single crossover in between — the §1 motivation.
 func TestCrossover(t *testing.T) {
-	var systems []*nbody.System
-	for _, n := range []int{1000, 4000, 16000, 64000} {
-		systems = append(systems, nbody.Plummer(n, 1, 1, 1, rng.New(uint64(n))))
+	ns := []int{1000, 4000, 16000, 64000}
+	ratio := make([]float64, len(ns)) // direct over tree seconds per step
+	for i, n := range ns {
+		d, err := DirectStepModel(n, g5.DefaultConfig(), DS10())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, _, err := TreeStepModel(nbody.Plummer(n, 1, 1, 1, rng.New(uint64(n))), 0.75, 2000, g5.DefaultConfig(), DS10())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio[i] = d.TotalSeconds() / tree.TotalSeconds()
 	}
-	points, err := Crossover(systems, 0.75, 2000, g5.DefaultConfig(), DS10())
-	if err != nil {
-		t.Fatal(err)
+	first, last := ratio[0], ratio[len(ratio)-1]
+	if first >= 1 {
+		t.Errorf("at N=%d direct/tree = %v: direct should win", ns[0], first)
 	}
-	if len(points) != 4 {
-		t.Fatalf("points = %d", len(points))
-	}
-	first := points[0]
-	last := points[len(points)-1]
-	if first.DirectSeconds >= first.TreeSeconds {
-		t.Errorf("at N=%d direct (%v s) should beat tree (%v s)",
-			first.N, first.DirectSeconds, first.TreeSeconds)
-	}
-	if last.TreeSeconds >= last.DirectSeconds {
-		t.Errorf("at N=%d tree (%v s) should beat direct (%v s)",
-			last.N, last.TreeSeconds, last.DirectSeconds)
+	if last <= 1 {
+		t.Errorf("at N=%d direct/tree = %v: the tree should win", ns[len(ns)-1], last)
 	}
 	// The direct/tree ratio must grow strongly across the range
 	// (group-granularity effects make it non-monotone between adjacent
 	// small-N samples, so compare the ends).
-	rFirst := first.DirectSeconds / first.TreeSeconds
-	rLast := last.DirectSeconds / last.TreeSeconds
-	if rLast < 4*rFirst {
-		t.Errorf("direct/tree ratio grew only %vx -> %vx across the N range", rFirst, rLast)
+	if last < 4*first {
+		t.Errorf("direct/tree ratio grew only %vx -> %vx across the N range", first, last)
 	}
-	t.Logf("crossover bracket: tree overtakes direct between N=%d and N=%d",
-		first.N, last.N)
 }
 
 func TestDirectModelAtPaperN(t *testing.T) {

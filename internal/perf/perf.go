@@ -14,7 +14,6 @@
 package perf
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -121,11 +120,6 @@ type StepReport struct {
 	PipeSeconds, BusSeconds float64
 	// Interactions is the pairwise interaction count of the step.
 	Interactions int64
-	// Recovery carries the guard's fault-handling counters when the
-	// step ran through a fault-tolerant engine (zero otherwise): a
-	// degraded step's timing is only interpretable next to its
-	// retries, exclusions and fallbacks.
-	Recovery g5.Recovery
 }
 
 // TotalSeconds returns the modelled wall-clock of the step. Host work
@@ -191,10 +185,4 @@ func PaperGordonBell() GordonBell {
 		OpsPerInteraction:    units.PaperOpsPerInteraction,
 		Cost:                 PaperCostModel(),
 	}
-}
-
-// String formats the metrics like the paper's abstract.
-func (g GordonBell) String() string {
-	return fmt.Sprintf("raw %.2f Gflops, effective %.2f Gflops, $%.1f/Mflops (system $%.0f)",
-		g.RawFlops()/1e9, g.EffectiveFlops()/1e9, g.PricePerMflops(), g.Cost.TotalDollars())
 }

@@ -35,9 +35,6 @@ func TestPaperGordonBell(t *testing.T) {
 	if ppm := gb.PricePerMflops(); math.Abs(ppm-units.PaperPricePerMflops) > 0.2 {
 		t.Errorf("price/perf = $%.2f/Mflops, paper quotes $%.1f", ppm, units.PaperPricePerMflops)
 	}
-	if gb.String() == "" {
-		t.Error("empty String")
-	}
 }
 
 // TestDS10CalibratedToHeadline checks the host model against its
