@@ -66,7 +66,7 @@ bench-alloc:
 # and the resume of a store written before the manifest was dropped.
 ckpt-e2e:
 	$(GO) test -count=1 -race -run 'TestE2E' ./cmd/grape5sim ./cmd/simrun
-	$(GO) test -count=1 -run 'TestEveryBitFlipDetected|TestEveryTruncationDetected|TestLatestValid|TestParentWrittenStoreResumes|TestGoldenFilesByteIdentical' ./internal/ckpt ./internal/snapio
+	$(GO) test -count=1 -run 'TestEveryBitFlipDetected|TestEveryTruncationDetected|TestLatestValid|TestParentWrittenStoreResumes|TestGoldenFilesByteIdentical|TestResumeRefusesRetiredOptions' ./internal/ckpt ./internal/snapio .
 
 # serve-e2e gates the multi-tenant job server (DESIGN.md §14): fair
 # completion order, explicit 429 backpressure, bitwise result identity

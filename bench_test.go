@@ -287,31 +287,6 @@ func BenchmarkAblationGroupingOff(b *testing.B) {
 	}
 }
 
-// MAC variant: geometric vs bmax opening criterion (cost side; accuracy
-// is covered by octree tests).
-func BenchmarkAblationMACGeometric(b *testing.B) {
-	benchMAC(b, false)
-}
-
-func BenchmarkAblationMACBmax(b *testing.B) {
-	benchMAC(b, true)
-}
-
-func benchMAC(b *testing.B, useBmax bool) {
-	s := benchSystem(20000, 9)
-	tc := core.New(core.Options{Theta: 0.75, UseBmax: useBmax, Ncrit: 1000, G: 1}, &core.CountEngine{})
-	var inter int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := tc.ComputeForces(s.Clone())
-		if err != nil {
-			b.Fatal(err)
-		}
-		inter = st.Interactions
-	}
-	b.ReportMetric(float64(inter), "interactions/step")
-}
-
 // Traversal parallelism: workers 1 vs 4 (on multi-core hosts the
 // speedup shows; on 1 CPU this documents the overhead).
 func BenchmarkAblationWorkers1(b *testing.B) { benchWorkers(b, 1) }
@@ -423,7 +398,7 @@ func BenchmarkAblationModifiedOnGRAPE(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Extension experiments: board scaling, PM baseline, tree reuse.
+// Extension experiments: board scaling, PM baseline.
 // ---------------------------------------------------------------------
 
 // Board-count scaling: the modelled step time as a GRAPE-5 installation
@@ -480,31 +455,4 @@ func BenchmarkTreeForcesSameN(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// Tree reuse ablation: build cost with rebuild-every-step vs
-// rebuild-every-5 (refresh in between).
-func BenchmarkAblationRebuildAlways(b *testing.B) { benchReuse(b, 1) }
-func BenchmarkAblationRebuildEvery5(b *testing.B) { benchReuse(b, 5) }
-
-func benchReuse(b *testing.B, every int) {
-	s := benchSystem(30000, 16)
-	tc := core.New(core.Options{Theta: 0.75, Ncrit: 500, G: 1, Eps: 0.01,
-		RebuildEvery: every}, &core.CountEngine{})
-	b.ResetTimer()
-	var build float64
-	var steps int
-	for i := 0; i < b.N; i++ {
-		// Five consecutive force calls per op so the reuse policy is
-		// exercised even at -benchtime 1x.
-		for k := 0; k < 5; k++ {
-			st, err := tc.ComputeForces(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			build += st.BuildTime.Seconds()
-			steps++
-		}
-	}
-	b.ReportMetric(build/float64(steps)*1e3, "build-ms/step")
 }

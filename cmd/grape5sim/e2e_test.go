@@ -308,6 +308,7 @@ func TestE2EConfigRefusals(t *testing.T) {
 	}{
 		{"theta nan", "theta", []string{"-theta", "nan"}},
 		{"boards on the host engine", "needs the grape5 engine", []string{"-boards", "2", "-engine", "host"}},
+		{"negative boards", "shards", []string{"-boards", "-1"}},
 	} {
 		for path, args := range map[string][]string{
 			"fresh":  append(baseArgs(t.TempDir(), 12), tc.flags...),

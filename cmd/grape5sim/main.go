@@ -341,12 +341,10 @@ func main() {
 	} else {
 		cfg := grape5.Config{Theta: *theta, Ncrit: *ncrit, Eps: *eps,
 			Engine: engKind, Guard: *guard, GRAPE: hwCfg,
+			Shards: ifSet(setFlags["boards"], *boards),
 			Blocks: *blocks, DTMin: *dtMin, Eta: *eta, Adaptive: adaptive}
 		if engKind == grape5.EnginePM {
 			cfg.PMGrid = *pmGrid
-		}
-		if *boards > 1 {
-			cfg.Shards = *boards // every shard runs guarded
 		}
 
 		var sys *grape5.System

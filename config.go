@@ -72,8 +72,6 @@ type Config struct {
 	// Ncrit is the group-size bound of the modified tree algorithm
 	// (the paper's n_g; default DefaultNcrit).
 	Ncrit int
-	// LeafCap is the octree leaf capacity (default 8).
-	LeafCap int
 	// G is the gravitational constant (default units.G, the
 	// Mpc/(km/s)/1e10-Msun system; set 1 for model-unit problems).
 	G float64
@@ -105,10 +103,6 @@ type Config struct {
 	// PMGrid is the particle-mesh size per dimension for EnginePM
 	// (default 64; power of two).
 	PMGrid int
-	// RebuildEvery enables tree reuse: full rebuild every n-th force
-	// call with centre-of-mass refreshes in between (0/1 = rebuild
-	// always, the paper's mode).
-	RebuildEvery int
 	// Workers bounds traversal parallelism (0 = GOMAXPROCS).
 	Workers int
 
@@ -161,8 +155,7 @@ func (cfg Config) Validate() error {
 		name string
 		v    int
 	}{
-		{"ncrit", cfg.Ncrit}, {"leafcap", cfg.LeafCap}, {"shards", cfg.Shards},
-		{"pm-grid", cfg.PMGrid}, {"rebuild-every", cfg.RebuildEvery},
+		{"ncrit", cfg.Ncrit}, {"shards", cfg.Shards}, {"pm-grid", cfg.PMGrid},
 		{"workers", cfg.Workers}, {"blocks", cfg.Blocks},
 	} {
 		if f.v < 0 {

@@ -38,7 +38,6 @@ func TestConfigValidate(t *testing.T) {
 		{"dtmin NaN", with(func(c *Config) { c.Adaptive, c.DTMin = true, math.NaN() }), "dtmin"},
 		{"eta negative", with(func(c *Config) { c.Adaptive, c.Eta = true, -0.2 }), "eta"},
 		{"ncrit negative", with(func(c *Config) { c.Ncrit = -1 }), "ncrit"},
-		{"leafcap negative", with(func(c *Config) { c.LeafCap = -8 }), "leafcap"},
 		{"workers negative", with(func(c *Config) { c.Workers = -2 }), "workers"},
 		{"blocks negative", with(func(c *Config) { c.Blocks = -1 }), "blocks"},
 		{"unknown engine", with(func(c *Config) { c.Engine = 7 }), "engine"},
@@ -63,7 +62,7 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	good := []Config{
-		base, // theta, ncrit, leafcap unset: defaults
+		base, // theta, ncrit unset: defaults
 		with(func(c *Config) { c.Engine, c.Guard = EngineGRAPE5, true }),
 		with(func(c *Config) { c.Engine, c.Shards = EngineGRAPE5, 2 }),
 		with(func(c *Config) { c.Shards = 1 }), // 0 and 1 both mean one system
@@ -83,7 +82,7 @@ func TestConfigValidate(t *testing.T) {
 			continue
 		}
 		// Nothing is materialised into what a checkpoint records.
-		if got := sim.Config(); got.Theta != cfg.Theta || got.Ncrit != cfg.Ncrit || got.LeafCap != cfg.LeafCap {
+		if got := sim.Config(); got.Theta != cfg.Theta || got.Ncrit != cfg.Ncrit {
 			t.Errorf("good config %d: Config() materialised defaults: %+v", i, got)
 		}
 		if err := sim.Close(); err != nil {
@@ -147,6 +146,39 @@ func TestResumeConfigConflictsAreLoud(t *testing.T) {
 	got, err = ResumeConfig(ckpt.State{DT: 0.005, Shards: 2, Engine: -1}, Config{})
 	if err != nil || got.Shards != 2 {
 		t.Errorf("shards inherit: cfg=%+v err=%v", got, err)
+	}
+}
+
+// TestResumeRefusesRetiredOptions: leaf capacity and tree reuse are no
+// longer run options, so a checkpoint of a run that set them to another
+// value than every run now uses cannot continue its trajectory. The
+// refusal names the field; the values every front-end wrote resume.
+func TestResumeRefusesRetiredOptions(t *testing.T) {
+	resume := func(st ckpt.State) error {
+		st.DT, st.Engine = 0.005, int64(EngineHost)
+		sim, err := ResumeSimulation(&ckpt.Checkpoint{State: st, Sys: Plummer(32, 1, 1, 1, 1)}, Config{G: 1})
+		if err == nil {
+			err = sim.Close()
+		}
+		return err
+	}
+	for _, tc := range []struct {
+		st   ckpt.State
+		want string
+	}{
+		{ckpt.State{LeafCap: 4}, "leafcap"},
+		{ckpt.State{LeafCap: -8}, "leafcap"},
+		{ckpt.State{LeafCap: 8, RebuildEvery: 3}, "rebuild-every"},
+	} {
+		if err := resume(tc.st); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("LeafCap %d RebuildEvery %d: resume = %v, want a refusal naming %q",
+				tc.st.LeafCap, tc.st.RebuildEvery, err, tc.want)
+		}
+	}
+	for _, st := range []ckpt.State{{}, {LeafCap: 8, RebuildEvery: 1}} {
+		if err := resume(st); err != nil {
+			t.Errorf("LeafCap %d RebuildEvery %d refused: %v", st.LeafCap, st.RebuildEvery, err)
+		}
 	}
 }
 

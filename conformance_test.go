@@ -293,7 +293,7 @@ func smallCell(col string, mode func(*Config)) cell {
 }
 
 // TestModeChecksumsMatchSeed runs every scheduling mode the facade
-// offers — fixed dt on each engine and tree-reuse setting, adaptive dt,
+// offers — fixed dt on each engine, adaptive dt,
 // block timesteps — and requires state, clock, last dt and activity
 // counters to equal what the three separate integrators produced.
 func TestModeChecksumsMatchSeed(t *testing.T) {
@@ -311,7 +311,6 @@ func TestModeChecksumsMatchSeed(t *testing.T) {
 		big("fixed/host", none),
 		big("fixed/guarded", guarded),
 		big("fixed/cluster2", func(c *Config) { guarded(c); c.Shards = 2 }),
-		big("fixed/rebuild3", func(c *Config) { c.RebuildEvery = 3 }),
 		big("fixed/pm", func(c *Config) { c.Engine, c.PMGrid = EnginePM, 32 }),
 		big("adaptive/host", adaptive),
 		big("adaptive/guarded", func(c *Config) { adaptive(c); guarded(c); c.DTMin = 0.003205 }),
@@ -488,10 +487,11 @@ const maxRetrace = 1e-15
 
 // TestConformanceMatrix runs the 256-particle, 6-step problem of the
 // small/* goldens in each dt mode × column × GOMAXPROCS {1, 4} ×
-// {whole, resumed}. A resumed cell is cut at a step drawn from its
-// name, checkpointed through the file format and resumed: host cells
-// under the zero Config (every fingerprinted field inherits), the rest
-// under their own. Each cell must
+// {whole, resumed}. A resumed cell is cut, checkpointed through the
+// file format and resumed: host cells under the zero Config (every
+// fingerprinted field inherits), the rest under their own. The host and
+// guarded columns cut at every step in turn, the others at one step
+// drawn from the cell's name. Each run must
 //
 //   - land bitwise on its class (mode, H or G): same state, clock, last
 //     dt and interaction work as the first cell of the class;
@@ -510,7 +510,6 @@ func TestConformanceMatrix(t *testing.T) {
 		{"fixed", func(*Config) {}},
 		{"adaptive", func(c *Config) { c.Adaptive, c.Eta = true, 0.01 }},
 		{"blocks", func(c *Config) { c.Blocks, c.DTMin, c.DT, c.Eta = 4, c.DT/8, 0, 0.01 }},
-		{"blocks-rebuild3", func(c *Config) { c.Blocks, c.DTMin, c.DT, c.Eta, c.RebuildEvery = 4, c.DT/8, 0, 0.01, 3 }},
 	}
 	classes, groups := map[string]record{}, map[string]record{}
 	for _, procs := range []int{1, 4} {
@@ -529,44 +528,54 @@ func TestConformanceMatrix(t *testing.T) {
 					first := procs == 1 && !resumed
 					c.procs, c.vsHost = procs, c.cfg.Engine == EngineGRAPE5 && (first || col.class == 'F')
 					c.retrace = m.name == "fixed" && col.class != 'F' && first
+					cuts := []int{0}
 					if resumed {
 						c.name = c.name[:len(c.name)-len("whole")] + "resumed"
-						h := fnv.New32a()
-						h.Write([]byte(c.name))
-						c.cut = 1 + int(h.Sum32()%uint32(c.steps-1))
+						if col.name == "host" || col.name == "guarded" {
+							cuts = cuts[:0]
+							for k := 1; k < c.steps; k++ {
+								cuts = append(cuts, k)
+							}
+						} else {
+							h := fnv.New32a()
+							h.Write([]byte(c.name))
+							cuts[0] = 1 + int(h.Sum32()%uint32(c.steps-1))
+						}
 						if c.resume = c.cfg; col.name == "host" {
 							c.resume = Config{}
 						}
 					}
 					t.Run(c.name, func(t *testing.T) {
-						got, sim := c.run(t)
-						t.Logf("cut %d: |ΔE/E| %.2g |Δp| %.2g rms %.2g retrace %.2g; %s; %+v", c.cut, got.DE, got.DP, got.RMS, got.Retrace, got.Recovery, got.Faults)
-						if col.class != 'F' {
-							key := m.name + "/" + string(col.class)
-							if want, ok := classes[key]; !ok {
-								classes[key] = got
-							} else if !sameTrajectory(got, want) {
-								t.Errorf("left class %s:\n got %+v total %d\nwant %+v total %d", key, got.golden, got.Total, want.golden, want.Total)
+						for _, c.cut = range cuts {
+							got, sim := c.run(t)
+							t.Logf("cut %d: |ΔE/E| %.2g |Δp| %.2g rms %.2g retrace %.2g; %s; %+v", c.cut, got.DE, got.DP, got.RMS, got.Retrace, got.Recovery, got.Faults)
+							if col.class != 'F' {
+								key := m.name + "/" + string(col.class)
+								if want, ok := classes[key]; !ok {
+									classes[key] = got
+								} else if !sameTrajectory(got, want) {
+									t.Errorf("left class %s:\n got %+v total %d\nwant %+v total %d", key, got.golden, got.Total, want.golden, want.Total)
+								}
 							}
-						}
-						if col.group != "" {
-							key := m.name + "/" + col.group
-							if want, ok := groups[key]; !ok {
-								groups[key] = got
-							} else if !sameCounters(got, want) {
-								t.Errorf("left counter group %s:\n got %+v %s %+v\nwant %+v %s %+v", key, got.HW, got.Recovery, got.Faults, want.HW, want.Recovery, want.Faults)
+							if col.group != "" {
+								key := m.name + "/" + col.group
+								if want, ok := groups[key]; !ok {
+									groups[key] = got
+								} else if !sameCounters(got, want) {
+									t.Errorf("left counter group %s:\n got %+v %s %+v\nwant %+v %s %+v", key, got.HW, got.Recovery, got.Faults, want.HW, want.Recovery, want.Faults)
+								}
 							}
-						}
-						if !resumed && !col.shows(got, sim) {
-							t.Errorf("%s run lacks its signature: %+v %s %+v loads %v", col.name, got.HW, got.Recovery, got.Faults, got.Loads)
-						}
-						if procs == 1 && !resumed && c.cfg.GRAPE.Fault != nil {
-							if again, _ := c.run(t); !sameTrajectory(again, got) || !sameCounters(again, got) || !slices.Equal(again.Loads, got.Loads) {
-								t.Errorf("faulted run not reproducible at GOMAXPROCS 1:\n got %+v %s %v\nthen %+v %s %v", got.golden, got.Recovery, got.Loads, again.golden, again.Recovery, again.Loads)
+							if !resumed && !col.shows(got, sim) {
+								t.Errorf("%s run lacks its signature: %+v %s %+v loads %v", col.name, got.HW, got.Recovery, got.Faults, got.Loads)
 							}
-						}
-						if b := bounds[col.class]; got.DE > b.de || got.DP > b.dp || got.RMS > b.rms || got.Retrace > maxRetrace {
-							t.Errorf("outside the physical bounds: |ΔE/E| %.3g, |Δp| %.3g, force RMS %.3g, retrace %.3g", got.DE, got.DP, got.RMS, got.Retrace)
+							if procs == 1 && !resumed && c.cfg.GRAPE.Fault != nil {
+								if again, _ := c.run(t); !sameTrajectory(again, got) || !sameCounters(again, got) || !slices.Equal(again.Loads, got.Loads) {
+									t.Errorf("faulted run not reproducible at GOMAXPROCS 1:\n got %+v %s %v\nthen %+v %s %v", got.golden, got.Recovery, got.Loads, again.golden, again.Recovery, again.Loads)
+								}
+							}
+							if b := bounds[col.class]; got.DE > b.de || got.DP > b.dp || got.RMS > b.rms || got.Retrace > maxRetrace {
+								t.Errorf("outside the physical bounds: |ΔE/E| %.3g, |Δp| %.3g, force RMS %.3g, retrace %.3g", got.DE, got.DP, got.RMS, got.Retrace)
+							}
 						}
 					})
 				}

@@ -108,7 +108,10 @@ type State struct {
 	T0    float64
 	Age0  float64
 
-	// Config fingerprint (0 = unset/unknown).
+	// Config fingerprint (0 = unset/unknown). LeafCap and RebuildEvery
+	// are the slots of two retired run options, kept so the layout
+	// stays put: writers store 0, and a resume refuses any value but
+	// the one every run now uses (leaf capacity 8, a rebuild every step).
 	Theta        float64
 	Eps          float64
 	G            float64

@@ -35,7 +35,7 @@ func (e *massAuditEngine) Accumulate(req *Request) {
 }
 
 // TestInteractionListMassConservationProperty is the property-based
-// version over random systems, θ, n_crit and MAC variants.
+// version over random systems, θ and n_crit.
 func TestInteractionListMassConservationProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -52,11 +52,9 @@ func TestInteractionListMassConservationProperty(t *testing.T) {
 		}
 		eng := &massAuditEngine{total: s.TotalMass(), tol: 1e-9 * s.TotalMass()}
 		tc := New(Options{
-			Theta:   0.2 + r.Float64()*1.3,
-			UseBmax: r.Intn(2) == 0,
-			Ncrit:   1 + r.Intn(300),
-			LeafCap: 1 + r.Intn(16),
-			G:       1,
+			Theta: 0.2 + r.Float64()*1.3,
+			Ncrit: 1 + r.Intn(300),
+			G:     1,
 		}, eng)
 		if _, err := tc.ComputeForces(s); err != nil {
 			return false

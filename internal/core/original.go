@@ -48,7 +48,7 @@ func (tc *Treecode) walkOriginal(s *nbody.System, forces bool) (*Stats, error) {
 	}
 	stats.BuildTime = time.Since(t0)
 
-	mac := octree.OpenCriterion{Theta: o.Theta, UseBmax: o.UseBmax}
+	mac := octree.OpenCriterion{Theta: o.Theta}
 	workers := min(o.Workers, n)
 	tc.ensureWorkerScratch(workers)
 	chunk := (n + workers - 1) / workers

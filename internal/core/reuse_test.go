@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/octree"
-	"repro/internal/rng"
 	"repro/internal/vec"
 )
 
@@ -30,101 +29,6 @@ func TestTreeRefreshUpdatesCOM(t *testing.T) {
 	}
 }
 
-func TestReusePolicyCounts(t *testing.T) {
-	s := plummer(800, 42)
-	tc := New(Options{Theta: 0.75, Ncrit: 64, G: 1, Eps: 0.01, RebuildEvery: 3}, nil)
-
-	// First call builds.
-	if _, err := tc.ComputeForces(s); err != nil {
-		t.Fatal(err)
-	}
-	built := tc.Tree
-	// Second and third reuse the same tree object.
-	if _, err := tc.ComputeForces(s); err != nil {
-		t.Fatal(err)
-	}
-	if tc.Tree != built {
-		t.Error("call 2 rebuilt instead of reusing")
-	}
-	if _, err := tc.ComputeForces(s); err != nil {
-		t.Fatal(err)
-	}
-	if tc.Tree != built {
-		t.Error("call 3 rebuilt instead of reusing")
-	}
-	// Fourth rebuilds.
-	if _, err := tc.ComputeForces(s); err != nil {
-		t.Fatal(err)
-	}
-	if tc.Tree == built {
-		t.Error("call 4 did not rebuild")
-	}
-}
-
-func TestReuseDifferentSystemRebuilds(t *testing.T) {
-	tc := New(Options{Theta: 0.75, Ncrit: 64, G: 1, RebuildEvery: 10}, &CountEngine{})
-	s1 := plummer(300, 43)
-	s2 := plummer(300, 44)
-	if _, err := tc.ComputeForces(s1); err != nil {
-		t.Fatal(err)
-	}
-	t1 := tc.Tree
-	if _, err := tc.ComputeForces(s2); err != nil {
-		t.Fatal(err)
-	}
-	if tc.Tree == t1 {
-		t.Error("switching systems must force a rebuild")
-	}
-}
-
-func TestReuseForcesStayAccurate(t *testing.T) {
-	// Integrate a few steps with reuse and compare final forces against
-	// a fresh rebuild: the drift-induced error must be small.
-	s := plummer(1000, 45)
-	r := rng.New(46)
-	tc := New(Options{Theta: 0.6, Ncrit: 64, G: 1, Eps: 0.05, RebuildEvery: 5}, nil)
-	if _, err := tc.ComputeForces(s); err != nil {
-		t.Fatal(err)
-	}
-	// Perturb positions slightly (a fraction of the softening) several
-	// times, recomputing with reuse.
-	for k := 0; k < 4; k++ {
-		for i := range s.Pos {
-			s.Pos[i] = s.Pos[i].Add(vec.V3{
-				X: 0.002 * r.Normal(), Y: 0.002 * r.Normal(), Z: 0.002 * r.Normal()})
-		}
-		if _, err := tc.ComputeForces(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reused := append([]vec.V3(nil), s.Acc...)
-	ids := append([]int64(nil), s.ID...)
-
-	// Fresh rebuild on the same positions.
-	tcFresh := New(Options{Theta: 0.6, Ncrit: 64, G: 1, Eps: 0.05}, nil)
-	if _, err := tcFresh.ComputeForces(s); err != nil {
-		t.Fatal(err)
-	}
-	freshByID := make(map[int64]vec.V3)
-	for i := range s.Pos {
-		freshByID[s.ID[i]] = s.Acc[i]
-	}
-	var worst float64
-	for i := range reused {
-		want := freshByID[ids[i]]
-		rel := reused[i].Sub(want).Norm() / (1 + want.Norm())
-		if rel > worst {
-			worst = rel
-		}
-	}
-	if worst > 0.05 {
-		t.Errorf("tree reuse worst relative force deviation = %v", worst)
-	}
-	if worst == 0 {
-		t.Error("reuse produced identical forces — refresh apparently not exercised")
-	}
-}
-
 func TestRefreshKeepsValidation(t *testing.T) {
 	s := plummer(400, 47)
 	tree, err := octree.Build(s, nil)
@@ -135,20 +39,5 @@ func TestRefreshKeepsValidation(t *testing.T) {
 	tree.Refresh()
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReuseDisabledByDefault(t *testing.T) {
-	s := plummer(200, 48)
-	tc := New(Options{Theta: 0.75, Ncrit: 64, G: 1}, &CountEngine{})
-	if _, err := tc.ComputeForces(s); err != nil {
-		t.Fatal(err)
-	}
-	t1 := tc.Tree
-	if _, err := tc.ComputeForces(s); err != nil {
-		t.Fatal(err)
-	}
-	if tc.Tree == t1 {
-		t.Error("default must rebuild every call")
 	}
 }

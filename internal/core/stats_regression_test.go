@@ -31,7 +31,7 @@ func TestTraversalStatsRegression(t *testing.T) {
 		interactions int64
 		avgList      float64
 	}{
-		// Golden values: Plummer seed 1, eps 0.02, LeafCap default 8.
+		// Golden values: Plummer seed 1, eps 0.02, leaf capacity 8.
 		{"N1024-ng64-th0.6", 1024, 64, 0.6, 84, 594736, 580.80},
 		{"N4096-ng500-th0.75", 4096, 500, 0.75, 82, 4350858, 1062.22},
 		{"N4096-ng2000-th0.75", 4096, 2000, 0.75, 8, 7729413, 1887.06},

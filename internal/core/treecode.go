@@ -21,26 +21,15 @@ import (
 type Options struct {
 	// Theta is the Barnes-Hut opening parameter (default DefaultTheta).
 	Theta float64
-	// UseBmax selects the conservative bmax opening criterion.
-	UseBmax bool
 	// Ncrit is the maximum group population of the modified algorithm
 	// (the paper's n_g knob; default DefaultNcrit).
 	Ncrit int
-	// LeafCap is the octree leaf capacity (default 8).
-	LeafCap int
 	// G is the gravitational constant (default 1).
 	G float64
 	// Eps is the Plummer softening length.
 	Eps float64
 	// Workers sets the traversal parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// RebuildEvery sets the tree-reuse period: a full Morton sort and
-	// rebuild happens every RebuildEvery-th ComputeForces call on the
-	// same system, with cheap centre-of-mass refreshes in between.
-	// 0 or 1 disables reuse (rebuild every call, the paper's mode).
-	// Reuse trades a drift-bounded force approximation for amortised
-	// build cost; see the ablation benchmarks.
-	RebuildEvery int
 	// Obs, when non-nil, receives per-phase spans (Morton sort, tree
 	// build, group walk, force evaluation) and traversal counters for
 	// every force calculation. Walk workers record concurrently.
@@ -66,15 +55,15 @@ const (
 // the uninterrupted run's exact rebuild schedule.
 const activeRebuildFrac = 0.5
 
+// LeafCap is the octree leaf capacity every tree is built with.
+const LeafCap = 8
+
 func (o Options) withDefaults() Options {
 	if o.Theta == 0 {
 		o.Theta = DefaultTheta
 	}
 	if o.Ncrit <= 0 {
 		o.Ncrit = DefaultNcrit
-	}
-	if o.LeafCap <= 0 {
-		o.LeafCap = 8
 	}
 	if o.G == 0 {
 		o.G = 1
@@ -172,15 +161,11 @@ type Treecode struct {
 	// overwritten by the next full rebuild.
 	Tree *octree.Tree
 
-	// sinceBuild counts ComputeForces calls since the last full
-	// rebuild, for the RebuildEvery reuse policy.
-	sinceBuild int
-
 	// builder is the reused tree constructor; recreated only when the
 	// options it bakes in change.
-	builder            *octree.Builder
-	bLeafCap, bWorkers int
-	bObs               *obs.Observer
+	builder  *octree.Builder
+	bWorkers int
+	bObs     *obs.Observer
 
 	// bufs are per-worker traversal buffers; labelCtxs cache the pprof
 	// label sets the walk workers run under (building them per call
@@ -314,20 +299,19 @@ func (tc *Treecode) PrimeTree(s *nbody.System) error {
 // Builder, recreating the builder only when the options it bakes in
 // change, and installs the result as the current tree.
 func (tc *Treecode) rebuildTree(s *nbody.System, o Options) (*octree.Tree, error) {
-	if tc.builder == nil || tc.bLeafCap != o.LeafCap || tc.bWorkers != o.Workers || tc.bObs != o.Obs {
+	if tc.builder == nil || tc.bWorkers != o.Workers || tc.bObs != o.Obs {
 		tc.builder = octree.NewBuilder(octree.BuilderOptions{
-			LeafCap: o.LeafCap,
+			LeafCap: LeafCap,
 			Workers: o.Workers,
 			Obs:     o.Obs,
 		})
-		tc.bLeafCap, tc.bWorkers, tc.bObs = o.LeafCap, o.Workers, o.Obs
+		tc.bWorkers, tc.bObs = o.Workers, o.Obs
 	}
 	tree, err := tc.builder.Build(s)
 	if err != nil {
 		return nil, err
 	}
 	tc.Tree = tree
-	tc.sinceBuild = 1
 	return tree, nil
 }
 
@@ -339,24 +323,17 @@ func (tc *Treecode) computeForces(s *nbody.System, active []bool, nActive int) (
 	stats := &Stats{N: s.N(), MinList: -1}
 
 	t0 := time.Now()
-	var reuse bool
-	if active == nil {
-		reuse = o.RebuildEvery > 1 && tc.Tree != nil && tc.Tree.Sys == s &&
-			tc.sinceBuild < o.RebuildEvery
-	} else {
-		// Block substeps drift every particle, so the tree always needs
-		// at least a centre-of-mass refresh; a full rebuild only when the
-		// active fraction says the Morton order is worth re-earning.
-		reuse = tc.Tree != nil && tc.Tree.Sys == s &&
-			float64(nActive) < activeRebuildFrac*float64(s.N())
-	}
+	// A full-set call always rebuilds (the paper's mode). Block substeps
+	// drift every particle, so the tree needs at least a centre-of-mass
+	// refresh; a full rebuild only when the active fraction says the
+	// Morton order is worth re-earning.
 	var tree *octree.Tree
-	if reuse {
+	if active != nil && tc.Tree != nil && tc.Tree.Sys == s &&
+		float64(nActive) < activeRebuildFrac*float64(s.N()) {
 		tm := o.Obs.Start(obs.PhaseTreeBuild)
 		tree = tc.Tree
 		tree.Refresh()
 		tm.Stop()
-		tc.sinceBuild++
 	} else {
 		var err error
 		tree, err = tc.rebuildTree(s, o)
@@ -366,7 +343,7 @@ func (tc *Treecode) computeForces(s *nbody.System, active []bool, nActive int) (
 	}
 	stats.BuildTime = time.Since(t0)
 
-	// Groups is cached on the tree, so the reuse path re-scans nothing.
+	// Groups is cached on the tree, so the refresh path re-scans nothing.
 	// Acc/Pot zeroing happens inside the walk workers, per group range:
 	// the groups tile [0, N) disjointly, so each worker clears exactly
 	// the range it is about to accumulate into (for active calls, only
@@ -374,7 +351,7 @@ func (tc *Treecode) computeForces(s *nbody.System, active []bool, nActive int) (
 	groups := tree.Groups(o.Ncrit)
 	stats.Groups = len(groups)
 
-	mac := octree.OpenCriterion{Theta: o.Theta, UseBmax: o.UseBmax}
+	mac := octree.OpenCriterion{Theta: o.Theta}
 	workers := o.Workers
 	if workers > len(groups) {
 		workers = len(groups)
@@ -521,7 +498,7 @@ func (tc *Treecode) buildGroupList(tree *octree.Tree, g octree.Group, mac octree
 	// The root has no siblings: its verdict is a batch of one.
 	root := &tree.Nodes[0]
 	buf.macX[0], buf.macY[0], buf.macZ[0] = root.COM.X, root.COM.Y, root.COM.Z
-	buf.macS[0] = root.EffSize(mac.UseBmax)
+	buf.macS[0] = root.Size
 	sink.Accept(&buf.macX, &buf.macY, &buf.macZ, &buf.macS, &buf.macOK)
 	buf.stack = append(buf.stack, 0)
 	buf.flags = append(buf.flags, buf.macOK[0])
@@ -554,7 +531,7 @@ func (tc *Treecode) buildGroupList(tree *octree.Tree, g octree.Group, mac octree
 			}
 			ch := &tree.Nodes[c]
 			buf.macX[m], buf.macY[m], buf.macZ[m] = ch.COM.X, ch.COM.Y, ch.COM.Z
-			buf.macS[m] = ch.EffSize(mac.UseBmax)
+			buf.macS[m] = ch.Size
 			buf.macIdx[m] = c
 			m++
 		}

@@ -325,7 +325,7 @@ func TestMomentumConservationModified(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Theta != 0.75 || o.Ncrit != 2000 || o.LeafCap != 8 || o.G != 1 || o.Workers < 1 {
+	if o.Theta != 0.75 || o.Ncrit != 2000 || o.G != 1 || o.Workers < 1 {
 		t.Errorf("defaults = %+v", o)
 	}
 	tc := New(Options{}, nil)
@@ -431,5 +431,85 @@ func TestOriginalCountDirectLimit(t *testing.T) {
 	want := int64(150 * 149)
 	if count != want {
 		t.Errorf("θ→0 count = %d, want %d", count, want)
+	}
+}
+
+// TestWorkersExceedingGroups: more workers than groups must not break
+// or change results.
+func TestWorkersExceedingGroups(t *testing.T) {
+	s := plummer(200, 22)
+	tc := New(Options{Theta: 0.75, Ncrit: 100000, G: 1, Eps: 0.01, Workers: 16}, nil)
+	st, err := tc.ComputeForces(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Groups != 1 {
+		t.Errorf("groups = %d, want 1", st.Groups)
+	}
+	for i := range s.Acc {
+		if !s.Acc[i].IsFinite() {
+			t.Fatalf("non-finite acceleration at %d", i)
+		}
+	}
+}
+
+// TestDeterministicAcrossRuns: the same input system must produce
+// bit-identical forces on repeated runs (no map-iteration or
+// scheduling nondeterminism).
+func TestDeterministicAcrossRuns(t *testing.T) {
+	s := plummer(1000, 23)
+	run := func() []vec.V3 {
+		sc := s.Clone()
+		tc := New(Options{Theta: 0.75, Ncrit: 128, G: 1, Eps: 0.01, Workers: 4}, nil)
+		if _, err := tc.ComputeForces(sc); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]vec.V3, sc.N())
+		copy(out, sc.Acc)
+		return out
+	}
+	a, b := run(), run()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("nondeterministic force at %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestPotentialSignAndScale: tree potentials must be negative and match
+// direct sums closely in aggregate.
+func TestPotentialSignAndScale(t *testing.T) {
+	s := plummer(2000, 24)
+	ref := s.Clone()
+	tc := New(Options{Theta: 0.6, Ncrit: 128, G: 1, Eps: 0.01}, nil)
+	if _, err := tc.ComputeForces(s); err != nil {
+		t.Fatal(err)
+	}
+	treePE := nbody.PotentialEnergyFromPot(s)
+	directPE := nbody.PotentialEnergy(ref, 1, 0.01)
+	if treePE >= 0 {
+		t.Errorf("tree PE = %v, must be negative", treePE)
+	}
+	if math.Abs(treePE-directPE)/math.Abs(directPE) > 0.01 {
+		t.Errorf("tree PE %v vs direct %v", treePE, directPE)
+	}
+}
+
+// TestCountOriginalMatchesWalk: the count-only walk must agree exactly
+// with the interaction count of the force-computing original walk.
+func TestCountOriginalMatchesWalk(t *testing.T) {
+	s := plummer(1500, 25)
+	tcA := New(Options{Theta: 0.75, G: 1, Eps: 0.01}, nil)
+	st, err := tcA.ComputeForcesOriginal(s.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcB := New(Options{Theta: 0.75, G: 1, Eps: 0.01}, nil)
+	count, err := tcB.CountOriginal(s.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count != st.Interactions {
+		t.Errorf("count-only %d != walk %d", count, st.Interactions)
 	}
 }

@@ -68,11 +68,6 @@ type Config struct {
 	// OpsPerInteraction is the flop-counting convention (38).
 	OpsPerInteraction int
 
-	// StrictRange makes Compute fail on positions outside the SetScale
-	// range instead of clamping them (clamping is what the hardware
-	// does; strict mode is for catching host-code bugs).
-	StrictRange bool
-
 	// Fault, when non-nil, injects seeded deterministic hardware
 	// faults (j-memory bit flips, stuck pipelines, bus errors,
 	// transient failures) into every Compute call. Nil means a perfect

@@ -63,17 +63,20 @@ func TestJMemChunkingPreservesForces(t *testing.T) {
 	}
 }
 
-// TestEnginePanicsOnHardwareFault: a strict-range system fed an
-// out-of-range position must surface as a panic through the engine
-// (driver-bug semantics), not silent corruption — and the panic value
-// must be the typed *HardwareError so recovery code can distinguish
-// driver bugs from injected faults without string matching.
+// TestEnginePanicsOnHardwareFault: a call on a system with every board
+// out of service must surface as a panic through the unguarded engine,
+// not silent corruption — and the panic value must be the typed
+// *HardwareError so recovery code can distinguish hardware faults from
+// other panics without string matching.
 func TestEnginePanicsOnHardwareFault(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.StrictRange = true
-	sys, _ := NewSystem(cfg)
+	sys, _ := NewSystem(DefaultConfig())
 	if err := sys.SetScale(-1, 1); err != nil {
 		t.Fatal(err)
+	}
+	for b := 0; b < sys.Config().Boards; b++ {
+		if err := sys.SetBoardExcluded(b, true); err != nil {
+			t.Fatal(err)
+		}
 	}
 	e := NewEngine(sys, 1)
 	defer func() {
@@ -86,11 +89,11 @@ func TestEnginePanicsOnHardwareFault(t *testing.T) {
 			t.Fatalf("panic value %T, want *HardwareError", r)
 		}
 		if hw.Transient {
-			t.Errorf("driver bug marked transient: %v", hw)
+			t.Errorf("dead device marked transient: %v", hw)
 		}
 	}()
 	req := core.Request{
-		IPos: []vec.V3{{X: 99}},
+		IPos: []vec.V3{{X: 0.5}},
 		Acc:  make([]vec.V3, 1),
 		Pot:  make([]float64, 1),
 	}

@@ -324,7 +324,7 @@ func (e *GuardedEngine) computeVerified(req *core.Request, st *scratch, overlap 
 				continue
 			}
 			// Non-transient errors with boards still active are host
-			// programming bugs (scale, ranges), same contract as the
+			// programming bugs (scale, lengths), same contract as the
 			// unguarded engine; all-excluded is handled by the caller.
 			if e.sys.ActiveBoards() == 0 {
 				return false
@@ -366,19 +366,18 @@ func (e *GuardedEngine) attempt(ipos []vec.V3, req *core.Request, st *scratch, r
 		st.pot[i] = 0
 	}
 	a, err := e.sys.begin(ipos, st.jpos, req.J.M[:req.J.N], st.acc, st.pot, &st.eval)
-	if err == nil {
-		if release {
-			e.mu.Unlock()
-		}
-		err = a.evaluate()
-		if release {
-			e.mu.Lock()
-		}
+	if err != nil {
+		return err
 	}
-	if err == nil {
-		e.sys.finish(&a)
+	if release {
+		e.mu.Unlock()
 	}
-	return err
+	a.evaluate()
+	if release {
+		e.mu.Lock()
+	}
+	e.sys.finish(&a)
+	return nil
 }
 
 // commit adds the batch's G-scaled results into req.

@@ -95,7 +95,6 @@ type activation struct {
 	jmass, pot      []float64
 	sc              *evalScratch
 	boards          int // in service when the call was planned: finish charges these
-	strict          bool
 
 	grid                       FixedGrid
 	eps2                       float64
@@ -132,28 +131,11 @@ func (s *System) SetObserver(o *obs.Observer) { s.obs = o }
 // Counters returns a snapshot of the activity counters.
 func (s *System) Counters() Counters { return s.cnt }
 
-// ResetCounters zeroes the activity counters AND the observer-side
-// accumulation the system feeds: the simulated hardware phases
-// (j/i-particle transfer, pipeline, readback) and the flop/byte
-// counters are written only by this System, so resetting one view but
-// not the other would let an observer snapshot disagree with
-// Counters() — the inconsistency the obs regression test pins down.
-// Phases and counters owned by other components (walk, guard,
-// recoveries) are left untouched.
-func (s *System) ResetCounters() {
-	s.cnt = Counters{}
-	s.obs.ResetPhase(obs.PhaseJTransfer)
-	s.obs.ResetPhase(obs.PhaseITransfer)
-	s.obs.ResetPhase(obs.PhasePipeline)
-	s.obs.ResetPhase(obs.PhaseReadback)
-	s.obs.ResetCounter(obs.CntFlops)
-	s.obs.ResetCounter(obs.CntBytes)
-}
-
 // SetScale defines the coordinate range mapped onto the pipeline's
 // fixed-point format, like g5_set_range. All positions of subsequent
-// Compute calls must lie inside [min, max) in every coordinate (or are
-// clamped, see Config.StrictRange).
+// Compute calls must lie inside [min, max) in every coordinate; the
+// rest are clamped and counted in Counters.RangeClamps, as on the
+// hardware.
 func (s *System) SetScale(min, max float64) error {
 	if !(max > min) || math.IsNaN(min) || math.IsInf(max-min, 0) {
 		return fmt.Errorf("g5: invalid scale range [%v, %v)", min, max)
@@ -244,13 +226,12 @@ func (s *System) activeBoardList() []int {
 // and evaluates the forces with the pipeline's reduced precision.
 func (s *System) Compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot []float64) error {
 	a, err := s.begin(ipos, jpos, jmass, acc, pot, &s.scratch)
-	if err == nil {
-		err = a.evaluate()
+	if err != nil {
+		return err
 	}
-	if err == nil {
-		s.finish(&a)
-	}
-	return err
+	a.evaluate()
+	s.finish(&a)
+	return nil
 }
 
 // begin opens one hardware call: it checks the device state and the
@@ -276,8 +257,7 @@ func (s *System) begin(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot [
 	}
 	a := activation{
 		ipos: ipos, jpos: jpos, jmass: jmass, acc: acc, pot: pot, sc: sc,
-		boards: s.nActive, strict: s.cfg.StrictRange,
-		grid: s.grid, eps2: s.eps2,
+		boards: s.nActive, grid: s.grid, eps2: s.eps2,
 		pipeBits: s.cfg.PipeBits, r2Bits: s.cfg.R2Bits, massBits: s.cfg.MassBits,
 		plan: faultPlan{flipJ: -1},
 	}
@@ -310,19 +290,13 @@ func (s *System) begin(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot [
 // evaluate is the functional model of the call: quantise, round the
 // masses, flip the corrupted word, stream the pipelines. It reads the
 // activation only — no System.
-func (a *activation) evaluate() error {
+func (a *activation) evaluate() {
 	if a.boards == 0 {
-		return nil
+		return
 	}
 	sc := a.sc
-	iq, err := a.quantizeInto(&sc.iq, a.ipos)
-	if err != nil {
-		return err
-	}
-	jq, err := a.quantizeInto(&sc.jq, a.jpos)
-	if err != nil {
-		return err
-	}
+	iq := a.quantizeInto(&sc.iq, a.ipos)
+	jq := a.quantizeInto(&sc.jq, a.jpos)
 	sc.mq = grown(sc.mq, len(jq))
 	mq := sc.mq
 	for j, m := range a.jmass {
@@ -347,7 +321,6 @@ func (a *activation) evaluate() error {
 		}
 	}
 	pipeline(iq, jq, mq, a.stuck, a.eps2, a.pipeBits, a.r2Bits, a.selectFree(), hostLanes, a.acc, a.pot)
-	return nil
 }
 
 // selectFree reports, once evaluate has staged the call's inputs, that
@@ -528,8 +501,8 @@ func streamJSelect(pi vec.V3, jq []vec.V3, mq []float64, eps2 float64, pipe, dis
 }
 
 // quantizeInto maps positions through the fixed-point grid into the
-// reused evaluation scratch *dst.
-func (a *activation) quantizeInto(dst *[]vec.V3, pos []vec.V3) ([]vec.V3, error) {
+// reused evaluation scratch *dst, counting the clamped ones.
+func (a *activation) quantizeInto(dst *[]vec.V3, pos []vec.V3) []vec.V3 {
 	*dst = grown(*dst, len(pos))
 	out := *dst
 	for i, p := range pos {
@@ -537,16 +510,12 @@ func (a *activation) quantizeInto(dst *[]vec.V3, pos []vec.V3) ([]vec.V3, error)
 		qy, oky := a.grid.Quantize(p.Y)
 		qz, okz := a.grid.Quantize(p.Z)
 		if !okx || !oky || !okz {
-			if a.strict {
-				return nil, fmt.Errorf("g5: position %v outside scale range [%v, %v)",
-					p, a.grid.Min, a.grid.Max)
-			}
 			a.clamps++
 			a.nan = a.nan || qx != qx || qy != qy || qz != qz
 		}
 		out[i] = vec.V3{X: qx, Y: qy, Z: qz}
 	}
-	return out, nil
+	return out
 }
 
 // ChargeOnly accounts the simulated hardware cost of a Compute call

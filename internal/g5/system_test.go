@@ -1,12 +1,9 @@
 package g5
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/vec"
 )
@@ -225,31 +222,6 @@ func TestJMemoryPasses(t *testing.T) {
 // is one of them: no comparison puts it outside, so Quantize has to say so.
 var outOfRange = []vec.V3{{X: 5}, {Y: math.NaN()}}
 
-func TestStrictRange(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.StrictRange = true
-	sys, _ := NewSystem(cfg)
-	sys.SetScale(-1, 1)
-	for _, p := range outOfRange {
-		for _, asJ := range []bool{false, true} {
-			ipos, jpos := []vec.V3{p}, []vec.V3{{}}
-			if asJ {
-				ipos, jpos = jpos, ipos
-			}
-			acc, pot := make([]vec.V3, 1), make([]float64, 1)
-			err := sys.Compute(ipos, jpos, []float64{1}, acc, pot)
-			if err == nil {
-				t.Errorf("strict mode accepted position %v (as j: %v)", p, asJ)
-			} else if !strings.Contains(err.Error(), fmt.Sprint(p)) {
-				t.Errorf("error %q does not name position %v", err, p)
-			}
-			if acc[0] != vec.Zero || pot[0] != 0 {
-				t.Errorf("rejected call wrote outputs: %v, %v", acc[0], pot[0])
-			}
-		}
-	}
-}
-
 func TestClampCounting(t *testing.T) {
 	for _, p := range outOfRange {
 		sys, _ := NewSystem(DefaultConfig())
@@ -266,82 +238,6 @@ func TestClampCounting(t *testing.T) {
 		if math.IsNaN(pot[0]) != math.IsNaN(p.Y) {
 			t.Errorf("position %v: potential %v", p, pot[0])
 		}
-	}
-}
-
-func TestResetCounters(t *testing.T) {
-	sys := newTestSystem(t)
-	sys.ChargeOnly(10, 10)
-	sys.ResetCounters()
-	if c := sys.Counters(); c.Interactions != 0 || c.HWSeconds() != 0 {
-		t.Errorf("counters not reset: %+v", c)
-	}
-}
-
-// TestResetCountersObserverConsistency is the regression test for the
-// counter/observer split-brain: ResetCounters used to zero the
-// Counters view while the attached Observer kept the hardware phase
-// spans and flop/byte counters the same charges had fed, so a
-// subsequent Snapshot reported t_grape/t_comm for work the counters
-// said never happened. Resetting must clear exactly the
-// observer-side state this System writes — and nothing owned by other
-// components.
-func TestResetCountersObserverConsistency(t *testing.T) {
-	sys := newTestSystem(t)
-	ob := obs.NewObserver()
-	sys.SetObserver(ob)
-
-	// Foreign state owned by the treecode and the guard, which a
-	// hardware counter reset must not disturb.
-	ob.AddSeconds(obs.PhaseGroupWalk, 0.5)
-	ob.AddSeconds(obs.PhaseGuard, 0.25)
-	ob.Add(obs.CntInteractions, 7)
-
-	sys.ChargeOnly(96, 1000)
-	if ob.Seconds(obs.PhasePipeline) == 0 || ob.Count(obs.CntFlops) == 0 {
-		t.Fatal("charge did not feed the observer — test is vacuous")
-	}
-
-	sys.ResetCounters()
-	if c := sys.Counters(); c.Interactions != 0 || c.HWSeconds() != 0 || c.BytesTransferred != 0 {
-		t.Errorf("counters not reset: %+v", c)
-	}
-	for _, p := range []obs.Phase{obs.PhaseJTransfer, obs.PhaseITransfer, obs.PhasePipeline, obs.PhaseReadback} {
-		if s := ob.Seconds(p); s != 0 {
-			t.Errorf("observer phase %v = %v after ResetCounters, want 0", p, s)
-		}
-	}
-	if n := ob.Count(obs.CntFlops); n != 0 {
-		t.Errorf("observer flops = %d after ResetCounters, want 0", n)
-	}
-	if n := ob.Count(obs.CntBytes); n != 0 {
-		t.Errorf("observer bytes = %d after ResetCounters, want 0", n)
-	}
-
-	// The snapshot must now agree with the counters: no phantom
-	// hardware time.
-	r := ob.Snapshot(1, 0)
-	if r.TGrape != 0 || r.TComm != 0 {
-		t.Errorf("snapshot reports t_grape=%v t_comm=%v after reset", r.TGrape, r.TComm)
-	}
-	// Foreign state survives.
-	if got := ob.Seconds(obs.PhaseGroupWalk); got != 0.5 {
-		t.Errorf("group walk span = %v, want 0.5 (reset clobbered foreign phase)", got)
-	}
-	if got := ob.Seconds(obs.PhaseGuard); got != 0.25 {
-		t.Errorf("guard span = %v, want 0.25 (reset clobbered foreign phase)", got)
-	}
-	if got := ob.Count(obs.CntInteractions); got != 7 {
-		t.Errorf("interactions counter = %d, want 7 (reset clobbered foreign counter)", got)
-	}
-
-	// A reset system must charge cleanly again with both views in step.
-	sys.ChargeOnly(10, 20)
-	if c := sys.Counters(); c.Interactions != 200 {
-		t.Errorf("post-reset interactions = %d, want 200", c.Interactions)
-	}
-	if ob.Seconds(obs.PhasePipeline) == 0 {
-		t.Error("post-reset charge not observed")
 	}
 }
 

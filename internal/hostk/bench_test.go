@@ -18,7 +18,7 @@ func benchNodes(n int) ([]octree.Node, vec.Box) {
 	for i := range nodes {
 		nodes[i] = octree.Node{
 			COM:  vec.V3{X: r.Uniform(-4, 5), Y: r.Uniform(-4, 5), Z: r.Uniform(-4, 5)},
-			Size: r.Float64(), Bmax: r.Float64() * 0.9,
+			Size: r.Float64(),
 		}
 	}
 	return nodes, box
@@ -53,7 +53,7 @@ func BenchmarkMACBatch(b *testing.B) {
 				for k := 0; k < hostk.MACWidth; k++ {
 					n := &nodes[base+k]
 					x[k], y[k], z[k] = n.COM.X, n.COM.Y, n.COM.Z
-					eff[k] = n.EffSize(false)
+					eff[k] = n.Size
 				}
 				sink.Accept(&x, &y, &z, &eff, &out)
 				for k := 0; k < hostk.MACWidth; k++ {

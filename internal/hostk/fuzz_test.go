@@ -65,7 +65,6 @@ func FuzzHostKernelSoA(f *testing.F) {
 		if r.Float64() < 0.05 {
 			theta = 0
 		}
-		useBmax := r.Float64() < 0.5
 		sink := hostk.MACSink{
 			MinX: box.Min.X, MinY: box.Min.Y, MinZ: box.Min.Z,
 			MaxX: box.Max.X, MaxY: box.Max.Y, MaxZ: box.Max.Z,
@@ -80,19 +79,19 @@ func FuzzHostKernelSoA(f *testing.F) {
 				// Place some candidates inside or on the sink surface.
 				com = lo.Add(vec.V3{X: r.Float64() * (box.Max.X - lo.X), Y: 0, Z: 0})
 			}
-			nodes[k] = octree.Node{COM: com, Size: r.Float64(), Bmax: r.Float64()}
+			nodes[k] = octree.Node{COM: com, Size: r.Float64()}
 			if k%5 == 0 {
-				nodes[k].Size, nodes[k].Bmax = 0, 0 // zero-size cells
+				nodes[k].Size = 0 // zero-size cells
 			}
 			x[k], y[k], z[k] = com.X, com.Y, com.Z
-			eff[k] = nodes[k].EffSize(useBmax)
+			eff[k] = nodes[k].Size
 		}
 		sink.Accept(&x, &y, &z, &eff, &out)
-		mac := octree.OpenCriterion{Theta: theta, UseBmax: useBmax}
+		mac := octree.OpenCriterion{Theta: theta}
 		for k := range nodes {
 			if want := mac.Accept(&nodes[k], box.Dist2(nodes[k].COM)); out[k] != want {
-				t.Fatalf("MAC lane %d diverged: soa=%v scalar=%v (com=%v eff=%g box=%v theta=%g bmax=%v)",
-					k, out[k], want, nodes[k].COM, eff[k], box, theta, useBmax)
+				t.Fatalf("MAC lane %d diverged: soa=%v scalar=%v (com=%v eff=%g box=%v theta=%g)",
+					k, out[k], want, nodes[k].COM, eff[k], box, theta)
 			}
 		}
 	})

@@ -13,13 +13,11 @@ import (
 // macCase is one adversarial MAC geometry: a sink box and a candidate
 // cell placed to stress the accept boundary.
 type macCase struct {
-	name    string
-	box     vec.Box
-	com     vec.V3
-	size    float64
-	bmax    float64
-	theta   float64
-	useBmax bool
+	name  string
+	box   vec.Box
+	com   vec.V3
+	size  float64
+	theta float64
 }
 
 func unitBox() vec.Box {
@@ -29,22 +27,21 @@ func unitBox() vec.Box {
 func macCases() []macCase {
 	b := unitBox()
 	return []macCase{
-		{name: "far-cell-accepted", box: b, com: vec.V3{X: 10, Y: 0.5, Z: 0.5}, size: 1, bmax: 0.9, theta: 0.75},
-		{name: "near-cell-opened", box: b, com: vec.V3{X: 1.1, Y: 0.5, Z: 0.5}, size: 1, bmax: 0.9, theta: 0.75},
-		{name: "com-inside-sink", box: b, com: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}, size: 0.5, bmax: 0.4, theta: 0.75},
-		{name: "com-on-face", box: b, com: vec.V3{X: 1, Y: 0.5, Z: 0.5}, size: 0.25, bmax: 0.2, theta: 0.75},
-		{name: "com-on-corner", box: b, com: vec.V3{X: 1, Y: 1, Z: 1}, size: 0.25, bmax: 0.2, theta: 0.75},
-		{name: "zero-size-inside", box: b, com: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}, size: 0, bmax: 0, theta: 0.75},
-		{name: "zero-size-outside", box: b, com: vec.V3{X: 3, Y: 3, Z: 3}, size: 0, bmax: 0, theta: 0.75},
-		{name: "theta-zero-far", box: b, com: vec.V3{X: 100, Y: 100, Z: 100}, size: 0.1, bmax: 0.05, theta: 0},
-		{name: "theta-zero-zero-size", box: b, com: vec.V3{X: 100, Y: 100, Z: 100}, size: 0, bmax: 0, theta: 0},
-		{name: "bmax-criterion", box: b, com: vec.V3{X: 2.5, Y: 0.5, Z: 0.5}, size: 1, bmax: 1.2, theta: 0.75, useBmax: true},
-		{name: "boundary-exact", box: b, com: vec.V3{X: 2, Y: 0.5, Z: 0.5}, size: 0.75, bmax: 0.75, theta: 0.75},
+		{name: "far-cell-accepted", box: b, com: vec.V3{X: 10, Y: 0.5, Z: 0.5}, size: 1, theta: 0.75},
+		{name: "near-cell-opened", box: b, com: vec.V3{X: 1.1, Y: 0.5, Z: 0.5}, size: 1, theta: 0.75},
+		{name: "com-inside-sink", box: b, com: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}, size: 0.5, theta: 0.75},
+		{name: "com-on-face", box: b, com: vec.V3{X: 1, Y: 0.5, Z: 0.5}, size: 0.25, theta: 0.75},
+		{name: "com-on-corner", box: b, com: vec.V3{X: 1, Y: 1, Z: 1}, size: 0.25, theta: 0.75},
+		{name: "zero-size-inside", box: b, com: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}, size: 0, theta: 0.75},
+		{name: "zero-size-outside", box: b, com: vec.V3{X: 3, Y: 3, Z: 3}, size: 0, theta: 0.75},
+		{name: "theta-zero-far", box: b, com: vec.V3{X: 100, Y: 100, Z: 100}, size: 0.1, theta: 0},
+		{name: "theta-zero-zero-size", box: b, com: vec.V3{X: 100, Y: 100, Z: 100}, size: 0, theta: 0},
+		{name: "boundary-exact", box: b, com: vec.V3{X: 2, Y: 0.5, Z: 0.5}, size: 0.75, theta: 0.75},
 		{name: "negative-coords", box: vec.Box{Min: vec.V3{X: -2, Y: -2, Z: -2}, Max: vec.V3{X: -1, Y: -1, Z: -1}},
-			com: vec.V3{X: -4, Y: -1.5, Z: -1.5}, size: 0.5, bmax: 0.45, theta: 0.6},
-		{name: "tiny-theta", box: b, com: vec.V3{X: 1e8, Y: 0, Z: 0}, size: 1e-8, bmax: 1e-8, theta: 1e-9},
+			com: vec.V3{X: -4, Y: -1.5, Z: -1.5}, size: 0.5, theta: 0.6},
+		{name: "tiny-theta", box: b, com: vec.V3{X: 1e8, Y: 0, Z: 0}, size: 1e-8, theta: 1e-9},
 		{name: "degenerate-point-box", box: vec.Box{Min: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}, Max: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}},
-			com: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}, size: 0.1, bmax: 0.1, theta: 0.75},
+			com: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}, size: 0.1, theta: 0.75},
 	}
 }
 
@@ -65,8 +62,8 @@ func TestSoAMatchesScalar(t *testing.T) {
 		for _, c := range macCases() {
 			c := c
 			t.Run(c.name, func(t *testing.T) {
-				n := &octree.Node{COM: c.com, Size: c.size, Bmax: c.bmax}
-				mac := octree.OpenCriterion{Theta: c.theta, UseBmax: c.useBmax}
+				n := &octree.Node{COM: c.com, Size: c.size}
+				mac := octree.OpenCriterion{Theta: c.theta}
 				want := mac.Accept(n, c.box.Dist2(c.com))
 
 				sink := sinkFor(c.box, c.theta)
@@ -76,7 +73,7 @@ func TestSoAMatchesScalar(t *testing.T) {
 				// must agree regardless of lane position.
 				for k := 0; k < hostk.MACWidth; k++ {
 					x[k], y[k], z[k] = c.com.X, c.com.Y, c.com.Z
-					eff[k] = n.EffSize(c.useBmax)
+					eff[k] = n.Size
 				}
 				sink.Accept(&x, &y, &z, &eff, &out)
 				for k := 0; k < hostk.MACWidth; k++ {
@@ -95,7 +92,6 @@ func TestSoAMatchesScalar(t *testing.T) {
 			lo := vec.V3{X: r.Float64() * 2, Y: r.Float64() * 2, Z: r.Float64() * 2}
 			box := vec.Box{Min: lo, Max: lo.Add(vec.V3{X: r.Float64(), Y: r.Float64(), Z: r.Float64()})}
 			theta := r.Float64() * 1.5
-			useBmax := trial%2 == 0
 			sink := sinkFor(box, theta)
 			var x, y, z, eff [hostk.MACWidth]float64
 			var out [hostk.MACWidth]bool
@@ -103,13 +99,13 @@ func TestSoAMatchesScalar(t *testing.T) {
 			for k := range nodes {
 				nodes[k] = octree.Node{
 					COM:  vec.V3{X: (r.Float64() - 0.5) * 8, Y: (r.Float64() - 0.5) * 8, Z: (r.Float64() - 0.5) * 8},
-					Size: r.Float64() * 2, Bmax: r.Float64() * 2,
+					Size: r.Float64() * 2,
 				}
 				x[k], y[k], z[k] = nodes[k].COM.X, nodes[k].COM.Y, nodes[k].COM.Z
-				eff[k] = nodes[k].EffSize(useBmax)
+				eff[k] = nodes[k].Size
 			}
 			sink.Accept(&x, &y, &z, &eff, &out)
-			mac := octree.OpenCriterion{Theta: theta, UseBmax: useBmax}
+			mac := octree.OpenCriterion{Theta: theta}
 			for k := range nodes {
 				want := mac.Accept(&nodes[k], box.Dist2(nodes[k].COM))
 				if out[k] != want {

@@ -18,8 +18,7 @@ type MACSink struct {
 
 // Accept writes out[k] = (eff[k]² < θ²·d²) for every lane, where d² is
 // the squared distance from the sink box to the candidate's centre of
-// mass (x,y,z) and eff is the cell's effective size (edge length or
-// bmax). All MACWidth lanes are evaluated unconditionally — callers
+// mass (x,y,z) and eff is the cell's edge length. All MACWidth lanes are evaluated unconditionally — callers
 // batching fewer candidates leave stale-but-finite values in the upper
 // lanes and ignore their verdicts.
 //

@@ -156,24 +156,6 @@ func (o *Observer) Reset() {
 	}
 }
 
-// ResetPhase zeroes a single phase's accumulated seconds. Components
-// that own a phase (the g5 timing model owns the hardware phases) use
-// it to keep their counter resets and the observer snapshot consistent.
-func (o *Observer) ResetPhase(p Phase) {
-	if o == nil || p >= numPhases {
-		return
-	}
-	o.phases[p].Store(0)
-}
-
-// ResetCounter zeroes a single counter.
-func (o *Observer) ResetCounter(c Counter) {
-	if o == nil || c >= numCounters {
-		return
-	}
-	o.counts[c].Store(0)
-}
-
 // AddSeconds adds s seconds to phase p. Negative and non-finite values
 // are discarded.
 func (o *Observer) AddSeconds(p Phase, s float64) {

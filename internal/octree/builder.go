@@ -39,8 +39,7 @@ type BuilderOptions struct {
 // key and sort-order buffers, the particle permutation scratch, the
 // node arena, and the parallel build's plan and per-subtree arenas. A
 // Builder reused across steps makes the whole sort+build allocation-free
-// in steady state (only the small Tree header is allocated per build,
-// so tree-reuse policies that compare tree identity keep working).
+// in steady state (only the small Tree header is allocated per build).
 //
 // The parallel build is bitwise-deterministic: it produces a node slice
 // byte-identical to the serial build's, independent of worker count and
@@ -111,9 +110,6 @@ func NewBuilder(o BuilderOptions) *Builder {
 	return &Builder{leafCap: lc, workers: w, ob: o.Obs}
 }
 
-// LeafCap returns the builder's leaf capacity.
-func (b *Builder) LeafCap() int { return b.leafCap }
-
 // Workers returns the builder's worker count.
 func (b *Builder) Workers() int { return b.workers }
 
@@ -161,7 +157,7 @@ func (b *Builder) Build(s *nbody.System) (*Tree, error) {
 	}
 	b.ob.AddSeconds(obs.PhaseTreeBuild, time.Since(t1).Seconds())
 
-	t := &Tree{Nodes: b.arena, Sys: s, LeafCap: b.leafCap}
+	t := &Tree{Nodes: b.arena, Sys: s}
 	// Recycle the dead previous tree's groups-cache storage so the
 	// steady-state Groups call allocates nothing either.
 	if p := b.prev; p != nil {
@@ -302,7 +298,7 @@ func (b *Builder) taskWorker(wg *sync.WaitGroup) {
 }
 
 // emitSpine appends spine node si and its planned subtrees to the arena
-// in preorder, then aggregates its mass/COM/bmax exactly as the serial
+// in preorder, then aggregates its mass and COM exactly as the serial
 // build's bottom-up pass does.
 func (b *Builder) emitSpine(si int32) int32 {
 	sn := b.spine[si]

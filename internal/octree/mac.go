@@ -7,12 +7,6 @@ type OpenCriterion struct {
 	// Theta is the Barnes-Hut opening parameter. Smaller is more
 	// accurate; 0 forces full opening (degenerates to direct summation).
 	Theta float64
-	// UseBmax selects the conservative criterion comparing the distance
-	// from the cell's centre of mass to its farthest corner (bmax)
-	// rather than the cell edge length. This matches the criterion of
-	// the Barnes (1990) vectorised code more closely and avoids the
-	// detonating-cell pathology of the plain geometric MAC.
-	UseBmax bool
 }
 
 // Accept reports whether the cell n may be approximated by its centre
@@ -23,7 +17,6 @@ type OpenCriterion struct {
 // predicate in batches through hostk.MACSink, whose conformance tests
 // pin exact bool-for-bool agreement with this function.
 func (c OpenCriterion) Accept(n *Node, d2 float64) bool {
-	s := n.EffSize(c.UseBmax)
-	// Accept when s < θ·d, i.e. s² < θ²·d².
-	return s*s < c.Theta*c.Theta*d2
+	// Accept when s < θ·d, i.e. s² < θ²·d², with s the cell edge.
+	return n.Size*n.Size < c.Theta*c.Theta*d2
 }

@@ -32,9 +32,6 @@ type Node struct {
 	Mass float64
 	// Size is the cell edge length.
 	Size float64
-	// Bmax is the distance from COM to the farthest cell corner, the
-	// conservative effective size used by the bmax opening criterion.
-	Bmax float64
 	// Start and Count give the cell's particle index range in tree
 	// (Morton) order.
 	Start, Count int32
@@ -45,18 +42,6 @@ type Node struct {
 	Leaf bool
 	// Level is the subdivision depth (root = 0).
 	Level int32
-}
-
-// EffSize returns the opening-criterion effective size: the cell edge
-// length, or the conservative COM-to-farthest-corner radius when
-// useBmax is set. Both the scalar criterion (OpenCriterion.Accept) and
-// the batched walk's lane gather read the quantity through this single
-// accessor so the two paths cannot drift.
-func (n *Node) EffSize(useBmax bool) float64 {
-	if useBmax {
-		return n.Bmax
-	}
-	return n.Size
 }
 
 // Tree is a built Barnes-Hut octree over a particle system. The system
@@ -71,8 +56,6 @@ type Tree struct {
 	Nodes []Node
 	// Sys is the particle system the tree indexes (in tree order).
 	Sys *nbody.System
-	// LeafCap is the maximum particle count of a leaf cell.
-	LeafCap int
 
 	// groups caches the most recent Groups(ncrit) result. The cache is
 	// born invalid on every (re)build — groupsNcrit 0 matches no valid
@@ -193,7 +176,7 @@ func (nb *nodeBuilder) build(box vec.Box, start, count int32, level int32) int32
 }
 
 // aggregateChildren runs the centre-of-mass pass for internal node idx:
-// mass, COM and bmax from its (already finished) children, in octant
+// mass and COM from its (already finished) children, in octant
 // order. The parallel build's stitch phase uses the identical call for
 // the spine, preserving floating-point summation order.
 func aggregateChildren(nodes []Node, idx int32, box vec.Box) {
@@ -214,10 +197,9 @@ func aggregateChildren(nodes []Node, idx int32, box vec.Box) {
 	} else {
 		n.COM = box.Center()
 	}
-	n.Bmax = maxCornerDist(box, n.COM)
 }
 
-// finishLeafNode fills a leaf node's mass, COM and bmax from the
+// finishLeafNode fills a leaf node's mass and COM from the
 // system's particles in its range.
 func finishLeafNode(sys *nbody.System, n *Node) {
 	var m float64
@@ -233,20 +215,6 @@ func finishLeafNode(sys *nbody.System, n *Node) {
 	} else {
 		n.COM = n.Box.Center()
 	}
-	n.Bmax = maxCornerDist(n.Box, n.COM)
-}
-
-// maxCornerDist returns the distance from p to the farthest corner of
-// the box.
-func maxCornerDist(b vec.Box, p vec.V3) float64 {
-	var d2 float64
-	for i := 0; i < 3; i++ {
-		lo := p.Comp(i) - b.Min.Comp(i)
-		hi := b.Max.Comp(i) - p.Comp(i)
-		d := math.Max(math.Abs(lo), math.Abs(hi))
-		d2 += d * d
-	}
-	return math.Sqrt(d2)
 }
 
 // Root returns the root node.
@@ -266,13 +234,11 @@ func (t *Tree) Depth() int {
 	return int(max) + 1
 }
 
-// Refresh recomputes masses, centres of mass and bmax bottom-up from
-// the current particle positions WITHOUT changing the cell topology.
-// Together with a periodic full rebuild this implements tree reuse:
-// between rebuilds particles drift slightly out of their cells, an
-// approximation bounded by the drift distance, while the O(N log N)
-// sort+build cost is amortised. (Classic 1990s treecode optimisation;
-// the ablation benchmarks quantify the trade-off.)
+// Refresh recomputes masses and centres of mass bottom-up from the
+// current particle positions WITHOUT changing the cell topology. Block
+// substeps with a small active set refresh instead of rebuilding:
+// particles drift slightly out of their cells, an approximation bounded
+// by the drift distance, while the O(N log N) sort+build is skipped.
 //
 // Refresh runs no recursion and allocates nothing: every constructor
 // (nodeBuilder.build, the parallel build's byte-identical layout, the
@@ -300,8 +266,8 @@ func (t *Tree) Refresh() {
 // each group is a contiguous range in tree order.
 //
 // The result is cached on the tree: repeat calls with the same ncrit
-// (the RebuildEvery>1 reuse path, where Refresh changes cell contents
-// but not topology) return the cached slice without re-scanning the
+// (block substeps that Refresh, which changes cell contents but not
+// topology) return the cached slice without re-scanning the
 // tree. The cache is invalidated by rebuilds and by a different ncrit.
 // Callers must not retain the slice across a rebuild.
 func (t *Tree) Groups(ncrit int) []Group {

@@ -209,20 +209,8 @@ func TestDepthReasonable(t *testing.T) {
 	}
 }
 
-func TestMaxCornerDist(t *testing.T) {
-	b := vec.NewBox(vec.V3{}, vec.V3{X: 2, Y: 2, Z: 2})
-	// From the centre, farthest corner is sqrt(3).
-	if d := maxCornerDist(b, vec.V3{X: 1, Y: 1, Z: 1}); math.Abs(d-math.Sqrt(3)) > 1e-12 {
-		t.Errorf("centre corner dist = %v", d)
-	}
-	// From a corner, farthest corner is the full diagonal.
-	if d := maxCornerDist(b, vec.V3{}); math.Abs(d-2*math.Sqrt(3)) > 1e-12 {
-		t.Errorf("corner corner dist = %v", d)
-	}
-}
-
 func TestOpenCriterion(t *testing.T) {
-	n := &Node{Size: 1, Bmax: 2}
+	n := &Node{Size: 1}
 	mac := OpenCriterion{Theta: 0.5}
 	// Accept requires d > s/θ = 2, i.e. d2 > 4.
 	if mac.Accept(n, 3.9) {
@@ -230,14 +218,6 @@ func TestOpenCriterion(t *testing.T) {
 	}
 	if !mac.Accept(n, 4.1) {
 		t.Error("rejected far cell")
-	}
-	bm := OpenCriterion{Theta: 0.5, UseBmax: true}
-	// With bmax=2 the threshold distance doubles: d2 > 16.
-	if bm.Accept(n, 15) {
-		t.Error("bmax accepted too close")
-	}
-	if !bm.Accept(n, 17) {
-		t.Error("bmax rejected far cell")
 	}
 	// θ=0 never accepts.
 	zero := OpenCriterion{Theta: 0}

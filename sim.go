@@ -85,14 +85,12 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 
 	sim := &Simulation{Sys: sys, cfg: cfg, ob: obs.NewObserver()}
 	opt := core.Options{
-		Theta:        cfg.Theta,
-		Ncrit:        cfg.Ncrit,
-		LeafCap:      cfg.LeafCap,
-		G:            cfg.G,
-		Eps:          cfg.Eps,
-		Workers:      cfg.Workers,
-		RebuildEvery: cfg.RebuildEvery,
-		Obs:          sim.ob,
+		Theta:   cfg.Theta,
+		Ncrit:   cfg.Ncrit,
+		G:       cfg.G,
+		Eps:     cfg.Eps,
+		Workers: cfg.Workers,
+		Obs:     sim.ob,
 	}
 
 	var engine core.Engine

@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/g5"
 	"repro/internal/obs"
 )
@@ -87,16 +88,14 @@ func (sim *Simulation) CheckpointState() ckpt.State {
 		T0:    sim.aux.T0,
 		Age0:  sim.aux.Age0,
 
-		Theta:        sim.cfg.Theta,
-		Eps:          sim.cfg.Eps,
-		G:            sim.cfg.G,
-		Ncrit:        int64(sim.cfg.Ncrit),
-		LeafCap:      int64(sim.cfg.LeafCap),
-		RebuildEvery: int64(sim.cfg.RebuildEvery),
-		PMGrid:       int64(sim.cfg.PMGrid),
-		Engine:       int64(sim.cfg.Engine),
-		Shards:       int64(sim.cfg.Shards),
-		Seed:         sim.aux.Seed,
+		Theta:  sim.cfg.Theta,
+		Eps:    sim.cfg.Eps,
+		G:      sim.cfg.G,
+		Ncrit:  int64(sim.cfg.Ncrit),
+		PMGrid: int64(sim.cfg.PMGrid),
+		Engine: int64(sim.cfg.Engine),
+		Shards: int64(sim.cfg.Shards),
+		Seed:   sim.aux.Seed,
 
 		TotalInteractions: sim.TotalInteractions,
 
@@ -184,11 +183,17 @@ func ResumeConfig(st ckpt.State, cfg Config) (Config, error) {
 	float("G", st.G, &out.G)
 	float("dt", st.DT, &out.DT)
 	integer("ncrit", st.Ncrit, &out.Ncrit)
-	integer("leafcap", st.LeafCap, &out.LeafCap)
-	integer("rebuild-every", st.RebuildEvery, &out.RebuildEvery)
 	integer("pm-grid", st.PMGrid, &out.PMGrid)
 	if err != nil {
 		return Config{}, err
+	}
+	// Retired options: a run that set them is on a trajectory no
+	// Simulation can continue.
+	if st.LeafCap != 0 && st.LeafCap != core.LeafCap {
+		return Config{}, fmt.Errorf("grape5: resume leafcap: checkpoint ran leaf capacity %d, every run now uses %d", st.LeafCap, core.LeafCap)
+	}
+	if st.RebuildEvery != 0 && st.RebuildEvery != 1 {
+		return Config{}, fmt.Errorf("grape5: resume rebuild-every: checkpoint reused its tree for %d steps, every run now rebuilds each step", st.RebuildEvery)
 	}
 	if st.Engine >= 0 {
 		// The checkpoint's engine is known (0 = host is a real value here,

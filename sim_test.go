@@ -150,7 +150,7 @@ func TestTwoBodyFacade(t *testing.T) {
 	if s.N() != 2 {
 		t.Fatal("not two bodies")
 	}
-	sim, err := NewSimulation(s, Config{Theta: 0.01, Ncrit: 1, LeafCap: 1, G: 1, DT: 1e-3, Engine: EngineHost})
+	sim, err := NewSimulation(s, Config{Theta: 0.01, Ncrit: 1, G: 1, DT: 1e-3, Engine: EngineHost})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,28 +275,6 @@ func TestSimulationPMEngine(t *testing.T) {
 	}
 	if maxR > 25 {
 		t.Errorf("PM run exploded: max radius %v", maxR)
-	}
-}
-
-func TestSimulationTreeReuse(t *testing.T) {
-	s := Plummer(1000, 1, 1, 1, 14)
-	sim, err := NewSimulation(s, Config{
-		Theta: 0.7, Ncrit: 128, G: 1, Eps: 0.05, DT: 0.005,
-		Engine: EngineHost, RebuildEvery: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Prime(); err != nil {
-		t.Fatal(err)
-	}
-	e0 := sim.Energy().Total()
-	if err := sim.Run(40); err != nil {
-		t.Fatal(err)
-	}
-	e1 := sim.Energy().Total()
-	if rel := math.Abs(e1-e0) / math.Abs(e0); rel > 0.02 {
-		t.Errorf("tree-reuse energy drift = %v", rel)
 	}
 }
 
