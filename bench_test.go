@@ -303,27 +303,6 @@ func benchWorkers(b *testing.B, w int) {
 	}
 }
 
-// Precision ablation: full-precision pipeline configuration vs the
-// GRAPE-5 reduced-precision default (functional emulation cost).
-func BenchmarkAblationPipelinePrecision(b *testing.B) {
-	cfg := g5.DefaultConfig()
-	cfg.PosBits, cfg.MassBits, cfg.R2Bits, cfg.PipeBits = 52, 52, 52, 52
-	req := kernelRequest(96, 2000)
-	sys, err := g5.NewSystem(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.SetScale(-100, 100); err != nil {
-		b.Fatal(err)
-	}
-	e := g5.NewEngine(sys, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Accumulate(req)
-	}
-	b.ReportMetric(float64(96*2000*b.N)/b.Elapsed().Seconds(), "interactions/s")
-}
-
 // ---------------------------------------------------------------------
 // Additional component benches: radix sort, FoF, driver, and the
 // original-on-GRAPE counterfactual.
@@ -388,7 +367,7 @@ func BenchmarkAblationModifiedOnGRAPE(b *testing.B) {
 	s := benchSystem(20000, 13)
 	var hw float64
 	for i := 0; i < b.N; i++ {
-		rep, _, err := perf.TreeStepModel(s, 0.75, 2000, g5.DefaultConfig(), perf.DS10())
+		rep, _, err := perf.TreeStepModel(s, 0.75, 2000, perf.DS10())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -398,33 +377,8 @@ func BenchmarkAblationModifiedOnGRAPE(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Extension experiments: board scaling, PM baseline.
+// Extension experiments: PM baseline.
 // ---------------------------------------------------------------------
-
-// Board-count scaling: the modelled step time as a GRAPE-5 installation
-// grows. Pipeline time scales down with boards; the host share does not
-// (Amdahl) — the balance that capped single-host GRAPE systems.
-func BenchmarkScalingBoards1(b *testing.B) { benchBoards(b, 1) }
-func BenchmarkScalingBoards2(b *testing.B) { benchBoards(b, 2) }
-func BenchmarkScalingBoards4(b *testing.B) { benchBoards(b, 4) }
-func BenchmarkScalingBoards8(b *testing.B) { benchBoards(b, 8) }
-
-func benchBoards(b *testing.B, boards int) {
-	s := sharedCosmoSnapshot(b)
-	cfg := g5.DefaultConfig()
-	cfg.Boards = boards
-	var rep perf.StepReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, _, err = perf.TreeStepModel(s, 0.5, 2000, cfg, perf.DS10())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rep.PipeSeconds, "pipe-s")
-	b.ReportMetric(rep.TotalSeconds(), "step-s")
-	b.ReportMetric(float64(cfg.PeakFlops())/1e9, "peak-Gflops")
-}
 
 // PM baseline: wall-clock of a PM force solve vs the treecode at the
 // same N (PM error characteristics are covered in internal/pm tests).

@@ -243,10 +243,9 @@ func main() {
 
 	faultsOn := *faultFlip > 0 || *faultStuck > 0 || *faultBus > 0 ||
 		*faultTrans > 0 || *failBoard > 0
-	var hwCfg g5.Config
+	var fault *g5.FaultModel
 	if faultsOn {
-		hwCfg = g5.DefaultConfig()
-		hwCfg.Fault = &g5.FaultModel{
+		fault = &g5.FaultModel{
 			Seed:            *faultSeed,
 			JMemBitFlipRate: *faultFlip,
 			StuckPipeRate:   *faultStuck,
@@ -322,7 +321,7 @@ func main() {
 		// inherits the checkpoint's fingerprint (ResumeConfig errors on
 		// any conflict).
 		overlay := grape5.Config{
-			Guard: *guard, GRAPE: hwCfg, Adaptive: adaptive,
+			Guard: *guard, Fault: fault, Adaptive: adaptive,
 			Engine: ifSet(setFlags["engine"], engKind),
 			Theta:  ifSet(setFlags["theta"], *theta),
 			Ncrit:  ifSet(setFlags["ncrit"], *ncrit),
@@ -340,7 +339,7 @@ func main() {
 		}
 	} else {
 		cfg := grape5.Config{Theta: *theta, Ncrit: *ncrit, Eps: *eps,
-			Engine: engKind, Guard: *guard, GRAPE: hwCfg,
+			Engine: engKind, Guard: *guard, Fault: fault,
 			Shards: ifSet(setFlags["boards"], *boards),
 			Blocks: *blocks, DTMin: *dtMin, Eta: *eta, Adaptive: adaptive}
 		if engKind == grape5.EnginePM {
@@ -560,7 +559,7 @@ func main() {
 
 	if c := sim.HardwareCounters(); c.Runs > 0 && sim.Config().Engine == grape5.EngineGRAPE5 {
 		cl := sim.Cluster()
-		k, bCfg := cl.Shards(), cl.ShardSystem(0).Config()
+		k := cl.Shards()
 		fmt.Printf("GRAPE-5: runs=%d j-passes=%d bytes=%.3g clamps=%d\n",
 			c.Runs, c.JPasses, float64(c.BytesTransferred), c.RangeClamps)
 		// For K > 1 the shards drain concurrently: the aggregate pipe/bus
@@ -570,25 +569,25 @@ func main() {
 			wall = cl.CriticalHWSeconds()
 		}
 		fmt.Printf("GRAPE-5 modelled time: pipe %.3gs + bus %.3gs = %.3gs aggregate (peak %.4g Gflops)\n",
-			c.PipeSeconds, c.BusSeconds, c.HWSeconds(), float64(k)*bCfg.PeakFlops()/1e9)
+			c.PipeSeconds, c.BusSeconds, c.HWSeconds(), float64(k)*g5.PeakFlops/1e9)
 		if k > 1 {
 			loads := cl.ShardInteractions()
 			fmt.Printf("cluster: K=%d shards, critical-path hardware time %.3gs\n", k, wall)
 			for s, ints := range loads {
 				fmt.Printf("  shard %d: interactions=%.3g batches=%d boards=%d/%d\n",
 					s, float64(ints), cl.ShardBatches()[s],
-					cl.ShardSystem(s).ActiveBoards(), bCfg.Boards)
+					cl.ShardSystem(s).ActiveBoards(), g5.Boards)
 			}
 		}
 		gb := perf.GordonBell{
 			Interactions:         float64(sim.TotalInteractions),
 			OriginalInteractions: float64(sim.TotalInteractions), // raw accounting here
 			WallClockSeconds:     wall,
-			OpsPerInteraction:    bCfg.OpsPerInteraction,
+			OpsPerInteraction:    g5.OpsPerInteraction,
 			Cost:                 perf.PaperCostModel(),
 		}
 		fmt.Printf("hardware-side sustained speed: %.3g Gflops of %.4g peak\n",
-			gb.RawFlops()/1e9, float64(k)*bCfg.PeakFlops()/1e9)
+			gb.RawFlops()/1e9, float64(k)*g5.PeakFlops/1e9)
 	}
 	if fs := sim.FaultStats(); fs != (g5.FaultStats{}) {
 		fmt.Printf("injected faults: bitflips=%d stuck-pipe-calls=%d bus=%d transient=%d\n",
@@ -611,7 +610,7 @@ func main() {
 		refCfg.Engine = grape5.EngineHost
 		refCfg.Guard = false
 		refCfg.Shards = 0
-		refCfg.GRAPE = g5.Config{}
+		refCfg.Fault = nil
 		refSim, err := grape5.NewSimulation(ref, refCfg)
 		if err != nil {
 			log.Fatal(err)

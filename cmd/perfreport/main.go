@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	grape5 "repro"
-	"repro/internal/g5"
 	"repro/internal/nbody"
 	"repro/internal/perf"
 	"repro/internal/snapio"
@@ -103,13 +102,13 @@ func runReport(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg, host, cost := g5.DefaultConfig(), perf.DS10(), perf.PaperCostModel()
-	rec := record{Constants: constants(cfg, cost), PaperTotals: gordonBell(perf.PaperGordonBell())}
-	if rec.Headline, err = headline(source, sys, *theta, *ncrit, cfg, host, cost); err != nil {
+	host, cost := perf.DS10(), perf.PaperCostModel()
+	rec := record{Constants: constants(cost), PaperTotals: gordonBell(perf.PaperGordonBell())}
+	if rec.Headline, err = headline(source, sys, *theta, *ncrit, host, cost); err != nil {
 		return err
 	}
 	if rec.Direct, err = direct([]recordDirect{{Model: model, N: sys.N()},
-		{Model: "paper", N: units.PaperN}}, cfg, host); err != nil {
+		{Model: "paper", N: units.PaperN}}, host); err != nil {
 		return err
 	}
 	printReport(w, rec)

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/g5"
 	"repro/internal/perf"
 )
 
@@ -29,7 +28,7 @@ func TestNgSweepStarsTheOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := perf.NgSweep(sys, 0.75, ncrits, perf.DS10(), g5.DefaultConfig())
+	points, err := perf.NgSweep(sys, 0.75, ncrits, perf.DS10())
 	if err != nil {
 		t.Fatal(err)
 	}

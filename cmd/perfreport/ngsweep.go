@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	grape5 "repro"
-	"repro/internal/g5"
 	"repro/internal/perf"
 )
 
@@ -45,7 +44,7 @@ func runNgSweep(args []string, w io.Writer) error {
 		return err
 	}
 	host := perf.DS10()
-	sw, err := sweeps("cosmo", sys, *seed, *theta, ncrits, []int{1}, host, g5.DefaultConfig())
+	sw, err := sweeps("cosmo", sys, *seed, *theta, ncrits, []int{1}, host)
 	if err != nil {
 		return err
 	}

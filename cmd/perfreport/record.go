@@ -58,10 +58,10 @@ type recordConstants struct {
 	ParticleMassMsun  float64 `json:"particle_mass_msun"`
 }
 
-func constants(cfg g5.Config, cost perf.CostModel) recordConstants {
+func constants(cost perf.CostModel) recordConstants {
 	return recordConstants{
-		PhysicalPipes: cfg.PhysicalPipes(), ClockHz: cfg.ChipClockHz,
-		OpsPerInteraction: cfg.OpsPerInteraction, PeakFlops: cfg.PeakFlops(),
+		PhysicalPipes: g5.PhysicalPipes, ClockHz: g5.ChipClockHz,
+		OpsPerInteraction: g5.OpsPerInteraction, PeakFlops: g5.PeakFlops,
 		CostJYE: cost.TotalJYE(), CostDollars: cost.TotalDollars(),
 		ParticleMassMsun: 1e10 * units.ParticleMass(units.OmegaM, units.LittleH, units.PaperRadiusMpc, units.PaperN),
 	}
@@ -121,8 +121,8 @@ type recordSweep struct {
 
 // sweeps is §3: one snapshot's time balance over n_g, once per board
 // count K (boards lead with 1).
-func sweeps(model string, sys *nbody.System, seed uint64, theta float64, ncrits, boards []int, host perf.HostModel, cfg g5.Config) ([]recordSweep, error) {
-	serial, err := perf.NgSweep(sys, theta, ncrits, host, cfg)
+func sweeps(model string, sys *nbody.System, seed uint64, theta float64, ncrits, boards []int, host perf.HostModel) ([]recordSweep, error) {
+	serial, err := perf.NgSweep(sys, theta, ncrits, host)
 	if err != nil {
 		return nil, err
 	}
@@ -179,8 +179,8 @@ type recordHeadline struct {
 	Run                  recordGordonBell `json:"run"`
 }
 
-func headline(source string, sys *nbody.System, theta float64, ncrit int, cfg g5.Config, host perf.HostModel, cost perf.CostModel) (recordHeadline, error) {
-	p, err := perf.NgSweep(sys, theta, []int{ncrit}, host, cfg)
+func headline(source string, sys *nbody.System, theta float64, ncrit int, host perf.HostModel, cost perf.CostModel) (recordHeadline, error) {
+	p, err := perf.NgSweep(sys, theta, []int{ncrit}, host)
 	if err != nil {
 		return recordHeadline{}, err
 	}
@@ -191,7 +191,7 @@ func headline(source string, sys *nbody.System, theta float64, ncrit int, cfg g5
 	h := recordHeadline{Source: source, N: sys.N(), Theta: theta, Step: point(p[0], p[0], 1),
 		OriginalInteractions: orig, Steps: units.PaperSteps}
 	h.Run = gordonBell(perf.RunModel{Steps: h.Steps, PerStep: p[0].Report, OriginalPerStep: orig,
-		OpsPerInteraction: cfg.OpsPerInteraction, Cost: cost}.GordonBell())
+		OpsPerInteraction: g5.OpsPerInteraction, Cost: cost}.GordonBell())
 	return h, nil
 }
 
@@ -204,9 +204,9 @@ type recordDirect struct {
 }
 
 // direct prices each row (Model and N given) by direct summation.
-func direct(rows []recordDirect, cfg g5.Config, host perf.HostModel) ([]recordDirect, error) {
+func direct(rows []recordDirect, host perf.HostModel) ([]recordDirect, error) {
 	for i := range rows {
-		rep, err := perf.DirectStepModel(rows[i].N, cfg, host)
+		rep, err := perf.DirectStepModel(rows[i].N, host)
 		if err != nil {
 			return nil, err
 		}
@@ -218,9 +218,9 @@ func direct(rows []recordDirect, cfg g5.Config, host perf.HostModel) ([]recordDi
 // runRecord evaluates every section at the record's inputs and writes
 // BENCH_treecode.json to w.
 func runRecord(w io.Writer) error {
-	cfg, host, cost := g5.DefaultConfig(), perf.DS10(), perf.PaperCostModel()
+	host, cost := perf.DS10(), perf.PaperCostModel()
 	rec := record{SchemaVersion: recordSchemaVersion, HostModel: host.Name,
-		Constants: constants(cfg, cost), PaperTotals: gordonBell(perf.PaperGordonBell())}
+		Constants: constants(cost), PaperTotals: gordonBell(perf.PaperGordonBell())}
 	var in accuracyInputs
 	in.bind(flag.NewFlagSet("record", flag.ContinueOnError))
 	var err error
@@ -239,17 +239,17 @@ func runRecord(w io.Writer) error {
 		model string
 		sys   *nbody.System
 	}{{plummer.Name, plummer.New(recordPlummerN, recordSeed)}, {"cosmo", cosmo}} {
-		sw, err := sweeps(s.model, s.sys, recordSeed, grape5.DefaultTheta, recordNcrits, recordBoards, host, cfg)
+		sw, err := sweeps(s.model, s.sys, recordSeed, grape5.DefaultTheta, recordNcrits, recordBoards, host)
 		if err != nil {
 			return err
 		}
 		rec.Sweeps = append(rec.Sweeps, sw...)
 	}
-	if rec.Headline, err = headline(fresh(recordCosmoGrid, 0, recordSeed), cosmo, grape5.DefaultTheta, grape5.DefaultNcrit, cfg, host, cost); err != nil {
+	if rec.Headline, err = headline(fresh(recordCosmoGrid, 0, recordSeed), cosmo, grape5.DefaultTheta, grape5.DefaultNcrit, host, cost); err != nil {
 		return err
 	}
 	if rec.Direct, err = direct([]recordDirect{{Model: plummer.Name, N: recordPlummerN},
-		{Model: "cosmo", N: cosmo.N()}, {Model: "paper", N: units.PaperN}}, cfg, host); err != nil {
+		{Model: "cosmo", N: cosmo.N()}, {Model: "paper", N: units.PaperN}}, host); err != nil {
 		return err
 	}
 	enc := json.NewEncoder(w)

@@ -190,7 +190,7 @@ func TestLiveForceCallEqualsReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		replay := hw.Counters()
-		rep, _, err := perf.TreeStepModel(snapshot, grape5.DefaultTheta, ng, g5.DefaultConfig(), host)
+		rep, _, err := perf.TreeStepModel(snapshot, grape5.DefaultTheta, ng, host)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestLiveOptimumWithinOnePointOfReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := perf.NgSweep(m.New(liveN, recordSeed), grape5.DefaultTheta, liveNcrits, host, g5.DefaultConfig())
+	replay, err := perf.NgSweep(m.New(liveN, recordSeed), grape5.DefaultTheta, liveNcrits, host)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,11 +81,10 @@ type Config struct {
 	DT float64
 	// Engine selects host or GRAPE-5 force evaluation.
 	Engine EngineKind
-	// GRAPE configures the hardware when Engine is EngineGRAPE5; the
-	// zero value means g5.DefaultConfig (the paper's 2-board system),
-	// and any other value must start from it (Boards set). Set
-	// GRAPE.Fault to inject deterministic hardware faults.
-	GRAPE g5.Config
+	// Fault, with EngineGRAPE5, injects seeded deterministic hardware
+	// faults into every board of the paper's 2-board system; nil is a
+	// perfect device.
+	Fault *g5.FaultModel
 	// Guard turns on the fault-tolerant offload path of EngineGRAPE5
 	// (acceptance checks, retries, board exclusion, host fallback).
 	// Without it a hardware error fails the force call: Prime or Step
@@ -136,9 +135,8 @@ func (cfg Config) blockSpan() float64 {
 // calls it before building anything, so every front-end is held to the
 // same rules: real-valued parameters finite and non-negative (zero is
 // "unset"), counts non-negative, a known engine, the GRAPE-only options
-// (Guard, Shards > 1, GRAPE.Fault) only with EngineGRAPE5, a GRAPE
-// that is zero or sets Boards, a coherent block-timestep ladder, and a
-// positive step.
+// (Guard, Shards > 1, Fault) only with EngineGRAPE5, a valid fault
+// model, a coherent block-timestep ladder, and a positive step.
 func (cfg Config) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -171,12 +169,12 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("grape5: Guard needs the grape5 engine, got %s", cfg.Engine)
 		case cfg.Shards > 1:
 			return fmt.Errorf("grape5: Shards = %d needs the grape5 engine, got %s", cfg.Shards, cfg.Engine)
-		case cfg.GRAPE.Fault != nil:
+		case cfg.Fault != nil:
 			return fmt.Errorf("grape5: fault injection needs the grape5 engine, got %s", cfg.Engine)
 		}
 	}
-	if cfg.GRAPE.Boards == 0 && cfg.GRAPE != (g5.Config{}) {
-		return fmt.Errorf("grape5: GRAPE sets fields but Boards = 0; start from g5.DefaultConfig()")
+	if err := (g5.Config{Fault: cfg.Fault}).Validate(); err != nil {
+		return err
 	}
 	if cfg.Blocks > 0 {
 		if cfg.Adaptive {

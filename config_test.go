@@ -44,10 +44,10 @@ func TestConfigValidate(t *testing.T) {
 		{"shards on host", with(func(c *Config) { c.Shards = 2 }), "grape5 engine"},
 		{"guard on host", with(func(c *Config) { c.Guard = true }), "grape5 engine"},
 		{"guard on pm", with(func(c *Config) { c.Engine, c.Guard = EnginePM, true }), "grape5 engine"},
-		{"faults on host", with(func(c *Config) { c.GRAPE.Fault = &g5.FaultModel{Seed: 1} }), "grape5 engine"},
-		{"GRAPE without boards", with(func(c *Config) {
-			c.Engine, c.Guard, c.GRAPE = EngineGRAPE5, true, g5.Config{Fault: &g5.FaultModel{StuckPipeRate: 0.5}}
-		}), "g5.DefaultConfig()"},
+		{"faults on host", with(func(c *Config) { c.Fault = &g5.FaultModel{Seed: 1} }), "grape5 engine"},
+		{"fault rate above 1", with(func(c *Config) {
+			c.Engine, c.Guard, c.Fault = EngineGRAPE5, true, &g5.FaultModel{StuckPipeRate: 1.5}
+		}), "StuckPipeRate"},
 		{"blocks without dtmin", with(func(c *Config) { c.Blocks, c.DT = 4, 0 }), "DTMin"},
 		{"blocks with adaptive", with(func(c *Config) { c.Blocks, c.DTMin, c.DT, c.Adaptive = 4, 0.001, 0, true }), "exclusive"},
 	}

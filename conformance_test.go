@@ -371,15 +371,14 @@ func TestBlockTopRungMatchesLeapfrog(t *testing.T) {
 }
 
 // TestTrajectoryMatchesPreSoASeed replays the pre-SoA scenarios — the
-// host walk and P2P kernel, a guarded run whose only board dies on the
+// host walk and P2P kernel, a guarded run that loses every board on the
 // first call, a two-board run that loses a board mid-run — and requires
 // every per-step hash to match.
 func TestTrajectoryMatchesPreSoASeed(t *testing.T) {
 	want := readGolden(t, presoaGoldenPath, func(g stepGolden) string { return g.Name })
-	loss := g5.DefaultConfig()
-	loss.Fault = &g5.FaultModel{Seed: 3, FailBoard: 2, FailAfterRuns: 40, FailSlot: 7}
 	lossCfg := modeFixed()
-	lossCfg.Engine, lossCfg.GRAPE, lossCfg.Guard = EngineGRAPE5, loss, true
+	lossCfg.Engine, lossCfg.Guard = EngineGRAPE5, true
+	lossCfg.Fault = &g5.FaultModel{Seed: 3, FailBoard: 2, FailAfterRuns: 40, FailSlot: 7}
 	dead := smallCell("dead", func(*Config) {}).cfg
 	anchors := []cell{
 		{name: "host-engine", n: 600, seed: 11, steps: 8, cfg: Config{
@@ -424,8 +423,7 @@ func onGRAPE(shards int, f *g5.FaultModel, edit ...func(*Config)) func(*Config) 
 			c.Shards = shards
 		}
 		if f != nil {
-			c.GRAPE = g5.DefaultConfig()
-			c.GRAPE.Fault = f
+			c.Fault = f
 			c.GuardPolicy = g5.GuardPolicy{BackoffBase: 1, BackoffMax: 1}
 		}
 		for _, e := range edit {
@@ -460,8 +458,10 @@ var matrixColumns = []column{
 	}},
 	{"stuck", 'G', "", onGRAPE(1, &g5.FaultModel{Seed: 5, StuckPipeRate: 0.02}),
 		func(r record, _ *Simulation) bool { return r.Recovery.CorruptResults > 0 }},
-	{"dead", 'H', "", onGRAPE(1, &g5.FaultModel{Seed: 9, FailBoard: 1, FailSlot: 3}, func(c *Config) {
-		c.GRAPE.Boards, c.GuardPolicy.MaxRetries, c.GuardPolicy.FallbackAfter = 1, 1, 1
+	// A pipe of a board in service sticks on every call: each board in
+	// turn fails the check and the first batch abandons the hardware.
+	{"dead", 'H', "", onGRAPE(1, &g5.FaultModel{Seed: 9, StuckPipeRate: 1}, func(c *Config) {
+		c.GuardPolicy.MaxRetries, c.GuardPolicy.FallbackAfter = 1, 1
 	}), func(r record, sim *Simulation) bool {
 		return r.Recovery.HostOnly && r.Recovery.FallbackBatches > 0 && sim.Cluster().ActiveBoards() == 0
 	}},
@@ -568,7 +568,7 @@ func TestConformanceMatrix(t *testing.T) {
 							if !resumed && !col.shows(got, sim) {
 								t.Errorf("%s run lacks its signature: %+v %s %+v loads %v", col.name, got.HW, got.Recovery, got.Faults, got.Loads)
 							}
-							if procs == 1 && !resumed && c.cfg.GRAPE.Fault != nil {
+							if procs == 1 && !resumed && c.cfg.Fault != nil {
 								if again, _ := c.run(t); !sameTrajectory(again, got) || !sameCounters(again, got) || !slices.Equal(again.Loads, got.Loads) {
 									t.Errorf("faulted run not reproducible at GOMAXPROCS 1:\n got %+v %s %v\nthen %+v %s %v", got.golden, got.Recovery, got.Loads, again.golden, again.Recovery, again.Loads)
 								}

@@ -13,9 +13,3 @@ func Marshal(c *Checkpoint) ([]byte, error) {
 	}
 	return buf.Bytes(), nil
 }
-
-// Unmarshal parses and fully validates a checkpoint from bytes (the
-// same structural, bounds and CRC checks as Read).
-func Unmarshal(data []byte) (*Checkpoint, error) {
-	return Read(bytes.NewReader(data))
-}

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestMarshalRoundtrip: Marshal → Unmarshal must reproduce the
+// TestMarshalRoundtrip: Marshal → Read must reproduce the
 // checkpoint, and marshalling the reconstruction must give the exact
 // same bytes (the job server's result payloads rely on Marshal output
 // being a stable function of the simulation state).
@@ -15,7 +15,7 @@ func TestMarshalRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
-	got, err := Unmarshal(data)
+	got, err := Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
@@ -36,7 +36,7 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		t.Fatalf("Marshal: %v", err)
 	}
 	data[len(data)-20] ^= 0x40
-	if _, err := Unmarshal(data); err == nil {
+	if _, err := Read(bytes.NewReader(data)); err == nil {
 		t.Fatal("Unmarshal accepted a corrupted checkpoint")
 	}
 }

@@ -49,16 +49,6 @@ func NewPlan(n int) (*Plan, error) {
 	return &Plan{n: n, tw: newTwiddles(n)}, nil
 }
 
-// MustPlan is NewPlan that panics on error; for lengths known at
-// compile time.
-func MustPlan(n int) *Plan {
-	p, err := NewPlan(n)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Len returns the transform length of the plan.
 func (p *Plan) Len() int { return p.n }
 

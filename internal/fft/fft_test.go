@@ -9,6 +9,16 @@ import (
 	"repro/internal/rng"
 )
 
+// mustPlan is NewPlan for a length the test knows is valid.
+func mustPlan(t *testing.T, n int) *Plan {
+	t.Helper()
+	p, err := NewPlan(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestIsPow2(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 1024} {
 		if !IsPow2(n) {
@@ -35,7 +45,7 @@ func TestForwardKnownDFT(t *testing.T) {
 	// Impulse transforms to all-ones.
 	x := make([]complex128, 8)
 	x[0] = 1
-	MustPlan(8).Forward(x)
+	mustPlan(t, 8).Forward(x)
 	for i, v := range x {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Errorf("impulse FFT[%d] = %v, want 1", i, v)
@@ -45,7 +55,7 @@ func TestForwardKnownDFT(t *testing.T) {
 	for i := range x {
 		x[i] = 2
 	}
-	MustPlan(8).Forward(x)
+	mustPlan(t, 8).Forward(x)
 	if cmplx.Abs(x[0]-16) > 1e-12 {
 		t.Errorf("DC bin = %v, want 16", x[0])
 	}
@@ -64,7 +74,7 @@ func TestSingleModeFrequency(t *testing.T) {
 		s, c := math.Sincos(2 * math.Pi * k * float64(i) / n)
 		x[i] = complex(c, s)
 	}
-	MustPlan(n).Forward(x)
+	mustPlan(t, n).Forward(x)
 	for i := range x {
 		want := complex128(0)
 		if i == k {
@@ -84,7 +94,7 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 		x[i] = complex(r.Normal(), r.Normal())
 	}
 	want := naiveDFT(x)
-	MustPlan(n).Forward(x)
+	mustPlan(t, n).Forward(x)
 	for i := range x {
 		if cmplx.Abs(x[i]-want[i]) > 1e-9 {
 			t.Fatalf("bin %d: fft %v vs naive %v", i, x[i], want[i])
@@ -115,7 +125,7 @@ func TestInverseRoundTrip(t *testing.T) {
 			x[i] = complex(r.Normal(), r.Normal())
 			orig[i] = x[i]
 		}
-		p := MustPlan(n)
+		p := mustPlan(t, n)
 		p.Forward(x)
 		p.Inverse(x)
 		for i := range x {
@@ -128,7 +138,7 @@ func TestInverseRoundTrip(t *testing.T) {
 
 // Property: Parseval's theorem Σ|x|² = (1/N) Σ|X|².
 func TestParsevalProperty(t *testing.T) {
-	p := MustPlan(64)
+	p := mustPlan(t, 64)
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		x := make([]complex128, 64)
@@ -151,7 +161,7 @@ func TestParsevalProperty(t *testing.T) {
 
 // Property: linearity F(a·x + y) = a·F(x) + F(y).
 func TestLinearityProperty(t *testing.T) {
-	p := MustPlan(32)
+	p := mustPlan(t, 32)
 	f := func(seed uint64, a float64) bool {
 		if math.IsNaN(a) || math.IsInf(a, 0) {
 			a = 1
@@ -188,7 +198,7 @@ func TestForwardPanicsOnWrongLength(t *testing.T) {
 			t.Fatal("Forward with wrong length did not panic")
 		}
 	}()
-	MustPlan(8).Forward(make([]complex128, 4))
+	mustPlan(t, 8).Forward(make([]complex128, 4))
 }
 
 func TestConvenienceWrappers(t *testing.T) {

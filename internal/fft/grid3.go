@@ -98,12 +98,6 @@ func ConjIndex(i, n int) int {
 	return n - i
 }
 
-// IsSelfConjugate reports whether mode (i, j, k) on an n-grid is its own
-// conjugate partner (these modes must be purely real for a real field).
-func IsSelfConjugate(i, j, k, n int) bool {
-	return ConjIndex(i, n) == i && ConjIndex(j, n) == j && ConjIndex(k, n) == k
-}
-
 // EnforceHermitian makes the grid exactly Hermitian-symmetric,
 // F(-k) = conj(F(k)), by averaging each mode with the conjugate of its
 // partner. Self-conjugate modes have their imaginary parts dropped.

@@ -93,18 +93,6 @@ func TestConjIndex(t *testing.T) {
 	}
 }
 
-func TestIsSelfConjugate(t *testing.T) {
-	if !IsSelfConjugate(0, 0, 0, 8) {
-		t.Error("DC mode should be self-conjugate")
-	}
-	if !IsSelfConjugate(4, 4, 4, 8) {
-		t.Error("Nyquist corner should be self-conjugate")
-	}
-	if IsSelfConjugate(1, 0, 0, 8) {
-		t.Error("(1,0,0) should not be self-conjugate")
-	}
-}
-
 func TestEnforceHermitianGivesRealField(t *testing.T) {
 	const n = 8
 	g, _ := NewGrid3(n)

@@ -8,7 +8,7 @@ import (
 	"repro/internal/vec"
 )
 
-// BenchmarkG5Kernel times the pair loop alone, each select-free body
+// BenchmarkG5Kernel times the pair loop alone, each body
 // called by name on one staged batch: the rows the root package's
 // benchmark of the same name cannot reach (it goes through an engine and
 // runs whichever body this machine picks). ns/interaction counts ni x nj
@@ -22,7 +22,7 @@ func BenchmarkG5Kernel(b *testing.B) {
 					b.Skipf("this CPU runs %s at best", laneNames[hostLanes])
 				}
 				r := rng.New(9)
-				grid := NewFixedGrid(-100, 100, DefaultConfig().PosBits)
+				grid := NewFixedGrid(-100, 100, PosBits)
 				point := func() vec.V3 {
 					x, _ := grid.Quantize(r.Uniform(-50, 50))
 					y, _ := grid.Quantize(r.Uniform(-50, 50))
@@ -37,13 +37,39 @@ func BenchmarkG5Kernel(b *testing.B) {
 					jq[j], mq[j] = point(), 1
 				}
 				acc, pot := make([]vec.V3, ni), make([]float64, ni)
-				cfg := DefaultConfig()
 				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
-					pipeline(iq, jq, mq, nil, 1e-4, cfg.PipeBits, cfg.R2Bits, true, body, acc, pot)
+					pipeline(iq, jq, mq, nil, 1e-4, PipeBits, R2Bits, body, acc, pot)
 				}
 				b.ReportMetric(b.Elapsed().Seconds()*1e9/(float64(ni*nj)*float64(b.N)), "ns/interaction")
 			})
 		}
+	}
+}
+
+// BenchmarkAblationPipelinePrecision: the functional emulation's cost
+// through the unguarded engine, at the paper's budgets and at the exact
+// ones (float64 formats): 96 field points on 2000 sources a call.
+func BenchmarkAblationPipelinePrecision(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		hw   installation
+	}{{"paper", paper}, {"exact", exact}} {
+		b.Run(c.name, func(b *testing.B) {
+			sys, err := newSystem(c.hw, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sys.SetScale(-100, 100); err != nil {
+				b.Fatal(err)
+			}
+			e := NewEngine(sys, 1)
+			req := randomRequest(rng.New(9), 96, 2000)
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				e.Accumulate(req)
+			}
+			b.ReportMetric(float64(96*2000*b.N)/b.Elapsed().Seconds(), "interactions/s")
+		})
 	}
 }

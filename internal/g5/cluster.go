@@ -17,8 +17,8 @@ type ClusterConfig struct {
 	// (default 1). Each shard models one board installation with its
 	// own bus, particle memory and fault stream.
 	Shards int
-	// Board is the per-shard hardware configuration (validated by
-	// NewSystem; use DefaultConfig for the paper's machine).
+	// Board is the per-shard configuration (validated by NewSystem):
+	// DefaultConfig, or a fault model on the paper's machine.
 	Board Config
 	// G is the gravitational constant applied on readback (0 → 1).
 	G float64
@@ -232,7 +232,7 @@ func (c *Cluster) CriticalHWSeconds() float64 { return c.critSec }
 
 // Accumulate implements core.Engine: it places the batch on a shard
 // and runs it there before returning. A shard panic (wedged hardware,
-// *HardwareError) is recovered and returned by the next Flush, so one
+// *HardwareError) is recovered and returned, wrapped, by the next Flush, so one
 // failed batch ends the force call with an error instead of the process.
 func (c *Cluster) Accumulate(req *core.Request) {
 	if len(req.IPos) == 0 || req.J.N == 0 {
@@ -241,9 +241,13 @@ func (c *Cluster) Accumulate(req *core.Request) {
 	k := c.place(int64(len(req.IPos)) * int64(req.J.N))
 	defer func() {
 		if r := recover(); r != nil {
+			err, ok := r.(error)
+			if !ok {
+				err = fmt.Errorf("%v", r)
+			}
 			c.mu.Lock()
 			if c.err == nil {
-				c.err = fmt.Errorf("g5: cluster shard %d: %v", k, r)
+				c.err = fmt.Errorf("g5: cluster shard %d: %w", k, err)
 			}
 			c.mu.Unlock()
 		}

@@ -13,61 +13,73 @@
 //
 // The emulator reproduces those properties: positions are quantised to
 // fixed point over the SetScale range, pipeline arithmetic is rounded
-// to a configurable number of mantissa bits (an equivalent-error model
-// of the log format, tuned to the 0.3 % pairwise figure), and every
+// to the installation's mantissa budgets (an equivalent-error model of
+// the log format, tuned to the 0.3 % pairwise figure), and every
 // Compute call charges pipeline cycles and host-interface bytes to a
 // simulated wall clock.
 package g5
 
-import "fmt"
-
-// Config describes a GRAPE-5 installation. The zero value is not
-// usable; call DefaultConfig for the paper's system.
-type Config struct {
-	// Boards is the number of processor boards (paper: 2).
-	Boards int
-	// ChipsPerBoard is the number of G5 chips per board (8).
-	ChipsPerBoard int
-	// PipesPerChip is the number of physical force pipelines per chip (2).
-	PipesPerChip int
+// The paper's installation: the one machine the emulator models.
+const (
+	// Boards is the number of processor boards.
+	Boards = 2
+	// ChipsPerBoard is the number of G5 chips per board.
+	ChipsPerBoard = 8
+	// PipesPerChip is the number of physical force pipelines per chip.
+	PipesPerChip = 2
 	// VMP is the virtual-multiple-pipeline factor: each physical
 	// pipeline time-shares this many i-particles, matching the 90/15
-	// chip/board clock ratio (6).
-	VMP int
-	// ChipClockHz is the pipeline clock (90 MHz).
-	ChipClockHz float64
-	// BoardClockHz is the memory/board clock streaming j-particles (15 MHz).
-	BoardClockHz float64
+	// chip/board clock ratio.
+	VMP = 6
+	// ChipClockHz is the pipeline clock.
+	ChipClockHz = 90e6
+	// BoardClockHz is the memory/board clock streaming j-particles.
+	BoardClockHz = 15e6
 	// JMemPerBoard is the particle-data-memory capacity per board, in
 	// particles. Larger j-sets are processed in multiple passes.
-	JMemPerBoard int
+	JMemPerBoard = 131072
 
 	// PosBits is the fixed-point resolution of particle coordinates
-	// over the SetScale range (32).
-	PosBits uint
-	// MassBits is the mantissa resolution of particle masses (12).
-	MassBits uint
-	// R2Bits is the mantissa resolution of the squared-distance path (16).
-	R2Bits uint
+	// over the SetScale range.
+	PosBits = 32
+	// MassBits is the mantissa resolution of particle masses.
+	MassBits = 12
+	// R2Bits is the mantissa resolution of the squared-distance path.
+	R2Bits = 16
 	// PipeBits is the mantissa resolution of the force/potential
 	// arithmetic units. Two successive roundings at 7 bits give a
 	// pairwise RMS force error of ≈0.3 %, the paper's figure.
-	PipeBits uint
+	PipeBits = 7
 
 	// BusBandwidth is the sustained host-interface bandwidth in
-	// bytes/second (PCI era: ~70 MB/s).
-	BusBandwidth float64
+	// bytes/second (PCI era).
+	BusBandwidth = 70e6
 	// BusLatencyS is the fixed per-call overhead in seconds (driver +
 	// DMA setup).
-	BusLatencyS float64
-	// BytesPerJ, BytesPerI, BytesPerForce are the transfer sizes per
-	// j-particle upload, i-particle upload and per-board force
-	// readback.
-	BytesPerJ, BytesPerI, BytesPerForce int
+	BusLatencyS = 50e-6
+	// BytesPerJ, BytesPerI and BytesPerForce are the transfer sizes per
+	// j-particle upload, i-particle upload and per-board force readback.
+	BytesPerJ, BytesPerI, BytesPerForce = 16, 12, 16
 
-	// OpsPerInteraction is the flop-counting convention (38).
-	OpsPerInteraction int
+	// OpsPerInteraction is the flop-counting convention.
+	OpsPerInteraction = 38
 
+	// PhysicalPipes is the total number of physical pipelines (32).
+	PhysicalPipes = Boards * ChipsPerBoard * PipesPerChip
+	// VirtualPipesPerBoard is how many i-particles one board serves per
+	// memory pass (96).
+	VirtualPipesPerBoard = ChipsPerBoard * PipesPerChip * VMP
+	// PeakInteractionsPerSecond is the peak pairwise interaction rate,
+	// physical pipes × chip clock (2.88e9).
+	PeakInteractionsPerSecond = PhysicalPipes * ChipClockHz
+	// PeakFlops is the theoretical peak under the OpsPerInteraction
+	// convention (109.44 Gflops).
+	PeakFlops = PeakInteractionsPerSecond * OpsPerInteraction
+)
+
+// Config configures one System on the paper's installation. Its zero
+// value, which DefaultConfig returns, is a perfect device.
+type Config struct {
 	// Fault, when non-nil, injects seeded deterministic hardware
 	// faults (j-memory bit flips, stuck pipelines, bus errors,
 	// transient failures) into every Compute call. Nil means a perfect
@@ -75,72 +87,26 @@ type Config struct {
 	Fault *FaultModel
 }
 
-// DefaultConfig returns the configuration of the paper's 2-board
-// GRAPE-5 system.
-func DefaultConfig() Config {
-	return Config{
-		Boards:            2,
-		ChipsPerBoard:     8,
-		PipesPerChip:      2,
-		VMP:               6,
-		ChipClockHz:       90e6,
-		BoardClockHz:      15e6,
-		JMemPerBoard:      131072,
-		PosBits:           32,
-		MassBits:          12,
-		R2Bits:            16,
-		PipeBits:          7,
-		BusBandwidth:      70e6,
-		BusLatencyS:       50e-6,
-		BytesPerJ:         16,
-		BytesPerI:         12,
-		BytesPerForce:     16,
-		OpsPerInteraction: 38,
-	}
-}
+// DefaultConfig returns the configuration of the paper's fault-free
+// 2-board GRAPE-5 system.
+func DefaultConfig() Config { return Config{} }
 
-// Validate reports configuration errors.
+// Validate reports fault-model errors.
 func (c Config) Validate() error {
-	switch {
-	case c.Boards < 1:
-		return fmt.Errorf("g5: Boards must be >= 1")
-	case c.ChipsPerBoard < 1 || c.PipesPerChip < 1 || c.VMP < 1:
-		return fmt.Errorf("g5: chip/pipe/VMP counts must be >= 1")
-	case c.ChipClockHz <= 0 || c.BoardClockHz <= 0:
-		return fmt.Errorf("g5: clocks must be positive")
-	case c.JMemPerBoard < 1:
-		return fmt.Errorf("g5: JMemPerBoard must be >= 1")
-	case c.PosBits < 1 || c.PosBits > 52:
-		return fmt.Errorf("g5: PosBits must be in [1, 52]")
-	case c.BusBandwidth <= 0:
-		return fmt.Errorf("g5: BusBandwidth must be positive")
-	case c.OpsPerInteraction < 1:
-		return fmt.Errorf("g5: OpsPerInteraction must be >= 1")
+	if c.Fault == nil {
+		return nil
 	}
-	if c.Fault != nil {
-		if err := c.Fault.validate(c); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.Fault.validate(Boards)
 }
 
-// PhysicalPipes returns the total number of physical pipelines.
-func (c Config) PhysicalPipes() int { return c.Boards * c.ChipsPerBoard * c.PipesPerChip }
-
-// VirtualPipesPerBoard returns how many i-particles one board serves
-// per memory pass.
-func (c Config) VirtualPipesPerBoard() int { return c.ChipsPerBoard * c.PipesPerChip * c.VMP }
-
-// PeakInteractionsPerSecond returns the hardware's peak pairwise
-// interaction rate: physical pipes × chip clock. For the paper's
-// system this is 2.88e9.
-func (c Config) PeakInteractionsPerSecond() float64 {
-	return float64(c.PhysicalPipes()) * c.ChipClockHz
+// installation is what a System emulates of the hardware and a test may
+// vary to prove something: the board count (exclusion down to none), the
+// particle memory (multi-pass j streaming) and the four format budgets
+// (52 bits isolates the format error). Every System but those tests' is
+// built on paper.
+type installation struct {
+	boards, jmem                        int
+	posBits, massBits, r2Bits, pipeBits uint
 }
 
-// PeakFlops returns the theoretical peak in flops using the
-// OpsPerInteraction convention: 109.44 Gflops for the paper's system.
-func (c Config) PeakFlops() float64 {
-	return c.PeakInteractionsPerSecond() * float64(c.OpsPerInteraction)
-}
+var paper = installation{Boards, JMemPerBoard, PosBits, MassBits, R2Bits, PipeBits}

@@ -94,7 +94,7 @@ func (c chunkedEngine) Flush() error { return c.eng.Flush() }
 // however the field points are cut into batches; the table submits
 // whole batches and pathological i-splits.
 func TestClusterK1BitwiseIdenticalToGuard(t *testing.T) {
-	refSys := newGuardSystem(t, DefaultConfig(), 0.05)
+	refSys := newGuardSystem(t, paper, DefaultConfig(), 0.05)
 	ref := NewGuardedEngine(refSys, 1.5, fastPolicy())
 	want := runBatches(t, ref, 21, false)
 
@@ -175,7 +175,7 @@ func TestClusterShardsAgreeWithK1(t *testing.T) {
 // is the data-race conformance check for placement and the shards'
 // concurrent callers.
 func TestClusterConcurrentAccumulate(t *testing.T) {
-	refSys := newGuardSystem(t, DefaultConfig(), 0.05)
+	refSys := newGuardSystem(t, paper, DefaultConfig(), 0.05)
 	ref := NewEngine(refSys, 1)
 	cl := newConformanceCluster(t, ClusterConfig{
 		Shards: 4, Board: DefaultConfig(), G: 1, Guard: fastPolicy(),
@@ -295,7 +295,7 @@ func FuzzClusterShard(f *testing.F) {
 		}
 
 		// Fault-free single-engine reference for the same batches.
-		refSys := newGuardSystem(t, DefaultConfig(), 0.05)
+		refSys := newGuardSystem(t, paper, DefaultConfig(), 0.05)
 		ref := NewGuardedEngine(refSys, 1, fastPolicy())
 
 		const batches = 3

@@ -11,8 +11,8 @@ import (
 // timeouts — from permanent failures and host programming bugs,
 // without string matching.
 type HardwareError struct {
-	// Op names the failing operation ("compute", "bus transfer",
-	// "compute timeout", ...).
+	// Op names the failing operation ("compute", "input", "bus
+	// transfer", "compute timeout", ...).
 	Op string
 	// Transient marks faults that a retry may clear. The real host
 	// library's error handling makes the same split: DMA retries are

@@ -60,8 +60,8 @@ func (m FaultModel) enabled() bool {
 		m.BusErrorRate > 0 || m.TransientRate > 0 || m.FailBoard >= 1
 }
 
-// validate reports configuration errors against the host config.
-func (m FaultModel) validate(cfg Config) error {
+// validate reports configuration errors against the board count.
+func (m FaultModel) validate(boards int) error {
 	for _, r := range []struct {
 		name string
 		v    float64
@@ -75,8 +75,8 @@ func (m FaultModel) validate(cfg Config) error {
 			return fmt.Errorf("g5: fault %s = %v outside [0, 1]", r.name, r.v)
 		}
 	}
-	if m.FailBoard < 0 || m.FailBoard > cfg.Boards {
-		return fmt.Errorf("g5: fault FailBoard = %d outside [0, %d]", m.FailBoard, cfg.Boards)
+	if m.FailBoard < 0 || m.FailBoard > boards {
+		return fmt.Errorf("g5: fault FailBoard = %d outside [0, %d]", m.FailBoard, boards)
 	}
 	if m.FailAfterRuns < 0 {
 		return fmt.Errorf("g5: fault FailAfterRuns = %d negative", m.FailAfterRuns)
@@ -122,7 +122,6 @@ type faultPlan struct {
 // failure, and the activity counters.
 type faultInjector struct {
 	model FaultModel
-	vp    int // virtual pipelines per board
 	r     *rng.Source
 	calls int64
 	stats FaultStats
@@ -131,8 +130,8 @@ type faultInjector struct {
 	stuckBuf [2]stuckPipe
 }
 
-func newFaultInjector(m FaultModel, cfg Config) *faultInjector {
-	return &faultInjector{model: m, vp: cfg.VirtualPipesPerBoard(), r: rng.New(m.Seed)}
+func newFaultInjector(m FaultModel) *faultInjector {
+	return &faultInjector{model: m, r: rng.New(m.Seed)}
 }
 
 // plan draws this call's faults. active lists the boards still in
@@ -164,13 +163,13 @@ func (f *faultInjector) plan(nj int, active []int) faultPlan {
 	}
 	if len(active) > 0 && m.StuckPipeRate > 0 && f.r.Float64() < m.StuckPipeRate {
 		b := active[f.r.Intn(len(active))]
-		p.stuck = append(p.stuck, stuckPipe{board: b, slot: f.r.Intn(f.vp)})
+		p.stuck = append(p.stuck, stuckPipe{board: b, slot: f.r.Intn(VirtualPipesPerBoard)})
 	}
 	if m.FailBoard >= 1 && f.calls > m.FailAfterRuns {
 		b := m.FailBoard - 1
 		for _, a := range active {
 			if a == b {
-				p.stuck = append(p.stuck, stuckPipe{board: b, slot: m.FailSlot % f.vp})
+				p.stuck = append(p.stuck, stuckPipe{board: b, slot: m.FailSlot % VirtualPipesPerBoard})
 				break
 			}
 		}

@@ -12,9 +12,8 @@ import (
 // (tiny particle memory) must not change the computed forces, only the
 // pass accounting.
 func TestJMemChunkingPreservesForces(t *testing.T) {
-	big := DefaultConfig()
-	small := DefaultConfig()
-	small.JMemPerBoard = 16 // 32 total; nj below is 100 -> 4 passes
+	small := paper
+	small.jmem = 16 // 32 total; nj below is 100 -> 4 passes
 
 	r := rng.New(77)
 	ipos := make([]vec.V3, 10)
@@ -28,8 +27,8 @@ func TestJMemChunkingPreservesForces(t *testing.T) {
 		jm[j] = 1 + r.Float64()
 	}
 
-	run := func(cfg Config) ([]vec.V3, Counters) {
-		sys, err := NewSystem(cfg)
+	run := func(hw installation) ([]vec.V3, Counters) {
+		sys, err := newSystem(hw, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +42,7 @@ func TestJMemChunkingPreservesForces(t *testing.T) {
 		}
 		return acc, sys.Counters()
 	}
-	accBig, cBig := run(big)
+	accBig, cBig := run(paper)
 	accSmall, cSmall := run(small)
 	for i := range accBig {
 		if accBig[i] != accSmall[i] {
@@ -73,7 +72,7 @@ func TestEnginePanicsOnHardwareFault(t *testing.T) {
 	if err := sys.SetScale(-1, 1); err != nil {
 		t.Fatal(err)
 	}
-	for b := 0; b < sys.Config().Boards; b++ {
+	for b := 0; b < Boards; b++ {
 		if err := sys.SetBoardExcluded(b, true); err != nil {
 			t.Fatal(err)
 		}
@@ -104,21 +103,20 @@ func TestEnginePanicsOnHardwareFault(t *testing.T) {
 // TestMorePipesFasterModel: doubling the board count must halve the
 // pipeline time for a big batch (timing-model sanity).
 func TestMorePipesFasterModel(t *testing.T) {
-	one := DefaultConfig()
-	one.Boards = 1
-	two := DefaultConfig()
+	one := paper
+	one.boards = 1
 
 	t1 := modelTime(t, one, 960, 10000)
-	t2 := modelTime(t, two, 960, 10000)
+	t2 := modelTime(t, paper, 960, 10000)
 	ratio := t1 / t2
 	if ratio < 1.8 || ratio > 2.2 {
 		t.Errorf("1-board/2-board pipe time ratio = %v, want ~2", ratio)
 	}
 }
 
-func modelTime(t *testing.T, cfg Config, ni, nj int) float64 {
+func modelTime(t *testing.T, hw installation, ni, nj int) float64 {
 	t.Helper()
-	sys, err := NewSystem(cfg)
+	sys, err := newSystem(hw, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +130,12 @@ func modelTime(t *testing.T, cfg Config, ni, nj int) float64 {
 // TestPaddingWaste: an i-batch of 1 occupies a full virtual-pipeline
 // group — the hardware inefficiency that favours large n_g groups.
 func TestPaddingWaste(t *testing.T) {
-	cfg := DefaultConfig()
-	t1 := modelTime(t, cfg, 1, 10000)
-	t96 := modelTime(t, cfg, 96, 10000)
+	t1 := modelTime(t, paper, 1, 10000)
+	t96 := modelTime(t, paper, 96, 10000)
 	if t1 != t96 {
 		t.Errorf("1 i-particle (%v s) should cost the same pipe time as 96 (%v s)", t1, t96)
 	}
-	t97 := modelTime(t, cfg, 97, 10000)
+	t97 := modelTime(t, paper, 97, 10000)
 	if t97 <= t96 {
 		t.Error("97 i-particles must start a second pass")
 	}
@@ -170,7 +167,7 @@ func TestComputeUnderFaultsAllocatesNothing(t *testing.T) {
 		cfg := DefaultConfig()
 		f := fm
 		cfg.Fault = &f
-		sys := newGuardSystem(t, cfg, 0.05)
+		sys := newGuardSystem(t, paper, cfg, 0.05)
 		allocs := testing.AllocsPerRun(20, func() {
 			if err := sys.Compute(q.IPos, jpos, jm, q.Acc, q.Pot); err != nil {
 				t.Fatal(err)
@@ -195,7 +192,7 @@ func TestGuardAccumulateAllocatesNothing(t *testing.T) {
 		cfg.Fault = fm
 		pol := fastPolicy()
 		pol.FallbackAfter = 1 << 30
-		guard := NewGuardedEngine(newGuardSystem(t, cfg, 0.05), 1, pol)
+		guard := NewGuardedEngine(newGuardSystem(t, paper, cfg, 0.05), 1, pol)
 		if allocs := testing.AllocsPerRun(20, func() { guard.Accumulate(q) }); allocs != 0 {
 			t.Errorf("fault model %+v: Accumulate allocates %v times per call", fm, allocs)
 		}

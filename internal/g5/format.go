@@ -9,11 +9,13 @@ import "math"
 // mantissa to b bits both produce a uniform relative error of half a
 // unit in the b-th fractional place.
 //
-// bits >= 52 returns v unchanged. Zero, infinities and NaN pass
-// through. Values within half an ulp of ±MaxFloat64 round to infinity
-// and subnormals lose the relative-error guarantee; both are far
-// outside the dynamic range of any simulation quantity (the hardware's
-// log format spans a comparable range).
+// bits >= 52 returns v unchanged. Zero and infinities pass through.
+// Values within half an ulp of ±MaxFloat64 round to infinity and
+// subnormals lose the relative-error guarantee; both are far outside the
+// dynamic range of any simulation quantity (the hardware's log format
+// spans a comparable range). A NaN is outside the model, as it is
+// outside the hardware's formats (System refuses one): its bits may come
+// back changed.
 func RoundMantissa(v float64, bits uint) float64 { return newRounder(bits).round(v) }
 
 // rounder is RoundMantissa with a bit budget's two constants derived
@@ -29,28 +31,15 @@ func newRounder(bits uint) rounder {
 	return rounder{1 << (shift - 1), ^(uint64(1)<<shift - 1)}
 }
 
-// round adds half an ulp to the magnitude and truncates, all on the
-// bit pattern. The add may carry into the exponent, which is correct
-// rounding across powers of two; ±0 and ±Inf come out of it unchanged.
-// Only NaN, whose payload the add would disturb, needs the select.
+// round adds half an ulp to the magnitude and truncates, all on the bit
+// pattern. The add may carry into the exponent, which is correct
+// rounding across powers of two; Inf plus half stays below bit 63, so
+// adding to the word is adding to the magnitude, and ±0 and ±Inf come
+// out unchanged. At a budget of at least one bit so does the default
+// quiet NaN of either sign (half <= 2^50 cannot reach its one mantissa
+// bit), the only NaN the pair loop can make of finite input: an
+// overflowed product at zero weight (DESIGN.md §13).
 func (r rounder) round(v float64) float64 {
-	const sign = 1 << 63
-	b := math.Float64bits(v)
-	q := math.Float64frombits(b&sign | ((b&^sign)+r.half)&r.keep)
-	if v != v {
-		return v
-	}
-	return q
-}
-
-// roundInPlace is round without the sign split and the select, for the
-// pair loop of a call that selectFree admits. It equals round on every
-// value that is not a NaN (Inf plus half stays below bit 63, so adding to
-// the word is adding to the magnitude) and, at a budget of at least one
-// bit, on the default quiet NaN of either sign (half <= 2^50 cannot
-// reach its one mantissa bit). Not at 0 bits, and not on any other NaN
-// (DESIGN.md §13).
-func (r rounder) roundInPlace(v float64) float64 {
 	return math.Float64frombits((math.Float64bits(v) + r.half) & r.keep)
 }
 

@@ -239,9 +239,9 @@ func (e *GuardedEngine) fallback(req *core.Request) {
 // abandonHardware takes every remaining board out of service and routes
 // all future batches to the host.
 func (e *GuardedEngine) abandonHardware() {
-	for b := 0; b < e.sys.Config().Boards; b++ {
+	for b := 0; b < e.sys.hw.boards; b++ {
 		if !e.sys.BoardExcluded(b) {
-			// b ranges over Config().Boards, so the only SetBoardExcluded
+			// b ranges over the installed boards, so the only SetBoardExcluded
 			// failure (index out of range) cannot occur.
 			_ = e.sys.SetBoardExcluded(b, true)
 			e.rec.ExcludedBoards++
@@ -265,11 +265,11 @@ func (e *GuardedEngine) tryHardware(req *core.Request, st *scratch) bool {
 	// turn; the first configuration that verifies wins and the
 	// excluded board stays out of service for good.
 	if e.sys.ActiveBoards() > 1 {
-		for b := 0; b < e.sys.Config().Boards; b++ {
+		for b := 0; b < e.sys.hw.boards; b++ {
 			if e.sys.BoardExcluded(b) {
 				continue
 			}
-			// b ranges over Config().Boards, so the only SetBoardExcluded
+			// b ranges over the installed boards, so the only SetBoardExcluded
 			// failure (index out of range) cannot occur.
 			_ = e.sys.SetBoardExcluded(b, true)
 			if e.computeVerified(req, st, false) {
@@ -292,7 +292,7 @@ func (e *GuardedEngine) tryHardware(req *core.Request, st *scratch) bool {
 // that passes is committed even if the hardware has been abandoned since.
 func (e *GuardedEngine) computeVerified(req *core.Request, st *scratch, overlap bool) bool {
 	ni := len(req.IPos)
-	vp := e.sys.Config().VirtualPipesPerBoard()
+	vp := VirtualPipesPerBoard
 	tg := e.obs.Start(obs.PhaseGuard)
 	probe := e.probePoint()
 	refAcc, refPot := e.hostProbeForce(probe, req)

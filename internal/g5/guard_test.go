@@ -46,9 +46,11 @@ func aosSources(q *core.Request) ([]vec.V3, []float64) {
 	return jpos, q.J.M[:q.J.N]
 }
 
-func newGuardSystem(t *testing.T, cfg Config, eps float64) *System {
+// newGuardSystem builds a System on hw with scale window [-100, 100)
+// and softening eps.
+func newGuardSystem(t *testing.T, hw installation, cfg Config, eps float64) *System {
 	t.Helper()
-	sys, err := NewSystem(cfg)
+	sys, err := newSystem(hw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +70,8 @@ func newGuardSystem(t *testing.T, cfg Config, eps float64) *System {
 // batch.
 func TestGuardMatchesPlainEngine(t *testing.T) {
 	r := rng.New(11)
-	plainSys := newGuardSystem(t, DefaultConfig(), 0.05)
-	guardSys := newGuardSystem(t, DefaultConfig(), 0.05)
+	plainSys := newGuardSystem(t, paper, DefaultConfig(), 0.05)
+	guardSys := newGuardSystem(t, paper, DefaultConfig(), 0.05)
 	plain := NewEngine(plainSys, 1.5)
 	guard := NewGuardedEngine(guardSys, 1.5, fastPolicy())
 
@@ -100,10 +102,10 @@ func TestGuardMatchesPlainEngine(t *testing.T) {
 // and the retry counter records the activity.
 func TestGuardRetriesTransient(t *testing.T) {
 	r := rng.New(12)
-	cleanSys := newGuardSystem(t, DefaultConfig(), 0.05)
+	cleanSys := newGuardSystem(t, paper, DefaultConfig(), 0.05)
 	faultCfg := DefaultConfig()
 	faultCfg.Fault = &FaultModel{Seed: 5, BusErrorRate: 0.15, TransientRate: 0.15}
-	faultSys := newGuardSystem(t, faultCfg, 0.05)
+	faultSys := newGuardSystem(t, paper, faultCfg, 0.05)
 
 	clean := NewGuardedEngine(cleanSys, 1, fastPolicy())
 	pol := fastPolicy()
@@ -142,7 +144,7 @@ func TestGuardExcludesDeadBoard(t *testing.T) {
 	r := rng.New(13)
 	cfg := DefaultConfig()
 	cfg.Fault = &FaultModel{Seed: 7, FailBoard: 2, FailAfterRuns: 2, FailSlot: 5}
-	sys := newGuardSystem(t, cfg, 0.05)
+	sys := newGuardSystem(t, paper, cfg, 0.05)
 	guard := NewGuardedEngine(sys, 1, fastPolicy())
 	host := &core.HostEngine{G: 1, Eps: 0.05}
 
@@ -183,10 +185,10 @@ func TestGuardExcludesDeadBoard(t *testing.T) {
 // reject the first result, exclude exactly that board, and commit what
 // a healthy system running without it computes, bit for bit.
 func TestGuardChecksEverySlot(t *testing.T) {
-	vp := DefaultConfig().VirtualPipesPerBoard()
+	vp := VirtualPipesPerBoard
 	for _, ni := range []int{1, 59, 96, 97, 200} {
 		q := randomRequest(rng.New(uint64(40+ni)), ni, 60)
-		cleanSys := newGuardSystem(t, DefaultConfig(), 0.05)
+		cleanSys := newGuardSystem(t, paper, DefaultConfig(), 0.05)
 		if err := cleanSys.SetBoardExcluded(0, true); err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +198,7 @@ func TestGuardChecksEverySlot(t *testing.T) {
 		for slot := 0; slot < vp; slot++ {
 			cfg := DefaultConfig()
 			cfg.Fault = &FaultModel{FailBoard: 1, FailSlot: slot}
-			sys := newGuardSystem(t, cfg, 0.05)
+			sys := newGuardSystem(t, paper, cfg, 0.05)
 			guard := NewGuardedEngine(sys, 1, fastPolicy())
 			got := cloneRequest(q)
 			guard.Accumulate(got)
@@ -220,10 +222,10 @@ func TestGuardChecksEverySlot(t *testing.T) {
 // timing model must charge ~2x the pipeline time for the same batch —
 // the degraded-throughput scaling of TestMorePipesFasterModel.
 func TestBoardExclusionSlowsModel(t *testing.T) {
-	full := newGuardSystem(t, DefaultConfig(), 0)
+	full := newGuardSystem(t, paper, DefaultConfig(), 0)
 	full.ChargeOnly(960, 10000)
 	t2 := full.Counters().PipeSeconds
-	sys := newGuardSystem(t, DefaultConfig(), 0)
+	sys := newGuardSystem(t, paper, DefaultConfig(), 0)
 	if err := sys.SetBoardExcluded(0, true); err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +252,9 @@ func TestBoardExclusionSlowsModel(t *testing.T) {
 // fully-degraded run.
 func TestGuardHostFallbackBitwise(t *testing.T) {
 	r := rng.New(14)
-	cfg := DefaultConfig()
-	cfg.Boards = 1
-	cfg.Fault = &FaultModel{Seed: 9, FailBoard: 1} // stuck from the first call
-	sys := newGuardSystem(t, cfg, 0.05)
+	oneBoard := paper
+	oneBoard.boards = 1
+	sys := newGuardSystem(t, oneBoard, Config{Fault: &FaultModel{Seed: 9, FailBoard: 1}}, 0.05) // stuck from the first call
 	pol := fastPolicy()
 	pol.MaxRetries = 1
 	pol.FallbackAfter = 2
@@ -290,7 +291,7 @@ func TestFaultDeterminism(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Fault = &FaultModel{Seed: 21, JMemBitFlipRate: 0.3, StuckPipeRate: 0.3,
 			BusErrorRate: 0.1, TransientRate: 0.1}
-		sys := newGuardSystem(t, cfg, 0.05)
+		sys := newGuardSystem(t, paper, cfg, 0.05)
 		r := rng.New(15)
 		var forces []vec.V3
 		var errs []error
@@ -332,7 +333,7 @@ func TestFaultSilentCorruption(t *testing.T) {
 	r := rng.New(16)
 	q := randomRequest(r, 96, 50)
 	jpos, jm := aosSources(q)
-	clean := newGuardSystem(t, DefaultConfig(), 0.05)
+	clean := newGuardSystem(t, paper, DefaultConfig(), 0.05)
 	if err := clean.Compute(q.IPos, jpos, jm, q.Acc, q.Pot); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestFaultSilentCorruption(t *testing.T) {
 		cfg := DefaultConfig()
 		f := fm
 		cfg.Fault = &f
-		sys := newGuardSystem(t, cfg, 0.05)
+		sys := newGuardSystem(t, paper, cfg, 0.05)
 		qq := cloneRequest(q)
 		if err := sys.Compute(qq.IPos, jpos, jm, qq.Acc, qq.Pot); err != nil {
 			t.Fatalf("%+v: silent fault returned error %v", fm, err)
@@ -372,7 +373,7 @@ func TestFaultSilentCorruption(t *testing.T) {
 func TestGuardConcurrent(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Fault = &FaultModel{Seed: 31, TransientRate: 0.2}
-	sys := newGuardSystem(t, cfg, 0.05)
+	sys := newGuardSystem(t, paper, cfg, 0.05)
 	pol := fastPolicy()
 	pol.MaxRetries = 10
 	guard := NewGuardedEngine(sys, 1, pol)
@@ -409,16 +410,12 @@ func TestConfigValidatesFaultModel(t *testing.T) {
 		{FailBoard: 1, FailAfterRuns: -1},
 		{FailBoard: 1, FailSlot: -2},
 	} {
-		cfg := DefaultConfig()
 		f := fm
-		cfg.Fault = &f
-		if _, err := NewSystem(cfg); err == nil {
+		if _, err := NewSystem(Config{Fault: &f}); err == nil {
 			t.Errorf("invalid fault model accepted: %+v", fm)
 		}
 	}
-	cfg := DefaultConfig()
-	cfg.Fault = &FaultModel{} // inert model is fine
-	if _, err := NewSystem(cfg); err != nil {
+	if _, err := NewSystem(Config{Fault: &FaultModel{}}); err != nil { // an inert model is fine
 		t.Errorf("inert fault model rejected: %v", err)
 	}
 }

@@ -59,8 +59,8 @@ func (c *Cluster) Health() Health {
 		Recovery:     rec,
 	}
 	for k, sh := range c.shards {
-		h.BoardsTotal += sh.sys.cfg.Boards
-		for b := 0; b < sh.sys.cfg.Boards; b++ {
+		h.BoardsTotal += sh.sys.hw.boards
+		for b := 0; b < sh.sys.hw.boards; b++ {
 			h.Boards = append(h.Boards, BoardHealth{Shard: k, Board: b, InService: !sh.sys.BoardExcluded(b)})
 		}
 	}

@@ -1,7 +1,7 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// roundInPlace (format.go) on a vector of lanes at the pipeline's budget:
+// rounder.round (format.go) on a vector of lanes at the pipeline's budget:
 // bits(v)+half, then &keep.
 #define ROUNDPIPE(r) VPADDQ Y4, r, r; VPAND Y5, r, r
 #define ROUNDPIPEZ(r) VPADDQ Z4, r, r; VPANDQ Z5, r, r

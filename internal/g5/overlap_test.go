@@ -22,14 +22,13 @@ import (
 
 var overlapCallers = []int{1, 2, 4, 8}
 
-// overlapConfig shrinks the particle memory so the 620-source batches
+// overlapHW shrinks the particle memory so the 620-source batches
 // stream in 2 passes on two boards and 4 on one: JPasses then shows
 // which board set a call was charged on.
-func overlapConfig(fm *FaultModel) Config {
-	cfg := DefaultConfig()
-	cfg.JMemPerBoard = 200
-	cfg.Fault = fm
-	return cfg
+func overlapHW(boards int) installation {
+	hw := paper
+	hw.boards, hw.jmem = boards, 200
+	return hw
 }
 
 // overlapInputs is the workload: 210 batches cycling through every
@@ -115,7 +114,7 @@ func requireSameCounters(t *testing.T, g int, got, want Counters) {
 
 // cleanGuardedRun is the single-caller, fault-free guarded reference.
 func cleanGuardedRun(t *testing.T, in []*core.Request) []*core.Request {
-	sys := newGuardSystem(t, overlapConfig(nil), 0.05)
+	sys := newGuardSystem(t, overlapHW(2), Config{}, 0.05)
 	return runOverlap(NewGuardedEngine(sys, 1.5, fastPolicy()), in, 1)
 }
 
@@ -128,7 +127,7 @@ func TestOverlapFaultFree(t *testing.T) {
 			var want []*core.Request
 			var wantCnt Counters
 			for _, g := range overlapCallers {
-				sys := newGuardSystem(t, overlapConfig(nil), 0.05)
+				sys := newGuardSystem(t, overlapHW(2), Config{}, 0.05)
 				var eng core.Engine = NewEngine(sys, 1.5)
 				guard := NewGuardedEngine(sys, 1.5, fastPolicy())
 				if guarded {
@@ -177,7 +176,7 @@ func TestOverlapFaultClasses(t *testing.T) {
 			var wantStats FaultStats
 			for _, g := range overlapCallers {
 				fm := class.fm
-				sys := newGuardSystem(t, overlapConfig(&fm), 0.05)
+				sys := newGuardSystem(t, overlapHW(2), Config{Fault: &fm}, 0.05)
 				pol := fastPolicy()
 				pol.MaxRetries = 12 // 0.2^13: no batch exhausts its retries
 				guard := NewGuardedEngine(sys, 1.5, pol)
@@ -230,7 +229,7 @@ func TestOverlapBoardDeath(t *testing.T) {
 	in := overlapInputs()
 	clean := cleanGuardedRun(t, in)
 	for _, g := range overlapCallers {
-		sys := newGuardSystem(t, overlapConfig(&FaultModel{FailBoard: 2, FailAfterRuns: 40}), 0.05)
+		sys := newGuardSystem(t, overlapHW(2), Config{Fault: &FaultModel{FailBoard: 2, FailAfterRuns: 40}}, 0.05)
 		guard := NewGuardedEngine(sys, 1.5, fastPolicy())
 		requireClean(t, g, runOverlap(guard, in, g), clean)
 		rec := guard.Recovery()
@@ -257,9 +256,7 @@ func TestOverlapAllBoardsLost(t *testing.T) {
 	slices.Reverse(in)
 	want := runOverlap(&core.HostEngine{G: 1.5, Eps: 0.05}, in, 1)
 	for _, g := range overlapCallers {
-		cfg := overlapConfig(&FaultModel{FailBoard: 1})
-		cfg.Boards = 1
-		sys := newGuardSystem(t, cfg, 0.05)
+		sys := newGuardSystem(t, overlapHW(1), Config{Fault: &FaultModel{FailBoard: 1}}, 0.05)
 		pol := fastPolicy()
 		pol.FallbackAfter = 1
 		guard := NewGuardedEngine(sys, 1.5, pol)

@@ -64,7 +64,7 @@ func referenceStage(s *System, plan faultPlan, ipos, jpos []vec.V3, jmass []floa
 	iq, jq = quantize(ipos), quantize(jpos)
 	mq = make([]float64, len(jmass))
 	for j, m := range jmass {
-		mq[j] = roundMantissaRef(m, s.cfg.MassBits)
+		mq[j] = roundMantissaRef(m, s.hw.massBits)
 	}
 	if plan.flipJ >= 0 {
 		if plan.flipMass {
@@ -82,7 +82,7 @@ func referenceStage(s *System, plan faultPlan, ipos, jpos []vec.V3, jmass []floa
 		}
 	}
 	if len(plan.stuck) > 0 {
-		stuckFactor = make([]float64, s.cfg.VirtualPipesPerBoard())
+		stuckFactor = make([]float64, VirtualPipesPerBoard)
 		for i := range stuckFactor {
 			stuckFactor[i] = 1
 		}
@@ -96,27 +96,19 @@ func referenceStage(s *System, plan faultPlan, ipos, jpos []vec.V3, jmass []floa
 
 // checkBodies adds the staged batch into copies of (acc, pot) through
 // referencePipeline and through pipeline with every lane body this
-// machine has — its select-free bodies when the batch is select-free, the
-// select loop once a body when not — and wants every bit equal. Each body
-// is named by argument, never by setting hostLanes: tests overlap. It
+// machine has, and wants every bit equal. Each body is named by
+// argument, never by setting hostLanes: tests overlap. It
 // returns the reference's sums and the iterations the AVX-512 body
 // divided for (0 where it did not run).
 func checkBodies(t *testing.T, iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pb, r2b uint, acc []vec.V3, pot []float64) (wantAcc []vec.V3, wantPot []float64, fallbacks int) {
 	t.Helper()
-	selectFree := eps2 == eps2 && pb >= 1 && r2b >= 1
-	for _, p := range append(append([]vec.V3(nil), iq...), jq...) {
-		selectFree = selectFree && p == p
-	}
-	for _, m := range mq {
-		selectFree = selectFree && m == m
-	}
 	wantAcc, wantPot = append([]vec.V3(nil), acc...), append([]float64(nil), pot...)
 	referencePipeline(iq, jq, mq, stuckFactor, eps2, pb, r2b, wantAcc, wantPot)
 	for _, body := range laneChoices(t) {
 		gotAcc, gotPot := append([]vec.V3(nil), acc...), append([]float64(nil), pot...)
-		n := pipeline(iq, jq, mq, stuckFactor, eps2, pb, r2b, selectFree, body, gotAcc, gotPot)
+		n := pipeline(iq, jq, mq, stuckFactor, eps2, pb, r2b, body, gotAcc, gotPot)
 		if d := diffBits(gotAcc, gotPot, wantAcc, wantPot); d != "" {
-			t.Fatalf("pipeline(selectFree=%v, %s): %s", selectFree, laneNames[body], d)
+			t.Fatalf("pipeline(%s): %s", laneNames[body], d)
 		}
 		if body == avx512Body {
 			fallbacks = n
@@ -168,19 +160,16 @@ type pipelineCase struct {
 	twins bool
 	// coincident puts every third j on an i-point.
 	coincident bool
-	// masses: 0 plain; 1 adds ±0, a subnormal and a NaN whose payload
-	// is all ones (the one the rounding carry would turn into -0);
-	// 2 adds ±0 and ±Inf. The classes are kept apart so that a case has
-	// one NaN payload and x86's operand-order NaN selection cannot
-	// matter.
+	// masses: 0 plain; 1 adds ±0 and two subnormals; 2 adds ±0 and
+	// ±MaxFloat64, which a mass budget below 52 bits rounds to ±Inf.
 	masses int
 	boards int
 	fault  *FaultModel
 }
 
 var specialMasses = [3][]float64{
-	1: {0, math.Copysign(0, -1), 5e-324, math.Float64frombits(0x7FFFFFFFFFFFFFFF)},
-	2: {0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)},
+	1: {0, math.Copysign(0, -1), 5e-324, -2.2e-308},
+	2: {0, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64},
 }
 
 // check drives the case through System.Compute twice (the second call
@@ -216,11 +205,10 @@ func (c pipelineCase) check(t *testing.T) {
 		}
 	}
 
-	cfg := DefaultConfig()
-	cfg.Boards = c.boards
-	cfg.PipeBits, cfg.R2Bits, cfg.MassBits = c.pipeBits, c.r2Bits, c.massBits
-	cfg.Fault = c.fault
-	sys, err := NewSystem(cfg)
+	hw := paper
+	hw.boards = c.boards
+	hw.pipeBits, hw.r2Bits, hw.massBits = c.pipeBits, c.r2Bits, c.massBits
+	sys, err := newSystem(hw, Config{Fault: c.fault})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +220,7 @@ func (c pipelineCase) check(t *testing.T) {
 	}
 	var twin *faultInjector // draws the plans sys will draw
 	if c.fault != nil {
-		twin = newFaultInjector(*c.fault, cfg)
+		twin = newFaultInjector(*c.fault)
 	}
 
 	acc, pot := make([]vec.V3, c.ni), make([]float64, c.ni)
@@ -325,7 +313,7 @@ func TestPipelineMatchesReference(t *testing.T) {
 		}
 	})
 	t.Run("runs", func(t *testing.T) {
-		vp := DefaultConfig().VirtualPipesPerBoard()
+		vp := VirtualPipesPerBoard
 		for n := 1; n <= 2*vp; n++ {
 			for _, start := range []int{0, (300 - n) / 2, 300 - n} {
 				c := base
@@ -345,12 +333,12 @@ func TestPipelineMatchesReference(t *testing.T) {
 	// AVX2 body's half) and behind lane 7, up to the first lane of the
 	// next block; a source on the point of each lane of two blocks and on
 	// the probe; one source, two, a long list; ε = 0; zero, subnormal and
-	// infinite masses; a stuck factor on every slot past the first block
+	// infinite staged masses; a stuck factor on every slot past the first block
 	// and on the slot of the head the padded lanes repeat. Sums are
 	// ADDED, so acc and pot start non-zero.
 	t.Run("lanes", func(t *testing.T) {
 		const vp = 96
-		tinyMasses := []float64{0, math.Copysign(0, -1), 5e-324, -2.2e-308}
+		stagedMasses := [3][]float64{1: specialMasses[1], 2: {0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}}
 		k := 0
 		for _, ni := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 58, 154} {
 			for _, nj := range []int{1, 2, 2001} {
@@ -393,13 +381,8 @@ func TestPipelineMatchesReference(t *testing.T) {
 					jq, mq := make([]vec.V3, nj), make([]float64, nj)
 					for j := range jq {
 						jq[j], mq[j] = point(), 1+r.Float64()
-						if j%2 == 1 {
-							switch k % 3 {
-							case 1:
-								mq[j] = tinyMasses[j/2%len(tinyMasses)]
-							case 2:
-								mq[j] = specialMasses[2][j/2%4]
-							}
+						if sp := stagedMasses[k%3]; sp != nil && j%2 == 1 {
+							mq[j] = sp[j/2%len(sp)]
 						}
 					}
 					for l := 0; l < 2*laneWidth; l++ { // both blocks' lanes, as far as they exist
@@ -488,9 +471,8 @@ func TestCertifiedQuotient(t *testing.T) {
 
 	// At the default budgets the certificate almost never refuses.
 	t.Run("default config", func(t *testing.T) {
-		cfg := DefaultConfig()
 		iq, jq, mq := plummerBatch(400, 8192)
-		_, _, n := checkBodies(t, iq, jq, mq, nil, 1e-4, cfg.PipeBits, cfg.R2Bits, make([]vec.V3, len(iq)), make([]float64, len(iq)))
+		_, _, n := checkBodies(t, iq, jq, mq, nil, 1e-4, PipeBits, R2Bits, make([]vec.V3, len(iq)), make([]float64, len(iq)))
 		iters := len(iq) / laneWidth * len(jq)
 		if float64(n) > 1e-5*float64(iters) {
 			t.Fatalf("%d fallbacks in %d iterations", n, iters)
@@ -503,9 +485,8 @@ func TestCertifiedQuotient(t *testing.T) {
 // sphere as the default System would hand them to pipeline: positions
 // on its grid, masses at its mass budget.
 func plummerBatch(ni, nj int) (iq, jq []vec.V3, mq []float64) {
-	cfg := DefaultConfig()
 	s := nbody.Plummer(ni+nj, 1, 1, 1, rng.New(28))
-	grid := NewFixedGrid(-100, 100, cfg.PosBits)
+	grid := NewFixedGrid(-100, 100, PosBits)
 	q := func(p vec.V3) vec.V3 {
 		x, _ := grid.Quantize(p.X)
 		y, _ := grid.Quantize(p.Y)
@@ -516,26 +497,33 @@ func plummerBatch(ni, nj int) (iq, jq []vec.V3, mq []float64) {
 		if i < ni {
 			iq = append(iq, q(p))
 		} else {
-			jq, mq = append(jq, q(p)), append(mq, RoundMantissa(s.Mass[i], cfg.MassBits))
+			jq, mq = append(jq, q(p)), append(mq, RoundMantissa(s.Mass[i], MassBits))
 		}
 	}
 	return iq, jq, mq
 }
 
 // FuzzPipelineMatchesReference walks the same space from fuzzed
-// parameters.
+// parameters, with finite inputs at the installation's budgets or the
+// exact one: the low bit of pb, r2b and mb picks 52 bits.
 func FuzzPipelineMatchesReference(f *testing.F) {
-	f.Add(uint64(1), uint16(59), uint16(9), uint8(7), uint8(16), uint8(12), uint16(3), uint16(96), uint8(0xFF))
-	f.Add(uint64(2), uint16(1), uint16(1), uint8(52), uint8(1), uint8(60), uint16(0), uint16(0), uint8(0))
-	f.Add(uint64(3), uint16(299), uint16(619), uint8(1), uint8(51), uint8(0), uint16(200), uint16(192), uint8(0x2B))
-	// Pipe budgets where streamJLanes8's certificate refuses often and
-	// always.
-	f.Add(uint64(4), uint16(154), uint16(400), uint8(48), uint8(16), uint8(12), uint16(9), uint16(3), uint8(0x03))
-	f.Add(uint64(5), uint16(61), uint16(300), uint8(52), uint8(52), uint8(52), uint16(60), uint16(96), uint8(0x98))
+	f.Add(uint64(1), uint16(59), uint16(9), uint8(0), uint8(0), uint8(0), uint16(3), uint16(96), uint8(0xFF))
+	f.Add(uint64(2), uint16(1), uint16(1), uint8(1), uint8(0), uint8(1), uint16(0), uint16(0), uint8(0))
+	f.Add(uint64(3), uint16(299), uint16(619), uint8(0), uint8(1), uint8(0), uint16(200), uint16(192), uint8(0x2B))
+	// The exact pipe budget, where streamJLanes8's certificate always
+	// refuses.
+	f.Add(uint64(4), uint16(154), uint16(400), uint8(1), uint8(0), uint8(0), uint16(9), uint16(3), uint8(0x03))
+	f.Add(uint64(5), uint16(61), uint16(300), uint8(1), uint8(1), uint8(1), uint16(60), uint16(96), uint8(0x98))
+	budget := func(raw uint8, paper uint) uint {
+		if raw&1 != 0 {
+			return 52
+		}
+		return paper
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, ni, nj uint16, pb, r2b, mb uint8, runStart, runLen uint16, flags uint8) {
 		c := pipelineCase{
 			seed: seed, ni: 1 + int(ni)%300, nj: 1 + int(nj)%620,
-			pipeBits: uint(pb) % 64, r2Bits: uint(r2b) % 64, massBits: uint(mb) % 64,
+			pipeBits: budget(pb, PipeBits), r2Bits: budget(r2b, R2Bits), massBits: budget(mb, MassBits),
 			runLen:     int(runLen) % 200,
 			twins:      flags&1 != 0,
 			coincident: flags&2 != 0,
@@ -552,128 +540,4 @@ func FuzzPipelineMatchesReference(f *testing.F) {
 		}
 		c.check(t)
 	})
-}
-
-// TestSelectFree pins the per-call predicate from both sides. Every
-// reason to refuse — a NaN of any kind in an i coordinate, a j
-// coordinate or a mass, a NaN softening, a 0-bit pipeline — must refuse
-// and still match the reference bit for bit through the select loop;
-// and a batch with none of them, however strange its masses, must be
-// admitted, so that a predicate that always refuses fails here and not
-// only in a benchmark. Each case runs through Compute and, to read the
-// predicate and to place a j-memory flip on a chosen word, through
-// Compute's own three steps.
-func TestSelectFree(t *testing.T) {
-	const ni, nj = 7, 9
-	quiet, signalling := math.NaN(), math.Float64frombits(0x7FF0000000000001)
-	for _, c := range []struct {
-		name             string
-		pipeBits, r2Bits uint
-		edit             func(ipos, jpos []vec.V3, jmass []float64)
-		flip             bool // flip mantissa bit 3 of jmass[4] in the j memory
-		eps2NaN          bool
-		want             bool
-	}{
-		{name: "clean", pipeBits: 7, r2Bits: 16, want: true},
-		{name: "float64 pipeline", pipeBits: 52, r2Bits: 60, want: true},
-		{name: "zeros and infinities", pipeBits: 7, r2Bits: 16, want: true,
-			edit: func(_, _ []vec.V3, m []float64) { copy(m, specialMasses[2]) }},
-		{name: "subnormal masses", pipeBits: 7, r2Bits: 16, want: true,
-			edit: func(_, _ []vec.V3, m []float64) { m[0], m[4] = 5e-324, -2.2e-308 }},
-		// flipMantissaBit hands an infinity back unflipped, so the
-		// corrupted word is no NaN and the call stays admitted.
-		{name: "flipped infinite mass", pipeBits: 7, r2Bits: 16, flip: true, want: true,
-			edit: func(_, _ []vec.V3, m []float64) { m[4] = math.Inf(1) }},
-		{name: "out-of-range positions", pipeBits: 7, r2Bits: 16, want: true,
-			edit: func(ip, jp []vec.V3, _ []float64) { ip[2].X, jp[3].Z = 1e9, math.Inf(-1) }},
-
-		{name: "NaN i coordinate", pipeBits: 7, r2Bits: 16,
-			edit: func(ip, _ []vec.V3, _ []float64) { ip[6].Z = quiet }},
-		{name: "NaN j coordinate", pipeBits: 7, r2Bits: 16,
-			edit: func(_, jp []vec.V3, _ []float64) { jp[0].X = quiet }},
-		{name: "quiet NaN mass", pipeBits: 7, r2Bits: 16,
-			edit: func(_, _ []vec.V3, m []float64) { m[8] = quiet }},
-		{name: "signalling NaN mass", pipeBits: 7, r2Bits: 16,
-			edit: func(_, _ []vec.V3, m []float64) { m[1] = signalling }},
-		{name: "all-ones NaN mass", pipeBits: 7, r2Bits: 16,
-			edit: func(_, _ []vec.V3, m []float64) { m[5] = specialMasses[1][3] }},
-		{name: "flipped NaN mass", pipeBits: 7, r2Bits: 16, flip: true,
-			edit: func(_, _ []vec.V3, m []float64) { m[4] = quiet }},
-		{name: "NaN softening", pipeBits: 7, r2Bits: 16, eps2NaN: true},
-		// An infinite mass straight above an i-point: ff·dx is Inf·0,
-		// the default NaN, which the 0-bit carry would turn into a zero.
-		{name: "0-bit pipeline", pipeBits: 0, r2Bits: 16,
-			edit: func(ip, jp []vec.V3, m []float64) {
-				jp[2], m[2] = ip[3], math.Inf(1)
-				jp[2].Y += 1
-			}},
-		// Refused for symmetry only: r² + ε² of NaN-free inputs is never
-		// a NaN, so the distance rounding cannot meet one.
-		{name: "0-bit distance", pipeBits: 7, r2Bits: 0},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			r := rng.New(41)
-			point := func() vec.V3 {
-				return vec.V3{X: r.Uniform(-40, 40), Y: r.Uniform(-40, 40), Z: r.Uniform(-40, 40)}
-			}
-			ipos, jpos, jmass := make([]vec.V3, ni), make([]vec.V3, nj), make([]float64, nj)
-			for i := range ipos {
-				ipos[i] = point()
-			}
-			for j := range jpos {
-				jpos[j], jmass[j] = point(), 1+r.Float64()
-			}
-			jpos[7] = ipos[1] // a coincident pair
-			if c.edit != nil {
-				c.edit(ipos, jpos, jmass)
-			}
-			cfg := DefaultConfig()
-			cfg.PipeBits, cfg.R2Bits = c.pipeBits, c.r2Bits
-			sys, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.SetScale(-100, 100); err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.SetEps(0.05); err != nil {
-				t.Fatal(err)
-			}
-			if c.eps2NaN {
-				sys.eps2 = quiet // SetEps refuses it; the predicate does not lean on that
-			}
-			plan := faultPlan{flipJ: -1}
-			if c.flip {
-				plan = faultPlan{flipJ: 4, flipMass: true, flipBit: 3}
-			}
-			iq, jq, mq, _ := referenceStage(sys, plan, ipos, jpos, jmass)
-			wantAcc, wantPot, _ := checkBodies(t, iq, jq, mq, nil, sys.eps2, c.pipeBits, c.r2Bits, make([]vec.V3, ni), make([]float64, ni))
-			equal := func(how string, acc []vec.V3, pot []float64) {
-				if d := diffBits(acc, pot, wantAcc, wantPot); d != "" {
-					t.Fatalf("%s: %s", how, d)
-				}
-			}
-
-			acc, pot := make([]vec.V3, ni), make([]float64, ni)
-			a, err := sys.begin(ipos, jpos, jmass, acc, pot, &sys.scratch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a.plan = plan
-			a.evaluate()
-			sys.finish(&a)
-			if got := a.selectFree(); got != c.want {
-				t.Errorf("selectFree() = %v, want %v", got, c.want)
-			}
-			equal("begin/evaluate/finish", acc, pot)
-
-			if !c.flip {
-				acc, pot = make([]vec.V3, ni), make([]float64, ni)
-				if err := sys.Compute(ipos, jpos, jmass, acc, pot); err != nil {
-					t.Fatal(err)
-				}
-				equal("Compute", acc, pot)
-			}
-		})
-	}
 }

@@ -36,10 +36,8 @@ type Counters struct {
 func (c Counters) HWSeconds() float64 { return c.PipeSeconds + c.BusSeconds }
 
 // Flops returns the accumulated operation count under the
-// ops-per-interaction convention (38 for the paper's accounting).
-func (c Counters) Flops(opsPerInteraction int) float64 {
-	return float64(c.Interactions) * float64(opsPerInteraction)
-}
+// OpsPerInteraction convention.
+func (c Counters) Flops() float64 { return float64(c.Interactions) * OpsPerInteraction }
 
 // System is an emulated GRAPE-5 installation. It is NOT safe for
 // concurrent use — it models one physical device on one bus; wrap it in
@@ -47,7 +45,7 @@ func (c Counters) Flops(opsPerInteraction int) float64 {
 // and Compute, which is both around one evaluation — are single-caller;
 // evaluate reads no System state, so the engine runs it unlocked.
 type System struct {
-	cfg Config
+	hw installation
 
 	// scale state (g5_set_range in the real library)
 	haveScale bool
@@ -103,24 +101,26 @@ type activation struct {
 	stuck                      []float64 // per-slot factors in the caller's scratch, nil when healthy
 
 	clamps int64 // positions evaluate clamped to the scale range
-	nan    bool  // evaluate staged a NaN coordinate or mass
 }
 
-// NewSystem builds an emulated system. The configuration is validated.
-func NewSystem(cfg Config) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s := &System{cfg: cfg, excluded: make([]bool, cfg.Boards), nActive: cfg.Boards}
-	if cfg.Fault != nil && cfg.Fault.enabled() {
-		s.fault = newFaultInjector(*cfg.Fault, cfg)
-		s.activeScratch = make([]int, 0, cfg.Boards)
+// NewSystem builds an emulated system on the paper's installation. The
+// configuration is validated.
+func NewSystem(cfg Config) (*System, error) { return newSystem(paper, cfg) }
+
+// newSystem is NewSystem on installation hw.
+func newSystem(hw installation, cfg Config) (*System, error) {
+	s := &System{hw: hw, excluded: make([]bool, hw.boards), nActive: hw.boards}
+	if f := cfg.Fault; f != nil {
+		if err := f.validate(hw.boards); err != nil {
+			return nil, err
+		}
+		if f.enabled() {
+			s.fault = newFaultInjector(*f)
+			s.activeScratch = make([]int, 0, hw.boards)
+		}
 	}
 	return s, nil
 }
-
-// Config returns the system's configuration.
-func (s *System) Config() Config { return s.cfg }
 
 // SetObserver attaches a telemetry observer: every charge to the
 // timing model is also recorded as simulated-hardware phase spans
@@ -135,12 +135,12 @@ func (s *System) Counters() Counters { return s.cnt }
 // fixed-point format, like g5_set_range. All positions of subsequent
 // Compute calls must lie inside [min, max) in every coordinate; the
 // rest are clamped and counted in Counters.RangeClamps, as on the
-// hardware.
+// hardware. A non-finite coordinate is refused (Compute).
 func (s *System) SetScale(min, max float64) error {
 	if !(max > min) || math.IsNaN(min) || math.IsInf(max-min, 0) {
 		return fmt.Errorf("g5: invalid scale range [%v, %v)", min, max)
 	}
-	s.grid = NewFixedGrid(min, max, s.cfg.PosBits)
+	s.grid = NewFixedGrid(min, max, s.hw.posBits)
 	s.haveScale = true
 	return nil
 }
@@ -185,8 +185,8 @@ func (s *System) FaultStats() FaultStats {
 // memory shrinks accordingly, so throughput degrades the way
 // TestMorePipesFasterModel says it must.
 func (s *System) SetBoardExcluded(b int, exclude bool) error {
-	if b < 0 || b >= s.cfg.Boards {
-		return fmt.Errorf("g5: board %d outside [0, %d)", b, s.cfg.Boards)
+	if b < 0 || b >= s.hw.boards {
+		return fmt.Errorf("g5: board %d outside [0, %d)", b, s.hw.boards)
 	}
 	if s.excluded[b] != exclude {
 		s.excluded[b] = exclude
@@ -201,7 +201,7 @@ func (s *System) SetBoardExcluded(b int, exclude bool) error {
 
 // BoardExcluded reports whether board b is out of service.
 func (s *System) BoardExcluded(b int) bool {
-	return b >= 0 && b < s.cfg.Boards && s.excluded[b]
+	return b >= 0 && b < s.hw.boards && s.excluded[b]
 }
 
 // ActiveBoards returns the number of boards still in service.
@@ -223,7 +223,10 @@ func (s *System) activeBoardList() []int {
 // points ipos are ADDED into acc and pot. It models the full offload:
 // j upload (chunked by particle-memory capacity), i upload, pipeline
 // passes, force readback — charging simulated time to the counters —
-// and evaluates the forces with the pipeline's reduced precision.
+// and evaluates the forces with the pipeline's reduced precision. A call
+// with a non-finite coordinate or mass fails with a permanent
+// HardwareError and charges nothing: the hardware's fixed-point and
+// logarithmic formats hold no NaN or infinity.
 func (s *System) Compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot []float64) error {
 	a, err := s.begin(ipos, jpos, jmass, acc, pot, &s.scratch)
 	if err != nil {
@@ -236,8 +239,10 @@ func (s *System) Compute(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot
 
 // begin opens one hardware call: it checks the device state and the
 // arguments, draws the call's faults and snapshots what evaluate and
-// finish need. The stuck factors go into sc, the scratch the call will
-// evaluate with (the injector's own list lasts until its next draw).
+// finish need. The arguments are checked before the faults are drawn,
+// so a refused call leaves the fault stream where it was. The stuck
+// factors go into sc, the scratch the call will evaluate with (the
+// injector's own list lasts until its next draw).
 func (s *System) begin(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot []float64, sc *evalScratch) (activation, error) {
 	if !s.haveScale {
 		return activation{}, fmt.Errorf("g5: Compute before SetScale")
@@ -253,12 +258,15 @@ func (s *System) begin(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot [
 	}
 	if s.nActive == 0 {
 		return activation{}, &HardwareError{Op: "compute",
-			Err: fmt.Errorf("all %d boards excluded from service", s.cfg.Boards)}
+			Err: fmt.Errorf("all %d boards excluded from service", s.hw.boards)}
+	}
+	if err := refuseNonFinite(ipos, jpos, jmass); err != nil {
+		return activation{}, err
 	}
 	a := activation{
 		ipos: ipos, jpos: jpos, jmass: jmass, acc: acc, pot: pot, sc: sc,
 		boards: s.nActive, grid: s.grid, eps2: s.eps2,
-		pipeBits: s.cfg.PipeBits, r2Bits: s.cfg.R2Bits, massBits: s.cfg.MassBits,
+		pipeBits: s.hw.pipeBits, r2Bits: s.hw.r2Bits, massBits: s.hw.massBits,
 		plan: faultPlan{flipJ: -1},
 	}
 	if s.fault != nil {
@@ -272,7 +280,7 @@ func (s *System) begin(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot [
 	// the affected i lose that board's 1/nActive share of j.
 	if len(a.plan.stuck) > 0 {
 		if sc.stuck == nil {
-			sc.stuck = make([]float64, s.cfg.VirtualPipesPerBoard())
+			sc.stuck = make([]float64, VirtualPipesPerBoard)
 		}
 		a.stuck = sc.stuck
 		for i := range a.stuck {
@@ -285,6 +293,35 @@ func (s *System) begin(ipos, jpos []vec.V3, jmass []float64, acc []vec.V3, pot [
 	}
 	a.plan.stuck = nil
 	return a, nil
+}
+
+// refuseNonFinite returns a permanent HardwareError naming the first
+// NaN or infinite coordinate or mass of a call, or nil. It runs on every
+// call, so it tests one comparison a value: |x| <= MaxFloat64 is false
+// for NaN and ±Inf alone.
+func refuseNonFinite(ipos, jpos []vec.V3, jmass []float64) error {
+	bad := func(what string, k int, v any) error {
+		return &HardwareError{Op: "input", Err: fmt.Errorf("%s %d is not finite: %v", what, k, v)}
+	}
+	finite := func(p vec.V3) bool {
+		return math.Abs(p.X) <= math.MaxFloat64 && math.Abs(p.Y) <= math.MaxFloat64 && math.Abs(p.Z) <= math.MaxFloat64
+	}
+	for i, p := range ipos {
+		if !finite(p) {
+			return bad("i-particle position", i, p)
+		}
+	}
+	for j, p := range jpos {
+		if !finite(p) {
+			return bad("j-particle position", j, p)
+		}
+	}
+	for j, m := range jmass {
+		if !(math.Abs(m) <= math.MaxFloat64) {
+			return bad("j-particle mass", j, m)
+		}
+	}
+	return nil
 }
 
 // evaluate is the functional model of the call: quantise, round the
@@ -301,7 +338,6 @@ func (a *activation) evaluate() {
 	mq := sc.mq
 	for j, m := range a.jmass {
 		mq[j] = RoundMantissa(m, a.massBits)
-		a.nan = a.nan || m != m
 	}
 	if plan := &a.plan; plan.flipJ >= 0 {
 		// A corrupted word read back from the particle memory; the flip
@@ -320,17 +356,7 @@ func (a *activation) evaluate() {
 			}
 		}
 	}
-	pipeline(iq, jq, mq, a.stuck, a.eps2, a.pipeBits, a.r2Bits, a.selectFree(), hostLanes, a.acc, a.pot)
-}
-
-// selectFree reports, once evaluate has staged the call's inputs, that
-// no NaN with a payload can reach a pipeline rounding, so the pair loop
-// may round in place (rounder.roundInPlace has the argument): no staged
-// coordinate, mass or the softening is a NaN — a NaN born inside the
-// loop of NaN-free inputs (an infinite mass at zero weight) is then the
-// default quiet one — and neither pipeline budget is 0 bits.
-func (a *activation) selectFree() bool {
-	return !a.nan && a.eps2 == a.eps2 && a.pipeBits >= 1 && a.r2Bits >= 1
+	pipeline(iq, jq, mq, a.stuck, a.eps2, a.pipeBits, a.r2Bits, hostLanes, a.acc, a.pot)
 }
 
 // finish closes the call: it charges the timing model for the board set
@@ -343,7 +369,7 @@ func (s *System) finish(a *activation) {
 	s.cnt.RangeClamps += a.clamps
 }
 
-// laneBody names a select-free pair loop of pipeline.
+// laneBody names a pair loop of pipeline.
 type laneBody uint8
 
 const (
@@ -375,18 +401,17 @@ type laneBlock struct {
 // only, so only a run head — a point differing from its predecessor —
 // streams j and the rest of its run reuses the sums: the guard's probe,
 // copied into every slot of a pass, costs one sweep and each slot still
-// gets its own factor. selectFree is the call's predicate of that name
-// and body the lane body to run it with (hostLanes, but for tests); they
-// pick the pair loop, never the result. A lane body serves laneWidth
+// gets its own factor. body is the pair loop to run (hostLanes, but for
+// tests); it never changes the result. A lane body serves laneWidth
 // heads a block, as a board's virtual pipelines share one j stream; the
 // last block repeats its last head into the lanes left over and drops
 // their sums. A block of at most four heads takes one streamJLanes4
 // sweep on either lane body: four YMM lanes cost less than eight ZMM
 // ones. It returns the iterations streamJLanes8 divided for.
-func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits, r2Bits uint, selectFree bool, body laneBody, acc []vec.V3, pot []float64) int {
+func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits, r2Bits uint, body laneBody, acc []vec.V3, pot []float64) int {
 	pipe, dist := newRounder(pipeBits), newRounder(r2Bits)
 	mq = mq[:len(jq)]
-	lanes := body != portableBody && selectFree
+	lanes := body != portableBody
 	var b laneBlock
 	width := 1
 	if lanes {
@@ -413,8 +438,7 @@ func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits
 			}
 		}
 		first[heads] = end
-		switch {
-		case lanes:
+		if lanes {
 			for l := heads; l < laneWidth; l++ {
 				b.x[l], b.y[l], b.z[l] = b.x[heads-1], b.y[heads-1], b.z[heads-1]
 			}
@@ -426,10 +450,8 @@ func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits
 					streamJLanes4(&b, laneWidth/2, jq, mq)
 				}
 			}
-		case selectFree:
+		} else {
 			b.ax[0], b.ay[0], b.az[0], b.pp[0] = streamJ(iq[start], jq, mq, eps2, pipe, dist)
-		default:
-			b.ax[0], b.ay[0], b.az[0], b.pp[0] = streamJSelect(iq[start], jq, mq, eps2, pipe, dist)
 		}
 		for l := 0; l < heads; l++ {
 			for i := first[l]; i < first[l+1]; i++ {
@@ -452,33 +474,6 @@ func pipeline(iq, jq []vec.V3, mq, stuckFactor []float64, eps2 float64, pipeBits
 // and adds +0, the hardware's answer (DESIGN.md §13 has the IEEE
 // argument). len(mq) == len(jq).
 func streamJ(pi vec.V3, jq []vec.V3, mq []float64, eps2 float64, pipe, dist rounder) (ax, ay, az, pp float64) {
-	for j, pj := range jq {
-		dx := pj.X - pi.X
-		dy := pj.Y - pi.Y
-		dz := pj.Z - pi.Z
-		r2 := dx*dx + dy*dy + dz*dz
-		m := mq[j]
-		if r2 == 0 {
-			m, r2 = 0, 1
-		}
-		r2 = dist.roundInPlace(r2 + eps2)
-		inv := 1 / math.Sqrt(r2)
-		fpot := pipe.roundInPlace(m * inv)
-		ff := pipe.roundInPlace(m * inv / r2)
-		ax += pipe.roundInPlace(ff * dx)
-		ay += pipe.roundInPlace(ff * dy)
-		az += pipe.roundInPlace(ff * dz)
-		pp -= fpot
-	}
-	return ax, ay, az, pp
-}
-
-// streamJSelect is streamJ for the calls selectFree refuses — a NaN
-// input, a 0-bit budget: the same pass through rounder.round, whose
-// select hands a NaN on with its payload. It is a second body because
-// the select costs the loop half its speed however it is written
-// (EXPERIMENTS.md E21); no workload takes it.
-func streamJSelect(pi vec.V3, jq []vec.V3, mq []float64, eps2 float64, pipe, dist rounder) (ax, ay, az, pp float64) {
 	for j, pj := range jq {
 		dx := pj.X - pi.X
 		dy := pj.Y - pi.Y
@@ -511,7 +506,6 @@ func (a *activation) quantizeInto(dst *[]vec.V3, pos []vec.V3) []vec.V3 {
 		qz, okz := a.grid.Quantize(p.Z)
 		if !okx || !oky || !okz {
 			a.clamps++
-			a.nan = a.nan || qx != qx || qy != qy || qz != qz
 		}
 		out[i] = vec.V3{X: qx, Y: qy, Z: qz}
 	}
@@ -540,8 +534,8 @@ func (s *System) charge(ni, nj, boards int) {
 	c.Runs++
 	c.Interactions += int64(ni) * int64(nj)
 
-	vp := s.cfg.VirtualPipesPerBoard()
-	jmem := s.cfg.JMemPerBoard * boards
+	vp := VirtualPipesPerBoard
+	jmem := s.hw.jmem * boards
 
 	// j is processed in passes of at most the total particle memory.
 	passes := (nj + jmem - 1) / jmem
@@ -558,24 +552,24 @@ func (s *System) charge(ni, nj, boards int) {
 		// of vp particles, at the board clock.
 		perBoard := (chunk + boards - 1) / boards
 		iGroups := (ni + vp - 1) / vp
-		pipeSec += float64(iGroups) * float64(perBoard) / s.cfg.BoardClockHz
+		pipeSec += float64(iGroups) * float64(perBoard) / BoardClockHz
 	}
 	c.PipeSeconds += pipeSec
 
-	iBytes := int64(ni) * int64(s.cfg.BytesPerI)
-	fBytes := int64(ni) * int64(s.cfg.BytesPerForce) * int64(boards)
-	jBytes := int64(nj) * int64(s.cfg.BytesPerJ)
+	iBytes := int64(ni) * BytesPerI
+	fBytes := int64(ni) * BytesPerForce * int64(boards)
+	jBytes := int64(nj) * BytesPerJ
 	bytes := iBytes + fBytes + jBytes
 	c.BytesTransferred += bytes
-	c.BusSeconds += float64(bytes)/s.cfg.BusBandwidth + s.cfg.BusLatencyS
+	c.BusSeconds += float64(bytes)/BusBandwidth + BusLatencyS
 
 	// Telemetry: the paper's t_grape is the pipeline span; t_comm
 	// splits into the j upload, the i upload (which carries the fixed
 	// DMA/driver latency) and the per-board force readback.
 	s.obs.AddSeconds(obs.PhasePipeline, pipeSec)
-	s.obs.AddSeconds(obs.PhaseJTransfer, float64(jBytes)/s.cfg.BusBandwidth)
-	s.obs.AddSeconds(obs.PhaseITransfer, float64(iBytes)/s.cfg.BusBandwidth+s.cfg.BusLatencyS)
-	s.obs.AddSeconds(obs.PhaseReadback, float64(fBytes)/s.cfg.BusBandwidth)
-	s.obs.Add(obs.CntFlops, int64(ni)*int64(nj)*int64(s.cfg.OpsPerInteraction))
+	s.obs.AddSeconds(obs.PhaseJTransfer, float64(jBytes)/BusBandwidth)
+	s.obs.AddSeconds(obs.PhaseITransfer, float64(iBytes)/BusBandwidth+BusLatencyS)
+	s.obs.AddSeconds(obs.PhaseReadback, float64(fBytes)/BusBandwidth)
+	s.obs.Add(obs.CntFlops, int64(ni)*int64(nj)*OpsPerInteraction)
 	s.obs.Add(obs.CntBytes, bytes)
 }

@@ -1,9 +1,11 @@
 package g5
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/vec"
 )
@@ -20,48 +22,41 @@ func newTestSystem(t *testing.T) *System {
 	return sys
 }
 
+// TestConfigValidate: the fault model is all a Config holds, and all
+// Validate judges — against the installation's two boards.
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
+	for _, cfg := range []Config{DefaultConfig(), {Fault: &FaultModel{FailBoard: Boards, StuckPipeRate: 1}}} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", cfg.Fault, err)
+		}
 	}
-	bad := DefaultConfig()
-	bad.Boards = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("Boards=0 accepted")
-	}
-	bad = DefaultConfig()
-	bad.PosBits = 60
-	if err := bad.Validate(); err == nil {
-		t.Error("PosBits=60 accepted")
-	}
-	bad = DefaultConfig()
-	bad.BusBandwidth = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero bandwidth accepted")
+	for _, f := range []FaultModel{{FailBoard: Boards + 1}, {TransientRate: math.NaN()}} {
+		if err := (Config{Fault: &f}).Validate(); err == nil {
+			t.Errorf("%+v accepted", f)
+		}
 	}
 }
 
-// TestPeakAccounting is experiment E1: the default configuration's peak
-// must be exactly the paper's numbers — 32 pipelines, 2.88e9
-// interactions/s, 109.44 Gflops.
+// TestPeakAccounting is experiment E1: the installation's peak must be
+// exactly the paper's numbers — 32 pipelines, 2.88e9 interactions/s,
+// 109.44 Gflops.
 func TestPeakAccounting(t *testing.T) {
-	cfg := DefaultConfig()
-	if got := cfg.PhysicalPipes(); got != 32 {
-		t.Errorf("physical pipes = %d, want 32", got)
+	if PhysicalPipes != 32 {
+		t.Errorf("physical pipes = %d, want 32", PhysicalPipes)
 	}
-	if got := cfg.PeakInteractionsPerSecond(); math.Abs(got-2.88e9) > 1 {
-		t.Errorf("peak rate = %v, want 2.88e9", got)
+	if PeakInteractionsPerSecond != 2.88e9 {
+		t.Errorf("peak rate = %v, want 2.88e9", PeakInteractionsPerSecond)
 	}
-	if got := cfg.PeakFlops(); math.Abs(got-109.44e9) > 1 {
-		t.Errorf("peak flops = %v, want 109.44e9 (paper §2)", got)
+	if PeakFlops != 109.44e9 {
+		t.Errorf("peak flops = %v, want 109.44e9 (paper §2)", PeakFlops)
 	}
 	// Virtual pipes per board: 8 chips × 2 pipes × 6 VMP = 96, and the
 	// VMP factor must equal the chip/board clock ratio.
-	if got := cfg.VirtualPipesPerBoard(); got != 96 {
-		t.Errorf("virtual pipes per board = %d, want 96", got)
+	if VirtualPipesPerBoard != 96 {
+		t.Errorf("virtual pipes per board = %d, want 96", VirtualPipesPerBoard)
 	}
-	if ratio := cfg.ChipClockHz / cfg.BoardClockHz; math.Abs(ratio-float64(cfg.VMP)) > 1e-9 {
-		t.Errorf("VMP %d != clock ratio %v", cfg.VMP, ratio)
+	if ChipClockHz/BoardClockHz != VMP {
+		t.Errorf("VMP %d != clock ratio %v", VMP, ChipClockHz/BoardClockHz)
 	}
 }
 
@@ -191,7 +186,7 @@ func TestTimingModelHeadline(t *testing.T) {
 	// Ideal pipeline time = interactions / 2.88e9 ≈ 10.07 s; the model
 	// adds ceil-padding (i groups of 96, j split across boards), so
 	// expect slightly more but within 10%.
-	ideal := float64(wantInteractions) / sys.Config().PeakInteractionsPerSecond()
+	ideal := float64(wantInteractions) / PeakInteractionsPerSecond
 	if c.PipeSeconds < ideal {
 		t.Errorf("pipe time %v below ideal %v — model lost work", c.PipeSeconds, ideal)
 	}
@@ -208,9 +203,9 @@ func TestTimingModelHeadline(t *testing.T) {
 }
 
 func TestJMemoryPasses(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.JMemPerBoard = 100 // tiny memory: 200 total
-	sys, _ := NewSystem(cfg)
+	hw := paper
+	hw.jmem = 100 // tiny memory: 200 total
+	sys, _ := newSystem(hw, Config{})
 	sys.SetScale(-10, 10)
 	sys.ChargeOnly(96, 500) // 500 j > 200 capacity -> 3 passes
 	if sys.Counters().JPasses != 3 {
@@ -218,26 +213,84 @@ func TestJMemoryPasses(t *testing.T) {
 	}
 }
 
-// outOfRange holds positions the [-1, 1) window cannot represent. NaN
-// is one of them: no comparison puts it outside, so Quantize has to say so.
-var outOfRange = []vec.V3{{X: 5}, {Y: math.NaN()}}
-
+// TestClampCounting: a finite position outside the scale window is
+// clamped and counted, one count a position.
 func TestClampCounting(t *testing.T) {
-	for _, p := range outOfRange {
-		sys, _ := NewSystem(DefaultConfig())
-		sys.SetScale(-1, 1)
-		acc, pot := make([]vec.V3, 1), make([]float64, 1)
-		if err := sys.Compute([]vec.V3{p}, []vec.V3{{}}, []float64{1}, acc, pot); err != nil {
-			t.Fatal(err)
-		}
-		if n := sys.Counters().RangeClamps; n != 1 {
-			t.Errorf("position %v: %d clamps counted, want 1", p, n)
-		}
-		// Lenient mode hands a NaN coordinate on to the pipelines, as
-		// it always has; TestSelectFree pins the bits.
-		if math.IsNaN(pot[0]) != math.IsNaN(p.Y) {
-			t.Errorf("position %v: potential %v", p, pot[0])
-		}
+	sys, _ := NewSystem(DefaultConfig())
+	sys.SetScale(-1, 1)
+	acc, pot := make([]vec.V3, 3), make([]float64, 3)
+	if err := sys.Compute([]vec.V3{{X: 5}, {}, {Y: -1e300, Z: 7}}, []vec.V3{{X: 0.5}}, []float64{1}, acc, pot); err != nil {
+		t.Fatal(err)
+	}
+	if n := sys.Counters().RangeClamps; n != 2 {
+		t.Errorf("%d clamps counted, want 2", n)
+	}
+}
+
+// refusal returns err as the permanent *HardwareError a refused call
+// fails with, or fails the test.
+func refusal(t *testing.T, how string, err error) *HardwareError {
+	t.Helper()
+	var hw *HardwareError
+	if !errors.As(err, &hw) || hw.Transient {
+		t.Fatalf("%s: got %v, want a permanent *HardwareError", how, err)
+	}
+	return hw
+}
+
+// TestNonFiniteInputRefused: a NaN mass, a NaN coordinate or an infinite
+// coordinate is refused before a fault is drawn or a board is charged —
+// by System.Compute, by a guarded engine, which panics with the error
+// without retry or exclusion, and by a two-shard Cluster, whose Flush
+// returns it. Every call would fail transiently if it drew its faults.
+func TestNonFiniteInputRefused(t *testing.T) {
+	always := Config{Fault: &FaultModel{Seed: 1, TransientRate: 1}}
+	for _, c := range []struct {
+		name string
+		edit func(q *core.Request)
+	}{
+		{"NaN mass", func(q *core.Request) { q.J.M[3] = math.NaN() }},
+		{"NaN i coordinate", func(q *core.Request) { q.IPos[2].Y = math.NaN() }},
+		{"+Inf j coordinate", func(q *core.Request) { q.J.X[5] = math.Inf(1) }},
+		{"-Inf i coordinate", func(q *core.Request) { q.IPos[0].Z = math.Inf(-1) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			q := randomRequest(rng.New(23), 10, 40)
+			c.edit(q)
+
+			sys := newGuardSystem(t, paper, always, 0.05)
+			jpos, jm := aosSources(q)
+			refusal(t, "System.Compute", sys.Compute(q.IPos, jpos, jm, q.Acc, q.Pot))
+			if sys.Counters() != (Counters{}) || sys.FaultStats() != (FaultStats{}) {
+				t.Errorf("System.Compute: refused call charged %+v, drew %+v", sys.Counters(), sys.FaultStats())
+			}
+
+			gsys := newGuardSystem(t, paper, always, 0.05)
+			guard := NewGuardedEngine(gsys, 1, fastPolicy())
+			func() {
+				defer func() {
+					err, _ := recover().(error)
+					refusal(t, "guarded engine", err)
+				}()
+				guard.Accumulate(cloneRequest(q))
+			}()
+			if rec := guard.Recovery(); rec != (Recovery{}) || gsys.ActiveBoards() != Boards {
+				t.Errorf("guarded engine: recovery %v, %d boards in service", rec, gsys.ActiveBoards())
+			}
+
+			cl, err := NewCluster(ClusterConfig{Shards: 2, Board: always, Guard: fastPolicy()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.SetScale(-100, 100); err != nil {
+				t.Fatal(err)
+			}
+			cl.Accumulate(cloneRequest(q))
+			refusal(t, "cluster", cl.Flush())
+			if rec := cl.Recovery(); rec != (Recovery{}) || cl.ActiveBoards() != 2*Boards {
+				t.Errorf("cluster: recovery %v, %d boards in service", rec, cl.ActiveBoards())
+			}
+		})
 	}
 }
 
@@ -259,17 +312,16 @@ func TestEmptyBatchesAreFree(t *testing.T) {
 // finish, and another batch may end a recovery episode in between by
 // excluding a board — or the last one, which used to divide by zero.
 func TestFinishChargesPlannedBoards(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.JMemPerBoard = 200 // 500 sources: 2 passes on two boards, 3 on one
+	hw := overlapHW(2) // 500 sources: 2 passes on two boards, 3 on one
 	q := randomRequest(rng.New(7), 97, 500)
 	jpos, jm := aosSources(q)
 
-	fresh := newGuardSystem(t, cfg, 0.05)
+	fresh := newGuardSystem(t, hw, Config{}, 0.05)
 	fresh.ChargeOnly(97, 500)
 	want := fresh.Counters()
 
-	for lost := 1; lost <= cfg.Boards; lost++ {
-		sys := newGuardSystem(t, cfg, 0.05)
+	for lost := 1; lost <= Boards; lost++ {
+		sys := newGuardSystem(t, hw, Config{}, 0.05)
 		var sc evalScratch
 		a, err := sys.begin(q.IPos, jpos, jm, q.Acc, q.Pot, &sc)
 		if err != nil {
@@ -287,17 +339,17 @@ func TestFinishChargesPlannedBoards(t *testing.T) {
 	}
 }
 
+// exact is the installation with every format budget at float64's 52
+// bits, which leaves position quantisation as the only rounding: E2
+// isolates the format error with it.
+var exact = installation{boards: Boards, jmem: JMemPerBoard, posBits: 52, massBits: 52, r2Bits: 52, pipeBits: 52}
+
 func TestFloat64ConfigIsExact(t *testing.T) {
 	// With all precision knobs maxed, the pipeline must agree with
 	// float64 arithmetic to rounding error — the paper's observation
 	// that results were "practically the same" with 64-bit arithmetic,
 	// exercised in reverse.
-	cfg := DefaultConfig()
-	cfg.PosBits = 52
-	cfg.MassBits = 52
-	cfg.R2Bits = 52
-	cfg.PipeBits = 52
-	sys, _ := NewSystem(cfg)
+	sys, _ := newSystem(exact, Config{})
 	sys.SetScale(-100, 100)
 	sys.SetEps(0.1)
 
@@ -367,10 +419,7 @@ func TestCountersFlops(t *testing.T) {
 	if c.Interactions != wantInts {
 		t.Fatalf("interactions = %d, want %d", c.Interactions, wantInts)
 	}
-	if got, want := c.Flops(38), float64(wantInts)*38; got != want {
-		t.Errorf("Flops(38) = %v, want %v", got, want)
-	}
-	if got := c.Flops(1); got != float64(wantInts) {
-		t.Errorf("Flops(1) = %v, want %v", got, float64(wantInts))
+	if got, want := c.Flops(), float64(wantInts)*38; got != want {
+		t.Errorf("Flops() = %v, want %v", got, want)
 	}
 }

@@ -33,9 +33,9 @@ func TestTwoBodyCircularOrbit(t *testing.T) {
 	// their initial positions to O(dt²) accuracy.
 	const g = 1.0
 	s := nbody.TwoBody(1, 1, 1, g)
-	period := nbody.OrbitalPeriod(0.5, 2, g) // semi-major axis = d/2 ... for circular orbit of separation d, a_rel = d
-	// For the relative orbit the semi-major axis is the separation d=1.
-	period = nbody.OrbitalPeriod(1, 2, g)
+	// Kepler's period of the relative orbit: its semi-major axis is the
+	// separation d = 1, its mass the total 2.
+	period := 2 * math.Pi * math.Sqrt(1/(g*2))
 	steps := 2000
 	lf, err := NewLeapfrog(period/float64(steps), directForce(g, 0))
 	if err != nil {

@@ -84,12 +84,6 @@ func TwoBody(m1, m2, d, g float64) *System {
 	return s
 }
 
-// OrbitalPeriod returns the Kepler period of a two-body orbit with
-// semi-major axis a and total mass mtot in units with constant g.
-func OrbitalPeriod(a, mtot, g float64) float64 {
-	return 2 * math.Pi * math.Sqrt(a*a*a/(g*mtot))
-}
-
 // Merge returns a new system containing all particles of a followed by
 // all particles of b, with b's positions and velocities offset.
 // It implements the two-galaxy collision setup.

@@ -117,13 +117,6 @@ func TestTwoBodyCircular(t *testing.T) {
 	}
 }
 
-func TestOrbitalPeriod(t *testing.T) {
-	// G=1, M=1, a=1 → T = 2π.
-	if p := OrbitalPeriod(1, 1, 1); math.Abs(p-2*math.Pi) > 1e-14 {
-		t.Errorf("period = %v", p)
-	}
-}
-
 func TestMerge(t *testing.T) {
 	a := UniformSphere(10, 1, 1, rng.New(1))
 	b := UniformSphere(20, 2, 1, rng.New(2))

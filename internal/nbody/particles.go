@@ -11,6 +11,7 @@ package nbody
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/vec"
 )
@@ -207,7 +208,7 @@ func (s *System) Recenter() {
 }
 
 // Validate checks structural invariants: equal array lengths, finite
-// positions and velocities, positive masses.
+// positions and velocities, finite positive masses.
 func (s *System) Validate() error {
 	n := s.N()
 	if len(s.Vel) != n || len(s.Acc) != n || len(s.Mass) != n || len(s.Pot) != n || len(s.ID) != n {
@@ -220,8 +221,11 @@ func (s *System) Validate() error {
 		if !s.Vel[i].IsFinite() {
 			return fmt.Errorf("nbody: particle %d has non-finite velocity", i)
 		}
-		if s.Mass[i] <= 0 {
-			return fmt.Errorf("nbody: particle %d has non-positive mass %v", i, s.Mass[i])
+		switch m := s.Mass[i]; {
+		case math.IsNaN(m) || math.IsInf(m, 0):
+			return fmt.Errorf("nbody: particle %d has non-finite mass %v", i, m)
+		case m <= 0:
+			return fmt.Errorf("nbody: particle %d has non-positive mass %v", i, m)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package nbody
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -118,6 +119,12 @@ func TestValidate(t *testing.T) {
 	s.Mass[1] = 0
 	if err := s.Validate(); err == nil {
 		t.Error("zero mass accepted")
+	}
+	for _, m := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s.Mass[1] = m
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "non-finite mass") {
+			t.Errorf("mass %v: got %v, want a mass error", m, err)
+		}
 	}
 	s.Mass[1] = 1
 	s.Pos[0] = vec.V3{X: math.NaN()}

@@ -10,13 +10,12 @@ import (
 )
 
 func TestDirectStepModelScalesQuadratically(t *testing.T) {
-	cfg := g5.DefaultConfig()
 	host := DS10()
-	small, err := DirectStepModel(10000, cfg, host)
+	small, err := DirectStepModel(10000, host)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := DirectStepModel(20000, cfg, host)
+	big, err := DirectStepModel(20000, host)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +30,12 @@ func TestDirectStepModelScalesQuadratically(t *testing.T) {
 
 func TestDirectStepModelPipeTime(t *testing.T) {
 	// At n = 96k the pipelines are fully utilised: pipe time ≈ n²/2.88e9.
-	cfg := g5.DefaultConfig()
 	n := 96000
-	rep, err := DirectStepModel(n, cfg, DS10())
+	rep, err := DirectStepModel(n, DS10())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal := float64(n) * float64(n) / cfg.PeakInteractionsPerSecond()
+	ideal := float64(n) * float64(n) / g5.PeakInteractionsPerSecond
 	if rep.PipeSeconds < ideal || rep.PipeSeconds > ideal*1.02 {
 		t.Errorf("pipe seconds = %v, ideal %v", rep.PipeSeconds, ideal)
 	}
@@ -49,16 +47,15 @@ func TestDirectStepModelPipeTime(t *testing.T) {
 // i-particle and its per-board readback once, and one call latency per
 // sweep.
 func TestDirectStepModelChargesJOnce(t *testing.T) {
-	cfg := g5.DefaultConfig()
-	vp := cfg.VirtualPipesPerBoard()
+	const vp = g5.VirtualPipesPerBoard
 	for _, n := range []int{1, vp, 1000, 9601} {
-		rep, err := DirectStepModel(n, cfg, DS10())
+		rep, err := DirectStepModel(n, DS10())
 		if err != nil {
 			t.Fatal(err)
 		}
-		bytes := n*cfg.BytesPerJ + n*cfg.BytesPerI + n*cfg.BytesPerForce*cfg.Boards
+		bytes := n*g5.BytesPerJ + n*g5.BytesPerI + n*g5.BytesPerForce*g5.Boards
 		sweeps := (n + vp - 1) / vp
-		want := float64(bytes)/cfg.BusBandwidth + float64(sweeps)*cfg.BusLatencyS
+		want := float64(bytes)/g5.BusBandwidth + float64(sweeps)*g5.BusLatencyS
 		if rel := math.Abs(rep.BusSeconds-want) / want; rel > 1e-12 {
 			t.Errorf("n=%d: bus seconds %v, want %v (one j load, %d sweeps)", n, rep.BusSeconds, want, sweeps)
 		}
@@ -71,11 +68,11 @@ func TestCrossover(t *testing.T) {
 	ns := []int{1000, 4000, 16000, 64000}
 	ratio := make([]float64, len(ns)) // direct over tree seconds per step
 	for i, n := range ns {
-		d, err := DirectStepModel(n, g5.DefaultConfig(), DS10())
+		d, err := DirectStepModel(n, DS10())
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, _, err := TreeStepModel(nbody.Plummer(n, 1, 1, 1, rng.New(uint64(n))), 0.75, 2000, g5.DefaultConfig(), DS10())
+		tree, _, err := TreeStepModel(nbody.Plummer(n, 1, 1, 1, rng.New(uint64(n))), 0.75, 2000, DS10())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +97,7 @@ func TestDirectModelAtPaperN(t *testing.T) {
 	// Direct summation at the paper's N would take ~27 minutes per step
 	// on the GRAPE-5 — versus ~22-30 s for the treecode. This is the
 	// whole point of the paper in one number.
-	rep, err := DirectStepModel(2159038, g5.DefaultConfig(), DS10())
+	rep, err := DirectStepModel(2159038, DS10())
 	if err != nil {
 		t.Fatal(err)
 	}

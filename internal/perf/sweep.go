@@ -49,11 +49,11 @@ type SweepPoint struct {
 }
 
 // NgSweep models one step's time balance (TreeStepModel) on the given
-// host and GRAPE configuration for each n_g value. s is not modified.
-func NgSweep(s *nbody.System, theta float64, ncrits []int, host HostModel, cfg g5.Config) ([]SweepPoint, error) {
+// host for each n_g value. s is not modified.
+func NgSweep(s *nbody.System, theta float64, ncrits []int, host HostModel) ([]SweepPoint, error) {
 	points := make([]SweepPoint, 0, len(ncrits))
 	for _, ng := range ncrits {
-		rep, st, err := TreeStepModel(s, theta, ng, cfg, host)
+		rep, st, err := TreeStepModel(s, theta, ng, host)
 		if err != nil {
 			return nil, fmt.Errorf("perf: sweep at ncrit=%d: %w", ng, err)
 		}

@@ -59,7 +59,7 @@ func TestNgSweepShape(t *testing.T) {
 	// n_g, GRAPE time increases, and the interactions are monotone.
 	s := nbody.Plummer(8000, 1, 1, 1, rng.New(9))
 	ncrits := []int{8, 64, 512, 4096}
-	points, err := NgSweep(s, 0.75, ncrits, DS10(), g5.DefaultConfig())
+	points, err := NgSweep(s, 0.75, ncrits, DS10())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestNgSweepIsAPureFunction(t *testing.T) {
 	s := nbody.Plummer(4096, 1, 1, 1, rng.New(1))
 	ncrits := []int{125, 250, 500, 1000, 2000, 4000}
 	sweep := func() []SweepPoint {
-		points, err := NgSweep(s, 0.75, ncrits, DS10(), g5.DefaultConfig())
+		points, err := NgSweep(s, 0.75, ncrits, DS10())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,12 +157,11 @@ func TestFasterHostShiftsOptimumDown(t *testing.T) {
 	slow := DS10()
 	fast := slow
 	fast.VisitCoeff /= 4 // the batched MAC's measured class of win
-	cfg := g5.DefaultConfig()
-	ps, err := NgSweep(s.Clone(), 0.75, ncrits, slow, cfg)
+	ps, err := NgSweep(s.Clone(), 0.75, ncrits, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := NgSweep(s.Clone(), 0.75, ncrits, fast, cfg)
+	pf, err := NgSweep(s.Clone(), 0.75, ncrits, fast)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -353,7 +353,7 @@ func TestE2EBitwiseIdentity(t *testing.T) {
 		}
 		// The result must round-trip the checkpoint reader: structurally
 		// valid, CRC-clean.
-		if _, err := ckpt.Unmarshal(got); err != nil {
+		if _, err := ckpt.Read(bytes.NewReader(got)); err != nil {
 			t.Errorf("job %s: result does not parse as a checkpoint: %v", id, err)
 		}
 	}

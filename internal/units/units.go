@@ -125,9 +125,3 @@ func SphereMass(omegaM, h, r float64) float64 {
 func ParticleMass(omegaM, h, r float64, n int) float64 {
 	return SphereMass(omegaM, h, r) / float64(n)
 }
-
-// ScaleFactor returns a = 1/(1+z).
-func ScaleFactor(z float64) float64 { return 1 / (1 + z) }
-
-// Redshift returns z = 1/a - 1.
-func Redshift(a float64) float64 { return 1/a - 1 }

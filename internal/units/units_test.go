@@ -48,14 +48,6 @@ func TestPaperGflopsConsistency(t *testing.T) {
 	}
 }
 
-func TestScaleFactorRedshiftRoundTrip(t *testing.T) {
-	for _, z := range []float64{0, 0.5, 1, 24, 99} {
-		if got := Redshift(ScaleFactor(z)); math.Abs(got-z) > 1e-12*(1+z) {
-			t.Errorf("Redshift(ScaleFactor(%v)) = %v", z, got)
-		}
-	}
-}
-
 func TestHubbleH0(t *testing.T) {
 	if HubbleH0(0.5) != 50 {
 		t.Errorf("HubbleH0(0.5) = %v", HubbleH0(0.5))

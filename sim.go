@@ -98,12 +98,8 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 	case EngineHost:
 		engine = &core.HostEngine{G: cfg.G, Eps: cfg.Eps}
 	case EngineGRAPE5:
-		board := cfg.GRAPE
-		if board == (g5.Config{}) {
-			board = g5.DefaultConfig()
-		}
 		cl, err := g5.NewCluster(g5.ClusterConfig{
-			Shards: cfg.Shards, Board: board, G: cfg.G,
+			Shards: cfg.Shards, Board: g5.Config{Fault: cfg.Fault}, G: cfg.G,
 			Guard: cfg.GuardPolicy, Unguarded: !cfg.Guard && cfg.Shards <= 1,
 		})
 		if err != nil {

@@ -106,10 +106,9 @@ func TestSimulationGRAPEEnergyConservation(t *testing.T) {
 // is not recovered from, but it fails the force call — Prime returns it,
 // naming the shard — instead of killing the process from a walk worker.
 func TestUnguardedHardwareErrorReturns(t *testing.T) {
-	board := g5.DefaultConfig()
-	board.Fault = &g5.FaultModel{TransientRate: 1}
 	sim, err := NewSimulation(Plummer(400, 1, 1, 1, 4), Config{
-		Theta: 0.6, Ncrit: 64, G: 1, Eps: 0.05, DT: 0.005, Engine: EngineGRAPE5, GRAPE: board,
+		Theta: 0.6, Ncrit: 64, G: 1, Eps: 0.05, DT: 0.005, Engine: EngineGRAPE5,
+		Fault: &g5.FaultModel{TransientRate: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
