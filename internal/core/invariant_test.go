@@ -126,32 +126,25 @@ func TestGroupListValidForAllMembers(t *testing.T) {
 	tree := tc.Tree
 	mac := octree.OpenCriterion{Theta: theta}
 	groups := tree.Groups(128)
-	buf := &listBuf{}
 	checked := 0
 	for _, g := range groups {
 		// Rebuild this group's accepted-cell set by replaying the walk.
 		gbox := tree.Nodes[g.Node].Box
-		buf.stack = buf.stack[:0]
-		buf.stack = append(buf.stack, 0)
 		var cells []int32
-		for len(buf.stack) > 0 {
-			idx := buf.stack[len(buf.stack)-1]
-			buf.stack = buf.stack[:len(buf.stack)-1]
+		var visit func(idx int32)
+		visit = func(idx int32) {
 			n := &tree.Nodes[idx]
-			d2 := gbox.Dist2(n.COM)
-			if mac.Accept(n, d2) {
+			if mac.Accept(n, gbox.Dist2(n.COM)) {
 				cells = append(cells, idx)
-				continue
-			}
-			if n.Leaf {
-				continue
+				return
 			}
 			for _, c := range n.Children {
 				if c != octree.NoChild {
-					buf.stack = append(buf.stack, c)
+					visit(c)
 				}
 			}
 		}
+		visit(0)
 		// Every member must individually accept every listed cell.
 		for _, ci := range cells {
 			cn := &tree.Nodes[ci]

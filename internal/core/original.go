@@ -82,9 +82,9 @@ func (tc *Treecode) originalWorker(buf *listBuf, tree *octree.Tree, lo, hi int,
 	var req Request // hoisted: &req must not escape a loop iteration
 	t0 := time.Now()
 	for i := lo; i < hi; i++ {
-		nj, visited := buf.particleList(tree, i, mac, j)
-		local.addList(1, nj)
-		local.NodesVisited += visited
+		p := s.Pos[i]
+		nj, cells, visited := tree.Walk(vec.Box{Min: p, Max: p}, mac, int32(i), j)
+		local.addList(1, nj, cells, visited)
 		if j == nil {
 			continue
 		}
@@ -98,77 +98,4 @@ func (tc *Treecode) originalWorker(buf *listBuf, tree *octree.Tree, lo, hi int,
 	tc.statsMu.Lock()
 	stats.merge(&local)
 	tc.statsMu.Unlock()
-}
-
-// particleList is the original algorithm's walk for field particle i:
-// accepted cells contribute their centre of mass, opened leaves their
-// particles except i itself (engines guard zero-distance pairs anyway;
-// excluding it keeps the list length equal to the interaction count).
-// With a list, j is reset, filled in visit order and padded; with
-// j == nil nothing is emitted and a leaf is taken in O(1), which is what
-// keeps CountOriginal cheap at the paper's N. Returns the list length
-// and the number of tree nodes visited.
-//
-// The inner loop descends to the next node that ends a branch of the
-// walk and counts it; only a list leaves it, to emit that node in the
-// outer loop. Emitting inside the descent costs the count-only walk
-// ~8 % (the append calls keep the stack and counters out of registers).
-func (b *listBuf) particleList(tree *octree.Tree, i int, mac octree.OpenCriterion, j *hostk.JList) (entries int, visited int64) {
-	s := tree.Sys
-	pi := s.Pos[i]
-	if j != nil {
-		j.Reset()
-	}
-	st := append(b.stack[:0], 0)
-	for {
-		var end *octree.Node
-		accepted := false
-		for len(st) > 0 {
-			n := &tree.Nodes[st[len(st)-1]]
-			st = st[:len(st)-1]
-			visited++
-			if mac.Accept(n, pi.Dist2(n.COM)) {
-				entries++
-				if j != nil {
-					end, accepted = n, true
-					break
-				}
-				continue
-			}
-			if n.Leaf {
-				entries += int(n.Count)
-				if i >= int(n.Start) && i < int(n.Start+n.Count) {
-					entries--
-				}
-				if j != nil {
-					end = n
-					break
-				}
-				continue
-			}
-			for _, c := range n.Children {
-				if c != octree.NoChild {
-					st = append(st, c)
-				}
-			}
-		}
-		if end == nil {
-			break
-		}
-		if accepted {
-			j.Append(end.COM.X, end.COM.Y, end.COM.Z, end.Mass)
-			continue
-		}
-		for k := end.Start; k < end.Start+end.Count; k++ {
-			if int(k) != i {
-				p := s.Pos[k]
-				j.Append(p.X, p.Y, p.Z, s.Mass[k])
-			}
-		}
-	}
-	b.stack = st
-	if j != nil {
-		j.Pad()
-	}
-	return entries, visited
 }

@@ -105,11 +105,16 @@ type Stats struct {
 	BuildTime, WalkTime, ComputeTime time.Duration
 }
 
-// addList records one interaction list of nj entries shared by ni field
-// particles. MinList < 0 means "no list yet".
-func (s *Stats) addList(ni, nj int) {
+// addList records one interaction list of nj entries, cells of them
+// centres of mass, shared by ni field particles and built by a walk
+// that visited the given number of nodes. MinList < 0 means "no list
+// yet".
+func (s *Stats) addList(ni, nj, cells int, visited int64) {
 	s.Interactions += int64(ni) * int64(nj)
 	s.ListSum += int64(nj)
+	s.CellTerms += int64(cells)
+	s.ParticleTerms += int64(nj - cells)
+	s.NodesVisited += visited
 	if nj > s.MaxList {
 		s.MaxList = nj
 	}
@@ -201,24 +206,13 @@ func New(opt Options, engine Engine) *Treecode {
 	return &Treecode{Opt: o, Engine: engine}
 }
 
-// listBuf is per-worker traversal scratch space: the walk stack (node
-// index plus the accept verdict computed at push time), the SoA j-list
-// under construction, and the fixed-width MAC gather lanes. All of it
-// is owner-allocated and reused across groups and steps (the alloc
-// gate pins zero steady-state growth).
+// listBuf is per-worker traversal scratch space: the SoA j-list under
+// construction and the active path's gather segment. Both are
+// owner-allocated and reused across groups and steps (the alloc gate
+// pins zero steady-state growth).
 type listBuf struct {
-	stack []int32
-	// flags parallels stack: the MAC verdict for each pushed node,
-	// batch-evaluated over its siblings at expansion time.
-	flags []bool
 	// J is the group's interaction list in kernel layout.
 	J hostk.JList
-	// macX..macOK are the MACWidth gather lanes for one batched accept
-	// call (one octree fan-out). Stale upper lanes are evaluated and
-	// discarded.
-	macX, macY, macZ, macS [hostk.MACWidth]float64
-	macIdx                 [hostk.MACWidth]int32
-	macOK                  [hostk.MACWidth]bool
 	// seg is the active path's gather segment, reused by every
 	// partially-active group this worker dispatches and grown by
 	// append's rule.
@@ -437,14 +431,10 @@ func (tc *Treecode) walkWorker(buf *listBuf, s *nbody.System, tree *octree.Tree,
 				s.Pot[i] = 0
 			}
 		}
-		visited, cells := tc.buildGroupList(tree, g, mac, buf)
+		nj, cells, visited := tree.Walk(tree.Nodes[g.Node].Box, mac, -1, &buf.J)
 		local.WalkTime += time.Since(tw0)
 
-		nj := buf.J.N
-		local.addList(na, nj)
-		local.CellTerms += int64(cells)
-		local.ParticleTerms += int64(nj - cells)
-		local.NodesVisited += visited
+		local.addList(na, nj, cells, visited)
 		local.Active += int64(na)
 
 		tc0 := time.Now()
@@ -470,79 +460,6 @@ func (tc *Treecode) walkWorker(buf *listBuf, s *nbody.System, tree *octree.Tree,
 	tc.statsMu.Lock()
 	stats.merge(&local)
 	tc.statsMu.Unlock()
-}
-
-// buildGroupList fills buf.J with the shared interaction list of group
-// g: centres of mass of accepted cells plus particles of opened leaves.
-// The group's own cell is never accepted (its surface distance to its
-// own contents is zero), so group members enter the list as direct
-// particles — exactly Barnes' formulation. Returns nodes visited and
-// the number of cell (centre-of-mass) entries appended.
-//
-// The MAC is evaluated in batches: when a node is expanded, all its
-// present children are gathered into the buf.mac* lanes and judged by
-// one hostk.MACSink.Accept call; each child is pushed with its verdict.
-// Children are pushed in octant order and popped LIFO — the identical
-// visit order, and therefore the identical j-list emission order, as
-// the retired per-node walk, which the pre-SoA trajectory goldens pin.
-func (tc *Treecode) buildGroupList(tree *octree.Tree, g octree.Group, mac octree.OpenCriterion, buf *listBuf) (int64, int) {
-	buf.stack = buf.stack[:0]
-	buf.flags = buf.flags[:0]
-	buf.J.Reset()
-	gbox := tree.Nodes[g.Node].Box
-	sink := hostk.MACSink{
-		MinX: gbox.Min.X, MinY: gbox.Min.Y, MinZ: gbox.Min.Z,
-		MaxX: gbox.Max.X, MaxY: gbox.Max.Y, MaxZ: gbox.Max.Z,
-		Theta2: mac.Theta * mac.Theta,
-	}
-	// The root has no siblings: its verdict is a batch of one.
-	root := &tree.Nodes[0]
-	buf.macX[0], buf.macY[0], buf.macZ[0] = root.COM.X, root.COM.Y, root.COM.Z
-	buf.macS[0] = root.Size
-	sink.Accept(&buf.macX, &buf.macY, &buf.macZ, &buf.macS, &buf.macOK)
-	buf.stack = append(buf.stack, 0)
-	buf.flags = append(buf.flags, buf.macOK[0])
-	var visited int64
-	cells := 0
-	for len(buf.stack) > 0 {
-		top := len(buf.stack) - 1
-		idx := buf.stack[top]
-		accept := buf.flags[top]
-		buf.stack = buf.stack[:top]
-		buf.flags = buf.flags[:top]
-		n := &tree.Nodes[idx]
-		visited++
-		if accept {
-			buf.J.Append(n.COM.X, n.COM.Y, n.COM.Z, n.Mass)
-			cells++
-			continue
-		}
-		if n.Leaf {
-			for i := n.Start; i < n.Start+n.Count; i++ {
-				p := tree.Sys.Pos[i]
-				buf.J.Append(p.X, p.Y, p.Z, tree.Sys.Mass[i])
-			}
-			continue
-		}
-		m := 0
-		for _, c := range n.Children {
-			if c == octree.NoChild {
-				continue
-			}
-			ch := &tree.Nodes[c]
-			buf.macX[m], buf.macY[m], buf.macZ[m] = ch.COM.X, ch.COM.Y, ch.COM.Z
-			buf.macS[m] = ch.Size
-			buf.macIdx[m] = c
-			m++
-		}
-		sink.Accept(&buf.macX, &buf.macY, &buf.macZ, &buf.macS, &buf.macOK)
-		for k := 0; k < m; k++ {
-			buf.stack = append(buf.stack, buf.macIdx[k])
-			buf.flags = append(buf.flags, buf.macOK[k])
-		}
-	}
-	buf.J.Pad()
-	return visited, cells
 }
 
 // String summarises the stats in one line.

@@ -204,9 +204,21 @@ func TestStatsConsistency(t *testing.T) {
 	if stats.Groups < 2000/100 {
 		t.Errorf("groups = %d, too few", stats.Groups)
 	}
-	if stats.CellTerms+stats.ParticleTerms != stats.ListSum {
-		t.Errorf("cell %d + particle %d != listsum %d",
-			stats.CellTerms, stats.ParticleTerms, stats.ListSum)
+	// Both algorithms split their list entries into cells and
+	// particles, with forces and count-only alike.
+	orig, err := New(Options{Theta: 0.75, G: 1}, &CountEngine{}).ComputeForcesOriginal(s.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	count, err := New(Options{Theta: 0.75, G: 1}, nil).walkOriginal(s.Clone(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*Stats{stats, orig, count} {
+		if st.CellTerms <= 0 || st.ParticleTerms <= 0 || st.CellTerms+st.ParticleTerms != st.ListSum {
+			t.Errorf("cell %d + particle %d != listsum %d",
+				st.CellTerms, st.ParticleTerms, st.ListSum)
+		}
 	}
 	if stats.MinList <= 0 || stats.MaxList < stats.MinList {
 		t.Errorf("list bounds [%d, %d] invalid", stats.MinList, stats.MaxList)

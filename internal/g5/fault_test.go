@@ -141,7 +141,8 @@ func TestPaddingWaste(t *testing.T) {
 	}
 }
 
-// TestChargeOnlyIgnoresEmpty covers the guard.
+// TestChargeOnlyIgnoresEmpty covers the guard, against non-empty
+// charges that count ni×nj interactions.
 func TestChargeOnlyIgnoresEmpty(t *testing.T) {
 	sys, _ := NewSystem(DefaultConfig())
 	sys.ChargeOnly(0, 100)
@@ -149,6 +150,11 @@ func TestChargeOnlyIgnoresEmpty(t *testing.T) {
 	sys.ChargeOnly(-1, -1)
 	if c := sys.Counters(); c.Runs != 0 {
 		t.Errorf("empty charges recorded: %+v", c)
+	}
+	sys.ChargeOnly(96, 1000)
+	sys.ChargeOnly(10, 50)
+	if c := sys.Counters(); c.Runs != 2 || c.Interactions != 96*1000+10*50 {
+		t.Errorf("charges recorded runs=%d interactions=%d, want 2 and %d", c.Runs, c.Interactions, 96*1000+10*50)
 	}
 }
 

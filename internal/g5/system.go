@@ -35,10 +35,6 @@ type Counters struct {
 // HWSeconds returns the total simulated hardware time.
 func (c Counters) HWSeconds() float64 { return c.PipeSeconds + c.BusSeconds }
 
-// Flops returns the accumulated operation count under the
-// OpsPerInteraction convention.
-func (c Counters) Flops() float64 { return float64(c.Interactions) * OpsPerInteraction }
-
 // System is an emulated GRAPE-5 installation. It is NOT safe for
 // concurrent use — it models one physical device on one bus; wrap it in
 // a GuardedEngine for concurrent callers. Precisely: begin and finish —

@@ -409,17 +409,3 @@ func TestSetEpsValidation(t *testing.T) {
 		t.Errorf("SetEps(0) rejected: %v", err)
 	}
 }
-
-func TestCountersFlops(t *testing.T) {
-	sys := newTestSystem(t)
-	sys.ChargeOnly(96, 1000)
-	sys.ChargeOnly(10, 50)
-	c := sys.Counters()
-	wantInts := int64(96*1000 + 10*50)
-	if c.Interactions != wantInts {
-		t.Fatalf("interactions = %d, want %d", c.Interactions, wantInts)
-	}
-	if got, want := c.Flops(), float64(wantInts)*38; got != want {
-		t.Errorf("Flops() = %v, want %v", got, want)
-	}
-}

@@ -4,68 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/hostk"
-	"repro/internal/octree"
 	"repro/internal/rng"
 	"repro/internal/vec"
 )
-
-// benchNodes builds a candidate-cell population around a unit sink box,
-// mixing accepted and opened cells the way a real walk frontier does.
-func benchNodes(n int) ([]octree.Node, vec.Box) {
-	r := rng.New(99)
-	box := unitBox()
-	nodes := make([]octree.Node, n)
-	for i := range nodes {
-		nodes[i] = octree.Node{
-			COM:  vec.V3{X: r.Uniform(-4, 5), Y: r.Uniform(-4, 5), Z: r.Uniform(-4, 5)},
-			Size: r.Float64(),
-		}
-	}
-	return nodes, box
-}
-
-// BenchmarkMACBatch compares the retired per-node MAC chain
-// (vec.Box.Dist2 + octree.OpenCriterion.Accept) against the batched SoA
-// kernel, gather cost included — both sides consume the same AoS node
-// slice, exactly as the walk does.
-func BenchmarkMACBatch(b *testing.B) {
-	const nNodes = 4096
-	nodes, box := benchNodes(nNodes)
-	mac := octree.OpenCriterion{Theta: 0.75}
-	b.Run("scalar", func(b *testing.B) {
-		accepted := 0
-		for it := 0; it < b.N; it++ {
-			for i := range nodes {
-				if mac.Accept(&nodes[i], box.Dist2(nodes[i].COM)) {
-					accepted++
-				}
-			}
-		}
-		sinkCount(b, accepted)
-	})
-	b.Run("soa", func(b *testing.B) {
-		sink := sinkFor(box, mac.Theta)
-		var x, y, z, eff [hostk.MACWidth]float64
-		var out [hostk.MACWidth]bool
-		accepted := 0
-		for it := 0; it < b.N; it++ {
-			for base := 0; base+hostk.MACWidth <= len(nodes); base += hostk.MACWidth {
-				for k := 0; k < hostk.MACWidth; k++ {
-					n := &nodes[base+k]
-					x[k], y[k], z[k] = n.COM.X, n.COM.Y, n.COM.Z
-					eff[k] = n.Size
-				}
-				sink.Accept(&x, &y, &z, &eff, &out)
-				for k := 0; k < hostk.MACWidth; k++ {
-					if out[k] {
-						accepted++
-					}
-				}
-			}
-		}
-		sinkCount(b, accepted)
-	})
-}
 
 // benchBatch builds one force batch of the given size in both layouts.
 func benchBatch(ni, nj int) (ipos, jpos []vec.V3, jmass []float64, list hostk.JList) {

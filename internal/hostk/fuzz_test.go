@@ -10,13 +10,14 @@ import (
 	"repro/internal/vec"
 )
 
-// FuzzHostKernelSoA cross-validates the SoA kernels against the scalar
-// references over random batch sizes in 1..3·JTile (so every tail-lane
-// configuration — full tiles, partial remainder, padded and unpadded —
-// is hit) plus random geometry, masses, softening and planted
-// zero-separation pairs. Inputs are kept finite: FMA-free bitwise
-// equivalence is only claimed for finite lanes (NaN propagation is
-// hardware-defined), and the simulation never feeds non-finite state.
+// FuzzHostKernelSoA cross-validates P2P against the scalar loop over
+// random batch sizes in 1..3·JTile (so every tail-lane configuration —
+// full tiles, partial remainder, padded and unpadded — is hit) plus
+// random geometry, masses, softening and planted zero-separation pairs,
+// and the walk's MAC against the scalar reference pair on random boxes
+// and points. Inputs are kept finite: FMA-free bitwise equivalence is
+// only claimed for finite lanes (NaN propagation is hardware-defined),
+// and the simulation never feeds non-finite state.
 func FuzzHostKernelSoA(f *testing.F) {
 	f.Add(uint64(1), uint8(1), false, false)
 	f.Add(uint64(2), uint8(hostk.JTile), true, false)
@@ -58,41 +59,32 @@ func FuzzHostKernelSoA(f *testing.F) {
 				math.Float64bits(wantAcc[0].X), math.Float64bits(wantAcc[0].Y), math.Float64bits(wantAcc[0].Z), math.Float64bits(wantPot[0]))
 		}
 
-		// --- MAC batch vs OpenCriterion.Accept ---
+		// --- the walk's MAC vs OpenCriterion.Accept on Box.Dist2 ---
 		lo := vec.V3{X: r.Uniform(-2, 2), Y: r.Uniform(-2, 2), Z: r.Uniform(-2, 2)}
 		box := vec.Box{Min: lo, Max: lo.Add(vec.V3{X: r.Float64(), Y: r.Float64(), Z: r.Float64()})}
+		if r.Float64() < 0.25 {
+			box.Max = lo // a field particle's box
+		}
 		theta := r.Float64() * 1.5
 		if r.Float64() < 0.05 {
 			theta = 0
 		}
-		sink := hostk.MACSink{
-			MinX: box.Min.X, MinY: box.Min.Y, MinZ: box.Min.Z,
-			MaxX: box.Max.X, MaxY: box.Max.Y, MaxZ: box.Max.Z,
-			Theta2: theta * theta,
-		}
-		var x, y, z, eff [hostk.MACWidth]float64
-		var out [hostk.MACWidth]bool
-		nodes := make([]octree.Node, hostk.MACWidth)
-		for k := range nodes {
+		mac := octree.OpenCriterion{Theta: theta}
+		for k := 0; k < 8; k++ {
 			com := vec.V3{X: r.Uniform(-4, 4), Y: r.Uniform(-4, 4), Z: r.Uniform(-4, 4)}
 			if k%4 == 0 {
 				// Place some candidates inside or on the sink surface.
 				com = lo.Add(vec.V3{X: r.Float64() * (box.Max.X - lo.X), Y: 0, Z: 0})
 			}
-			nodes[k] = octree.Node{COM: com, Size: r.Float64()}
+			n := octree.Node{COM: com, Size: r.Float64()}
 			if k%5 == 0 {
-				nodes[k].Size = 0 // zero-size cells
+				n.Size = 0 // zero-size cells
 			}
-			x[k], y[k], z[k] = com.X, com.Y, com.Z
-			eff[k] = nodes[k].Size
-		}
-		sink.Accept(&x, &y, &z, &eff, &out)
-		mac := octree.OpenCriterion{Theta: theta}
-		for k := range nodes {
-			if want := mac.Accept(&nodes[k], box.Dist2(nodes[k].COM)); out[k] != want {
-				t.Fatalf("MAC lane %d diverged: soa=%v scalar=%v (com=%v eff=%g box=%v theta=%g)",
-					k, out[k], want, nodes[k].COM, eff[k], box, theta)
+			if got, want := walkAccepts(box, n, mac), mac.Accept(&n, box.Dist2(com)); got != want {
+				t.Fatalf("MAC cell %d diverged: walk=%v scalar=%v (com=%v size=%g box=%v theta=%g)",
+					k, got, want, com, n.Size, box, theta)
 			}
+			checkPointBox(t, box, com)
 		}
 	})
 }

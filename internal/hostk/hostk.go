@@ -1,7 +1,6 @@
-// Package hostk holds the batched struct-of-arrays (SoA) host kernels
-// for the three host-side hot paths: the tree-walk multipole acceptance
-// test (MACSink.Accept), the float64 pairwise force evaluation (P2P)
-// used by the host engine and the guard's reference check, and the
+// Package hostk holds the host's struct-of-arrays (SoA) force kernel:
+// the float64 pairwise force evaluation (P2P) used by the host engine
+// and the guard's reference check, its source list (JList), and the
 // retired scalar loop kept as the differential-conformance baseline
 // (ScalarAccumulate).
 //
@@ -24,18 +23,10 @@
 // harness pin this with == on the float64 bit patterns.
 package hostk
 
-const (
-	// MACWidth is the MAC batch width: eight lanes, the octree fan-out,
-	// so one batch covers exactly the children expanded by one walk
-	// step and the walk's pop order — hence the j-list emission order
-	// and the bitwise trajectory — is unchanged from the scalar walk.
-	MACWidth = 8
-
-	// JTile is the P2P tile width: the inner loop consumes JTile lanes
-	// per iteration through fixed-size array views (bounds checks
-	// hoisted), with a scalar remainder loop for unpadded lists.
-	JTile = 8
-)
+// JTile is the P2P tile width: the inner loop consumes JTile lanes per
+// iteration through fixed-size array views (bounds checks hoisted),
+// with a scalar remainder loop for unpadded lists.
+const JTile = 8
 
 // JList is one force batch's shared source list ("j-particles": real
 // particles and accepted cells' centres of mass alike) in SoA layout.

@@ -42,45 +42,51 @@ func macCases() []macCase {
 		{name: "tiny-theta", box: b, com: vec.V3{X: 1e8, Y: 0, Z: 0}, size: 1e-8, theta: 1e-9},
 		{name: "degenerate-point-box", box: vec.Box{Min: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}, Max: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}},
 			com: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}, size: 0.1, theta: 0.75},
+		{name: "point-box", box: vec.Box{Min: vec.V3{X: 0.3, Y: -0.7, Z: 2}, Max: vec.V3{X: 0.3, Y: -0.7, Z: 2}},
+			com: vec.V3{X: 1.3, Y: -0.7, Z: -0.1}, size: 0.4, theta: 0.75},
 	}
 }
 
-// sinkFor builds the SoA sink exactly the way the group walk does.
-func sinkFor(box vec.Box, theta float64) hostk.MACSink {
-	return hostk.MACSink{
-		MinX: box.Min.X, MinY: box.Min.Y, MinZ: box.Min.Z,
-		MaxX: box.Max.X, MaxY: box.Max.Y, MaxZ: box.Max.Z,
-		Theta2: theta * theta,
+// walkAccepts is the tree walk's MAC verdict on cell n seen from box b:
+// Walk over a tree holding n alone, as an empty leaf, lists n exactly
+// when it accepts it.
+func walkAccepts(b vec.Box, n octree.Node, mac octree.OpenCriterion) bool {
+	n.Leaf, n.Next = true, 1
+	tree := &octree.Tree{Nodes: []octree.Node{n}}
+	_, cells, _ := tree.Walk(b, mac, -1, nil)
+	return cells == 1
+}
+
+// checkPointBox: when b is a point (a field particle's box), its box
+// distance must equal vec.V3.Dist2 bit for bit, the distance the
+// original algorithm's MAC is defined on.
+func checkPointBox(t *testing.T, b vec.Box, com vec.V3) {
+	t.Helper()
+	if b.Min != b.Max {
+		return
+	}
+	if got, want := b.Dist2(com), b.Min.Dist2(com); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("point box %v: Box.Dist2 = %x, V3.Dist2 = %x", b.Min, math.Float64bits(got), math.Float64bits(want))
 	}
 }
 
-// TestSoAMatchesScalar is the differential conformance suite: the
-// batched kernels must agree with the scalar references exactly —
-// bool-for-bool on the MAC, bit-for-bit on forces.
+// TestSoAMatchesScalar is the differential conformance suite of the
+// host's hot paths: P2P must equal the scalar loop bit for bit, and
+// the MAC written out inside octree.Tree.Walk must agree bool for bool
+// with the scalar reference pair, OpenCriterion.Accept on
+// vec.Box.Dist2.
 func TestSoAMatchesScalar(t *testing.T) {
 	t.Run("mac-table", func(t *testing.T) {
 		for _, c := range macCases() {
 			c := c
 			t.Run(c.name, func(t *testing.T) {
-				n := &octree.Node{COM: c.com, Size: c.size}
+				n := octree.Node{COM: c.com, Size: c.size}
 				mac := octree.OpenCriterion{Theta: c.theta}
-				want := mac.Accept(n, c.box.Dist2(c.com))
-
-				sink := sinkFor(c.box, c.theta)
-				var x, y, z, eff [hostk.MACWidth]float64
-				var out [hostk.MACWidth]bool
-				// Replicate the candidate across every lane: all verdicts
-				// must agree regardless of lane position.
-				for k := 0; k < hostk.MACWidth; k++ {
-					x[k], y[k], z[k] = c.com.X, c.com.Y, c.com.Z
-					eff[k] = n.Size
+				want := mac.Accept(&n, c.box.Dist2(c.com))
+				if got := walkAccepts(c.box, n, mac); got != want {
+					t.Fatalf("walk accept=%v, scalar accept=%v", got, want)
 				}
-				sink.Accept(&x, &y, &z, &eff, &out)
-				for k := 0; k < hostk.MACWidth; k++ {
-					if out[k] != want {
-						t.Fatalf("lane %d: SoA accept=%v, scalar accept=%v", k, out[k], want)
-					}
-				}
+				checkPointBox(t, c.box, c.com)
 			})
 		}
 	})
@@ -88,36 +94,32 @@ func TestSoAMatchesScalar(t *testing.T) {
 	t.Run("mac-random", func(t *testing.T) {
 		r := rng.New(42)
 		mixed := 0
-		for trial := 0; trial < 2000; trial++ {
+		const trials, perTrial = 2000, 8
+		for trial := 0; trial < trials; trial++ {
 			lo := vec.V3{X: r.Float64() * 2, Y: r.Float64() * 2, Z: r.Float64() * 2}
 			box := vec.Box{Min: lo, Max: lo.Add(vec.V3{X: r.Float64(), Y: r.Float64(), Z: r.Float64()})}
+			if trial%4 == 0 {
+				box.Max = lo // a field particle's box
+			}
 			theta := r.Float64() * 1.5
-			sink := sinkFor(box, theta)
-			var x, y, z, eff [hostk.MACWidth]float64
-			var out [hostk.MACWidth]bool
-			nodes := make([]octree.Node, hostk.MACWidth)
-			for k := range nodes {
-				nodes[k] = octree.Node{
+			mac := octree.OpenCriterion{Theta: theta}
+			for k := 0; k < perTrial; k++ {
+				n := octree.Node{
 					COM:  vec.V3{X: (r.Float64() - 0.5) * 8, Y: (r.Float64() - 0.5) * 8, Z: (r.Float64() - 0.5) * 8},
 					Size: r.Float64() * 2,
 				}
-				x[k], y[k], z[k] = nodes[k].COM.X, nodes[k].COM.Y, nodes[k].COM.Z
-				eff[k] = nodes[k].Size
-			}
-			sink.Accept(&x, &y, &z, &eff, &out)
-			mac := octree.OpenCriterion{Theta: theta}
-			for k := range nodes {
-				want := mac.Accept(&nodes[k], box.Dist2(nodes[k].COM))
-				if out[k] != want {
-					t.Fatalf("trial %d lane %d: SoA=%v scalar=%v (com %v box %v theta %g)",
-						trial, k, out[k], want, nodes[k].COM, box, theta)
+				want := mac.Accept(&n, box.Dist2(n.COM))
+				if got := walkAccepts(box, n, mac); got != want {
+					t.Fatalf("trial %d cell %d: walk=%v scalar=%v (com %v box %v theta %g)",
+						trial, k, got, want, n.COM, box, theta)
 				}
+				checkPointBox(t, box, n.COM)
 				if want {
 					mixed++
 				}
 			}
 		}
-		if mixed == 0 || mixed == 2000*hostk.MACWidth {
+		if mixed == 0 || mixed == trials*perTrial {
 			t.Fatalf("degenerate random MAC coverage: %d accepts", mixed)
 		}
 	})

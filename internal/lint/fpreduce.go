@@ -25,9 +25,9 @@ import (
 //
 // Reductions must instead flow through the sanctioned deterministic
 // merge helpers — the octree plan/build/stitch pipeline, the g5
-// telemetry Add methods, obs.Observer/PhaseSeconds accumulation and the
-// hostk.MACSink kernels — which merge per-worker partials in a fixed
-// order (or CAS with order-insensitive semantics).
+// telemetry Add methods and obs.Observer/PhaseSeconds accumulation —
+// which merge per-worker partials in a fixed order (or CAS with
+// order-insensitive semantics).
 var AnalyzerFPReduce = &Analyzer{
 	Name: "fpreduce",
 	Doc:  "flag order-dependent floating-point accumulation outside the sanctioned deterministic merge helpers",
@@ -50,7 +50,7 @@ var fpreduceSanctioned = map[string]map[string]bool{
 		"Observer.AddSeconds": true, "PhaseSeconds.Add": true,
 	},
 	hostkPath: {
-		"MACSink.*": true, "JList.*": true,
+		"JList.*": true,
 	},
 }
 

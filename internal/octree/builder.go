@@ -173,18 +173,19 @@ func (b *Builder) Build(s *nbody.System) (*Tree, error) {
 //
 // Determinism argument: the serial build is a preorder DFS, so every
 // subtree occupies a contiguous, pre-determined node-index range whose
-// internal child pointers are (range base + local preorder offset). The
-// plan pass replays the serial descent down to a split level, recording
-// the spine of internal nodes and the frontier subtrees as tasks in
-// serial visit order. Workers build each task into its own arena — the
-// exact recursion the serial build would run, so node contents and
-// local layout are bit-identical regardless of which worker runs it or
-// when. The stitch pass then emits spine nodes and task arenas in the
-// planned preorder, offsetting child indices by each subtree's base;
-// spine aggregation reuses aggregateChildren, summing children in
-// octant order exactly as the serial recursion does. Every float is
-// therefore computed by the same code on the same operands in the same
-// order as the serial build; scheduling only changes when, not what.
+// internal child and Next indices are (range base + local preorder
+// offset). The plan pass replays the serial descent down to a split
+// level, recording the spine of internal nodes and the frontier
+// subtrees as tasks in serial visit order. Workers build each task into
+// its own arena — the exact recursion the serial build would run, so
+// node contents and local layout are bit-identical regardless of which
+// worker runs it or when. The stitch pass then emits spine nodes and
+// task arenas in the planned preorder, offsetting child and Next
+// indices by each subtree's base; spine aggregation reuses
+// aggregateChildren, summing children in octant order exactly as the
+// serial recursion does. Every float is therefore computed by the same
+// code on the same operands in the same order as the serial build;
+// scheduling only changes when, not what.
 func (b *Builder) buildParallel(s *nbody.System, keys []morton.Key, cube vec.Box, n int32) {
 	split := b.pickSplitLevel(keys, n)
 	b.spine = b.spine[:0]
@@ -239,13 +240,11 @@ func (b *Builder) pickSplitLevel(keys []morton.Key, n int32) int32 {
 			if int(sp.count) <= b.leafCap {
 				continue
 			}
-			lo := sp.start
+			bounds := octantBounds(keys, sp.start, sp.count, level)
 			for oct := 0; oct < 8; oct++ {
-				hi := octantEnd(keys, lo, sp.start+sp.count, level, oct)
-				if hi > lo {
+				if lo, hi := bounds[oct], bounds[oct+1]; hi > lo {
 					nxt = append(nxt, keySpan{lo, hi - lo})
 				}
-				lo = hi
 			}
 		}
 		cur, nxt = nxt, cur
@@ -269,13 +268,11 @@ func (b *Builder) plan(keys []morton.Key, box vec.Box, start, count, level, spli
 	for i := range b.spine[si].children {
 		b.spine[si].children[i] = NoChild
 	}
-	lo := start
-	for oct := 0; oct < 8; oct++ {
-		hi := octantEnd(keys, lo, start+count, level, oct)
-		if hi > lo {
+	bounds := octantBounds(keys, start, count, level)
+	for oct := 7; oct >= 0; oct-- {
+		if lo, hi := bounds[oct], bounds[oct+1]; hi > lo {
 			b.spine[si].children[oct] = b.plan(keys, box.Child(oct), lo, hi-lo, level+1, split)
 		}
-		lo = hi
 	}
 	return si
 }
@@ -302,18 +299,9 @@ func (b *Builder) taskWorker(wg *sync.WaitGroup) {
 // build's bottom-up pass does.
 func (b *Builder) emitSpine(si int32) int32 {
 	sn := b.spine[si]
-	idx := int32(len(b.arena))
-	b.arena = append(b.arena, Node{
-		Box:   sn.box,
-		Size:  sn.box.MaxEdge(),
-		Start: sn.start,
-		Count: sn.count,
-		Level: sn.level,
-	})
-	for i := range b.arena[idx].Children {
-		b.arena[idx].Children[i] = NoChild
-	}
-	for oct := 0; oct < 8; oct++ {
+	var idx int32
+	b.arena, idx = newNode(b.arena, sn.box, sn.start, sn.count, sn.level)
+	for oct := 7; oct >= 0; oct-- {
 		ref := sn.children[oct]
 		if ref == NoChild {
 			continue
@@ -326,20 +314,23 @@ func (b *Builder) emitSpine(si int32) int32 {
 		}
 		b.arena[idx].Children[oct] = child
 	}
+	b.arena[idx].Next = int32(len(b.arena))
 	aggregateChildren(b.arena, idx, sn.box)
 	return idx
 }
 
 // emitTask appends a built subtree arena at the current end of the node
-// arena, rebasing its local child indices, and returns the subtree
-// root's global index (its base).
+// arena, rebasing its local child and Next indices, and returns the
+// subtree root's global index (its base).
 func (b *Builder) emitTask(ti int32) int32 {
 	base := int32(len(b.arena))
 	b.arena = append(b.arena, b.taskArenas[ti]...)
 	for i := int(base); i < len(b.arena); i++ {
-		for j, c := range b.arena[i].Children {
+		n := &b.arena[i]
+		n.Next += base
+		for j, c := range n.Children {
 			if c != NoChild {
-				b.arena[i].Children[j] = c + base
+				n.Children[j] = c + base
 			}
 		}
 	}

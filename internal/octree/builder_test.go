@@ -54,8 +54,10 @@ func forceParallel(t *testing.T) {
 }
 
 // assertTreesBitwiseEqual fails unless the two trees have identical
-// node slices (compared with ==, so every float is bitwise-equal),
-// identical particle orders and identical group lists.
+// node slices (compared with ==, so every float is bitwise-equal and
+// every child and Next index the same), identical particle orders and
+// identical group lists, and the second tree validates (walk order and
+// Next included).
 func assertTreesBitwiseEqual(t *testing.T, serial, par *Tree, ncrit int) {
 	t.Helper()
 	if len(serial.Nodes) != len(par.Nodes) {
@@ -80,6 +82,9 @@ func assertTreesBitwiseEqual(t *testing.T, serial, par *Tree, ncrit int) {
 		if gs[i] != gp[i] {
 			t.Fatalf("group %d differs: %+v vs %+v", i, gs[i], gp[i])
 		}
+	}
+	if err := par.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -116,9 +121,6 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertTreesBitwiseEqual(t, serial, par, 32)
-			if err := par.Validate(); err != nil {
-				t.Fatalf("seed=%d n=%d workers=%d: %v", tc.seed, tc.n, workers, err)
-			}
 		}
 	}
 }
@@ -315,7 +317,7 @@ func TestOctantEndMatchesReference(t *testing.T) {
 		}
 		lo := n.Start
 		for oct := 0; oct < 8; oct++ {
-			hi := octantEnd(keys, lo, n.Start+n.Count, n.Level, oct)
+			hi := octantEnd(keys, lo, n.Start+n.Count, int32(n.Level), oct)
 			want := lo
 			for want < n.Start+n.Count && keys[want].OctantAtLevel(int(n.Level)) <= oct {
 				want++

@@ -13,9 +13,9 @@ type OpenCriterion struct {
 // of mass when the squared distance from the field point (or from the
 // receiving group's surface) to n.COM is d2.
 //
-// This is the scalar criterion; the group walk evaluates the same
-// predicate in batches through hostk.MACSink, whose conformance tests
-// pin exact bool-for-bool agreement with this function.
+// Tree.Walk evaluates the same predicate written out inline, so a
+// change here is a change there; TestWalkMatchesReference and hostk's
+// TestSoAMatchesScalar pin the two together.
 func (c OpenCriterion) Accept(n *Node, d2 float64) bool {
 	// Accept when s < θ·d, i.e. s² < θ²·d², with s the cell edge.
 	return n.Size*n.Size < c.Theta*c.Theta*d2

@@ -22,10 +22,9 @@ import (
 // NoChild marks an absent child slot.
 const NoChild = int32(-1)
 
-// Node is one octree cell.
+// Node is one octree cell. The fields Tree.Walk reads come first,
+// packed into the record's first 56 bytes.
 type Node struct {
-	// Box is the cubic cell volume.
-	Box vec.Box
 	// COM is the centre of mass of the cell's particles.
 	COM vec.V3
 	// Mass is the total mass in the cell.
@@ -35,18 +34,31 @@ type Node struct {
 	// Start and Count give the cell's particle index range in tree
 	// (Morton) order.
 	Start, Count int32
+	// Next is the index one past this cell's subtree: the cell the walk
+	// goes to when it accepts or finishes this one (see Tree).
+	Next int32
+	// Leaf marks cells that were not subdivided.
+	Leaf bool
+	// Level is the subdivision depth (root = 0, at most morton.Bits-1).
+	Level int16
+	// Box is the cubic cell volume.
+	Box vec.Box
 	// Children holds node indices of the up-to-8 children; NoChild
 	// marks empty octants. Leaf nodes have all slots NoChild.
 	Children [8]int32
-	// Leaf marks cells that were not subdivided.
-	Leaf bool
-	// Level is the subdivision depth (root = 0).
-	Level int32
 }
 
 // Tree is a built Barnes-Hut octree over a particle system. The system
 // is reordered into Morton order by Build; Tree keeps a reference to
 // its arrays.
+//
+// Nodes are stored in walk order: preorder with children in descending
+// octant order. A cell's subtree is the index range [i, Nodes[i].Next),
+// its first child (if any) is i+1, and each further child starts at its
+// previous sibling's Next. A tree walk is therefore one forward loop
+// over Nodes that steps to i+1 to open a cell and jumps to Next to skip
+// it. Particle ranges still run in ascending octant order, so a cell's
+// children occupy its Morton range from the last stored to the first.
 //
 // Trees produced by a Builder borrow the Builder's node arena: they
 // stay valid until the Builder's next Build call. Trees from the
@@ -125,6 +137,16 @@ func octantEnd(keys []morton.Key, lo, hi, level int32, oct int) int32 {
 	return lo
 }
 
+// octantBounds splits the sorted key range [start, start+count) by
+// octant at the given level: octant oct owns [b[oct], b[oct+1]).
+func octantBounds(keys []morton.Key, start, count, level int32) (b [9]int32) {
+	b[0] = start
+	for oct := 0; oct < 8; oct++ {
+		b[oct+1] = octantEnd(keys, b[oct], start+count, level, oct)
+	}
+	return b
+}
+
 // nodeBuilder appends the recursive octree construction into a node
 // arena. The serial Build, the Builder's parallel subtree tasks and the
 // parallel build's stitched spine all run this one recursion, which is
@@ -136,24 +158,31 @@ type nodeBuilder struct {
 	leafCap int
 }
 
+// newNode appends an empty cell with no children and returns its index.
+func newNode(nodes []Node, box vec.Box, start, count, level int32) ([]Node, int32) {
+	idx := int32(len(nodes))
+	nodes = append(nodes, Node{
+		Box:      box,
+		Size:     box.MaxEdge(),
+		Start:    start,
+		Count:    count,
+		Level:    int16(level),
+		Children: [8]int32{NoChild, NoChild, NoChild, NoChild, NoChild, NoChild, NoChild, NoChild},
+	})
+	return nodes, idx
+}
+
 // build recursively constructs the subtree for sorted key range
 // [start, start+count) with cell box, at the given level, returning the
-// node index.
+// node index. Children are built from octant 7 down to 0, which lays
+// the subtree out in walk order (see Tree).
 func (nb *nodeBuilder) build(box vec.Box, start, count int32, level int32) int32 {
-	idx := int32(len(nb.nodes))
-	nb.nodes = append(nb.nodes, Node{
-		Box:   box,
-		Size:  box.MaxEdge(),
-		Start: start,
-		Count: count,
-		Level: level,
-	})
-	for i := range nb.nodes[idx].Children {
-		nb.nodes[idx].Children[i] = NoChild
-	}
+	var idx int32
+	nb.nodes, idx = newNode(nb.nodes, box, start, count, level)
 
 	if int(count) <= nb.leafCap || level >= morton.Bits-1 {
 		nb.nodes[idx].Leaf = true
+		nb.nodes[idx].Next = idx + 1
 		finishLeafNode(nb.sys, &nb.nodes[idx])
 		return idx
 	}
@@ -161,15 +190,13 @@ func (nb *nodeBuilder) build(box vec.Box, start, count int32, level int32) int32
 	// Split [start, start+count) by octant at this level using binary
 	// search: keys are sorted, and the octant bits at this level are a
 	// prefix-ordered field within the node's range.
-	lo := start
-	for oct := 0; oct < 8; oct++ {
-		hi := octantEnd(nb.keys, lo, start+count, level, oct)
-		if hi > lo {
-			child := nb.build(box.Child(oct), lo, hi-lo, level+1)
-			nb.nodes[idx].Children[oct] = child
+	b := octantBounds(nb.keys, start, count, level)
+	for oct := 7; oct >= 0; oct-- {
+		if lo, hi := b[oct], b[oct+1]; hi > lo {
+			nb.nodes[idx].Children[oct] = nb.build(box.Child(oct), lo, hi-lo, level+1)
 		}
-		lo = hi
 	}
+	nb.nodes[idx].Next = int32(len(nb.nodes))
 
 	aggregateChildren(nb.nodes, idx, box)
 	return idx
@@ -225,7 +252,7 @@ func (t *Tree) NumNodes() int { return len(t.Nodes) }
 
 // Depth returns the maximum node level plus one.
 func (t *Tree) Depth() int {
-	max := int32(0)
+	max := int16(0)
 	for i := range t.Nodes {
 		if t.Nodes[i].Level > max {
 			max = t.Nodes[i].Level
@@ -309,15 +336,28 @@ type Group struct {
 	Start, Count int32
 }
 
-// Validate checks structural invariants of the tree: each internal
-// node's children partition its range, masses add up, centres of mass
-// lie inside the cell boxes, every particle lies in its leaf's box
-// (allowing quantisation slack on faces).
+// Validate checks structural invariants of the tree: nodes are stored
+// in walk order with correct Next indices, each internal node's
+// children partition its range, masses add up, every particle lies in
+// its leaf's box (allowing quantisation slack on faces).
 func (t *Tree) Validate() error {
 	var totalErr error
 	var walk func(idx int32) (mass float64)
 	walk = func(idx int32) float64 {
 		n := &t.Nodes[idx]
+		at := idx + 1
+		for oct := 7; oct >= 0; oct-- {
+			if c := n.Children[oct]; c != NoChild {
+				if c != at {
+					totalErr = fmt.Errorf("octree: node %d child %d stored at %d, walk order wants %d", idx, oct, c, at)
+					return 0
+				}
+				at = t.Nodes[c].Next
+			}
+		}
+		if n.Next != at {
+			totalErr = fmt.Errorf("octree: node %d Next = %d, want %d", idx, n.Next, at)
+		}
 		if n.Leaf {
 			var m float64
 			for i := n.Start; i < n.Start+n.Count; i++ {
@@ -357,6 +397,9 @@ func (t *Tree) Validate() error {
 		return m
 	}
 	root := walk(0)
+	if t.Nodes[0].Next != int32(len(t.Nodes)) {
+		return fmt.Errorf("octree: root subtree ends at %d of %d nodes", t.Nodes[0].Next, len(t.Nodes))
+	}
 	if math.Abs(root-t.Sys.TotalMass()) > 1e-9*(1+root) {
 		return fmt.Errorf("octree: root mass %v != system mass %v", root, t.Sys.TotalMass())
 	}

@@ -156,7 +156,7 @@ func TestFasterHostShiftsOptimumDown(t *testing.T) {
 	ncrits := []int{50, 100, 200, 500, 1000, 2000}
 	slow := DS10()
 	fast := slow
-	fast.VisitCoeff /= 4 // the batched MAC's measured class of win
+	fast.VisitCoeff /= 4 // a faster walk
 	ps, err := NgSweep(s.Clone(), 0.75, ncrits, slow)
 	if err != nil {
 		t.Fatal(err)
