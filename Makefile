@@ -29,8 +29,8 @@ lint: $(BIN)/grapelint
 # source) outside benchmark/, per package directory and in total. Lint
 # fixtures under testdata/ are test inputs and are not counted. Then the
 # *_test.go lines outside benchmark/, per package directory and in total
-# (ROADMAP item 4: "test lines going down"), and the byte sizes of the
-# two documents ROADMAP item 9 budgets.
+# (also ROADMAP aim 2), and the byte sizes of the two documents ROADMAP
+# item 9 budgets.
 per_dir = awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 	END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d $(1)\n", t }'
 

@@ -34,7 +34,7 @@ func BenchmarkTreeBuildMorton(b *testing.B) {
 	s := benchSystem(50000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := octree.Build(s.Clone(), nil); err != nil {
+		if _, err := octree.NewBuilder(octree.BuilderOptions{}).Build(s.Clone()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func BenchmarkMortonKeys(b *testing.B) {
 	box := s.Bounds().Cube()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		morton.Keys(s.Pos, box)
+		morton.KeysInto(nil, s.Pos, box)
 	}
 	b.ReportMetric(float64(100000*b.N)/b.Elapsed().Seconds(), "keys/s")
 }
@@ -310,17 +310,17 @@ func benchWorkers(b *testing.B, w int) {
 
 func BenchmarkMortonSortRadix(b *testing.B) {
 	s := benchSystem(200000, 11)
-	keys := morton.Keys(s.Pos, s.Bounds().Cube())
+	keys := morton.KeysInto(nil, s.Pos, s.Bounds().Cube())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		morton.SortOrderRadix(keys)
+		morton.SortOrderRadixInto(keys, nil, nil)
 	}
 	b.ReportMetric(float64(len(keys)*b.N)/b.Elapsed().Seconds(), "keys/s")
 }
 
 func BenchmarkMortonSortComparison(b *testing.B) {
 	s := benchSystem(200000, 11)
-	keys := morton.Keys(s.Pos, s.Bounds().Cube())
+	keys := morton.KeysInto(nil, s.Pos, s.Bounds().Cube())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		morton.SortOrder(keys)

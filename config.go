@@ -136,7 +136,8 @@ func (cfg Config) blockSpan() float64 {
 // same rules: real-valued parameters finite and non-negative (zero is
 // "unset"), counts non-negative, a known engine, the GRAPE-only options
 // (Guard, Shards > 1, Fault) only with EngineGRAPE5, a valid fault
-// model, a coherent block-timestep ladder, and a positive step.
+// model, a coherent block-timestep ladder, a positive step, and a
+// softening length for the block and adaptive criteria.
 func (cfg Config) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -194,6 +195,11 @@ func (cfg Config) Validate() error {
 		}
 	} else if cfg.DT == 0 {
 		return fmt.Errorf("grape5: timestep must be positive, got %v", cfg.DT)
+	}
+	// Both criteria scale dt with sqrt(eps/|a|); without a softening
+	// length they would put every particle on the coarsest step.
+	if (cfg.Blocks > 0 || cfg.Adaptive) && cfg.Eps == 0 {
+		return fmt.Errorf("grape5: block and adaptive timesteps need eps > 0, got %v", cfg.Eps)
 	}
 	return nil
 }

@@ -50,6 +50,8 @@ func TestConfigValidate(t *testing.T) {
 		}), "StuckPipeRate"},
 		{"blocks without dtmin", with(func(c *Config) { c.Blocks, c.DT = 4, 0 }), "DTMin"},
 		{"blocks with adaptive", with(func(c *Config) { c.Blocks, c.DTMin, c.DT, c.Adaptive = 4, 0.001, 0, true }), "exclusive"},
+		{"blocks without eps", with(func(c *Config) { c.Blocks, c.DTMin, c.DT, c.Eps = 4, 0.000625, 0, 0 }), "eps"},
+		{"adaptive without eps", with(func(c *Config) { c.Adaptive, c.Eta, c.Eps = true, 0.2, 0 }), "eps"},
 	}
 	for _, tc := range bad {
 		err := tc.cfg.Validate()

@@ -9,7 +9,7 @@ import (
 
 func TestTreeRefreshUpdatesCOM(t *testing.T) {
 	s := plummer(500, 41)
-	tree, err := octree.Build(s, nil)
+	tree, err := octree.NewBuilder(octree.BuilderOptions{}).Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestTreeRefreshUpdatesCOM(t *testing.T) {
 
 func TestRefreshKeepsValidation(t *testing.T) {
 	s := plummer(400, 47)
-	tree, err := octree.Build(s, nil)
+	tree, err := octree.NewBuilder(octree.BuilderOptions{}).Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,9 +55,6 @@ const (
 // the uninterrupted run's exact rebuild schedule.
 const activeRebuildFrac = 0.5
 
-// LeafCap is the octree leaf capacity every tree is built with.
-const LeafCap = 8
-
 func (o Options) withDefaults() Options {
 	if o.Theta == 0 {
 		o.Theta = DefaultTheta
@@ -294,11 +291,7 @@ func (tc *Treecode) PrimeTree(s *nbody.System) error {
 // change, and installs the result as the current tree.
 func (tc *Treecode) rebuildTree(s *nbody.System, o Options) (*octree.Tree, error) {
 	if tc.builder == nil || tc.bWorkers != o.Workers || tc.bObs != o.Obs {
-		tc.builder = octree.NewBuilder(octree.BuilderOptions{
-			LeafCap: LeafCap,
-			Workers: o.Workers,
-			Obs:     o.Obs,
-		})
+		tc.builder = octree.NewBuilder(octree.BuilderOptions{Workers: o.Workers, Obs: o.Obs})
 		tc.bWorkers, tc.bObs = o.Workers, o.Obs
 	}
 	tree, err := tc.builder.Build(s)

@@ -57,12 +57,6 @@ func (p *PowerSpectrum) P(k float64) float64 {
 	return p.amp * math.Pow(k, p.Ns) * t * t
 }
 
-// PAt returns the linear power at scale factor a: D²(a)·P(k).
-func (p *PowerSpectrum) PAt(k, a float64) float64 {
-	d := p.Cosmo.GrowthFactor(a)
-	return d * d * p.P(k)
-}
-
 // topHatW is the Fourier transform of the spherical top-hat window.
 func topHatW(x float64) float64 {
 	if x < 1e-2 {

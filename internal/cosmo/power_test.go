@@ -57,15 +57,6 @@ func TestPowerSpectrumShape(t *testing.T) {
 	}
 }
 
-func TestPAtScalesWithGrowth(t *testing.T) {
-	p, _ := NewPowerSpectrum(SCDM(), 1, 0.67)
-	// EdS: P(k, a) = a² P(k).
-	k := 0.1
-	if got, want := p.PAt(k, 0.04), 0.04*0.04*p.P(k); math.Abs(got-want)/want > 1e-9 {
-		t.Errorf("PAt = %v, want %v", got, want)
-	}
-}
-
 func TestNewPowerSpectrumRejects(t *testing.T) {
 	if _, err := NewPowerSpectrum(SCDM(), 1, 0); err == nil {
 		t.Error("sigma8=0 accepted")

@@ -127,10 +127,6 @@ type BlockLeapfrog struct {
 	// particle with a non-finite |a| in its range (-1 if none); scanned
 	// in worker order, so the reported particle is schedule-independent.
 	bad []int
-
-	// Per-Step telemetry, overwritten each call.
-	lastSubsteps int64
-	lastActiveI  int64
 }
 
 // NewBlockLeapfrog validates the criterion and force callbacks.
@@ -155,14 +151,6 @@ func (b *BlockLeapfrog) Primed() bool { return b.primed }
 // double-count the initial evaluation. A multi-rung run pairs it with
 // SetState; a single-rung run has no rung state to restore.
 func (b *BlockLeapfrog) SetPrimed(primed bool) { b.primed = primed }
-
-// LastSubsteps returns the substep count of the most recent Step.
-func (b *BlockLeapfrog) LastSubsteps() int64 { return b.lastSubsteps }
-
-// LastActiveI returns the total force-evaluated (closing) particle
-// count across the most recent Step's substeps: the block-timestep
-// analogue of "N per step", and the numerator of the active fraction.
-func (b *BlockLeapfrog) LastActiveI() int64 { return b.lastActiveI }
 
 // Rungs returns a copy of the per-particle rung assignment, indexed by
 // particle ID.
@@ -261,7 +249,6 @@ func (b *BlockLeapfrog) Prime(s *nbody.System) error {
 	for id := range b.active {
 		b.active[id] = true // tick 0 is a boundary for every rung
 	}
-	b.lastActiveI = 0
 	if err := b.assignRungs(s); err != nil {
 		return err
 	}
@@ -291,7 +278,6 @@ func (b *BlockLeapfrog) Step(s *nbody.System) error {
 		}
 	}
 	span := int64(1) << uint(b.Crit.MaxRung)
-	b.lastSubsteps, b.lastActiveI = 0, 0
 	for {
 		nOpen := b.markActive(s)
 		if nOpen == 0 {
@@ -321,8 +307,6 @@ func (b *BlockLeapfrog) Step(s *nbody.System) error {
 			}
 		}
 		b.halfKick(s)
-		b.lastActiveI += int64(nClose)
-		b.lastSubsteps++
 		if err := b.assignRungs(s); err != nil {
 			return err
 		}

@@ -46,6 +46,26 @@ func directActiveForce(g, eps float64) ActiveForceFunc {
 	}
 }
 
+// forceCounter counts the force callbacks a BlockLeapfrog makes after
+// priming — one per substep — and the particles they evaluate.
+type forceCounter struct{ substeps, activeI int64 }
+
+func (c *forceCounter) full(f ForceFunc) ForceFunc {
+	return func(s *nbody.System) error {
+		c.substeps++
+		c.activeI += int64(s.N())
+		return f(s)
+	}
+}
+
+func (c *forceCounter) active(f ActiveForceFunc) ActiveForceFunc {
+	return func(s *nbody.System, active []bool, nActive int) error {
+		c.substeps++
+		c.activeI += int64(nActive)
+		return f(s, active, nActive)
+	}
+}
+
 func requireSameSystems(t *testing.T, want, got *nbody.System, what string) {
 	t.Helper()
 	for i := range want.Pos {
@@ -76,19 +96,24 @@ func TestBlockSingleRungMatchesLeapfrog(t *testing.T) {
 		}
 
 		blk := nbody.Plummer(150, 1, 1, g, rng.New(7))
+		var c forceCounter
 		bl, err := NewBlockLeapfrog(
 			RungCriterion{Eta: 0.2, Eps: eps, DTMin: dt, MaxRung: 0},
-			directForce(g, eps), directActiveForce(g, eps))
+			c.full(directForce(g, eps)), c.active(directActiveForce(g, eps)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := bl.Prime(blk); err != nil {
+			t.Fatal(err)
+		}
 		for s := 0; s < steps; s++ {
+			c = forceCounter{}
 			if err := bl.Step(blk); err != nil {
 				t.Fatal(err)
 			}
-			if bl.LastSubsteps() != 1 || bl.LastActiveI() != int64(blk.N()) {
+			if c.substeps != 1 || c.activeI != int64(blk.N()) {
 				t.Fatalf("single-rung step ran %d substeps with %d active, want 1 full substep",
-					bl.LastSubsteps(), bl.LastActiveI())
+					c.substeps, c.activeI)
 			}
 		}
 		runtime.GOMAXPROCS(prev)
@@ -114,16 +139,21 @@ func TestBlockPinnedTopRungMatchesLeapfrog(t *testing.T) {
 	}
 
 	blk := nbody.Plummer(120, 1, 1, g, rng.New(11))
-	bl, err := NewBlockLeapfrog(crit, directForce(g, eps), directActiveForce(g, eps))
+	var c forceCounter
+	bl, err := NewBlockLeapfrog(crit, c.full(directForce(g, eps)), c.active(directActiveForce(g, eps)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := bl.Prime(blk); err != nil {
+		t.Fatal(err)
+	}
 	for s := 0; s < steps; s++ {
+		c = forceCounter{}
 		if err := bl.Step(blk); err != nil {
 			t.Fatal(err)
 		}
-		if bl.LastSubsteps() != 1 {
-			t.Fatalf("pinned top rung ran %d substeps, want 1", bl.LastSubsteps())
+		if c.substeps != 1 {
+			t.Fatalf("pinned top rung ran %d substeps, want 1", c.substeps)
 		}
 	}
 	requireSameSystems(t, ref, blk, "pinned top rung")
@@ -138,19 +168,22 @@ func TestBlockMultiRungEnergy(t *testing.T) {
 	s := nbody.Plummer(250, 1, 1, g, rng.New(4))
 	e0 := s.KineticEnergy() + nbody.PotentialEnergy(s, g, eps)
 	crit := RungCriterion{Eta: 0.05, Eps: eps, DTMin: 0.001, MaxRung: 4}
-	bl, err := NewBlockLeapfrog(crit, directForce(g, eps), directActiveForce(g, eps))
+	var c forceCounter
+	bl, err := NewBlockLeapfrog(crit, c.full(directForce(g, eps)), c.active(directActiveForce(g, eps)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := bl.Prime(s); err != nil {
+		t.Fatal(err)
+	}
+	c = forceCounter{}
 	steps := int(math.Round(0.5 / crit.Span()))
-	var activeI, substeps int64
 	for i := 0; i < steps; i++ {
 		if err := bl.Step(s); err != nil {
 			t.Fatal(err)
 		}
-		activeI += bl.LastActiveI()
-		substeps += bl.LastSubsteps()
 	}
+	activeI, substeps := c.activeI, c.substeps
 	occupied := 0
 	for _, c := range bl.Occupancy() {
 		if c > 0 {

@@ -94,11 +94,6 @@ func (k Key) OctantAtLevel(level int) int {
 	return int(triple)
 }
 
-// Keys computes Morton keys for a position slice within box.
-func Keys(pos []vec.V3, box vec.Box) []Key {
-	return KeysInto(nil, pos, box)
-}
-
 // KeysInto computes Morton keys for a position slice within box,
 // writing into dst when its capacity suffices (the arena variant used
 // by the reusable tree builder: steady-state builds allocate nothing
@@ -118,7 +113,7 @@ func KeysInto(dst []Key, pos []vec.V3, box vec.Box) []Key {
 // SortOrder returns a permutation that sorts the keys ascending. The
 // sort is stable so equal keys keep their input order (deterministic
 // builds). This is the comparison-sort reference; production tree
-// builds use SortOrderRadix.
+// builds use SortOrderRadixInto.
 func SortOrder(keys []Key) []int {
 	order := make([]int, len(keys))
 	for i := range order {
@@ -128,19 +123,15 @@ func SortOrder(keys []Key) []int {
 	return order
 }
 
-// SortOrderRadix returns the same permutation as SortOrder via an LSD
-// radix sort over the 63 key bits (8 passes of 8 bits): O(N), stable,
-// and substantially faster than comparison sorting for the
-// multi-million-particle builds of the headline run.
-func SortOrderRadix(keys []Key) []int {
-	return SortOrderRadixInto(keys, nil, nil)
-}
-
-// SortOrderRadixInto is SortOrderRadix writing into caller-owned
-// scratch: a and b are the two ping-pong permutation buffers (grown
-// only when too small). The returned slice — which holds the final
-// permutation — aliases one of the two buffers, so callers reusing the
-// scratch must consume (or copy) the result before the next call.
+// SortOrderRadixInto returns the same permutation as SortOrder via an
+// LSD radix sort over the 63 key bits (8 passes of 8 bits): O(N),
+// stable, and substantially faster than comparison sorting for the
+// multi-million-particle builds of the headline run. a and b are
+// caller-owned ping-pong permutation buffers (grown only when too
+// small; nil allocates both). The returned slice — which holds the
+// final permutation — aliases one of the two buffers, so callers
+// reusing the scratch must consume (or copy) the result before the
+// next call.
 func SortOrderRadixInto(keys []Key, a, b []int) []int {
 	n := len(keys)
 	if cap(a) < n {

@@ -124,7 +124,7 @@ func TestSortOrder(t *testing.T) {
 func TestKeys(t *testing.T) {
 	box := vec.NewBox(vec.V3{}, vec.V3{X: 1, Y: 1, Z: 1})
 	pos := []vec.V3{{X: 0.1, Y: 0.1, Z: 0.1}, {X: 0.9, Y: 0.9, Z: 0.9}}
-	keys := Keys(pos, box)
+	keys := KeysInto(nil, pos, box)
 	if len(keys) != 2 {
 		t.Fatal("wrong length")
 	}
@@ -146,7 +146,7 @@ func TestSortOrderRadixMatchesComparison(t *testing.T) {
 			keys[i+1] = keys[i]
 		}
 		a := SortOrder(keys)
-		b := SortOrderRadix(keys)
+		b := SortOrderRadixInto(keys, nil, nil)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("trial %d: radix differs from comparison at %d: %d vs %d",
@@ -157,14 +157,14 @@ func TestSortOrderRadixMatchesComparison(t *testing.T) {
 }
 
 func TestSortOrderRadixEdgeCases(t *testing.T) {
-	if got := SortOrderRadix(nil); len(got) != 0 {
+	if got := SortOrderRadixInto(nil, nil, nil); len(got) != 0 {
 		t.Errorf("nil keys: %v", got)
 	}
-	if got := SortOrderRadix([]Key{42}); len(got) != 1 || got[0] != 0 {
+	if got := SortOrderRadixInto([]Key{42}, nil, nil); len(got) != 1 || got[0] != 0 {
 		t.Errorf("single key: %v", got)
 	}
 	// All-equal keys keep input order (stability).
-	got := SortOrderRadix([]Key{7, 7, 7, 7})
+	got := SortOrderRadixInto([]Key{7, 7, 7, 7}, nil, nil)
 	for i, idx := range got {
 		if idx != i {
 			t.Errorf("equal keys reordered: %v", got)

@@ -64,23 +64,6 @@ func (s *System) Clone() *System {
 	return c
 }
 
-// Swap exchanges particles i and j in all arrays. It implements the
-// permutation primitive used by Morton sorting.
-func (s *System) Swap(i, j int) {
-	s.Pos[i], s.Pos[j] = s.Pos[j], s.Pos[i]
-	s.Vel[i], s.Vel[j] = s.Vel[j], s.Vel[i]
-	s.Acc[i], s.Acc[j] = s.Acc[j], s.Acc[i]
-	s.Mass[i], s.Mass[j] = s.Mass[j], s.Mass[i]
-	s.Pot[i], s.Pot[j] = s.Pot[j], s.Pot[i]
-	s.ID[i], s.ID[j] = s.ID[j], s.ID[i]
-}
-
-// ApplyOrder permutes the system so that new position k holds previous
-// particle order[k]. order must be a permutation of [0, N).
-func (s *System) ApplyOrder(order []int) error {
-	return s.ApplyOrderScratch(order, &PermScratch{})
-}
-
 // PermScratch holds the reusable gather buffers of ApplyOrderScratch.
 // After each call the scratch owns the system's previous arrays, so a
 // scratch reused across steps makes the permutation allocation-free.
@@ -91,8 +74,9 @@ type PermScratch struct {
 	seen          []bool
 }
 
-// ApplyOrderScratch is ApplyOrder gathering through caller-owned
-// scratch: the permuted arrays are written into scr's buffers (grown
+// ApplyOrderScratch permutes the system so that new position k holds
+// previous particle order[k]; order must be a permutation of [0, N).
+// It gathers through caller-owned scratch: the permuted arrays are written into scr's buffers (grown
 // only when too small) and swapped with the system's, leaving the old
 // arrays in scr for the next call.
 func (s *System) ApplyOrderScratch(order []int, scr *PermScratch) error {

@@ -32,23 +32,13 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestSwap(t *testing.T) {
-	s := New(2)
-	s.Pos[0], s.Pos[1] = vec.V3{X: 1}, vec.V3{X: 2}
-	s.Mass[0], s.Mass[1] = 10, 20
-	s.Swap(0, 1)
-	if s.Pos[0].X != 2 || s.Mass[0] != 20 || s.ID[0] != 1 {
-		t.Errorf("Swap incomplete: %+v", s)
-	}
-}
-
-func TestApplyOrder(t *testing.T) {
+func TestApplyOrderScratch(t *testing.T) {
 	s := New(3)
 	for i := range s.Pos {
 		s.Pos[i] = vec.V3{X: float64(i)}
 		s.Mass[i] = float64(i + 1)
 	}
-	if err := s.ApplyOrder([]int{2, 0, 1}); err != nil {
+	if err := s.ApplyOrderScratch([]int{2, 0, 1}, &PermScratch{}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Pos[0].X != 2 || s.Pos[1].X != 0 || s.Pos[2].X != 1 {
@@ -61,13 +51,13 @@ func TestApplyOrder(t *testing.T) {
 
 func TestApplyOrderRejectsBadPermutation(t *testing.T) {
 	s := New(3)
-	if err := s.ApplyOrder([]int{0, 0, 1}); err == nil {
+	if err := s.ApplyOrderScratch([]int{0, 0, 1}, &PermScratch{}); err == nil {
 		t.Error("duplicate index accepted")
 	}
-	if err := s.ApplyOrder([]int{0, 1}); err == nil {
+	if err := s.ApplyOrderScratch([]int{0, 1}, &PermScratch{}); err == nil {
 		t.Error("short order accepted")
 	}
-	if err := s.ApplyOrder([]int{0, 1, 3}); err == nil {
+	if err := s.ApplyOrderScratch([]int{0, 1, 3}, &PermScratch{}); err == nil {
 		t.Error("out-of-range index accepted")
 	}
 }
@@ -133,8 +123,8 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// Property: ApplyOrder with a random permutation preserves the multiset
-// of (ID, mass) pairs.
+// Property: ApplyOrderScratch with a random permutation preserves the
+// multiset of (ID, mass) pairs.
 func TestApplyOrderPreservesParticlesProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -156,7 +146,7 @@ func TestApplyOrderPreservesParticlesProperty(t *testing.T) {
 			j := r.Intn(i + 1)
 			order[i], order[j] = order[j], order[i]
 		}
-		if err := s.ApplyOrder(order); err != nil {
+		if err := s.ApplyOrderScratch(order, &PermScratch{}); err != nil {
 			return false
 		}
 		for i := range s.ID {

@@ -25,7 +25,8 @@ const maxSplitLevel = 8
 
 // BuilderOptions configure a Builder.
 type BuilderOptions struct {
-	// LeafCap is the maximum number of particles in a leaf. Default 8.
+	// LeafCap is the maximum number of particles in a leaf. 0 means
+	// the package constant LeafCap.
 	LeafCap int
 	// Workers is the number of goroutines used for subtree
 	// construction. 0 means GOMAXPROCS; 1 forces the serial build.
@@ -101,7 +102,7 @@ type keySpan struct{ start, count int32 }
 func NewBuilder(o BuilderOptions) *Builder {
 	lc := o.LeafCap
 	if lc <= 0 {
-		lc = 8
+		lc = LeafCap
 	}
 	w := o.Workers
 	if w <= 0 {

@@ -127,7 +127,7 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 
 // TestBuilderReuseMatchesFresh drives one Builder across several
 // perturbed "steps" and checks each reused-arena build against a fresh
-// standalone Build of the same snapshot.
+// serial Builder's build of the same snapshot.
 func TestBuilderReuseMatchesFresh(t *testing.T) {
 	forceParallel(t)
 	b := NewBuilder(BuilderOptions{LeafCap: 8, Workers: 4})
@@ -149,7 +149,7 @@ func TestBuilderReuseMatchesFresh(t *testing.T) {
 			t.Fatal("Builder returned the same *Tree header on a rebuild")
 		}
 		prev = reused
-		fresh, err := Build(ref, &Options{LeafCap: 8})
+		fresh, err := NewBuilder(BuilderOptions{Workers: 1}).Build(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestGroupsCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Build(sys.Clone(), &Options{LeafCap: 8})
+	fresh, err := NewBuilder(BuilderOptions{}).Build(sys.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestGroupsCached(t *testing.T) {
 // against an independent recursive implementation of the definition.
 func TestGroupsMatchRecursiveReference(t *testing.T) {
 	sys := clusteredSystem(11, 1200)
-	tree, err := Build(sys, &Options{LeafCap: 8})
+	tree, err := NewBuilder(BuilderOptions{}).Build(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func FuzzBuildParallel(f *testing.F) {
 // against a linear scan on sorted key runs.
 func TestOctantEndMatchesReference(t *testing.T) {
 	sys := clusteredSystem(17, 600)
-	tree, err := Build(sys, &Options{LeafCap: 8})
+	tree, err := NewBuilder(BuilderOptions{}).Build(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestOctantEndMatchesReference(t *testing.T) {
 	// keys are in tree (sorted) order after Build reordered sys; octant
 	// order at a node's level is monotonic only inside the node's range
 	// (where all keys share the prefix), so the check walks real nodes.
-	keys := morton.Keys(sys.Pos, cube)
+	keys := morton.KeysInto(nil, sys.Pos, cube)
 	for ni := range tree.Nodes {
 		n := &tree.Nodes[ni]
 		if n.Leaf {

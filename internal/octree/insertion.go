@@ -9,13 +9,13 @@ import (
 
 // BuildInsertion builds an octree by naive one-particle-at-a-time
 // insertion, the textbook Barnes & Hut (1986) construction. It produces
-// the same cell decomposition as Build for the same LeafCap but does
-// not reorder the system, so leaves index particles through the Perm
-// slice instead of contiguous ranges.
+// the same cell decomposition as Builder.Build for the same leaf
+// capacity but does not reorder the system, so leaves index particles
+// through the Perm slice instead of contiguous ranges.
 //
 // It exists as the independent reference implementation for
 // cross-validation tests and as the baseline of the build ablation; the
-// production path is Build.
+// production path is Builder.Build.
 type InsertionTree struct {
 	Nodes   []inode
 	Sys     *nbody.System
@@ -38,7 +38,7 @@ func BuildInsertion(s *nbody.System, leafCap int) (*InsertionTree, error) {
 		return nil, fmt.Errorf("octree: empty system")
 	}
 	if leafCap <= 0 {
-		leafCap = 8
+		leafCap = LeafCap
 	}
 	cube := s.Bounds().Cube()
 	if cube.MaxEdge() == 0 {

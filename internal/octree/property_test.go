@@ -45,7 +45,7 @@ func checkBuildAgreement(t *testing.T, n int, seed uint64, leafCap int) {
 	if err != nil {
 		t.Fatalf("insertion build: %v", err)
 	}
-	tr, err := Build(s, &Options{LeafCap: leafCap})
+	tr, err := NewBuilder(BuilderOptions{LeafCap: leafCap}).Build(s)
 	if err != nil {
 		t.Fatalf("morton build: %v", err)
 	}

@@ -149,7 +149,7 @@ func TestWalkMatchesReference(t *testing.T) {
 	for _, sys := range systems {
 		for _, theta := range []float64{0, 0.3, 0.75, 1.2} {
 			t.Run(fmt.Sprintf("%s/theta=%g", sys.name, theta), func(t *testing.T) {
-				tree, err := Build(sys.s.Clone(), &Options{LeafCap: 8})
+				tree, err := NewBuilder(BuilderOptions{}).Build(sys.s.Clone())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -172,7 +172,7 @@ func FuzzWalkMatchesReference(f *testing.F) {
 		n := 1 + int(nRaw)%512
 		theta := float64(thetaRaw) / 100
 		ncrit := 1 + int(ncritRaw)%600
-		tree, err := Build(nbody.Plummer(n, 1, 1, 1, rng.New(seed)), &Options{LeafCap: 1 + int(leafRaw)%16})
+		tree, err := NewBuilder(BuilderOptions{LeafCap: 1 + int(leafRaw)%16}).Build(nbody.Plummer(n, 1, 1, 1, rng.New(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func FuzzWalkMatchesReference(f *testing.F) {
 // 16384 particles at θ = 0.75, the host_plummer64k configuration at a
 // quarter of its N.
 func BenchmarkWalk(b *testing.B) {
-	tree, err := Build(nbody.Plummer(16384, 1, 1, 1, rng.New(3)), &Options{LeafCap: 8})
+	tree, err := NewBuilder(BuilderOptions{}).Build(nbody.Plummer(16384, 1, 1, 1, rng.New(3)))
 	if err != nil {
 		b.Fatal(err)
 	}

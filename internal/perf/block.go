@@ -75,18 +75,3 @@ func (b BlockCost) EvalRatio() float64 {
 	}
 	return float64(b.ForceEvals()) / float64(shared)
 }
-
-// Speedup returns the predicted step-time speedup over the shared-dt
-// run when a fraction fixed ∈ [0, 1) of the shared-dt substep cost is
-// evaluation-independent overhead (tree refresh, scheduling, kicks):
-// both runs pay the overhead on every substep, only the force work
-// scales with the active set.
-func (b BlockCost) Speedup(fixed float64) float64 {
-	if fixed < 0 {
-		fixed = 0
-	}
-	if fixed >= 1 {
-		return 1
-	}
-	return 1 / (fixed + (1-fixed)*b.EvalRatio())
-}

@@ -17,9 +17,6 @@ func TestBlockCostSingleRung(t *testing.T) {
 	if got := b.EvalRatio(); got != 1 {
 		t.Errorf("EvalRatio = %v, want 1", got)
 	}
-	if got := b.Speedup(0.1); got != 1 {
-		t.Errorf("Speedup = %v, want 1 for a flat ladder", got)
-	}
 }
 
 func TestBlockCostHierarchy(t *testing.T) {
@@ -37,31 +34,5 @@ func TestBlockCostHierarchy(t *testing.T) {
 	}
 	if got, want := b.EvalRatio(), 0.4; math.Abs(got-want) > 1e-15 {
 		t.Errorf("EvalRatio = %v, want %v", got, want)
-	}
-	// Pure force cost: speedup is the inverse ratio.
-	if got, want := b.Speedup(0), 2.5; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Speedup(0) = %v, want %v", got, want)
-	}
-	// With overhead the win shrinks but never inverts.
-	s := b.Speedup(0.3)
-	if s <= 1 || s >= 2.5 {
-		t.Errorf("Speedup(0.3) = %v, want in (1, 2.5)", s)
-	}
-	// All-overhead degenerates to no win.
-	if got := b.Speedup(1); got != 1 {
-		t.Errorf("Speedup(1) = %v, want 1", got)
-	}
-}
-
-func TestBlockCostSpeedupMonotoneInRatio(t *testing.T) {
-	// Pushing particles to coarser rungs must only help.
-	prev := 0.0
-	for coarse := int64(0); coarse <= 900; coarse += 300 {
-		b := BlockCost{Occupancy: []int64{100, 0, 0, 900 - coarse + 0, coarse}}
-		s := b.Speedup(0.1)
-		if s < prev-1e-12 {
-			t.Errorf("speedup fell to %v as occupancy coarsened", s)
-		}
-		prev = s
 	}
 }

@@ -24,11 +24,6 @@ func (b Box) Extend(p V3) Box {
 	return Box{Min: b.Min.Min(p), Max: b.Max.Max(p)}
 }
 
-// Union returns the smallest box containing both boxes.
-func (b Box) Union(o Box) Box {
-	return Box{Min: b.Min.Min(o.Min), Max: b.Max.Max(o.Max)}
-}
-
 // Center returns the box centre point.
 func (b Box) Center() V3 { return b.Min.Add(b.Max).Scale(0.5) }
 

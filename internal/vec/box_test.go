@@ -34,10 +34,12 @@ func TestExtendUnion(t *testing.T) {
 	if b != want {
 		t.Errorf("Extend = %+v, want %+v", b, want)
 	}
-	u := b.Union(NewBox(V3{-3, 0, 0}, V3{0, 0, 5}))
+	// The union with a box is the extension by its two corners.
+	o := NewBox(V3{-3, 0, 0}, V3{0, 0, 5})
+	u := b.Extend(o.Min).Extend(o.Max)
 	want = Box{Min: V3{-3, -1, 0}, Max: V3{2, 1, 5}}
 	if u != want {
-		t.Errorf("Union = %+v, want %+v", u, want)
+		t.Errorf("union = %+v, want %+v", u, want)
 	}
 }
 

@@ -48,9 +48,6 @@ func (a V3) Dist2(b V3) float64 {
 	return dx*dx + dy*dy + dz*dz
 }
 
-// Dist returns |a-b|.
-func (a V3) Dist(b V3) float64 { return math.Sqrt(a.Dist2(b)) }
-
 // MulAdd returns a + s*b, the fused update used by integrators.
 func (a V3) MulAdd(s float64, b V3) V3 {
 	return V3{a.X + s*b.X, a.Y + s*b.Y, a.Z + s*b.Z}

@@ -65,8 +65,8 @@ func TestNormDist(t *testing.T) {
 		t.Errorf("Norm2 = %v", a.Norm2())
 	}
 	b := V3{0, 0, 12}
-	if got := a.Dist(b); got != 13 {
-		t.Errorf("Dist = %v", got)
+	if got := a.Dist2(b); got != 169 {
+		t.Errorf("Dist2 = %v", got)
 	}
 }
 

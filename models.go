@@ -68,23 +68,6 @@ func UniformSphere(n int, m, r float64, seed uint64) *System {
 	return nbody.UniformSphere(n, m, r, rng.New(seed))
 }
 
-// TwoBody returns a circular two-body orbit of separation d.
-func TwoBody(m1, m2, d, g float64) *System {
-	return nbody.TwoBody(m1, m2, d, g)
-}
-
-// Hernquist returns an n-particle Hernquist sphere (the standard
-// bulge/halo profile) of mass m and scale radius a, near equilibrium.
-func Hernquist(n int, m, a, g float64, seed uint64) *System {
-	return nbody.Hernquist(n, m, a, g, rng.New(seed))
-}
-
-// ExponentialDisk returns a rotating thin exponential disk of mass m,
-// scale length rd and scale height zd.
-func ExponentialDisk(n int, m, rd, zd, g float64, seed uint64) *System {
-	return nbody.ExponentialDisk(n, m, rd, zd, g, rng.New(seed))
-}
-
 // Halo is a friends-of-friends group found by FindHalos.
 type Halo = analysis.Halo
 

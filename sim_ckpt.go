@@ -24,9 +24,9 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
-	"repro/internal/core"
 	"repro/internal/g5"
 	"repro/internal/obs"
+	"repro/internal/octree"
 )
 
 // RunAux carries driver-level run state that the Simulation itself does
@@ -189,8 +189,8 @@ func ResumeConfig(st ckpt.State, cfg Config) (Config, error) {
 	}
 	// Retired options: a run that set them is on a trajectory no
 	// Simulation can continue.
-	if st.LeafCap != 0 && st.LeafCap != core.LeafCap {
-		return Config{}, fmt.Errorf("grape5: resume leafcap: checkpoint ran leaf capacity %d, every run now uses %d", st.LeafCap, core.LeafCap)
+	if st.LeafCap != 0 && st.LeafCap != octree.LeafCap {
+		return Config{}, fmt.Errorf("grape5: resume leafcap: checkpoint ran leaf capacity %d, every run now uses %d", st.LeafCap, octree.LeafCap)
 	}
 	if st.RebuildEvery != 0 && st.RebuildEvery != 1 {
 		return Config{}, fmt.Errorf("grape5: resume rebuild-every: checkpoint reused its tree for %d steps, every run now rebuilds each step", st.RebuildEvery)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/g5"
+	"repro/internal/nbody"
 )
 
 func TestNewSimulationValidation(t *testing.T) {
@@ -145,7 +146,7 @@ func TestSimulationGRAPERescalesWithExpansion(t *testing.T) {
 }
 
 func TestTwoBodyFacade(t *testing.T) {
-	s := TwoBody(1, 1, 1, 1)
+	s := nbody.TwoBody(1, 1, 1, 1)
 	if s.N() != 2 {
 		t.Fatal("not two bodies")
 	}
@@ -200,23 +201,6 @@ func TestNewCosmoSphere(t *testing.T) {
 func TestNewCosmoSphereRejectsBadGrid(t *testing.T) {
 	if _, err := NewCosmoSphere(CosmoSphereParams{GridN: 9, Seed: 1}, 10); err == nil {
 		t.Error("bad grid accepted")
-	}
-}
-
-func TestHernquistFacade(t *testing.T) {
-	s := Hernquist(500, 1, 1, 1, 9)
-	if s.N() != 500 {
-		t.Fatalf("N = %d", s.N())
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExponentialDiskFacade(t *testing.T) {
-	s := ExponentialDisk(500, 1, 1, 0.05, 1, 10)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -320,7 +304,7 @@ func TestAdaptiveLeapfrogEnergy(t *testing.T) {
 // two-body system: the step must prime first (the criterion reads
 // accelerations), pick a dt under the ceiling and advance the clock by it.
 func TestAdaptiveStepReturnsDT(t *testing.T) {
-	sim, err := NewSimulation(TwoBody(1, 1, 1, 1), Config{
+	sim, err := NewSimulation(nbody.TwoBody(1, 1, 1, 1), Config{
 		G: 1, Eps: 0.1, Adaptive: true, Eta: 0.1, DT: 0.01,
 	})
 	if err != nil {
