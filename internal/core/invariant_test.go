@@ -129,19 +129,18 @@ func TestGroupListValidForAllMembers(t *testing.T) {
 	checked := 0
 	for _, g := range groups {
 		// Rebuild this group's accepted-cell set by replaying the walk.
-		gbox := tree.Nodes[g.Node].Box
 		var cells []int32
 		var visit func(idx int32)
 		visit = func(idx int32) {
 			n := &tree.Nodes[idx]
-			if mac.Accept(n, gbox.Dist2(n.COM)) {
+			if mac.Accept(n, g.Box.Dist2(n.COM)) {
 				cells = append(cells, idx)
 				return
 			}
-			for _, c := range n.Children {
-				if c != octree.NoChild {
-					visit(c)
-				}
+			// Walk order: the first child is idx+1, each later one
+			// starts at its previous sibling's Next (a leaf's is idx+1).
+			for c := idx + 1; c < n.Next; c = tree.Nodes[c].Next {
+				visit(c)
 			}
 		}
 		visit(0)

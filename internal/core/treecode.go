@@ -424,7 +424,7 @@ func (tc *Treecode) walkWorker(buf *listBuf, s *nbody.System, tree *octree.Tree,
 				s.Pot[i] = 0
 			}
 		}
-		nj, cells, visited := tree.Walk(tree.Nodes[g.Node].Box, mac, -1, &buf.J)
+		nj, cells, visited := tree.Walk(g.Box, mac, -1, &buf.J)
 		local.WalkTime += time.Since(tw0)
 
 		local.addList(na, nj, cells, visited)

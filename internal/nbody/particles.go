@@ -64,21 +64,23 @@ func (s *System) Clone() *System {
 	return c
 }
 
-// PermScratch holds the reusable gather buffers of ApplyOrderScratch.
-// After each call the scratch owns the system's previous arrays, so a
-// scratch reused across steps makes the permutation allocation-free.
+// PermScratch holds the reusable gather buffers of ApplyOrderScratch:
+// one spare array per element type. After each call every spare is an
+// array the system held before, so a scratch reused across steps makes
+// the permutation allocation-free.
 type PermScratch struct {
-	pos, vel, acc []vec.V3
-	mass, pot     []float64
-	id            []int64
-	seen          []bool
+	v3   []vec.V3
+	f64  []float64
+	i64  []int64
+	seen []bool
 }
 
 // ApplyOrderScratch permutes the system so that new position k holds
 // previous particle order[k]; order must be a permutation of [0, N).
-// It gathers through caller-owned scratch: the permuted arrays are written into scr's buffers (grown
-// only when too small) and swapped with the system's, leaving the old
-// arrays in scr for the next call.
+// It gathers one array at a time into the spare of its type (grown only
+// when too small) and swaps the spare with the array it replaced, so
+// the scratch holds one array of each type however many arrays it
+// permutes.
 func (s *System) ApplyOrderScratch(order []int, scr *PermScratch) error {
 	n := s.N()
 	if len(order) != n {
@@ -97,32 +99,27 @@ func (s *System) ApplyOrderScratch(order []int, scr *PermScratch) error {
 		}
 		seen[idx] = true
 	}
-	if cap(scr.pos) < n {
-		scr.pos = make([]vec.V3, n)
-		scr.vel = make([]vec.V3, n)
-		scr.acc = make([]vec.V3, n)
-		scr.mass = make([]float64, n)
-		scr.pot = make([]float64, n)
-		scr.id = make([]int64, n)
+	for _, a := range [...]*[]vec.V3{&s.Pos, &s.Vel, &s.Acc} {
+		gather(order, a, &scr.v3)
 	}
-	pos := scr.pos[:n]
-	velv := scr.vel[:n]
-	acc := scr.acc[:n]
-	mass := scr.mass[:n]
-	pot := scr.pot[:n]
-	id := scr.id[:n]
-	for k, idx := range order {
-		pos[k] = s.Pos[idx]
-		velv[k] = s.Vel[idx]
-		acc[k] = s.Acc[idx]
-		mass[k] = s.Mass[idx]
-		pot[k] = s.Pot[idx]
-		id[k] = s.ID[idx]
+	for _, a := range [...]*[]float64{&s.Mass, &s.Pot} {
+		gather(order, a, &scr.f64)
 	}
-	scr.pos, scr.vel, scr.acc, scr.mass, scr.pot, scr.id =
-		s.Pos, s.Vel, s.Acc, s.Mass, s.Pot, s.ID
-	s.Pos, s.Vel, s.Acc, s.Mass, s.Pot, s.ID = pos, velv, acc, mass, pot, id
+	gather(order, &s.ID, &scr.i64)
 	return nil
+}
+
+// gather writes (*a)[order[k]] to (*spare)[k] for every k, growing the
+// spare to len(order) if it is shorter, and swaps the two arrays.
+func gather[T any](order []int, a, spare *[]T) {
+	if cap(*spare) < len(order) {
+		*spare = make([]T, len(order))
+	}
+	dst, src := (*spare)[:len(order)], *a
+	for k, idx := range order {
+		dst[k] = src[idx]
+	}
+	*a, *spare = dst, src
 }
 
 // Bounds returns the axis-aligned bounding box of all positions.

@@ -2,6 +2,7 @@ package nbody
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -46,6 +47,64 @@ func TestApplyOrderScratch(t *testing.T) {
 	}
 	if s.ID[0] != 2 {
 		t.Errorf("IDs not permuted: %v", s.ID)
+	}
+
+	// Two permutations through one scratch equal two through fresh
+	// scratches, bit for bit on all six arrays, and the reused scratch
+	// holds one spare per element type, none longer than N.
+	const n = 257
+	r := rng.New(5)
+	s = New(n)
+	for i := 0; i < n; i++ {
+		s.Pos[i] = vec.V3{X: r.Normal(), Y: r.Normal(), Z: r.Normal()}
+		s.Vel[i] = vec.V3{X: r.Normal(), Y: r.Normal(), Z: r.Normal()}
+		s.Acc[i] = vec.V3{X: r.Normal(), Y: r.Normal(), Z: r.Normal()}
+		s.Mass[i], s.Pot[i] = r.Float64(), r.Normal()
+	}
+	fresh := s.Clone()
+	var scr PermScratch
+	for step := 0; step < 2; step++ {
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		for i := n - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			order[i], order[j] = order[j], order[i]
+		}
+		if err := s.ApplyOrderScratch(order, &scr); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.ApplyOrderScratch(order, &PermScratch{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if s.Pos[i] != fresh.Pos[i] || s.Vel[i] != fresh.Vel[i] || s.Acc[i] != fresh.Acc[i] ||
+			math.Float64bits(s.Mass[i]) != math.Float64bits(fresh.Mass[i]) ||
+			math.Float64bits(s.Pot[i]) != math.Float64bits(fresh.Pot[i]) || s.ID[i] != fresh.ID[i] {
+			t.Fatalf("particle %d: one reused scratch and fresh scratches permute differently", i)
+		}
+	}
+	spares := map[reflect.Type]int{}
+	v := reflect.ValueOf(scr)
+	for f := 0; f < v.NumField(); f++ {
+		a := v.Field(f)
+		if a.Kind() != reflect.Slice {
+			continue
+		}
+		spares[a.Type().Elem()]++
+		if a.Cap() > n {
+			t.Errorf("spare %s has capacity %d > N = %d", v.Type().Field(f).Name, a.Cap(), n)
+		}
+	}
+	for typ, k := range spares {
+		if k != 1 {
+			t.Errorf("scratch holds %d spare []%v arrays, want 1", k, typ)
+		}
+	}
+	if len(spares) != 4 {
+		t.Errorf("scratch holds spares of %d element types, want 4 ([]vec.V3, []float64, []int64, []bool)", len(spares))
 	}
 }
 

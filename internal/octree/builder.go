@@ -83,7 +83,7 @@ type Builder struct {
 type spineNode struct {
 	box          vec.Box
 	start, count int32
-	level        int32
+	oct          int
 	children     [8]int32
 }
 
@@ -93,6 +93,7 @@ type buildTask struct {
 	box          vec.Box
 	start, count int32
 	level        int32
+	oct          int
 }
 
 // keySpan is a particle index range used by the split-level search.
@@ -153,12 +154,12 @@ func (b *Builder) Build(s *nbody.System) (*Tree, error) {
 		b.buildParallel(s, b.sorted, cube, int32(n))
 	} else {
 		nb := nodeBuilder{nodes: b.arena[:0], sys: s, keys: b.sorted, leafCap: b.leafCap}
-		nb.build(cube, 0, int32(n), 0)
+		nb.build(cube, 0, int32(n), 0, 0)
 		b.arena = nb.nodes
 	}
 	b.ob.AddSeconds(obs.PhaseTreeBuild, time.Since(t1).Seconds())
 
-	t := &Tree{Nodes: b.arena, Sys: s}
+	t := &Tree{Nodes: b.arena, Sys: s, cube: cube}
 	// Recycle the dead previous tree's groups-cache storage so the
 	// steady-state Groups call allocates nothing either.
 	if p := b.prev; p != nil {
@@ -174,24 +175,23 @@ func (b *Builder) Build(s *nbody.System) (*Tree, error) {
 //
 // Determinism argument: the serial build is a preorder DFS, so every
 // subtree occupies a contiguous, pre-determined node-index range whose
-// internal child and Next indices are (range base + local preorder
-// offset). The plan pass replays the serial descent down to a split
-// level, recording the spine of internal nodes and the frontier
-// subtrees as tasks in serial visit order. Workers build each task into
-// its own arena — the exact recursion the serial build would run, so
-// node contents and local layout are bit-identical regardless of which
+// internal Next indices are (range base + local preorder offset). The
+// plan pass replays the serial descent down to a split level,
+// recording the spine of internal nodes and the frontier subtrees as
+// tasks in serial visit order. Workers build each task into its own
+// arena — the exact recursion the serial build would run, so node
+// contents and local layout are bit-identical regardless of which
 // worker runs it or when. The stitch pass then emits spine nodes and
-// task arenas in the planned preorder, offsetting child and Next
-// indices by each subtree's base; spine aggregation reuses
-// aggregateChildren, summing children in octant order exactly as the
-// serial recursion does. Every float is therefore computed by the same
+// task arenas in the planned preorder, offsetting Next indices by each
+// subtree's base; spine aggregation reuses aggregateChildren, summing
+// children in octant order exactly as the serial recursion does. Every float is therefore computed by the same
 // code on the same operands in the same order as the serial build;
 // scheduling only changes when, not what.
 func (b *Builder) buildParallel(s *nbody.System, keys []morton.Key, cube vec.Box, n int32) {
 	split := b.pickSplitLevel(keys, n)
 	b.spine = b.spine[:0]
 	b.tasks = b.tasks[:0]
-	rootRef := b.plan(keys, cube, 0, n, 0, split)
+	rootRef := b.plan(keys, cube, 0, n, 0, 0, split)
 	for len(b.taskArenas) < len(b.tasks) {
 		b.taskArenas = append(b.taskArenas, nil)
 	}
@@ -258,21 +258,21 @@ func (b *Builder) pickSplitLevel(keys []morton.Key, n int32) int32 {
 // plan replays the serial descent down to the split level, recording
 // spine nodes and frontier tasks in serial preorder. It returns a child
 // ref: a spine index when >= 0, or -(task index + 2).
-func (b *Builder) plan(keys []morton.Key, box vec.Box, start, count, level, split int32) int32 {
+func (b *Builder) plan(keys []morton.Key, box vec.Box, start, count, level int32, oct int, split int32) int32 {
 	if int(count) <= b.leafCap || level >= morton.Bits-1 || level == split {
 		ti := int32(len(b.tasks))
-		b.tasks = append(b.tasks, buildTask{box: box, start: start, count: count, level: level})
+		b.tasks = append(b.tasks, buildTask{box: box, start: start, count: count, level: level, oct: oct})
 		return -(ti + 2)
 	}
 	si := int32(len(b.spine))
-	b.spine = append(b.spine, spineNode{box: box, start: start, count: count, level: level})
+	b.spine = append(b.spine, spineNode{box: box, start: start, count: count, oct: oct})
 	for i := range b.spine[si].children {
 		b.spine[si].children[i] = NoChild
 	}
 	bounds := octantBounds(keys, start, count, level)
-	for oct := 7; oct >= 0; oct-- {
-		if lo, hi := bounds[oct], bounds[oct+1]; hi > lo {
-			b.spine[si].children[oct] = b.plan(keys, box.Child(oct), lo, hi-lo, level+1, split)
+	for c := 7; c >= 0; c-- {
+		if lo, hi := bounds[c], bounds[c+1]; hi > lo {
+			b.spine[si].children[c] = b.plan(keys, box.Child(c), lo, hi-lo, level+1, c, split)
 		}
 	}
 	return si
@@ -290,7 +290,7 @@ func (b *Builder) taskWorker(wg *sync.WaitGroup) {
 		}
 		t := b.tasks[ti]
 		nb := nodeBuilder{nodes: b.taskArenas[ti][:0], sys: b.wsys, keys: b.wkeys, leafCap: b.leafCap}
-		nb.build(t.box, t.start, t.count, t.level)
+		nb.build(t.box, t.start, t.count, t.level, t.oct)
 		b.taskArenas[ti] = nb.nodes
 	}
 }
@@ -298,42 +298,27 @@ func (b *Builder) taskWorker(wg *sync.WaitGroup) {
 // emitSpine appends spine node si and its planned subtrees to the arena
 // in preorder, then aggregates its mass and COM exactly as the serial
 // build's bottom-up pass does.
-func (b *Builder) emitSpine(si int32) int32 {
+func (b *Builder) emitSpine(si int32) {
 	sn := b.spine[si]
 	var idx int32
-	b.arena, idx = newNode(b.arena, sn.box, sn.start, sn.count, sn.level)
-	for oct := 7; oct >= 0; oct-- {
-		ref := sn.children[oct]
-		if ref == NoChild {
-			continue
+	b.arena, idx = newNode(b.arena, sn.box, sn.start, sn.count, sn.oct)
+	for c := 7; c >= 0; c-- {
+		if ref := sn.children[c]; ref >= 0 {
+			b.emitSpine(ref)
+		} else if ref != NoChild {
+			b.emitTask(-(ref + 2))
 		}
-		var child int32
-		if ref >= 0 {
-			child = b.emitSpine(ref)
-		} else {
-			child = b.emitTask(-(ref + 2))
-		}
-		b.arena[idx].Children[oct] = child
 	}
 	b.arena[idx].Next = int32(len(b.arena))
-	aggregateChildren(b.arena, idx, sn.box)
-	return idx
+	aggregateChildren(b.arena, idx)
 }
 
 // emitTask appends a built subtree arena at the current end of the node
-// arena, rebasing its local child and Next indices, and returns the
-// subtree root's global index (its base).
-func (b *Builder) emitTask(ti int32) int32 {
+// arena, rebasing its local Next indices.
+func (b *Builder) emitTask(ti int32) {
 	base := int32(len(b.arena))
 	b.arena = append(b.arena, b.taskArenas[ti]...)
 	for i := int(base); i < len(b.arena); i++ {
-		n := &b.arena[i]
-		n.Next += base
-		for j, c := range n.Children {
-			if c != NoChild {
-				n.Children[j] = c + base
-			}
-		}
+		b.arena[i].Next += base
 	}
-	return base
 }

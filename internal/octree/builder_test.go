@@ -44,6 +44,54 @@ func clusteredSystem(seed uint64, n int) *nbody.System {
 	return s
 }
 
+// cell is one cell of the build recursion replayed over sorted keys.
+type cell struct {
+	box          vec.Box
+	start, count int32
+	level        int32
+	// kids holds the cell indices of the children by octant; NoChild
+	// marks empty octants.
+	kids [8]int32
+}
+
+// replayBuild replays the build recursion over the Morton keys of the
+// tree's particles, finding each octant's run by a linear scan: the
+// cells in preorder with children from octant 7 down to 0, each with
+// the box Box.Child gave it. It reads nothing of the tree but its
+// system, so it is the reference for the stored layout, the group boxes
+// and the walk. Call it before the particles drift.
+func replayBuild(tree *Tree, leafCap int) []cell {
+	cube := rootCube(tree.Sys)
+	keys := morton.KeysInto(nil, tree.Sys.Pos, cube)
+	var cells []cell
+	var rec func(box vec.Box, start, count, level int32) int32
+	rec = func(box vec.Box, start, count, level int32) int32 {
+		ci := int32(len(cells))
+		cells = append(cells, cell{box: box, start: start, count: count, level: level,
+			kids: [8]int32{NoChild, NoChild, NoChild, NoChild, NoChild, NoChild, NoChild, NoChild}})
+		if int(count) <= leafCap || level >= morton.Bits-1 {
+			return ci
+		}
+		for oct := 7; oct >= 0; oct-- {
+			lo := start
+			for lo < start+count && keys[lo].OctantAtLevel(int(level)) < oct {
+				lo++
+			}
+			hi := lo
+			for hi < start+count && keys[hi].OctantAtLevel(int(level)) == oct {
+				hi++
+			}
+			if hi > lo {
+				kid := rec(box.Child(oct), lo, hi-lo, level+1) // rec may grow cells
+				cells[ci].kids[oct] = kid
+			}
+		}
+		return ci
+	}
+	rec(cube, 0, int32(len(keys)), 0)
+	return cells
+}
+
 // forceParallel lowers the parallel threshold for the duration of a
 // test so small systems exercise the parallel path.
 func forceParallel(t *testing.T) {
@@ -220,18 +268,19 @@ func TestGroupsMatchRecursiveReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := replayBuild(tree, LeafCap)
 	for _, ncrit := range []int{1, 8, 33, 200, 5000} {
 		var want []Group
 		var walk func(idx int32)
 		walk = func(idx int32) {
-			n := &tree.Nodes[idx]
-			if int(n.Count) <= ncrit || n.Leaf {
-				want = append(want, Group{Node: idx, Start: n.Start, Count: n.Count})
+			c := &cells[idx]
+			if int(c.count) <= ncrit || tree.Nodes[idx].Leaf {
+				want = append(want, Group{Node: idx, Start: c.start, Count: c.count, Box: c.box})
 				return
 			}
-			for _, c := range n.Children {
-				if c != NoChild {
-					walk(c)
+			for _, k := range c.kids {
+				if k != NoChild {
+					walk(k)
 				}
 			}
 		}
@@ -243,6 +292,56 @@ func TestGroupsMatchRecursiveReference(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("ncrit=%d group %d: %+v != %+v", ncrit, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestGroupBoxesMatchBuild checks each Group.Box, bit for bit, against
+// the box the build recursion gave that cell (replayed over the sorted
+// keys), and that the groups tile [0, N) in Morton order: for serial
+// and parallel builds, fresh trees and trees after Refresh, and three
+// group sizes.
+func TestGroupBoxesMatchBuild(t *testing.T) {
+	forceParallel(t)
+	for _, workers := range []int{1, 2, 4, 8} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			tree, err := NewBuilder(BuilderOptions{Workers: workers}).Build(clusteredSystem(seed, 3000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells := replayBuild(tree, LeafCap)
+			if len(cells) != len(tree.Nodes) {
+				t.Fatalf("workers=%d seed=%d: %d nodes, the build recursion made %d cells", workers, seed, len(tree.Nodes), len(cells))
+			}
+			for i, c := range cells {
+				if n := &tree.Nodes[i]; n.Start != c.start || n.Count != c.count || n.Size != c.box.MaxEdge() {
+					t.Fatalf("workers=%d seed=%d: node %d holds [%d, +%d) size %v, the recursion's cell [%d, +%d) size %v",
+						workers, seed, i, n.Start, n.Count, n.Size, c.start, c.count, c.box.MaxEdge())
+				}
+			}
+			for _, refreshed := range []bool{false, true} {
+				if refreshed {
+					drift(tree, seed)
+				}
+				for _, ncrit := range []int{1, 16, 500} {
+					next := int32(0)
+					for gi, g := range tree.Groups(ncrit) {
+						if g.Box != cells[g.Node].box {
+							t.Fatalf("workers=%d seed=%d refreshed=%v ncrit=%d: group %d (node %d) box %v, the build gave %v",
+								workers, seed, refreshed, ncrit, gi, g.Node, g.Box, cells[g.Node].box)
+						}
+						if g.Start != next {
+							t.Fatalf("workers=%d seed=%d refreshed=%v ncrit=%d: group %d starts at %d, want %d",
+								workers, seed, refreshed, ncrit, gi, g.Start, next)
+						}
+						next = g.Start + g.Count
+					}
+					if int(next) != tree.Sys.N() {
+						t.Fatalf("workers=%d seed=%d refreshed=%v ncrit=%d: groups end at %d of %d",
+							workers, seed, refreshed, ncrit, next, tree.Sys.N())
+					}
+				}
 			}
 		}
 	}
@@ -310,20 +409,22 @@ func TestOctantEndMatchesReference(t *testing.T) {
 	// order at a node's level is monotonic only inside the node's range
 	// (where all keys share the prefix), so the check walks real nodes.
 	keys := morton.KeysInto(nil, sys.Pos, cube)
+	cells := replayBuild(tree, LeafCap)
 	for ni := range tree.Nodes {
 		n := &tree.Nodes[ni]
 		if n.Leaf {
 			continue
 		}
+		level := cells[ni].level
 		lo := n.Start
 		for oct := 0; oct < 8; oct++ {
-			hi := octantEnd(keys, lo, n.Start+n.Count, int32(n.Level), oct)
+			hi := octantEnd(keys, lo, n.Start+n.Count, level, oct)
 			want := lo
-			for want < n.Start+n.Count && keys[want].OctantAtLevel(int(n.Level)) <= oct {
+			for want < n.Start+n.Count && keys[want].OctantAtLevel(int(level)) <= oct {
 				want++
 			}
 			if hi != want {
-				t.Fatalf("node=%d level=%d oct=%d lo=%d: got %d, want %d", ni, n.Level, oct, lo, hi, want)
+				t.Fatalf("node=%d level=%d oct=%d lo=%d: got %d, want %d", ni, level, oct, lo, hi, want)
 			}
 			lo = hi
 		}

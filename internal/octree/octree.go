@@ -18,15 +18,18 @@ import (
 	"repro/internal/vec"
 )
 
-// NoChild marks an absent child slot.
+// NoChild marks an absent child slot of the parallel build's plan and
+// of the insertion tree.
 const NoChild = int32(-1)
 
 // LeafCap is the leaf capacity every production tree is built with:
 // the maximum number of particles in a leaf.
 const LeafCap = 8
 
-// Node is one octree cell. The fields Tree.Walk reads come first,
-// packed into the record's first 56 bytes.
+// Node is one octree cell in 56 bytes: the fields Tree.Walk and the
+// centre-of-mass passes read, and the cell's octant. Its children and
+// box are not stored: walk order places the children (see Tree), and
+// the box is the root cube's Box.Child descent along the octants.
 type Node struct {
 	// COM is the centre of mass of the cell's particles.
 	COM vec.V3
@@ -42,13 +45,9 @@ type Node struct {
 	Next int32
 	// Leaf marks cells that were not subdivided.
 	Leaf bool
-	// Level is the subdivision depth (root = 0, at most morton.Bits-1).
-	Level int16
-	// Box is the cubic cell volume.
-	Box vec.Box
-	// Children holds node indices of the up-to-8 children; NoChild
-	// marks empty octants. Leaf nodes have all slots NoChild.
-	Children [8]int32
+	// Octant is the cell's octant in its parent (vec.Box.Child's
+	// index); 0 for the root.
+	Octant uint8
 }
 
 // Tree is a built Barnes-Hut octree over a particle system. The system
@@ -58,10 +57,11 @@ type Node struct {
 // Nodes are stored in walk order: preorder with children in descending
 // octant order. A cell's subtree is the index range [i, Nodes[i].Next),
 // its first child (if any) is i+1, and each further child starts at its
-// previous sibling's Next. A tree walk is therefore one forward loop
-// over Nodes that steps to i+1 to open a cell and jumps to Next to skip
-// it. Particle ranges still run in ascending octant order, so a cell's
-// children occupy its Morton range from the last stored to the first.
+// previous sibling's Next; a leaf's Next is i+1. A tree walk is
+// therefore one forward loop over Nodes that steps to i+1 to open a
+// cell and jumps to Next to skip it. Particle ranges still run in
+// ascending octant order, so a cell's children occupy its Morton range
+// from the last stored to the first.
 //
 // Trees borrow their Builder's node arena: they stay valid until the
 // Builder's next Build call.
@@ -71,13 +71,23 @@ type Tree struct {
 	// Sys is the particle system the tree indexes (in tree order).
 	Sys *nbody.System
 
+	// cube is the root cell's box, the start of every box descent.
+	cube vec.Box
+
 	// groups caches the most recent Groups(ncrit) result. The cache is
 	// born invalid on every (re)build — groupsNcrit 0 matches no valid
 	// request — and survives Refresh, which changes masses and centres
 	// of mass but not the cell topology the group ranges come from.
 	groups      []Group
 	groupsNcrit int
-	groupStack  []int32
+	groupStack  []cellBox
+}
+
+// cellBox is a node index with the cell's box, an entry of the Groups
+// descent's stack.
+type cellBox struct {
+	idx int32
+	box vec.Box
 }
 
 // rootCube returns the cubic bounding volume of the system, with the
@@ -129,62 +139,66 @@ type nodeBuilder struct {
 	leafCap int
 }
 
-// newNode appends an empty cell with no children and returns its index.
-func newNode(nodes []Node, box vec.Box, start, count, level int32) ([]Node, int32) {
+// newNode appends an empty cell and returns its index. Its COM starts
+// at the box centre, which is where a cell without mass keeps it.
+func newNode(nodes []Node, box vec.Box, start, count int32, oct int) ([]Node, int32) {
 	idx := int32(len(nodes))
 	nodes = append(nodes, Node{
-		Box:      box,
-		Size:     box.MaxEdge(),
-		Start:    start,
-		Count:    count,
-		Level:    int16(level),
-		Children: [8]int32{NoChild, NoChild, NoChild, NoChild, NoChild, NoChild, NoChild, NoChild},
+		COM:    box.Center(),
+		Size:   box.MaxEdge(),
+		Start:  start,
+		Count:  count,
+		Octant: uint8(oct),
 	})
 	return nodes, idx
 }
 
 // build recursively constructs the subtree for sorted key range
-// [start, start+count) with cell box, at the given level, returning the
-// node index. Children are built from octant 7 down to 0, which lays
-// the subtree out in walk order (see Tree).
-func (nb *nodeBuilder) build(box vec.Box, start, count int32, level int32) int32 {
+// [start, start+count) with cell box, at the given level and in octant
+// oct of its parent. Children are built from octant 7 down to 0, which
+// lays the subtree out in walk order (see Tree).
+func (nb *nodeBuilder) build(box vec.Box, start, count, level int32, oct int) {
 	var idx int32
-	nb.nodes, idx = newNode(nb.nodes, box, start, count, level)
+	nb.nodes, idx = newNode(nb.nodes, box, start, count, oct)
 
 	if int(count) <= nb.leafCap || level >= morton.Bits-1 {
 		nb.nodes[idx].Leaf = true
 		nb.nodes[idx].Next = idx + 1
 		finishLeafNode(nb.sys, &nb.nodes[idx])
-		return idx
+		return
 	}
 
 	// Split [start, start+count) by octant at this level using binary
 	// search: keys are sorted, and the octant bits at this level are a
 	// prefix-ordered field within the node's range.
 	b := octantBounds(nb.keys, start, count, level)
-	for oct := 7; oct >= 0; oct-- {
-		if lo, hi := b[oct], b[oct+1]; hi > lo {
-			nb.nodes[idx].Children[oct] = nb.build(box.Child(oct), lo, hi-lo, level+1)
+	for c := 7; c >= 0; c-- {
+		if lo, hi := b[c], b[c+1]; hi > lo {
+			nb.build(box.Child(c), lo, hi-lo, level+1, c)
 		}
 	}
 	nb.nodes[idx].Next = int32(len(nb.nodes))
 
-	aggregateChildren(nb.nodes, idx, box)
-	return idx
+	aggregateChildren(nb.nodes, idx)
 }
 
 // aggregateChildren runs the centre-of-mass pass for internal node idx:
-// mass and COM from its (already finished) children, in octant
-// order. The parallel build's stitch phase uses the identical call for
-// the spine, preserving floating-point summation order.
-func aggregateChildren(nodes []Node, idx int32, box vec.Box) {
+// mass and COM from its (already finished) children, in ascending
+// octant order — reverse storage order. The build, the parallel build's
+// stitch phase and Refresh all make this one call, so every one of them
+// sums in the same floating-point order. A cell without mass keeps the
+// COM it was built with.
+func aggregateChildren(nodes []Node, idx int32) {
+	var kids [8]int32
+	k := 0
+	for c := idx + 1; c < nodes[idx].Next; c = nodes[c].Next {
+		kids[k] = c
+		k++
+	}
 	var m float64
 	var com vec.V3
-	for _, c := range nodes[idx].Children {
-		if c == NoChild {
-			continue
-		}
-		cn := &nodes[c]
+	for k--; k >= 0; k-- {
+		cn := &nodes[kids[k]]
 		m += cn.Mass
 		com = com.MulAdd(cn.Mass, cn.COM)
 	}
@@ -192,13 +206,11 @@ func aggregateChildren(nodes []Node, idx int32, box vec.Box) {
 	n.Mass = m
 	if m > 0 {
 		n.COM = com.Scale(1 / m)
-	} else {
-		n.COM = box.Center()
 	}
 }
 
-// finishLeafNode fills a leaf node's mass and COM from the
-// system's particles in its range.
+// finishLeafNode fills a leaf node's mass and COM from the system's
+// particles in its range; a leaf without mass keeps its COM.
 func finishLeafNode(sys *nbody.System, n *Node) {
 	var m float64
 	var com vec.V3
@@ -210,8 +222,6 @@ func finishLeafNode(sys *nbody.System, n *Node) {
 	n.Mass = m
 	if m > 0 {
 		n.COM = com.Scale(1 / m)
-	} else {
-		n.COM = n.Box.Center()
 	}
 }
 
@@ -238,19 +248,20 @@ func (t *Tree) NumNodes() int { return len(t.Nodes) }
 // once per substep, which is what makes the zero-cost sweep matter.
 func (t *Tree) Refresh() {
 	for idx := int32(len(t.Nodes)) - 1; idx >= 0; idx-- {
-		n := &t.Nodes[idx]
-		if n.Leaf {
+		if n := &t.Nodes[idx]; n.Leaf {
 			finishLeafNode(t.Sys, n)
 		} else {
-			aggregateChildren(t.Nodes, idx, n.Box)
+			aggregateChildren(t.Nodes, idx)
 		}
 	}
 }
 
-// Groups returns the index ranges of the particle groups used by
-// Barnes' modified algorithm: the shallowest cells containing at most
-// ncrit particles. Every particle belongs to exactly one group, and
-// each group is a contiguous range in tree order.
+// Groups returns the particle groups used by Barnes' modified
+// algorithm: the shallowest cells containing at most ncrit particles.
+// Every particle belongs to exactly one group, and each group is a
+// contiguous range in tree order. Each group's box is rebuilt by the
+// builder's own Box.Child descent from the root cube, so it is bit for
+// bit the box the build gave the cell.
 //
 // The result is cached on the tree: repeat calls with the same ncrit
 // (block substeps that Refresh, which changes cell contents but not
@@ -265,21 +276,20 @@ func (t *Tree) Groups(ncrit int) []Group {
 		return t.groups
 	}
 	t.groups = t.groups[:0]
-	// Iterative preorder: push children 7..0 so octant 0 pops first,
-	// matching the recursive descent's group order.
-	stack := append(t.groupStack[:0], 0)
+	// Iterative preorder: children are pushed in storage order, octant
+	// 7 first, so octant 0 pops first, matching the recursive descent's
+	// group order.
+	stack := append(t.groupStack[:0], cellBox{0, t.cube})
 	for len(stack) > 0 {
-		idx := stack[len(stack)-1]
+		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n := &t.Nodes[idx]
+		n := &t.Nodes[top.idx]
 		if int(n.Count) <= ncrit || n.Leaf {
-			t.groups = append(t.groups, Group{Node: idx, Start: n.Start, Count: n.Count})
+			t.groups = append(t.groups, Group{Node: top.idx, Start: n.Start, Count: n.Count, Box: top.box})
 			continue
 		}
-		for oct := 7; oct >= 0; oct-- {
-			if c := n.Children[oct]; c != NoChild {
-				stack = append(stack, c)
-			}
+		for c := top.idx + 1; c < n.Next; c = t.Nodes[c].Next {
+			stack = append(stack, cellBox{c, top.box.Child(int(t.Nodes[c].Octant))})
 		}
 	}
 	t.groupStack = stack[:0]
@@ -294,59 +304,73 @@ type Group struct {
 	Node int32
 	// Start, Count give the group's particle range in tree order.
 	Start, Count int32
+	// Box is the cell's box, the sink of the group's walk.
+	Box vec.Box
 }
 
 // Validate checks structural invariants of the tree: nodes are stored
-// in walk order with correct Next indices, each internal node's
-// children partition its range, masses add up, every particle lies in
-// its leaf's box (allowing quantisation slack on faces).
+// in walk order with correct Next indices and strictly descending
+// child octants, each internal node's children partition its range,
+// sizes match the box descent, masses add up, and every particle lies
+// in its leaf's descent box (allowing quantisation slack on faces).
 func (t *Tree) Validate() error {
 	var totalErr error
-	var walk func(idx int32) (mass float64)
-	walk = func(idx int32) float64 {
+	var walk func(idx int32, box vec.Box) (mass float64)
+	walk = func(idx int32, box vec.Box) float64 {
 		n := &t.Nodes[idx]
-		at := idx + 1
-		for oct := 7; oct >= 0; oct-- {
-			if c := n.Children[oct]; c != NoChild {
-				if c != at {
-					totalErr = fmt.Errorf("octree: node %d child %d stored at %d, walk order wants %d", idx, oct, c, at)
-					return 0
-				}
-				at = t.Nodes[c].Next
-			}
-		}
-		if n.Next != at {
-			totalErr = fmt.Errorf("octree: node %d Next = %d, want %d", idx, n.Next, at)
+		if n.Size != box.MaxEdge() {
+			totalErr = fmt.Errorf("octree: node %d size %v, its descent box has edge %v", idx, n.Size, box.MaxEdge())
 		}
 		if n.Leaf {
+			if n.Next != idx+1 {
+				totalErr = fmt.Errorf("octree: leaf %d Next = %d, want %d", idx, n.Next, idx+1)
+			}
 			var m float64
+			// Morton quantisation can place a particle exactly on a
+			// cell face; allow slack of one quantisation step.
+			slack := n.Size * 1e-6
+			grown := vec.Box{
+				Min: box.Min.Sub(vec.V3{X: slack, Y: slack, Z: slack}),
+				Max: box.Max.Add(vec.V3{X: slack, Y: slack, Z: slack}),
+			}
 			for i := n.Start; i < n.Start+n.Count; i++ {
 				m += t.Sys.Mass[i]
-				// Morton quantisation can place a particle exactly on
-				// a cell face; allow slack of one quantisation step.
-				slack := n.Size * 1e-6
-				grown := vec.Box{
-					Min: n.Box.Min.Sub(vec.V3{X: slack, Y: slack, Z: slack}),
-					Max: n.Box.Max.Add(vec.V3{X: slack, Y: slack, Z: slack}),
-				}
 				if !grown.ContainsClosed(t.Sys.Pos[i]) {
 					totalErr = fmt.Errorf("octree: particle %d outside leaf box", i)
 				}
 			}
 			return m
 		}
+		if n.Next <= idx+1 || int(n.Next) > len(t.Nodes) {
+			totalErr = fmt.Errorf("octree: internal node %d Next = %d of %d nodes", idx, n.Next, len(t.Nodes))
+			return 0
+		}
+		// Children in storage order, checking that each starts where
+		// its previous sibling's subtree ends and that the last ends
+		// at the parent's Next.
+		var kids [8]int32
+		k, c := 0, idx+1
+		for ; c < n.Next && k < 8; c = t.Nodes[c].Next {
+			if c <= idx || (k > 0 && t.Nodes[c].Octant >= t.Nodes[kids[k-1]].Octant) || t.Nodes[c].Octant > 7 {
+				totalErr = fmt.Errorf("octree: node %d child %d at %d is out of walk order", idx, k, c)
+				return 0
+			}
+			kids[k] = c
+			k++
+		}
+		if c != n.Next {
+			totalErr = fmt.Errorf("octree: node %d Next = %d, its children end at %d", idx, n.Next, c)
+			return 0
+		}
 		var m float64
 		next := n.Start
-		for _, c := range n.Children {
-			if c == NoChild {
-				continue
-			}
-			cn := &t.Nodes[c]
+		for k--; k >= 0; k-- {
+			cn := &t.Nodes[kids[k]]
 			if cn.Start != next {
 				totalErr = fmt.Errorf("octree: node %d children do not tile its range", idx)
 			}
 			next = cn.Start + cn.Count
-			m += walk(c)
+			m += walk(kids[k], box.Child(int(cn.Octant)))
 		}
 		if next != n.Start+n.Count {
 			totalErr = fmt.Errorf("octree: node %d range not covered by children", idx)
@@ -356,7 +380,7 @@ func (t *Tree) Validate() error {
 		}
 		return m
 	}
-	root := walk(0)
+	root := walk(0, t.cube)
 	if t.Nodes[0].Next != int32(len(t.Nodes)) {
 		return fmt.Errorf("octree: root subtree ends at %d of %d nodes", t.Nodes[0].Next, len(t.Nodes))
 	}

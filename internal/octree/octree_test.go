@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/nbody"
 	"repro/internal/rng"
@@ -101,11 +102,21 @@ func TestLeafCapRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := replayBuild(tr, 4)
 	for i := range tr.Nodes {
 		n := &tr.Nodes[i]
-		if n.Leaf && int(n.Count) > 4 && n.Level < 20 {
-			t.Errorf("leaf %d has %d > 4 particles at level %d", i, n.Count, n.Level)
+		if level := cells[i].level; n.Leaf && int(n.Count) > 4 && level < 20 {
+			t.Errorf("leaf %d has %d > 4 particles at level %d", i, n.Count, level)
 		}
+	}
+}
+
+// TestNodeSize pins the node record at 56 bytes, the fields the walk
+// and the centre-of-mass passes read, so that a new field cannot grow
+// both node arenas unnoticed.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 56 {
+		t.Fatalf("unsafe.Sizeof(Node{}) = %d, want 56", got)
 	}
 }
 

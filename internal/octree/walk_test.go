@@ -12,17 +12,18 @@ import (
 	"repro/internal/vec"
 )
 
-// refWalk is the reference tree walk: a recursion over Children from
-// octant 7 down to 0, one scalar MAC per node, OpenCriterion.Accept on
-// vec.Box.Dist2 for a group's box or on vec.V3.Dist2 for field
-// particle self. It knows nothing of the node layout or Next.
+// refWalk is the reference tree walk: a recursion over the children
+// replayBuild found, from octant 7 down to 0, one scalar MAC per node,
+// OpenCriterion.Accept on vec.Box.Dist2 for a group's box or on
+// vec.V3.Dist2 for field particle self. It knows nothing of Next.
 type refWalk struct {
 	tree    *Tree
+	cells   []cell
 	mac     OpenCriterion
 	box     vec.Box
 	self    int32
 	j       hostk.JList
-	cells   []int32
+	listed  []int32
 	visited int64
 }
 
@@ -34,7 +35,7 @@ func (r *refWalk) visit(idx int32) {
 		d2 = r.tree.Sys.Pos[r.self].Dist2(n.COM)
 	}
 	if r.mac.Accept(n, d2) {
-		r.cells = append(r.cells, idx)
+		r.listed = append(r.listed, idx)
 		r.j.Append(n.COM.X, n.COM.Y, n.COM.Z, n.Mass)
 		return
 	}
@@ -48,7 +49,7 @@ func (r *refWalk) visit(idx int32) {
 		return
 	}
 	for oct := 7; oct >= 0; oct-- {
-		if c := n.Children[oct]; c != NoChild {
+		if c := r.cells[idx].kids[oct]; c != NoChild {
 			r.visit(c)
 		}
 	}
@@ -56,8 +57,8 @@ func (r *refWalk) visit(idx int32) {
 
 // reference runs the reference walk for a group's box (self < 0) or
 // for field particle self, and pads its list as Walk does.
-func reference(tree *Tree, mac OpenCriterion, box vec.Box, self int32) *refWalk {
-	r := &refWalk{tree: tree, mac: mac, box: box, self: self}
+func reference(tree *Tree, cells []cell, mac OpenCriterion, box vec.Box, self int32) *refWalk {
+	r := &refWalk{tree: tree, cells: cells, mac: mac, box: box, self: self}
 	r.visit(0)
 	r.j.Pad()
 	return r
@@ -65,18 +66,18 @@ func reference(tree *Tree, mac OpenCriterion, box vec.Box, self int32) *refWalk 
 
 // checkWalk compares Walk, with a list and count-only, against the
 // reference: lanes bit for bit (padding included), N, cells, visited.
-func checkWalk(t *testing.T, tree *Tree, mac OpenCriterion, box vec.Box, self int32, j *hostk.JList) {
+func checkWalk(t *testing.T, tree *Tree, cells []cell, mac OpenCriterion, box vec.Box, self int32, j *hostk.JList) {
 	t.Helper()
-	want := reference(tree, mac, box, self)
-	nj, cells, visited := tree.Walk(box, mac, self, j)
+	want := reference(tree, cells, mac, box, self)
+	nj, ncells, visited := tree.Walk(box, mac, self, j)
 	nc, cc, vc := tree.Walk(box, mac, self, nil)
 	what := fmt.Sprintf("box %v self %d", box, self)
 	if nj != want.j.N || j.N != want.j.N || nc != want.j.N {
 		t.Fatalf("%s: entries %d (list N %d, count-only %d), reference %d", what, nj, j.N, nc, want.j.N)
 	}
-	if cells != len(want.cells) || cc != cells || visited != want.visited || vc != visited {
+	if ncells != len(want.listed) || cc != ncells || visited != want.visited || vc != visited {
 		t.Fatalf("%s: cells %d/%d visited %d/%d (list/count-only), reference %d, %d",
-			what, cells, cc, visited, vc, len(want.cells), want.visited)
+			what, ncells, cc, visited, vc, len(want.listed), want.visited)
 	}
 	if j.Len() != want.j.Len() {
 		t.Fatalf("%s: %d lanes, reference %d", what, j.Len(), want.j.Len())
@@ -92,20 +93,21 @@ func checkWalk(t *testing.T, tree *Tree, mac OpenCriterion, box vec.Box, self in
 	}
 }
 
-// checkTree checks every group at each ncrit and, when particles is
-// set, every field particle.
-func checkTree(t *testing.T, tree *Tree, theta float64, ncrits []int, particles bool) {
+// checkTree checks every group, its sink taken from Group.Box, at each
+// ncrit and, when particles is set, every field particle. cells is
+// replayBuild's reference structure of the tree.
+func checkTree(t *testing.T, tree *Tree, cells []cell, theta float64, ncrits []int, particles bool) {
 	t.Helper()
 	mac := OpenCriterion{Theta: theta}
 	var j hostk.JList
 	for _, ncrit := range ncrits {
 		for _, g := range tree.Groups(ncrit) {
-			checkWalk(t, tree, mac, tree.Nodes[g.Node].Box, -1, &j)
+			checkWalk(t, tree, cells, mac, g.Box, -1, &j)
 		}
 	}
 	if particles {
 		for i, p := range tree.Sys.Pos {
-			checkWalk(t, tree, mac, vec.Box{Min: p, Max: p}, int32(i), &j)
+			checkWalk(t, tree, cells, mac, vec.Box{Min: p, Max: p}, int32(i), &j)
 		}
 	}
 }
@@ -153,9 +155,10 @@ func TestWalkMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkTree(t, tree, theta, []int{1, 16, 500}, true)
+				cells := replayBuild(tree, LeafCap)
+				checkTree(t, tree, cells, theta, []int{1, 16, 500}, true)
 				drift(tree, 7)
-				checkTree(t, tree, theta, []int{1, 16, 500}, true)
+				checkTree(t, tree, cells, theta, []int{1, 16, 500}, true)
 			})
 		}
 	}
@@ -172,14 +175,16 @@ func FuzzWalkMatchesReference(f *testing.F) {
 		n := 1 + int(nRaw)%512
 		theta := float64(thetaRaw) / 100
 		ncrit := 1 + int(ncritRaw)%600
-		tree, err := NewBuilder(BuilderOptions{LeafCap: 1 + int(leafRaw)%16}).Build(nbody.Plummer(n, 1, 1, 1, rng.New(seed)))
+		leafCap := 1 + int(leafRaw)%16
+		tree, err := NewBuilder(BuilderOptions{LeafCap: leafCap}).Build(nbody.Plummer(n, 1, 1, 1, rng.New(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		cells := replayBuild(tree, leafCap)
 		if drifted {
 			drift(tree, seed)
 		}
-		checkTree(t, tree, theta, []int{ncrit}, true)
+		checkTree(t, tree, cells, theta, []int{ncrit}, true)
 	})
 }
 
@@ -197,7 +202,7 @@ func BenchmarkWalk(b *testing.B) {
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
 		for _, g := range groups {
-			tree.Walk(tree.Nodes[g.Node].Box, mac, -1, &j)
+			tree.Walk(g.Box, mac, -1, &j)
 		}
 	}
 }

@@ -85,6 +85,47 @@ func TestStepAllocs(t *testing.T) {
 		allocs, bytesPerStep, budget, seedBytesPerStep/10)
 }
 
+// TestStepFootprint is the live-heap gate of the step pipeline: a
+// primed and stepped host Simulation at N = 65536 (n_crit 16, the
+// host_plummer64k configuration) may keep at most footprintBudget bytes
+// of heap per particle, the System included. The state it holds is the
+// System (96 B/particle), the permutation scratch's one spare per
+// element type (41), the stitched and per-task node arenas (≈ 27 each),
+// Morton keys and orders (32) and the groups with their boxes (≈ 16):
+// measured 244 B/particle at GOMAXPROCS 1 and 4, plain and under the
+// race detector. The revision that kept a second copy of every System
+// array as permutation scratch and 136-byte nodes holding their boxes
+// and child indices measured 365 and must fail.
+func TestStepFootprint(t *testing.T) {
+	const n = 65536
+	const footprintBudget = 260
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	// Workers is set explicitly so the parallel build's per-task arenas
+	// exist at every GOMAXPROCS.
+	sim, err := NewSimulation(Plummer(n, 1, 1, 1, 1), Config{
+		DT: 5e-3, G: 1, Eps: 0.02, Ncrit: 16, Workers: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Prime(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Step(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sim)
+	perParticle := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	if perParticle > footprintBudget {
+		t.Fatalf("primed Simulation keeps %d B/particle of live heap, budget %d", perParticle, footprintBudget)
+	}
+	t.Logf("primed Simulation: %d B/particle of live heap (budget %d)", perParticle, footprintBudget)
+}
+
 // TestStepAllocsGuarded extends the allocation gate to the GRAPE path,
 // guarded and with the guard off: the SoA request staging (walk J-list,
 // guard's probe reference and AoS gather scratch, engine readback
