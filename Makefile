@@ -50,13 +50,13 @@ bench-wall-smoke:
 
 # bench-alloc gates the arena step pipeline (DESIGN.md §11): the
 # steady-state allocation budget, the live-heap footprint per particle
-# and the parallel-build conformance property, all at GOMAXPROCS=1 and
+# and the build's reuse and layout conformance, all at GOMAXPROCS=1 and
 # GOMAXPROCS=4 so scheduler width cannot mask a regression.
 bench-alloc:
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestStepAllocs|TestStepFootprint|TestBuildSteadyStateAllocs' . ./internal/octree
 	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestStepAllocs|TestStepFootprint|TestBuildSteadyStateAllocs' . ./internal/octree
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestBuildParallelMatchesSerial|TestBuilderReuseMatchesFresh|TestGroupBoxesMatchBuild' ./internal/octree
-	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestBuildParallelMatchesSerial|TestBuilderReuseMatchesFresh|TestGroupBoxesMatchBuild' ./internal/octree
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestBuilderReuseMatchesFresh|TestGroupBoxesMatchBuild' ./internal/octree
+	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestBuilderReuseMatchesFresh|TestGroupBoxesMatchBuild' ./internal/octree
 
 # ckpt-e2e gates the crash-safe checkpoint/restart layer (DESIGN.md
 # §12): kill/resume bitwise-identity, torn-checkpoint fallback, graceful

@@ -165,9 +165,8 @@ type Treecode struct {
 
 	// builder is the reused tree constructor; recreated only when the
 	// options it bakes in change.
-	builder  *octree.Builder
-	bWorkers int
-	bObs     *obs.Observer
+	builder *octree.Builder
+	bObs    *obs.Observer
 
 	// bufs are per-worker traversal buffers; labelCtxs cache the pprof
 	// label sets the walk workers run under (building them per call
@@ -290,9 +289,9 @@ func (tc *Treecode) PrimeTree(s *nbody.System) error {
 // Builder, recreating the builder only when the options it bakes in
 // change, and installs the result as the current tree.
 func (tc *Treecode) rebuildTree(s *nbody.System, o Options) (*octree.Tree, error) {
-	if tc.builder == nil || tc.bWorkers != o.Workers || tc.bObs != o.Obs {
-		tc.builder = octree.NewBuilder(octree.BuilderOptions{Workers: o.Workers, Obs: o.Obs})
-		tc.bWorkers, tc.bObs = o.Workers, o.Obs
+	if tc.builder == nil || tc.bObs != o.Obs {
+		tc.builder = octree.NewBuilder(octree.BuilderOptions{Obs: o.Obs})
+		tc.bObs = o.Obs
 	}
 	tree, err := tc.builder.Build(s)
 	if err != nil {

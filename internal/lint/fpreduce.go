@@ -24,10 +24,9 @@ import (
 //     every caller).
 //
 // Reductions must instead flow through the sanctioned deterministic
-// merge helpers — the octree plan/build/stitch pipeline, the g5
-// telemetry Add methods and obs.Observer/PhaseSeconds accumulation —
-// which merge per-worker partials in a fixed order (or CAS with
-// order-insensitive semantics).
+// merge helpers — the g5 telemetry Add methods, the hostk j-list and
+// obs.Observer/PhaseSeconds accumulation — which merge per-worker
+// partials in a fixed order (or CAS with order-insensitive semantics).
 var AnalyzerFPReduce = &Analyzer{
 	Name: "fpreduce",
 	Doc:  "flag order-dependent floating-point accumulation outside the sanctioned deterministic merge helpers",
@@ -37,11 +36,6 @@ var AnalyzerFPReduce = &Analyzer{
 // fpreduceSanctioned lists the deterministic merge helpers per package:
 // "Type.Method", plain "Func", or "Type.*" for every method of a type.
 var fpreduceSanctioned = map[string]map[string]bool{
-	octreePath: {
-		"Builder.plan": true, "Builder.buildParallel": true,
-		"Builder.emitSpine": true, "Builder.emitTask": true,
-		"Builder.taskWorker": true, "Builder.pickSplitLevel": true,
-	},
 	g5Path: {
 		"Counters.Add": true, "Recovery.Add": true, "FaultStats.Add": true,
 		"Cluster.mergeObs": true,

@@ -212,9 +212,8 @@ var physicsPackages = map[string]bool{
 	"repro/internal/vec":       true,
 }
 
-// hostkPath and octreePath hold fpreduce's sanctioned merge helpers.
+// hostkPath holds fpreduce's sanctioned merge helpers.
 const hostkPath = "repro/internal/hostk"
-const octreePath = "repro/internal/octree"
 
 // g5Path is the hardware package; several analyzers key on it.
 const g5Path = "repro/internal/g5"

@@ -61,7 +61,7 @@ type StepReport struct {
 	TComm float64 `json:"t_comm"`
 	// TBuild is the tree-construction share of the host time: Morton
 	// sort plus tree build — the serial (non-overlappable) prefix of
-	// the step that the parallel builder attacks.
+	// the step.
 	TBuild float64 `json:"t_build"`
 	// BytesAlloc is the heap memory allocated during the step (from
 	// runtime/metrics; 0 when the step driver does not meter it). The

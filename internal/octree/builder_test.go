@@ -92,93 +92,46 @@ func replayBuild(tree *Tree, leafCap int) []cell {
 	return cells
 }
 
-// forceParallel lowers the parallel threshold for the duration of a
-// test so small systems exercise the parallel path.
-func forceParallel(t *testing.T) {
-	t.Helper()
-	old := parallelMinN
-	parallelMinN = 1
-	t.Cleanup(func() { parallelMinN = old })
-}
-
 // assertTreesBitwiseEqual fails unless the two trees have identical
 // node slices (compared with ==, so every float is bitwise-equal and
-// every child and Next index the same), identical particle orders and
-// identical group lists, and the second tree validates (walk order and
-// Next included).
-func assertTreesBitwiseEqual(t *testing.T, serial, par *Tree, ncrit int) {
+// every Next index the same), identical particle orders and identical
+// group lists, and the second tree validates (walk order and Next
+// included).
+func assertTreesBitwiseEqual(t *testing.T, want, got *Tree, ncrit int) {
 	t.Helper()
-	if len(serial.Nodes) != len(par.Nodes) {
-		t.Fatalf("node count: serial %d, parallel %d", len(serial.Nodes), len(par.Nodes))
+	if len(want.Nodes) != len(got.Nodes) {
+		t.Fatalf("node count: want %d, got %d", len(want.Nodes), len(got.Nodes))
 	}
-	for i := range serial.Nodes {
-		if serial.Nodes[i] != par.Nodes[i] {
-			t.Fatalf("node %d differs:\nserial:   %+v\nparallel: %+v", i, serial.Nodes[i], par.Nodes[i])
+	for i := range want.Nodes {
+		if want.Nodes[i] != got.Nodes[i] {
+			t.Fatalf("node %d differs:\nwant: %+v\ngot:  %+v", i, want.Nodes[i], got.Nodes[i])
 		}
 	}
-	for i := range serial.Sys.Pos {
-		if serial.Sys.Pos[i] != par.Sys.Pos[i] || serial.Sys.ID[i] != par.Sys.ID[i] {
+	for i := range want.Sys.Pos {
+		if want.Sys.Pos[i] != got.Sys.Pos[i] || want.Sys.ID[i] != got.Sys.ID[i] {
 			t.Fatalf("particle order differs at %d: (%v, id %d) vs (%v, id %d)",
-				i, serial.Sys.Pos[i], serial.Sys.ID[i], par.Sys.Pos[i], par.Sys.ID[i])
+				i, want.Sys.Pos[i], want.Sys.ID[i], got.Sys.Pos[i], got.Sys.ID[i])
 		}
 	}
-	gs, gp := serial.Groups(ncrit), par.Groups(ncrit)
-	if len(gs) != len(gp) {
-		t.Fatalf("group count: serial %d, parallel %d", len(gs), len(gp))
+	gw, gg := want.Groups(ncrit), got.Groups(ncrit)
+	if len(gw) != len(gg) {
+		t.Fatalf("group count: want %d, got %d", len(gw), len(gg))
 	}
-	for i := range gs {
-		if gs[i] != gp[i] {
-			t.Fatalf("group %d differs: %+v vs %+v", i, gs[i], gp[i])
+	for i := range gw {
+		if gw[i] != gg[i] {
+			t.Fatalf("group %d differs: %+v vs %+v", i, gw[i], gg[i])
 		}
 	}
-	if err := par.Validate(); err != nil {
+	if err := got.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestBuildParallelMatchesSerial is the conformance property of the
-// tentpole: the parallel build must be bitwise-identical to the serial
-// build — same node layout, same floats, same particle order, same
-// groups — for every worker count.
-func TestBuildParallelMatchesSerial(t *testing.T) {
-	forceParallel(t)
-	cases := []struct {
-		seed    uint64
-		n       int
-		leafCap int
-	}{
-		{1, 1, 8},
-		{2, 7, 8},
-		{3, 64, 1},
-		{4, 500, 8},
-		{5, 2000, 8},
-		{6, 2000, 2},
-		{7, 5000, 16},
-		{8, 3000, 8},
-	}
-	for _, tc := range cases {
-		for _, workers := range []int{2, 3, 4, 8} {
-			ref := clusteredSystem(tc.seed, tc.n)
-			ss, ps := ref.Clone(), ref.Clone()
-			serial, err := NewBuilder(BuilderOptions{LeafCap: tc.leafCap, Workers: 1}).Build(ss)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := NewBuilder(BuilderOptions{LeafCap: tc.leafCap, Workers: workers}).Build(ps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertTreesBitwiseEqual(t, serial, par, 32)
-		}
 	}
 }
 
 // TestBuilderReuseMatchesFresh drives one Builder across several
 // perturbed "steps" and checks each reused-arena build against a fresh
-// serial Builder's build of the same snapshot.
+// Builder's build of the same snapshot.
 func TestBuilderReuseMatchesFresh(t *testing.T) {
-	forceParallel(t)
-	b := NewBuilder(BuilderOptions{LeafCap: 8, Workers: 4})
+	b := NewBuilder(BuilderOptions{})
 	sys := clusteredSystem(42, 1500)
 	jig := rng.New(99)
 	var prev *Tree
@@ -197,7 +150,7 @@ func TestBuilderReuseMatchesFresh(t *testing.T) {
 			t.Fatal("Builder returned the same *Tree header on a rebuild")
 		}
 		prev = reused
-		fresh, err := NewBuilder(BuilderOptions{Workers: 1}).Build(ref)
+		fresh, err := NewBuilder(BuilderOptions{}).Build(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +163,7 @@ func TestBuilderReuseMatchesFresh(t *testing.T) {
 // Refresh (topology unchanged), a different ncrit recomputes, and a
 // rebuild invalidates.
 func TestGroupsCached(t *testing.T) {
-	b := NewBuilder(BuilderOptions{LeafCap: 8, Workers: 1})
+	b := NewBuilder(BuilderOptions{})
 	sys := clusteredSystem(7, 800)
 	tree, err := b.Build(sys)
 	if err != nil {
@@ -297,50 +250,60 @@ func TestGroupsMatchRecursiveReference(t *testing.T) {
 	}
 }
 
-// TestGroupBoxesMatchBuild checks each Group.Box, bit for bit, against
-// the box the build recursion gave that cell (replayed over the sorted
-// keys), and that the groups tile [0, N) in Morton order: for serial
-// and parallel builds, fresh trees and trees after Refresh, and three
-// group sizes.
+// TestGroupBoxesMatchBuild checks each node's range and size and each
+// Group.Box, bit for bit, against the cell the build recursion made
+// (replayed over the sorted keys), that the tree validates, and that
+// the groups tile [0, N) in Morton order: from 1 to 5000 particles,
+// leaf capacities 1 to 16, fresh trees and trees after Refresh, and
+// three group sizes.
 func TestGroupBoxesMatchBuild(t *testing.T) {
-	forceParallel(t)
-	for _, workers := range []int{1, 2, 4, 8} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			tree, err := NewBuilder(BuilderOptions{Workers: workers}).Build(clusteredSystem(seed, 3000))
-			if err != nil {
-				t.Fatal(err)
+	cases := []struct {
+		seed    uint64
+		n       int
+		leafCap int
+	}{
+		{1, 3000, 8}, {2, 3000, 8}, {3, 3000, 8},
+		{1, 1, 8}, {2, 7, 8}, {3, 64, 1}, {4, 500, 8},
+		{5, 2000, 8}, {6, 2000, 2}, {7, 5000, 16}, {8, 3000, 8},
+	}
+	for _, tc := range cases {
+		tree, err := NewBuilder(BuilderOptions{LeafCap: tc.leafCap}).Build(clusteredSystem(tc.seed, tc.n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Validate(); err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		cells := replayBuild(tree, tc.leafCap)
+		if len(cells) != len(tree.Nodes) {
+			t.Fatalf("%+v: %d nodes, the build recursion made %d cells", tc, len(tree.Nodes), len(cells))
+		}
+		for i, c := range cells {
+			if n := &tree.Nodes[i]; n.Start != c.start || n.Count != c.count || n.Size != c.box.MaxEdge() {
+				t.Fatalf("%+v: node %d holds [%d, +%d) size %v, the recursion's cell [%d, +%d) size %v",
+					tc, i, n.Start, n.Count, n.Size, c.start, c.count, c.box.MaxEdge())
 			}
-			cells := replayBuild(tree, LeafCap)
-			if len(cells) != len(tree.Nodes) {
-				t.Fatalf("workers=%d seed=%d: %d nodes, the build recursion made %d cells", workers, seed, len(tree.Nodes), len(cells))
+		}
+		for _, refreshed := range []bool{false, true} {
+			if refreshed {
+				drift(tree, tc.seed)
 			}
-			for i, c := range cells {
-				if n := &tree.Nodes[i]; n.Start != c.start || n.Count != c.count || n.Size != c.box.MaxEdge() {
-					t.Fatalf("workers=%d seed=%d: node %d holds [%d, +%d) size %v, the recursion's cell [%d, +%d) size %v",
-						workers, seed, i, n.Start, n.Count, n.Size, c.start, c.count, c.box.MaxEdge())
-				}
-			}
-			for _, refreshed := range []bool{false, true} {
-				if refreshed {
-					drift(tree, seed)
-				}
-				for _, ncrit := range []int{1, 16, 500} {
-					next := int32(0)
-					for gi, g := range tree.Groups(ncrit) {
-						if g.Box != cells[g.Node].box {
-							t.Fatalf("workers=%d seed=%d refreshed=%v ncrit=%d: group %d (node %d) box %v, the build gave %v",
-								workers, seed, refreshed, ncrit, gi, g.Node, g.Box, cells[g.Node].box)
-						}
-						if g.Start != next {
-							t.Fatalf("workers=%d seed=%d refreshed=%v ncrit=%d: group %d starts at %d, want %d",
-								workers, seed, refreshed, ncrit, gi, g.Start, next)
-						}
-						next = g.Start + g.Count
+			for _, ncrit := range []int{1, 16, 500} {
+				next := int32(0)
+				for gi, g := range tree.Groups(ncrit) {
+					if g.Box != cells[g.Node].box {
+						t.Fatalf("%+v refreshed=%v ncrit=%d: group %d (node %d) box %v, the build gave %v",
+							tc, refreshed, ncrit, gi, g.Node, g.Box, cells[g.Node].box)
 					}
-					if int(next) != tree.Sys.N() {
-						t.Fatalf("workers=%d seed=%d refreshed=%v ncrit=%d: groups end at %d of %d",
-							workers, seed, refreshed, ncrit, next, tree.Sys.N())
+					if g.Start != next {
+						t.Fatalf("%+v refreshed=%v ncrit=%d: group %d starts at %d, want %d",
+							tc, refreshed, ncrit, gi, g.Start, next)
 					}
+					next = g.Start + g.Count
+				}
+				if int(next) != tree.Sys.N() {
+					t.Fatalf("%+v refreshed=%v ncrit=%d: groups end at %d of %d",
+						tc, refreshed, ncrit, next, tree.Sys.N())
 				}
 			}
 		}
@@ -351,7 +314,7 @@ func TestGroupBoxesMatchBuild(t *testing.T) {
 // Builder's Build performs only the constant-size Tree-header
 // allocation, independent of N.
 func TestBuildSteadyStateAllocs(t *testing.T) {
-	b := NewBuilder(BuilderOptions{LeafCap: 8, Workers: 1})
+	b := NewBuilder(BuilderOptions{})
 	sys := clusteredSystem(13, 4000)
 	for i := 0; i < 3; i++ {
 		if _, err := b.Build(sys); err != nil {
@@ -368,32 +331,6 @@ func TestBuildSteadyStateAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Fatalf("steady-state Build allocates %.1f objects/run, want <= 2", allocs)
 	}
-}
-
-// FuzzBuildParallel fuzzes the conformance property over seed, size,
-// leaf capacity and worker count.
-func FuzzBuildParallel(f *testing.F) {
-	f.Add(int64(1), uint16(100), uint8(8), uint8(4))
-	f.Add(int64(2), uint16(1000), uint8(1), uint8(2))
-	f.Add(int64(3), uint16(2500), uint8(16), uint8(8))
-	f.Add(int64(4), uint16(3), uint8(4), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, leafCap, workers uint8) {
-		forceParallel(t)
-		nn := int(n)%3000 + 1
-		lc := int(leafCap)%32 + 1
-		w := int(workers)%8 + 2
-		ref := clusteredSystem(uint64(seed), nn)
-		ss, ps := ref.Clone(), ref.Clone()
-		serial, err := NewBuilder(BuilderOptions{LeafCap: lc, Workers: 1}).Build(ss)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := NewBuilder(BuilderOptions{LeafCap: lc, Workers: w}).Build(ps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertTreesBitwiseEqual(t, serial, par, lc*4)
-	})
 }
 
 // TestOctantEndMatchesReference checks the hand-rolled binary search

@@ -18,8 +18,7 @@ import (
 	"repro/internal/vec"
 )
 
-// NoChild marks an absent child slot of the parallel build's plan and
-// of the insertion tree.
+// NoChild marks an absent child slot of the insertion tree.
 const NoChild = int32(-1)
 
 // LeafCap is the leaf capacity every production tree is built with:
@@ -128,10 +127,8 @@ func octantBounds(keys []morton.Key, start, count, level int32) (b [9]int32) {
 	return b
 }
 
-// nodeBuilder appends the recursive octree construction into a node
-// arena. The serial Build, the Builder's parallel subtree tasks and the
-// parallel build's stitched spine all run this one recursion, which is
-// what makes their outputs bitwise-identical.
+// nodeBuilder appends the recursive octree construction into the
+// Builder's node arena.
 type nodeBuilder struct {
 	nodes   []Node
 	sys     *nbody.System
@@ -184,10 +181,9 @@ func (nb *nodeBuilder) build(box vec.Box, start, count, level int32, oct int) {
 
 // aggregateChildren runs the centre-of-mass pass for internal node idx:
 // mass and COM from its (already finished) children, in ascending
-// octant order — reverse storage order. The build, the parallel build's
-// stitch phase and Refresh all make this one call, so every one of them
-// sums in the same floating-point order. A cell without mass keeps the
-// COM it was built with.
+// octant order — reverse storage order. The build and Refresh both make
+// this one call, so they sum in the same floating-point order. A cell
+// without mass keeps the COM it was built with.
 func aggregateChildren(nodes []Node, idx int32) {
 	var kids [8]int32
 	k := 0
@@ -237,11 +233,10 @@ func (t *Tree) NumNodes() int { return len(t.Nodes) }
 // particles drift slightly out of their cells, an approximation bounded
 // by the drift distance, while the O(N log N) sort+build is skipped.
 //
-// Refresh runs no recursion and allocates nothing: every constructor
-// (nodeBuilder.build and the parallel build's byte-identical layout)
-// lays nodes out in preorder, so a parent's index is
-// always smaller than its children's and a single reverse-index sweep
-// visits children before parents. Each node's aggregation reads only
+// Refresh runs no recursion and allocates nothing: nodeBuilder.build
+// lays nodes out in preorder, so a parent's index is always smaller
+// than its children's and a single reverse-index sweep visits children
+// before parents. Each node's aggregation reads only
 // its (already refreshed) children in octant order — the identical
 // floating-point fold as the build — so refresh results are bitwise
 // independent of the sweep's visit order. Block-timestep runs refresh

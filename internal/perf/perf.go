@@ -112,8 +112,8 @@ type StepReport struct {
 	// HostSeconds is the modelled host time (build + walk + integrate).
 	HostSeconds float64
 	// HostBuildSeconds is the tree-construction share of HostSeconds —
-	// the t_build split, which parallel tree construction attacks while
-	// the rest of the host time shrinks with n_g.
+	// the t_build split, which stays fixed while the rest of the host
+	// time shrinks with n_g.
 	HostBuildSeconds float64
 	// PipeSeconds and BusSeconds are the GRAPE pipeline and
 	// host-interface times from the g5 timing model.

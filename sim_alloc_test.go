@@ -37,8 +37,8 @@ func allocTestSystem(n int) *nbody.System {
 // measurement, not headroom: 20 runs each at GOMAXPROCS 1 and 4, plain
 // and under the race detector (which `go test -race ./...` must also
 // pass). One allocation per group — core.walkWorker's Request declared
-// inside its loop instead of hoisted — measures 85 / 77 / 336-424 and
-// must fail all three.
+// inside its loop instead of hoisted — measures 80 / 74 / 318 and must
+// fail all three.
 func TestStepAllocs(t *testing.T) {
 	const n = 8192
 	// Seed baseline at n=8192, Workers=4, Ncrit=500 (commit 4a283d2,
@@ -76,7 +76,7 @@ func TestStepAllocs(t *testing.T) {
 			bytesPerStep, seedBytesPerStep/10, seedBytesPerStep)
 	}
 	// Object-count residue: tree header, stats header, telemetry
-	// snapshot, goroutine spawns — 21 on every run (seed: ~235).
+	// snapshot, goroutine spawns — 16 on every run (seed: ~235).
 	const budget = 40
 	if allocs > budget {
 		t.Fatalf("steady-state Step allocates %.0f objects/run, budget %d", allocs, budget)
@@ -90,20 +90,19 @@ func TestStepAllocs(t *testing.T) {
 // host_plummer64k configuration) may keep at most footprintBudget bytes
 // of heap per particle, the System included. The state it holds is the
 // System (96 B/particle), the permutation scratch's one spare per
-// element type (41), the stitched and per-task node arenas (≈ 27 each),
-// Morton keys and orders (32) and the groups with their boxes (≈ 16):
-// measured 244 B/particle at GOMAXPROCS 1 and 4, plain and under the
-// race detector. The revision that kept a second copy of every System
-// array as permutation scratch and 136-byte nodes holding their boxes
-// and child indices measured 365 and must fail.
+// element type (41), the one node arena (≈ 27), Morton keys and orders
+// (32) and the groups with their boxes (≈ 16): measured 215 B/particle
+// at GOMAXPROCS 1 and 4, plain and under the race detector. The
+// revision whose parallel build kept a second, per-task node arena
+// measured 244 and must fail; so must the one that kept a second copy
+// of every System array as permutation scratch and 136-byte nodes
+// holding their boxes and child indices (365).
 func TestStepFootprint(t *testing.T) {
 	const n = 65536
-	const footprintBudget = 260
+	const footprintBudget = 230
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	// Workers is set explicitly so the parallel build's per-task arenas
-	// exist at every GOMAXPROCS.
 	sim, err := NewSimulation(Plummer(n, 1, 1, 1, 1), Config{
 		DT: 5e-3, G: 1, Eps: 0.02, Ncrit: 16, Workers: 4,
 	})
@@ -170,7 +169,7 @@ func TestStepAllocsGuarded(t *testing.T) {
 			if bytesPerStep > byteBudget {
 				t.Fatalf("steady-state Step allocates %d bytes, budget %d", bytesPerStep, byteBudget)
 			}
-			// 13 on every run.
+			// 10 on every run.
 			const budget = 26
 			if allocs > budget {
 				t.Fatalf("steady-state Step allocates %.0f objects/run, budget %d", allocs, budget)
@@ -330,7 +329,7 @@ func TestStepAllocsBlocks(t *testing.T) {
 	if bytesPerStep > byteBudget {
 		t.Fatalf("steady-state block Step allocates %d bytes, budget %d", bytesPerStep, byteBudget)
 	}
-	// 72 plain and under the race detector, now that each walk worker
+	// 62 plain and under the race detector, now that each walk worker
 	// reuses one gather segment grown by append's rule (77-88 and 108-173
 	// while segments were made to fit each group).
 	const budget = 250
