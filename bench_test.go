@@ -313,7 +313,7 @@ func BenchmarkMortonSortRadix(b *testing.B) {
 	keys := morton.KeysInto(nil, s.Pos, s.Bounds().Cube())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		morton.SortOrderRadixInto(keys, nil, nil)
+		morton.SortOrderRadixInto[int32](keys, nil, nil)
 	}
 	b.ReportMetric(float64(len(keys)*b.N)/b.Elapsed().Seconds(), "keys/s")
 }

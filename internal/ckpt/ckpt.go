@@ -296,25 +296,40 @@ func LoadResumable(path string) (*Checkpoint, error) {
 
 // Write serialises the checkpoint to w.
 func Write(w io.Writer, c *Checkpoint) error {
+	enc, err := writeTo(w, c)
+	if err != nil {
+		return err
+	}
+	return enc.Flush()
+}
+
+// writeTo checks c and writes it through an Encoder whose buffer is
+// sized to the file, returned unflushed; with a nil w the Encoder keeps
+// the whole file in memory.
+func writeTo(w io.Writer, c *Checkpoint) (*snapio.Encoder, error) {
 	if c == nil || c.Sys == nil {
-		return fmt.Errorf("ckpt: nil checkpoint")
+		return nil, fmt.Errorf("ckpt: nil checkpoint")
 	}
 	s := c.Sys
 	n := s.N()
 	if len(s.Vel) != n || len(s.Acc) != n || len(s.Mass) != n || len(s.Pot) != n || len(s.ID) != n {
-		return fmt.Errorf("ckpt: inconsistent particle arrays")
+		return nil, fmt.Errorf("ckpt: inconsistent particle arrays")
 	}
 	if c.Block != nil {
 		if err := c.Block.validate(n); err != nil {
-			return fmt.Errorf("ckpt: block state: %w", err)
+			return nil, fmt.Errorf("ckpt: block state: %w", err)
 		}
 	}
-	enc := snapio.NewEncoder(w)
-
+	// Header, then per section its tag, length and CRC around the
+	// payload.
+	const framing = 4 + 8 + 4
 	version, sections := uint32(Version), uint32(2)
+	size := 12 + framing + stateSize + framing + 8 + n*bytesPerParticle
 	if c.Block != nil {
 		version, sections = VersionBlock, 3
+		size += framing + rungFixedSize + len(c.Block.Rungs)
 	}
+	enc := snapio.NewEncoder(w, size)
 	var hdr [12]byte
 	le.PutUint32(hdr[0:], Magic)
 	le.PutUint32(hdr[4:], version)
@@ -324,7 +339,7 @@ func Write(w io.Writer, c *Checkpoint) error {
 	if err := writeSection(enc, tagState, uint64(stateSize), func() error {
 		return binary.Write(enc, le, &c.State)
 	}); err != nil {
-		return err
+		return nil, err
 	}
 	if err := writeSection(enc, tagPart, uint64(8+n*bytesPerParticle), func() error {
 		enc.I64s([]int64{int64(n)})
@@ -336,7 +351,7 @@ func Write(w io.Writer, c *Checkpoint) error {
 		enc.I64s(s.ID)
 		return nil
 	}); err != nil {
-		return err
+		return nil, err
 	}
 	// RUNG (version 2 only)
 	if b := c.Block; b != nil {
@@ -347,10 +362,10 @@ func Write(w io.Writer, c *Checkpoint) error {
 			enc.Write(b.Rungs)
 			return nil
 		}); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return enc.Flush()
+	return enc, nil
 }
 
 // writeSection writes one tagged, length-prefixed, CRC-trailed section.

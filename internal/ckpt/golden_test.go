@@ -62,8 +62,8 @@ func TestStateSizeUnchanged(t *testing.T) {
 }
 
 // TestWriteAllocs gates the codec's reason to exist: a checkpoint is
-// encoded through one reused chunk, not one reflective write (three
-// allocations) per particle.
+// encoded into the Encoder's one buffer, not by one reflective write
+// (three allocations) per particle.
 func TestWriteAllocs(t *testing.T) {
 	c := sampleCheckpoint(65536)
 	if avg := testing.AllocsPerRun(5, func() {

@@ -131,21 +131,22 @@ func SortOrder(keys []Key) []int {
 // small; nil allocates both). The returned slice — which holds the
 // final permutation — aliases one of the two buffers, so callers
 // reusing the scratch must consume (or copy) the result before the
-// next call.
-func SortOrderRadixInto(keys []Key, a, b []int) []int {
+// next call. With I = int32 the buffers take half the memory; the
+// caller then keeps len(keys) below 2³¹.
+func SortOrderRadixInto[I int | int32](keys []Key, a, b []I) []I {
 	n := len(keys)
 	if cap(a) < n {
-		a = make([]int, n)
+		a = make([]I, n)
 	}
 	order := a[:n]
 	for i := range order {
-		order[i] = i
+		order[i] = I(i)
 	}
 	if n < 2 {
 		return order
 	}
 	if cap(b) < n {
-		b = make([]int, n)
+		b = make([]I, n)
 	}
 	tmp := b[:n]
 	var counts [256]int

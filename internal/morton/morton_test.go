@@ -133,40 +133,73 @@ func TestKeys(t *testing.T) {
 	}
 }
 
+// TestSortOrderRadixMatchesComparison checks both index types of the
+// radix sort against the comparison sort, on random keys with runs of
+// equal keys (the stability the build's determinism rests on) and
+// through reused ping-pong buffers.
 func TestSortOrderRadixMatchesComparison(t *testing.T) {
+	t.Run("int", func(t *testing.T) { radixMatchesComparison[int](t) })
+	t.Run("int32", func(t *testing.T) { radixMatchesComparison[int32](t) })
+}
+
+func radixMatchesComparison[I int | int32](t *testing.T) {
 	r := rng.New(55)
-	for trial := 0; trial < 10; trial++ {
+	var a, b []I
+	for trial := 0; trial < 12; trial++ {
 		n := 1 + r.Intn(2000)
 		keys := make([]Key, n)
 		for i := range keys {
 			keys[i] = Key(r.Uint64() >> 1)
 		}
-		// Inject duplicates to exercise stability.
-		for i := 0; i+1 < n; i += 7 {
-			keys[i+1] = keys[i]
-		}
-		a := SortOrder(keys)
-		b := SortOrderRadixInto(keys, nil, nil)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("trial %d: radix differs from comparison at %d: %d vs %d",
-					trial, i, b[i], a[i])
+		switch trial % 3 {
+		case 0: // isolated duplicates
+			for i := 0; i+1 < n; i += 7 {
+				keys[i+1] = keys[i]
 			}
+		case 1: // runs of equal keys, up to 64 long
+			for i := 0; i < n; {
+				run := 1 + r.Intn(64)
+				for j := i + 1; j < min(i+run, n); j++ {
+					keys[j] = keys[i]
+				}
+				i += run
+			}
+		case 2: // few distinct keys: long runs scattered through the input
+			for i := range keys {
+				keys[i] = keys[r.Intn(4)]
+			}
+		}
+		want := SortOrder(keys)
+		got := SortOrderRadixInto(keys, a, b)
+		for i := range want {
+			if int(got[i]) != want[i] {
+				t.Fatalf("trial %d: radix differs from comparison at %d: %d vs %d",
+					trial, i, got[i], want[i])
+			}
+		}
+		// Reuse the buffers in the next trial, as the builder does.
+		if len(a) < n {
+			a, b = make([]I, n), make([]I, n)
 		}
 	}
 }
 
 func TestSortOrderRadixEdgeCases(t *testing.T) {
-	if got := SortOrderRadixInto(nil, nil, nil); len(got) != 0 {
+	t.Run("int", radixEdgeCases[int])
+	t.Run("int32", radixEdgeCases[int32])
+}
+
+func radixEdgeCases[I int | int32](t *testing.T) {
+	if got := SortOrderRadixInto[I](nil, nil, nil); len(got) != 0 {
 		t.Errorf("nil keys: %v", got)
 	}
-	if got := SortOrderRadixInto([]Key{42}, nil, nil); len(got) != 1 || got[0] != 0 {
+	if got := SortOrderRadixInto[I]([]Key{42}, nil, nil); len(got) != 1 || got[0] != 0 {
 		t.Errorf("single key: %v", got)
 	}
 	// All-equal keys keep input order (stability).
-	got := SortOrderRadixInto([]Key{7, 7, 7, 7}, nil, nil)
+	got := SortOrderRadixInto[I]([]Key{7, 7, 7, 7}, nil, nil)
 	for i, idx := range got {
-		if idx != i {
+		if int(idx) != i {
 			t.Errorf("equal keys reordered: %v", got)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/morton"
 	"repro/internal/vec"
 )
 
@@ -64,62 +65,60 @@ func (s *System) Clone() *System {
 	return c
 }
 
-// PermScratch holds the reusable gather buffers of ApplyOrderScratch:
-// one spare array per element type. After each call every spare is an
-// array the system held before, so a scratch reused across steps makes
-// the permutation allocation-free.
+// PermScratch holds the reusable visit marks of ApplyOrderScratch, one
+// byte per particle: the permutation moves the particles in place, so
+// a scratch reused across steps makes it allocation-free with no spare
+// particle array.
 type PermScratch struct {
-	v3   []vec.V3
-	f64  []float64
-	i64  []int64
 	seen []bool
 }
 
 // ApplyOrderScratch permutes the system so that new position k holds
 // previous particle order[k]; order must be a permutation of [0, N).
-// It gathers one array at a time into the spare of its type (grown only
-// when too small) and swaps the spare with the array it replaced, so
-// the scratch holds one array of each type however many arrays it
-// permutes.
-func (s *System) ApplyOrderScratch(order []int, scr *PermScratch) error {
+// keys, one per particle, move with the particles. It checks the whole
+// order before it moves anything, so a rejected order leaves every
+// array untouched. The particles move in place: each cycle of order is
+// followed once, carrying Pos, Vel, Acc, Mass, Pot, ID and the key
+// together, and a fixed point costs one compare.
+func (s *System) ApplyOrderScratch(order []int32, keys []morton.Key, scr *PermScratch) error {
 	n := s.N()
-	if len(order) != n {
-		return fmt.Errorf("nbody: order length %d != N %d", len(order), n)
+	if len(order) != n || len(keys) != n {
+		return fmt.Errorf("nbody: order length %d and %d keys for N %d", len(order), len(keys), n)
 	}
 	if cap(scr.seen) < n {
 		scr.seen = make([]bool, n)
 	}
 	seen := scr.seen[:n]
-	for i := range seen {
-		seen[i] = false
-	}
+	clear(seen)
 	for _, idx := range order {
-		if idx < 0 || idx >= n || seen[idx] {
+		if idx < 0 || int(idx) >= n || seen[idx] {
 			return fmt.Errorf("nbody: order is not a permutation")
 		}
 		seen[idx] = true
 	}
-	for _, a := range [...]*[]vec.V3{&s.Pos, &s.Vel, &s.Acc} {
-		gather(order, a, &scr.v3)
+	// Every mark is now set; following a cycle clears the marks of the
+	// positions it fills.
+	pos, vel, acc, mass, pot, id := s.Pos, s.Vel, s.Acc, s.Mass, s.Pot, s.ID
+	for i := range order {
+		if !seen[i] {
+			continue
+		}
+		seen[i] = false
+		j := int(order[i])
+		if j == i {
+			continue
+		}
+		p, v, a, m, u, d, k := pos[i], vel[i], acc[i], mass[i], pot[i], id[i], keys[i]
+		dst := i
+		for j != i {
+			pos[dst], vel[dst], acc[dst], mass[dst], pot[dst], id[dst], keys[dst] =
+				pos[j], vel[j], acc[j], mass[j], pot[j], id[j], keys[j]
+			seen[j] = false
+			dst, j = j, int(order[j])
+		}
+		pos[dst], vel[dst], acc[dst], mass[dst], pot[dst], id[dst], keys[dst] = p, v, a, m, u, d, k
 	}
-	for _, a := range [...]*[]float64{&s.Mass, &s.Pot} {
-		gather(order, a, &scr.f64)
-	}
-	gather(order, &s.ID, &scr.i64)
 	return nil
-}
-
-// gather writes (*a)[order[k]] to (*spare)[k] for every k, growing the
-// spare to len(order) if it is shorter, and swaps the two arrays.
-func gather[T any](order []int, a, spare *[]T) {
-	if cap(*spare) < len(order) {
-		*spare = make([]T, len(order))
-	}
-	dst, src := (*spare)[:len(order)], *a
-	for k, idx := range order {
-		dst[k] = src[idx]
-	}
-	*a, *spare = dst, src
 }
 
 // Bounds returns the axis-aligned bounding box of all positions.

@@ -1,12 +1,14 @@
 package nbody
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/morton"
 	"repro/internal/rng"
 	"repro/internal/vec"
 )
@@ -33,92 +35,208 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestApplyOrderScratch(t *testing.T) {
-	s := New(3)
-	for i := range s.Pos {
-		s.Pos[i] = vec.V3{X: float64(i)}
-		s.Mass[i] = float64(i + 1)
-	}
-	if err := s.ApplyOrderScratch([]int{2, 0, 1}, &PermScratch{}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Pos[0].X != 2 || s.Pos[1].X != 0 || s.Pos[2].X != 1 {
-		t.Errorf("positions after order: %v", s.Pos)
-	}
-	if s.ID[0] != 2 {
-		t.Errorf("IDs not permuted: %v", s.ID)
-	}
-
-	// Two permutations through one scratch equal two through fresh
-	// scratches, bit for bit on all six arrays, and the reused scratch
-	// holds one spare per element type, none longer than N.
-	const n = 257
-	r := rng.New(5)
-	s = New(n)
+// randomSystem returns n particles with every array filled from r, and
+// a distinct key per particle.
+func randomSystem(r *rng.Source, n int) (*System, []morton.Key) {
+	s := New(n)
+	keys := make([]morton.Key, n)
 	for i := 0; i < n; i++ {
 		s.Pos[i] = vec.V3{X: r.Normal(), Y: r.Normal(), Z: r.Normal()}
 		s.Vel[i] = vec.V3{X: r.Normal(), Y: r.Normal(), Z: r.Normal()}
 		s.Acc[i] = vec.V3{X: r.Normal(), Y: r.Normal(), Z: r.Normal()}
 		s.Mass[i], s.Pot[i] = r.Float64(), r.Normal()
+		s.ID[i] = int64(r.Uint64())
+		keys[i] = morton.Key(r.Uint64() >> 1)
 	}
-	fresh := s.Clone()
-	var scr PermScratch
-	for step := 0; step < 2; step++ {
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
+	return s, keys
+}
+
+// gatherRef is the reference permutation: fresh arrays with new
+// position k holding previous particle order[k].
+func gatherRef(s *System, keys []morton.Key, order []int32) (*System, []morton.Key) {
+	g := New(len(order))
+	gk := make([]morton.Key, len(order))
+	for k, idx := range order {
+		g.Pos[k], g.Vel[k], g.Acc[k] = s.Pos[idx], s.Vel[idx], s.Acc[idx]
+		g.Mass[k], g.Pot[k], g.ID[k] = s.Mass[idx], s.Pot[idx], s.ID[idx]
+		gk[k] = keys[idx]
+	}
+	return g, gk
+}
+
+// sameBits reports the first particle at which the two systems or key
+// arrays differ in any bit, or -1.
+func sameBits(a *System, ak []morton.Key, b *System, bk []morton.Key) int {
+	if a.N() != b.N() || len(ak) != len(bk) {
+		return 0
+	}
+	f := math.Float64bits
+	for i := range a.Pos {
+		if a.Pos[i] != b.Pos[i] || a.Vel[i] != b.Vel[i] || a.Acc[i] != b.Acc[i] ||
+			f(a.Mass[i]) != f(b.Mass[i]) || f(a.Pot[i]) != f(b.Pot[i]) || a.ID[i] != b.ID[i] {
+			return i
 		}
+	}
+	for i := range ak {
+		if ak[i] != bk[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// Permutation kinds of the table and fuzz tests.
+const (
+	permIdentity = iota
+	permOneCycle
+	permTwoCycles
+	permRandom
+	permMostlyFixed
+	permKinds
+)
+
+// makeOrder returns a permutation of [0, n) of the given kind.
+func makeOrder(r *rng.Source, n, kind int) []int32 {
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	switch kind {
+	case permOneCycle: // k ← k+1: one cycle through every particle
+		for i := range order {
+			order[i] = int32((i + 1) % n)
+		}
+	case permTwoCycles: // swap neighbours: n/2 cycles of length 2
+		for i := 0; i+1 < n; i += 2 {
+			order[i], order[i+1] = order[i+1], order[i]
+		}
+	case permRandom:
 		for i := n - 1; i > 0; i-- {
 			j := r.Intn(i + 1)
 			order[i], order[j] = order[j], order[i]
 		}
-		if err := s.ApplyOrderScratch(order, &scr); err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.ApplyOrderScratch(order, &PermScratch{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if s.Pos[i] != fresh.Pos[i] || s.Vel[i] != fresh.Vel[i] || s.Acc[i] != fresh.Acc[i] ||
-			math.Float64bits(s.Mass[i]) != math.Float64bits(fresh.Mass[i]) ||
-			math.Float64bits(s.Pot[i]) != math.Float64bits(fresh.Pot[i]) || s.ID[i] != fresh.ID[i] {
-			t.Fatalf("particle %d: one reused scratch and fresh scratches permute differently", i)
+	case permMostlyFixed: // a few swaps, as between two steps' sorts
+		for k := 0; n > 0 && k < n/16+1; k++ {
+			i, j := r.Intn(n), r.Intn(n)
+			order[i], order[j] = order[j], order[i]
 		}
 	}
-	spares := map[reflect.Type]int{}
-	v := reflect.ValueOf(scr)
-	for f := 0; f < v.NumField(); f++ {
-		a := v.Field(f)
-		if a.Kind() != reflect.Slice {
-			continue
-		}
-		spares[a.Type().Elem()]++
-		if a.Cap() > n {
-			t.Errorf("spare %s has capacity %d > N = %d", v.Type().Field(f).Name, a.Cap(), n)
-		}
+	return order
+}
+
+// checkApplyOrder applies order in place through scr and compares every
+// array and the keys, bit for bit, with the gather reference.
+func checkApplyOrder(t *testing.T, s *System, keys []morton.Key, order []int32, scr *PermScratch) {
+	t.Helper()
+	want, wantKeys := gatherRef(s, keys, order)
+	if err := s.ApplyOrderScratch(order, keys, scr); err != nil {
+		t.Fatal(err)
 	}
-	for typ, k := range spares {
-		if k != 1 {
-			t.Errorf("scratch holds %d spare []%v arrays, want 1", k, typ)
-		}
-	}
-	if len(spares) != 4 {
-		t.Errorf("scratch holds spares of %d element types, want 4 ([]vec.V3, []float64, []int64, []bool)", len(spares))
+	if i := sameBits(s, keys, want, wantKeys); i >= 0 {
+		t.Fatalf("N = %d: particle %d differs from the gather reference", len(order), i)
 	}
 }
 
+func TestApplyOrderScratch(t *testing.T) {
+	names := [permKinds]string{"identity", "one-cycle", "two-cycles", "random", "mostly-fixed"}
+	for kind, name := range names {
+		for _, n := range []int{0, 1, 2, 3, 8, 257, 4096} {
+			t.Run(fmt.Sprintf("%s/N=%d", name, n), func(t *testing.T) {
+				r := rng.New(uint64(7*n + kind))
+				s, keys := randomSystem(r, n)
+				checkApplyOrder(t, s, keys, makeOrder(r, n, kind), &PermScratch{})
+			})
+		}
+	}
+
+	// One scratch reused across calls of every kind and of growing and
+	// shrinking N permutes as the reference does, and holds no
+	// particle-sized array but its marks.
+	t.Run("reused-scratch", func(t *testing.T) {
+		r := rng.New(5)
+		var scr PermScratch
+		for step, n := range []int{257, 100, 300, 300, 300, 64} {
+			s, keys := randomSystem(r, n)
+			checkApplyOrder(t, s, keys, makeOrder(r, n, step%permKinds), &scr)
+		}
+		v := reflect.ValueOf(scr)
+		for f := 0; f < v.NumField(); f++ {
+			a := v.Field(f)
+			if a.Kind() != reflect.Slice {
+				continue
+			}
+			if a.Type() != reflect.TypeOf([]bool(nil)) {
+				t.Errorf("scratch field %s is a %v: no spare particle array may be kept",
+					v.Type().Field(f).Name, a.Type())
+			}
+			if a.Cap() > 300 {
+				t.Errorf("marks %s have capacity %d > largest N = 300", v.Type().Field(f).Name, a.Cap())
+			}
+		}
+	})
+}
+
 func TestApplyOrderRejectsBadPermutation(t *testing.T) {
-	s := New(3)
-	if err := s.ApplyOrderScratch([]int{0, 0, 1}, &PermScratch{}); err == nil {
-		t.Error("duplicate index accepted")
+	const n = 5
+	for _, c := range []struct {
+		name  string
+		order []int32
+		keys  int
+	}{
+		{"duplicate", []int32{1, 0, 0, 3, 4}, n},
+		{"duplicate-last", []int32{4, 3, 2, 1, 4}, n},
+		{"short", []int32{1, 0, 2, 3}, n},
+		{"long", []int32{1, 0, 2, 3, 4, 5}, n},
+		{"out-of-range", []int32{1, 0, 2, 3, 5}, n},
+		{"negative", []int32{1, 0, 2, 3, -1}, n},
+		{"short-keys", []int32{1, 0, 2, 3, 4}, n - 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, keys := randomSystem(rng.New(3), n)
+			keys = keys[:c.keys]
+			want, wantKeys := s.Clone(), append([]morton.Key(nil), keys...)
+			if err := s.ApplyOrderScratch(c.order, keys, &PermScratch{}); err == nil {
+				t.Fatalf("order %v with %d keys accepted", c.order, c.keys)
+			}
+			if i := sameBits(s, keys, want, wantKeys); i >= 0 {
+				t.Fatalf("rejected order moved particle %d", i)
+			}
+		})
 	}
-	if err := s.ApplyOrderScratch([]int{0, 1}, &PermScratch{}); err == nil {
-		t.Error("short order accepted")
+}
+
+// FuzzApplyOrder: any permutation kind at any N permutes in place as the
+// gather reference does, and an order with one entry duplicated is
+// refused with every array untouched.
+func FuzzApplyOrder(f *testing.F) {
+	for kind := uint8(0); kind < 2*permKinds; kind++ {
+		f.Add(uint64(kind), uint16(1+13*kind), kind)
 	}
-	if err := s.ApplyOrderScratch([]int{0, 1, 3}, &PermScratch{}); err == nil {
-		t.Error("out-of-range index accepted")
-	}
+	f.Add(uint64(1), uint16(0), uint8(permRandom))
+	f.Add(uint64(2), uint16(1), uint8(permOneCycle))
+	f.Add(uint64(3), uint16(4096), uint8(permRandom))
+	f.Fuzz(func(t *testing.T, seed uint64, n16 uint16, kind uint8) {
+		n := int(n16 % 5000)
+		r := rng.New(seed)
+		s, keys := randomSystem(r, n)
+		order := makeOrder(r, n, int(kind%permKinds))
+		if kind/permKinds%2 == 0 || n < 2 {
+			checkApplyOrder(t, s, keys, order, &PermScratch{})
+			return
+		}
+		i, j := r.Intn(n), r.Intn(n-1)
+		if j >= i {
+			j++
+		}
+		order[i] = order[j]
+		want, wantKeys := s.Clone(), append([]morton.Key(nil), keys...)
+		if err := s.ApplyOrderScratch(order, keys, &PermScratch{}); err == nil {
+			t.Fatal("order with a duplicate accepted")
+		}
+		if k := sameBits(s, keys, want, wantKeys); k >= 0 {
+			t.Fatalf("rejected order moved particle %d", k)
+		}
+	})
 }
 
 func TestBounds(t *testing.T) {
@@ -196,16 +314,8 @@ func TestApplyOrderPreservesParticlesProperty(t *testing.T) {
 		for i := range s.ID {
 			masses[s.ID[i]] = s.Mass[i]
 		}
-		// Fisher-Yates permutation.
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		for i := n - 1; i > 0; i-- {
-			j := r.Intn(i + 1)
-			order[i], order[j] = order[j], order[i]
-		}
-		if err := s.ApplyOrderScratch(order, &PermScratch{}); err != nil {
+		order := makeOrder(r, n, permRandom)
+		if err := s.ApplyOrderScratch(order, make([]morton.Key, n), &PermScratch{}); err != nil {
 			return false
 		}
 		for i := range s.ID {

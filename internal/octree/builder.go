@@ -2,6 +2,7 @@ package octree
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/morton"
@@ -23,10 +24,10 @@ type BuilderOptions struct {
 }
 
 // Builder owns all scratch of the per-step tree construction: Morton
-// key and sort-order buffers, the particle permutation scratch and the
-// node arena. A Builder reused across steps makes the whole sort+build
-// allocation-free in steady state (only the small Tree header is
-// allocated per build).
+// key and sort-order buffers, the particle permutation's visit marks
+// and the node arena. A Builder reused across steps makes the whole
+// sort+build allocation-free in steady state (only the small Tree
+// header is allocated per build).
 //
 // A Builder is not safe for concurrent use; trees it returns borrow its
 // node arena and stay valid only until the next Build call.
@@ -35,9 +36,8 @@ type Builder struct {
 	ob      *obs.Observer
 
 	keys   []morton.Key
-	sorted []morton.Key
-	orderA []int
-	orderB []int
+	orderA []int32
+	orderB []int32
 	perm   nbody.PermScratch
 
 	arena []Node
@@ -54,14 +54,29 @@ func NewBuilder(o BuilderOptions) *Builder {
 	return &Builder{leafCap: lc, ob: o.Obs}
 }
 
+// maxN is the largest N a build takes: sort orders and node and group
+// ranges are int32.
+const maxN = math.MaxInt32
+
+// checkN refuses an N the build cannot index.
+func checkN(n int) error {
+	switch {
+	case n == 0:
+		return fmt.Errorf("octree: empty system")
+	case int64(n) > maxN:
+		return fmt.Errorf("octree: N = %d exceeds the limit of %d particles (int32 indices)", n, maxN)
+	}
+	return nil
+}
+
 // Build sorts the system into Morton order (mutating it) and builds the
 // octree into the Builder's arena, reusing all scratch from the
 // previous call. The returned tree is a fresh header borrowing the
 // arena: it is valid until the next Build.
 func (b *Builder) Build(s *nbody.System) (*Tree, error) {
 	n := s.N()
-	if n == 0 {
-		return nil, fmt.Errorf("octree: empty system")
+	if err := checkN(n); err != nil {
+		return nil, err
 	}
 	cube := rootCube(s)
 
@@ -70,26 +85,20 @@ func (b *Builder) Build(s *nbody.System) (*Tree, error) {
 	// Pre-grow both radix ping-pong buffers so the sort never grows
 	// them internally (the returned permutation aliases one of them).
 	if cap(b.orderA) < n {
-		b.orderA = make([]int, n)
+		b.orderA = make([]int32, n)
 	}
 	if cap(b.orderB) < n {
-		b.orderB = make([]int, n)
+		b.orderB = make([]int32, n)
 	}
 	order := morton.SortOrderRadixInto(b.keys, b.orderA, b.orderB)
-	if err := s.ApplyOrderScratch(order, &b.perm); err != nil {
+	// The keys move with the particles, so they come out sorted.
+	if err := s.ApplyOrderScratch(order, b.keys, &b.perm); err != nil {
 		return nil, err
-	}
-	if cap(b.sorted) < n {
-		b.sorted = make([]morton.Key, n)
-	}
-	b.sorted = b.sorted[:n]
-	for i, idx := range order {
-		b.sorted[i] = b.keys[idx]
 	}
 	b.ob.AddSeconds(obs.PhaseMortonSort, time.Since(t0).Seconds())
 
 	t1 := time.Now()
-	nb := nodeBuilder{nodes: b.arena[:0], sys: s, keys: b.sorted, leafCap: b.leafCap}
+	nb := nodeBuilder{nodes: b.arena[:0], sys: s, keys: b.keys, leafCap: b.leafCap}
 	nb.build(cube, 0, int32(n), 0, 0)
 	b.arena = nb.nodes
 	b.ob.AddSeconds(obs.PhaseTreeBuild, time.Since(t1).Seconds())

@@ -1,6 +1,9 @@
 package octree
 
 import (
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/morton"
@@ -306,6 +309,34 @@ func TestGroupBoxesMatchBuild(t *testing.T) {
 						tc, refreshed, ncrit, next, tree.Sys.N())
 				}
 			}
+		}
+	}
+}
+
+// TestCheckNRefusesInt32Overflow: the build indexes particles with
+// int32 orders and node and group ranges, so an N of 2³¹ or more is
+// refused with an error naming N and the limit instead of wrapping.
+func TestCheckNRefusesInt32Overflow(t *testing.T) {
+	for _, c := range []struct {
+		n    int64
+		want string // "" accepts
+	}{
+		{0, "empty system"},
+		{1, ""},
+		{65536, ""},
+		{math.MaxInt32, ""},
+		{math.MaxInt32 + 1, "N = 2147483648 exceeds the limit of 2147483647"},
+		{1 << 40, "N = 1099511627776 exceeds the limit of 2147483647"},
+	} {
+		if strconv.IntSize == 32 && c.n > math.MaxInt32 {
+			continue // not an int here
+		}
+		err := checkN(int(c.n))
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("N = %d refused: %v", c.n, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("N = %d: got %v, want an error containing %q", c.n, err, c.want)
 		}
 	}
 }

@@ -7,17 +7,22 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/vec"
 )
 
 // The stream codec shared by snapshots and checkpoints (package ckpt):
 // per direction one buffered CRC-32C tee with chunked little-endian
-// coding of []vec.V3, []float64 and []int64 through one reused buffer.
-// Every array is a run of 8-byte words (three per V3), so both file
-// formats are fixed by the order in which their writers call these.
+// coding of []vec.V3, []float64 and []int64. The Encoder codes straight
+// into its write buffer, the Decoder through one reused chunk. Every
+// array is a run of 8-byte words (three per V3), so both file formats
+// are fixed by the order in which their writers call these.
 
-// chunkBytes sizes the codec's reusable buffer: a multiple of 24 so any
+// maxWriteBuffer caps an Encoder's buffer.
+const maxWriteBuffer = 1 << 20
+
+// chunkBytes sizes the Decoder's reusable chunk: a multiple of 24 so any
 // element type packs exactly.
 const chunkBytes = 24 << 11
 
@@ -50,38 +55,80 @@ func (s *span) Reset() { *s = span{} }
 func (s *span) Sum() (crc uint32, n int64) { return s.crc, s.n }
 
 // Encoder buffers writes to a stream, tees them into a span and encodes
-// particle arrays. Like the bufio.Writer inside it, it is sticky on
-// errors: after the first failed write the rest are dropped and Flush
-// reports that failure, so callers check once, at the end.
+// particle arrays into its buffer. It is sticky on errors: after the
+// first failed write the rest are dropped and Flush reports that
+// failure, so callers check once, at the end.
 type Encoder struct {
 	span
-	bw    *bufio.Writer
-	chunk []byte
+	w   io.Writer // nil: the whole stream stays in buf
+	buf []byte
+	err error
 }
 
-// NewEncoder returns an Encoder writing to w; Flush completes it.
-func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{bw: bufio.NewWriterSize(w, 1<<20), chunk: make([]byte, chunkBytes)}
+// NewEncoder returns an Encoder writing to w; Flush completes it. size
+// is the stream's length when known: the buffer takes that much, up to
+// 1 MiB. With a nil w the Encoder keeps the whole stream for Bytes.
+func NewEncoder(w io.Writer, size int) *Encoder {
+	if w != nil {
+		size = min(size, maxWriteBuffer)
+	}
+	// At least one V3 fits, so an array always makes progress.
+	return &Encoder{w: w, buf: make([]byte, 0, max(size, 24))}
 }
 
 func (e *Encoder) Write(p []byte) (int, error) {
 	e.add(p)
-	return e.bw.Write(p)
+	e.room(len(p))
+	if len(p) <= cap(e.buf)-len(e.buf) {
+		e.buf = append(e.buf, p...)
+	} else if e.err == nil { // larger than the whole buffer: write it through
+		_, e.err = e.w.Write(p)
+	}
+	if e.err != nil {
+		return 0, e.err
+	}
+	return len(p), nil
+}
+
+// room makes space for n more bytes: it writes the buffer out when too
+// full, or grows it when there is no writer.
+func (e *Encoder) room(n int) {
+	if cap(e.buf)-len(e.buf) >= n {
+		return
+	}
+	if e.w == nil {
+		e.buf = slices.Grow(e.buf, n)
+		return
+	}
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
 }
 
 // Flush writes out what is buffered and returns the first write error.
-func (e *Encoder) Flush() error { return e.bw.Flush() }
+func (e *Encoder) Flush() error {
+	if e.w != nil {
+		e.room(cap(e.buf) + 1) // more than fits: writes the buffer out
+	}
+	return e.err
+}
+
+// Bytes returns the stream of an Encoder made with a nil writer.
+func (e *Encoder) Bytes() []byte { return e.buf }
 
 // array writes n elements of size bytes each, put encoding element i.
 func (e *Encoder) array(n, size int, put func(b []byte, i int)) {
-	per := len(e.chunk) / size
-	for lo := 0; lo < n; lo += per {
-		hi := min(lo+per, n)
-		b := e.chunk[:(hi-lo)*size]
-		for i := lo; i < hi; i++ {
-			put(b[(i-lo)*size:], i)
+	for i := 0; i < n; {
+		e.room(size)
+		lo := len(e.buf)
+		k := min(n-i, (cap(e.buf)-lo)/size)
+		b := e.buf[lo : lo+k*size]
+		for j := 0; j < k; j++ {
+			put(b[j*size:], i+j)
 		}
-		e.Write(b)
+		e.add(b)
+		e.buf, i = e.buf[:lo+k*size], i+k
 	}
 }
 

@@ -64,8 +64,8 @@ func TestGoldenLegacyV1Readable(t *testing.T) {
 	}
 }
 
-// TestWriteAllocs: a snapshot is encoded through one reused chunk, not
-// one reflective write per particle.
+// TestWriteAllocs: a snapshot is encoded into the Encoder's one buffer,
+// not by one reflective write per particle.
 func TestWriteAllocs(t *testing.T) {
 	s := sample(65536, 1)
 	if avg := testing.AllocsPerRun(5, func() {

@@ -62,7 +62,8 @@ type headerV1 struct {
 // Write stores the system and header to w in the current format.
 func Write(w io.Writer, h Header, s *nbody.System) error {
 	h.N = int64(s.N())
-	enc := NewEncoder(w)
+	// magic and version, header, Pos, Vel, Mass, ID, CRC trailer
+	enc := NewEncoder(w, 8+binary.Size(h)+s.N()*(24+24+8+8)+4)
 	var pre [8]byte
 	le.PutUint32(pre[0:], Magic)
 	le.PutUint32(pre[4:], Version)

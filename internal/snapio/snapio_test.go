@@ -208,3 +208,41 @@ func TestWriteFileAtomic(t *testing.T) {
 		}
 	}
 }
+
+// TestEncoderBufferSizes: the bytes and the CRC of a stream do not
+// depend on the Encoder's buffer, whether it holds one element, part of
+// the stream or all of it, or grows in memory with no writer; and a
+// write larger than the buffer goes through whole.
+func TestEncoderBufferSizes(t *testing.T) {
+	s := sample(100, 4)
+	big := make([]byte, 1000)
+	for i := range big {
+		big[i] = byte(i)
+	}
+	encode := func(enc *Encoder) uint32 {
+		enc.Write([]byte("head"))
+		enc.V3s(s.Pos)
+		enc.Write(big)
+		enc.F64s(s.Mass)
+		enc.I64s(s.ID)
+		crc, _ := enc.Sum()
+		return crc
+	}
+	ref := NewEncoder(nil, 0)
+	wantCRC := encode(ref)
+	want := ref.Bytes()
+	if len(want) != 4+100*24+1000+100*16 {
+		t.Fatalf("in-memory stream is %d bytes", len(want))
+	}
+	for _, size := range []int{0, 24, 100, 1500, len(want), 1 << 20} {
+		var buf bytes.Buffer
+		enc := NewEncoder(&buf, size)
+		crc := encode(enc)
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) || crc != wantCRC {
+			t.Errorf("buffer size %d: stream or CRC differs from the in-memory one", size)
+		}
+	}
+}

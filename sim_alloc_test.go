@@ -89,17 +89,17 @@ func TestStepAllocs(t *testing.T) {
 // primed and stepped host Simulation at N = 65536 (n_crit 16, the
 // host_plummer64k configuration) may keep at most footprintBudget bytes
 // of heap per particle, the System included. The state it holds is the
-// System (96 B/particle), the permutation scratch's one spare per
-// element type (41), the one node arena (≈ 27), Morton keys and orders
-// (32) and the groups with their boxes (≈ 16): measured 215 B/particle
-// at GOMAXPROCS 1 and 4, plain and under the race detector. The
-// revision whose parallel build kept a second, per-task node arena
-// measured 244 and must fail; so must the one that kept a second copy
-// of every System array as permutation scratch and 136-byte nodes
-// holding their boxes and child indices (365).
+// System (96 B/particle), the permutation's visit marks (1), the one
+// node arena (≈ 27), Morton keys (8) and two int32 sort orders (8) and
+// the groups with their boxes (≈ 16): measured 159 B/particle at
+// GOMAXPROCS 1 and 4, plain and under the race detector. The revision
+// that permuted through one spare array per element type, kept a
+// sorted copy of the keys and sorted int orders measured 215 and must
+// fail; so must the ones with a second, per-task node arena (244) and
+// with a second copy of every System array and 136-byte nodes (365).
 func TestStepFootprint(t *testing.T) {
 	const n = 65536
-	const footprintBudget = 230
+	const footprintBudget = 175
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
