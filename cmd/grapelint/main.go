@@ -1,7 +1,7 @@
 // Command grapelint is the repository's domain-invariant multichecker:
-// it runs the internal/lint analyzer suite (nondeterminism, g5contract,
-// g5format, obsspan, errdiscipline, lockdiscipline, goroutinejoin,
-// fpreduce) over Go packages.
+// it runs the internal/lint analyzer suite (nondeterminism, obsspan,
+// errdiscipline, lockdiscipline, goroutinejoin, fpreduce) over Go
+// packages.
 //
 //	grapelint ./...              # lint the module
 //	grapelint -unused-ignores ./...  # also fail on stale //lint:ignore comments

@@ -162,8 +162,8 @@ func TestListDescribesEveryAnalyzer(t *testing.T) {
 		t.Fatalf("-list exit code = %d, want 0\n%s", code, out)
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 8 {
-		t.Fatalf("-list printed %d rows, want 8:\n%s", len(lines), out)
+	if len(lines) != 6 {
+		t.Fatalf("-list printed %d rows, want 6:\n%s", len(lines), out)
 	}
 	for _, line := range lines {
 		fields := strings.Fields(line)

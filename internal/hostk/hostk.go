@@ -69,9 +69,8 @@ func (l *JList) Pad() {
 func (l *JList) Len() int { return len(l.X) }
 
 // CopyFrom replaces the list's contents with a copy of src (padding
-// included), reusing capacity — the staging path of the sharded
-// cluster, which must snapshot a caller's list without allocating in
-// steady state.
+// included), reusing capacity: a private snapshot of a list the caller
+// does not own.
 func (l *JList) CopyFrom(src *JList) {
 	l.X = append(l.X[:0], src.X...)
 	l.Y = append(l.Y[:0], src.Y...)

@@ -217,9 +217,8 @@ func (got p2pResult) mustEqual(t *testing.T, i int, want p2pResult) {
 	}
 }
 
-// TestJListCopyFrom pins the staging-copy semantics the cluster relies
-// on: padding and the real count survive the copy, and the copy aliases
-// nothing.
+// TestJListCopyFrom pins the snapshot semantics: padding and the real
+// count survive the copy, and the copy aliases nothing.
 func TestJListCopyFrom(t *testing.T) {
 	var src hostk.JList
 	src.Append(1, 2, 3, 4)

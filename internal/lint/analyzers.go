@@ -6,8 +6,6 @@ package lint
 func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerNondeterminism,
-		AnalyzerG5Contract,
-		AnalyzerG5Format,
 		AnalyzerObsSpan,
 		AnalyzerErrDiscipline,
 		AnalyzerLockDiscipline,

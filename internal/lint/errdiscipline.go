@@ -8,22 +8,18 @@ import (
 // AnalyzerErrDiscipline polices error handling on the hardware and
 // simulation surfaces: a discarded error from the g5 package or the
 // public Simulation API hides exactly the failures the fault-tolerance
-// layer (PR 1) exists to surface — a lost Close error leaks shard
-// workers, a lost SetEps/SetScale error silently corrupts the run's
-// force model. Flagged:
-//
-//   - a statement that calls an error-returning function or method of
-//     repro or repro/internal/g5 and drops the result (plain, defer
-//     and go statements);
-//   - a *g5.HardwareError value assigned to the blank identifier —
-//     the typed fault classification exists to be inspected.
+// layer exists to surface. A job whose periodic Checkpoint error is
+// dropped runs to "done" with no durable state behind it. Flagged: a
+// statement that calls an error-returning function or method of repro
+// or repro/internal/g5 and drops the result (plain, defer and go
+// statements).
 //
 // Explicit `_ = call()` assignments are the sanctioned opt-out for a
 // provably-impossible error and must carry a justification the
 // reviewer can check (a comment or an //lint:ignore).
 var AnalyzerErrDiscipline = &Analyzer{
 	Name: "errdiscipline",
-	Doc:  "flag discarded errors from g5/Simulation calls and dropped g5.HardwareError values",
+	Doc:  "flag discarded errors from g5/Simulation calls",
 	Run:  runErrDiscipline,
 }
 
@@ -42,8 +38,6 @@ func runErrDiscipline(pass *Pass) error {
 				checkDiscard(pass, n.Call, "defer ")
 			case *ast.GoStmt:
 				checkDiscard(pass, n.Call, "go ")
-			case *ast.AssignStmt:
-				checkBlankHardwareError(pass, n)
 			}
 			return true
 		})
@@ -76,23 +70,4 @@ func checkDiscard(pass *Pass, call *ast.CallExpr, how string) {
 		return
 	}
 	pass.Reportf(call.Pos(), "%serror from %s discarded: handle it, or assign to _ with a justification", how, target)
-}
-
-// checkBlankHardwareError flags `_ = <expr of type *g5.HardwareError>`:
-// the typed fault classification (transient vs permanent) is the input
-// to the retry/degrade policy and must not be thrown away.
-func checkBlankHardwareError(pass *Pass, assign *ast.AssignStmt) {
-	for i, lhs := range assign.Lhs {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name != "_" {
-			continue
-		}
-		if i >= len(assign.Rhs) {
-			continue
-		}
-		t := pass.Info.TypeOf(assign.Rhs[i])
-		if t != nil && isNamedType(t, g5Path, "HardwareError") {
-			pass.Reportf(assign.Pos(), "g5.HardwareError dropped into _: its Transient/Op classification drives fault recovery; inspect or propagate it")
-		}
-	}
 }

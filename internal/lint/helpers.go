@@ -52,20 +52,6 @@ func recvNamed(f *types.Func) (pkgPath, typeName string, ok bool) {
 	return obj.Pkg().Path(), obj.Name(), true
 }
 
-// isNamedType reports whether t (pointers dereferenced) is the named
-// type pkgPath.name.
-func isNamedType(t types.Type, pkgPath, name string) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}
-
 // returnsError reports whether the call's last result is of type error.
 func returnsError(sig *types.Signature) bool {
 	res := sig.Results()

@@ -1,14 +1,13 @@
 // Package lint is the repository's domain-invariant static analysis
 // suite: a small analyzer framework (mirroring the shape of
 // golang.org/x/tools/go/analysis, but built only on the standard
-// library so the module stays dependency-free) plus eight analyzers
-// for invariants the compiler cannot see: nondeterminism and fpreduce
-// (bit-reproducibility of the physics packages), g5format (one
-// reduced-precision model), g5contract (register-level isolation of the
-// emulated hardware), errdiscipline, obsspan, lockdiscipline and
-// goroutinejoin. An analyzer is here only because a defect seeded into
-// the real tree is reported by it and by no test, fuzzer, alloc gate,
-// vet or race run; DESIGN.md §10 records that defect for each.
+// library so the module stays dependency-free) plus six analyzers for
+// invariants the compiler cannot see: nondeterminism and fpreduce
+// (bit-reproducibility of the physics packages), errdiscipline,
+// obsspan, lockdiscipline and goroutinejoin. A rule is here only
+// because a defect seeded into the real tree is reported by it and by
+// no test, fuzzer, alloc gate, vet or race run; DESIGN.md §10 records
+// that defect for each, and experiments/E43.json the seeds themselves.
 //
 // The analyzers run over type-checked packages loaded by Loader (see
 // load.go) and are driven by cmd/grapelint (`grapelint ./...`).
@@ -197,8 +196,8 @@ func applyIgnores(pkg *Package, diags []Diagnostic) ([]Diagnostic, []UnusedIgnor
 
 // physicsPackages is the import-path set whose results must be
 // bit-reproducible: everything that touches particle state, forces or
-// the hardware model. The nondeterminism and g5format analyzers only
-// fire inside this set.
+// the hardware model. nondeterminism and fpreduce fire only inside
+// this set; goroutinejoin's scope includes it.
 var physicsPackages = map[string]bool{
 	"repro/internal/core":      true,
 	"repro/internal/octree":    true,
@@ -212,19 +211,15 @@ var physicsPackages = map[string]bool{
 	"repro/internal/vec":       true,
 }
 
-// hostkPath holds fpreduce's sanctioned merge helpers.
-const hostkPath = "repro/internal/hostk"
-
-// g5Path is the hardware package; several analyzers key on it.
+// g5Path is the hardware package; errdiscipline watches its errors.
 const g5Path = "repro/internal/g5"
 
-// rootPath is the module's root package (the public simulation API).
+// rootPath is the module's root package (the public simulation API);
+// errdiscipline watches its errors too.
 const rootPath = "repro"
 
-// servePath is the multi-tenant job server; the concurrency analyzers
-// key on it.
+// servePath is the multi-tenant job server, in goroutinejoin's scope.
 const servePath = "repro/internal/serve"
 
-// ckptPath is the durable checkpoint store: its writes are blocking
-// I/O for lockdiscipline.
+// ckptPath is the durable checkpoint store, in goroutinejoin's scope.
 const ckptPath = "repro/internal/ckpt"

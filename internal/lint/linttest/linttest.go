@@ -11,9 +11,7 @@
 //	rand.Float64() // want "global math/rand"
 //
 // Each quoted string is a regular expression; a line carrying several
-// quoted strings expects that many distinct diagnostics (the g5contract
-// analyzer, for example, reports register-level access and a call-order
-// violation on the same call).
+// quoted strings expects that many distinct diagnostics.
 package linttest
 
 import (

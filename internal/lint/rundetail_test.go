@@ -22,7 +22,8 @@ func loadFixture(t *testing.T, loader *lint.Loader, dir, importPath string) *lin
 }
 
 // TestRunDetailReportsUnusedIgnores: an ignore that suppressed a
-// finding is consumed; one that covered nothing is surfaced.
+// finding is consumed; one that covered nothing, or that names an
+// analyzer no longer in the suite, is surfaced.
 func TestRunDetailReportsUnusedIgnores(t *testing.T) {
 	loader := lint.NewLoader("")
 	pkg := loadFixture(t, loader, "testdata/unusedignore", "repro/internal/pm")
@@ -33,16 +34,19 @@ func TestRunDetailReportsUnusedIgnores(t *testing.T) {
 	if len(diags) != 0 {
 		t.Fatalf("want 0 surviving diagnostics, got %d: %v", len(diags), diags)
 	}
-	if len(unused) != 1 {
-		t.Fatalf("want exactly 1 unused ignore, got %d: %v", len(unused), unused)
+	// The stale comments sit directly above func clean and func retired.
+	want := []struct {
+		analyzers string
+		line      int
+	}{{"fpreduce", 16}, {"g5contract", 24}}
+	if len(unused) != len(want) {
+		t.Fatalf("want %d unused ignores, got %d: %v", len(want), len(unused), unused)
 	}
-	pos := loader.Fset.Position(unused[0].Pos)
-	if !strings.HasSuffix(pos.Filename, "fixture.go") || unused[0].Analyzers != "fpreduce" {
-		t.Fatalf("unexpected unused ignore %q at %s", unused[0].Analyzers, pos)
-	}
-	// The stale comment sits directly above func clean.
-	if pos.Line != 15 {
-		t.Fatalf("unused ignore reported at line %d, want 15", pos.Line)
+	for i, w := range want {
+		pos := loader.Fset.Position(unused[i].Pos)
+		if !strings.HasSuffix(pos.Filename, "fixture.go") || unused[i].Analyzers != w.analyzers || pos.Line != w.line {
+			t.Errorf("unused ignore %d: %q at %s, want %q at line %d", i, unused[i].Analyzers, pos, w.analyzers, w.line)
+		}
 	}
 }
 
@@ -62,7 +66,7 @@ func TestEveryAnalyzerHasDoc(t *testing.T) {
 			t.Errorf("analyzer %s has no Run", a.Name)
 		}
 	}
-	if len(seen) != 8 {
-		t.Errorf("expected 8 analyzers in the suite, got %d", len(seen))
+	if len(seen) != 6 {
+		t.Errorf("expected 6 analyzers in the suite, got %d", len(seen))
 	}
 }

@@ -7,12 +7,20 @@ import (
 	"fmt"
 
 	grape5 "repro"
+	"repro/internal/ckpt"
 	g5 "repro/internal/g5"
 )
 
 // discarded drops the error of a watched call in statement position.
 func discarded(sys *g5.System, eps float64) {
 	sys.SetEps(eps) // want "error from System.SetEps discarded"
+}
+
+// lostCheckpoint drops an error that can happen, the last of two
+// results: a failed write leaves the run without the durable state it
+// reports.
+func lostCheckpoint(sim *grape5.Simulation, store *ckpt.Store) {
+	sim.Checkpoint(store) // want "error from Simulation.Checkpoint discarded"
 }
 
 // deferredClose hides a Close failure behind defer.
@@ -23,11 +31,6 @@ func deferredClose(sim *grape5.Simulation) {
 // goClose loses the error on a goroutine boundary.
 func goClose(c *g5.Cluster) {
 	go c.Close() // want "error from Cluster.Close discarded"
-}
-
-// blankFault throws away the typed fault classification.
-func blankFault(herr *g5.HardwareError) {
-	_ = herr // want "HardwareError dropped into _"
 }
 
 // handled propagates: the correct shape.

@@ -1,7 +1,6 @@
 // Package fixture exercises the fpreduce analyzer: order-dependent
-// floating-point accumulation through goroutine captures, map ranges
-// and package-level state. Loaded as repro/internal/pm, a scoped
-// physics package with no sanctioned-helper list.
+// floating-point accumulation through goroutine captures and
+// package-level state. Loaded as repro/internal/pm, a physics package.
 package fixture
 
 import "sync"
@@ -75,23 +74,6 @@ func localInsideGoroutine(xs []float64, out chan<- float64) {
 		}
 		out <- local
 	}()
-}
-
-func mapRange(m map[string]float64) float64 {
-	var sum float64
-	for _, v := range m {
-		sum += v // want "float accumulation inside a range over a map"
-	}
-	return sum
-}
-
-// Keyed writes inside a map range are per-key, hence order-free.
-func mapRekey(m map[string]float64) map[string]float64 {
-	out := map[string]float64{}
-	for k, v := range m {
-		out[k] += v
-	}
-	return out
 }
 
 // Integer accumulation is associative: not fpreduce's business.

@@ -1,5 +1,6 @@
 // Package fixture feeds the stale-suppression detector: one ignore
-// that suppresses a real fpreduce finding, one that covers nothing.
+// that suppresses a real fpreduce finding, one that covers nothing and
+// one that names a retired analyzer.
 // Loaded as repro/internal/pm.
 package fixture
 
@@ -15,4 +16,12 @@ func add(xs []float64) {
 //lint:ignore fpreduce stale: suppresses nothing and must be reported
 func clean() int {
 	return 0
+}
+
+// g5contract is a retired analyzer: an ignore naming it can suppress
+// nothing, so it must be reported too.
+//
+//lint:ignore g5contract stale: names an analyzer the suite no longer has
+func retired() int {
+	return 1
 }

@@ -26,7 +26,6 @@ func DirectStepModel(n int, host HostModel) (StepReport, error) {
 		if hi > n {
 			hi = n
 		}
-		//lint:ignore g5contract perf replays schedules through the timing model; ChargeOnly is its charter
 		sys.ChargeOnly(hi-lo, n)
 	}
 	c := sys.Counters()

@@ -28,7 +28,6 @@ func NewScheduleEngine(sys *g5.System) *ScheduleEngine {
 // Accumulate implements core.Engine.
 func (e *ScheduleEngine) Accumulate(req *core.Request) {
 	e.mu.Lock()
-	//lint:ignore g5contract perf replays schedules through the timing model; ChargeOnly is its charter
 	e.sys.ChargeOnly(len(req.IPos), req.J.N)
 	e.mu.Unlock()
 }
