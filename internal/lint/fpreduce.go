@@ -20,7 +20,9 @@ import (
 //     every caller, so concurrent callers interleave their sums).
 //
 // Reductions must instead accumulate per-worker partials and merge them
-// in a fixed order after the workers join.
+// in a fixed order after the workers join. serve and obs are out of
+// scope: their floats are seconds that obs.Observer already sums in
+// arrival order, so no bit pattern of theirs is promised.
 var AnalyzerFPReduce = &Analyzer{
 	Name: "fpreduce",
 	Doc:  "flag order-dependent floating-point accumulation (go-captured or package-level) in physics packages",

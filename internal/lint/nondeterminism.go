@@ -7,10 +7,11 @@ import (
 
 // AnalyzerNondeterminism protects the bit-reproducibility the §2
 // accuracy and §3 time-balance results rest on: inside the physics
-// packages it flags three sources of run-to-run divergence that no
-// test pins — wall-clock values flowing into anything but duration
-// measurement, the process-global math/rand generator, and goroutines
-// appending to shared slices (collection order is scheduler-dependent).
+// packages it flags the classic sources of run-to-run divergence —
+// wall-clock values flowing into anything but duration measurement,
+// the process-global math/rand generator, iteration over maps, and
+// goroutines appending to shared slices (collection order is
+// scheduler-dependent).
 //
 // time.Now is allowed when the value is used only to measure elapsed
 // time (time.Since or Time.Sub): wall-clock *measurement* cannot
@@ -18,7 +19,7 @@ import (
 // ordering results can.
 var AnalyzerNondeterminism = &Analyzer{
 	Name: "nondeterminism",
-	Doc:  "flag nondeterminism sources (time.Now, global math/rand, unordered goroutine collection) in physics packages",
+	Doc:  "flag nondeterminism sources (time.Now, global math/rand, map iteration, unordered goroutine collection) in physics packages",
 	Run:  runNondeterminism,
 }
 
@@ -34,6 +35,8 @@ func runNondeterminism(pass *Pass) error {
 				checkTimeNow(pass, parents, n)
 			case *ast.SelectorExpr:
 				checkGlobalRand(pass, n)
+			case *ast.RangeStmt:
+				checkMapRange(pass, n)
 			case *ast.GoStmt:
 				checkGoroutineCollection(pass, n)
 			}
@@ -128,6 +131,19 @@ func checkGlobalRand(pass *Pass, sel *ast.SelectorExpr) {
 		return
 	}
 	pass.Reportf(sel.Pos(), "global math/rand %s in a physics package: the shared generator makes runs irreproducible; use internal/rng (seeded) instead", f.Name())
+}
+
+// checkMapRange flags iteration over maps: Go randomises the order, so
+// any value it feeds — list building, accumulation in floating point,
+// output — diverges between runs.
+func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
+	t := pass.Info.TypeOf(rng.X)
+	if t == nil {
+		return
+	}
+	if _, ok := t.Underlying().(*types.Map); ok {
+		pass.Reportf(rng.Pos(), "map iteration in a physics package is order-nondeterministic; iterate a sorted key slice instead")
+	}
 }
 
 // checkGoroutineCollection flags goroutine bodies that append to a

@@ -39,6 +39,24 @@ func localRand() float64 {
 	return r.Float64()
 }
 
+// mapOrder accumulates in map-iteration order.
+func mapOrder(m map[int]float64) float64 {
+	var s float64
+	for _, v := range m { // want "map iteration in a physics package"
+		s += v
+	}
+	return s
+}
+
+// sortedOrder iterates a key slice: deterministic.
+func sortedOrder(keys []int, m map[int]float64) float64 {
+	var s float64
+	for _, k := range keys {
+		s += m[k]
+	}
+	return s
+}
+
 // collectUnordered appends from goroutines: completion order decides
 // element order even under the mutex.
 func collectUnordered(n int) []float64 {

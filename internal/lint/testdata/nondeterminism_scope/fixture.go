@@ -15,3 +15,12 @@ func Jitter() float64 { return rand.Float64() }
 
 // Stamp is fine outside the physics set.
 func Stamp() int64 { return time.Now().UnixNano() }
+
+// Sum may iterate a map outside the physics set.
+func Sum(m map[string]int) int {
+	s := 0
+	for _, v := range m {
+		s += v
+	}
+	return s
+}
