@@ -49,12 +49,13 @@ bench-wall-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # bench-alloc gates the arena step pipeline (DESIGN.md §11): the
-# steady-state allocation budget, the live-heap footprint per particle
-# and the build's reuse and layout conformance, all at GOMAXPROCS=1 and
+# steady-state allocation budgets (the facade's, and the integrator
+# core's, which is zero), the live-heap footprint per particle and the
+# build's reuse and layout conformance, all at GOMAXPROCS=1 and
 # GOMAXPROCS=4 so scheduler width cannot mask a regression.
 bench-alloc:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestStepAllocs|TestStepFootprint|TestBuildSteadyStateAllocs' . ./internal/octree
-	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestStepAllocs|TestStepFootprint|TestBuildSteadyStateAllocs' . ./internal/octree
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestStepAllocs|TestStepFootprint|TestBuildSteadyStateAllocs' . ./internal/integrate ./internal/octree
+	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestStepAllocs|TestStepFootprint|TestBuildSteadyStateAllocs' . ./internal/integrate ./internal/octree
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestBuilderReuseMatchesFresh|TestGroupBoxesMatchBuild' ./internal/octree
 	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestBuilderReuseMatchesFresh|TestGroupBoxesMatchBuild' ./internal/octree
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/g5"
+	"repro/internal/integrate"
 )
 
 // DefaultTheta and DefaultNcrit are what an unset Config.Theta and
@@ -187,8 +188,8 @@ func (cfg Config) Validate() error {
 		if cfg.DTMin == 0 {
 			return fmt.Errorf("grape5: block timesteps need DTMin > 0, got %v", cfg.DTMin)
 		}
-		if cfg.Blocks > 31 {
-			return fmt.Errorf("grape5: at most 31 rung levels, got %d", cfg.Blocks)
+		if cfg.Blocks-1 > integrate.MaxRungLimit {
+			return fmt.Errorf("grape5: at most %d rung levels, got %d", integrate.MaxRungLimit+1, cfg.Blocks)
 		}
 		if span := cfg.blockSpan(); cfg.DT != 0 && cfg.DT != span {
 			return fmt.Errorf("grape5: DT %v conflicts with block span DTMin·2^(Blocks-1) = %v; leave DT unset to inherit it", cfg.DT, span)

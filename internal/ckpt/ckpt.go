@@ -72,7 +72,7 @@ const (
 
 // Scheduling modes stored in BlockState.Mode.
 const (
-	// ModeAdaptive is shared adaptive dt (TimestepCriterion): no
+	// ModeAdaptive is shared adaptive dt (RungCriterion.SharedDT): no
 	// per-particle rungs, the criterion scalars alone.
 	ModeAdaptive = 1
 	// ModeBlock is hierarchical block timesteps: per-particle rungs and

@@ -13,6 +13,13 @@ import (
 	"repro/internal/vec"
 )
 
+// guardTolerance is the relative error allowed between the hardware's
+// probe-particle force and the host reference. It must sit above the
+// pipeline's ~0.3 % arithmetic error with margin, and below 1/Boards (a
+// stuck pipeline drops one board's 1/Boards force share); 0.05 is fine
+// for the paper's 2-board system.
+const guardTolerance = 0.05
+
 // GuardPolicy tunes the fault-tolerant offload path. The zero value of
 // any field selects its default.
 type GuardPolicy struct {
@@ -23,12 +30,6 @@ type GuardPolicy struct {
 	// BackoffBase and BackoffMax shape the capped exponential backoff
 	// slept between retries (defaults 1ms and 16ms).
 	BackoffBase, BackoffMax time.Duration
-	// Tolerance is the relative error allowed between the hardware's
-	// probe-particle force and the host reference. It must sit above
-	// the pipeline's ~0.3 % arithmetic error with margin, and below
-	// 1/Boards (a stuck pipeline drops one board's 1/Boards force
-	// share); default 0.05, fine for the paper's 2-board system.
-	Tolerance float64
 	// FallbackAfter is the number of consecutive batches lost to the
 	// host fallback after which the guard stops offering work to the
 	// hardware at all (default 3).
@@ -44,9 +45,6 @@ func (p GuardPolicy) withDefaults() GuardPolicy {
 	}
 	if p.BackoffMax == 0 {
 		p.BackoffMax = 16 * time.Millisecond
-	}
-	if p.Tolerance == 0 {
-		p.Tolerance = 0.05
 	}
 	if p.FallbackAfter == 0 {
 		p.FallbackAfter = 3
@@ -428,17 +426,16 @@ func (e *GuardedEngine) hostProbeForce(probe vec.V3, req *core.Request) (vec.V3,
 // window as an absolute floor against pathological cancellation of the
 // true force at the probe point.
 func (e *GuardedEngine) verifyProbe(acc []vec.V3, pot []float64, refAcc vec.V3, refPot float64) bool {
-	tol := e.policy.Tolerance
 	lo, hi, _ := e.sys.ScaleRange()
 	floor := 0.0
 	if hi > lo {
 		floor = math.Abs(refPot) / (hi - lo)
 	}
 	for s := range acc {
-		if math.Abs(pot[s]-refPot) > tol*math.Abs(refPot) {
+		if math.Abs(pot[s]-refPot) > guardTolerance*math.Abs(refPot) {
 			return false
 		}
-		if acc[s].Sub(refAcc).Norm() > tol*(refAcc.Norm()+floor) {
+		if acc[s].Sub(refAcc).Norm() > guardTolerance*(refAcc.Norm()+floor) {
 			return false
 		}
 	}

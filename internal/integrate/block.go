@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"repro/internal/nbody"
 )
@@ -19,15 +17,16 @@ import (
 // case without rescanning the mask.
 type ActiveForceFunc func(s *nbody.System, activeByID []bool, nActive int) error
 
-// maxRungLimit bounds the rung ladder: span = 2^MaxRung ticks, and a
+// MaxRungLimit bounds the rung ladder: span = 2^MaxRung ticks, and a
 // ladder deeper than this means dt_min was chosen absurdly small
 // relative to the block span rather than a real workload.
-const maxRungLimit = 30
+const MaxRungLimit = 30
 
-// RungCriterion maps an acceleration to a power-of-two timestep rung,
-// generalizing TimestepCriterion from "one dt for the system" to "one
-// rung per particle" (Fukushige & Kawai's hierarchical block steps).
-// Rung k carries dt = DTMin·2^k; rung MaxRung spans the whole block.
+// RungCriterion is the one timestep criterion, dt = η·sqrt(eps/|a|):
+// per particle it maps an acceleration to a power-of-two rung
+// (Fukushige & Kawai's hierarchical block steps), and for the system it
+// picks the adaptive shared step (SharedDT). Rung k carries
+// dt = DTMin·2^k; rung MaxRung spans the whole block.
 type RungCriterion struct {
 	// Eta is the dimensionless accuracy parameter (default 0.2).
 	Eta float64
@@ -44,8 +43,8 @@ func (c RungCriterion) Validate() error {
 	if !(c.DTMin > 0) || math.IsInf(c.DTMin, 0) {
 		return fmt.Errorf("integrate: rung criterion needs DTMin > 0, got %v", c.DTMin)
 	}
-	if c.MaxRung < 0 || c.MaxRung > maxRungLimit {
-		return fmt.Errorf("integrate: MaxRung %d outside [0, %d]", c.MaxRung, maxRungLimit)
+	if c.MaxRung < 0 || c.MaxRung > MaxRungLimit {
+		return fmt.Errorf("integrate: MaxRung %d outside [0, %d]", c.MaxRung, MaxRungLimit)
 	}
 	return nil
 }
@@ -59,26 +58,51 @@ func (c RungCriterion) DT(k int) float64 {
 // block run advances per Step.
 func (c RungCriterion) Span() float64 { return c.DT(c.MaxRung) }
 
-// rungFor maps a finite acceleration norm to the largest rung whose
-// step fits under dt = η·sqrt(eps/|a|), floored at rung 0 (a particle
-// wanting a smaller step than DTMin runs at DTMin: the floor trades
-// accuracy for a bounded clock, exactly like TimestepCriterion.MinDT).
-// Callers guard non-finite norms.
-func (c RungCriterion) rungFor(aNorm float64) int {
+// dtFor is the criterion dt = η·sqrt(eps/|a|) for a finite
+// acceleration norm, the standard collisionless softened-force form
+// (e.g. GADGET's ErrTolIntAccuracy); +Inf where there is no intrinsic
+// scale (|a| = 0 or no softening).
+func (c RungCriterion) dtFor(aNorm float64) float64 {
 	if aNorm == 0 || c.Eps <= 0 {
-		return c.MaxRung // free particle: no intrinsic scale
+		return math.Inf(1)
 	}
 	eta := c.Eta
 	if eta == 0 {
 		eta = 0.2
 	}
-	dt := eta * math.Sqrt(c.Eps/aNorm)
+	return eta * math.Sqrt(c.Eps/aNorm)
+}
+
+// rungFor maps a finite acceleration norm to the largest rung whose
+// step fits under dtFor, floored at rung 0 (a particle wanting a
+// smaller step than DTMin runs at DTMin: the floor trades accuracy for
+// a bounded clock, like SharedDT's dtMin). Callers guard non-finite
+// norms.
+func (c RungCriterion) rungFor(aNorm float64) int {
+	dt := c.dtFor(aNorm)
 	for k := c.MaxRung; k > 0; k-- {
 		if c.DT(k) <= dt {
 			return k
 		}
 	}
 	return 0
+}
+
+// SharedDT picks the adaptive shared step: dtFor(max_i |a_i|) clamped
+// to [dtMin, dtMax] (a free system runs at dtMax). Accelerations must be
+// current. A non-finite acceleration — a faulted board surviving guard
+// fallback, an IC bug — is a loud error: silently folding NaN/Inf into
+// the step size would poison the clock and every position after it.
+func (c RungCriterion) SharedDT(s *nbody.System, dtMin, dtMax float64) (float64, error) {
+	maxA := 0.0
+	for i, a := range s.Acc {
+		n := a.Norm()
+		if math.IsNaN(n) || math.IsInf(n, 0) {
+			return 0, fmt.Errorf("integrate: non-finite acceleration |a|=%v for particle %d (id %d): refusing to derive a timestep from corrupt forces", n, i, s.ID[i])
+		}
+		maxA = max(maxA, n)
+	}
+	return max(min(c.dtFor(maxA), dtMax), dtMin), nil
 }
 
 // BlockLeapfrog advances a system under hierarchical power-of-two block
@@ -103,7 +127,7 @@ func (c RungCriterion) rungFor(aNorm float64) int {
 // — instruction-for-instruction the same arithmetic as Leapfrog.Step.
 // That is how a shared timestep runs on this core: MaxRung = 0 with
 // Crit.DTMin as the step, constant for a fixed dt or rewritten by the
-// caller from TimestepCriterion.Pick between Steps for an adaptive one
+// caller from RungCriterion.SharedDT between Steps for an adaptive one
 // (every Step ends synchronized at tick 0, so the tick quantum may
 // change there).
 type BlockLeapfrog struct {
@@ -114,7 +138,8 @@ type BlockLeapfrog struct {
 	// ForceActive computes forces for a marked subset. Nil falls back to
 	// Force on every substep — correct but without the active-set win.
 	ForceActive ActiveForceFunc
-	// Workers bounds the rung-assignment fan-out (0 = GOMAXPROCS).
+	// Workers is ignored: rung assignment is one serial pass. The field
+	// stays for callers that still set it.
 	Workers int
 
 	rungs  []uint8 // particle ID -> rung
@@ -122,11 +147,6 @@ type BlockLeapfrog struct {
 	tick   int64   // block clock, in DTMin units, ∈ [0, 2^MaxRung)
 	primed bool
 	idsOK  bool // dense-ID validation done for the current system size
-
-	// bad holds, per rung-assignment worker, the index of the first
-	// particle with a non-finite |a| in its range (-1 if none); scanned
-	// in worker order, so the reported particle is schedule-independent.
-	bad []int
 }
 
 // NewBlockLeapfrog validates the criterion and force callbacks.
@@ -371,8 +391,8 @@ func (b *BlockLeapfrog) nextStop() int64 {
 //
 // A non-finite |a| — a faulted board surviving guard fallback, an IC
 // bug — is a loud error on every dt policy: kicking with it would
-// poison every position after it. The rung writes are indexed by
-// particle ID and race-free because index ranges partition the set.
+// poison every position after it. The pass is serial and reports the
+// first such particle in index order.
 func (b *BlockLeapfrog) assignRungs(s *nbody.System) error {
 	rungCap := b.Crit.MaxRung
 	if b.tick != 0 {
@@ -380,53 +400,16 @@ func (b *BlockLeapfrog) assignRungs(s *nbody.System) error {
 			rungCap = tz
 		}
 	}
-	n := len(s.Pos)
-	workers := b.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n/2048 {
-		workers = n / 2048 // serial below ~2k particles: spawn cost dominates
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if cap(b.bad) < workers {
-		b.bad = make([]int, workers)
-	}
-	b.bad = b.bad[:workers]
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	for i := range s.Pos {
+		id := s.ID[i]
+		if !b.active[id] {
+			continue
 		}
-		bad := &b.bad[w]
-		*bad = -1
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				id := s.ID[i]
-				if !b.active[id] {
-					continue
-				}
-				a := s.Acc[i].Norm()
-				if math.IsNaN(a) || math.IsInf(a, 0) {
-					*bad = i
-					return
-				}
-				b.rungs[id] = uint8(min(b.Crit.rungFor(a), rungCap))
-			}
-		}()
-	}
-	wg.Wait()
-	for _, i := range b.bad {
-		if i >= 0 {
-			return fmt.Errorf("integrate: non-finite acceleration |a|=%v for particle id %d at tick %d: refusing to assign a rung from corrupt forces", s.Acc[i].Norm(), s.ID[i], b.tick)
+		a := s.Acc[i].Norm()
+		if math.IsNaN(a) || math.IsInf(a, 0) {
+			return fmt.Errorf("integrate: non-finite acceleration |a|=%v for particle id %d at tick %d: refusing to assign a rung from corrupt forces", a, id, b.tick)
 		}
+		b.rungs[id] = uint8(min(b.Crit.rungFor(a), rungCap))
 	}
 	return nil
 }

@@ -1,8 +1,9 @@
 package integrate
 
 import (
+	"fmt"
 	"math"
-	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/nbody"
@@ -81,44 +82,40 @@ func requireSameSystems(t *testing.T, want, got *nbody.System, what string) {
 // TestBlockSingleRungMatchesLeapfrog is the determinism anchor: with
 // MaxRung=0 every substep spans the whole block with the full set
 // active, and the scheduler must replay Leapfrog's arithmetic
-// instruction for instruction — bitwise, at both scheduler widths.
+// instruction for instruction — bitwise.
 func TestBlockSingleRungMatchesLeapfrog(t *testing.T) {
 	const g, eps, dt, steps = 1.0, 0.05, 0.01, 25
-	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		ref := nbody.Plummer(150, 1, 1, g, rng.New(7))
-		lf, err := NewLeapfrog(dt, directForce(g, eps))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lf.Run(ref, steps); err != nil {
-			t.Fatal(err)
-		}
-
-		blk := nbody.Plummer(150, 1, 1, g, rng.New(7))
-		var c forceCounter
-		bl, err := NewBlockLeapfrog(
-			RungCriterion{Eta: 0.2, Eps: eps, DTMin: dt, MaxRung: 0},
-			c.full(directForce(g, eps)), c.active(directActiveForce(g, eps)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := bl.Prime(blk); err != nil {
-			t.Fatal(err)
-		}
-		for s := 0; s < steps; s++ {
-			c = forceCounter{}
-			if err := bl.Step(blk); err != nil {
-				t.Fatal(err)
-			}
-			if c.substeps != 1 || c.activeI != int64(blk.N()) {
-				t.Fatalf("single-rung step ran %d substeps with %d active, want 1 full substep",
-					c.substeps, c.activeI)
-			}
-		}
-		runtime.GOMAXPROCS(prev)
-		requireSameSystems(t, ref, blk, "single rung")
+	ref := nbody.Plummer(150, 1, 1, g, rng.New(7))
+	lf, err := NewLeapfrog(dt, directForce(g, eps))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := lf.Run(ref, steps); err != nil {
+		t.Fatal(err)
+	}
+
+	blk := nbody.Plummer(150, 1, 1, g, rng.New(7))
+	var c forceCounter
+	bl, err := NewBlockLeapfrog(
+		RungCriterion{Eta: 0.2, Eps: eps, DTMin: dt, MaxRung: 0},
+		c.full(directForce(g, eps)), c.active(directActiveForce(g, eps)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bl.Prime(blk); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < steps; s++ {
+		c = forceCounter{}
+		if err := bl.Step(blk); err != nil {
+			t.Fatal(err)
+		}
+		if c.substeps != 1 || c.activeI != int64(blk.N()) {
+			t.Fatalf("single-rung step ran %d substeps with %d active, want 1 full substep",
+				c.substeps, c.activeI)
+		}
+	}
+	requireSameSystems(t, ref, blk, "single rung")
 }
 
 // TestBlockPinnedTopRungMatchesLeapfrog pins every particle to the top
@@ -229,11 +226,14 @@ func TestBlockNilForceActiveFallsBack(t *testing.T) {
 	}
 }
 
+// TestBlockRejectsNonFiniteAcceleration poisons two particles: rung
+// assignment refuses the step and names the first in index order.
 func TestBlockRejectsNonFiniteAcceleration(t *testing.T) {
 	s := nbody.Plummer(32, 1, 1, 1, rng.New(6))
 	poison := func(sys *nbody.System) error {
 		nbody.DirectForces(sys, 1, 0.05)
 		sys.Acc[13] = vec.V3{X: math.NaN()}
+		sys.Acc[20] = vec.V3{Y: math.Inf(1)}
 		return nil
 	}
 	bl, err := NewBlockLeapfrog(
@@ -242,8 +242,66 @@ func TestBlockRejectsNonFiniteAcceleration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bl.Step(s); err == nil {
+	err = bl.Step(s)
+	if err == nil {
 		t.Fatal("NaN acceleration survived rung assignment")
+	}
+	if want := fmt.Sprintf("|a|=NaN for particle id %d at tick 0", s.ID[13]); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the first poisoned particle (%q)", err, want)
+	}
+}
+
+func TestSharedStepPick(t *testing.T) {
+	s := nbody.New(2)
+	s.Mass[0], s.Mass[1] = 1, 1
+	s.Acc[0] = vec.V3{X: 4}
+	s.Acc[1] = vec.V3{X: 1}
+	c := RungCriterion{Eta: 0.2, Eps: 0.01}
+	// dt = 0.2 * sqrt(0.01/4) = 0.2*0.05 = 0.01.
+	got, err := c.SharedDT(s, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got-0.01) > 1e-14 {
+		t.Errorf("dt = %v, want 0.01", got)
+	}
+}
+
+func TestTimestepPickRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := nbody.New(2)
+		s.Mass[0], s.Mass[1] = 1, 1
+		s.Acc[0] = vec.V3{X: 1}
+		s.Acc[1] = vec.V3{Y: bad}
+		c := RungCriterion{Eta: 0.2, Eps: 0.01}
+		if dt, err := c.SharedDT(s, 0, 1); err == nil {
+			t.Errorf("SharedDT accepted |a| with component %v: dt = %v", bad, dt)
+		}
+	}
+}
+
+func TestTimestepCaps(t *testing.T) {
+	s := nbody.New(1)
+	s.Mass[0] = 1
+	s.Acc[0] = vec.V3{X: 1e-12}
+	c := RungCriterion{Eta: 0.2, Eps: 1}
+	if got, err := c.SharedDT(s, 0, 0.5); err != nil || got != 0.5 {
+		t.Errorf("uncapped dt leaked: %v (err %v)", got, err)
+	}
+	s.Acc[0] = vec.V3{X: 1e12}
+	if got, err := c.SharedDT(s, 1e-3, 0.5); err != nil || got != 1e-3 {
+		t.Errorf("floor not applied: %v (err %v)", got, err)
+	}
+}
+
+func TestTimestepFreeSystem(t *testing.T) {
+	s := nbody.New(1)
+	s.Mass[0] = 1
+	if got, err := (RungCriterion{Eps: 1}).SharedDT(s, 0, 0.25); err != nil || got != 0.25 {
+		t.Errorf("free-system dt = %v (err %v)", got, err)
+	}
+	if got, err := (RungCriterion{}).SharedDT(s, 0, 0.25); err != nil || got != 0.25 {
+		t.Errorf("unsoftened dt = %v (err %v)", got, err)
 	}
 }
 
@@ -254,7 +312,7 @@ func TestBlockValidation(t *testing.T) {
 	if _, err := NewBlockLeapfrog(RungCriterion{DTMin: 0.1, MaxRung: -1}, directForce(1, 0), nil); err == nil {
 		t.Error("negative MaxRung accepted")
 	}
-	if _, err := NewBlockLeapfrog(RungCriterion{DTMin: 0.1, MaxRung: maxRungLimit + 1}, directForce(1, 0), nil); err == nil {
+	if _, err := NewBlockLeapfrog(RungCriterion{DTMin: 0.1, MaxRung: MaxRungLimit + 1}, directForce(1, 0), nil); err == nil {
 		t.Error("absurd MaxRung accepted")
 	}
 	if _, err := NewBlockLeapfrog(RungCriterion{DTMin: 0.1, MaxRung: 2}, nil, nil); err == nil {
@@ -313,29 +371,59 @@ func TestBlockPrimedFlag(t *testing.T) {
 	}
 }
 
-// TestBlockDeterministicAcrossWidths runs the same multi-rung schedule
-// at Workers 1 and 4 and requires bitwise-identical state: the rung
-// reduction's per-worker partials and ordered fold must keep goroutine
-// scheduling out of the physics.
-func TestBlockDeterministicAcrossWidths(t *testing.T) {
-	const g, eps = 1.0, 0.02
-	run := func(workers int) *nbody.System {
-		s := nbody.Plummer(200, 1, 1, g, rng.New(8))
-		bl, err := NewBlockLeapfrog(
-			RungCriterion{Eta: 0.05, Eps: eps, DTMin: 0.001, MaxRung: 3},
-			directForce(g, eps), directActiveForce(g, eps))
-		if err != nil {
-			t.Fatal(err)
+// TestStepAllocsBlockLeapfrog is the integrator core's allocation gate:
+// a primed multi-rung Step whose force callbacks allocate nothing must
+// allocate nothing itself, on any substep. Workers is set as a caller
+// with wide machines would set it: a rung pass fanned out to four
+// goroutines costs 6 objects a substep, 48 a Step here, and fails.
+func TestStepAllocsBlockLeapfrog(t *testing.T) {
+	const n = 8192
+	s := nbody.New(n)
+	for i := range s.Mass {
+		s.Mass[i] = 1.0 / n
+	}
+	// |a| = 4^(ID mod 4) under η = eps = 1 asks for dt = 2^-(ID mod 4):
+	// four occupied rungs, eight substeps a block.
+	set := func(sys *nbody.System, i int) {
+		sys.Acc[i] = vec.V3{X: float64(int64(1) << (2 * (sys.ID[i] % 4)))}
+	}
+	calls := 0
+	full := func(sys *nbody.System) error {
+		calls++
+		for i := range sys.Acc {
+			set(sys, i)
 		}
-		bl.Workers = workers
-		for i := 0; i < 8; i++ {
-			if err := bl.Step(s); err != nil {
-				t.Fatal(err)
+		return nil
+	}
+	active := func(sys *nbody.System, on []bool, _ int) error {
+		calls++
+		for i := range sys.Acc {
+			if on[sys.ID[i]] {
+				set(sys, i)
 			}
 		}
-		return s
+		return nil
 	}
-	requireSameSystems(t, run(1), run(4), "worker widths")
+	bl, err := NewBlockLeapfrog(RungCriterion{Eta: 1, Eps: 1, DTMin: 0.125, MaxRung: 3}, full, active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bl.Workers = 4
+	if err := bl.Step(s); err != nil {
+		t.Fatal(err)
+	}
+	calls = 0
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := bl.Step(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if calls != 6*8 {
+		t.Fatalf("%d force calls over 6 blocks, want 8 substeps each", calls)
+	}
+	if allocs != 0 {
+		t.Fatalf("primed multi-rung Step allocates %.1f objects/run, want 0", allocs)
+	}
 }
 
 // FuzzBlockSchedule checks the scheduler's two conservation laws under

@@ -220,6 +220,3 @@ const rootPath = "repro"
 
 // servePath is the multi-tenant job server, in goroutinejoin's scope.
 const servePath = "repro/internal/serve"
-
-// ckptPath is the durable checkpoint store, in goroutinejoin's scope.
-const ckptPath = "repro/internal/ckpt"

@@ -412,8 +412,9 @@ func TestE2ERestartRecovery(t *testing.T) {
 // TestE2ERestartReadmission: a restart re-resolves every job it would
 // revive under the current budget. A job.json edited (or torn, or
 // written under a larger budget) so that its request no longer resolves
-// — here n = MaxParticles+1 — is listed as failed with the reason and
-// never run; its untouched neighbour is revived and completes.
+// — here n = MaxParticles+1 — is listed as failed with the reason,
+// counted against its tenant and never run; its untouched neighbour is
+// revived and completes.
 func TestE2ERestartReadmission(t *testing.T) {
 	dir := t.TempDir()
 	budget := serve.Budget{MaxRunning: 1, MaxParticles: 64}
@@ -454,6 +455,17 @@ func TestE2ERestartReadmission(t *testing.T) {
 	}
 	if got := e2.waitTerminal(t, keep, 60*time.Second); got.State != serve.StateDone {
 		t.Errorf("untouched job finished %s (%s), want done", got.State, got.Error)
+	}
+	// The refusal is counted like any failure: the server's total is the
+	// sum of its tenants'.
+	var m serve.Metrics
+	e2.getJSON(t, "/metrics", &m)
+	var tenantFailed int64
+	for _, tm := range m.Tenants {
+		tenantFailed += tm.Failed
+	}
+	if m.JobsFailed != 1 || tenantFailed != m.JobsFailed {
+		t.Errorf("jobs_failed = %d, tenants' failed sum to %d; want 1 and 1", m.JobsFailed, tenantFailed)
 	}
 	// The refusal is durable: the record on disk is terminal now.
 	if raw, err = os.ReadFile(metaPath); err != nil || !strings.Contains(string(raw), `"state":"failed"`) {

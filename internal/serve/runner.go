@@ -275,12 +275,7 @@ func (s *Server) loadJobs() error {
 	// daemon finished, in admission order.
 	for _, j := range refused {
 		s.logf("job %s: %s", j.id, j.errMsg)
-		s.failed++
-		s.doneSeq++
-		j.state, j.doneSeq = StateFailed, s.doneSeq
-		s.persistMetaLocked(j)
-		j.hub.close()
-		close(j.done)
+		s.finalizeLocked(j, StateFailed, j.errMsg)
 	}
 	return nil
 }

@@ -255,8 +255,25 @@ func (s *Server) finishJob(j *Job, state, errMsg string) {
 	s.running--
 	t.running--
 	s.boardsLeased -= j.spec.Boards
-	terminal := true
-	j.mu.Lock()
+	if state == StateQueued { // drained: back to queued, still resumable
+		j.mu.Lock()
+		j.state, j.errMsg, j.cancel = state, errMsg, nil
+		j.mu.Unlock()
+		s.persistMetaLocked(j)
+	} else {
+		s.finalizeLocked(j, state, errMsg)
+	}
+	s.dispatchLocked()
+	s.mu.Unlock()
+}
+
+// finalizeLocked is every job's one terminal transition (a run's end, a
+// queued cancel, a refusal at restart): it bumps the server's and the
+// job's tenant's counter for state, stamps the completion sequence,
+// persists the record and closes the job's event stream and done
+// channel. s.mu must be held and j.mu not (server-then-job order).
+func (s *Server) finalizeLocked(j *Job, state, errMsg string) {
+	t := s.tenantLocked(j.spec.Tenant)
 	switch state {
 	case StateDone:
 		s.completed++
@@ -267,24 +284,12 @@ func (s *Server) finishJob(j *Job, state, errMsg string) {
 	case StateCanceled:
 		s.canceled++
 		t.canceled++
-	default: // drained: back to queued, still resumable
-		terminal = false
 	}
-	j.state = state
-	j.errMsg = errMsg
-	j.cancel = nil
-	if terminal {
-		s.doneSeq++
-		j.doneSeq = s.doneSeq
-	}
+	s.doneSeq++
+	j.mu.Lock()
+	j.state, j.errMsg, j.cancel, j.doneSeq = state, errMsg, nil, s.doneSeq
 	j.mu.Unlock()
 	s.persistMetaLocked(j)
-	s.mu.Unlock()
-	if terminal {
-		j.hub.close()
-		close(j.done)
-	}
-	s.mu.Lock()
-	s.dispatchLocked()
-	s.mu.Unlock()
+	j.hub.close()
+	close(j.done)
 }

@@ -376,16 +376,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 		}
-		j.state = StateCanceled
-		s.canceled++
-		t.canceled++
-		s.doneSeq++
-		j.doneSeq = s.doneSeq
+		msg := j.errMsg
 		j.mu.Unlock()
-		s.persistMetaLocked(j)
+		s.finalizeLocked(j, StateCanceled, msg)
 		s.mu.Unlock()
-		j.hub.close()
-		close(j.done)
 	case StateRunning:
 		j.cancelFlag.Store(true)
 		if j.cancel != nil {

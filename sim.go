@@ -137,7 +137,6 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, errors.Join(err, sim.Close())
 	}
-	bl.Workers = cfg.Workers
 	sim.bl = bl
 	return sim, nil
 }
@@ -247,9 +246,7 @@ func (sim *Simulation) Step() error {
 				return err
 			}
 		}
-		dt, err := integrate.TimestepCriterion{
-			Eta: sim.cfg.Eta, Eps: sim.cfg.Eps, MaxDT: sim.cfg.DT, MinDT: sim.cfg.DTMin,
-		}.Pick(sim.Sys)
+		dt, err := sim.bl.Crit.SharedDT(sim.Sys, sim.cfg.DTMin, sim.cfg.DT)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package grape5
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -24,6 +25,31 @@ func allocTestSystem(n int) *nbody.System {
 	return s
 }
 
+// steadyAllocs measures a primed simulation's steady-state Step in
+// three windows of testing.AllocsPerRun(5, Step): the objects per Step
+// of the least window and the heap bytes per Step of the most. A
+// residue allocated every Step shows in every window; a one-off growth
+// shows in one (under GOMAXPROCS 1 the guard's second scratch set is
+// made and grown, 25-40 objects, only when the scheduler first
+// interleaves the two walk workers), and the byte budgets and the
+// drifting-maximum case watch those.
+func steadyAllocs(t *testing.T, sim *Simulation) (allocs float64, bytesPerStep int64) {
+	t.Helper()
+	allocs = math.Inf(1)
+	for range 3 {
+		var bytes int64
+		a := testing.AllocsPerRun(5, func() {
+			if err := sim.Step(); err != nil {
+				t.Fatal(err)
+			}
+			bytes += sim.LastReport.BytesAlloc
+		})
+		// AllocsPerRun ran the function 5 measured times plus one warmup.
+		allocs, bytesPerStep = min(allocs, a), max(bytesPerStep, bytes/6)
+	}
+	return allocs, bytesPerStep
+}
+
 // TestStepAllocs is the allocation-regression gate of the arena
 // pipeline: after warmup, a host-engine Step must run its whole
 // build->group->walk path on reused scratch. At this size the seed
@@ -33,12 +59,15 @@ func allocTestSystem(n int) *nbody.System {
 // seed with margin; the object budget catches per-group or per-node
 // leaks that stay small in bytes.
 //
-// The object budgets of the three TestStepAllocs* gates are set from
-// measurement, not headroom: 20 runs each at GOMAXPROCS 1 and 4, plain
-// and under the race detector (which `go test -race ./...` must also
-// pass). One allocation per group — core.walkWorker's Request declared
-// inside its loop instead of hoisted — measures 80 / 74 / 318 and must
-// fail all three.
+// The object budgets of the four TestStepAllocs* gates (host, guarded,
+// cluster, blocks) are the measured steady state plus about a quarter:
+// 10 / 6 / 6 / 38 objects a Step in every run, 10 runs each at
+// GOMAXPROCS 1 and 4 plain and 5 under the race detector (which
+// `go test -race ./...` must also pass). Each budget fails the revision
+// whose rung pass spawned goroutines on every substep (16 / 10 / 10 /
+// 62), and one allocation per group — core.walkWorker's Request
+// declared inside its loop instead of hoisted, which measured 80 / 74 /
+// 318 on the host, guarded and block gates — fails those three.
 func TestStepAllocs(t *testing.T) {
 	const n = 8192
 	// Seed baseline at n=8192, Workers=4, Ncrit=500 (commit 4a283d2,
@@ -62,22 +91,14 @@ func TestStepAllocs(t *testing.T) {
 		}
 	}
 
-	var bytes int64
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := sim.Step(); err != nil {
-			t.Fatal(err)
-		}
-		bytes += sim.LastReport.BytesAlloc
-	})
-	// AllocsPerRun ran the function 5 measured times plus one warmup.
-	bytesPerStep := bytes / 6
+	allocs, bytesPerStep := steadyAllocs(t, sim)
 	if bytesPerStep > seedBytesPerStep/10 {
 		t.Fatalf("steady-state Step allocates %d bytes, budget %d (10x under the seed's ~%d)",
 			bytesPerStep, seedBytesPerStep/10, seedBytesPerStep)
 	}
 	// Object-count residue: tree header, stats header, telemetry
-	// snapshot, goroutine spawns — 16 on every run (seed: ~235).
-	const budget = 40
+	// snapshot, walk-worker spawns — 10 on every run (seed: ~235).
+	const budget = 12
 	if allocs > budget {
 		t.Fatalf("steady-state Step allocates %.0f objects/run, budget %d", allocs, budget)
 	}
@@ -154,14 +175,7 @@ func TestStepAllocsGuarded(t *testing.T) {
 				}
 			}
 
-			var bytes int64
-			allocs := testing.AllocsPerRun(5, func() {
-				if err := sim.Step(); err != nil {
-					t.Fatal(err)
-				}
-				bytes += sim.LastReport.BytesAlloc
-			})
-			bytesPerStep := bytes / 6
+			allocs, bytesPerStep := steadyAllocs(t, sim)
 			// The emulated hardware's own staging dominates the residue; the
 			// budget pins the GRAPE step at the same order as the host step
 			// (a per-batch or per-particle leak at n=4096 would add >100 KB).
@@ -169,8 +183,8 @@ func TestStepAllocsGuarded(t *testing.T) {
 			if bytesPerStep > byteBudget {
 				t.Fatalf("steady-state Step allocates %d bytes, budget %d", bytesPerStep, byteBudget)
 			}
-			// 10 on every run.
-			const budget = 26
+			// 6 on every run.
+			const budget = 8
 			if allocs > budget {
 				t.Fatalf("steady-state Step allocates %.0f objects/run, budget %d", allocs, budget)
 			}
@@ -204,19 +218,12 @@ func TestStepAllocsCluster(t *testing.T) {
 		}
 	}
 
-	var bytes int64
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := sim.Step(); err != nil {
-			t.Fatal(err)
-		}
-		bytes += sim.LastReport.BytesAlloc
-	})
-	bytesPerStep := bytes / 6
+	allocs, bytesPerStep := steadyAllocs(t, sim)
 	const byteBudget = 64_000
 	if bytesPerStep > byteBudget {
 		t.Fatalf("cluster steady-state Step allocates %d bytes, budget %d", bytesPerStep, byteBudget)
 	}
-	const budget = 26
+	const budget = 8 // 6 on every run
 	if allocs > budget {
 		t.Fatalf("cluster steady-state Step allocates %.0f objects/run, budget %d", allocs, budget)
 	}
@@ -314,14 +321,7 @@ func TestStepAllocsBlocks(t *testing.T) {
 		t.Fatalf("only %d substeps per block: active-set path not exercised", sim.LastReport.Substeps)
 	}
 
-	var bytes int64
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := sim.Step(); err != nil {
-			t.Fatal(err)
-		}
-		bytes += sim.LastReport.BytesAlloc
-	})
-	bytesPerStep := bytes / 6
+	allocs, bytesPerStep := steadyAllocs(t, sim)
 	// Same order as the fixed-dt host budget: the block machinery may
 	// rebuild the tree on some substeps but must not allocate per
 	// particle or per gather segment in steady state.
@@ -329,10 +329,11 @@ func TestStepAllocsBlocks(t *testing.T) {
 	if bytesPerStep > byteBudget {
 		t.Fatalf("steady-state block Step allocates %d bytes, budget %d", bytesPerStep, byteBudget)
 	}
-	// 62 plain and under the race detector, now that each walk worker
-	// reuses one gather segment grown by append's rule (77-88 and 108-173
-	// while segments were made to fit each group).
-	const budget = 250
+	// 38 plain and under the race detector, now that the rung pass
+	// spawns no goroutines (62 while it did) and each walk worker reuses
+	// one gather segment grown by append's rule (77-88 and 108-173 while
+	// segments were made to fit each group).
+	const budget = 48
 	if allocs > budget {
 		t.Fatalf("steady-state block Step allocates %.0f objects/run, budget %d", allocs, budget)
 	}
