@@ -63,11 +63,12 @@ bench-alloc:
 # §12): kill/resume bitwise-identity, torn-checkpoint fallback, graceful
 # SIGINT and the supervised crash loop — through the real binaries,
 # under the race detector — plus, at the unit level, the checkpoint
-# reader's corruption guarantees, the byte-golden files of both formats
-# and the resume of a store written before the manifest was dropped.
+# reader's corruption guarantees, the byte-golden files of both formats,
+# the resume of a store written before the manifest was dropped, and
+# the step report's checkpoint telemetry (each save counted once).
 ckpt-e2e:
 	$(GO) test -count=1 -race -run 'TestE2E' ./cmd/grape5sim ./cmd/simrun
-	$(GO) test -count=1 -run 'TestEveryBitFlipDetected|TestEveryTruncationDetected|TestLatestValid|TestParentWrittenStoreResumes|TestGoldenFilesByteIdentical|TestResumeRefusesRetiredOptions' ./internal/ckpt ./internal/snapio .
+	$(GO) test -count=1 -run 'TestEveryBitFlipDetected|TestEveryTruncationDetected|TestLatestValid|TestParentWrittenStoreResumes|TestGoldenFilesByteIdentical|TestResumeRefusesRetiredOptions|TestCheckpointTelemetryCountsEachSaveOnce' ./internal/ckpt ./internal/snapio .
 
 # serve-e2e gates the multi-tenant job server (DESIGN.md §14): fair
 # completion order, explicit 429 backpressure, bitwise result identity

@@ -92,13 +92,14 @@ type Config struct {
 	// returns it. Every GRAPE run drives a g5.Cluster of max(Shards, 1)
 	// shards.
 	Guard bool
-	// GuardPolicy tunes the guard; the zero value selects defaults.
+	// GuardPolicy is ignored: the guard runs one fixed recovery policy
+	// (g5.GuardPolicy has no fields).
 	GuardPolicy g5.GuardPolicy
 	// Shards is the number K of independent GRAPE systems the guarded
 	// cluster engine (g5.Cluster) drives: each group force batch runs,
 	// in the walk worker that built it, on the shard with the least work
-	// placed so far in the force call. Shards > 1 implies Guard
-	// (GuardPolicy applies per shard); 0 or 1 is one system.
+	// placed so far in the force call. Shards > 1 implies Guard; 0 or 1
+	// is one system.
 	Shards int
 	// PMGrid is the particle-mesh size per dimension for EnginePM
 	// (default 64; power of two).

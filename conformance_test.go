@@ -416,19 +416,13 @@ type column struct {
 
 // onGRAPE configures the emulated GRAPE-5 behind the guard on shards
 // shards (0: one shard with the guard off), injecting f into every board.
-func onGRAPE(shards int, f *g5.FaultModel, edit ...func(*Config)) func(*Config) {
+func onGRAPE(shards int, f *g5.FaultModel) func(*Config) {
 	return func(c *Config) {
 		c.Engine, c.Guard = EngineGRAPE5, shards > 0
 		if shards > 1 {
 			c.Shards = shards
 		}
-		if f != nil {
-			c.Fault = f
-			c.GuardPolicy = g5.GuardPolicy{BackoffBase: 1, BackoffMax: 1}
-		}
-		for _, e := range edit {
-			e(c)
-		}
+		c.Fault = f
 	}
 }
 
@@ -459,10 +453,9 @@ var matrixColumns = []column{
 	{"stuck", 'G', "", onGRAPE(1, &g5.FaultModel{Seed: 5, StuckPipeRate: 0.02}),
 		func(r record, _ *Simulation) bool { return r.Recovery.CorruptResults > 0 }},
 	// A pipe of a board in service sticks on every call: each board in
-	// turn fails the check and the first batch abandons the hardware.
-	{"dead", 'H', "", onGRAPE(1, &g5.FaultModel{Seed: 9, StuckPipeRate: 1}, func(c *Config) {
-		c.GuardPolicy.MaxRetries, c.GuardPolicy.FallbackAfter = 1, 1
-	}), func(r record, sim *Simulation) bool {
+	// turn fails the check, and the third batch lost to the host in a row
+	// abandons the hardware.
+	{"dead", 'H', "", onGRAPE(1, &g5.FaultModel{Seed: 9, StuckPipeRate: 1}), func(r record, sim *Simulation) bool {
 		return r.Recovery.HostOnly && r.Recovery.FallbackBatches > 0 && sim.Cluster().ActiveBoards() == 0
 	}},
 	{"bitflip", 'F', "", onGRAPE(1, &g5.FaultModel{Seed: 7, JMemBitFlipRate: 0.05}),

@@ -22,7 +22,8 @@ type ClusterConfig struct {
 	Board Config
 	// G is the gravitational constant applied on readback (0 → 1).
 	G float64
-	// Guard tunes each shard's fault-tolerant offload path.
+	// Guard is ignored: every shard runs the guard's one policy (see
+	// GuardPolicy).
 	Guard GuardPolicy
 	// Unguarded turns the guard off (see NewEngine): a hardware error
 	// fails the batch and the next Flush returns it. NewCluster refuses
@@ -125,9 +126,6 @@ func (c *Cluster) Shards() int { return len(c.shards) }
 // ShardSystem exposes shard k's hardware for counter access and tests.
 // Callers must not Compute on it while the cluster is in use.
 func (c *Cluster) ShardSystem(k int) *System { return c.shards[k].sys }
-
-// ShardEngine exposes shard k's driver for recovery inspection.
-func (c *Cluster) ShardEngine(k int) *GuardedEngine { return c.shards[k].eng }
 
 // ShardInteractions returns the pairwise interactions placed per shard
 // — the load-balance measure the golden tests pin.
@@ -293,14 +291,14 @@ func (c *Cluster) Flush() error {
 func (c *Cluster) Close() error { return c.Flush() }
 
 // mergeObs folds the interval's per-shard telemetry into the target
-// observer, then resets the shard observers. Counters (flops, bytes,
-// recoveries, fallbacks) and the guard span are summed — they are real
-// aggregate work. The simulated hardware phases (j/i transfer,
-// pipeline, readback) are taken from the critical-path shard only: the
-// boards run concurrently, so the cluster's t_grape and t_comm are the
-// slowest shard's — the quantity the K-board time-balance model
-// predicts shrinking as 1/K. The caller's own timer around Accumulate
-// (the treecode's force_eval) already holds the host-side time.
+// observer, then resets the shard observers. The guard span is summed:
+// it is real aggregate host work. The simulated hardware phases (j/i
+// transfer, pipeline, readback) are taken from the critical-path shard
+// only: the boards run concurrently, so the cluster's t_grape and
+// t_comm are the slowest shard's — the quantity the K-board
+// time-balance model predicts shrinking as 1/K. The caller's own timer
+// around Accumulate (the treecode's force_eval) already holds the
+// host-side time.
 func (c *Cluster) mergeObs() {
 	target := c.ob
 	crit, critSpan := 0, -1.0
@@ -322,10 +320,6 @@ func (c *Cluster) mergeObs() {
 			target.AddSeconds(obs.PhasePipeline, sh.ob.Seconds(obs.PhasePipeline))
 			target.AddSeconds(obs.PhaseReadback, sh.ob.Seconds(obs.PhaseReadback))
 		}
-		target.Add(obs.CntFlops, sh.ob.Count(obs.CntFlops))
-		target.Add(obs.CntBytes, sh.ob.Count(obs.CntBytes))
-		target.Add(obs.CntRecoveries, sh.ob.Count(obs.CntRecoveries))
-		target.Add(obs.CntFallbacks, sh.ob.Count(obs.CntFallbacks))
 		sh.ob.Reset()
 	}
 }

@@ -95,13 +95,13 @@ func (c chunkedEngine) Flush() error { return c.eng.Flush() }
 // whole batches and pathological i-splits.
 func TestClusterK1BitwiseIdenticalToGuard(t *testing.T) {
 	refSys := newGuardSystem(t, paper, DefaultConfig(), 0.05)
-	ref := NewGuardedEngine(refSys, 1.5, fastPolicy())
+	ref := NewGuardedEngine(refSys, 1.5, GuardPolicy{})
 	want := runBatches(t, ref, 21, false)
 
 	for _, chunk := range []int{0, 1, 7, 96, 1000} {
 		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
 			cl := newConformanceCluster(t, ClusterConfig{
-				Shards: 1, Board: DefaultConfig(), G: 1.5, Guard: fastPolicy(),
+				Shards: 1, Board: DefaultConfig(), G: 1.5,
 			}, 0.05)
 			got := runBatches(t, chunkedEngine{cl, chunk}, 21, false)
 			for b := range want {
@@ -129,14 +129,14 @@ func TestClusterK1BitwiseIdenticalToGuard(t *testing.T) {
 // cannot sneak in silently.
 func TestClusterShardsAgreeWithK1(t *testing.T) {
 	base := newConformanceCluster(t, ClusterConfig{
-		Shards: 1, Board: DefaultConfig(), G: 1, Guard: fastPolicy(),
+		Shards: 1, Board: DefaultConfig(), G: 1,
 	}, 0.05)
 	want := runBatches(t, base, 33, true)
 
 	for _, k := range []int{2, 4, 8} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
 			cl := newConformanceCluster(t, ClusterConfig{
-				Shards: k, Board: DefaultConfig(), G: 1, Guard: fastPolicy(),
+				Shards: k, Board: DefaultConfig(), G: 1,
 			}, 0.05)
 			got := runBatches(t, cl, 33, true)
 			for b := range want {
@@ -178,7 +178,7 @@ func TestClusterConcurrentAccumulate(t *testing.T) {
 	refSys := newGuardSystem(t, paper, DefaultConfig(), 0.05)
 	ref := NewEngine(refSys, 1)
 	cl := newConformanceCluster(t, ClusterConfig{
-		Shards: 4, Board: DefaultConfig(), G: 1, Guard: fastPolicy(),
+		Shards: 4, Board: DefaultConfig(), G: 1,
 	}, 0.05)
 
 	const producers, perProducer = 4, 6
@@ -221,7 +221,7 @@ func TestClusterConcurrentAccumulate(t *testing.T) {
 // Flush error, so a walk worker's failed batch ends the force call
 // instead of the process — and must not wedge the cluster.
 func TestClusterFlushSurfacesShardPanic(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{Shards: 2, Board: DefaultConfig(), G: 1, Guard: fastPolicy()})
+	cl, err := NewCluster(ClusterConfig{Shards: 2, Board: DefaultConfig(), G: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,11 +277,9 @@ func FuzzClusterShard(f *testing.F) {
 		case 3:
 			cfg.Fault = &FaultModel{Seed: seed, BusErrorRate: 0.08, TransientRate: 0.08}
 		}
-		pol := fastPolicy()
-		pol.MaxRetries = 12
 
 		cl, err := NewCluster(ClusterConfig{
-			Shards: shards, Board: cfg, G: 1, Guard: pol,
+			Shards: shards, Board: cfg, G: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -296,7 +294,7 @@ func FuzzClusterShard(f *testing.F) {
 
 		// Fault-free single-engine reference for the same batches.
 		refSys := newGuardSystem(t, paper, DefaultConfig(), 0.05)
-		ref := NewGuardedEngine(refSys, 1, fastPolicy())
+		ref := NewGuardedEngine(refSys, 1, GuardPolicy{})
 
 		const batches = 3
 		r := rng.New(seed)
@@ -328,7 +326,7 @@ func FuzzClusterShard(f *testing.F) {
 		var sum Recovery
 		var executed int64
 		for k := 0; k < cl.Shards(); k++ {
-			sr := cl.ShardEngine(k).Recovery()
+			sr := cl.shards[k].eng.Recovery()
 			sum.Checks += sr.Checks
 			sum.Retries += sr.Retries
 			sum.FallbackBatches += sr.FallbackBatches

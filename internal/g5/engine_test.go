@@ -27,7 +27,7 @@ func TestEngineMatchesHostEngine(t *testing.T) {
 	// The GRAPE engine must agree with the float64 host engine to
 	// pipeline precision on a random batch.
 	e := newTestEngine(t, 2.5)
-	e.System().SetEps(0.05)
+	e.sys.SetEps(0.05)
 	host := &core.HostEngine{G: 2.5, Eps: 0.05}
 
 	r := rng.New(8)
@@ -97,7 +97,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	c := e.System().Counters()
+	c := e.sys.Counters()
 	if c.Runs != calls {
 		t.Errorf("runs = %d, want %d", c.Runs, calls)
 	}

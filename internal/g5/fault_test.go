@@ -189,21 +189,30 @@ func TestComputeUnderFaultsAllocatesNothing(t *testing.T) {
 // evaluation scratch — stuck factors included — belong to the batch in
 // flight and are recycled through the engine's free list, so a
 // steady-state Accumulate allocates nothing: healthy, and with a pipe
-// stuck on every call (each batch then retries, bisects and falls back
-// to the host, and FallbackAfter keeps the hardware in play).
+// stuck on every call. Each stuck batch then retries, bisects and falls
+// back to the host; clearing the lost-batch streak after each one, as a
+// healthy batch in between would, keeps the hardware in play, so every
+// measured batch takes that whole path rather than the abandoned
+// engine's straight host call.
 func TestGuardAccumulateAllocatesNothing(t *testing.T) {
 	q := randomRequest(rng.New(19), 20, 100)
 	for _, fm := range []*FaultModel{nil, {Seed: 3, StuckPipeRate: 1}} {
 		cfg := DefaultConfig()
 		cfg.Fault = fm
-		pol := fastPolicy()
-		pol.FallbackAfter = 1 << 30
-		guard := NewGuardedEngine(newGuardSystem(t, paper, cfg, 0.05), 1, pol)
-		if allocs := testing.AllocsPerRun(20, func() { guard.Accumulate(q) }); allocs != 0 {
+		guard := NewGuardedEngine(newGuardSystem(t, paper, cfg, 0.05), 1, GuardPolicy{})
+		batch := func() {
+			guard.Accumulate(q)
+			guard.consecFallback = 0
+		}
+		if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
 			t.Errorf("fault model %+v: Accumulate allocates %v times per call", fm, allocs)
 		}
-		if rec := guard.Recovery(); rec.HostOnly || (fm != nil) != (rec.FallbackBatches > 0) {
-			t.Errorf("fault model %+v: unexpected recovery %v", fm, rec)
+		lost := int64(0)
+		if fm != nil {
+			lost = 21 // AllocsPerRun's warm-up call and its 20 runs
+		}
+		if rec := guard.Recovery(); rec.HostOnly || rec.FallbackBatches != lost {
+			t.Errorf("fault model %+v: recovery %v, want %d batches lost to the host", fm, rec, lost)
 		}
 	}
 }

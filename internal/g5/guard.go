@@ -20,37 +20,31 @@ import (
 // for the paper's 2-board system.
 const guardTolerance = 0.05
 
-// GuardPolicy tunes the fault-tolerant offload path. The zero value of
-// any field selects its default.
-type GuardPolicy struct {
-	// MaxRetries bounds how many times one batch is re-run after a
-	// transient failure or a corrupt result before the guard
-	// escalates to board bisection (default 3).
-	MaxRetries int
-	// BackoffBase and BackoffMax shape the capped exponential backoff
-	// slept between retries (defaults 1ms and 16ms).
-	BackoffBase, BackoffMax time.Duration
-	// FallbackAfter is the number of consecutive batches lost to the
+// The guard's one recovery policy (DESIGN.md §7).
+const (
+	// maxRetries bounds how many times one batch is re-run after a
+	// transient failure or a corrupt result before the guard escalates
+	// to board bisection. Three re-runs leave a batch on a healthy board
+	// at a 5 % transient rate a 6e-6 chance of escalating by accident,
+	// while a stuck pipeline, which fails every run, holds its batch for
+	// only four passes before bisection starts.
+	maxRetries = 3
+	// backoffBase is the first sleep between retries; it doubles per
+	// retry, so three retries sleep 1, 2, 4 ms — the scale of a driver
+	// reset, far below one step's host work on the paper's machine.
+	backoffBase = time.Millisecond
+	// fallbackAfter is the number of consecutive batches lost to the
 	// host fallback after which the guard stops offering work to the
-	// hardware at all (default 3).
-	FallbackAfter int
-}
+	// hardware at all: three in a row means no board configuration
+	// verifies, and every further attempt only adds retries and
+	// bisection passes to a batch the host computes anyway.
+	fallbackAfter = 3
+)
 
-func (p GuardPolicy) withDefaults() GuardPolicy {
-	if p.MaxRetries == 0 {
-		p.MaxRetries = 3
-	}
-	if p.BackoffBase == 0 {
-		p.BackoffBase = time.Millisecond
-	}
-	if p.BackoffMax == 0 {
-		p.BackoffMax = 16 * time.Millisecond
-	}
-	if p.FallbackAfter == 0 {
-		p.FallbackAfter = 3
-	}
-	return p
-}
+// GuardPolicy is kept so that callers assembling a pipeline by hand
+// still compile; it has no fields and is ignored — the policy is the
+// constants above.
+type GuardPolicy struct{}
 
 // Recovery counts the guard's fault-handling activity over the life of
 // a GuardedEngine.
@@ -96,8 +90,8 @@ func (r Recovery) String() string {
 // point once (System's pipeline reuses the sums of an i-point equal to
 // its predecessor) and every slot still gets its own stuck factor, so
 // every slot is still checked.
-// Transient failures (bus errors, timeouts) are retried with capped
-// backoff. Persistent corruption triggers board bisection: boards are
+// Transient failures (bus errors, timeouts) are retried with
+// exponential backoff. Persistent corruption triggers board bisection: boards are
 // excluded one at a time until the check passes, and a board that
 // tests bad stays out of service, with remaining passes re-planned on
 // the survivors (throughput degrades per the timing model). When no
@@ -119,7 +113,6 @@ type GuardedEngine struct {
 	// G is the gravitational constant applied to results.
 	G float64
 
-	policy    GuardPolicy
 	unguarded bool // the guard is off: see NewEngine
 
 	mu             sync.Mutex
@@ -147,12 +140,12 @@ type scratch struct {
 var _ core.Engine = (*GuardedEngine)(nil)
 
 // NewGuardedEngine wraps sys in the fault-tolerant offload path. G=0
-// is replaced by 1. The zero GuardPolicy selects defaults.
-func NewGuardedEngine(sys *System, g float64, policy GuardPolicy) *GuardedEngine {
+// is replaced by 1. The GuardPolicy argument is ignored.
+func NewGuardedEngine(sys *System, g float64, _ GuardPolicy) *GuardedEngine {
 	if g == 0 {
 		g = 1
 	}
-	return &GuardedEngine{G: g, policy: policy.withDefaults(), sys: sys}
+	return &GuardedEngine{G: g, sys: sys}
 }
 
 // NewEngine wraps sys with the guard off. G=0 is replaced by 1.
@@ -162,14 +155,10 @@ func NewEngine(sys *System, g float64) *GuardedEngine {
 	return e
 }
 
-// System returns the wrapped hardware (for counter access). Callers
-// must not run Compute on it directly while the engine is in use.
-func (e *GuardedEngine) System() *System { return e.sys }
-
 // SetObserver attaches a telemetry observer: guard overhead (probe
 // references, acceptance checks, backoff, bisection re-runs) is
-// recorded as the guard phase, and every retry, rejected result, board
-// exclusion and host-fallback batch bumps a recovery counter.
+// recorded as the guard phase. The fault-handling events themselves
+// are counted once, in Recovery.
 func (e *GuardedEngine) SetObserver(o *obs.Observer) {
 	e.mu.Lock()
 	e.obs = o
@@ -218,7 +207,7 @@ func (e *GuardedEngine) Accumulate(req *core.Request) {
 	}
 	e.fallback(req)
 	e.consecFallback++
-	if e.consecFallback >= e.policy.FallbackAfter {
+	if e.consecFallback >= fallbackAfter {
 		e.abandonHardware()
 	}
 }
@@ -231,7 +220,6 @@ func (e *GuardedEngine) fallback(req *core.Request) {
 	e.host.Eps = e.sys.Eps()
 	e.host.Accumulate(req)
 	e.rec.FallbackBatches++
-	e.obs.Add(obs.CntFallbacks, 1)
 }
 
 // abandonHardware takes every remaining board out of service and routes
@@ -243,7 +231,6 @@ func (e *GuardedEngine) abandonHardware() {
 			// failure (index out of range) cannot occur.
 			_ = e.sys.SetBoardExcluded(b, true)
 			e.rec.ExcludedBoards++
-			e.obs.Add(obs.CntRecoveries, 1)
 		}
 	}
 	e.rec.HostOnly = true
@@ -272,7 +259,6 @@ func (e *GuardedEngine) tryHardware(req *core.Request, st *scratch) bool {
 			_ = e.sys.SetBoardExcluded(b, true)
 			if e.computeVerified(req, st, false) {
 				e.rec.ExcludedBoards++
-				e.obs.Add(obs.CntRecoveries, 1)
 				return true
 			}
 			_ = e.sys.SetBoardExcluded(b, false)
@@ -282,7 +268,7 @@ func (e *GuardedEngine) tryHardware(req *core.Request, st *scratch) bool {
 }
 
 // computeVerified runs one batch with the acceptance check, retrying
-// transient failures and corrupt results up to the policy bound. On
+// transient failures and corrupt results up to maxRetries times. On
 // success the (G-scaled) results are committed into req. With overlap
 // set — a batch's first verification — the first attempt's arithmetic
 // runs with mu released; a result that then fails the check is re-run
@@ -305,20 +291,19 @@ func (e *GuardedEngine) computeVerified(req *core.Request, st *scratch, overlap 
 	st.stage(req, ni+vp)
 	tg.Stop()
 
-	for attempt := 0; attempt <= e.policy.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		// The first attempt's Compute is the batch's real work; every
 		// re-run after a fault is recovery overhead.
 		var retry obs.Timer
 		if attempt > 0 {
 			retry = e.obs.Start(obs.PhaseGuard)
-			e.backoff(attempt)
+			backoff(attempt)
 		}
 		err := e.attempt(st.ipos, req, st, overlap && attempt == 0)
 		retry.Stop()
 		if err != nil {
 			if IsTransient(err) {
 				e.rec.Retries++
-				e.obs.Add(obs.CntRecoveries, 1)
 				continue
 			}
 			// Non-transient errors with boards still active are host
@@ -338,7 +323,6 @@ func (e *GuardedEngine) computeVerified(req *core.Request, st *scratch, overlap 
 			return true
 		}
 		e.rec.CorruptResults++
-		e.obs.Add(obs.CntRecoveries, 1)
 	}
 	return false
 }
@@ -442,13 +426,7 @@ func (e *GuardedEngine) verifyProbe(acc []vec.V3, pot []float64, refAcc vec.V3, 
 	return true
 }
 
-// backoff sleeps the capped exponential delay for the given attempt.
-func (e *GuardedEngine) backoff(attempt int) {
-	d := e.policy.BackoffBase << (attempt - 1)
-	if d > e.policy.BackoffMax {
-		d = e.policy.BackoffMax
-	}
-	if d > 0 {
-		time.Sleep(d)
-	}
+// backoff sleeps the exponential delay for the given attempt.
+func backoff(attempt int) {
+	time.Sleep(backoffBase << (attempt - 1))
 }

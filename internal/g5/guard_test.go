@@ -3,17 +3,11 @@ package g5
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/vec"
 )
-
-// fastPolicy keeps retry sleeps out of the test suite.
-func fastPolicy() GuardPolicy {
-	return GuardPolicy{BackoffBase: time.Nanosecond, BackoffMax: time.Nanosecond}
-}
 
 // randomRequest builds a reproducible batch within [-40, 40].
 func randomRequest(r *rng.Source, ni, nj int) *core.Request {
@@ -73,7 +67,7 @@ func TestGuardMatchesPlainEngine(t *testing.T) {
 	plainSys := newGuardSystem(t, paper, DefaultConfig(), 0.05)
 	guardSys := newGuardSystem(t, paper, DefaultConfig(), 0.05)
 	plain := NewEngine(plainSys, 1.5)
-	guard := NewGuardedEngine(guardSys, 1.5, fastPolicy())
+	guard := NewGuardedEngine(guardSys, 1.5, GuardPolicy{})
 
 	const batches = 5
 	for k := 0; k < batches; k++ {
@@ -107,10 +101,8 @@ func TestGuardRetriesTransient(t *testing.T) {
 	faultCfg.Fault = &FaultModel{Seed: 5, BusErrorRate: 0.15, TransientRate: 0.15}
 	faultSys := newGuardSystem(t, paper, faultCfg, 0.05)
 
-	clean := NewGuardedEngine(cleanSys, 1, fastPolicy())
-	pol := fastPolicy()
-	pol.MaxRetries = 8 // deep enough that no batch exhausts at these rates
-	guard := NewGuardedEngine(faultSys, 1, pol)
+	clean := NewGuardedEngine(cleanSys, 1, GuardPolicy{})
+	guard := NewGuardedEngine(faultSys, 1, GuardPolicy{})
 
 	for k := 0; k < 20; k++ {
 		q1 := randomRequest(r, 20, 200)
@@ -145,7 +137,7 @@ func TestGuardExcludesDeadBoard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Fault = &FaultModel{Seed: 7, FailBoard: 2, FailAfterRuns: 2, FailSlot: 5}
 	sys := newGuardSystem(t, paper, cfg, 0.05)
-	guard := NewGuardedEngine(sys, 1, fastPolicy())
+	guard := NewGuardedEngine(sys, 1, GuardPolicy{})
 	host := &core.HostEngine{G: 1, Eps: 0.05}
 
 	for k := 0; k < 8; k++ {
@@ -193,13 +185,13 @@ func TestGuardChecksEverySlot(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := cloneRequest(q)
-		NewGuardedEngine(cleanSys, 1, fastPolicy()).Accumulate(want)
+		NewGuardedEngine(cleanSys, 1, GuardPolicy{}).Accumulate(want)
 
 		for slot := 0; slot < vp; slot++ {
 			cfg := DefaultConfig()
 			cfg.Fault = &FaultModel{FailBoard: 1, FailSlot: slot}
 			sys := newGuardSystem(t, paper, cfg, 0.05)
-			guard := NewGuardedEngine(sys, 1, fastPolicy())
+			guard := NewGuardedEngine(sys, 1, GuardPolicy{})
 			got := cloneRequest(q)
 			guard.Accumulate(got)
 
@@ -255,10 +247,7 @@ func TestGuardHostFallbackBitwise(t *testing.T) {
 	oneBoard := paper
 	oneBoard.boards = 1
 	sys := newGuardSystem(t, oneBoard, Config{Fault: &FaultModel{Seed: 9, FailBoard: 1}}, 0.05) // stuck from the first call
-	pol := fastPolicy()
-	pol.MaxRetries = 1
-	pol.FallbackAfter = 2
-	guard := NewGuardedEngine(sys, 2, pol)
+	guard := NewGuardedEngine(sys, 2, GuardPolicy{})
 	host := &core.HostEngine{G: 2, Eps: 0.05}
 
 	for k := 0; k < 5; k++ {
@@ -374,9 +363,7 @@ func TestGuardConcurrent(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Fault = &FaultModel{Seed: 31, TransientRate: 0.2}
 	sys := newGuardSystem(t, paper, cfg, 0.05)
-	pol := fastPolicy()
-	pol.MaxRetries = 10
-	guard := NewGuardedEngine(sys, 1, pol)
+	guard := NewGuardedEngine(sys, 1, GuardPolicy{})
 
 	const calls = 32
 	var wg sync.WaitGroup

@@ -115,7 +115,7 @@ func requireSameCounters(t *testing.T, g int, got, want Counters) {
 // cleanGuardedRun is the single-caller, fault-free guarded reference.
 func cleanGuardedRun(t *testing.T, in []*core.Request) []*core.Request {
 	sys := newGuardSystem(t, overlapHW(2), Config{}, 0.05)
-	return runOverlap(NewGuardedEngine(sys, 1.5, fastPolicy()), in, 1)
+	return runOverlap(NewGuardedEngine(sys, 1.5, GuardPolicy{}), in, 1)
 }
 
 // TestOverlapFaultFree: a healthy device behind either engine returns
@@ -129,7 +129,7 @@ func TestOverlapFaultFree(t *testing.T) {
 			for _, g := range overlapCallers {
 				sys := newGuardSystem(t, overlapHW(2), Config{}, 0.05)
 				var eng core.Engine = NewEngine(sys, 1.5)
-				guard := NewGuardedEngine(sys, 1.5, fastPolicy())
+				guard := NewGuardedEngine(sys, 1.5, GuardPolicy{})
 				if guarded {
 					eng = guard
 				}
@@ -154,11 +154,24 @@ func TestOverlapFaultFree(t *testing.T) {
 // Bus errors, timeouts and stuck pipes are always caught (a stuck slot
 // drops half the probe's force), so every committed force is the clean
 // run's and — one draw sequence, consumed one call at a time under the
-// lock — the injector's totals are the single caller's. A flipped
-// j-memory word is caught only when the corrupted particle's share of
-// the probe force exceeds the tolerance (DESIGN.md §7), so there the
-// claim is the ledger: every batch that is not clean is a drawn flip
-// the check did not reject.
+// lock — the injector's totals are the single caller's. A batch whose
+// 1+maxRetries attempts all fail makes the guard bisect and take a
+// healthy board out of service (the batch still commits clean forces on
+// the survivor; a second such batch would reach the host). Bus errors
+// and timeouts fail before the arithmetic, so a batch's retries draw
+// right after its first attempt, the one draw sequence splits into
+// batches the same way at every G, and these seeds never exhaust one.
+// Stuck pipes and flipped words are found only after the unlocked
+// arithmetic: with one caller the split is again fixed and exhausts no
+// batch, but with more, other callers' draws fall between a batch's
+// attempts and whether one exhausts depends on the interleaving, so
+// there a bisection is allowed once a batch has spent its retries. The
+// stuck rate is 0.05, where a batch exhausts with probability
+// 0.05^4 ≈ 6e-6; a flip is rejected on about one call in thirty. A
+// flipped j-memory word is caught only when the corrupted particle's
+// share of the probe force exceeds the tolerance (DESIGN.md §7), so
+// there the claim is the ledger: every batch that is not clean is a
+// drawn flip the check did not reject.
 func TestOverlapFaultClasses(t *testing.T) {
 	in := overlapInputs()
 	clean := cleanGuardedRun(t, in)
@@ -168,7 +181,7 @@ func TestOverlapFaultClasses(t *testing.T) {
 		fm   FaultModel
 	}{
 		{"jmem-flip", FaultModel{Seed: 5, JMemBitFlipRate: 0.2}},
-		{"stuck-pipe", FaultModel{Seed: 6, StuckPipeRate: 0.2}},
+		{"stuck-pipe", FaultModel{Seed: 6, StuckPipeRate: 0.05}},
 		{"bus-error", FaultModel{Seed: 7, BusErrorRate: 0.2}},
 		{"transient", FaultModel{Seed: 8, TransientRate: 0.2}},
 	} {
@@ -177,9 +190,7 @@ func TestOverlapFaultClasses(t *testing.T) {
 			for _, g := range overlapCallers {
 				fm := class.fm
 				sys := newGuardSystem(t, overlapHW(2), Config{Fault: &fm}, 0.05)
-				pol := fastPolicy()
-				pol.MaxRetries = 12 // 0.2^13: no batch exhausts its retries
-				guard := NewGuardedEngine(sys, 1.5, pol)
+				guard := NewGuardedEngine(sys, 1.5, GuardPolicy{})
 				got := runOverlap(guard, in, g)
 
 				rec, fs, cnt := guard.Recovery(), sys.FaultStats(), sys.Counters()
@@ -190,8 +201,16 @@ func TestOverlapFaultClasses(t *testing.T) {
 				if rec.Retries != fs.BusErrors+fs.Transients {
 					t.Errorf("G=%d: retries %d, injected failures %+v", g, rec.Retries, fs)
 				}
-				if rec.ExcludedBoards != 0 || rec.FallbackBatches != 0 || rec.HostOnly {
+				if rec.FallbackBatches != 0 || rec.HostOnly || sys.ActiveBoards() == 0 {
+					t.Errorf("G=%d: a batch reached the host: %v", g, rec)
+				}
+				interleaved := g > 1 && (fm.StuckPipeRate > 0 || fm.JMemBitFlipRate > 0)
+				if !interleaved && rec.ExcludedBoards != 0 {
 					t.Errorf("G=%d: recovery escalated: %v", g, rec)
+				}
+				if failed := rec.Retries + rec.CorruptResults; failed < (maxRetries+1)*rec.ExcludedBoards {
+					t.Errorf("G=%d: %d boards excluded after %d failed attempts: bisection began before a batch spent its retries",
+						g, rec.ExcludedBoards, failed)
 				}
 				if fs == (FaultStats{}) {
 					t.Fatalf("G=%d: no fault drawn", g)
@@ -230,7 +249,7 @@ func TestOverlapBoardDeath(t *testing.T) {
 	clean := cleanGuardedRun(t, in)
 	for _, g := range overlapCallers {
 		sys := newGuardSystem(t, overlapHW(2), Config{Fault: &FaultModel{FailBoard: 2, FailAfterRuns: 40}}, 0.05)
-		guard := NewGuardedEngine(sys, 1.5, fastPolicy())
+		guard := NewGuardedEngine(sys, 1.5, GuardPolicy{})
 		requireClean(t, g, runOverlap(guard, in, g), clean)
 		rec := guard.Recovery()
 		if rec.ExcludedBoards != 1 || !sys.BoardExcluded(1) || sys.ActiveBoards() != 1 {
@@ -246,20 +265,19 @@ func TestOverlapBoardDeath(t *testing.T) {
 }
 
 // TestOverlapAllBoardsLost: the only board is dead from the first call
-// and one lost batch abandons the hardware, while other batches planned
-// on that board are still evaluating. They must be charged on the board
-// they were planned on (none is left to divide by) and every batch must
-// come back bitwise core.HostEngine's. The batches run largest first, so
-// that the first one is still evaluating when the second begins.
+// and the third lost batch in a row abandons the hardware, while other
+// batches planned on that board are still evaluating. They must be
+// charged on the board they were planned on (none is left to divide
+// by) and every batch must come back bitwise core.HostEngine's. The
+// batches run largest first, so that the first one is still evaluating
+// when the second begins.
 func TestOverlapAllBoardsLost(t *testing.T) {
 	in := overlapInputs()
 	slices.Reverse(in)
 	want := runOverlap(&core.HostEngine{G: 1.5, Eps: 0.05}, in, 1)
 	for _, g := range overlapCallers {
 		sys := newGuardSystem(t, overlapHW(1), Config{Fault: &FaultModel{FailBoard: 1}}, 0.05)
-		pol := fastPolicy()
-		pol.FallbackAfter = 1
-		guard := NewGuardedEngine(sys, 1.5, pol)
+		guard := NewGuardedEngine(sys, 1.5, GuardPolicy{})
 		requireClean(t, g, runOverlap(guard, in, g), want)
 		rec := guard.Recovery()
 		if !rec.HostOnly || rec.FallbackBatches != int64(len(in)) || sys.ActiveBoards() != 0 {

@@ -120,8 +120,9 @@ func newSystem(hw installation, cfg Config) (*System, error) {
 
 // SetObserver attaches a telemetry observer: every charge to the
 // timing model is also recorded as simulated-hardware phase spans
-// (j/i-particle transfer, pipeline streaming, force readback) plus
-// flop and byte counters. A nil observer detaches.
+// (j/i-particle transfer, pipeline streaming, force readback). The
+// work itself (interactions, bytes) is counted once, in Counters. A nil
+// observer detaches.
 func (s *System) SetObserver(o *obs.Observer) { s.obs = o }
 
 // Counters returns a snapshot of the activity counters.
@@ -566,6 +567,4 @@ func (s *System) charge(ni, nj, boards int) {
 	s.obs.AddSeconds(obs.PhaseJTransfer, float64(jBytes)/BusBandwidth)
 	s.obs.AddSeconds(obs.PhaseITransfer, float64(iBytes)/BusBandwidth+BusLatencyS)
 	s.obs.AddSeconds(obs.PhaseReadback, float64(fBytes)/BusBandwidth)
-	s.obs.Add(obs.CntFlops, int64(ni)*int64(nj)*OpsPerInteraction)
-	s.obs.Add(obs.CntBytes, bytes)
 }

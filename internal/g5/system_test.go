@@ -266,7 +266,7 @@ func TestNonFiniteInputRefused(t *testing.T) {
 			}
 
 			gsys := newGuardSystem(t, paper, always, 0.05)
-			guard := NewGuardedEngine(gsys, 1, fastPolicy())
+			guard := NewGuardedEngine(gsys, 1, GuardPolicy{})
 			func() {
 				defer func() {
 					err, _ := recover().(error)
@@ -278,7 +278,7 @@ func TestNonFiniteInputRefused(t *testing.T) {
 				t.Errorf("guarded engine: recovery %v, %d boards in service", rec, gsys.ActiveBoards())
 			}
 
-			cl, err := NewCluster(ClusterConfig{Shards: 2, Board: always, Guard: fastPolicy()})
+			cl, err := NewCluster(ClusterConfig{Shards: 2, Board: always})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,10 @@
 // (Morton sort, tree build, group-list walk, force evaluation, guard
 // overhead) are measured on this machine; hardware phases (j/i-particle
 // transfer, pipeline streaming, force readback) are simulated seconds
-// from the g5 timing model.
+// from the g5 timing model. The observer holds only what nothing else
+// counts: the offload path's work and fault tallies (flops, bytes,
+// recoveries, fallbacks) live in g5's Counters and Recovery ledgers,
+// and the step driver fills those report fields from their deltas.
 //
 // All Observer methods are safe on a nil receiver (no-ops) and safe for
 // concurrent use: the traversal's walk workers add spans and counters
@@ -57,17 +60,13 @@ const (
 	// PhaseReadback is the simulated per-board force readback time (g5
 	// timing model).
 	PhaseReadback
-	// PhaseCheckpoint is the wall-clock cost of serialising and durably
-	// writing a checkpoint (encode + fsync + rename), charged to the step
-	// that triggered it.
-	PhaseCheckpoint
 
 	numPhases
 )
 
 var phaseNames = [numPhases]string{
 	"morton_sort", "tree_build", "group_walk", "force_eval", "guard",
-	"j_transfer", "i_transfer", "pipeline", "readback", "checkpoint",
+	"j_transfer", "i_transfer", "pipeline", "readback",
 }
 
 // String returns the snake_case phase name used in the JSON schema.
@@ -84,25 +83,10 @@ type Counter uint8
 const (
 	// CntInteractions is the pairwise interaction count of the step.
 	CntInteractions Counter = iota
-	// CntFlops is the hardware operation count under the
-	// ops-per-interaction convention (38 per pair for the paper).
-	CntFlops
-	// CntBytes is the simulated host-interface traffic in bytes.
-	CntBytes
 	// CntGroups is the number of particle groups walked.
 	CntGroups
 	// CntNodesVisited is the number of tree nodes touched by the walk.
 	CntNodesVisited
-	// CntRecoveries counts fault-handling events: retries, rejected
-	// results and board exclusions.
-	CntRecoveries
-	// CntFallbacks counts batches computed by the host fallback engine.
-	CntFallbacks
-	// CntCkptBytes is the durable size of checkpoints written this step.
-	CntCkptBytes
-	// CntCkptWrites is the number of checkpoints written this step
-	// (normally 0 or 1).
-	CntCkptWrites
 	// CntActiveI is the number of force-evaluated field particles this
 	// step, summed over substeps: N × substeps for shared-dt runs, the
 	// closing-set totals for block-timestep runs. The active fraction
@@ -117,9 +101,7 @@ const (
 )
 
 var counterNames = [numCounters]string{
-	"interactions", "flops", "bytes", "groups", "nodes_visited",
-	"recoveries", "fallbacks", "ckpt_bytes", "ckpt_writes",
-	"active_i", "substeps",
+	"interactions", "groups", "nodes_visited", "active_i", "substeps",
 }
 
 // String returns the snake_case counter name used in the JSON schema.

@@ -60,7 +60,7 @@ func TestSnapshotDecomposition(t *testing.T) {
 	o.AddSeconds(PhaseITransfer, 0.02)
 	o.AddSeconds(PhaseReadback, 0.03)
 	o.Add(CntInteractions, 1000)
-	o.Add(CntRecoveries, 2)
+	o.Add(CntGroups, 2)
 
 	r := o.Snapshot(7, 2*time.Second)
 	if r.Step != 7 || r.WallSeconds != 2 {
@@ -75,7 +75,7 @@ func TestSnapshotDecomposition(t *testing.T) {
 	if math.Abs(r.TComm-0.06) > 1e-12 {
 		t.Errorf("TComm = %v, want 0.06", r.TComm)
 	}
-	if r.Interactions != 1000 || r.Recoveries != 2 {
+	if r.Interactions != 1000 || r.Groups != 2 {
 		t.Errorf("counters = %+v", r)
 	}
 	if s := r.String(); !strings.Contains(s, "step 7") {
@@ -89,9 +89,9 @@ func TestSnapshotDecomposition(t *testing.T) {
 func TestResetClears(t *testing.T) {
 	o := NewObserver()
 	o.AddSeconds(PhaseTreeBuild, 1)
-	o.Add(CntFlops, 99)
+	o.Add(CntSubsteps, 99)
 	o.Reset()
-	if o.Seconds(PhaseTreeBuild) != 0 || o.Count(CntFlops) != 0 {
+	if o.Seconds(PhaseTreeBuild) != 0 || o.Count(CntSubsteps) != 0 {
 		t.Error("Reset did not clear")
 	}
 }

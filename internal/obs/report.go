@@ -20,8 +20,9 @@ type PhaseSeconds struct {
 	ITransfer  float64 `json:"i_transfer"`
 	Pipeline   float64 `json:"pipeline"`
 	Readback   float64 `json:"readback"`
-	// Checkpoint is the durable-write cost charged to this step; omitted
-	// from JSON when zero (most steps write no checkpoint).
+	// Checkpoint is the durable-write cost of the checkpoints saved
+	// after this step, timed by the step driver; omitted from JSON when
+	// zero (most steps write no checkpoint).
 	Checkpoint float64 `json:"checkpoint,omitempty"`
 }
 
@@ -70,6 +71,8 @@ type StepReport struct {
 	// Phases is the full per-phase breakdown.
 	Phases PhaseSeconds `json:"phases"`
 	// Interactions, Flops and Bytes are the step's work counters.
+	// Flops and Bytes, like Recoveries and Fallbacks, are the step's
+	// deltas of the g5 ledgers, filled in by the step driver.
 	Interactions int64   `json:"interactions"`
 	Flops        float64 `json:"flops"`
 	Bytes        int64   `json:"bytes"`
@@ -79,8 +82,8 @@ type StepReport struct {
 	// Recoveries and Fallbacks count fault-handling activity.
 	Recoveries int64 `json:"recoveries"`
 	Fallbacks  int64 `json:"fallbacks"`
-	// CkptBytes and CkptWrites record checkpoint activity (omitted when
-	// zero: most steps write no checkpoint).
+	// CkptBytes and CkptWrites record the checkpoints saved after this
+	// step (omitted when zero: most steps write no checkpoint).
 	CkptBytes  int64 `json:"ckpt_bytes,omitempty"`
 	CkptWrites int64 `json:"ckpt_writes,omitempty"`
 	// Substeps and ActiveI describe block-timestep activity: the number
@@ -94,7 +97,9 @@ type StepReport struct {
 }
 
 // Snapshot rolls the Observer up into a StepReport for the given step
-// number and measured step wall-clock.
+// number and measured step wall-clock. The ledger-derived fields
+// (Flops, Bytes, Recoveries, Fallbacks) and the checkpoint fields are
+// left zero for the step driver.
 func (o *Observer) Snapshot(step int, wall time.Duration) StepReport {
 	r := StepReport{Step: step, WallSeconds: wall.Seconds()}
 	if o == nil {
@@ -110,21 +115,14 @@ func (o *Observer) Snapshot(step int, wall time.Duration) StepReport {
 		ITransfer:  o.Seconds(PhaseITransfer),
 		Pipeline:   o.Seconds(PhasePipeline),
 		Readback:   o.Seconds(PhaseReadback),
-		Checkpoint: o.Seconds(PhaseCheckpoint),
 	}
 	r.THost = r.Phases.MortonSort + r.Phases.TreeBuild + r.Phases.GroupWalk + r.Phases.Guard
 	r.TBuild = r.Phases.MortonSort + r.Phases.TreeBuild
 	r.TGrape = r.Phases.Pipeline
 	r.TComm = r.Phases.JTransfer + r.Phases.ITransfer + r.Phases.Readback
 	r.Interactions = o.Count(CntInteractions)
-	r.Flops = float64(o.Count(CntFlops))
-	r.Bytes = o.Count(CntBytes)
 	r.Groups = o.Count(CntGroups)
 	r.NodesVisited = o.Count(CntNodesVisited)
-	r.Recoveries = o.Count(CntRecoveries)
-	r.Fallbacks = o.Count(CntFallbacks)
-	r.CkptBytes = o.Count(CntCkptBytes)
-	r.CkptWrites = o.Count(CntCkptWrites)
 	r.Substeps = o.Count(CntSubsteps)
 	r.ActiveI = o.Count(CntActiveI)
 	return r

@@ -222,9 +222,33 @@ func TestE2EWeightedFairness(t *testing.T) {
 	}
 }
 
+// requireTenantSums: every server-wide count in /metrics is the sum of
+// its tenant rows.
+func requireTenantSums(t *testing.T, m serve.Metrics) {
+	t.Helper()
+	var sum serve.TenantMetrics
+	for _, tm := range m.Tenants {
+		sum.Queued += tm.Queued
+		sum.Running += tm.Running
+		sum.Submitted += tm.Submitted
+		sum.Completed += tm.Completed
+		sum.Failed += tm.Failed
+		sum.Canceled += tm.Canceled
+		sum.Rejected += tm.Rejected
+	}
+	total := serve.TenantMetrics{Queued: m.QueueDepth, Running: m.Running,
+		Submitted: m.JobsSubmitted, Completed: m.JobsCompleted, Failed: m.JobsFailed,
+		Canceled: m.JobsCanceled, Rejected: m.JobsRejected}
+	if total != sum {
+		t.Errorf("metrics totals %+v, tenant sums %+v", total, sum)
+	}
+}
+
 // TestE2EBackpressure: a saturated queue answers 429 with a Retry-After
-// hint — and every job that was accepted still completes once the
-// pressure lifts. Nothing blocks, nothing is silently dropped.
+// hint — and every job that was accepted and not canceled still
+// completes once the pressure lifts. Nothing blocks, nothing is
+// silently dropped, and at every stage each /metrics total is the sum
+// of its tenant rows.
 func TestE2EBackpressure(t *testing.T) {
 	e := newTestServer(t, serve.Options{
 		Budget: serve.Budget{
@@ -248,7 +272,7 @@ func TestE2EBackpressure(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want \"2\"", got)
 	}
 	// Total queue bound: bob fits once, then the server is full.
-	accepted = append(accepted, e.mustSubmit(t, jobBody("bob", 64, 2)).ID)
+	bob := e.mustSubmit(t, jobBody("bob", 64, 2)).ID
 	code, _, hdr = e.postJob(t, jobBody("carol", 64, 2))
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("server-full submit got %d, want 429", code)
@@ -264,7 +288,22 @@ func TestE2EBackpressure(t *testing.T) {
 	if m.QueueDepth != 3 {
 		t.Errorf("queue_depth = %d, want 3", m.QueueDepth)
 	}
-	// Pressure lifts: everything accepted completes.
+	requireTenantSums(t, m)
+	// Canceling bob's queued job finalizes it on the spot.
+	resp, err := http.Post(e.url("/jobs/"+bob+"/cancel"), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st := e.waitTerminal(t, bob, 10*time.Second); st.State != serve.StateCanceled {
+		t.Fatalf("queued job canceled, finished %s", st.State)
+	}
+	e.getJSON(t, "/metrics", &m)
+	if m.JobsCanceled != 1 || m.QueueDepth != 2 {
+		t.Errorf("after the cancel: jobs_canceled = %d, queue_depth = %d; want 1 and 2", m.JobsCanceled, m.QueueDepth)
+	}
+	requireTenantSums(t, m)
+	// Pressure lifts: everything accepted and not canceled completes.
 	e.srv.SetPaused(false)
 	for _, id := range accepted {
 		if st := e.waitTerminal(t, id, 60*time.Second); st.State != serve.StateDone {
@@ -272,9 +311,11 @@ func TestE2EBackpressure(t *testing.T) {
 		}
 	}
 	e.getJSON(t, "/metrics", &m)
-	if m.JobsCompleted != int64(len(accepted)) {
-		t.Errorf("jobs_completed = %d, want %d", m.JobsCompleted, len(accepted))
+	if m.JobsCompleted != int64(len(accepted)) || m.JobsSubmitted != m.JobsCompleted+m.JobsCanceled {
+		t.Errorf("jobs_completed = %d, submitted %d, canceled %d; want %d completed, the rest canceled",
+			m.JobsCompleted, m.JobsSubmitted, m.JobsCanceled, len(accepted))
 	}
+	requireTenantSums(t, m)
 	for i := 1; i < len(m.Tenants); i++ {
 		if m.Tenants[i-1].Tenant >= m.Tenants[i].Tenant {
 			t.Errorf("tenants not sorted: %q before %q", m.Tenants[i-1].Tenant, m.Tenants[i].Tenant)

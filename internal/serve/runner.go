@@ -269,7 +269,6 @@ func (s *Server) loadJobs() error {
 	for _, j := range revive {
 		t := s.tenantLocked(j.spec.Tenant)
 		t.queue = append(t.queue, j)
-		s.queueTotal++
 	}
 	// Refused jobs complete (as failures) after everything the previous
 	// daemon finished, in admission order.

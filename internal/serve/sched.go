@@ -170,6 +170,24 @@ func (s *Server) tenantLocked(name string) *tenantState {
 	return t
 }
 
+// queuedLocked and runningLocked sum the tenant rows: the server keeps
+// no totals beside them, so a total cannot drift from its rows.
+func (s *Server) queuedLocked() int {
+	n := 0
+	for _, name := range s.order {
+		n += len(s.tenants[name].queue)
+	}
+	return n
+}
+
+func (s *Server) runningLocked() int {
+	n := 0
+	for _, name := range s.order {
+		n += s.tenants[name].running
+	}
+	return n
+}
+
 // feasibleLocked reports whether a job's resource lease fits the pool
 // right now.
 func (s *Server) feasibleLocked(j *Job) bool {
@@ -203,7 +221,6 @@ func (s *Server) pickLocked() (*Job, bool) {
 			}
 			t.credit--
 			t.queue = t.queue[1:]
-			s.queueTotal--
 			s.cursor = (s.cursor + i + 1) % n
 			return j, true
 		}
@@ -221,7 +238,7 @@ func (s *Server) pickLocked() (*Job, bool) {
 // allow. Called after every event that could unblock work: submission,
 // completion, unpause, restart recovery.
 func (s *Server) dispatchLocked() {
-	for !s.paused && !s.draining && s.running < s.budget.MaxRunning {
+	for !s.paused && !s.draining && s.runningLocked() < s.budget.MaxRunning {
 		j, ok := s.pickLocked()
 		if !ok {
 			return
@@ -233,7 +250,6 @@ func (s *Server) dispatchLocked() {
 // startLocked leases the job's resources and launches its runner.
 func (s *Server) startLocked(j *Job) {
 	t := s.tenantLocked(j.spec.Tenant)
-	s.running++
 	t.running++
 	s.boardsLeased += j.spec.Boards
 	ctx, cancel := context.WithCancel(s.ctx)
@@ -252,7 +268,6 @@ func (s *Server) startLocked(j *Job) {
 func (s *Server) finishJob(j *Job, state, errMsg string) {
 	s.mu.Lock()
 	t := s.tenantLocked(j.spec.Tenant)
-	s.running--
 	t.running--
 	s.boardsLeased -= j.spec.Boards
 	if state == StateQueued { // drained: back to queued, still resumable
@@ -268,21 +283,18 @@ func (s *Server) finishJob(j *Job, state, errMsg string) {
 }
 
 // finalizeLocked is every job's one terminal transition (a run's end, a
-// queued cancel, a refusal at restart): it bumps the server's and the
-// job's tenant's counter for state, stamps the completion sequence,
-// persists the record and closes the job's event stream and done
-// channel. s.mu must be held and j.mu not (server-then-job order).
+// queued cancel, a refusal at restart): it bumps the job's tenant's
+// counter for state, stamps the completion sequence, persists the
+// record and closes the job's event stream and done channel. s.mu must
+// be held and j.mu not (server-then-job order).
 func (s *Server) finalizeLocked(j *Job, state, errMsg string) {
 	t := s.tenantLocked(j.spec.Tenant)
 	switch state {
 	case StateDone:
-		s.completed++
 		t.completed++
 	case StateFailed:
-		s.failed++
 		t.failed++
 	case StateCanceled:
-		s.canceled++
 		t.canceled++
 	}
 	s.doneSeq++

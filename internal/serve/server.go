@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -55,17 +54,9 @@ type Server struct {
 	jobList      []*Job
 	seq          int64
 	doneSeq      int64
-	running      int
 	boardsLeased int
-	queueTotal   int
 	paused       bool
 	draining     bool
-
-	submitted int64
-	completed int64
-	failed    int64
-	canceled  int64
-	rejected  int64
 
 	stepsServed        atomic.Int64
 	interactionsServed atomic.Int64
@@ -286,15 +277,13 @@ func (s *Server) submit(spec JobRequest) (*Job, int, error) {
 	t := s.tenantLocked(spec.Tenant)
 	if len(t.queue) >= s.budget.MaxQueuedPerTenant {
 		t.rejected++
-		s.rejected++
 		return nil, http.StatusTooManyRequests,
 			fmt.Errorf("tenant %s queue full (%d queued)", spec.Tenant, len(t.queue))
 	}
-	if s.queueTotal >= s.budget.MaxQueueTotal {
+	if queued := s.queuedLocked(); queued >= s.budget.MaxQueueTotal {
 		t.rejected++
-		s.rejected++
 		return nil, http.StatusTooManyRequests,
-			fmt.Errorf("server queue full (%d queued)", s.queueTotal)
+			fmt.Errorf("server queue full (%d queued)", queued)
 	}
 	j := &Job{
 		id:          fmt.Sprintf("job-%06d", s.seq),
@@ -316,9 +305,7 @@ func (s *Server) submit(spec JobRequest) (*Job, int, error) {
 	s.jobs[j.id] = j
 	s.jobList = append(s.jobList, j)
 	t.queue = append(t.queue, j)
-	s.queueTotal++
 	t.submitted++
-	s.submitted++
 	s.dispatchLocked()
 	return j, http.StatusAccepted, nil
 }
@@ -372,7 +359,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		for i, q := range t.queue {
 			if q == j {
 				t.queue = append(t.queue[:i], t.queue[i+1:]...)
-				s.queueTotal--
 				break
 			}
 		}
@@ -568,31 +554,20 @@ type Metrics struct {
 }
 
 // handleMetrics reports queue depth, lease usage and per-tenant
-// accounting, tenants sorted by name.
+// accounting, tenants sorted by name. Every server-wide job count is
+// the sum of the tenant rows.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	m := Metrics{
-		QueueDepth:    s.queueTotal,
-		Running:       s.running,
-		BoardsLeased:  s.boardsLeased,
-		BoardsPool:    s.budget.Boards,
-		Paused:        s.paused,
-		Draining:      s.draining,
-		JobsSubmitted: s.submitted,
-		JobsCompleted: s.completed,
-		JobsFailed:    s.failed,
-		JobsCanceled:  s.canceled,
-		JobsRejected:  s.rejected,
-		Tenants:       []TenantMetrics{},
+		BoardsLeased: s.boardsLeased,
+		BoardsPool:   s.budget.Boards,
+		Paused:       s.paused,
+		Draining:     s.draining,
+		Tenants:      []TenantMetrics{},
 	}
-	names := make([]string, 0, len(s.tenants))
-	for name := range s.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range s.order {
 		t := s.tenants[name]
-		m.Tenants = append(m.Tenants, TenantMetrics{
+		row := TenantMetrics{
 			Tenant:    t.name,
 			Weight:    t.weight,
 			Queued:    len(t.queue),
@@ -602,7 +577,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Failed:    t.failed,
 			Canceled:  t.canceled,
 			Rejected:  t.rejected,
-		})
+		}
+		m.Tenants = append(m.Tenants, row)
+		m.QueueDepth += row.Queued
+		m.Running += row.Running
+		m.JobsSubmitted += row.Submitted
+		m.JobsCompleted += row.Completed
+		m.JobsFailed += row.Failed
+		m.JobsCanceled += row.Canceled
+		m.JobsRejected += row.Rejected
 	}
 	s.mu.Unlock()
 	m.UptimeSeconds = time.Since(s.start).Seconds()

@@ -50,6 +50,12 @@ type Simulation struct {
 	baseRecovery g5.Recovery
 	baseFaults   g5.FaultStats
 
+	// edge* hold the ledgers at the start of the current Prime or Step;
+	// finishReport reports the step's work and recovery counts as the
+	// differences, so the ledgers stay their one tally.
+	edgeCounters g5.Counters
+	edgeRecovery g5.Recovery
+
 	// LastStats is the treecode statistics of the most recent force
 	// evaluation.
 	LastStats Stats
@@ -203,7 +209,7 @@ func (sim *Simulation) forceActive(s *System, activeByID []bool, nActive int) er
 // Prime computes initial forces (optional; Step does it on first call).
 // The priming force call emits its own telemetry as step 0.
 func (sim *Simulation) Prime() error {
-	sim.ob.Reset()
+	sim.beginReport()
 	a0 := obs.HeapAllocBytes()
 	t0 := time.Now()
 	if err := sim.bl.Prime(sim.Sys); err != nil {
@@ -216,13 +222,30 @@ func (sim *Simulation) Prime() error {
 	return nil
 }
 
-// finishReport snapshots the observer and fills the derived block
-// activity fraction (the observer itself does not know N).
+// beginReport opens a step's telemetry: it resets the observer and
+// notes the ledgers for finishReport to difference.
+func (sim *Simulation) beginReport() {
+	sim.ob.Reset()
+	sim.edgeCounters, sim.edgeRecovery = sim.HardwareCounters(), sim.Recovery()
+}
+
+// finishReport snapshots the observer and fills what it does not
+// count: the block activity fraction (the observer does not know N)
+// and the step's deltas of the ledgers — flops and bytes from
+// HardwareCounters, recoveries (retries, rejected results, board
+// exclusions) and fallback batches from Recovery.
 func (sim *Simulation) finishReport(step int, wall time.Duration) StepReport {
 	r := sim.ob.Snapshot(step, wall)
 	if r.Substeps > 0 && sim.Sys.N() > 0 {
 		r.ActiveFrac = float64(r.ActiveI) / (float64(sim.Sys.N()) * float64(r.Substeps))
 	}
+	hw, hw0 := sim.HardwareCounters(), sim.edgeCounters
+	rec, rec0 := sim.Recovery(), sim.edgeRecovery
+	r.Flops = float64((hw.Interactions - hw0.Interactions) * g5.OpsPerInteraction)
+	r.Bytes = hw.BytesTransferred - hw0.BytesTransferred
+	r.Recoveries = rec.Retries - rec0.Retries + rec.CorruptResults - rec0.CorruptResults +
+		rec.ExcludedBoards - rec0.ExcludedBoards
+	r.Fallbacks = rec.FallbackBatches - rec0.FallbackBatches
 	return r
 }
 
@@ -235,7 +258,7 @@ func (sim *Simulation) finishReport(step int, wall time.Duration) StepReport {
 // first Step without a prior Prime folds the priming force call into
 // its report.
 func (sim *Simulation) Step() error {
-	sim.ob.Reset()
+	sim.beginReport()
 	a0 := obs.HeapAllocBytes()
 	t0 := time.Now()
 	if sim.cfg.Adaptive {

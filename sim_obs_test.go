@@ -4,7 +4,10 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/ckpt"
+	"repro/internal/g5"
 	"repro/internal/obs"
 )
 
@@ -174,5 +177,104 @@ func TestConcurrentSimulationsTelemetry(t *testing.T) {
 		if r.Interactions == 0 || r.THost <= 0 {
 			t.Errorf("sim %d: empty telemetry: %+v", i, r)
 		}
+	}
+}
+
+// TestCheckpointTelemetryCountsEachSaveOnce: two saves after one step
+// both land on that step's report — two writes, their bytes summed, and
+// checkpoint seconds no more than the wall-clock around both calls. A
+// save that re-read a cumulative span would add the first save's time
+// twice.
+func TestCheckpointTelemetryCountsEachSaveOnce(t *testing.T) {
+	sim, err := NewSimulation(Plummer(4096, 1, 1, 1, 8), Config{Theta: 0.7, Ncrit: 256, G: 1, Eps: 0.05, DT: 0.005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Step(); err != nil {
+		t.Fatal(err)
+	}
+	store, err := ckpt.OpenStore(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	first, err := sim.Checkpoint(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sim.Checkpoint(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(t0).Seconds()
+	r := sim.LastReport
+	if r.Step != 1 || r.CkptWrites != 2 || r.CkptBytes != first.Bytes+second.Bytes {
+		t.Errorf("step %d report: %d writes of %d bytes, want step 1, 2 writes of %d+%d",
+			r.Step, r.CkptWrites, r.CkptBytes, first.Bytes, second.Bytes)
+	}
+	if c := r.Phases.Checkpoint; !(c > 0 && c <= wall) {
+		t.Errorf("checkpoint phase %.6f s, want in (0, %.6f], the wall-clock around both saves", c, wall)
+	}
+}
+
+// TestStepReportMatchesLedgers: a step report's Flops, Bytes,
+// Recoveries and Fallbacks are the step's share of the g5 ledgers, so
+// over Prime and the steps after it they sum to the ledgers' deltas —
+// on a guarded fixed-dt run whose boards die and on a two-shard block
+// run with transient faults and a board loss.
+func TestStepReportMatchesLedgers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"guarded-dead", Config{Theta: 0.7, Ncrit: 64, G: 1, Eps: 0.05, DT: 0.005, Engine: EngineGRAPE5, Guard: true,
+			Fault: &g5.FaultModel{Seed: 9, StuckPipeRate: 1}}},
+		{"block-k2", Config{Theta: 0.7, Ncrit: 64, G: 1, Eps: 0.05, Blocks: 3, DTMin: 0.00125, Engine: EngineGRAPE5, Shards: 2,
+			Fault: &g5.FaultModel{Seed: 11, TransientRate: 0.05, BusErrorRate: 0.05, FailBoard: 2, FailAfterRuns: 30, FailSlot: 5}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim, err := NewSimulation(Plummer(512, 1, 1, 1, 23), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hw0, rec0 := sim.HardwareCounters(), sim.Recovery()
+			var sum obs.StepReport
+			add := func() {
+				r := sim.LastReport
+				sum.Flops += r.Flops
+				sum.Bytes += r.Bytes
+				sum.Recoveries += r.Recoveries
+				sum.Fallbacks += r.Fallbacks
+			}
+			if err := sim.Prime(); err != nil {
+				t.Fatal(err)
+			}
+			add()
+			for k := 0; k < 4; k++ {
+				if err := sim.Step(); err != nil {
+					t.Fatal(err)
+				}
+				add()
+			}
+			hw, rec := sim.HardwareCounters(), sim.Recovery()
+			recoveries := rec.Retries + rec.CorruptResults + rec.ExcludedBoards -
+				(rec0.Retries + rec0.CorruptResults + rec0.ExcludedBoards)
+			if want := float64((hw.Interactions - hw0.Interactions) * g5.OpsPerInteraction); sum.Flops != want {
+				t.Errorf("reports sum to %g flops, ledger %g", sum.Flops, want)
+			}
+			if want := hw.BytesTransferred - hw0.BytesTransferred; sum.Bytes != want {
+				t.Errorf("reports sum to %d bytes, ledger %d", sum.Bytes, want)
+			}
+			if sum.Recoveries != recoveries {
+				t.Errorf("reports sum to %d recoveries, ledger %d (%v)", sum.Recoveries, recoveries, rec)
+			}
+			if want := rec.FallbackBatches - rec0.FallbackBatches; sum.Fallbacks != want {
+				t.Errorf("reports sum to %d fallbacks, ledger %d", sum.Fallbacks, want)
+			}
+			if sum.Flops == 0 || sum.Recoveries == 0 {
+				t.Errorf("fault model exercised nothing: %+v, %v", sum, rec)
+			}
+			t.Logf("%v; %d flops, %d bytes", rec, int64(sum.Flops), sum.Bytes)
+		})
 	}
 }
