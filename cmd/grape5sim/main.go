@@ -175,9 +175,8 @@ func main() {
 		theta  = flag.Float64("theta", grape5.DefaultTheta, "Barnes-Hut opening parameter")
 		ncrit  = flag.Int("ncrit", grape5.DefaultNcrit, "modified-algorithm group bound n_g")
 		eps    = flag.Float64("eps", 0, "Plummer softening (0 = model default)")
-		engine = flag.String("engine", "grape5", "force engine: host, grape5, pm")
+		engine = flag.String("engine", "grape5", "force engine: host, grape5")
 		boards = flag.Int("boards", 1, "GRAPE shard count K: drive K independent board systems through the sharded cluster engine (grape5 engine only)")
-		pmGrid = flag.Int("pmgrid", 64, "particle-mesh size for -engine pm")
 		seed   = flag.Uint64("seed", 1, "random seed")
 		snap   = flag.String("snap", "", "snapshot filename pattern (printf with step), e.g. snap_%04d.g5")
 		every  = flag.Int("every", 0, "snapshot interval in steps (0 = final only when -snap set)")
@@ -327,7 +326,6 @@ func main() {
 			Ncrit:  ifSet(setFlags["ncrit"], *ncrit),
 			Eps:    ifSet(setFlags["eps"], *eps),
 			DT:     ifSet(setFlags["dt"], *dt),
-			PMGrid: ifSet(setFlags["pmgrid"], *pmGrid),
 			Shards: ifSet(setFlags["boards"], *boards),
 			Blocks: ifSet(setFlags["blocks"], *blocks),
 			DTMin:  ifSet(setFlags["dtmin"], *dtMin),
@@ -342,9 +340,6 @@ func main() {
 			Engine: engKind, Guard: *guard, Fault: fault,
 			Shards: ifSet(setFlags["boards"], *boards),
 			Blocks: *blocks, DTMin: *dtMin, Eta: *eta, Adaptive: adaptive}
-		if engKind == grape5.EnginePM {
-			cfg.PMGrid = *pmGrid
-		}
 
 		var sys *grape5.System
 		aux := grape5.RunAux{Seed: *seed}

@@ -32,20 +32,13 @@ const (
 	EngineHost EngineKind = iota
 	// EngineGRAPE5 offloads force evaluation to the emulated GRAPE-5.
 	EngineGRAPE5
-	// EnginePM replaces the treecode entirely with the particle-mesh
-	// solver (isolated boundaries) — the classical fast baseline
-	// algorithm. Theta/Ncrit are ignored; PMGrid sets the mesh. The
-	// solver box tracks the system bounds each step, which adds
-	// mesh-scale force noise on expanding systems; EnginePM is meant
-	// for force comparisons and quick looks, not production cosmology.
-	EnginePM
 )
 
 // engineNames is the engine-name table behind String and ParseEngine:
 // the spelling every flag, wire field and log line uses.
-var engineNames = [...]string{EngineHost: "host", EngineGRAPE5: "grape5", EnginePM: "pm"}
+var engineNames = [...]string{EngineHost: "host", EngineGRAPE5: "grape5"}
 
-// String returns the engine's name ("host", "grape5", "pm").
+// String returns the engine's name ("host", "grape5").
 func (k EngineKind) String() string {
 	if k < 0 || int(k) >= len(engineNames) {
 		return fmt.Sprintf("engine-%d", int(k))
@@ -60,7 +53,7 @@ func ParseEngine(name string) (EngineKind, error) {
 			return EngineKind(k), nil
 		}
 	}
-	return 0, fmt.Errorf("unknown engine %q (want host, grape5 or pm)", name)
+	return 0, fmt.Errorf("unknown engine %q (want host or grape5)", name)
 }
 
 // Config describes a simulation. The zero value of every field means
@@ -101,9 +94,6 @@ type Config struct {
 	// placed so far in the force call. Shards > 1 implies Guard; 0 or 1
 	// is one system.
 	Shards int
-	// PMGrid is the particle-mesh size per dimension for EnginePM
-	// (default 64; power of two).
-	PMGrid int
 	// Workers bounds traversal parallelism (0 = GOMAXPROCS).
 	Workers int
 
@@ -112,7 +102,7 @@ type Config struct {
 	// k ∈ [0, Blocks-1] advance with dt = DTMin·2^k, and one Step spans
 	// the full block DTMin·2^(Blocks-1). DT, if set, must equal that
 	// span (unset inherits it). Blocks == 1 is the fixed-dt run at
-	// DT = DTMin, bitwise. Mutually exclusive with Adaptive and EnginePM.
+	// DT = DTMin, bitwise. Mutually exclusive with Adaptive.
 	Blocks int
 	// DTMin is the finest block timestep (required when Blocks > 0).
 	DTMin float64
@@ -156,7 +146,7 @@ func (cfg Config) Validate() error {
 		name string
 		v    int
 	}{
-		{"ncrit", cfg.Ncrit}, {"shards", cfg.Shards}, {"pm-grid", cfg.PMGrid},
+		{"ncrit", cfg.Ncrit}, {"shards", cfg.Shards},
 		{"workers", cfg.Workers}, {"blocks", cfg.Blocks},
 	} {
 		if f.v < 0 {
@@ -182,9 +172,6 @@ func (cfg Config) Validate() error {
 	if cfg.Blocks > 0 {
 		if cfg.Adaptive {
 			return fmt.Errorf("grape5: Blocks and Adaptive are mutually exclusive")
-		}
-		if cfg.Engine == EnginePM {
-			return fmt.Errorf("grape5: block timesteps are not supported with the PM engine")
 		}
 		if cfg.DTMin == 0 {
 			return fmt.Errorf("grape5: block timesteps need DTMin > 0, got %v", cfg.DTMin)

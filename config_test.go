@@ -43,7 +43,7 @@ func TestConfigValidate(t *testing.T) {
 		{"unknown engine", with(func(c *Config) { c.Engine = 7 }), "engine"},
 		{"shards on host", with(func(c *Config) { c.Shards = 2 }), "grape5 engine"},
 		{"guard on host", with(func(c *Config) { c.Guard = true }), "grape5 engine"},
-		{"guard on pm", with(func(c *Config) { c.Engine, c.Guard = EnginePM, true }), "grape5 engine"},
+		{"bad faults on host", with(func(c *Config) { c.Fault = &g5.FaultModel{StuckPipeRate: 1.5} }), "grape5 engine"},
 		{"faults on host", with(func(c *Config) { c.Fault = &g5.FaultModel{Seed: 1} }), "grape5 engine"},
 		{"fault rate above 1", with(func(c *Config) {
 			c.Engine, c.Guard, c.Fault = EngineGRAPE5, true, &g5.FaultModel{StuckPipeRate: 1.5}
@@ -68,7 +68,6 @@ func TestConfigValidate(t *testing.T) {
 		with(func(c *Config) { c.Engine, c.Guard = EngineGRAPE5, true }),
 		with(func(c *Config) { c.Engine, c.Shards = EngineGRAPE5, 2 }),
 		with(func(c *Config) { c.Shards = 1 }), // 0 and 1 both mean one system
-		with(func(c *Config) { c.Engine, c.PMGrid = EnginePM, 16 }),
 		with(func(c *Config) { c.Blocks, c.DTMin, c.DT = 4, 0.000625, 0 }),
 		with(func(c *Config) { c.Blocks, c.DTMin = 4, 0.000625 }), // DT == span exactly
 		with(func(c *Config) { c.Adaptive, c.Eta = true, 0.2 }),
@@ -105,7 +104,6 @@ func TestBlockConfigValidation(t *testing.T) {
 		{Config{Blocks: 4}, "DTMin"},
 		{Config{Blocks: 32, DTMin: 0.001}, "rung levels"},
 		{Config{Blocks: 4, DTMin: 0.001, DT: 0.005}, "block span"},
-		{Config{Blocks: 4, DTMin: 0.001, Engine: EnginePM}, "PM engine"},
 	}
 	for i, tc := range bad {
 		if sim, err := NewSimulation(s, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -151,13 +149,15 @@ func TestResumeConfigConflictsAreLoud(t *testing.T) {
 	}
 }
 
-// TestResumeRefusesRetiredOptions: leaf capacity and tree reuse are no
-// longer run options, so a checkpoint of a run that set them to another
-// value than every run now uses cannot continue its trajectory. The
-// refusal names the field; the values every front-end wrote resume.
+// TestResumeRefusesRetiredOptions: leaf capacity, tree reuse and the
+// particle-mesh engine are no longer run options, so a checkpoint of a
+// run that set them to another value than every run now uses cannot
+// continue its trajectory. The refusal names the option; the values
+// every front-end wrote resume, and so does a nonzero pm-grid slot that
+// a host or grape5 run ignored.
 func TestResumeRefusesRetiredOptions(t *testing.T) {
 	resume := func(st ckpt.State) error {
-		st.DT, st.Engine = 0.005, int64(EngineHost)
+		st.DT = 0.005
 		sim, err := ResumeSimulation(&ckpt.Checkpoint{State: st, Sys: Plummer(32, 1, 1, 1, 1)}, Config{G: 1})
 		if err == nil {
 			err = sim.Close()
@@ -171,15 +171,16 @@ func TestResumeRefusesRetiredOptions(t *testing.T) {
 		{ckpt.State{LeafCap: 4}, "leafcap"},
 		{ckpt.State{LeafCap: -8}, "leafcap"},
 		{ckpt.State{LeafCap: 8, RebuildEvery: 3}, "rebuild-every"},
+		{ckpt.State{Engine: 2, PMGrid: 64}, "particle-mesh"},
 	} {
 		if err := resume(tc.st); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("LeafCap %d RebuildEvery %d: resume = %v, want a refusal naming %q",
-				tc.st.LeafCap, tc.st.RebuildEvery, err, tc.want)
+			t.Errorf("LeafCap %d RebuildEvery %d Engine %d: resume = %v, want a refusal naming %q",
+				tc.st.LeafCap, tc.st.RebuildEvery, tc.st.Engine, err, tc.want)
 		}
 	}
-	for _, st := range []ckpt.State{{}, {LeafCap: 8, RebuildEvery: 1}} {
+	for _, st := range []ckpt.State{{}, {LeafCap: 8, RebuildEvery: 1}, {PMGrid: 64}} {
 		if err := resume(st); err != nil {
-			t.Errorf("LeafCap %d RebuildEvery %d refused: %v", st.LeafCap, st.RebuildEvery, err)
+			t.Errorf("LeafCap %d RebuildEvery %d PMGrid %d refused: %v", st.LeafCap, st.RebuildEvery, st.PMGrid, err)
 		}
 	}
 }
@@ -187,7 +188,7 @@ func TestResumeRefusesRetiredOptions(t *testing.T) {
 // TestEngineNames: String and ParseEngine are inverses over the engine
 // table, and strangers are refused or printed as such.
 func TestEngineNames(t *testing.T) {
-	for _, k := range []EngineKind{EngineHost, EngineGRAPE5, EnginePM} {
+	for _, k := range []EngineKind{EngineHost, EngineGRAPE5} {
 		got, err := ParseEngine(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %d", k.String(), got, err, int(k))

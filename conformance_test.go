@@ -311,7 +311,6 @@ func TestModeChecksumsMatchSeed(t *testing.T) {
 		big("fixed/host", none),
 		big("fixed/guarded", guarded),
 		big("fixed/cluster2", func(c *Config) { guarded(c); c.Shards = 2 }),
-		big("fixed/pm", func(c *Config) { c.Engine, c.PMGrid = EnginePM, 32 }),
 		big("adaptive/host", adaptive),
 		big("adaptive/guarded", func(c *Config) { adaptive(c); guarded(c); c.DTMin = 0.003205 }),
 		big("blocks4/host", func(c *Config) { c.Eps, c.DT, c.Blocks, c.DTMin, c.Eta = 0.002, 0, 4, 0.0002, 0.01 }),

@@ -8,6 +8,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/nbody"
 	"repro/internal/perf"
+	"repro/internal/pm"
 	"repro/internal/vec"
 )
 
@@ -181,25 +182,39 @@ func Example_treeVersusPM() {
 	ref := final.Clone()
 	nbody.DirectForces(ref, grape5.G, eps)
 
-	// rmsError is the RMS force error of one force evaluation under cfg
-	// on a copy of the final snapshot.
-	rmsError := func(cfg grape5.Config) float64 {
-		s, err := grape5.NewSimulation(final.Clone(), cfg)
-		if err != nil {
-			panic(err)
-		}
-		if err := s.Prime(); err != nil {
-			panic(err)
-		}
-		es, err := analysis.CompareForces(s.Sys, ref)
+	rmsError := func(s *grape5.System) float64 {
+		es, err := analysis.CompareForces(s, ref)
 		if err != nil {
 			panic(err)
 		}
 		return es.RMS
 	}
-	tree := rmsError(cfg)
-	cfg.Engine, cfg.PMGrid = grape5.EnginePM, 64
-	mesh := rmsError(cfg)
+
+	// One treecode force evaluation on a copy of the final snapshot.
+	treeSim, err := grape5.NewSimulation(final.Clone(), cfg)
+	if err != nil {
+		panic(err)
+	}
+	if err := treeSim.Prime(); err != nil {
+		panic(err)
+	}
+	tree := rmsError(treeSim.Sys)
+
+	// One 64³ mesh solve on another copy, in the bounds cube grown by 5%
+	// of its edge on every side.
+	meshSys := final.Clone()
+	box := meshSys.Bounds().Cube()
+	grow := 0.05 * box.MaxEdge()
+	box.Min = box.Min.Sub(grape5.Vec3{X: grow, Y: grow, Z: grow})
+	box.Max = box.Max.Add(grape5.Vec3{X: grow, Y: grow, Z: grow})
+	solver, err := pm.NewSolver(64, box, grape5.G)
+	if err != nil {
+		panic(err)
+	}
+	if err := solver.Forces(meshSys); err != nil {
+		panic(err)
+	}
+	mesh := rmsError(meshSys)
 	fmt.Println("tree+GRAPE-5 RMS force error below 1%:", tree < 0.01)
 	fmt.Println("particle mesh RMS force error above 5%:", mesh > 0.05)
 	// Output:

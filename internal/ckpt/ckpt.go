@@ -108,10 +108,12 @@ type State struct {
 	T0    float64
 	Age0  float64
 
-	// Config fingerprint (0 = unset/unknown). LeafCap and RebuildEvery
-	// are the slots of two retired run options, kept so the layout
-	// stays put: writers store 0, and a resume refuses any value but
-	// the one every run now uses (leaf capacity 8, a rebuild every step).
+	// Config fingerprint (0 = unset/unknown). LeafCap, RebuildEvery and
+	// PMGrid are the slots of three retired run options, kept so the
+	// layout stays put: writers store 0. A resume refuses any LeafCap or
+	// RebuildEvery but the one every run now uses (leaf capacity 8, a
+	// rebuild every step) and ignores PMGrid, which only the retired
+	// particle-mesh engine (Engine 2) read.
 	Theta        float64
 	Eps          float64
 	G            float64

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/hostk"
@@ -29,10 +28,6 @@ const (
 	// while a stuck pipeline, which fails every run, holds its batch for
 	// only four passes before bisection starts.
 	maxRetries = 3
-	// backoffBase is the first sleep between retries; it doubles per
-	// retry, so three retries sleep 1, 2, 4 ms — the scale of a driver
-	// reset, far below one step's host work on the paper's machine.
-	backoffBase = time.Millisecond
 	// fallbackAfter is the number of consecutive batches lost to the
 	// host fallback after which the guard stops offering work to the
 	// hardware at all: three in a row means no board configuration
@@ -90,8 +85,9 @@ func (r Recovery) String() string {
 // point once (System's pipeline reuses the sums of an i-point equal to
 // its predecessor) and every slot still gets its own stuck factor, so
 // every slot is still checked.
-// Transient failures (bus errors, timeouts) are retried with
-// exponential backoff. Persistent corruption triggers board bisection: boards are
+// Transient failures (bus errors, timeouts) are retried at once: the
+// emulator's faults are seeded draws, so waiting clears nothing.
+// Persistent corruption triggers board bisection: boards are
 // excluded one at a time until the check passes, and a board that
 // tests bad stays out of service, with remaining passes re-planned on
 // the survivors (throughput degrades per the timing model). When no
@@ -156,7 +152,7 @@ func NewEngine(sys *System, g float64) *GuardedEngine {
 }
 
 // SetObserver attaches a telemetry observer: guard overhead (probe
-// references, acceptance checks, backoff, bisection re-runs) is
+// references, acceptance checks, retries, bisection re-runs) is
 // recorded as the guard phase. The fault-handling events themselves
 // are counted once, in Recovery.
 func (e *GuardedEngine) SetObserver(o *obs.Observer) {
@@ -198,7 +194,6 @@ func (e *GuardedEngine) Accumulate(req *core.Request) {
 		e.free = append(e.free, st)
 		return
 	}
-	//lint:ignore lockdiscipline the engine mutex is held across a whole recovery episode by contract: retry, backoff and bisection state must stay coherent, and stalling the job's own walk workers during hardware recovery is intended backpressure; it is released only for the arithmetic of a batch's first attempt
 	ok := e.tryHardware(req, st)
 	e.free = append(e.free, st)
 	if ok {
@@ -297,7 +292,6 @@ func (e *GuardedEngine) computeVerified(req *core.Request, st *scratch, overlap 
 		var retry obs.Timer
 		if attempt > 0 {
 			retry = e.obs.Start(obs.PhaseGuard)
-			backoff(attempt)
 		}
 		err := e.attempt(st.ipos, req, st, overlap && attempt == 0)
 		retry.Stop()
@@ -424,9 +418,4 @@ func (e *GuardedEngine) verifyProbe(acc []vec.V3, pot []float64, refAcc vec.V3, 
 		}
 	}
 	return true
-}
-
-// backoff sleeps the exponential delay for the given attempt.
-func backoff(attempt int) {
-	time.Sleep(backoffBase << (attempt - 1))
 }

@@ -45,7 +45,7 @@ const (
 	// emulation arithmetic, for the host engine the real force work).
 	PhaseForceEval
 	// PhaseGuard is fault-tolerance overhead: probe reference forces,
-	// acceptance checks, retry backoff and bisection re-runs (host
+	// acceptance checks, retries and bisection re-runs (host
 	// wall-clock, serialised by the guard's lock).
 	PhaseGuard
 	// PhaseJTransfer is the simulated j-particle upload time over the

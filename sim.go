@@ -11,7 +11,6 @@ import (
 	"repro/internal/integrate"
 	"repro/internal/nbody"
 	"repro/internal/obs"
-	"repro/internal/pm"
 	"repro/internal/units"
 )
 
@@ -117,17 +116,8 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 		cl.SetObserver(sim.ob)
 		sim.cluster = cl
 		engine = cl
-	case EnginePM:
-		if cfg.PMGrid == 0 {
-			cfg.PMGrid = 64
-		}
-		sim.cfg = cfg
-		// Solver is rebuilt per force call on the current bounds (the
-		// sphere expands ~25x over a cosmological run).
 	}
-	if cfg.Engine != EnginePM {
-		sim.tc = core.New(opt, engine)
-	}
+	sim.tc = core.New(opt, engine)
 
 	// A shared timestep is the single-rung case of the block scheme:
 	// rung 0 carries DT (adaptive runs rewrite it before each Step).
@@ -135,38 +125,12 @@ func NewSimulation(sys *System, cfg Config) (*Simulation, error) {
 	if cfg.Blocks > 0 {
 		crit.DTMin, crit.MaxRung = cfg.DTMin, cfg.Blocks-1
 	}
-	force, forceActive := sim.force, sim.forceActive
-	if cfg.Engine == EnginePM {
-		force, forceActive = sim.forcePM, nil
-	}
-	bl, err := integrate.NewBlockLeapfrog(crit, force, forceActive)
+	bl, err := integrate.NewBlockLeapfrog(crit, sim.force, sim.forceActive)
 	if err != nil {
 		return nil, errors.Join(err, sim.Close())
 	}
 	sim.bl = bl
 	return sim, nil
-}
-
-// forcePM is the ForceFunc for the particle-mesh engine.
-func (sim *Simulation) forcePM(s *System) error {
-	cube := s.Bounds().Cube()
-	ext := cube.MaxEdge()
-	if ext == 0 {
-		ext = 1
-	}
-	grow := 0.05 * ext
-	box := cube
-	box.Min = box.Min.Sub(Vec3{X: grow, Y: grow, Z: grow})
-	box.Max = box.Max.Add(Vec3{X: grow, Y: grow, Z: grow})
-	solver, err := pm.NewSolver(sim.cfg.PMGrid, box, sim.cfg.G)
-	if err != nil {
-		return err
-	}
-	if err := solver.Forces(s); err != nil {
-		return err
-	}
-	sim.LastStats = Stats{N: s.N()}
-	return nil
 }
 
 // setScaleWindow re-ranges the hardware fixed-point window to the
@@ -345,7 +309,7 @@ func (sim *Simulation) HardwareCounters() g5.Counters {
 }
 
 // Cluster returns the GRAPE cluster engine (K = 1 for a single-board
-// run), or nil for host- and PM-engine runs.
+// run), or nil for host-engine runs.
 func (sim *Simulation) Cluster() *g5.Cluster { return sim.cluster }
 
 // Recovery returns the guard's fault-handling counters, summed across
@@ -382,7 +346,7 @@ func (sim *Simulation) FaultStats() g5.FaultStats {
 }
 
 // Close returns a shard failure the cluster has not yet reported (see
-// g5.Cluster.Close). It is a no-op for host- and PM-engine runs, and
+// g5.Cluster.Close). It is a no-op for host-engine runs, and
 // safe to call more than once.
 func (sim *Simulation) Close() error {
 	if sim.cluster != nil {

@@ -92,7 +92,6 @@ func (sim *Simulation) CheckpointState() ckpt.State {
 		Eps:    sim.cfg.Eps,
 		G:      sim.cfg.G,
 		Ncrit:  int64(sim.cfg.Ncrit),
-		PMGrid: int64(sim.cfg.PMGrid),
 		Engine: int64(sim.cfg.Engine),
 		Shards: int64(sim.cfg.Shards),
 		Seed:   sim.aux.Seed,
@@ -168,29 +167,29 @@ func ResumeConfig(st ckpt.State, cfg Config) (Config, error) {
 			*field, err = merge(name, saved, *field)
 		}
 	}
-	integer := func(name string, saved int64, field *int) {
-		if err == nil {
-			var v int64
-			v, err = merge(name, saved, int64(*field))
-			*field = int(v)
-		}
-	}
 	float("theta", st.Theta, &out.Theta)
 	float("eps", st.Eps, &out.Eps)
 	float("G", st.G, &out.G)
 	float("dt", st.DT, &out.DT)
-	integer("ncrit", st.Ncrit, &out.Ncrit)
-	integer("pm-grid", st.PMGrid, &out.PMGrid)
 	if err != nil {
 		return Config{}, err
 	}
+	ncrit, err := merge("ncrit", st.Ncrit, int64(cfg.Ncrit))
+	if err != nil {
+		return Config{}, err
+	}
+	out.Ncrit = int(ncrit)
 	// Retired options: a run that set them is on a trajectory no
-	// Simulation can continue.
+	// Simulation can continue. The pm-grid slot only steered the
+	// particle-mesh engine; host and grape5 runs ignored it.
 	if st.LeafCap != 0 && st.LeafCap != octree.LeafCap {
 		return Config{}, fmt.Errorf("grape5: resume leafcap: checkpoint ran leaf capacity %d, every run now uses %d", st.LeafCap, octree.LeafCap)
 	}
 	if st.RebuildEvery != 0 && st.RebuildEvery != 1 {
 		return Config{}, fmt.Errorf("grape5: resume rebuild-every: checkpoint reused its tree for %d steps, every run now rebuilds each step", st.RebuildEvery)
+	}
+	if st.Engine == 2 { // the particle-mesh engine's kind
+		return Config{}, fmt.Errorf("grape5: resume engine: checkpoint ran the particle-mesh engine, which is retired; every run now uses the treecode")
 	}
 	if st.Engine >= 0 {
 		// The checkpoint's engine is known (0 = host is a real value here,

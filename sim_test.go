@@ -222,45 +222,6 @@ func TestFindHalosFacade(t *testing.T) {
 	}
 }
 
-func TestSimulationPMEngine(t *testing.T) {
-	t.Parallel()
-	// A Plummer sphere under the PM engine: forces are soft below the
-	// mesh scale, but global energy behaviour must be sane over a short
-	// run and the engine must produce nonzero forces.
-	s := Plummer(2000, 1, 1, 1, 13)
-	sim, err := NewSimulation(s, Config{
-		G: 1, DT: 0.005, Engine: EnginePM, PMGrid: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Prime(); err != nil {
-		t.Fatal(err)
-	}
-	var nonzero int
-	for _, a := range sim.Sys.Acc {
-		if a.Norm() > 0 {
-			nonzero++
-		}
-	}
-	if nonzero < sim.Sys.N()*9/10 {
-		t.Fatalf("PM forces mostly zero: %d of %d", nonzero, sim.Sys.N())
-	}
-	if err := sim.Run(20); err != nil {
-		t.Fatal(err)
-	}
-	// The sphere must not explode: bounding radius stays within ~2x.
-	maxR := 0.0
-	for _, p := range sim.Sys.Pos {
-		if r := p.Norm(); r > maxR {
-			maxR = r
-		}
-	}
-	if maxR > 25 {
-		t.Errorf("PM run exploded: max radius %v", maxR)
-	}
-}
-
 // TestAdaptiveLeapfrogEnergy runs the adaptive dt policy to t = 0.5 and
 // checks what the policy promises: every pick lies in [DTMin, DT], the
 // clock is the sum of the picks, and energy drifts no more than a
