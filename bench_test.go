@@ -182,7 +182,6 @@ func kernelRequest(ni, nj int) *core.Request {
 	for j := 0; j < nj; j++ {
 		req.J.Append(r.Uniform(-50, 50), r.Uniform(-50, 50), r.Uniform(-50, 50), 1)
 	}
-	req.J.Pad()
 	return req
 }
 

@@ -20,6 +20,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/ckpt"
 )
 
 var (
@@ -286,6 +288,29 @@ func TestE2EResumeRefusals(t *testing.T) {
 	out, code = run(t, bin, append(baseArgs(dir2, 12, "-ckpt-dir", filepath.Join(dir2, "ckpt")), "-theta", "0.9")...)
 	if code == 0 || !strings.Contains(out, "theta") {
 		t.Errorf("conflicting -theta on resume not refused (exit %d):\n%s", code, out)
+	}
+
+	// A checkpoint of the retired particle-mesh engine (kind 2) gets the
+	// library's particle-mesh refusal, with -engine given or not.
+	gens, err := filepath.Glob(filepath.Join(dir2, "ckpt", "*.g5ck"))
+	if err != nil || len(gens) == 0 {
+		t.Fatalf("no checkpoint to rewrite (%v)", err)
+	}
+	c, err := ckpt.ReadFile(gens[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.State.Engine = 2
+	pmFile := filepath.Join(dir2, "pm.g5ck")
+	if _, err := ckpt.WriteFile(pmFile, c); err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]string{nil, {"-engine", "grape5"}} {
+		args := append([]string{"-resume", pmFile, "-steps", "12", "-report", "0"}, extra...)
+		out, code := run(t, bin, args...)
+		if code == 0 || !strings.Contains(out, "particle-mesh") {
+			t.Errorf("%v: particle-mesh checkpoint not refused as such (exit %d):\n%s", extra, code, out)
+		}
 	}
 }
 

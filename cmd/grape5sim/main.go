@@ -312,7 +312,11 @@ func main() {
 			}
 		}
 		st := resumed.State
-		if setFlags["engine"] && st.Engine >= 0 && int64(engKind) != st.Engine {
+		// Compare only a kind this build can name: -1 (unknown, as from
+		// a snapshot) takes the flag, and ResumeConfig refuses the
+		// retired particle-mesh engine's 2 itself.
+		_, nameErr := grape5.ParseEngine(grape5.EngineKind(st.Engine).String())
+		if setFlags["engine"] && nameErr == nil && int64(engKind) != st.Engine {
 			log.Fatalf("resume: checkpoint ran -engine %s but -engine %s was given; drop the flag or start a fresh run",
 				grape5.EngineKind(st.Engine), engKind)
 		}

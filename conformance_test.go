@@ -370,7 +370,7 @@ func TestBlockTopRungMatchesLeapfrog(t *testing.T) {
 }
 
 // TestTrajectoryMatchesPreSoASeed replays the pre-SoA scenarios — the
-// host walk and P2P kernel, a guarded run that loses every board on the
+// host walk and pair kernel, a guarded run that loses every board on the
 // first call, a two-board run that loses a board mid-run — and requires
 // every per-step hash to match.
 func TestTrajectoryMatchesPreSoASeed(t *testing.T) {

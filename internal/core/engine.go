@@ -31,10 +31,8 @@ type Request struct {
 	IPos []vec.V3
 	// J holds the sources ("j-particles") in the struct-of-arrays
 	// layout the host kernels consume: real particles and accepted
-	// cells' centres of mass alike, J.N real entries plus zero-mass
-	// padding to a hostk.JTile multiple (the walk pads; hand-built
-	// requests need not). Hardware engines marshal J into their AoS
-	// DMA descriptors from the first J.N lanes.
+	// cells' centres of mass alike. Hardware engines marshal J into
+	// their AoS DMA descriptors.
 	J hostk.JList
 	// Acc and Pot receive the accumulated acceleration and specific
 	// potential per field point. Both must have len(IPos); engines add
@@ -73,17 +71,24 @@ type HostEngine struct {
 	Eps float64
 }
 
-// Accumulate implements Engine through the batched SoA tile kernel —
-// bitwise identical to the retired scalar loop (hostk.ScalarAccumulate,
-// pinned by the hostk conformance and fuzz suites and the pre-SoA
-// trajectory goldens).
+// Accumulate implements Engine through the SoA pair kernel, two field
+// points a sweep — bitwise identical to the retired scalar loop
+// (hostk.ScalarAccumulate, pinned by the hostk conformance and fuzz
+// suites and the pre-SoA trajectory goldens). An odd last point is
+// passed twice and the copy dropped.
 func (e *HostEngine) Accumulate(req *Request) {
 	eps2 := e.Eps * e.Eps
 	g := e.G
-	for i, pi := range req.IPos {
-		ax, ay, az, pot := hostk.P2P(pi.X, pi.Y, pi.Z, &req.J, eps2)
-		req.Acc[i] = req.Acc[i].Add(vec.V3{X: g * ax, Y: g * ay, Z: g * az})
-		req.Pot[i] += g * pot
+	ipos := req.IPos
+	for i := 0; i < len(ipos); i += 2 {
+		k := min(i+1, len(ipos)-1)
+		a, pa, b, pb := hostk.P2PPair(ipos[i], ipos[k], &req.J, eps2)
+		req.Acc[i] = req.Acc[i].Add(a.Scale(g))
+		req.Pot[i] += g * pa
+		if k != i {
+			req.Acc[k] = req.Acc[k].Add(b.Scale(g))
+			req.Pot[k] += g * pb
+		}
 	}
 }
 
@@ -95,8 +100,7 @@ type CountEngine struct {
 	interactions atomic.Int64
 }
 
-// Accumulate implements Engine by counting. Padding lanes are not
-// interactions: only the J.N real sources count.
+// Accumulate implements Engine by counting.
 func (e *CountEngine) Accumulate(req *Request) {
 	e.interactions.Add(int64(len(req.IPos)) * int64(req.J.N))
 }

@@ -374,8 +374,9 @@ func (e *scalarRefEngine) Accumulate(req *Request) {
 
 func TestHostEngineSelfGuard(t *testing.T) {
 	// A source exactly at the field point contributes nothing — in the
-	// SoA tile kernel (zero-mass select, padded and unpadded tails) and
-	// in the scalar reference alike, at any GOMAXPROCS.
+	// SoA pair kernel (zero-mass select) and in the scalar reference
+	// alike, at any GOMAXPROCS. pad appends zero-mass lanes at the
+	// origin, which a hand-built list may carry: each adds ±0.
 	engines := map[string]Engine{
 		"soa":    &HostEngine{G: 1},
 		"scalar": &scalarRefEngine{g: 1},
@@ -393,8 +394,8 @@ func TestHostEngineSelfGuard(t *testing.T) {
 					}
 					req.J.Append(1, 0, 0, 5) // exactly at the field point
 					req.J.Append(2, 0, 0, 1)
-					if pad {
-						req.J.Pad()
+					for k := 0; pad && k < 6; k++ {
+						req.J.Append(0, 0, 0, 0)
 					}
 					eng.Accumulate(&req)
 					if math.Abs(req.Acc[0].X-1) > 1e-14 {
@@ -406,6 +407,48 @@ func TestHostEngineSelfGuard(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestHostEngineMatchesScalar: HostEngine, which sweeps its field
+// points in pairs, adds into Acc and Pot exactly what the scalar
+// reference adds, for even and odd batch sizes — an odd last point's
+// duplicate must not reach the outputs.
+func TestHostEngineMatchesScalar(t *testing.T) {
+	for _, ni := range []int{1, 2, 3, 5} {
+		t.Run(fmt.Sprintf("ni=%d", ni), func(t *testing.T) {
+			r := rng.New(uint64(ni))
+			mk := func() *Request {
+				req := &Request{IPos: make([]vec.V3, ni), Acc: make([]vec.V3, ni), Pot: make([]float64, ni)}
+				for i := range req.IPos {
+					req.IPos[i] = vec.V3{X: float64(i), Y: 0.5, Z: -0.25}
+					req.Acc[i] = vec.V3{X: 0.125 * float64(i), Y: -1, Z: 3}
+					req.Pot[i] = -float64(i)
+				}
+				return req
+			}
+			got, want := mk(), mk()
+			for j := 0; j < 13; j++ {
+				p := vec.V3{X: r.Uniform(-2, 4), Y: r.Uniform(-2, 2), Z: r.Uniform(-2, 2)}
+				if j%4 == 0 {
+					p = got.IPos[j%ni] // exact zero separation
+				}
+				m := 0.1 + r.Float64()
+				got.J.Append(p.X, p.Y, p.Z, m)
+				want.J.Append(p.X, p.Y, p.Z, m)
+			}
+			(&HostEngine{G: 0.7, Eps: 0.03}).Accumulate(got)
+			(&scalarRefEngine{g: 0.7, eps: 0.03}).Accumulate(want)
+			for i := 0; i < ni; i++ {
+				g := [4]float64{got.Acc[i].X, got.Acc[i].Y, got.Acc[i].Z, got.Pot[i]}
+				w := [4]float64{want.Acc[i].X, want.Acc[i].Y, want.Acc[i].Z, want.Pot[i]}
+				for c := range g {
+					if math.Float64bits(g[c]) != math.Float64bits(w[c]) {
+						t.Errorf("i=%d component %d: HostEngine %v, scalar %v", i, c, g[c], w[c])
+					}
+				}
+			}
+		})
 	}
 }
 

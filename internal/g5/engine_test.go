@@ -42,7 +42,6 @@ func TestEngineMatchesHostEngine(t *testing.T) {
 		for j := 0; j < nj; j++ {
 			rq.J.Append(r.Uniform(-40, 40), r.Uniform(-40, 40), r.Uniform(-40, 40), 1+r.Float64())
 		}
-		rq.J.Pad()
 		return rq
 	}
 	rq1 := req()

@@ -322,8 +322,7 @@ func (e *GuardedEngine) computeVerified(req *core.Request, st *scratch, overlap 
 }
 
 // stage sizes st's outputs for n i-particles and gathers the request's
-// SoA source list into the AoS layout the hardware DMA descriptors use;
-// only the J.N real lanes are marshalled (padding stays on the host).
+// SoA source list into the AoS layout the hardware DMA descriptors use.
 func (st *scratch) stage(req *core.Request, n int) {
 	st.acc, st.pot = grown(st.acc, n), grown(st.pot, n)
 	st.jpos = grown(st.jpos, req.J.N)
@@ -390,11 +389,12 @@ func (e *GuardedEngine) probePoint() vec.V3 {
 // hostProbeForce computes the float64 reference force and potential on
 // the probe from the batch's own j-list — O(nj), the price of one
 // extra i-particle. It consumes the request's SoA list directly through
-// the shared hostk tile kernel (G=1 units, matching the hardware).
+// the shared hostk pair kernel (G=1 units, matching the hardware),
+// passing the probe as both points and keeping the first result.
 func (e *GuardedEngine) hostProbeForce(probe vec.V3, req *core.Request) (vec.V3, float64) {
 	eps := e.sys.Eps()
-	ax, ay, az, pot := hostk.P2P(probe.X, probe.Y, probe.Z, &req.J, eps*eps)
-	return vec.V3{X: ax, Y: ay, Z: az}, pot
+	acc, pot, _, _ := hostk.P2PPair(probe, probe, &req.J, eps*eps)
+	return acc, pot
 }
 
 // verifyProbe checks every virtual-pipeline slot's probe force against

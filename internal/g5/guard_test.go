@@ -20,7 +20,6 @@ func randomRequest(r *rng.Source, ni, nj int) *core.Request {
 	for j := 0; j < nj; j++ {
 		q.J.Append(r.Uniform(-40, 40), r.Uniform(-40, 40), r.Uniform(-40, 40), 1+r.Float64())
 	}
-	q.J.Pad()
 	return q
 }
 

@@ -22,12 +22,11 @@ func benchBatch(ni, nj int) (ipos, jpos []vec.V3, jmass []float64, list hostk.JL
 		jmass[j] = r.Float64()
 		list.Append(jpos[j].X, jpos[j].Y, jpos[j].Z, jmass[j])
 	}
-	list.Pad()
 	return ipos, jpos, jmass, list
 }
 
 // BenchmarkHostP2P compares the retired scalar host loop against the
-// SoA tile kernel on a treecode-shaped batch (group of 64 i-particles,
+// SoA pair kernel on a treecode-shaped batch (group of 64 i-particles,
 // ~2k-entry shared j-list).
 func BenchmarkHostP2P(b *testing.B) {
 	const ni, nj = 64, 2000
@@ -45,10 +44,11 @@ func BenchmarkHostP2P(b *testing.B) {
 		b.SetBytes(int64(ni * nj * 8))
 		const eps2 = eps * eps
 		for it := 0; it < b.N; it++ {
-			for i, pi := range ipos {
-				ax, ay, az, p := hostk.P2P(pi.X, pi.Y, pi.Z, &list, eps2)
-				acc[i] = acc[i].Add(vec.V3{X: ax, Y: ay, Z: az})
-				pot[i] += p
+			for i := 0; i < ni; i += 2 {
+				a, pa, c, pc := hostk.P2PPair(ipos[i], ipos[i+1], &list, eps2)
+				acc[i], acc[i+1] = acc[i].Add(a), acc[i+1].Add(c)
+				pot[i] += pa
+				pot[i+1] += pc
 			}
 		}
 	})
@@ -56,7 +56,7 @@ func BenchmarkHostP2P(b *testing.B) {
 
 // BenchmarkGuardCheck compares the guard's probe reference — one field
 // point against a whole batch j-list — before and after rerouting it
-// through the shared P2P kernel.
+// through the shared pair kernel, the probe passed as both points.
 func BenchmarkGuardCheck(b *testing.B) {
 	const nj = 4000
 	_, jpos, jmass, list := benchBatch(1, nj)
@@ -73,7 +73,7 @@ func BenchmarkGuardCheck(b *testing.B) {
 	b.Run("soa", func(b *testing.B) {
 		const eps2 = eps * eps
 		for it := 0; it < b.N; it++ {
-			_, _, _, _ = hostk.P2P(probe.X, probe.Y, probe.Z, &list, eps2)
+			_, _, _, _ = hostk.P2PPair(probe, probe, &list, eps2)
 		}
 	})
 }

@@ -71,10 +71,10 @@ func checkPointBox(t *testing.T, b vec.Box, com vec.V3) {
 }
 
 // TestSoAMatchesScalar is the differential conformance suite of the
-// host's hot paths: P2P must equal the scalar loop bit for bit, and
-// the MAC written out inside octree.Tree.Walk must agree bool for bool
-// with the scalar reference pair, OpenCriterion.Accept on
-// vec.Box.Dist2.
+// host's hot paths: P2PPair must equal the scalar loop bit for bit on
+// each of its two points, and the MAC written out inside
+// octree.Tree.Walk must agree bool for bool with the scalar reference
+// pair, OpenCriterion.Accept on vec.Box.Dist2.
 func TestSoAMatchesScalar(t *testing.T) {
 	t.Run("mac-table", func(t *testing.T) {
 		for _, c := range macCases() {
@@ -132,20 +132,19 @@ func TestSoAMatchesScalar(t *testing.T) {
 			eps    float64
 			g      float64
 			self   bool // plant exact zero-separation pairs
-			pad    bool
-			origin bool // first field point at the origin, where the pad lanes sit
+			origin bool // first field point at the origin
 			lanes  int  // 1: an infinite mass and an infinite coordinate; 2: a NaN coordinate
 		}{
 			{name: "single-pair", ni: 1, nj: 1, eps: 0.01, g: 1},
-			{name: "one-tile-exact", ni: 3, nj: hostk.JTile, eps: 0.05, g: 2},
-			{name: "tail-lane", ni: 4, nj: hostk.JTile + 3, eps: 0.05, g: 1, pad: true},
-			{name: "self-pairs", ni: 8, nj: 40, eps: 0.02, g: 1, self: true, pad: true},
-			{name: "self-pairs-zero-eps", ni: 5, nj: 21, eps: 0, g: 1, self: true, pad: true},
-			{name: "origin-zero-eps", ni: 3, nj: 5, eps: 0, g: 1, pad: true, origin: true},
+			{name: "one-tile-exact", ni: 3, nj: 8, eps: 0.05, g: 2},
+			{name: "tail-lane", ni: 4, nj: 11, eps: 0.05, g: 1},
+			{name: "self-pairs", ni: 8, nj: 40, eps: 0.02, g: 1, self: true},
+			{name: "self-pairs-zero-eps", ni: 5, nj: 21, eps: 0, g: 1, self: true},
+			{name: "origin-zero-eps", ni: 3, nj: 5, eps: 0, g: 1, origin: true},
 			{name: "large-unpadded", ni: 16, nj: 137, eps: 0.01, g: 0.5},
-			{name: "inf-lanes", ni: 3, nj: 12, eps: 0.01, g: 1, pad: true, lanes: 1},
+			{name: "inf-lanes", ni: 3, nj: 12, eps: 0.01, g: 1, lanes: 1},
 			{name: "nan-lane", ni: 3, nj: 12, eps: 0.01, g: 1, lanes: 2},
-			{name: "empty-list", ni: 3, nj: 0, eps: 0.01, g: 1, pad: true},
+			{name: "empty-list", ni: 3, nj: 0, eps: 0.01, g: 1},
 		} {
 			tc := tc
 			t.Run(tc.name, func(t *testing.T) {
@@ -176,22 +175,25 @@ func TestSoAMatchesScalar(t *testing.T) {
 				for j, pj := range jpos {
 					list.Append(pj.X, pj.Y, pj.Z, jmass[j])
 				}
-				if tc.pad {
-					list.Pad()
-					if list.Len()%hostk.JTile != 0 || list.N != tc.nj {
-						t.Fatalf("Pad broke invariants: len=%d N=%d", list.Len(), list.N)
-					}
-				}
 
 				wantAcc := make([]vec.V3, tc.ni)
 				wantPot := make([]float64, tc.ni)
 				hostk.ScalarAccumulate(tc.g, tc.eps, ipos, jpos, jmass, wantAcc, wantPot)
+				want := func(i int) p2pResult { return p2pResult{wantAcc[i], wantPot[i]} }
+				scaled := func(acc vec.V3, pot float64) p2pResult {
+					return p2pResult{vec.V3{X: tc.g * acc.X, Y: tc.g * acc.Y, Z: tc.g * acc.Z}, tc.g * pot}
+				}
 
+				// Each point against its successor, in both argument
+				// orders, and against itself.
 				eps2 := tc.eps * tc.eps
-				for i, pi := range ipos {
-					ax, ay, az, pot := hostk.P2P(pi.X, pi.Y, pi.Z, &list, eps2)
-					got := p2pResult{vec.V3{X: tc.g * ax, Y: tc.g * ay, Z: tc.g * az}, tc.g * pot}
-					got.mustEqual(t, i, p2pResult{wantAcc[i], wantPot[i]})
+				for i := range ipos {
+					k := (i + 1) % tc.ni
+					for _, pq := range [][2]int{{i, k}, {k, i}, {i, i}} {
+						a, pa, b, pb := hostk.P2PPair(ipos[pq[0]], ipos[pq[1]], &list, eps2)
+						scaled(a, pa).mustEqual(t, pq[0], want(pq[0]))
+						scaled(b, pb).mustEqual(t, pq[1], want(pq[1]))
+					}
 				}
 			})
 		}
@@ -217,18 +219,19 @@ func (got p2pResult) mustEqual(t *testing.T, i int, want p2pResult) {
 	}
 }
 
-// TestJListCopyFrom pins the snapshot semantics: padding and the real
+// TestJListCopyFrom pins the snapshot semantics: the lanes and the
 // count survive the copy, and the copy aliases nothing.
 func TestJListCopyFrom(t *testing.T) {
 	var src hostk.JList
 	src.Append(1, 2, 3, 4)
 	src.Append(5, 6, 7, 8)
-	src.Pad()
 	var dst hostk.JList
 	dst.Append(9, 9, 9, 9) // stale content must be discarded
+	dst.Append(9, 9, 9, 9)
+	dst.Append(9, 9, 9, 9)
 	dst.CopyFrom(&src)
-	if dst.N != 2 || dst.Len() != src.Len() {
-		t.Fatalf("copy: N=%d len=%d, want N=2 len=%d", dst.N, dst.Len(), src.Len())
+	if dst.N != 2 || len(dst.X) != 2 || dst.M[1] != 8 {
+		t.Fatalf("copy: N=%d len=%d M=%v, want N=2 len=2 M=[4 8]", dst.N, len(dst.X), dst.M)
 	}
 	src.X[0] = -1
 	if dst.X[0] != 1 {

@@ -121,13 +121,16 @@ func (s *System) ApplyOrderScratch(order []int32, keys []morton.Key, scr *PermSc
 	return nil
 }
 
-// Bounds returns the axis-aligned bounding box of all positions.
+// Bounds returns the axis-aligned bounding box of all positions. The
+// corners are carried as two V3s, which stay in registers, where a Box
+// is too large to and round-trips through memory every particle.
 func (s *System) Bounds() vec.Box {
 	b := vec.EmptyBox()
+	lo, hi := b.Min, b.Max
 	for _, p := range s.Pos {
-		b = b.Extend(p)
+		lo, hi = lo.Min(p), hi.Max(p)
 	}
-	return b
+	return vec.Box{Min: lo, Max: hi}
 }
 
 // TotalMass returns the sum of particle masses.

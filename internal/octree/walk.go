@@ -12,8 +12,8 @@ import (
 // at its position; the modified algorithm's groups pass -1). A group's
 // own cell is never accepted (its surface distance to its own contents
 // is zero), so group members enter the list as direct particles —
-// exactly Barnes' formulation. With a list, j is reset, filled in visit
-// order and padded; with j == nil nothing is emitted and a leaf costs
+// exactly Barnes' formulation. With a list, j is reset and filled in
+// visit order; with j == nil nothing is emitted and a leaf costs
 // O(1), which keeps the original algorithm's count-only walk cheap at
 // the paper's N. Returns the list length, the number of cell
 // (centre-of-mass) entries and the nodes visited.
@@ -77,9 +77,6 @@ func (t *Tree) Walk(sink vec.Box, mac OpenCriterion, self int32, j *hostk.JList)
 		default:
 			i++
 		}
-	}
-	if j != nil {
-		j.Pad()
 	}
 	return entries + cells, cells, visited
 }

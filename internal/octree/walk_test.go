@@ -56,16 +56,15 @@ func (r *refWalk) visit(idx int32) {
 }
 
 // reference runs the reference walk for a group's box (self < 0) or
-// for field particle self, and pads its list as Walk does.
+// for field particle self.
 func reference(tree *Tree, cells []cell, mac OpenCriterion, box vec.Box, self int32) *refWalk {
 	r := &refWalk{tree: tree, cells: cells, mac: mac, box: box, self: self}
 	r.visit(0)
-	r.j.Pad()
 	return r
 }
 
 // checkWalk compares Walk, with a list and count-only, against the
-// reference: lanes bit for bit (padding included), N, cells, visited.
+// reference: lanes bit for bit, N, cells, visited.
 func checkWalk(t *testing.T, tree *Tree, cells []cell, mac OpenCriterion, box vec.Box, self int32, j *hostk.JList) {
 	t.Helper()
 	want := reference(tree, cells, mac, box, self)
@@ -79,10 +78,10 @@ func checkWalk(t *testing.T, tree *Tree, cells []cell, mac OpenCriterion, box ve
 		t.Fatalf("%s: cells %d/%d visited %d/%d (list/count-only), reference %d, %d",
 			what, ncells, cc, visited, vc, len(want.listed), want.visited)
 	}
-	if j.Len() != want.j.Len() {
-		t.Fatalf("%s: %d lanes, reference %d", what, j.Len(), want.j.Len())
+	if len(j.X) != j.N {
+		t.Fatalf("%s: %d lanes for %d entries", what, len(j.X), j.N)
 	}
-	for k := 0; k < j.Len(); k++ {
+	for k := 0; k < j.N; k++ {
 		got := [4]float64{j.X[k], j.Y[k], j.Z[k], j.M[k]}
 		ref := [4]float64{want.j.X[k], want.j.Y[k], want.j.Z[k], want.j.M[k]}
 		for c := range got {

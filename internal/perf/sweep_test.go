@@ -22,7 +22,6 @@ func TestScheduleEngineCounts(t *testing.T) {
 	for j := 0; j < 7; j++ {
 		req.J.Append(float64(j), 0, 0, 1)
 	}
-	req.J.Pad()
 	e.Accumulate(req)
 	if c := sys.Counters(); c.Interactions != 35 {
 		t.Errorf("interactions = %d, want 35", c.Interactions)

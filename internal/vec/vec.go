@@ -53,14 +53,18 @@ func (a V3) MulAdd(s float64, b V3) V3 {
 	return V3{a.X + s*b.X, a.Y + s*b.Y, a.Z + s*b.Z}
 }
 
-// Min returns the component-wise minimum of a and b.
+// Min returns the component-wise minimum of a and b. The builtin min
+// follows math.Min's rules for ±0 and ±Inf and inlines, where math.Min
+// is an out-of-line call on amd64; a NaN component always yields NaN
+// (math.Min lets -Inf win over a NaN).
 func (a V3) Min(b V3) V3 {
-	return V3{math.Min(a.X, b.X), math.Min(a.Y, b.Y), math.Min(a.Z, b.Z)}
+	return V3{min(a.X, b.X), min(a.Y, b.Y), min(a.Z, b.Z)}
 }
 
-// Max returns the component-wise maximum of a and b.
+// Max returns the component-wise maximum of a and b, with the builtin
+// max for the reason given at Min.
 func (a V3) Max(b V3) V3 {
-	return V3{math.Max(a.X, b.X), math.Max(a.Y, b.Y), math.Max(a.Z, b.Z)}
+	return V3{max(a.X, b.X), max(a.Y, b.Y), max(a.Z, b.Z)}
 }
 
 // Comp returns the i-th component (0=X, 1=Y, 2=Z). It panics for other i.

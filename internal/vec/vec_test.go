@@ -112,6 +112,42 @@ func TestMaxAbsComp(t *testing.T) {
 	}
 }
 
+// TestMinMaxMatchMath: V3.Min and Max agree with math.Min and math.Max
+// bit for bit on signed zeros, infinities and ordinary values, in each
+// component and either argument order. With a NaN argument the result
+// is a NaN, payload unspecified — where math.Min lets -Inf (math.Max
+// +Inf) win over a NaN.
+func TestMinMaxMatchMath(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 2.5, -1e300, 5e-324, math.MaxFloat64, inf, -inf, nan}
+	for _, a := range vals {
+		for _, b := range vals {
+			for c := 0; c < 3; c++ {
+				va, vb := V3{}.SetComp(c, a), V3{}.SetComp(c, b)
+				for _, op := range []struct {
+					name string
+					got  float64
+					want float64
+				}{
+					{"Min", va.Min(vb).Comp(c), math.Min(a, b)},
+					{"Max", va.Max(vb).Comp(c), math.Max(a, b)},
+				} {
+					if math.IsNaN(a) || math.IsNaN(b) {
+						if !math.IsNaN(op.got) {
+							t.Errorf("%s(%v, %v) component %d = %v, want NaN", op.name, a, b, c, op.got)
+						}
+						continue
+					}
+					if math.Float64bits(op.got) != math.Float64bits(op.want) {
+						t.Errorf("%s(%v, %v) component %d = %v (%016x), math gives %v (%016x)",
+							op.name, a, b, c, op.got, math.Float64bits(op.got), op.want, math.Float64bits(op.want))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestIsFinite(t *testing.T) {
 	if !(V3{1, 2, 3}).IsFinite() {
 		t.Error("finite vector reported non-finite")
