@@ -64,11 +64,12 @@ bench-alloc:
 # SIGINT and the supervised crash loop — through the real binaries,
 # under the race detector — plus, at the unit level, the checkpoint
 # reader's corruption guarantees, the byte-golden files of both formats,
-# the resume of a store written before the manifest was dropped, and
-# the step report's checkpoint telemetry (each save counted once).
+# the resume of a store written before the manifest was dropped, the
+# step report's checkpoint telemetry (each save counted once), and a
+# resume's allocations (each array once; a forged count stays capped).
 ckpt-e2e:
 	$(GO) test -count=1 -race -run 'TestE2E' ./cmd/grape5sim ./cmd/simrun
-	$(GO) test -count=1 -run 'TestEveryBitFlipDetected|TestEveryTruncationDetected|TestLatestValid|TestParentWrittenStoreResumes|TestGoldenFilesByteIdentical|TestResumeRefusesRetiredOptions|TestCheckpointTelemetryCountsEachSaveOnce' ./internal/ckpt ./internal/snapio .
+	$(GO) test -count=1 -run 'TestEveryBitFlipDetected|TestEveryTruncationDetected|TestLatestValid|TestParentWrittenStoreResumes|TestGoldenFilesByteIdentical|TestResumeRefusesRetiredOptions|TestCheckpointTelemetryCountsEachSaveOnce|TestReadFileAllocatesOnce|TestForgedCountFailsShortRead' ./internal/ckpt ./internal/snapio .
 
 # serve-e2e gates the multi-tenant job server (DESIGN.md §14): fair
 # completion order, explicit 429 backpressure, bitwise result identity

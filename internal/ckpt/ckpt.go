@@ -270,12 +270,14 @@ func FromSnapshot(h snapio.Header, s *nbody.System) *Checkpoint {
 // snapshot (initial conditions plus provenance, via FromSnapshot; the
 // resume re-primes).
 func LoadResumable(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	f, size, err := open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
+	// The decoder reads through br itself: bufio does not wrap a reader
+	// already buffered BufSize deep.
+	br := bufio.NewReaderSize(f, snapio.BufSize)
 	raw, err := br.Peek(4)
 	if err != nil {
 		return nil, fmt.Errorf("%s: reading magic: %w", path, err)
@@ -283,9 +285,9 @@ func LoadResumable(path string) (*Checkpoint, error) {
 	var c *Checkpoint
 	switch magic := le.Uint32(raw); magic {
 	case Magic:
-		c, err = Read(br)
+		c, err = read(br, size)
 	case snapio.Magic:
-		h, s, rerr := snapio.Read(br)
+		h, s, rerr := snapio.ReadSized(br, size)
 		c, err = FromSnapshot(h, s), rerr
 	default:
 		err = fmt.Errorf("neither a checkpoint nor a snapshot (magic %#x)", magic)
@@ -306,8 +308,8 @@ func Write(w io.Writer, c *Checkpoint) error {
 }
 
 // writeTo checks c and writes it through an Encoder whose buffer is
-// sized to the file, returned unflushed; with a nil w the Encoder keeps
-// the whole file in memory.
+// sized to the file up to snapio.BufSize, returned unflushed; with a nil
+// w the Encoder keeps the whole file in memory.
 func writeTo(w io.Writer, c *Checkpoint) (*snapio.Encoder, error) {
 	if c == nil || c.Sys == nil {
 		return nil, fmt.Errorf("ckpt: nil checkpoint")
@@ -392,8 +394,12 @@ func writeSection(enc *snapio.Encoder, tag string, length uint64, payload func()
 // structure, exact lengths, particle-count bounds and every CRC. It
 // returns an error on any deviation; a successful return is a complete,
 // checksum-verified checkpoint.
-func Read(r io.Reader) (*Checkpoint, error) {
-	dec := snapio.NewDecoder(r)
+func Read(r io.Reader) (*Checkpoint, error) { return read(r, -1) }
+
+// read is Read from a stream of size bytes (< 0: unknown): with the size
+// known, each particle array is allocated once.
+func read(r io.Reader, size int64) (*Checkpoint, error) {
+	dec := snapio.NewDecoder(r, size)
 
 	var hdr [12]byte
 	if _, err := io.ReadFull(dec, hdr[:]); err != nil {
@@ -427,8 +433,8 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	}
 
 	// PART: length is validated against the N it declares, and the
-	// decoder grows each array only as its data arrives, so a truncated
-	// stream fails cleanly before N-sized memory is committed.
+	// decoder commits N-sized memory only when the rest of the stream
+	// holds it, so a truncated or forged stream fails cleanly first.
 	if err := readSection(dec, tagPart, func(length uint64) error {
 		var n64 int64
 		if err := binary.Read(dec, le, &n64); err != nil {
@@ -561,14 +567,28 @@ func WriteFile(path string, c *Checkpoint) (int64, error) {
 
 // ReadFile loads and validates a checkpoint from the named file.
 func ReadFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	f, size, err := open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	c, err := Read(f)
+	c, err := read(f, size)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return c, nil
+}
+
+// open opens the named file and returns its length.
+func open(path string) (*os.File, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, fi.Size(), nil
 }

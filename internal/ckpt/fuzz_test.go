@@ -8,7 +8,9 @@ import (
 // FuzzRead: the checkpoint reader is the trust boundary between a file
 // that survived a crash and the integrator. It must never panic, never
 // over-allocate from forged lengths, and never return state that was
-// not checksum-verified — a corrupt checkpoint is an error, full stop.
+// not checksum-verified — a corrupt checkpoint is an error, full stop;
+// knowing the stream's length (as ReadFile does) changes only how arrays
+// are allocated.
 func FuzzRead(f *testing.F) {
 	c := sampleCheckpoint(16)
 	var buf bytes.Buffer
@@ -29,7 +31,10 @@ func FuzzRead(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Read(bytes.NewReader(data))
+		got, err := read(bytes.NewReader(data), int64(len(data)))
+		if _, uerr := Read(bytes.NewReader(data)); (uerr == nil) != (err == nil) {
+			t.Fatalf("the stream's length changed the verdict: %v with it, %v without", err, uerr)
+		}
 		if err != nil {
 			return // clean rejection
 		}

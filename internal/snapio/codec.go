@@ -14,21 +14,24 @@ import (
 
 // The stream codec shared by snapshots and checkpoints (package ckpt):
 // per direction one buffered CRC-32C tee with chunked little-endian
-// coding of []vec.V3, []float64 and []int64. The Encoder codes straight
-// into its write buffer, the Decoder through one reused chunk. Every
-// array is a run of 8-byte words (three per V3), so both file formats
-// are fixed by the order in which their writers call these.
+// coding of []vec.V3, []float64 and []int64, through at most BufSize of
+// buffer. The Encoder codes straight into its write buffer, the Decoder
+// through one reused chunk. Every array is a run of 8-byte words (three
+// per V3), so both file formats are fixed by the order in which their
+// writers call these.
 
-// maxWriteBuffer caps an Encoder's buffer.
-const maxWriteBuffer = 1 << 20
+// BufSize is the codec's I/O buffer in both directions: it caps an
+// Encoder's write buffer and sizes a Decoder's read buffer.
+const BufSize = 64 << 10
 
 // chunkBytes sizes the Decoder's reusable chunk: a multiple of 24 so any
 // element type packs exactly.
 const chunkBytes = 24 << 11
 
-// growCap bounds the capacity a reader commits before data arrives;
-// beyond it arrays grow by append, so a forged particle count fails on
-// the short stream instead of allocating N-sized memory.
+// growCap bounds the capacity a reader commits to an array the rest of
+// the stream may not hold; beyond it the array grows by append, so a
+// forged particle count fails on the short stream instead of allocating
+// N-sized memory.
 const growCap = 1 << 16
 
 var (
@@ -67,10 +70,10 @@ type Encoder struct {
 
 // NewEncoder returns an Encoder writing to w; Flush completes it. size
 // is the stream's length when known: the buffer takes that much, up to
-// 1 MiB. With a nil w the Encoder keeps the whole stream for Bytes.
+// BufSize. With a nil w the Encoder keeps the whole stream for Bytes.
 func NewEncoder(w io.Writer, size int) *Encoder {
 	if w != nil {
-		size = min(size, maxWriteBuffer)
+		size = min(size, BufSize)
 	}
 	// At least one V3 fits, so an array always makes progress.
 	return &Encoder{w: w, buf: make([]byte, 0, max(size, 24))}
@@ -159,17 +162,21 @@ type Decoder struct {
 	span
 	br    *bufio.Reader
 	chunk []byte
+	left  int64 // bytes of the stream not yet read; < 0: unknown
 	err   error
 }
 
-// NewDecoder returns a Decoder reading from r.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{br: bufio.NewReaderSize(r, 1<<20), chunk: make([]byte, chunkBytes)}
+// NewDecoder returns a Decoder reading from r. size is the stream's
+// length, < 0 when unknown: an array the rest of a stream of known
+// length can hold is allocated once.
+func NewDecoder(r io.Reader, size int64) *Decoder {
+	return &Decoder{br: bufio.NewReaderSize(r, BufSize), chunk: make([]byte, chunkBytes), left: size}
 }
 
 func (d *Decoder) Read(p []byte) (int, error) {
 	n, err := d.br.Read(p)
 	d.add(p[:n])
+	d.left -= int64(n)
 	return n, err
 }
 
@@ -177,13 +184,18 @@ func (d *Decoder) Read(p []byte) (int, error) {
 func (d *Decoder) Err() error { return d.err }
 
 // readArray reads n elements of size bytes each, get decoding one. The
-// result grows as data arrives (see growCap); what names the array in
-// the error of a short stream.
+// result is allocated once when the rest of the stream holds it, else it
+// grows as data arrives (see growCap); what names the array in the error
+// of a short stream.
 func readArray[T any](d *Decoder, n, size int, what string, get func(b []byte) T) []T {
 	if d.err != nil {
 		return nil
 	}
-	out := make([]T, 0, min(n, growCap))
+	c := min(n, growCap)
+	if int64(n)*int64(size) <= d.left {
+		c = n
+	}
+	out := make([]T, 0, c)
 	per := len(d.chunk) / size
 	for len(out) < n {
 		b := d.chunk[:min(n-len(out), per)*size]

@@ -10,7 +10,8 @@ import (
 
 // FuzzRead: snapshot parsing must never panic on corrupt input — it
 // must return an error or a valid system. Restart files travel between
-// machines; a truncated or bit-flipped file must fail cleanly.
+// machines; a truncated or bit-flipped file must fail cleanly, whether
+// or not the reader knows the stream's length.
 func FuzzRead(f *testing.F) {
 	// Seed corpus: a valid snapshot, truncations, and bit flips.
 	s := nbody.Plummer(20, 1, 1, 1, rng.New(1))
@@ -31,7 +32,10 @@ func FuzzRead(f *testing.F) {
 	f.Add(readGolden(f, "v1-legacy.g5"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, sys, err := Read(bytes.NewReader(data))
+		h, sys, err := ReadSized(bytes.NewReader(data), int64(len(data)))
+		if _, _, uerr := Read(bytes.NewReader(data)); (uerr == nil) != (err == nil) {
+			t.Fatalf("the stream's length changed the verdict: %v with it, %v without", err, uerr)
+		}
 		if err != nil {
 			return // clean failure
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -65,14 +66,27 @@ func TestGoldenLegacyV1Readable(t *testing.T) {
 }
 
 // TestWriteAllocs: a snapshot is encoded into the Encoder's one buffer,
-// not by one reflective write per particle.
+// not by one reflective write per particle, and that buffer stays at
+// BufSize however large the file (a 1 MiB cap allocated 1 MiB a call at
+// this N).
 func TestWriteAllocs(t *testing.T) {
 	s := sample(65536, 1)
-	if avg := testing.AllocsPerRun(5, func() {
+	write := func() {
 		if err := Write(io.Discard, Header{Time: 1}, s); err != nil {
 			t.Fatal(err)
 		}
-	}); avg > 64 {
+	}
+	if avg := testing.AllocsPerRun(5, write); avg > 64 {
 		t.Errorf("Write at N=65536 makes %.0f allocations, want <= 64", avg)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		write()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > 128<<10 {
+		t.Errorf("Write at N=65536 allocates %d B, want <= 128 KiB", b)
 	}
 }

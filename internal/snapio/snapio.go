@@ -84,8 +84,12 @@ func Write(w io.Writer, h Header, s *nbody.System) error {
 // Read loads a snapshot from r. For version-2 files the CRC trailer is
 // verified; any mismatch is an error — corruption is never silently
 // returned as particle data.
-func Read(r io.Reader) (Header, *nbody.System, error) {
-	h, s, err := read(NewDecoder(r))
+func Read(r io.Reader) (Header, *nbody.System, error) { return ReadSized(r, -1) }
+
+// ReadSized is Read from a stream of size bytes (< 0: unknown): with the
+// size known, each particle array is allocated once.
+func ReadSized(r io.Reader, size int64) (Header, *nbody.System, error) {
+	h, s, err := read(NewDecoder(r, size))
 	if err != nil {
 		return Header{}, nil, fmt.Errorf("snapio: %w", err)
 	}
@@ -118,9 +122,9 @@ func read(dec *Decoder) (h Header, s *nbody.System, err error) {
 	if h.N < 0 || h.N > 1<<31 {
 		return h, nil, fmt.Errorf("implausible particle count %d", h.N)
 	}
-	// The decoder grows arrays as data actually arrives rather than
-	// trusting the header's N up front: a forged header must fail with
-	// an error, not a multi-gigabyte allocation.
+	// The decoder trusts the header's N only as far as the rest of the
+	// stream can hold it: a forged header must fail with an error, not a
+	// multi-gigabyte allocation.
 	n := int(h.N)
 	s = &nbody.System{
 		Pos:  dec.V3s(n, "positions"),
@@ -162,5 +166,9 @@ func ReadFile(path string) (Header, *nbody.System, error) {
 		return Header{}, nil, err
 	}
 	defer f.Close()
-	return Read(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return Header{}, nil, err
+	}
+	return ReadSized(f, fi.Size())
 }
