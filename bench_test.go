@@ -17,7 +17,6 @@ import (
 	"repro/internal/nbody"
 	"repro/internal/octree"
 	"repro/internal/perf"
-	"repro/internal/pm"
 	"repro/internal/rng"
 	"repro/internal/vec"
 )
@@ -35,18 +34,6 @@ func BenchmarkTreeBuildMorton(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := octree.NewBuilder(octree.BuilderOptions{}).Build(s.Clone()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(50000*b.N)/b.Elapsed().Seconds(), "particles/s")
-}
-
-// Ablation: naive insertion build vs the Morton build above.
-func BenchmarkTreeBuildInsertion(b *testing.B) {
-	s := benchSystem(50000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := octree.BuildInsertion(s.Clone(), 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -317,16 +304,6 @@ func BenchmarkMortonSortRadix(b *testing.B) {
 	b.ReportMetric(float64(len(keys)*b.N)/b.Elapsed().Seconds(), "keys/s")
 }
 
-func BenchmarkMortonSortComparison(b *testing.B) {
-	s := benchSystem(200000, 11)
-	keys := morton.KeysInto(nil, s.Pos, s.Bounds().Cube())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		morton.SortOrder(keys)
-	}
-	b.ReportMetric(float64(len(keys)*b.N)/b.Elapsed().Seconds(), "keys/s")
-}
-
 func BenchmarkFriendsOfFriends(b *testing.B) {
 	s := sharedCosmoSnapshot(b)
 	b.ResetTimer()
@@ -373,39 +350,4 @@ func BenchmarkAblationModifiedOnGRAPE(b *testing.B) {
 		hw = rep.PipeSeconds + rep.BusSeconds
 	}
 	b.ReportMetric(hw, "modelled-hw-s/step")
-}
-
-// ---------------------------------------------------------------------
-// Extension experiments: PM baseline.
-// ---------------------------------------------------------------------
-
-// PM baseline: wall-clock of a PM force solve vs the treecode at the
-// same N (PM error characteristics are covered in internal/pm tests).
-func BenchmarkPMForces(b *testing.B) {
-	s := benchSystem(20000, 15)
-	box := s.Bounds().Cube()
-	grow := box.MaxEdge() * 0.05
-	box.Min = box.Min.Sub(vec.V3{X: grow, Y: grow, Z: grow})
-	box.Max = box.Max.Add(vec.V3{X: grow, Y: grow, Z: grow})
-	solver, err := pm.NewSolver(64, box, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := solver.Forces(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTreeForcesSameN(b *testing.B) {
-	s := benchSystem(20000, 15)
-	tc := core.New(core.Options{Theta: 0.75, Ncrit: 500, G: 1, Eps: 0.1}, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tc.ComputeForces(s.Clone()); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

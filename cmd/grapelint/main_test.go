@@ -74,7 +74,7 @@ func TestExitCodeFindings(t *testing.T) {
 		"go.mod": "module repro\n\ngo 1.24\n",
 		// fpreduce is scoped to the physics/service packages, so the
 		// fixture package must live at one of those import paths.
-		"internal/pm/pm.go": `package pm
+		"internal/cosmo/cosmo.go": `package cosmo
 
 var total float64
 
@@ -133,7 +133,7 @@ func TestUnusedIgnoresFlag(t *testing.T) {
 	}
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module repro\n\ngo 1.24\n",
-		"internal/pm/pm.go": `package pm
+		"internal/cosmo/cosmo.go": `package cosmo
 
 //lint:ignore fpreduce stale: nothing on the next line accumulates
 func Clean() int { return 0 }

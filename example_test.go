@@ -8,7 +8,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/nbody"
 	"repro/internal/perf"
-	"repro/internal/pm"
 	"repro/internal/vec"
 )
 
@@ -156,13 +155,11 @@ func ExampleMerge_collision() {
 	// within 1% of perf.BlockCost: true
 }
 
-// The algorithmic comparison behind the paper's design choice, as force
-// accuracy on one evolved snapshot: a cosmological sphere is evolved to
-// z=0 on the emulated GRAPE-5, then its accelerations from the treecode
-// on GRAPE-5 and from the particle-mesh baseline are compared with exact
-// direct summation. The tree keeps sub-percent forces; a 64³ mesh over
-// the expanded sphere is coarser than the halos that formed in it.
-func Example_treeVersusPM() {
+// The treecode on GRAPE-5 keeps sub-percent forces on a clustered
+// system: a cosmological sphere is evolved to z=0 on the emulated
+// GRAPE-5, then its accelerations from one more treecode evaluation are
+// compared with exact direct summation.
+func Example_treeForceAccuracy() {
 	const steps = 60
 	cs, err := grape5.NewCosmoSphere(grape5.CosmoSphereParams{GridN: 16, Seed: 1}, steps)
 	if err != nil {
@@ -182,14 +179,6 @@ func Example_treeVersusPM() {
 	ref := final.Clone()
 	nbody.DirectForces(ref, grape5.G, eps)
 
-	rmsError := func(s *grape5.System) float64 {
-		es, err := analysis.CompareForces(s, ref)
-		if err != nil {
-			panic(err)
-		}
-		return es.RMS
-	}
-
 	// One treecode force evaluation on a copy of the final snapshot.
 	treeSim, err := grape5.NewSimulation(final.Clone(), cfg)
 	if err != nil {
@@ -198,28 +187,13 @@ func Example_treeVersusPM() {
 	if err := treeSim.Prime(); err != nil {
 		panic(err)
 	}
-	tree := rmsError(treeSim.Sys)
-
-	// One 64³ mesh solve on another copy, in the bounds cube grown by 5%
-	// of its edge on every side.
-	meshSys := final.Clone()
-	box := meshSys.Bounds().Cube()
-	grow := 0.05 * box.MaxEdge()
-	box.Min = box.Min.Sub(grape5.Vec3{X: grow, Y: grow, Z: grow})
-	box.Max = box.Max.Add(grape5.Vec3{X: grow, Y: grow, Z: grow})
-	solver, err := pm.NewSolver(64, box, grape5.G)
+	es, err := analysis.CompareForces(treeSim.Sys, ref)
 	if err != nil {
 		panic(err)
 	}
-	if err := solver.Forces(meshSys); err != nil {
-		panic(err)
-	}
-	mesh := rmsError(meshSys)
-	fmt.Println("tree+GRAPE-5 RMS force error below 1%:", tree < 0.01)
-	fmt.Println("particle mesh RMS force error above 5%:", mesh > 0.05)
+	fmt.Println("tree+GRAPE-5 RMS force error below 1%:", es.RMS < 0.01)
 	// Output:
 	// tree+GRAPE-5 RMS force error below 1%: true
-	// particle mesh RMS force error above 5%: true
 }
 
 // Finding collapsed structures in a snapshot.

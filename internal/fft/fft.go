@@ -49,9 +49,6 @@ func NewPlan(n int) (*Plan, error) {
 	return &Plan{n: n, tw: newTwiddles(n)}, nil
 }
 
-// Len returns the transform length of the plan.
-func (p *Plan) Len() int { return p.n }
-
 // Forward transforms x in place (length must equal the plan length).
 func (p *Plan) Forward(x []complex128) {
 	if len(x) != p.n {
@@ -101,24 +98,4 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 			}
 		}
 	}
-}
-
-// Forward is a convenience that plans and runs a forward transform.
-func Forward(x []complex128) error {
-	p, err := NewPlan(len(x))
-	if err != nil {
-		return err
-	}
-	p.Forward(x)
-	return nil
-}
-
-// Inverse is a convenience that plans and runs an inverse transform.
-func Inverse(x []complex128) error {
-	p, err := NewPlan(len(x))
-	if err != nil {
-		return err
-	}
-	p.Inverse(x)
-	return nil
 }

@@ -200,25 +200,3 @@ func TestForwardPanicsOnWrongLength(t *testing.T) {
 	}()
 	mustPlan(t, 8).Forward(make([]complex128, 4))
 }
-
-func TestConvenienceWrappers(t *testing.T) {
-	x := []complex128{1, 2, 3, 4}
-	orig := append([]complex128(nil), x...)
-	if err := Forward(x); err != nil {
-		t.Fatal(err)
-	}
-	if err := Inverse(x); err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if cmplx.Abs(x[i]-orig[i]) > 1e-12 {
-			t.Errorf("wrapper round trip failed at %d", i)
-		}
-	}
-	if err := Forward(make([]complex128, 3)); err == nil {
-		t.Error("Forward of non-pow2 should error")
-	}
-	if err := Inverse(make([]complex128, 3)); err == nil {
-		t.Error("Inverse of non-pow2 should error")
-	}
-}

@@ -128,19 +128,3 @@ func (g *Grid3) EnforceHermitian() {
 		}
 	}
 }
-
-// MaxImag returns the largest |imaginary part| on the grid; a real
-// field after an inverse transform should have this near zero.
-func (g *Grid3) MaxImag() float64 {
-	m := 0.0
-	for _, v := range g.Data {
-		im := imag(v)
-		if im < 0 {
-			im = -im
-		}
-		if im > m {
-			m = im
-		}
-	}
-	return m
-}

@@ -71,6 +71,3 @@ func (g FixedGrid) Quantize(x float64) (float64, bool) {
 	}
 	return g.Min + idx*g.step, ok
 }
-
-// Step returns the grid spacing.
-func (g FixedGrid) Step() float64 { return g.step }

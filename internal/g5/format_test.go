@@ -97,8 +97,8 @@ func TestRoundMantissaMonotoneProperty(t *testing.T) {
 
 func TestFixedGridQuantize(t *testing.T) {
 	g := NewFixedGrid(-1, 1, 4) // 16 steps of 0.125
-	if g.Step() != 0.125 {
-		t.Errorf("step = %v", g.Step())
+	if g.step != 0.125 {
+		t.Errorf("step = %v", g.step)
 	}
 	v, ok := g.Quantize(0)
 	if !ok || v != 0 {
@@ -131,7 +131,7 @@ func TestFixedGridErrorBoundProperty(t *testing.T) {
 		}
 		x = math.Mod(x, 9.99)
 		v, ok := g.Quantize(x)
-		return ok && math.Abs(v-x) <= g.Step()/2*(1+1e-12)
+		return ok && math.Abs(v-x) <= g.step/2*(1+1e-12)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

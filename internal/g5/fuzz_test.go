@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/vec"
 )
 
 // FuzzRoundMantissa: the number-format invariants must hold for any
@@ -56,9 +57,9 @@ func FuzzComputeRefusesNonFinite(f *testing.F) {
 		// 9 i coordinates, 12 j coordinates, 4 masses.
 		switch k := int(where) % 25; {
 		case k < 9:
-			ipos[k/3] = ipos[k/3].SetComp(k%3, v)
+			ipos[k/3] = withComp(ipos[k/3], k%3, v)
 		case k < 21:
-			jpos[(k-9)/3] = jpos[(k-9)/3].SetComp(k%3, v)
+			jpos[(k-9)/3] = withComp(jpos[(k-9)/3], k%3, v)
 		default:
 			jm[k-21] = v
 		}
@@ -73,6 +74,19 @@ func FuzzComputeRefusesNonFinite(f *testing.F) {
 			t.Fatalf("finite call: %v, %+v", err, sys.Counters())
 		}
 	})
+}
+
+// withComp returns p with component i (0=X, 1=Y, 2=Z) set to v.
+func withComp(p vec.V3, i int, v float64) vec.V3 {
+	switch i {
+	case 0:
+		p.X = v
+	case 1:
+		p.Y = v
+	default:
+		p.Z = v
+	}
+	return p
 }
 
 // FuzzFixedGrid: quantisation must stay inside the range and within
@@ -95,8 +109,8 @@ func FuzzFixedGrid(f *testing.F) {
 			t.Fatalf("quantised value %v escaped the range", v)
 		}
 		if ok && !math.IsInf(x, 0) {
-			if math.Abs(v-x) > g.Step()/2*(1+1e-9) {
-				t.Fatalf("in-range error %v exceeds half step %v", math.Abs(v-x), g.Step()/2)
+			if math.Abs(v-x) > g.step/2*(1+1e-9) {
+				t.Fatalf("in-range error %v exceeds half step %v", math.Abs(v-x), g.step/2)
 			}
 		}
 	})

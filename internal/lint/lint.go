@@ -206,7 +206,6 @@ var physicsPackages = map[string]bool{
 	"repro/internal/integrate": true,
 	"repro/internal/nbody":     true,
 	"repro/internal/cosmo":     true,
-	"repro/internal/pm":        true,
 	"repro/internal/morton":    true,
 	"repro/internal/vec":       true,
 }

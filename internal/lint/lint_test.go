@@ -32,7 +32,7 @@ func TestLockDisciplineFixture(t *testing.T) {
 }
 
 func TestGoroutineJoinFixture(t *testing.T) {
-	linttest.Run(t, "testdata/goroutinejoin", "repro/internal/pm", lint.AnalyzerGoroutineJoin)
+	linttest.Run(t, "testdata/goroutinejoin", "repro/internal/cosmo", lint.AnalyzerGoroutineJoin)
 }
 
 func TestGoroutineJoinScopedToServiceAndPhysics(t *testing.T) {
@@ -40,5 +40,5 @@ func TestGoroutineJoinScopedToServiceAndPhysics(t *testing.T) {
 }
 
 func TestFPReduceFixture(t *testing.T) {
-	linttest.Run(t, "testdata/fpreduce", "repro/internal/pm", lint.AnalyzerFPReduce)
+	linttest.Run(t, "testdata/fpreduce", "repro/internal/cosmo", lint.AnalyzerFPReduce)
 }

@@ -26,7 +26,7 @@ func loadFixture(t *testing.T, loader *lint.Loader, dir, importPath string) *lin
 // analyzer no longer in the suite, is surfaced.
 func TestRunDetailReportsUnusedIgnores(t *testing.T) {
 	loader := lint.NewLoader("")
-	pkg := loadFixture(t, loader, "testdata/unusedignore", "repro/internal/pm")
+	pkg := loadFixture(t, loader, "testdata/unusedignore", "repro/internal/cosmo")
 	diags, unused, err := lint.RunDetail([]*lint.Package{pkg}, lint.All())
 	if err != nil {
 		t.Fatal(err)

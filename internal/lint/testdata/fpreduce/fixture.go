@@ -1,6 +1,6 @@
 // Package fixture exercises the fpreduce analyzer: order-dependent
 // floating-point accumulation through goroutine captures and
-// package-level state. Loaded as repro/internal/pm, a physics package.
+// package-level state. Loaded as repro/internal/cosmo, a physics package.
 package fixture
 
 import "sync"

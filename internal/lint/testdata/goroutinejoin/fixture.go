@@ -1,6 +1,6 @@
 // Package fixture exercises the goroutinejoin analyzer: every go
 // statement needs provable join evidence in its body (or one level into
-// in-package callees). Loaded as repro/internal/pm, a join-scoped
+// in-package callees). Loaded as repro/internal/cosmo, a join-scoped
 // physics package.
 package fixture
 

@@ -1,7 +1,7 @@
 // Package fixture feeds the stale-suppression detector: one ignore
 // that suppresses a real fpreduce finding, one that covers nothing and
 // one that names a retired analyzer.
-// Loaded as repro/internal/pm.
+// Loaded as repro/internal/cosmo.
 package fixture
 
 var total float64

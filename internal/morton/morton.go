@@ -5,11 +5,7 @@
 // standard key construction of Warren & Salmon's hashed octree.
 package morton
 
-import (
-	"sort"
-
-	"repro/internal/vec"
-)
+import "repro/internal/vec"
 
 // Bits is the number of bits of resolution per coordinate. 3*21 = 63
 // bits fit in a uint64 key.
@@ -34,27 +30,9 @@ func spread3(v uint64) uint64 {
 	return v
 }
 
-// compact3 is the inverse of spread3.
-func compact3(v uint64) uint64 {
-	v &= 0x1249249249249249
-	v = (v ^ v>>2) & 0x10c30c30c30c30c3
-	v = (v ^ v>>4) & 0x100f00f00f00f00f
-	v = (v ^ v>>8) & 0x1f0000ff0000ff
-	v = (v ^ v>>16) & 0x1f00000000ffff
-	v = (v ^ v>>32) & 0x1fffff
-	return v
-}
-
 // Encode interleaves three quantised coordinates (each < 2^21) into a key.
 func Encode(ix, iy, iz uint32) Key {
 	return Key(spread3(uint64(ix)) | spread3(uint64(iy))<<1 | spread3(uint64(iz))<<2)
-}
-
-// Decode recovers the quantised coordinates from a key.
-func (k Key) Decode() (ix, iy, iz uint32) {
-	return uint32(compact3(uint64(k))),
-		uint32(compact3(uint64(k) >> 1)),
-		uint32(compact3(uint64(k) >> 2))
 }
 
 // Quantize maps position p inside box to quantised coordinates. Points
@@ -110,24 +88,12 @@ func KeysInto(dst []Key, pos []vec.V3, box vec.Box) []Key {
 	return dst
 }
 
-// SortOrder returns a permutation that sorts the keys ascending. The
-// sort is stable so equal keys keep their input order (deterministic
-// builds). This is the comparison-sort reference; production tree
-// builds use SortOrderRadixInto.
-func SortOrder(keys []Key) []int {
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	return order
-}
-
-// SortOrderRadixInto returns the same permutation as SortOrder via an
-// LSD radix sort over the 63 key bits (8 passes of 8 bits): O(N),
-// stable, and substantially faster than comparison sorting for the
-// multi-million-particle builds of the headline run. a and b are
-// caller-owned ping-pong permutation buffers (grown only when too
+// SortOrderRadixInto returns the permutation that sorts the keys
+// ascending, stably (equal keys keep their input order, so builds are
+// deterministic), by an LSD radix sort over the 63 key bits (8 passes
+// of 8 bits): O(N), and substantially faster than comparison sorting
+// for the multi-million-particle builds of the headline run. a and b
+// are caller-owned ping-pong permutation buffers (grown only when too
 // small; nil allocates both). The returned slice — which holds the
 // final permutation — aliases one of the two buffers, so callers
 // reusing the scratch must consume (or copy) the result before the

@@ -204,3 +204,34 @@ func radixEdgeCases[I int | int32](t *testing.T) {
 		}
 	}
 }
+
+// compact3 is the inverse of spread3.
+func compact3(v uint64) uint64 {
+	v &= 0x1249249249249249
+	v = (v ^ v>>2) & 0x10c30c30c30c30c3
+	v = (v ^ v>>4) & 0x100f00f00f00f00f
+	v = (v ^ v>>8) & 0x1f0000ff0000ff
+	v = (v ^ v>>16) & 0x1f00000000ffff
+	v = (v ^ v>>32) & 0x1fffff
+	return v
+}
+
+// Decode recovers the quantised coordinates from a key.
+func (k Key) Decode() (ix, iy, iz uint32) {
+	return uint32(compact3(uint64(k))),
+		uint32(compact3(uint64(k) >> 1)),
+		uint32(compact3(uint64(k) >> 2))
+}
+
+// SortOrder returns a permutation that sorts the keys ascending. The
+// sort is stable so equal keys keep their input order (deterministic
+// builds). It is the comparison-sort reference SortOrderRadixInto is
+// checked against.
+func SortOrder(keys []Key) []int {
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	return order
+}

@@ -7,15 +7,17 @@ import (
 	"repro/internal/vec"
 )
 
+// NoChild marks an absent child slot of the insertion tree.
+const NoChild = int32(-1)
+
 // BuildInsertion builds an octree by naive one-particle-at-a-time
 // insertion, the textbook Barnes & Hut (1986) construction. It produces
 // the same cell decomposition as Builder.Build for the same leaf
 // capacity but does not reorder the system, so leaves index particles
 // through the Perm slice instead of contiguous ranges.
 //
-// It exists as the independent reference implementation for
-// cross-validation tests and as the baseline of the build ablation; the
-// production path is Builder.Build.
+// It is the independent reference the cross-validation tests hold
+// Builder.Build to.
 type InsertionTree struct {
 	Nodes   []inode
 	Sys     *nbody.System

@@ -10,16 +10,10 @@
 package octree
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/morton"
 	"repro/internal/nbody"
 	"repro/internal/vec"
 )
-
-// NoChild marks an absent child slot of the insertion tree.
-const NoChild = int32(-1)
 
 // LeafCap is the leaf capacity every production tree is built with:
 // the maximum number of particles in a leaf.
@@ -221,9 +215,6 @@ func finishLeafNode(sys *nbody.System, n *Node) {
 	}
 }
 
-// Root returns the root node.
-func (t *Tree) Root() *Node { return &t.Nodes[0] }
-
 // NumNodes returns the total cell count.
 func (t *Tree) NumNodes() int { return len(t.Nodes) }
 
@@ -301,86 +292,4 @@ type Group struct {
 	Start, Count int32
 	// Box is the cell's box, the sink of the group's walk.
 	Box vec.Box
-}
-
-// Validate checks structural invariants of the tree: nodes are stored
-// in walk order with correct Next indices and strictly descending
-// child octants, each internal node's children partition its range,
-// sizes match the box descent, masses add up, and every particle lies
-// in its leaf's descent box (allowing quantisation slack on faces).
-func (t *Tree) Validate() error {
-	var totalErr error
-	var walk func(idx int32, box vec.Box) (mass float64)
-	walk = func(idx int32, box vec.Box) float64 {
-		n := &t.Nodes[idx]
-		if n.Size != box.MaxEdge() {
-			totalErr = fmt.Errorf("octree: node %d size %v, its descent box has edge %v", idx, n.Size, box.MaxEdge())
-		}
-		if n.Leaf {
-			if n.Next != idx+1 {
-				totalErr = fmt.Errorf("octree: leaf %d Next = %d, want %d", idx, n.Next, idx+1)
-			}
-			var m float64
-			// Morton quantisation can place a particle exactly on a
-			// cell face; allow slack of one quantisation step.
-			slack := n.Size * 1e-6
-			grown := vec.Box{
-				Min: box.Min.Sub(vec.V3{X: slack, Y: slack, Z: slack}),
-				Max: box.Max.Add(vec.V3{X: slack, Y: slack, Z: slack}),
-			}
-			for i := n.Start; i < n.Start+n.Count; i++ {
-				m += t.Sys.Mass[i]
-				if !grown.ContainsClosed(t.Sys.Pos[i]) {
-					totalErr = fmt.Errorf("octree: particle %d outside leaf box", i)
-				}
-			}
-			return m
-		}
-		if n.Next <= idx+1 || int(n.Next) > len(t.Nodes) {
-			totalErr = fmt.Errorf("octree: internal node %d Next = %d of %d nodes", idx, n.Next, len(t.Nodes))
-			return 0
-		}
-		// Children in storage order, checking that each starts where
-		// its previous sibling's subtree ends and that the last ends
-		// at the parent's Next.
-		var kids [8]int32
-		k, c := 0, idx+1
-		for ; c < n.Next && k < 8; c = t.Nodes[c].Next {
-			if c <= idx || (k > 0 && t.Nodes[c].Octant >= t.Nodes[kids[k-1]].Octant) || t.Nodes[c].Octant > 7 {
-				totalErr = fmt.Errorf("octree: node %d child %d at %d is out of walk order", idx, k, c)
-				return 0
-			}
-			kids[k] = c
-			k++
-		}
-		if c != n.Next {
-			totalErr = fmt.Errorf("octree: node %d Next = %d, its children end at %d", idx, n.Next, c)
-			return 0
-		}
-		var m float64
-		next := n.Start
-		for k--; k >= 0; k-- {
-			cn := &t.Nodes[kids[k]]
-			if cn.Start != next {
-				totalErr = fmt.Errorf("octree: node %d children do not tile its range", idx)
-			}
-			next = cn.Start + cn.Count
-			m += walk(kids[k], box.Child(int(cn.Octant)))
-		}
-		if next != n.Start+n.Count {
-			totalErr = fmt.Errorf("octree: node %d range not covered by children", idx)
-		}
-		if math.Abs(m-n.Mass) > 1e-9*(1+math.Abs(m)) {
-			totalErr = fmt.Errorf("octree: node %d mass mismatch %v vs %v", idx, n.Mass, m)
-		}
-		return m
-	}
-	root := walk(0, t.cube)
-	if t.Nodes[0].Next != int32(len(t.Nodes)) {
-		return fmt.Errorf("octree: root subtree ends at %d of %d nodes", t.Nodes[0].Next, len(t.Nodes))
-	}
-	if math.Abs(root-t.Sys.TotalMass()) > 1e-9*(1+root) {
-		return fmt.Errorf("octree: root mass %v != system mass %v", root, t.Sys.TotalMass())
-	}
-	return totalErr
 }

@@ -150,9 +150,3 @@ func (r *Source) InBall() (x, y, z float64) {
 		}
 	}
 }
-
-// Split returns a new independent stream derived from this one.
-// Use it to hand child components their own deterministic streams.
-func (r *Source) Split() *Source {
-	return New(r.Uint64())
-}

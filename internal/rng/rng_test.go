@@ -154,21 +154,6 @@ func TestInBall(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(77)
-	child := parent.Split()
-	// Parent continues; child stream differs from the parent's future.
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("split stream tracks the parent: %d matches", same)
-	}
-}
-
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		a, b, hi, lo uint64

@@ -23,9 +23,6 @@ const (
 	// (Mpc · (km/s)² / 1e10 Msun): 4.30091e-9 Mpc (km/s)²/Msun × 1e10.
 	G = 43.0091
 
-	// MpcInKm is one megaparsec expressed in kilometres.
-	MpcInKm = 3.0856775814913673e19
-
 	// TimeUnitGyr is the internal time unit (Mpc / (km/s)) in Gyr.
 	TimeUnitGyr = 977.79222
 

@@ -12,16 +12,12 @@ func NewBox(a, b V3) Box {
 	return Box{Min: a.Min(b), Max: a.Max(b)}
 }
 
-// EmptyBox returns a box that contains nothing; extending it with any
-// point yields a point box.
+// EmptyBox returns a box that contains nothing: its Min is +Inf and its
+// Max -Inf, so the component-wise Min and Max with any point yield a
+// point box.
 func EmptyBox() Box {
 	inf := math.Inf(1)
 	return Box{Min: V3{inf, inf, inf}, Max: V3{-inf, -inf, -inf}}
-}
-
-// Extend returns the smallest box containing b and the point p.
-func (b Box) Extend(p V3) Box {
-	return Box{Min: b.Min.Min(p), Max: b.Max.Max(p)}
 }
 
 // Center returns the box centre point.
@@ -47,11 +43,6 @@ func (b Box) ContainsClosed(p V3) bool {
 	return p.X >= b.Min.X && p.X <= b.Max.X &&
 		p.Y >= b.Min.Y && p.Y <= b.Max.Y &&
 		p.Z >= b.Min.Z && p.Z <= b.Max.Z
-}
-
-// IsEmpty reports whether the box contains no points.
-func (b Box) IsEmpty() bool {
-	return b.Min.X > b.Max.X || b.Min.Y > b.Max.Y || b.Min.Z > b.Max.Z
 }
 
 // Cube returns the smallest cube centred on b's centre that contains b.

@@ -15,31 +15,12 @@ func TestNewBoxOrdersCorners(t *testing.T) {
 
 func TestEmptyBox(t *testing.T) {
 	b := EmptyBox()
-	if !b.IsEmpty() {
-		t.Error("EmptyBox not empty")
+	p := V3{1, 2, 3}
+	if b.ContainsClosed(p) {
+		t.Error("EmptyBox contains a point")
 	}
-	b = b.Extend(V3{1, 2, 3})
-	if b.IsEmpty() {
-		t.Error("extended box still empty")
-	}
-	if b.Min != (V3{1, 2, 3}) || b.Max != (V3{1, 2, 3}) {
-		t.Errorf("point box = %+v", b)
-	}
-}
-
-func TestExtendUnion(t *testing.T) {
-	b := NewBox(V3{0, 0, 0}, V3{1, 1, 1})
-	b = b.Extend(V3{2, -1, 0.5})
-	want := Box{Min: V3{0, -1, 0}, Max: V3{2, 1, 1}}
-	if b != want {
-		t.Errorf("Extend = %+v, want %+v", b, want)
-	}
-	// The union with a box is the extension by its two corners.
-	o := NewBox(V3{-3, 0, 0}, V3{0, 0, 5})
-	u := b.Extend(o.Min).Extend(o.Max)
-	want = Box{Min: V3{-3, -1, 0}, Max: V3{2, 1, 5}}
-	if u != want {
-		t.Errorf("union = %+v, want %+v", u, want)
+	if lo, hi := b.Min.Min(p), b.Max.Max(p); lo != p || hi != p {
+		t.Errorf("point box = %+v, %+v", lo, hi)
 	}
 }
 

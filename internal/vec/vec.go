@@ -25,15 +25,6 @@ func (a V3) Neg() V3 { return V3{-a.X, -a.Y, -a.Z} }
 // Dot returns the inner product a · b.
 func (a V3) Dot(b V3) float64 { return a.X*b.X + a.Y*b.Y + a.Z*b.Z }
 
-// Cross returns the vector product a × b.
-func (a V3) Cross(b V3) V3 {
-	return V3{
-		a.Y*b.Z - a.Z*b.Y,
-		a.Z*b.X - a.X*b.Z,
-		a.X*b.Y - a.Y*b.X,
-	}
-}
-
 // Norm2 returns |a|².
 func (a V3) Norm2() float64 { return a.Dot(a) }
 
@@ -78,21 +69,6 @@ func (a V3) Comp(i int) float64 {
 		return a.Z
 	}
 	panic("vec: component index out of range")
-}
-
-// SetComp returns a copy of a with the i-th component set to v.
-func (a V3) SetComp(i int, v float64) V3 {
-	switch i {
-	case 0:
-		a.X = v
-	case 1:
-		a.Y = v
-	case 2:
-		a.Z = v
-	default:
-		panic("vec: component index out of range")
-	}
-	return a
 }
 
 // MaxAbsComp returns the largest |component| of a.
